@@ -73,8 +73,7 @@ RunResult run_session(std::uint64_t seed, std::size_t receivers,
   }
 
   DynamicHfcOverlay overlay(pts, placement, {},
-                            BorderSelection::kClosestPair,
-                            ChurnMode::kIncremental);
+                            BorderSelection::kClosestPair);
   const OverlayNetwork& net = overlay.universe_network();
   const HfcTopology& topo = overlay.universe_topology();
   QosManager qos(net, topo, std::vector<double>(net.size(), 1.0e6),

@@ -6,9 +6,10 @@
 //
 // Part 2 (the incremental churn engine): synthetic clustered universes at
 // n in {1000, 5000} (plus 20000 under HFC_FULL) sustain a mixed
-// leave/rejoin/add stream with a routed probe after every batch, once in
-// incremental mode and once in full-rebuild mode, and we report events/sec
-// for both. Knobs: HFC_CHURN_N (single size override), HFC_CHURN_EVENTS
+// leave/rejoin/add stream with a routed probe after every batch, once
+// through the incremental engine and once through the full-rebuild
+// oracle (tests/oracle/full_rebuild.h: routing state rebuilt from scratch
+// before every probe), and we report events/sec for both. Knobs: HFC_CHURN_N (single size override), HFC_CHURN_EVENTS
 // (stream length per size, default 320), HFC_CHURN_BATCH (events per
 // apply() batch, default 16). BENCH_churn_dynamic.json carries the
 // events/sec and speedup numbers plus the registry snapshot
@@ -21,6 +22,7 @@
 #include "bench/common.h"
 #include "core/experiment.h"
 #include "dynamic/dynamic_overlay.h"
+#include "tests/oracle/full_rebuild.h"
 #include "util/stats.h"
 
 namespace {
@@ -29,7 +31,7 @@ using namespace hfc;
 
 constexpr int kCatalog = 8;
 
-/// One churn stream, pre-generated so both modes replay identical events:
+/// One churn stream, pre-generated so both arms replay identical events:
 /// batches of mixed deactivate/activate/add plus one routed probe per
 /// batch (endpoints chosen active at that point in the stream).
 struct ChurnStream {
@@ -115,13 +117,12 @@ ChurnStream make_stream(Rng rng, const std::vector<Point>& pts,
   return stream;
 }
 
-/// Replay the stream (apply batch, then route the probe — so full-rebuild
-/// mode pays its rebuild every batch, exactly what a sustained
-/// churn-with-queries workload looks like). Returns events/sec.
-double run_mode(ChurnMode mode, const std::vector<Point>& pts,
-                const ServicePlacement& placement, const ChurnStream& stream) {
-  DynamicHfcOverlay overlay(pts, placement, {}, BorderSelection::kClosestPair,
-                            mode);
+/// Replay the stream through the incremental engine: apply each batch,
+/// then route its probe. Returns events/sec.
+double run_incremental(const std::vector<Point>& pts,
+                       const ServicePlacement& placement,
+                       const ChurnStream& stream) {
+  DynamicHfcOverlay overlay(pts, placement);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t b = 0; b < stream.batches.size(); ++b) {
     (void)overlay.apply(stream.batches[b]);
@@ -130,6 +131,28 @@ double run_mode(ChurnMode mode, const std::vector<Point>& pts,
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  return static_cast<double>(stream.events) / seconds;
+}
+
+/// Replay the stream with a from-scratch rebuild of the overlay network,
+/// topology, and router before every probe — what a sustained
+/// churn-with-queries workload costs without incremental repair. Only the
+/// rebuild and the probe are timed, not the (incremental) apply that
+/// feeds the oracle its active set. Returns events/sec.
+double run_full_rebuild(const std::vector<Point>& pts,
+                        const ServicePlacement& placement,
+                        const ChurnStream& stream) {
+  DynamicHfcOverlay overlay(pts, placement);
+  double seconds = 0.0;
+  for (std::size_t b = 0; b < stream.batches.size(); ++b) {
+    (void)overlay.apply(stream.batches[b]);
+    const auto start = std::chrono::steady_clock::now();
+    const oracle::FullRebuild full(overlay);
+    (void)full.route(stream.probes[b]);
+    seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+  }
   return static_cast<double>(stream.events) / seconds;
 }
 
@@ -152,10 +175,8 @@ void churn_engine_comparison(benchutil::BenchJson& bench) {
     const ServicePlacement placement = random_placement(rng, n);
     const ChurnStream stream = make_stream(rng.fork(2), pts, events, batch);
 
-    const double inc = run_mode(ChurnMode::kIncremental, pts, placement,
-                                stream);
-    const double full = run_mode(ChurnMode::kFullRebuild, pts, placement,
-                                 stream);
+    const double inc = run_incremental(pts, placement, stream);
+    const double full = run_full_rebuild(pts, placement, stream);
     const double speedup = inc / full;
     std::cout << format_row({std::to_string(n), benchutil::fmt(inc, 0),
                              benchutil::fmt(full, 0),

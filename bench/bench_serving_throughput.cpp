@@ -152,8 +152,7 @@ ArmResult run_arm(const Scenario& s, std::size_t threads) {
   const auto before = obs::MetricsRegistry::global().snapshot();
 
   DynamicHfcOverlay overlay(s.pts, s.placement, {},
-                            BorderSelection::kClosestPair,
-                            ChurnMode::kIncremental);
+                            BorderSelection::kClosestPair);
   serve::ServingEngine engine(overlay);
 
   std::vector<NodeId> endpoints;
@@ -298,8 +297,7 @@ int main() {
   // re-filtered to the churn side so request endpoints always stay up.
   {
     DynamicHfcOverlay scout(s.pts, s.placement, {},
-                            BorderSelection::kClosestPair,
-                            ChurnMode::kIncremental);
+                            BorderSelection::kClosestPair);
     FaultPlanParams fp;
     fp.horizon_ms = s.horizon_ms;
     fp.crashes = 6;

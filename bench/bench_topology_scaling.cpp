@@ -5,18 +5,16 @@
 // Phase 1 (A/B, default n = 20000): build the full structural pipeline —
 // Zahn clustering over the Euclidean MST plus HFC closest-pair border
 // selection — twice over the same clustered point cloud, once with
-// HFC_SPATIAL=off (the quadratic scans) and once with the kd-tree, and
-// compare wall-clock and the `topology.candidate_links` /
+// HFC_SPATIAL_MIN_N above n (the quadratic scans) and once with the
+// kd-tree, and compare wall-clock and the `topology.candidate_links` /
 // `cluster.mst_candidate_pairs` counters. At the acceptance size
 // (n >= 20000) the bench *asserts* a >= 10x construction speedup and a
 // >= 100x border-candidate reduction; reduced runs only report.
 //
-// Phase 2 (A/B, default n = 100000): the Borůvka MST alone, rounds vs
-// pruned sweep strategy over the same kd-tree (HFC_MST_ALGO semantics,
-// forced explicitly here). The two must produce bit-identical edge lists;
-// the bench asserts that, reports the candidate-pair and node-visit
-// reductions from the component-shared shrinking bound, and at the
-// acceptance size (n >= 100000) asserts the candidate reduction is real.
+// Phase 2 (A/B, default n = 100000): the Borůvka MST alone, the single
+// global pruned sweep vs the group-local pipeline (DESIGN.md §14). The
+// two must produce bit-identical edge lists; the bench asserts that and
+// reports the wall-clock, candidate-pair and node-visit counts.
 //
 // Phase 3 (default n = 1000000): build + route at a proxy count where the
 // flat topology's all-pairs border selection is infeasible, through the
@@ -30,7 +28,7 @@
 // default 20000), HFC_TOPO_REQUESTS (routed requests, default 1000),
 // HFC_TOPO_DIM (coordinate dimension, default 5), HFC_ML_FANOUT (phase-3
 // hierarchy fanout). The sanitizer legs of scripts/check.sh run reduced
-// sizes with both HFC_MST_ALGO settings.
+// sizes with the group-local pipeline forced on.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -50,7 +48,6 @@
 #include "src/overlay/hfc_topology.h"
 #include "src/overlay/overlay_network.h"
 #include "src/services/service_graph.h"
-#include "src/spatial/spatial_index.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -93,8 +90,9 @@ struct BuildResult {
   std::uint64_t mst_candidates = 0;
 };
 
-/// Cluster + build the HFC topology once under the current HFC_SPATIAL
-/// setting, returning wall-clock and the candidate-counter deltas.
+/// Cluster + build the HFC topology once under the current
+/// HFC_SPATIAL_MIN_N setting, returning wall-clock and the
+/// candidate-counter deltas.
 BuildResult build_once(const std::vector<Point>& coords) {
   obs::Counter& borders =
       obs::MetricsRegistry::global().counter("topology.candidate_links");
@@ -123,9 +121,9 @@ struct MstResult {
   std::uint64_t nodes_visited = 0;
 };
 
-/// One Borůvka MST over the kd-tree under the given sweep strategy, with
-/// candidate-pair and tree-node-visit counter deltas.
-MstResult mst_once(const std::vector<Point>& coords, MstAlgo algo) {
+/// One global Borůvka MST over the kd-tree, with candidate-pair and
+/// tree-node-visit counter deltas.
+MstResult mst_once(const std::vector<Point>& coords) {
   obs::Counter& cand =
       obs::MetricsRegistry::global().counter("cluster.mst_candidate_pairs");
   obs::Counter& visits =
@@ -134,7 +132,7 @@ MstResult mst_once(const std::vector<Point>& coords, MstAlgo algo) {
   const std::uint64_t visits0 = visits.value();
   const auto t0 = std::chrono::steady_clock::now();
   MstResult r;
-  r.edges = euclidean_mst_spatial(coords, SpatialMode::kKdTree, algo);
+  r.edges = euclidean_mst_spatial(coords);
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -158,9 +156,17 @@ int main() {
   std::cout << "Topology construction A/B at n=" << cmp_n << " (dim=" << dim
             << ")\n";
   const std::vector<Point> cmp_coords = clustered_coords(cmp_n, dim, 4071);
-  setenv("HFC_SPATIAL", "off", 1);
+  // A spatial floor above n forces every consumer onto its brute scan;
+  // the caller's floor (if any) is restored for the spatial arm.
+  const char* raw_floor = std::getenv("HFC_SPATIAL_MIN_N");
+  const std::string caller_floor = raw_floor != nullptr ? raw_floor : "";
+  setenv("HFC_SPATIAL_MIN_N", std::to_string(cmp_n + 1).c_str(), 1);
   const BuildResult brute = build_once(cmp_coords);
-  setenv("HFC_SPATIAL", "kdtree", 1);
+  if (caller_floor.empty()) {
+    unsetenv("HFC_SPATIAL_MIN_N");
+  } else {
+    setenv("HFC_SPATIAL_MIN_N", caller_floor.c_str(), 1);
+  }
   const BuildResult spatial = build_once(cmp_coords);
   const double speedup = brute.wall_ms / std::max(spatial.wall_ms, 1e-9);
   const double border_reduction =
@@ -201,50 +207,13 @@ int main() {
     }
   }
 
-  // ---- Phase 2: MST rounds vs pruned A/B at mst_n ----------------------
+  // ---- Phase 2: global pruned sweep at mst_n --------------------------
   std::cout << "\nBorůvka sweep A/B at n=" << mst_n << "\n";
   const std::vector<Point> mst_coords = clustered_coords(mst_n, dim, 4074);
-  const MstResult rounds = mst_once(mst_coords, MstAlgo::kRounds);
-  const MstResult pruned = mst_once(mst_coords, MstAlgo::kPruned);
-  const double mst_speedup = rounds.wall_ms / std::max(pruned.wall_ms, 1e-9);
-  const double cand_reduction =
-      static_cast<double>(rounds.candidates) /
-      std::max<double>(static_cast<double>(pruned.candidates), 1.0);
-  const double visit_reduction =
-      static_cast<double>(rounds.nodes_visited) /
-      std::max<double>(static_cast<double>(pruned.nodes_visited), 1.0);
-  std::cout << "  rounds:  " << benchutil::fmt(rounds.wall_ms, 0) << " ms, "
-            << rounds.candidates << " candidates, " << rounds.nodes_visited
-            << " node visits\n"
-            << "  pruned:  " << benchutil::fmt(pruned.wall_ms, 0) << " ms, "
+  const MstResult pruned = mst_once(mst_coords);
+  std::cout << "  pruned:  " << benchutil::fmt(pruned.wall_ms, 0) << " ms, "
             << pruned.candidates << " candidates, " << pruned.nodes_visited
-            << " node visits\n"
-            << "  speedup " << benchutil::fmt(mst_speedup, 2)
-            << "x, candidate reduction " << benchutil::fmt(cand_reduction, 2)
-            << "x, node-visit reduction " << benchutil::fmt(visit_reduction, 2)
-            << "x\n";
-  if (rounds.edges.size() != pruned.edges.size()) {
-    std::cerr << "FATAL: rounds and pruned MSTs differ in size ("
-              << rounds.edges.size() << " vs " << pruned.edges.size() << ")\n";
-    return 1;
-  }
-  for (std::size_t i = 0; i < rounds.edges.size(); ++i) {
-    if (rounds.edges[i].a != pruned.edges[i].a ||
-        rounds.edges[i].b != pruned.edges[i].b ||
-        rounds.edges[i].length != pruned.edges[i].length) {
-      std::cerr << "FATAL: MST edge " << i << " differs between rounds ("
-                << rounds.edges[i].a << "," << rounds.edges[i].b
-                << ") and pruned (" << pruned.edges[i].a << ","
-                << pruned.edges[i].b << ")\n";
-      return 1;
-    }
-  }
-  if (mst_n >= 100000 && visit_reduction < 1.2) {
-    std::cerr << "FATAL: pruned sweep node-visit reduction "
-              << benchutil::fmt(visit_reduction, 2)
-              << "x below the asserted 1.2x at n=" << mst_n << "\n";
-    return 1;
-  }
+            << " node visits\n";
 
   // ---- Phase 2b: group-local pipeline vs global sweep at mst_n ---------
   // The DESIGN.md §14 pipeline must return the bit-identical tree; the
@@ -253,8 +222,7 @@ int main() {
       obs::MetricsRegistry::global().counter("cluster.mst_lb_skips");
   const std::uint64_t skips0 = lb_skips.value();
   const auto g0 = std::chrono::steady_clock::now();
-  const std::vector<MstEdge> grouped =
-      euclidean_mst_grouped(mst_coords, SpatialMode::kKdTree);
+  const std::vector<MstEdge> grouped = euclidean_mst_grouped(mst_coords);
   const double grouped_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - g0)
                                 .count();
@@ -411,17 +379,10 @@ int main() {
   json.note("construction_speedup", speedup);
   json.note("border_candidate_reduction", border_reduction);
   json.note("mst_candidate_reduction", mst_reduction);
-  json.note("mst_rounds_ms", rounds.wall_ms);
   json.note("mst_pruned_ms", pruned.wall_ms);
-  json.note("mst_rounds_candidates", static_cast<double>(rounds.candidates));
   json.note("mst_pruned_candidates", static_cast<double>(pruned.candidates));
-  json.note("mst_rounds_node_visits",
-            static_cast<double>(rounds.nodes_visited));
   json.note("mst_pruned_node_visits",
             static_cast<double>(pruned.nodes_visited));
-  json.note("mst_prune_speedup", mst_speedup);
-  json.note("mst_prune_candidate_reduction", cand_reduction);
-  json.note("mst_prune_visit_reduction", visit_reduction);
   json.note("mst_grouped_ms", grouped_ms);
   json.note("mst_grouped_speedup", grouped_speedup);
   json.note("mst_grouped_lb_skips", static_cast<double>(grouped_skips));

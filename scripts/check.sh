@@ -13,9 +13,11 @@
 #      distance row caches, parallel construction paths, dynamic/churn
 #      suites) with a 4-thread pool, so data races in the registry, the
 #      pool, the sharded LRU or the batched border repair fail loudly;
-#      then reduced bench_churn_dynamic, bench_topology_scaling (spatial
-#      index forced on, pruned MST sweep forced so the parallel per-
-#      component scans run under TSan), bench_serving_throughput (the
+#      the oracle-backed equivalence suites run again at 3 threads, since
+#      an odd pool size chunks parallel loops unevenly; then reduced
+#      bench_churn_dynamic, bench_topology_scaling (spatial index and
+#      group-local pipeline forced on, so the parallel per-component
+#      scans run under TSan), bench_serving_throughput (the
 #      serving bench hammers snapshot publication + the sharded cache
 #      with a 4-thread pool) and a reduced bench_chaos_streaming (the
 #      repair pass fans candidate routing over the pool) under the same
@@ -67,14 +69,16 @@ cmake -B build-tsan -S . -DHFC_SANITIZE=thread
 cmake --build build-tsan -j"$JOBS"
 HFC_THREADS=4 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'Obs|Metrics|Trace|ThreadPool|Parallel|StateProtocol|Simulator|Distance|RowCache|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming'
+HFC_THREADS=3 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
+  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \
   HFC_WAVES=2 HFC_BENCH_JSON=0 ./build-tsan/bench/bench_churn_dynamic
 # Group-local pipeline forced on at reduced n (floor 2, small cells), so
 # the per-cell parallel local phase + block-parallel Zahn cut run under
 # TSan with a 4-thread pool.
 HFC_THREADS=4 HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 \
-  HFC_TOPO_REQUESTS=40 HFC_SPATIAL_MIN_N=2 HFC_MST_ALGO=pruned \
-  HFC_ML_PAR=1 HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
+  HFC_TOPO_REQUESTS=40 HFC_SPATIAL_MIN_N=2 \
+  HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
   HFC_BENCH_JSON=0 ./build-tsan/bench/bench_topology_scaling
 HFC_THREADS=4 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-tsan/bench/bench_serving_throughput
@@ -95,9 +99,8 @@ HFC_DIST_N=400 HFC_DIST_REQUESTS=200 HFC_BENCH_JSON=0 \
 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 HFC_WAVES=2 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_churn_dynamic
 HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 HFC_TOPO_REQUESTS=40 \
-  HFC_SPATIAL_MIN_N=2 HFC_MST_ALGO=pruned \
-  HFC_ML_PAR=1 HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 HFC_BENCH_JSON=0 \
-  ./build-asan/bench/bench_topology_scaling
+  HFC_SPATIAL_MIN_N=2 HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
+  HFC_BENCH_JSON=0 ./build-asan/bench/bench_topology_scaling
 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_serving_throughput
 # Streaming under ASan: session construction, churn-driven join/leave

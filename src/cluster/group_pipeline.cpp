@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numeric>
 
 #include "obs/metrics.h"
@@ -182,20 +181,7 @@ using Clock = std::chrono::steady_clock;
 }  // namespace
 
 bool group_pipeline_enabled(std::size_t n) {
-  if (env_size_t("HFC_ML_PAR", 1, 0) == 0) return false;
   return n >= env_size_t("HFC_ML_PAR_MIN_N", 8192, 2);
-}
-
-bool group_pipeline_selected(GroupPipelineMode mode, std::size_t n) {
-  switch (mode) {
-    case GroupPipelineMode::kOn:
-      return true;
-    case GroupPipelineMode::kOff:
-      return false;
-    case GroupPipelineMode::kAuto:
-      break;
-  }
-  return group_pipeline_enabled(n);
 }
 
 std::size_t group_pipeline_group_limit() {
@@ -203,10 +189,7 @@ std::size_t group_pipeline_group_limit() {
 }
 
 std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
-                                           SpatialMode mode,
                                            std::size_t group_limit) {
-  require(mode != SpatialMode::kOff,
-          "euclidean_mst_grouped: mode kOff has no index");
   HFC_TRACE_SPAN("cluster.mst");
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("cluster.mst_builds").add(1);
@@ -255,7 +238,7 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
       return;
     }
     DynamicSpatialSet set;
-    set.bulk_load(mode, points, members);
+    set.bulk_load(points, members);
     QueryStats& st = cell_stats[ci];
     std::vector<MstEdge>& out = cell_edges[ci];
 
@@ -397,8 +380,7 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
     // its query would miss at that bound — so skipping is exact, and
     // ties (lb == best) still query so the (a, b) tie-break is
     // preserved.
-    const std::unique_ptr<SpatialIndex> index =
-        make_spatial_index(mode, points);
+    KdTree index(points);
     std::vector<double> cand_d(n, kInf);
     std::vector<std::size_t> cand_a(n, 0);
     std::vector<std::size_t> cand_b(n, 0);
@@ -413,7 +395,7 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
       for (std::size_t v = 0; v < n; ++v) {
         labels[v] = static_cast<std::int32_t>(uf.find(v));
       }
-      index->retag(labels);
+      index.retag(labels);
 
       std::size_t num_comps = 0;
       comp_roots.clear();
@@ -454,7 +436,7 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
             continue;
           }
           const SpatialHit hit =
-              index->nearest_foreign(points[v], label, best_d, st);
+              index.nearest_foreign(points[v], label, best_d, st);
           if (hit.found()) {
             lb[v] = hit.dist;
             const auto u = static_cast<std::size_t>(hit.id);

@@ -7,8 +7,8 @@
 // DynamicSpatialSet-backed local index, and only the residual inter-cell
 // merging runs against the global index, pruned by per-point lower
 // bounds the local phase seeds. The result is bit-identical to the
-// single global sweep for any HFC_THREADS (the selection gates and the
-// MST dispatch itself live in cluster/mst.h: GroupPipelineMode,
+// single global sweep for any HFC_THREADS (the selection gate and the
+// MST dispatch itself live in cluster/mst.h: group_pipeline_enabled,
 // euclidean_mst_grouped).
 //
 // This header adds the group-scoped entry points the churn seam needs:

@@ -1,15 +1,12 @@
 #include "cluster/mst.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
 #include <limits>
-#include <mutex>
 #include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "spatial/kd_tree.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -55,39 +52,7 @@ class UnionFind {
   return b < bb;
 }
 
-/// Warn once per process for a bad HFC_MST_ALGO value, mirroring the
-/// HFC_SPATIAL string-knob behaviour.
-void warn_bad_algo(const char* raw) {
-  static std::mutex mu;
-  static bool warned = false;
-  std::lock_guard<std::mutex> lk(mu);
-  if (warned) return;
-  warned = true;
-  std::cerr << "[hfc] warning: ignoring HFC_MST_ALGO=\"" << raw
-            << "\" (expected rounds|pruned); using default pruned\n";
-}
-
 }  // namespace
-
-MstAlgo mst_algo() {
-  const char* raw = std::getenv("HFC_MST_ALGO");
-  if (raw == nullptr || std::strcmp(raw, "pruned") == 0) {
-    return MstAlgo::kPruned;
-  }
-  if (std::strcmp(raw, "rounds") == 0) return MstAlgo::kRounds;
-  warn_bad_algo(raw);
-  return MstAlgo::kPruned;
-}
-
-const char* mst_algo_name(MstAlgo algo) {
-  switch (algo) {
-    case MstAlgo::kRounds:
-      return "rounds";
-    case MstAlgo::kPruned:
-      return "pruned";
-  }
-  return "?";
-}
 
 std::vector<MstEdge> mst_dense(std::size_t n, const DistanceFn& distance) {
   HFC_TRACE_SPAN("cluster.mst");
@@ -139,10 +104,7 @@ std::vector<MstEdge> mst_dense(std::size_t n, const DistanceFn& distance) {
 std::vector<MstEdge> mst_dense(const DistanceService& distance) {
   const std::vector<Point>* coords = distance.coord_view();
   if (coords != nullptr && spatial_enabled(coords->size())) {
-    if (group_pipeline_enabled(coords->size())) {
-      return euclidean_mst_grouped(*coords, spatial_mode());
-    }
-    return euclidean_mst_spatial(*coords, spatial_mode());
+    return euclidean_mst(*coords);
   }
 
   HFC_TRACE_SPAN("cluster.mst");
@@ -203,24 +165,16 @@ std::vector<MstEdge> mst_dense(const DistanceService& distance) {
 std::vector<MstEdge> euclidean_mst(const std::vector<Point>& points) {
   if (spatial_enabled(points.size())) {
     if (group_pipeline_enabled(points.size())) {
-      return euclidean_mst_grouped(points, spatial_mode());
+      return euclidean_mst_grouped(points);
     }
-    return euclidean_mst_spatial(points, spatial_mode());
+    return euclidean_mst_spatial(points);
   }
   return mst_dense(points.size(), [&points](std::size_t i, std::size_t j) {
     return euclidean(points[i], points[j]);
   });
 }
 
-std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points,
-                                           SpatialMode mode) {
-  return euclidean_mst_spatial(points, mode, mst_algo());
-}
-
-std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points,
-                                           SpatialMode mode, MstAlgo algo) {
-  require(mode != SpatialMode::kOff,
-          "euclidean_mst_spatial: mode kOff has no index");
+std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points) {
   HFC_TRACE_SPAN("cluster.mst");
   auto& registry = obs::MetricsRegistry::global();
   registry.counter("cluster.mst_builds").add(1);
@@ -229,7 +183,7 @@ std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points,
   if (n <= 1) return edges;
   edges.reserve(n - 1);
 
-  const std::unique_ptr<SpatialIndex> index = make_spatial_index(mode, points);
+  KdTree index(points);
   UnionFind uf(n);
   std::vector<std::int32_t> labels(n, 0);
 
@@ -238,26 +192,14 @@ std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points,
   std::vector<std::size_t> cand_a(n, 0);
   std::vector<std::size_t> cand_b(n, 0);
 
-  // rounds-mode scratch: one hit + stats slot per point.
-  std::vector<SpatialHit> hits;
-  std::vector<QueryStats> stats;
-  if (algo == MstAlgo::kRounds) {
-    hits.resize(n);
-    stats.resize(n);
-  }
-
-  // pruned-mode scratch: CSR member lists grouped by component. Rebuilt
-  // every round; `root_slot` maps a root id to its compact component
-  // index, `comp_roots` lists roots in order of smallest member.
-  std::vector<std::int32_t> root_slot;
+  // CSR member lists grouped by component, rebuilt every round:
+  // `root_slot` maps a root id to its compact component index,
+  // `comp_roots` lists roots in order of smallest member.
+  std::vector<std::int32_t> root_slot(n, -1);
   std::vector<std::size_t> comp_roots;
   std::vector<std::size_t> offsets;
-  std::vector<std::size_t> members;
+  std::vector<std::size_t> members(n);
   std::vector<QueryStats> comp_stats;
-  if (algo == MstAlgo::kPruned) {
-    root_slot.assign(n, -1);
-    members.resize(n);
-  }
   QueryStats total;
 
   // Borůvka: every round each component selects its cheapest outgoing
@@ -268,98 +210,74 @@ std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points,
     for (std::size_t v = 0; v < n; ++v) {
       labels[v] = static_cast<std::int32_t>(uf.find(v));
     }
-    index->retag(labels);
+    index.retag(labels);
 
-    if (algo == MstAlgo::kRounds) {
-      // Every point queries with an infinite bound; a serial pass
-      // reduces the n hits to one candidate per component.
-      parallel_for(n, 256, [&](std::size_t v) {
-        hits[v] = index->nearest_foreign(points[v],
-                                         labels[static_cast<std::size_t>(v)],
-                                         kInf, stats[v]);
-      });
-      for (std::size_t v = 0; v < n; ++v) {
-        const SpatialHit& hit = hits[v];
-        ensure(hit.found(), "euclidean_mst_spatial: disconnected point set");
-        const std::size_t u = static_cast<std::size_t>(hit.id);
-        const std::size_t a = std::min(v, u);
-        const std::size_t b = std::max(v, u);
-        const std::size_t root = static_cast<std::size_t>(labels[v]);
-        if (edge_improves(hit.dist, a, b, cand_d[root], cand_a[root],
-                          cand_b[root])) {
-          cand_d[root] = hit.dist;
-          cand_a[root] = a;
-          cand_b[root] = b;
-        }
+    // Group members by component (a stable counting sort, so each
+    // component's member list is ascending), then scan each component
+    // sequentially with a shrinking inclusive bound: once a candidate
+    // edge is held, later members only need to beat its distance, so
+    // their k-d descents cut off almost immediately. Components scan
+    // in parallel; each writes only its own cand_* slot, so the sweep
+    // is deterministic for any thread count.
+    std::size_t num_comps = 0;
+    comp_roots.clear();
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto root = static_cast<std::size_t>(labels[v]);
+      if (root_slot[root] < 0) {
+        root_slot[root] = static_cast<std::int32_t>(num_comps++);
+        comp_roots.push_back(root);
       }
-    } else {
-      // Group members by component (a stable counting sort, so each
-      // component's member list is ascending), then scan each component
-      // sequentially with a shrinking inclusive bound: once a candidate
-      // edge is held, later members only need to beat its distance, so
-      // their k-d descents cut off almost immediately. Components scan
-      // in parallel; each writes only its own cand_* slot, so the sweep
-      // is deterministic for any thread count.
-      std::size_t num_comps = 0;
-      comp_roots.clear();
-      for (std::size_t v = 0; v < n; ++v) {
-        const auto root = static_cast<std::size_t>(labels[v]);
-        if (root_slot[root] < 0) {
-          root_slot[root] = static_cast<std::int32_t>(num_comps++);
-          comp_roots.push_back(root);
-        }
-      }
-      offsets.assign(num_comps + 1, 0);
+    }
+    offsets.assign(num_comps + 1, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto slot =
+          static_cast<std::size_t>(root_slot[static_cast<std::size_t>(
+              labels[v])]);
+      ++offsets[slot + 1];
+    }
+    for (std::size_t c = 0; c < num_comps; ++c) {
+      offsets[c + 1] += offsets[c];
+    }
+    {
+      std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
       for (std::size_t v = 0; v < n; ++v) {
         const auto slot =
             static_cast<std::size_t>(root_slot[static_cast<std::size_t>(
                 labels[v])]);
-        ++offsets[slot + 1];
+        members[cursor[slot]++] = v;
       }
-      for (std::size_t c = 0; c < num_comps; ++c) {
-        offsets[c + 1] += offsets[c];
-      }
-      {
-        std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-        for (std::size_t v = 0; v < n; ++v) {
-          const auto slot =
-              static_cast<std::size_t>(root_slot[static_cast<std::size_t>(
-                  labels[v])]);
-          members[cursor[slot]++] = v;
+    }
+    comp_stats.assign(num_comps, QueryStats{});
+    parallel_for(num_comps, 16, [&](std::size_t c) {
+      const std::size_t root = comp_roots[c];
+      const auto label = static_cast<std::int32_t>(root);
+      double best_d = kInf;
+      std::size_t best_a = 0;
+      std::size_t best_b = 0;
+      QueryStats& st = comp_stats[c];
+      for (std::size_t m = offsets[c]; m < offsets[c + 1]; ++m) {
+        const std::size_t v = members[m];
+        const SpatialHit hit =
+            index.nearest_foreign(points[v], label, best_d, st);
+        if (!hit.found()) continue;
+        const std::size_t u = static_cast<std::size_t>(hit.id);
+        const std::size_t a = std::min(v, u);
+        const std::size_t b = std::max(v, u);
+        if (edge_improves(hit.dist, a, b, best_d, best_a, best_b)) {
+          best_d = hit.dist;
+          best_a = a;
+          best_b = b;
         }
       }
-      comp_stats.assign(num_comps, QueryStats{});
-      parallel_for(num_comps, 16, [&](std::size_t c) {
-        const std::size_t root = comp_roots[c];
-        const auto label = static_cast<std::int32_t>(root);
-        double best_d = kInf;
-        std::size_t best_a = 0;
-        std::size_t best_b = 0;
-        QueryStats& st = comp_stats[c];
-        for (std::size_t m = offsets[c]; m < offsets[c + 1]; ++m) {
-          const std::size_t v = members[m];
-          const SpatialHit hit =
-              index->nearest_foreign(points[v], label, best_d, st);
-          if (!hit.found()) continue;
-          const std::size_t u = static_cast<std::size_t>(hit.id);
-          const std::size_t a = std::min(v, u);
-          const std::size_t b = std::max(v, u);
-          if (edge_improves(hit.dist, a, b, best_d, best_a, best_b)) {
-            best_d = hit.dist;
-            best_a = a;
-            best_b = b;
-          }
-        }
-        cand_d[root] = best_d;
-        cand_a[root] = best_a;
-        cand_b[root] = best_b;
-      });
-      for (std::size_t c = 0; c < num_comps; ++c) {
-        ensure(cand_d[comp_roots[c]] != kInf,
-               "euclidean_mst_spatial: disconnected point set");
-        total += comp_stats[c];
-        root_slot[comp_roots[c]] = -1;
-      }
+      cand_d[root] = best_d;
+      cand_a[root] = best_a;
+      cand_b[root] = best_b;
+    });
+    for (std::size_t c = 0; c < num_comps; ++c) {
+      ensure(cand_d[comp_roots[c]] != kInf,
+             "euclidean_mst_spatial: disconnected point set");
+      total += comp_stats[c];
+      root_slot[comp_roots[c]] = -1;
     }
 
     const std::size_t before = edges.size();
@@ -373,7 +291,6 @@ std::vector<MstEdge> euclidean_mst_spatial(const std::vector<Point>& points,
     ensure(edges.size() > before, "euclidean_mst_spatial: no progress");
   }
 
-  for (const QueryStats& s : stats) total += s;
   registry.counter("cluster.mst_candidate_pairs").add(total.point_evals);
   registry.counter("spatial.nodes_visited").add(total.nodes_visited);
 

@@ -11,35 +11,25 @@
 //     each added node's whole row once (n row fetches total), so the
 //     truth tier's bounded row cache is read sequentially instead of
 //     thrashed.
-//   * Borůvka over a spatial index (`euclidean_mst_spatial`) — each round
-//     tags the index with the current components and finds, per component,
-//     its cheapest outgoing edge; components shrink geometrically, so the
-//     whole build is O(n log n) nearest-neighbour work. This is what
-//     `euclidean_mst` and the coordinate-tier `mst_dense` dispatch to once
-//     `spatial_enabled(n)` holds (default: n >= 256 with HFC_SPATIAL !=
-//     off), and it is the tier that carries Zahn clustering to the
+//   * Borůvka over a k-d tree (`euclidean_mst_spatial`) — each round
+//     tags the index with the current components and finds, per
+//     component, its cheapest outgoing edge; components shrink
+//     geometrically, so the whole build is O(n log n) nearest-neighbour
+//     work. This is what `euclidean_mst` and the coordinate-tier
+//     `mst_dense` dispatch to once `spatial_enabled(n)` holds (default:
+//     n >= 256), and it is the tier that carries Zahn clustering to the
 //     1M-proxy scale (bench_topology_scaling).
 //
-// The Borůvka tier has two sweep strategies behind HFC_MST_ALGO
-// (DESIGN.md §13):
-//
-//   rounds — every point independently asks for its nearest foreign
-//     point with an infinite bound, and a serial pass reduces the n hits
-//     to one candidate per component. Simple, embarrassingly parallel,
-//     but each query pays the full k-d descent even when its component
-//     already holds a much closer outgoing edge.
-//   pruned — points are grouped by component and scanned sequentially
-//     within it, passing the component's best candidate distance so far
-//     as the (inclusive) query bound. The bound shrinks as candidates
-//     improve, so most member queries cut off after a few node visits;
-//     components scan in parallel, writing disjoint candidate slots.
-//
-// Both strategies produce bit-identical trees: the inclusive-bound
-// contract (spatial_index.h) returns candidates at exactly the bound, so
-// every hit that could win the per-component (d, a, b) minimisation is
-// still seen, and hits the bound excludes are exactly those the rounds
-// reduction would discard. `pruned` is the default; `rounds` remains as
-// the A/B baseline the bench and equivalence tests pin.
+// The Borůvka sweep groups points by component and scans each component
+// sequentially, passing the component's best candidate distance so far
+// as the (inclusive) query bound (DESIGN.md §13). The bound shrinks as
+// candidates improve, so most member queries cut off after a few node
+// visits; components scan in parallel, writing disjoint candidate slots.
+// The inclusive-bound contract (spatial_index.h) returns candidates at
+// exactly the bound, so every hit that could win the per-component
+// (d, a, b) minimisation is still seen: the tree is the unique MST under
+// that total order, which the all-pairs Kruskal oracle in
+// tests/oracle/mst.h reproduces bit for bit, exact ties included.
 //
 // Equivalence across tiers: all evaluate the same `euclidean()` doubles,
 // and with distinct pairwise distances the MST is unique, so Prim and
@@ -77,7 +67,7 @@ using DistanceFn = std::function<double(std::size_t, std::size_t)>;
                                              const DistanceFn& distance);
 
 /// MST over all nodes of a distance service. Coordinate-tier services
-/// dispatch to the Borůvka path under the HFC_SPATIAL knobs; other tiers
+/// dispatch like `euclidean_mst`; other tiers
 /// run a row-grouped Prim that fetches `row(next)` once per added node —
 /// sequential reads the truth tier's row cache retains, instead of the
 /// per-pair `at()` canonicalization that thrashes it. Row-tier values are
@@ -86,43 +76,22 @@ using DistanceFn = std::function<double(std::size_t, std::size_t)>;
 [[nodiscard]] std::vector<MstEdge> mst_dense(const DistanceService& distance);
 
 /// MST of points under Euclidean distance. Dispatches between Prim and
-/// the spatial Borůvka path via `spatial_enabled(points.size())`.
+/// the Borůvka path via `spatial_enabled(points.size())`, and on to the
+/// group-local pipeline via `group_pipeline_enabled`.
 [[nodiscard]] std::vector<MstEdge> euclidean_mst(
     const std::vector<Point>& points);
 
-/// Which Borůvka sweep strategy the spatial MST path uses (HFC_MST_ALGO
-/// knob). Both produce bit-identical trees; see the header comment.
-enum class MstAlgo { kRounds, kPruned };
-
-/// Resolve the HFC_MST_ALGO environment knob (re-read on each call).
-/// Invalid values warn once and fall back to kPruned.
-[[nodiscard]] MstAlgo mst_algo();
-
-[[nodiscard]] const char* mst_algo_name(MstAlgo algo);
-
-/// The Borůvka-over-spatial-index path, exposed directly so equivalence
-/// tests and ablations can pin the structure regardless of environment.
-/// Edges come back canonical: a < b, sorted ascending by (a, b). The
-/// two-argument form resolves the sweep strategy from HFC_MST_ALGO; the
-/// three-argument form pins it for A/B runs.
+/// The Borůvka-over-k-d-tree path, exposed directly so equivalence
+/// tests and benches can pin it regardless of the HFC_SPATIAL_MIN_N
+/// floor. Edges come back canonical: a < b, sorted ascending by (a, b).
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_spatial(
-    const std::vector<Point>& points, SpatialMode mode);
+    const std::vector<Point>& points);
 
-[[nodiscard]] std::vector<MstEdge> euclidean_mst_spatial(
-    const std::vector<Point>& points, SpatialMode mode, MstAlgo algo);
-
-/// Group-local construction pipeline selection (DESIGN.md §14). kAuto
-/// resolves the HFC_ML_PAR / HFC_ML_PAR_MIN_N knobs; kOn / kOff pin the
-/// pipeline for A/B runs and per-build params regardless of environment.
-enum class GroupPipelineMode { kAuto, kOn, kOff };
-
-/// The kAuto gate: HFC_ML_PAR != 0 (default on) and n >= HFC_ML_PAR_MIN_N
-/// (default 8192 — below that the single global sweep is already cheap).
+/// The group-local pipeline gate: n >= HFC_ML_PAR_MIN_N (default 8192 —
+/// below that the single global sweep is already cheap). Selects both
+/// the pipeline's MST (`euclidean_mst_grouped`) and its block-parallel
+/// Zahn cut (DESIGN.md §14).
 [[nodiscard]] bool group_pipeline_enabled(std::size_t n);
-
-/// Resolve an explicit mode against the kAuto gate.
-[[nodiscard]] bool group_pipeline_selected(GroupPipelineMode mode,
-                                           std::size_t n);
 
 /// Partition-cell size cap for the pipeline's local phase
 /// (HFC_ML_PAR_GROUP, default 4096).
@@ -136,8 +105,7 @@ enum class GroupPipelineMode { kAuto, kOn, kOff };
 /// floating-point-margin argument in DESIGN.md §14. `group_limit` 0 reads
 /// HFC_ML_PAR_GROUP.
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_grouped(
-    const std::vector<Point>& points, SpatialMode mode,
-    std::size_t group_limit = 0);
+    const std::vector<Point>& points, std::size_t group_limit = 0);
 
 /// Total length of an edge set.
 [[nodiscard]] double total_length(const std::vector<MstEdge>& edges);

@@ -230,18 +230,12 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
 
 std::vector<std::size_t> find_inconsistent_edges(
     std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params) {
-  return find_inconsistent_edges(n, mst, params, GroupPipelineMode::kAuto);
-}
-
-std::vector<std::size_t> find_inconsistent_edges(
-    std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params,
-    GroupPipelineMode pipeline) {
   require(params.inconsistency_factor > 0.0,
           "zahn: inconsistency factor must be positive");
   require(params.neighborhood_depth >= 1, "zahn: neighborhood depth >= 1");
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::size_t> inconsistent;
-  if (group_pipeline_selected(pipeline, n)) {
+  if (group_pipeline_enabled(n)) {
     inconsistent = find_inconsistent_edges_parallel(n, mst, params);
   } else {
     const Adjacency adj = build_adjacency(n, mst);
@@ -271,17 +265,11 @@ std::vector<std::size_t> find_inconsistent_edges(
 
 Clustering zahn_cluster(std::size_t n, const std::vector<MstEdge>& mst,
                         const ZahnParams& params, const DistanceFn& distance) {
-  return zahn_cluster(n, mst, params, distance, GroupPipelineMode::kAuto);
-}
-
-Clustering zahn_cluster(std::size_t n, const std::vector<MstEdge>& mst,
-                        const ZahnParams& params, const DistanceFn& distance,
-                        GroupPipelineMode pipeline) {
   HFC_TRACE_SPAN("cluster.zahn");
   require(mst.size() + 1 == n || (n <= 1 && mst.empty()),
           "zahn: edge list is not a spanning tree of n nodes");
   const std::vector<std::size_t> inconsistent =
-      find_inconsistent_edges(n, mst, params, pipeline);
+      find_inconsistent_edges(n, mst, params);
 
   std::vector<bool> removed(mst.size(), false);
   for (std::size_t e : inconsistent) removed[e] = true;
@@ -307,25 +295,10 @@ Clustering zahn_cluster(std::size_t n, const std::vector<MstEdge>& mst,
 
 Clustering cluster_points(const std::vector<Point>& points,
                           const ZahnParams& params) {
-  return cluster_points(points, params, GroupPipelineMode::kAuto);
-}
-
-Clustering cluster_points(const std::vector<Point>& points,
-                          const ZahnParams& params,
-                          GroupPipelineMode pipeline) {
   const DistanceFn distance = [&points](std::size_t i, std::size_t j) {
     return euclidean(points[i], points[j]);
   };
-  const std::size_t n = points.size();
-  std::vector<MstEdge> mst;
-  if (!spatial_enabled(n)) {
-    mst = euclidean_mst(points);  // Prim tier; no pipeline below the floor
-  } else if (group_pipeline_selected(pipeline, n)) {
-    mst = euclidean_mst_grouped(points, spatial_mode());
-  } else {
-    mst = euclidean_mst_spatial(points, spatial_mode());
-  }
-  return zahn_cluster(n, mst, params, distance, pipeline);
+  return zahn_cluster(points.size(), euclidean_mst(points), params, distance);
 }
 
 Clustering cluster_nodes(const DistanceService& distance,

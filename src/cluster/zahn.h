@@ -53,30 +53,16 @@ struct Clustering {
 
 /// Cluster n nodes from their MST. `distance` is needed only when
 /// min_cluster_size > 1 (for merging); pass the same function used to
-/// build the MST. Throws on inconsistent inputs. The five-argument form
-/// pins the group-local pipeline's parallel inconsistency cut on or off;
-/// the four-argument form resolves it from the environment (kAuto).
+/// build the MST. Throws on inconsistent inputs.
 [[nodiscard]] Clustering zahn_cluster(std::size_t n,
                                       const std::vector<MstEdge>& mst,
                                       const ZahnParams& params,
                                       const DistanceFn& distance);
 
-[[nodiscard]] Clustering zahn_cluster(std::size_t n,
-                                      const std::vector<MstEdge>& mst,
-                                      const ZahnParams& params,
-                                      const DistanceFn& distance,
-                                      GroupPipelineMode pipeline);
-
-/// Convenience: MST + clustering of points under Euclidean distance.
-/// The three-argument form pins the group-local construction pipeline
-/// (MST and inconsistency cut together) for per-build params and A/B
-/// tests; the two-argument form resolves it from the environment.
+/// Convenience: MST (`euclidean_mst`) + clustering of points under
+/// Euclidean distance.
 [[nodiscard]] Clustering cluster_points(const std::vector<Point>& points,
                                         const ZahnParams& params = {});
-
-[[nodiscard]] Clustering cluster_points(const std::vector<Point>& points,
-                                        const ZahnParams& params,
-                                        GroupPipelineMode pipeline);
 
 /// MST + clustering over all nodes of a distance service (the pipeline
 /// form: the framework passes its coordinate tier here). Bit-identical
@@ -86,17 +72,12 @@ struct Clustering {
                                        const ZahnParams& params = {});
 
 /// Indices (into `mst`) of the edges Zahn's test marks inconsistent.
-/// Each edge's verdict is a pure function of the MST adjacency, so the
-/// group-pipeline variant evaluates fixed-size edge blocks in parallel
-/// (per-block epoch-stamped BFS scratch, identical traversal and
-/// floating-point summation order) and returns a byte-identical list for
-/// any HFC_THREADS. The three-argument form resolves the pipeline gate
-/// from the environment; the four-argument form pins it.
+/// Each edge's verdict is a pure function of the MST adjacency, so once
+/// `group_pipeline_enabled(n)` holds the sweep evaluates fixed-size edge
+/// blocks in parallel (per-block epoch-stamped BFS scratch, identical
+/// traversal and floating-point summation order) and returns a
+/// byte-identical list to the serial sweep for any HFC_THREADS.
 [[nodiscard]] std::vector<std::size_t> find_inconsistent_edges(
     std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params);
-
-[[nodiscard]] std::vector<std::size_t> find_inconsistent_edges(
-    std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params,
-    GroupPipelineMode pipeline);
 
 }  // namespace hfc

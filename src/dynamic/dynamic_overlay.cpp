@@ -1,7 +1,6 @@
 #include "dynamic/dynamic_overlay.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -44,23 +43,15 @@ double intra_cluster_cost(const std::vector<Point>& coords,
 
 }  // namespace
 
-ChurnMode default_churn_mode() {
-  const char* env = std::getenv("HFC_CHURN_INCREMENTAL");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-    return ChurnMode::kFullRebuild;
-  }
-  return ChurnMode::kIncremental;
-}
-
 DynamicHfcOverlay::DynamicHfcOverlay(std::vector<Point> coords,
                                      ServicePlacement placement,
                                      ZahnParams zahn,
-                                     BorderSelection selection, ChurnMode mode)
+                                     BorderSelection selection,
+                                     ChurnMode /*mode*/)
     : coords_(std::move(coords)),
       placement_(std::move(placement)),
       zahn_(zahn),
-      selection_(selection),
-      mode_(mode) {
+      selection_(selection) {
   require(coords_.size() == placement_.size(),
           "DynamicHfcOverlay: coords/placement size mismatch");
   require(!coords_.empty(), "DynamicHfcOverlay: empty universe");
@@ -81,7 +72,7 @@ void DynamicHfcOverlay::do_deactivate(NodeId node) {
   require(is_active(node), "DynamicHfcOverlay::deactivate: node not active");
   require(active_count_ > 1,
           "DynamicHfcOverlay::deactivate: cannot empty the overlay");
-  if (mode_ == ChurnMode::kIncremental) inc_topo_->on_member_removed(node);
+  inc_topo_->on_member_removed(node);
   if (spatial_join_) {
     active_set_.erase(node.value());
     active_set_.maybe_rebuild();
@@ -101,9 +92,9 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
           "DynamicHfcOverlay::activate: node already active");
   // Paper's join rule: enter the cluster of the nearest active proxy. The
   // brute scan goes through the coordinate distance tier (bit-equal to
-  // the raw euclidean, so both churn modes track identical labels); the
-  // spatial path queries the active set, whose (distance, id) tie-break
-  // matches the ascending strict-`<` scan exactly.
+  // the raw euclidean); the spatial path queries the active set, whose
+  // (distance, id) tie-break matches the ascending strict-`<` scan
+  // exactly.
   static obs::Counter& join_candidates =
       obs::MetricsRegistry::global().counter("churn.join_candidates");
   static obs::Counter& visited =
@@ -141,9 +132,7 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
     active_set_.insert(node.value());
     active_set_.maybe_rebuild();
   }
-  if (mode_ == ChurnMode::kIncremental) {
-    inc_topo_->on_member_added(node, ClusterId(label));
-  }
+  inc_topo_->on_member_added(node, ClusterId(label));
   dirty_ = true;
 }
 
@@ -153,10 +142,8 @@ NodeId DynamicHfcOverlay::do_add(Point coords,
           "DynamicHfcOverlay::add_proxy: dimension mismatch");
   require(std::is_sorted(services.begin(), services.end()),
           "DynamicHfcOverlay::add_proxy: services must be sorted");
-  if (mode_ == ChurnMode::kIncremental) {
-    inc_net_->add_node(coords, services);
-    inc_topo_->append_node();
-  }
+  inc_net_->add_node(coords, services);
+  inc_topo_->append_node();
   dist_->append(coords);
   coords_.push_back(std::move(coords));
   placement_.push_back(std::move(services));
@@ -187,7 +174,7 @@ std::vector<NodeId> DynamicHfcOverlay::apply(
     std::span<const ChurnEvent> events) {
   churn_events_counter().add(events.size());
   std::vector<NodeId> added;
-  const bool batch = mode_ == ChurnMode::kIncremental && events.size() > 1;
+  const bool batch = events.size() > 1;
   if (batch) inc_topo_->begin_mutation_batch();
   try {
     for (const ChurnEvent& event : events) {
@@ -264,15 +251,15 @@ void DynamicHfcOverlay::restructure() {
     for (std::size_t v = 0; v < coords_.size(); ++v) {
       if (active_[v]) active_ids.push_back(static_cast<std::int32_t>(v));
     }
-    active_set_.bulk_load(spatial_mode(), coords_, std::move(active_ids));
+    active_set_.bulk_load(coords_, std::move(active_ids));
   } else {
     active_set_ = DynamicSpatialSet{};
   }
   dirty_ = true;
-  if (mode_ == ChurnMode::kIncremental) build_incremental_view();
+  build_universe_state();
 }
 
-void DynamicHfcOverlay::build_incremental_view() {
+void DynamicHfcOverlay::build_universe_state() {
   HFC_TRACE_SPAN("churn.full_rebuild");
   full_rebuilds_counter().add(1);
   // Universe-level clustering: fresh Zahn labels are dense 0..C-1, so a
@@ -305,16 +292,13 @@ void DynamicHfcOverlay::rebuild_if_dirty() {
   if (!dirty_) return;
   HFC_TRACE_SPAN("churn.view_rebuild");
   full_rebuilds_counter().add(1);
-  // Dense view of the active set.
-  dense_to_universe_.clear();
-  universe_to_dense_.assign(coords_.size(), -1);
+  // Dense view of the active set, in ascending universe order.
+  std::vector<std::int32_t> view_labels;
   std::vector<Point> view_coords;
   ServicePlacement view_placement;
   for (std::size_t v = 0; v < coords_.size(); ++v) {
     if (!active_[v]) continue;
-    universe_to_dense_[v] =
-        static_cast<std::int32_t>(dense_to_universe_.size());
-    dense_to_universe_.push_back(NodeId(static_cast<std::int32_t>(v)));
+    view_labels.push_back(labels_[v]);
     view_coords.push_back(coords_[v]);
     view_placement.push_back(placement_[v]);
   }
@@ -322,20 +306,18 @@ void DynamicHfcOverlay::rebuild_if_dirty() {
   // Densify the maintained cluster labels (universe labels can have holes
   // after leaves empty a cluster). Compaction is by ascending label value,
   // so the dense cluster ids keep the same relative order as the
-  // incremental view's live slot ids — together with the router's
-  // canonical state-key tie-breaking this makes both churn modes resolve
-  // exact-cost CSP ties to the same route.
-  std::vector<std::int32_t> distinct_labels;
-  distinct_labels.reserve(dense_to_universe_.size());
-  for (NodeId u : dense_to_universe_) distinct_labels.push_back(labels_[u.idx()]);
+  // universe topology's live slot ids — together with the router's
+  // canonical state-key tie-breaking this makes a router over the view
+  // resolve exact-cost CSP ties to the same route as the universe router.
+  std::vector<std::int32_t> distinct_labels = view_labels;
   std::sort(distinct_labels.begin(), distinct_labels.end());
   distinct_labels.erase(
       std::unique(distinct_labels.begin(), distinct_labels.end()),
       distinct_labels.end());
   Clustering clustering;
-  clustering.assignment.resize(dense_to_universe_.size());
-  for (std::size_t d = 0; d < dense_to_universe_.size(); ++d) {
-    const std::int32_t label = labels_[dense_to_universe_[d].idx()];
+  clustering.assignment.resize(view_labels.size());
+  for (std::size_t d = 0; d < view_labels.size(); ++d) {
+    const std::int32_t label = view_labels[d];
     const auto it = std::lower_bound(distinct_labels.begin(),
                                      distinct_labels.end(), label);
     clustering.assignment[d] = ClusterId(
@@ -347,7 +329,6 @@ void DynamicHfcOverlay::rebuild_if_dirty() {
         NodeId(static_cast<std::int32_t>(d)));
   }
 
-  view_router_.reset();
   view_topo_.reset();
   view_net_.reset();
   view_dist_ = std::make_unique<CoordDistanceService>(view_coords);
@@ -355,29 +336,16 @@ void DynamicHfcOverlay::rebuild_if_dirty() {
                                                std::move(view_placement));
   view_topo_ = std::make_unique<HfcTopology>(std::move(clustering),
                                              *view_dist_, selection_);
-  view_router_ = std::make_unique<HierarchicalServiceRouter>(
-      *view_net_, *view_topo_, *view_dist_);
   dirty_ = false;
 }
 
 ServicePath DynamicHfcOverlay::route(const ServiceRequest& request) {
   require(is_active(request.source) && is_active(request.destination),
           "DynamicHfcOverlay::route: endpoints must be active");
-  if (mode_ == ChurnMode::kIncremental) {
-    // Universe-level routing: no id remapping, no rebuild. Only SCT_C
-    // entries of clusters whose generation moved are re-derived.
-    inc_router_->sync_with_topology();
-    return inc_router_->route(request);
-  }
-  rebuild_if_dirty();
-  ServiceRequest dense = request;
-  dense.source = NodeId(universe_to_dense_[request.source.idx()]);
-  dense.destination = NodeId(universe_to_dense_[request.destination.idx()]);
-  ServicePath path = view_router_->route(dense);
-  for (ServiceHop& hop : path.hops) {
-    hop.proxy = dense_to_universe_[hop.proxy.idx()];
-  }
-  return path;
+  // Universe-level routing: no id remapping, no rebuild. Only SCT_C
+  // entries of clusters whose generation moved are re-derived.
+  inc_router_->sync_with_topology();
+  return inc_router_->route(request);
 }
 
 ServicePath DynamicHfcOverlay::route_degraded(const ServiceRequest& request,
@@ -388,54 +356,20 @@ ServicePath DynamicHfcOverlay::route_degraded(const ServiceRequest& request,
           "DynamicHfcOverlay::route_degraded: null predicate");
   require(up(request.source) && up(request.destination),
           "DynamicHfcOverlay::route_degraded: endpoints must be up");
-  if (mode_ == ChurnMode::kIncremental) {
-    inc_router_->sync_with_topology();
-    return inc_router_->route_degraded(request, std::move(up)).path;
-  }
-  rebuild_if_dirty();
-  ServiceRequest dense = request;
-  dense.source = NodeId(universe_to_dense_[request.source.idx()]);
-  dense.destination = NodeId(universe_to_dense_[request.destination.idx()]);
-  // The dense router speaks dense ids; translate them back to universe
-  // ids before consulting the caller's predicate.
-  auto dense_up = [this, up = std::move(up)](NodeId dense_node) {
-    return up(dense_to_universe_[dense_node.idx()]);
-  };
-  ServicePath path =
-      view_router_->route_degraded(dense, std::move(dense_up)).path;
-  for (ServiceHop& hop : path.hops) {
-    hop.proxy = dense_to_universe_[hop.proxy.idx()];
-  }
-  return path;
+  inc_router_->sync_with_topology();
+  return inc_router_->route_degraded(request, std::move(up)).path;
 }
 
 std::size_t DynamicHfcOverlay::cluster_count() {
-  if (mode_ == ChurnMode::kIncremental) {
-    return inc_topo_->live_cluster_count();
-  }
-  rebuild_if_dirty();
-  return view_topo_->cluster_count();
+  return inc_topo_->live_cluster_count();
 }
 
 std::vector<std::vector<NodeId>> DynamicHfcOverlay::active_partition() {
   std::vector<std::vector<NodeId>> out;
-  if (mode_ == ChurnMode::kIncremental) {
-    for (std::size_t c = 0; c < inc_topo_->cluster_count(); ++c) {
-      const ClusterId id(static_cast<std::int32_t>(c));
-      if (!inc_topo_->live(id)) continue;
-      out.push_back(inc_topo_->members(id));
-    }
-  } else {
-    rebuild_if_dirty();
-    for (std::size_t c = 0; c < view_topo_->cluster_count(); ++c) {
-      std::vector<NodeId> members;
-      for (NodeId dense : view_topo_->members(
-               ClusterId(static_cast<std::int32_t>(c)))) {
-        members.push_back(dense_to_universe_[dense.idx()]);
-      }
-      std::sort(members.begin(), members.end());
-      out.push_back(std::move(members));
-    }
+  for (std::size_t c = 0; c < inc_topo_->cluster_count(); ++c) {
+    const ClusterId id(static_cast<std::int32_t>(c));
+    if (!inc_topo_->live(id)) continue;
+    out.push_back(inc_topo_->members(id));
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -443,32 +377,16 @@ std::vector<std::vector<NodeId>> DynamicHfcOverlay::active_partition() {
 
 std::vector<std::pair<NodeId, NodeId>> DynamicHfcOverlay::border_pairs() {
   std::vector<std::pair<NodeId, NodeId>> out;
-  const auto canonical = [](NodeId u, NodeId v) {
-    return u < v ? std::make_pair(u, v) : std::make_pair(v, u);
-  };
-  if (mode_ == ChurnMode::kIncremental) {
-    const std::size_t count = inc_topo_->cluster_count();
-    for (std::size_t a = 0; a < count; ++a) {
-      const ClusterId ca(static_cast<std::int32_t>(a));
-      if (!inc_topo_->live(ca)) continue;
-      for (std::size_t b = a + 1; b < count; ++b) {
-        const ClusterId cb(static_cast<std::int32_t>(b));
-        if (!inc_topo_->live(cb)) continue;
-        out.push_back(canonical(inc_topo_->border(ca, cb),
-                                inc_topo_->border(cb, ca)));
-      }
-    }
-  } else {
-    rebuild_if_dirty();
-    const std::size_t count = view_topo_->cluster_count();
-    for (std::size_t a = 0; a < count; ++a) {
-      const ClusterId ca(static_cast<std::int32_t>(a));
-      for (std::size_t b = a + 1; b < count; ++b) {
-        const ClusterId cb(static_cast<std::int32_t>(b));
-        out.push_back(canonical(
-            dense_to_universe_[view_topo_->border(ca, cb).idx()],
-            dense_to_universe_[view_topo_->border(cb, ca).idx()]));
-      }
+  const std::size_t count = inc_topo_->cluster_count();
+  for (std::size_t a = 0; a < count; ++a) {
+    const ClusterId ca(static_cast<std::int32_t>(a));
+    if (!inc_topo_->live(ca)) continue;
+    for (std::size_t b = a + 1; b < count; ++b) {
+      const ClusterId cb(static_cast<std::int32_t>(b));
+      if (!inc_topo_->live(cb)) continue;
+      const NodeId u = inc_topo_->border(ca, cb);
+      const NodeId v = inc_topo_->border(cb, ca);
+      out.push_back(u < v ? std::make_pair(u, v) : std::make_pair(v, u));
     }
   }
   std::sort(out.begin(), out.end());
@@ -476,26 +394,18 @@ std::vector<std::pair<NodeId, NodeId>> DynamicHfcOverlay::border_pairs() {
 }
 
 const OverlayNetwork& DynamicHfcOverlay::universe_network() const {
-  require(mode_ == ChurnMode::kIncremental,
-          "DynamicHfcOverlay::universe_network: incremental mode only");
   return *inc_net_;
 }
 
 const HfcTopology& DynamicHfcOverlay::universe_topology() const {
-  require(mode_ == ChurnMode::kIncremental,
-          "DynamicHfcOverlay::universe_topology: incremental mode only");
   return *inc_topo_;
 }
 
 const CoordDistanceService& DynamicHfcOverlay::universe_distance() const {
-  require(mode_ == ChurnMode::kIncremental,
-          "DynamicHfcOverlay::universe_distance: incremental mode only");
   return *dist_;
 }
 
 HierarchicalServiceRouter& DynamicHfcOverlay::universe_router() {
-  require(mode_ == ChurnMode::kIncremental,
-          "DynamicHfcOverlay::universe_router: incremental mode only");
   inc_router_->sync_with_topology();
   return *inc_router_;
 }

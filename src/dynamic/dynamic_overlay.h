@@ -12,30 +12,26 @@
 // (`clustering_quality`), and `restructure()` is the re-structuring
 // mechanism: a full re-cluster of the active set.
 //
-// Two churn maintenance modes (DESIGN.md §9):
-//
-//  - kIncremental (default): routing state lives at universe level — one
-//    OverlayNetwork/HfcTopology/HierarchicalServiceRouter over *all*
-//    universe nodes, inactive nodes simply unclustered. A join/leave
-//    mutates the topology in place (membership lists + border-pair repair
-//    scoped to the affected cluster pairs) and the router re-derives only
-//    the SCT_C entries whose cluster generation changed. Distance queries
-//    go through the CoordDistanceService seam. `apply()` batches events so
-//    k events touching one cluster pay one border repair per affected
-//    cluster pair, fanned across the thread pool.
-//
-//  - kFullRebuild (A/B baseline, HFC_CHURN_INCREMENTAL=0): every mutation
-//    marks the dense view dirty and the next query rebuilds the overlay
-//    network, topology, and router from scratch.
+// Churn maintenance is incremental (DESIGN.md §9): routing state lives
+// at universe level — one OverlayNetwork/HfcTopology/
+// HierarchicalServiceRouter over *all* universe nodes, inactive nodes
+// simply unclustered. A join/leave mutates the topology in place
+// (membership lists + border-pair repair scoped to the affected cluster
+// pairs) and the router re-derives only the SCT_C entries whose cluster
+// generation changed. Distance queries go through the
+// CoordDistanceService seam. `apply()` batches events so k events
+// touching one cluster pay one border repair per affected cluster pair,
+// fanned across the thread pool.
 //
 // After any mutation sequence the incremental state is equivalent to a
 // from-scratch rebuild of the same active set: same partition, same
 // border pairs (up to exact distance ties — a fresh scan breaks ties by
 // member order, incremental repair keeps the incumbent), same routes.
+// tests/oracle/full_rebuild.h is that from-scratch rebuild.
 //
 // The dense inspection view (`view_topology`, `view_network`) is rebuilt
-// on demand in both modes; ids in it are dense view indices. All other
-// public APIs speak universe NodeIds throughout.
+// on demand; ids in it are dense view indices. All other public APIs
+// speak universe NodeIds throughout.
 #pragma once
 
 #include <cstddef>
@@ -55,16 +51,11 @@
 
 namespace hfc {
 
-/// How DynamicHfcOverlay maintains routing state across churn.
-enum class ChurnMode {
-  kFullRebuild,  ///< rebuild the dense view after every mutation (legacy)
-  kIncremental,  ///< O(Δ) in-place repair + per-cluster SCT invalidation
-};
-
-/// Mode selected by the `HFC_CHURN_INCREMENTAL` environment knob:
-/// unset or any value other than "0" → kIncremental; "0" → kFullRebuild
-/// (the A/B baseline).
-[[nodiscard]] ChurnMode default_churn_mode();
+/// How DynamicHfcOverlay maintains routing state across churn: O(Δ)
+/// in-place repair + per-cluster SCT invalidation, the only mode.
+/// Kept (with the constructor's trailing parameter) because the
+/// end-to-end benchmark driver names it.
+enum class ChurnMode { kIncremental };
 
 /// One membership event for the batched mutation API.
 struct ChurnEvent {
@@ -94,12 +85,11 @@ class DynamicHfcOverlay {
   DynamicHfcOverlay(std::vector<Point> coords, ServicePlacement placement,
                     ZahnParams zahn = {},
                     BorderSelection selection = BorderSelection::kClosestPair,
-                    ChurnMode mode = default_churn_mode());
+                    ChurnMode mode = ChurnMode::kIncremental);
 
   [[nodiscard]] std::size_t universe_size() const { return coords_.size(); }
   [[nodiscard]] std::size_t active_count() const { return active_count_; }
   [[nodiscard]] bool is_active(NodeId node) const;
-  [[nodiscard]] ChurnMode churn_mode() const { return mode_; }
   /// Bumped on every mutation and restructure; memoization key for
   /// derived statistics of the active set.
   [[nodiscard]] std::uint64_t active_generation() const {
@@ -119,8 +109,8 @@ class DynamicHfcOverlay {
   /// activate it by the join rule.
   NodeId add_proxy(Point coords, std::vector<ServiceId> services);
 
-  /// Apply a batch of churn events in order. In incremental mode the
-  /// border-pair repairs are coalesced: deferred to the end of the batch
+  /// Apply a batch of churn events in order. The border-pair repairs
+  /// are coalesced: deferred to the end of the batch
   /// and fanned across the thread pool, one task per affected cluster
   /// pair. Callers stream large event sequences in batches (the benches
   /// use the `HFC_CHURN_BATCH` knob for the batch size). Returns the
@@ -151,15 +141,15 @@ class DynamicHfcOverlay {
 
   /// Route treating proxies rejected by `up` as crashed (cannot serve or
   /// relay; border pairs fall back to the next-closest surviving pair —
-  /// DESIGN.md §10). `up` takes universe NodeIds in both churn modes;
-  /// endpoints must be active and up. Returned hops are universe NodeIds.
+  /// DESIGN.md §10). `up` takes universe NodeIds; endpoints must be
+  /// active and up. Returned hops are universe NodeIds.
   [[nodiscard]] ServicePath route_degraded(const ServiceRequest& request,
                                            std::function<bool(NodeId)> up);
 
   /// Current number of clusters over the active set.
   [[nodiscard]] std::size_t cluster_count();
 
-  /// --- equivalence probes (tests compare incremental vs full rebuild) ---
+  /// --- equivalence probes (tests compare against a full rebuild) ---
 
   /// The active-set partition in canonical form: member lists in universe
   /// NodeIds, each ascending, lists sorted lexicographically.
@@ -170,16 +160,17 @@ class DynamicHfcOverlay {
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> border_pairs();
 
   /// Dense-view accessors (rebuilt after mutations; ids in these objects
-  /// are dense view indices, NOT universe NodeIds — exposed for metrics).
+  /// are dense view indices, NOT universe NodeIds — dense index d is the
+  /// d-th active node in ascending universe order). Exposed for metrics,
+  /// protocol simulation, and the full-rebuild test oracle.
   [[nodiscard]] const HfcTopology& view_topology();
   [[nodiscard]] const OverlayNetwork& view_network();
 
-  /// --- universe-level routing state (incremental mode only) ---
+  /// --- universe-level routing state ---
   ///
   /// The serving engine (src/serve, DESIGN.md §12) snapshots these
   /// between mutation batches: ids in them ARE universe NodeIds, so
-  /// frozen copies serve requests with no id remapping. All three throw
-  /// in full-rebuild mode, which has no universe-level state.
+  /// frozen copies serve requests with no id remapping.
   [[nodiscard]] const OverlayNetwork& universe_network() const;
   [[nodiscard]] const HfcTopology& universe_topology() const;
   [[nodiscard]] const CoordDistanceService& universe_distance() const;
@@ -191,13 +182,13 @@ class DynamicHfcOverlay {
   void do_deactivate(NodeId node);
   void do_activate(NodeId node);
   NodeId do_add(Point coords, std::vector<ServiceId> services);
-  /// Rebuild the universe-level incremental objects from labels_ (ctor,
+  /// Rebuild the universe-level routing objects from labels_ (ctor,
   /// restructure). Counts as a churn.full_rebuild.
-  void build_incremental_view();
+  void build_universe_state();
   void rebuild_if_dirty();
 
-  /// Universe-level cluster label per node (-1 for inactive). In
-  /// incremental mode a label IS the topology's stable cluster slot id.
+  /// Universe-level cluster label per node (-1 for inactive). A label IS
+  /// the topology's stable cluster slot id.
   std::vector<std::int32_t> labels_;
 
   std::vector<Point> coords_;
@@ -206,19 +197,17 @@ class DynamicHfcOverlay {
   std::size_t active_count_ = 0;
   ZahnParams zahn_;
   BorderSelection selection_;
-  ChurnMode mode_;
   std::size_t mutations_since_restructure_ = 0;
   std::uint64_t active_generation_ = 0;
 
   /// Coordinate tier over the whole universe — the DistanceService seam
-  /// both modes scan joins through and the incremental view routes with.
+  /// joins scan through and the universe router routes with.
   std::unique_ptr<CoordDistanceService> dist_;
 
   /// Spatial set over the active nodes for the nearest-active join rule
   /// (DESIGN.md §11). Rebuilt by restructure(); maintained by
-  /// insert/erase at every (de)activation. Both churn modes use it: the
-  /// join scan is mode-independent. `spatial_join_` is latched per
-  /// restructure from the HFC_SPATIAL knobs and the universe size, so a
+  /// insert/erase at every (de)activation. `spatial_join_` is latched per
+  /// restructure from `spatial_enabled(universe size)`, so a
   /// universe that grows past the threshold switches over at the next
   /// restructure. The brute scan picks the min (distance, id) active
   /// node under strict `<`, which is exactly what `nearest` returns, so
@@ -226,7 +215,7 @@ class DynamicHfcOverlay {
   DynamicSpatialSet active_set_;
   bool spatial_join_ = false;
 
-  /// Incremental mode: universe-level routing state, mutated in place.
+  /// Universe-level routing state, mutated in place.
   std::unique_ptr<OverlayNetwork> inc_net_;
   std::unique_ptr<HfcTopology> inc_topo_;
   std::unique_ptr<HierarchicalServiceRouter> inc_router_;
@@ -236,14 +225,11 @@ class DynamicHfcOverlay {
   mutable std::uint64_t quality_gen_ = 0;
   mutable double quality_cache_ = 1.0;
 
-  /// Dense inspection view (and the routing state in full-rebuild mode).
+  /// Dense inspection view.
   bool dirty_ = true;
-  std::vector<NodeId> dense_to_universe_;
-  std::vector<std::int32_t> universe_to_dense_;
   std::unique_ptr<CoordDistanceService> view_dist_;
   std::unique_ptr<OverlayNetwork> view_net_;
   std::unique_ptr<HfcTopology> view_topo_;
-  std::unique_ptr<HierarchicalServiceRouter> view_router_;
 };
 
 }  // namespace hfc

@@ -108,8 +108,7 @@ void MultiLevelHierarchy::build_fixed_levels(const std::vector<Point>& coords,
                                              const MultiLevelParams& params) {
   // Level 1: Zahn clusters of the proxies.
   const auto t_leaf = std::chrono::steady_clock::now();
-  const Clustering leaves =
-      cluster_points(coords, params.leaf_zahn, params.pipeline);
+  const Clustering leaves = cluster_points(coords, params.leaf_zahn);
   add_phase_us("construct.leaf_cluster_us", t_leaf);
   const auto t_levels = std::chrono::steady_clock::now();
   level_groups_.emplace_back();
@@ -136,7 +135,7 @@ void MultiLevelHierarchy::build_fixed_levels(const std::vector<Point>& coords,
     for (std::size_t gid : below) {
       centroids.push_back(centroid_of(coords, groups_[gid].nodes));
     }
-    const Clustering grouped = cluster_points(centroids, zahn, params.pipeline);
+    const Clustering grouped = cluster_points(centroids, zahn);
     if (grouped.cluster_count() == below.size()) {
       // No coarsening happened; a further level would be pure overhead.
       break;
@@ -169,8 +168,7 @@ void MultiLevelHierarchy::build_bounded_fanout(
   // the pieces stay spatially coherent — the property border selection
   // and routing locality rest on.
   const auto t_leaf = std::chrono::steady_clock::now();
-  const Clustering leaves =
-      cluster_points(coords, params.leaf_zahn, params.pipeline);
+  const Clustering leaves = cluster_points(coords, params.leaf_zahn);
   add_phase_us("construct.leaf_cluster_us", t_leaf);
   const auto t_levels = std::chrono::steady_clock::now();
   level_groups_.emplace_back();
@@ -280,7 +278,6 @@ void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
   static obs::Counter& visited =
       obs::MetricsRegistry::global().counter("spatial.nodes_visited");
   const bool use_spatial = spatial_enabled(coords.size());
-  const SpatialMode mode = use_spatial ? spatial_mode() : SpatialMode::kOff;
   QueryStats qs;
   std::uint64_t brute_evals = 0;
 
@@ -306,7 +303,7 @@ void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
         for (const NodeId n : groups_[parent.children[i]].nodes) {
           ids.push_back(n.value());
         }
-        sets[i].bulk_load(mode, coords, std::move(ids));
+        sets[i].bulk_load(coords, std::move(ids));
       }
     }
     pairs.clear();

@@ -72,13 +72,6 @@ struct MultiLevelParams {
   /// Max nodes per leaf cluster in bounded-fanout mode (>= 1).
   std::size_t leaf_limit = 256;
 
-  /// Group-local construction pipeline selection for this build's
-  /// clustering sweeps (DESIGN.md §14). kAuto resolves the HFC_ML_PAR
-  /// knobs; kOn / kOff pin the pipeline per build regardless of the
-  /// environment. Either way the hierarchy is bit-identical — the
-  /// pipeline only changes how the leaf MST + Zahn cut are computed.
-  GroupPipelineMode pipeline = GroupPipelineMode::kAuto;
-
   /// Convenience: bounded-fanout params with the default leaf Zahn.
   [[nodiscard]] static MultiLevelParams bounded(std::size_t fanout,
                                                 std::size_t leaf_limit) {

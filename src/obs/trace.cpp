@@ -10,6 +10,7 @@
 #include <ostream>
 
 #include "obs/json.h"
+#include "util/env.h"
 
 namespace hfc::obs {
 
@@ -53,8 +54,7 @@ void write_trace_at_exit() {
 }
 
 bool init_trace_flag() {
-  const char* v = std::getenv("HFC_TRACE");
-  const bool on = v != nullptr && std::string(v) == "1";
+  const bool on = env_flag("HFC_TRACE", false);
   if (on) {
     trace_epoch();                 // pin the epoch before any span
     (void)TraceBuffer::global();   // construct the buffer before registering
@@ -85,18 +85,17 @@ std::uint64_t trace_now_ns() noexcept {
           .count());
 }
 
+std::size_t trace_capacity_from_env() {
+  return env_size_t("HFC_TRACE_BUF", kDefaultCapacity, 1);
+}
+
 TraceBuffer::TraceBuffer(std::size_t capacity)
     : capacity_(capacity), ring_(new TraceEvent[capacity]) {}
 
 TraceBuffer& TraceBuffer::global() {
   static TraceBuffer* buffer = [] {
-    std::size_t capacity = kDefaultCapacity;
-    if (const char* v = std::getenv("HFC_TRACE_BUF")) {
-      const unsigned long long parsed = std::strtoull(v, nullptr, 10);
-      if (parsed >= 1) capacity = static_cast<std::size_t>(parsed);
-    }
-    return new TraceBuffer(capacity);  // never freed: spans may close during
-                                       // static destruction
+    // Never freed: spans may close during static destruction.
+    return new TraceBuffer(trace_capacity_from_env());
   }();
   return *buffer;
 }

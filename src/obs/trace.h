@@ -40,9 +40,15 @@ struct TraceEvent {
 };
 
 /// True when span recording is active. Initialised from HFC_TRACE=1 at
-/// first use (which also arms the at-exit chrome-trace writer); tests may
+/// first use (which also arms the at-exit chrome-trace writer; any value
+/// other than 0 or 1 warns once and leaves tracing off); tests may
 /// override it at runtime via set_enabled_for_testing.
 [[nodiscard]] bool trace_enabled() noexcept;
+
+/// The global ring's capacity as HFC_TRACE_BUF resolves it (default
+/// 131072 events; malformed, negative or zero values warn once and fall
+/// back to the default). Re-read on each call; the ring reads it once.
+[[nodiscard]] std::size_t trace_capacity_from_env();
 
 /// Bounded global ring of closed spans.
 class TraceBuffer {

@@ -26,13 +26,12 @@ HfcTopology::HfcTopology(Clustering clustering,
   if (selection == BorderSelection::kClosestPair && coords != nullptr &&
       spatial_enabled(clustering_.node_count())) {
     coords_ = coords;
-    spatial_mode_ = spatial_mode();
     cluster_sets_.resize(clustering_.cluster_count());
     for (std::size_t ci = 0; ci < clustering_.cluster_count(); ++ci) {
       std::vector<std::int32_t> ids;
       ids.reserve(clustering_.members[ci].size());
       for (const NodeId m : clustering_.members[ci]) ids.push_back(m.value());
-      cluster_sets_[ci].bulk_load(spatial_mode_, *coords_, std::move(ids));
+      cluster_sets_[ci].bulk_load(*coords_, std::move(ids));
     }
   }
   build_borders();

@@ -284,10 +284,9 @@ class HfcTopology {
 
   /// Spatial acceleration (DESIGN.md §11). Set only by the
   /// DistanceService constructor when the service has a coordinate view
-  /// and the HFC_SPATIAL knobs enable it; points into the service's
+  /// and `spatial_enabled(n)` holds; points into the service's
   /// coordinate array (which may grow — ids are re-read through it).
   const std::vector<Point>* coords_ = nullptr;
-  SpatialMode spatial_mode_ = SpatialMode::kOff;
   /// One churn-capable set per cluster slot, mirroring members.
   std::vector<DynamicSpatialSet> cluster_sets_;
 };

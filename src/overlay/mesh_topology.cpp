@@ -8,7 +8,7 @@
 
 #include "distance/distance_service.h"
 #include "obs/metrics.h"
-#include "spatial/spatial_index.h"
+#include "spatial/kd_tree.h"
 #include "util/require.h"
 
 namespace hfc {
@@ -271,8 +271,7 @@ void MeshTopology::build_spatial(const std::vector<Point>& coords,
       obs::MetricsRegistry::global().counter("mesh.candidate_links");
   static obs::Counter& visited =
       obs::MetricsRegistry::global().counter("spatial.nodes_visited");
-  const std::unique_ptr<SpatialIndex> index =
-      make_spatial_index(spatial_mode(), coords);
+  KdTree index(coords);
   QueryStats qs;
 
   for (std::size_t u = 0; u < n; ++u) {
@@ -285,7 +284,7 @@ void MeshTopology::build_spatial(const std::vector<Point>& coords,
         n - 1);
     // Same (distance, id)-ranked prefix the brute partial_sort keeps.
     const std::vector<SpatialHit> hits =
-        index->k_nearest(coords[u], k, qs, &not_self, &self);
+        index.k_nearest(coords[u], k, qs, &not_self, &self);
     for (const SpatialHit& hit : hits) add_edge(nu, NodeId(hit.id));
 
     const std::size_t extras = static_cast<std::size_t>(
@@ -309,14 +308,14 @@ void MeshTopology::build_spatial(const std::vector<Point>& coords,
   // Connectivity repair: nearest-foreign queries against the components.
   std::vector<std::int32_t> component;
   while (label_components(adjacency_, component) > 1) {
-    index->retag(component);
+    index.retag(component);
     double best = std::numeric_limits<double>::infinity();
     std::size_t ba = 0;
     std::size_t bb = 0;
     bool found = false;
     for (std::size_t a = 0; a < n; ++a) {
       if (component[a] != 0) continue;
-      const SpatialHit hit = index->nearest_foreign(coords[a], 0, best, qs);
+      const SpatialHit hit = index.nearest_foreign(coords[a], 0, best, qs);
       if (hit.found() && hit.dist < best) {
         best = hit.dist;
         ba = a;

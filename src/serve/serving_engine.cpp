@@ -52,9 +52,6 @@ ServingEngine::ServingEngine(DynamicHfcOverlay& overlay, ServeParams params)
     : overlay_(&overlay),
       params_(params),
       cache_(params.shards, params.capacity_per_shard) {
-  require(overlay.churn_mode() == ChurnMode::kIncremental,
-          "ServingEngine: the dynamic overlay must run incremental churn "
-          "(universe-level routing state to snapshot)");
   publish({});
 }
 

@@ -68,7 +68,7 @@ class ServingEngine {
                 const CoordDistanceService& dist,
                 ServeParams params = ServeParams::from_env());
 
-  /// Serve a dynamic overlay (incremental churn mode): publish() captures
+  /// Serve a dynamic overlay: publish() captures
   /// from its universe-level routing state between mutation batches.
   explicit ServingEngine(DynamicHfcOverlay& overlay,
                          ServeParams params = ServeParams::from_env());

@@ -18,12 +18,10 @@ bool not_dead(std::int32_t id, const void* ctx) {
 
 }  // namespace
 
-void DynamicSpatialSet::bulk_load(SpatialMode mode,
-                                  const std::vector<Point>& coords,
+void DynamicSpatialSet::bulk_load(const std::vector<Point>& coords,
                                   std::vector<std::int32_t> ids) {
   coords_ = &coords;
   labels_ = nullptr;
-  mode_ = mode;
   std::sort(ids.begin(), ids.end());
   require(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
           "DynamicSpatialSet: duplicate ids");
@@ -40,11 +38,11 @@ void DynamicSpatialSet::rebuild() {
   indexed_count_ = 0;
   pending_.clear();
   dead_.clear();
-  if (mode_ == SpatialMode::kOff || live_.size() < kBruteThreshold) return;
+  if (live_.size() < kBruteThreshold) return;
   static obs::Counter& rebuilds =
       obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
   rebuilds.add(1);
-  index_ = make_spatial_index(mode_, *coords_, live_);
+  index_ = std::make_unique<KdTree>(*coords_, live_);
   indexed_count_ = live_.size();
 }
 
@@ -86,38 +84,32 @@ std::size_t DynamicSpatialSet::rebuild_budget(std::size_t indexed) {
 }
 
 void DynamicSpatialSet::maybe_rebuild() {
-  if (mode_ == SpatialMode::kOff) return;
   if (index_ == nullptr) {
     if (live_.size() >= kBruteThreshold) rebuild();
     return;
   }
   if (pending_.size() + dead_.size() <= rebuild_budget(indexed_count_)) return;
-  // Incremental path (HFC_SPATIAL_INCREMENTAL, default on): fold the
-  // overlay into the index in place, rebuilding only the subtrees the
-  // batch unbalances. Falls back to the full bulk reload when the index
-  // kind does not support folding or the set shrank below the index
-  // threshold. Either way the overlay empties, so queries afterwards are
-  // pure index hits; both paths count as a spatial.set_rebuilds event
-  // (the budget schedule is identical), folds additionally count
-  // spatial.set_folds.
-  if (env_size_t("HFC_SPATIAL_INCREMENTAL", 1, 0) != 0 &&
-      live_.size() >= kBruteThreshold) {
-    std::vector<std::int32_t> removes(dead_.begin(), dead_.end());
-    std::sort(removes.begin(), removes.end());
-    if (index_->fold_updates(pending_, removes)) {
-      static obs::Counter& rebuilds =
-          obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
-      static obs::Counter& folds =
-          obs::MetricsRegistry::global().counter("spatial.set_folds");
-      rebuilds.add(1);
-      folds.add(1);
-      indexed_count_ = live_.size();
-      pending_.clear();
-      dead_.clear();
-      return;
-    }
+  if (live_.size() < kBruteThreshold) {
+    rebuild();  // drops the index: the set is back on the brute scan
+    return;
   }
-  rebuild();
+  // Fold the overlay into the index in place, rebuilding only the
+  // subtrees the batch unbalances. The overlay empties, so queries
+  // afterwards are pure index hits. Every fold counts as a
+  // spatial.set_rebuilds event (the budget schedule) and a
+  // spatial.set_folds event.
+  static obs::Counter& rebuilds =
+      obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
+  static obs::Counter& folds =
+      obs::MetricsRegistry::global().counter("spatial.set_folds");
+  std::vector<std::int32_t> removes(dead_.begin(), dead_.end());
+  std::sort(removes.begin(), removes.end());
+  index_->fold_updates(pending_, removes);
+  rebuilds.add(1);
+  folds.add(1);
+  indexed_count_ = live_.size();
+  pending_.clear();
+  dead_.clear();
 }
 
 SpatialHit DynamicSpatialSet::nearest(const Point& q, double bound,

@@ -9,11 +9,9 @@
 // budget — max(32, indexed/4), or the HFC_SPATIAL_REBUILD_BUDGET knob
 // when set — callers invoke it only from serial mutation points, never
 // concurrently with queries, so the parallel repair sweeps can fan out
-// over `nearest` safely. With HFC_SPATIAL_INCREMENTAL (default on) the
-// fold goes through SpatialIndex::fold_updates — scapegoat-style subtree
-// rebuilds that touch only the unbalanced parts of the tree (DESIGN.md
-// §13) — and falls back to the full bulk reload when the index kind does
-// not support folding.
+// over `nearest` safely. The fold goes through KdTree::fold_updates —
+// scapegoat-style subtree rebuilds that touch only the unbalanced parts
+// of the tree (DESIGN.md §13).
 //
 // Sets smaller than 32 points skip the index entirely: a brute scan of
 // the sorted live list is both exact and faster than tree traversal.
@@ -24,7 +22,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "spatial/spatial_index.h"
+#include "spatial/kd_tree.h"
 
 namespace hfc {
 
@@ -36,9 +34,8 @@ class DynamicSpatialSet {
   DynamicSpatialSet() = default;
 
   /// Reset to exactly `ids` over `coords` (which must outlive the set;
-  /// it may grow — ids are re-read through it on every access). `mode`
-  /// kOff forces the brute path regardless of size.
-  void bulk_load(SpatialMode mode, const std::vector<Point>& coords,
+  /// it may grow — ids are re-read through it on every access).
+  void bulk_load(const std::vector<Point>& coords,
                  std::vector<std::int32_t> ids);
 
   void insert(std::int32_t id);
@@ -69,7 +66,7 @@ class DynamicSpatialSet {
                                    QueryStats& stats) const;
 
   /// Attach component labels (indexed by point id, like
-  /// SpatialIndex::retag) for `nearest_foreign` queries. Folded sets
+  /// KdTree::retag) for `nearest_foreign` queries. Folded sets
   /// only — call from serial points with empty mutation buffers; the
   /// labels vector must outlive the queries it serves.
   void retag(const std::vector<std::int32_t>& labels);
@@ -90,9 +87,8 @@ class DynamicSpatialSet {
 
   const std::vector<Point>* coords_ = nullptr;
   const std::vector<std::int32_t>* labels_ = nullptr;  ///< retag() target
-  SpatialMode mode_ = SpatialMode::kOff;
   std::vector<std::int32_t> live_;     ///< sorted source of truth
-  std::unique_ptr<SpatialIndex> index_;
+  std::unique_ptr<KdTree> index_;
   std::size_t indexed_count_ = 0;      ///< points in index_ at build time
   std::vector<std::int32_t> pending_;  ///< live but not indexed (sorted)
   std::unordered_set<std::int32_t> dead_;  ///< indexed but not live

@@ -278,7 +278,7 @@ std::int32_t KdTree::retag_node(std::int32_t node,
   return tag;
 }
 
-bool KdTree::fold_updates(const std::vector<std::int32_t>& adds,
+void KdTree::fold_updates(const std::vector<std::int32_t>& adds,
                           const std::vector<std::int32_t>& removes) {
   for (const std::int32_t id : adds) {
     require(id >= 0 && static_cast<std::size_t>(id) < coords_->size() &&
@@ -288,8 +288,8 @@ bool KdTree::fold_updates(const std::vector<std::int32_t>& adds,
   const std::size_t old_n = ids_.size();
   require(removes.size() <= old_n, "KdTree::fold_updates: too many removes");
   const std::size_t new_n = old_n - removes.size() + adds.size();
-  if (new_n == 0) return false;  // caller drops the index instead
-  if (adds.empty() && removes.empty()) return true;
+  require(new_n > 0, "KdTree::fold_updates: the fold would empty the tree");
+  if (adds.empty() && removes.empty()) return;
 
   // Locate tombstoned positions in one scan; per-subtree dead counts are
   // prefix differences because subtree id ranges are contiguous.
@@ -339,7 +339,6 @@ bool KdTree::fold_updates(const std::vector<std::int32_t>& adds,
   obs::MetricsRegistry::global()
       .counter("spatial.fold_points_rebuilt")
       .add(s.points_rebuilt);
-  return true;
 }
 
 std::int32_t KdTree::fold_emit(std::int32_t old_node, FoldScratch& s) const {

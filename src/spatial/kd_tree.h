@@ -32,29 +32,67 @@
 
 namespace hfc {
 
-class KdTree final : public SpatialIndex {
+/// An index over a subset of a coordinate array. The coordinate vector
+/// must outlive the tree; point ids are indices into it (the subset form
+/// indexes only the listed ids, so cluster-scoped indexes and
+/// whole-overlay indexes share one implementation).
+class KdTree {
  public:
-  /// Index the points `ids` (empty = all) of `coords`, which must
-  /// outlive the tree. Throws on empty input or inconsistent dimensions.
-  KdTree(const std::vector<Point>& coords, std::vector<std::int32_t> ids);
+  /// Index the points `ids` (empty = all) of `coords`. Throws on empty
+  /// input or inconsistent dimensions.
+  explicit KdTree(const std::vector<Point>& coords,
+                  std::vector<std::int32_t> ids = {});
 
-  [[nodiscard]] std::size_t size() const override { return ids_.size(); }
+  /// Number of indexed points.
+  [[nodiscard]] std::size_t size() const { return ids_.size(); }
+
+  /// Nearest indexed point to `q` with distance <= `bound` (candidates
+  /// strictly beyond the bound may be pruned; candidates at exactly the
+  /// bound are still returned so callers can finish lexicographic
+  /// tie-breaks). `accept`/`ctx` optionally reject candidate ids.
   [[nodiscard]] SpatialHit nearest(const Point& q, double bound,
-                                   QueryStats& stats, SpatialFilter accept,
-                                   const void* ctx) const override;
+                                   QueryStats& stats,
+                                   SpatialFilter accept = nullptr,
+                                   const void* ctx = nullptr) const;
+
+  /// The k indexed points minimising (distance, id) lexicographically,
+  /// ascending — exactly the prefix a partial_sort of (distance, id)
+  /// pairs produces. Fewer than k are returned when the (filtered) index
+  /// is smaller.
   [[nodiscard]] std::vector<SpatialHit> k_nearest(
-      const Point& q, std::size_t k, QueryStats& stats, SpatialFilter accept,
-      const void* ctx) const override;
-  [[nodiscard]] std::vector<std::int32_t> range(
-      const Point& q, double radius, QueryStats& stats) const override;
-  void retag(const std::vector<std::int32_t>& labels) override;
+      const Point& q, std::size_t k, QueryStats& stats,
+      SpatialFilter accept = nullptr, const void* ctx = nullptr) const;
+
+  /// All indexed ids within `radius` of `q` (inclusive), ascending by id.
+  [[nodiscard]] std::vector<std::int32_t> range(const Point& q, double radius,
+                                                QueryStats& stats) const;
+
+  /// Assign a component label to every *indexed* point (labels is indexed
+  /// by point id) and cache per-subtree homogeneity tags, so
+  /// `nearest_foreign` can prune subtrees entirely inside the query's own
+  /// component — the Borůvka MST accelerator. Not thread-safe with
+  /// concurrent queries.
+  void retag(const std::vector<std::int32_t>& labels);
+
+  /// Nearest indexed point whose label (from the last `retag`) differs
+  /// from `label`, with the same bound/tie contract as `nearest`.
   [[nodiscard]] SpatialHit nearest_foreign(const Point& q, std::int32_t label,
                                            double bound,
-                                           QueryStats& stats) const override;
-  [[nodiscard]] bool fold_updates(
-      const std::vector<std::int32_t>& adds,
-      const std::vector<std::int32_t>& removes) override;
-  [[nodiscard]] std::size_t resident_bytes() const override;
+                                           QueryStats& stats) const;
+
+  /// Fold a batch of mutations into the tree in place (see the header
+  /// comment): `adds` become indexed points, `removes` (which must all be
+  /// indexed) stop existing, and at least one point must remain. The tree
+  /// then answers queries over exactly (indexed − removes) ∪ adds with the
+  /// same exactness contract as a fresh build; any `retag` state is
+  /// discarded and must be re-established before the next
+  /// `nearest_foreign`. Not thread-safe with concurrent queries.
+  void fold_updates(const std::vector<std::int32_t>& adds,
+                    const std::vector<std::int32_t>& removes);
+
+  /// Bytes of index state currently resident (the bench memory-ceiling
+  /// assertions bound this alongside the coordinate tier).
+  [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
   static constexpr std::uint32_t kLeafSize = 16;

@@ -1,73 +1,13 @@
 #include "spatial/spatial_index.h"
 
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
-#include <mutex>
-
-#include "spatial/kd_tree.h"
-#include "spatial/uniform_grid.h"
 #include "util/env.h"
-#include "util/require.h"
 
 namespace hfc {
-
-namespace {
-
-/// Warn once per distinct bad HFC_SPATIAL value, mirroring the env_size_t
-/// knob behaviour for the one string-valued knob in the tree.
-void warn_bad_mode(const char* raw) {
-  static std::mutex mu;
-  static bool warned = false;
-  std::lock_guard<std::mutex> lk(mu);
-  if (warned) return;
-  warned = true;
-  std::cerr << "[hfc] warning: ignoring HFC_SPATIAL=\"" << raw
-            << "\" (expected off|kdtree|grid); using default kdtree\n";
-}
-
-}  // namespace
-
-SpatialMode spatial_mode() {
-  const char* raw = std::getenv("HFC_SPATIAL");
-  if (raw == nullptr || std::strcmp(raw, "kdtree") == 0) {
-    return SpatialMode::kKdTree;
-  }
-  if (std::strcmp(raw, "off") == 0) return SpatialMode::kOff;
-  if (std::strcmp(raw, "grid") == 0) return SpatialMode::kGrid;
-  warn_bad_mode(raw);
-  return SpatialMode::kKdTree;
-}
 
 std::size_t spatial_min_n() {
   return env_size_t("HFC_SPATIAL_MIN_N", 256, 2);
 }
 
-bool spatial_enabled(std::size_t n) {
-  return spatial_mode() != SpatialMode::kOff && n >= spatial_min_n();
-}
-
-const char* spatial_mode_name(SpatialMode mode) {
-  switch (mode) {
-    case SpatialMode::kOff:
-      return "off";
-    case SpatialMode::kKdTree:
-      return "kdtree";
-    case SpatialMode::kGrid:
-      return "grid";
-  }
-  return "?";
-}
-
-std::unique_ptr<SpatialIndex> make_spatial_index(
-    SpatialMode mode, const std::vector<Point>& coords,
-    std::vector<std::int32_t> ids) {
-  require(mode != SpatialMode::kOff,
-          "make_spatial_index: mode kOff has no index");
-  if (mode == SpatialMode::kGrid) {
-    return std::make_unique<UniformGrid>(coords, std::move(ids));
-  }
-  return std::make_unique<KdTree>(coords, std::move(ids));
-}
+bool spatial_enabled(std::size_t n) { return n >= spatial_min_n(); }
 
 }  // namespace hfc

@@ -5,14 +5,7 @@
 // neighbor choice — is a nearest-pair problem over the embedded
 // coordinates. Scanning all O(n^2) candidate pairs was the scale wall
 // past ~5k proxies; once nodes carry coordinates, all of these queries
-// become near-logarithmic with a spatial index.
-//
-// Two interchangeable structures implement the same query contract:
-//
-//   KdTree      — bucketed k-d tree, median split on the widest axis,
-//                 exact bounding-box pruning (the default);
-//   UniformGrid — CSR-bucketed uniform grid, expanding-shell search
-//                 (the ablation variant).
+// become near-logarithmic with the bucketed k-d tree in kd_tree.h.
 //
 // Exactness contract: every query answers with the *same doubles and the
 // same argmin* as the brute-force scan it replaces. Distances between
@@ -21,46 +14,35 @@
 // nearest, matching accumulation order) no candidate that could win is
 // ever skipped, and ties in distance resolve to the smallest node id —
 // exactly what an ascending strict-`<` scan keeps. Consumers therefore
-// produce bit-identical MSTs, clusterings, and border pairs on either
-// path; the A/B knob below exists for verification and ablation, not
-// because the answers differ.
+// produce bit-identical MSTs, clusterings, and border pairs whether they
+// take the index or the scan; the brute-force oracles in tests/oracle/
+// pin that.
 //
-// Policy knobs:
-//   HFC_SPATIAL       = off | kdtree | grid   (default kdtree)
+// Policy knob:
 //   HFC_SPATIAL_MIN_N = smallest point count that uses the index
 //                       (default 256 — below it the brute scan is both
 //                       exact and faster than building a tree; also keeps
 //                       hand-laid-out unit-test point sets, which may
 //                       contain exact distance ties, on the scan whose
-//                       tie behaviour their expectations encode)
+//                       tie behaviour their expectations encode). Setting
+//                       it above n forces the brute scan.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <vector>
 
 #include "coords/point.h"
 
 namespace hfc {
 
-/// Which index structure the spatial consumers use (HFC_SPATIAL knob).
-enum class SpatialMode { kOff, kKdTree, kGrid };
-
-/// Resolve the HFC_SPATIAL environment knob (re-read on each call; the
-/// consumers resolve it once per construction, never per query). Invalid
-/// values warn once and fall back to kKdTree.
-[[nodiscard]] SpatialMode spatial_mode();
-
-/// Resolve HFC_SPATIAL_MIN_N (default 256, minimum 2).
+/// Resolve HFC_SPATIAL_MIN_N (default 256, minimum 2; re-read on each
+/// call — consumers resolve it once per construction, never per query).
 [[nodiscard]] std::size_t spatial_min_n();
 
-/// True when an operation over `n` points should use the index under the
-/// current knobs.
+/// True when an operation over `n` points should use the index:
+/// n >= spatial_min_n().
 [[nodiscard]] bool spatial_enabled(std::size_t n);
-
-[[nodiscard]] const char* spatial_mode_name(SpatialMode mode);
 
 /// One query answer: the winning point id and its exact euclidean()
 /// distance. Ties in distance resolve to the smallest id.
@@ -75,7 +57,7 @@ struct SpatialHit {
 /// as topology.candidate_links). Kept caller-side so parallel sweeps add
 /// exact per-task totals.
 struct QueryStats {
-  std::uint64_t nodes_visited = 0;  ///< tree nodes / grid cells examined
+  std::uint64_t nodes_visited = 0;  ///< tree nodes examined
   std::uint64_t point_evals = 0;    ///< candidate distance evaluations
 
   QueryStats& operator+=(const QueryStats& o) {
@@ -88,78 +70,5 @@ struct QueryStats {
 /// Candidate acceptance predicate over point ids (nullptr = accept all).
 /// Must be pure for the duration of the query.
 using SpatialFilter = bool (*)(std::int32_t, const void*);
-
-/// An immutable spatial index over a subset of a coordinate array. The
-/// coordinate vector must outlive the index; point ids are indices into
-/// it (the subset form indexes only the listed ids, so cluster-scoped
-/// indexes and whole-overlay indexes share one implementation).
-class SpatialIndex {
- public:
-  virtual ~SpatialIndex() = default;
-
-  /// Number of indexed points.
-  [[nodiscard]] virtual std::size_t size() const = 0;
-
-  /// Nearest indexed point to `q` with distance <= `bound` (candidates
-  /// strictly beyond the bound may be pruned; candidates at exactly the
-  /// bound are still returned so callers can finish lexicographic
-  /// tie-breaks). `accept`/`ctx` optionally reject candidate ids.
-  [[nodiscard]] virtual SpatialHit nearest(
-      const Point& q, double bound, QueryStats& stats,
-      SpatialFilter accept = nullptr, const void* ctx = nullptr) const = 0;
-
-  /// The k indexed points minimising (distance, id) lexicographically,
-  /// ascending — exactly the prefix a partial_sort of (distance, id)
-  /// pairs produces. Fewer than k are returned when the (filtered) index
-  /// is smaller.
-  [[nodiscard]] virtual std::vector<SpatialHit> k_nearest(
-      const Point& q, std::size_t k, QueryStats& stats,
-      SpatialFilter accept = nullptr, const void* ctx = nullptr) const = 0;
-
-  /// All indexed ids within `radius` of `q` (inclusive), ascending by id.
-  [[nodiscard]] virtual std::vector<std::int32_t> range(
-      const Point& q, double radius, QueryStats& stats) const = 0;
-
-  /// Assign a component label to every *indexed* point (labels is indexed
-  /// by point id) and cache per-subtree/per-cell homogeneity tags, so
-  /// `nearest_foreign` can prune regions entirely inside the query's own
-  /// component — the Borůvka MST accelerator. Not thread-safe with
-  /// concurrent queries.
-  virtual void retag(const std::vector<std::int32_t>& labels) = 0;
-
-  /// Nearest indexed point whose label (from the last `retag`) differs
-  /// from `label`, with the same bound/tie contract as `nearest`.
-  [[nodiscard]] virtual SpatialHit nearest_foreign(
-      const Point& q, std::int32_t label, double bound,
-      QueryStats& stats) const = 0;
-
-  /// Fold a batch of mutations into the index in place: `adds` become
-  /// indexed points, `removes` (which must all be indexed) stop existing.
-  /// Implementations that support it rebuild only the subtrees the batch
-  /// actually unbalances (scapegoat-style; see kd_tree.h) and return
-  /// true; the default returns false and the caller falls back to a full
-  /// bulk reload. After a successful fold the index answers queries over
-  /// exactly (indexed − removes) ∪ adds with the same exactness contract
-  /// as a fresh build; any `retag` state is discarded and must be
-  /// re-established before the next `nearest_foreign`. Not thread-safe
-  /// with concurrent queries.
-  [[nodiscard]] virtual bool fold_updates(
-      const std::vector<std::int32_t>& adds,
-      const std::vector<std::int32_t>& removes) {
-    (void)adds;
-    (void)removes;
-    return false;
-  }
-
-  /// Bytes of index state currently resident (the bench memory-ceiling
-  /// assertions bound this alongside the coordinate tier).
-  [[nodiscard]] virtual std::size_t resident_bytes() const = 0;
-};
-
-/// Build an index of the requested kind over `ids` (empty = all points).
-/// `mode` must not be kOff. The coordinate vector must outlive the index.
-[[nodiscard]] std::unique_ptr<SpatialIndex> make_spatial_index(
-    SpatialMode mode, const std::vector<Point>& coords,
-    std::vector<std::int32_t> ids = {});
 
 }  // namespace hfc

@@ -85,14 +85,9 @@ std::string hexd(double v) {
 }  // namespace
 
 StreamMode stream_mode_from_env() {
-  const char* raw = std::getenv("HFC_STREAM_MODE");
-  if (raw == nullptr) return StreamMode::kLocating;
-  const std::string s(raw);
-  if (s == "locating") return StreamMode::kLocating;
-  if (s == "clique") return StreamMode::kClique;
-  warn_env_once("HFC_STREAM_MODE", raw, "expected locating|clique",
-                "locating");
-  return StreamMode::kLocating;
+  // Choice order follows the enumerators.
+  return static_cast<StreamMode>(
+      env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0));
 }
 
 StreamingSession::StreamingSession(DynamicHfcOverlay& overlay,
@@ -104,8 +99,6 @@ StreamingSession::StreamingSession(DynamicHfcOverlay& overlay,
       sources_(std::move(sources)),
       params_(std::move(params)),
       tick_rng_(Rng(params_.seed).fork(0x57ea11u)) {
-  require(overlay_.churn_mode() == ChurnMode::kIncremental,
-          "StreamingSession: overlay must be in incremental churn mode");
   require(!sources_.empty(), "StreamingSession: no sources");
   require(params_.tick_ms > 0.0, "StreamingSession: tick_ms must be > 0");
   require(params_.repair_delay_ms > 0.0,

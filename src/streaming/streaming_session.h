@@ -106,11 +106,11 @@ struct ContinuityStats {
 
 class StreamingSession {
  public:
-  /// One tree per source over a shared member set. The overlay must be in
-  /// incremental churn mode (the session routes over its universe-level
-  /// router); sources must be active, distinct universe nodes and must
-  /// stay members of the overlay for the session's lifetime. `qos` spans
-  /// the same universe network. Both must outlive the session.
+  /// One tree per source over a shared member set, routed over the
+  /// overlay's universe-level router. Sources must be active, distinct
+  /// universe nodes and must stay members of the overlay for the
+  /// session's lifetime. `qos` spans the same universe network. Both
+  /// must outlive the session.
   StreamingSession(DynamicHfcOverlay& overlay, QosManager& qos,
                    std::vector<NodeId> sources, StreamingParams params);
 

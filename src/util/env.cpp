@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -16,15 +17,18 @@ std::mutex g_mu;
 std::unordered_set<std::string> g_warned;
 std::size_t g_warning_count = 0;
 
-/// Warn once per variable name; repeated reads of the same bad knob stay
-/// quiet after the first complaint.
+/// Numeric-fallback form of warn_env_once.
 void warn_once(const char* name, const char* raw, const char* why,
                std::uint64_t fallback) {
-  std::lock_guard<std::mutex> lk(g_mu);
-  if (!g_warned.insert(name).second) return;
-  ++g_warning_count;
-  std::cerr << "[hfc] warning: ignoring " << name << "=\"" << raw << "\" ("
-            << why << "); using default " << fallback << "\n";
+  warn_env_once(name, raw, why, std::to_string(fallback).c_str());
+}
+
+/// `raw` without surrounding spaces and tabs.
+std::string trimmed(const char* raw) {
+  const std::string s(raw);
+  const std::size_t begin = s.find_first_not_of(" \t");
+  if (begin == std::string::npos) return {};
+  return s.substr(begin, s.find_last_not_of(" \t") - begin + 1);
 }
 
 }  // namespace
@@ -39,14 +43,11 @@ void warn_env_once(const char* name, const char* raw, const char* why,
 }
 
 bool parse_u64(const char* raw, std::uint64_t& out, const char*& why) {
-  std::string s(raw);
-  const std::size_t begin = s.find_first_not_of(" \t");
-  const std::size_t end = s.find_last_not_of(" \t");
-  if (begin == std::string::npos) {
+  const std::string s = trimmed(raw);
+  if (s.empty()) {
     why = "empty value";
     return false;
   }
-  s = s.substr(begin, end - begin + 1);
   if (s[0] == '-' || s[0] == '+') {
     why = "not a plain non-negative integer";
     return false;
@@ -95,6 +96,32 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return v;
 }
 
+std::size_t env_choice(const char* name,
+                       std::initializer_list<const char*> choices,
+                       std::size_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  std::string expected = "expected ";
+  std::size_t i = 0;
+  for (const char* choice : choices) {
+    if (std::strcmp(raw, choice) == 0) return i;
+    expected += (i++ == 0 ? "" : "|");
+    expected += choice;
+  }
+  warn_env_once(name, raw, expected.c_str(), choices.begin()[fallback]);
+  return fallback;
+}
+
+bool env_flag(const char* name, bool fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  const std::string s = trimmed(raw);
+  if (s == "1") return true;
+  if (s == "0") return false;
+  warn_env_once(name, raw, "expected 0|1", fallback ? "1" : "0");
+  return fallback;
+}
+
 const std::vector<EnvKnob>& registered_knobs() {
   // Sorted by name; test_knobs.cpp asserts the order so the `hfc_cli
   // knobs` dump stays stable and diffs cleanly.
@@ -106,9 +133,6 @@ const std::vector<EnvKnob>& registered_knobs() {
        "churn events per apply() batch in bench_churn_dynamic", "bench"},
       {"HFC_CHURN_EVENTS", "320",
        "churn stream length per size in bench_churn_dynamic", "bench"},
-      {"HFC_CHURN_INCREMENTAL", "1",
-       "churn maintenance mode: 0 = full rebuild baseline, else incremental",
-       "core"},
       {"HFC_CHURN_N", "0",
        "single universe-size override for bench_churn_dynamic (0 = sweep)",
        "bench"},
@@ -132,24 +156,19 @@ const std::vector<EnvKnob>& registered_knobs() {
       {"HFC_ML_FANOUT", "32",
        "children per group in bounded-fanout multilevel builds "
        "(leaf clusters hold 8x this many nodes)", "core"},
-      {"HFC_ML_PAR", "1",
-       "0 disables the group-local construction pipeline "
-       "(margin-safe per-cell Borůvka + parallel Zahn cut)", "core"},
       {"HFC_ML_PAR_GROUP", "4096",
        "partition-cell size cap for the group-local pipeline's local "
        "phase", "core"},
       {"HFC_ML_PAR_MIN_N", "8192",
-       "point count at which the group-local pipeline takes over from "
-       "the single global sweep", "core"},
+       "point count at which the group-local pipeline (margin-safe "
+       "per-cell Borůvka + parallel Zahn cut) takes over from the single "
+       "global sweep", "core"},
       {"HFC_ML_STRETCH_N", "100000",
        "proxy count of the multilevel-vs-flat-oracle stretch stage in "
        "bench_multilevel_scaling", "bench"},
       {"HFC_ML_STRETCH_REQUESTS", "500",
        "routed requests in the stretch stage of bench_multilevel_scaling",
        "bench"},
-      {"HFC_MST_ALGO", "pruned",
-       "Borůvka sweep strategy over the spatial index: rounds | pruned",
-       "core"},
       {"HFC_REQUESTS", "per-bench",
        "request-batch size used by several benches", "bench"},
       {"HFC_RUNS", "2 (5 full)",
@@ -173,13 +192,9 @@ const std::vector<EnvKnob>& registered_knobs() {
        "requests per wave in bench_serving_throughput", "bench"},
       {"HFC_SESSIONS", "600 (2000 full)",
        "session count in bench_ablation_qos_aggregation", "bench"},
-      {"HFC_SPATIAL", "kdtree",
-       "spatial index backend: off | kdtree | grid", "core"},
-      {"HFC_SPATIAL_INCREMENTAL", "1",
-       "DynamicSpatialSet budget folds: 0 = full bulk reload baseline, "
-       "else in-place subtree rebuilds", "core"},
       {"HFC_SPATIAL_MIN_N", "256",
-       "smallest point count that turns the spatial index on", "core"},
+       "smallest point count that turns the spatial index on (above n "
+       "forces the brute scan)", "core"},
       {"HFC_SPATIAL_REBUILD_BUDGET", "0",
        "DynamicSpatialSet mutations tolerated before a rebuild "
        "(0 = auto max(32, indexed/4))", "core"},
@@ -208,8 +223,8 @@ const std::vector<EnvKnob>& registered_knobs() {
       {"HFC_TOPO_DIM", "5",
        "coordinate dimension in bench_topology_scaling", "bench"},
       {"HFC_TOPO_MST_N", "100000",
-       "size of the MST rounds-vs-pruned A/B stage in bench_topology_scaling",
-       "bench"},
+       "size of the MST global-sweep-vs-group-pipeline stage in "
+       "bench_topology_scaling", "bench"},
       {"HFC_TOPO_N", "1000000",
        "size of the big build-and-route stage in bench_topology_scaling",
        "bench"},
@@ -217,7 +232,7 @@ const std::vector<EnvKnob>& registered_knobs() {
        "routed probes in bench_topology_scaling", "bench"},
       {"HFC_TRACE", "0",
        "1 = write a chrome://tracing JSON of the span ring at exit", "core"},
-      {"HFC_TRACE_BUF", "65536",
+      {"HFC_TRACE_BUF", "131072",
        "capacity of the bounded trace-span ring", "core"},
       {"HFC_TRACE_FILE", "hfc_trace.json",
        "output path for the HFC_TRACE=1 dump", "core"},

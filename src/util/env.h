@@ -1,16 +1,19 @@
 // Robust environment-knob parsing.
 //
-// Every HFC_* tuning knob (HFC_THREADS, HFC_DIST_CACHE_ROWS,
+// Every numeric HFC_* tuning knob (HFC_THREADS, HFC_DIST_CACHE_ROWS,
 // HFC_CHURN_BATCH, HFC_SCT_TTL, ...) goes through `env_size_t`, which
 // turns malformed input — non-numeric text, negative numbers, values
 // below the knob's minimum, or values that overflow an unsigned 64-bit
 // integer — into the documented default plus a single stderr warning,
 // instead of silently mis-parsing (strtoull happily returns 0 for "abc"
 // and wraps negatives) or invoking undefined behaviour downstream.
+// Enumerated knobs go through `env_choice` and on/off knobs through
+// `env_flag`, with the same warn-once fallback.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -28,6 +31,19 @@ namespace hfc {
 
 /// Same semantics for 64-bit seeds (min_value 0: every seed is valid).
 [[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback);
+
+/// Read `name` as one of `choices` (exact, case-sensitive match) and
+/// return the index of the match. Unset returns `fallback`; any other
+/// value warns once ("expected a|b") and returns `fallback`, which must
+/// index `choices`.
+[[nodiscard]] std::size_t env_choice(const char* name,
+                                     std::initializer_list<const char*> choices,
+                                     std::size_t fallback);
+
+/// Read `name` as a boolean flag: "1" is on, "0" is off, surrounding
+/// whitespace allowed. Unset returns `fallback`; any other value
+/// ("true", "2", "") warns once and returns `fallback`.
+[[nodiscard]] bool env_flag(const char* name, bool fallback);
 
 /// The strict parser behind the knobs: a full base-10 unsigned integer,
 /// surrounding whitespace allowed. Fails (returning false and pointing
@@ -58,10 +74,10 @@ struct EnvKnob {
 /// Registry lookup; nullptr when `name` is not a registered knob.
 [[nodiscard]] const EnvKnob* find_knob(std::string_view name);
 
-/// Warn-once hook for string-valued knobs (e.g. HFC_STREAM_MODE) whose
-/// parsing lives at the call site: emits the same one-line stderr warning
-/// format as env_size_t, counts toward env_warning_count(), and stays
-/// quiet on repeated reads of the same variable until
+/// Warn-once hook for knobs whose parsing lives at the call site (and
+/// the one behind env_choice / env_flag): emits the same one-line stderr
+/// warning format as env_size_t, counts toward env_warning_count(), and
+/// stays quiet on repeated reads of the same variable until
 /// reset_env_warnings().
 void warn_env_once(const char* name, const char* raw, const char* why,
                    const char* fallback);

@@ -2,13 +2,14 @@
 // joins by the nearest-neighbour rule, leaves, clustering-quality decay,
 // the re-structuring mechanism, and the incremental churn engine
 // (DESIGN.md §9) — every scenario asserts the incremental overlay stays
-// equivalent to a full-rebuild overlay fed the same events.
+// equivalent to the full-rebuild oracle (tests/oracle/full_rebuild.h).
 #include <gtest/gtest.h>
 
 #include <span>
 
 #include "dynamic/dynamic_overlay.h"
 #include "obs/metrics.h"
+#include "oracle/full_rebuild.h"
 #include "services/workload.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -180,7 +181,7 @@ TEST(DynamicOverlay, RouteRequiresActiveEndpoints) {
 }
 
 // ---------------------------------------------------------------------
-// Incremental vs full-rebuild equivalence (DESIGN.md §9).
+// Incremental churn vs the full-rebuild oracle (DESIGN.md §9).
 
 constexpr int kCatalog = 6;
 
@@ -227,41 +228,32 @@ std::vector<ServiceId> random_services(Rng& rng) {
   return services;
 }
 
-/// An incremental and a full-rebuild overlay built from identical inputs.
-struct DualOverlay {
-  DynamicHfcOverlay inc;
-  DynamicHfcOverlay full;
+/// An incremental overlay checked against the full-rebuild oracle.
+struct ChurnHarness {
+  DynamicHfcOverlay overlay;
 
-  DualOverlay(std::vector<Point> coords, ServicePlacement placement)
-      : inc(coords, placement, {}, BorderSelection::kClosestPair,
-            ChurnMode::kIncremental),
-        full(std::move(coords), std::move(placement), {},
-             BorderSelection::kClosestPair, ChurnMode::kFullRebuild) {}
-
-  void apply_both(std::span<const ChurnEvent> events) {
-    inc.apply(events);
-    full.apply(events);
-  }
+  ChurnHarness(std::vector<Point> coords, ServicePlacement placement)
+      : overlay(std::move(coords), std::move(placement)) {}
 
   /// The strict correctness bar: same partition, same border pairs, same
   /// routed paths as a from-scratch rebuild of the same active set.
-  void expect_equivalent(Rng& rng, std::size_t route_probes = 4) {
-    ASSERT_EQ(inc.active_count(), full.active_count());
-    ASSERT_EQ(inc.cluster_count(), full.cluster_count());
-    EXPECT_EQ(inc.active_partition(), full.active_partition());
-    EXPECT_EQ(inc.border_pairs(), full.border_pairs());
+  void expect_matches_full_rebuild(Rng& rng, std::size_t route_probes = 4) {
+    const oracle::FullRebuild full(overlay);
+    ASSERT_EQ(overlay.cluster_count(), full.cluster_count());
+    EXPECT_EQ(overlay.active_partition(), full.active_partition());
+    EXPECT_EQ(overlay.border_pairs(), full.border_pairs());
 
     std::vector<NodeId> active;
-    for (std::size_t v = 0; v < inc.universe_size(); ++v) {
+    for (std::size_t v = 0; v < overlay.universe_size(); ++v) {
       const NodeId node(static_cast<std::int32_t>(v));
-      if (inc.is_active(node)) active.push_back(node);
+      if (overlay.is_active(node)) active.push_back(node);
     }
     for (std::size_t probe = 0; probe < route_probes; ++probe) {
       ServiceRequest request;
       request.source = rng.pick(active);
       request.destination = rng.pick(active);
       request.graph = ServiceGraph::linear(random_services(rng));
-      const ServicePath a = inc.route(request);
+      const ServicePath a = overlay.route(request);
       const ServicePath b = full.route(request);
       ASSERT_EQ(a.found, b.found);
       if (!a.found) continue;
@@ -275,14 +267,14 @@ struct DualOverlay {
   }
 };
 
-/// 500+ mixed activate/deactivate/add events against both overlays,
-/// asserting equivalence after every batch.
+/// 500+ mixed activate/deactivate/add events, asserting equivalence with
+/// the full-rebuild oracle after every batch.
 void run_churn_equivalence(std::uint64_t seed, std::size_t batch_size) {
   Rng rng(seed);
   const std::vector<Point> pts = blob_universe(rng, 6, 20);
-  DualOverlay dual(pts, random_placement(rng, pts.size()));
+  ChurnHarness churn(pts, random_placement(rng, pts.size()));
 
-  std::vector<bool> active(dual.inc.universe_size(), true);
+  std::vector<bool> active(churn.overlay.universe_size(), true);
   std::size_t active_count = active.size();
   const auto pick_with = [&](bool want) {
     std::vector<NodeId> matching;
@@ -320,8 +312,8 @@ void run_churn_equivalence(std::uint64_t seed, std::size_t batch_size) {
       }
     }
     applied += batch.size();
-    dual.apply_both(batch);
-    dual.expect_equivalent(rng);
+    churn.overlay.apply(batch);
+    churn.expect_matches_full_rebuild(rng);
   }
   EXPECT_GE(applied, 500u);
 }
@@ -350,28 +342,27 @@ TEST(ChurnEquivalence, SingleEventBatches) {
 TEST(ChurnEquivalence, BorderNodeDeparture) {
   Rng rng(90);
   const std::vector<Point> pts = blob_universe(rng, 4, 12);
-  DualOverlay dual(pts, random_placement(rng, pts.size()));
+  ChurnHarness churn(pts, random_placement(rng, pts.size()));
 
   // Removing a stored border node forces the affected cluster pairs to
   // re-scan; the repaired pairs must match a fresh selection.
-  const auto pairs = dual.inc.border_pairs();
+  const auto pairs = churn.overlay.border_pairs();
   ASSERT_FALSE(pairs.empty());
   obs::Counter& rescans =
       obs::MetricsRegistry::global().counter("churn.border_rescans");
   const std::uint64_t before = rescans.value();
   const NodeId border = pairs.front().first;
-  dual.inc.deactivate(border);
-  dual.full.deactivate(border);
+  churn.overlay.deactivate(border);
   EXPECT_GT(rescans.value(), before);
-  dual.expect_equivalent(rng);
+  churn.expect_matches_full_rebuild(rng);
 
   // A non-border leave must not trigger any pair re-scan.
   std::vector<NodeId> non_borders;
   for (std::size_t v = 0; v < pts.size(); ++v) {
     const NodeId node(static_cast<std::int32_t>(v));
-    if (!dual.inc.is_active(node)) continue;
+    if (!churn.overlay.is_active(node)) continue;
     bool is_border = false;
-    for (const auto& [u, w] : dual.inc.border_pairs()) {
+    for (const auto& [u, w] : churn.overlay.border_pairs()) {
       if (u == node || w == node) is_border = true;
     }
     if (!is_border) {
@@ -381,81 +372,72 @@ TEST(ChurnEquivalence, BorderNodeDeparture) {
   }
   ASSERT_FALSE(non_borders.empty());
   const std::uint64_t after_border = rescans.value();
-  dual.inc.deactivate(non_borders.front());
-  dual.full.deactivate(non_borders.front());
+  churn.overlay.deactivate(non_borders.front());
   EXPECT_EQ(rescans.value(), after_border);
-  dual.expect_equivalent(rng);
+  churn.expect_matches_full_rebuild(rng);
 }
 
 TEST(ChurnEquivalence, ClusterDeathAndRebirth) {
   Rng rng(91);
-  DualOverlay dual(two_grids(rng), simple_placement(18));
+  ChurnHarness churn(two_grids(rng), simple_placement(18));
 
   // Drain the whole second grid: its cluster dies, border pairs to it drop.
   for (int v = 9; v < 18; ++v) {
-    dual.inc.deactivate(NodeId(v));
-    dual.full.deactivate(NodeId(v));
+    churn.overlay.deactivate(NodeId(v));
   }
-  EXPECT_EQ(dual.inc.cluster_count(), 1u);
-  dual.expect_equivalent(rng);
+  EXPECT_EQ(churn.overlay.cluster_count(), 1u);
+  churn.expect_matches_full_rebuild(rng);
 
   // Rejoining nodes glue onto the surviving cluster (the join rule never
   // resurrects a dead slot) ...
   for (int v = 9; v < 18; ++v) {
-    dual.inc.activate(NodeId(v));
-    dual.full.activate(NodeId(v));
+    churn.overlay.activate(NodeId(v));
   }
-  EXPECT_EQ(dual.inc.cluster_count(), 1u);
-  dual.expect_equivalent(rng);
+  EXPECT_EQ(churn.overlay.cluster_count(), 1u);
+  churn.expect_matches_full_rebuild(rng);
 
   // ... and restructure() is the rebirth mechanism: a fresh clustering
   // separates the grids again.
-  dual.inc.restructure();
-  dual.full.restructure();
-  EXPECT_EQ(dual.inc.cluster_count(), 2u);
-  dual.expect_equivalent(rng);
+  churn.overlay.restructure();
+  EXPECT_EQ(churn.overlay.cluster_count(), 2u);
+  churn.expect_matches_full_rebuild(rng);
 }
 
 TEST(ChurnEquivalence, SingleNodeClusters) {
   Rng rng(92);
-  DualOverlay dual(two_grids(rng), simple_placement(18));
+  ChurnHarness churn(two_grids(rng), simple_placement(18));
   // Shrink grid 2 to a single node: a one-member cluster whose member is
   // by definition the border of every pair involving it.
   for (int v = 9; v < 17; ++v) {
-    dual.inc.deactivate(NodeId(v));
-    dual.full.deactivate(NodeId(v));
+    churn.overlay.deactivate(NodeId(v));
   }
-  EXPECT_EQ(dual.inc.cluster_count(), 2u);
-  dual.expect_equivalent(rng);
+  EXPECT_EQ(churn.overlay.cluster_count(), 2u);
+  churn.expect_matches_full_rebuild(rng);
 
   // An add next to the singleton joins its cluster.
   const std::vector<ChurnEvent> join{
       ChurnEvent::make_add({101.0, 102.0}, {ServiceId(2)})};
-  dual.apply_both(join);
-  dual.expect_equivalent(rng);
+  churn.overlay.apply(join);
+  churn.expect_matches_full_rebuild(rng);
 
   // Back down to one member (the border role moves to the added node),
   // then kill the cluster entirely.
-  dual.inc.deactivate(NodeId(17));
-  dual.full.deactivate(NodeId(17));
-  EXPECT_EQ(dual.inc.cluster_count(), 2u);
-  dual.expect_equivalent(rng);
+  churn.overlay.deactivate(NodeId(17));
+  EXPECT_EQ(churn.overlay.cluster_count(), 2u);
+  churn.expect_matches_full_rebuild(rng);
 
   const NodeId added(18);
-  dual.inc.deactivate(added);
-  dual.full.deactivate(added);
-  EXPECT_EQ(dual.inc.cluster_count(), 1u);
-  dual.expect_equivalent(rng);
+  churn.overlay.deactivate(added);
+  EXPECT_EQ(churn.overlay.cluster_count(), 1u);
+  churn.expect_matches_full_rebuild(rng);
 }
 
 TEST(ChurnEquivalence, BatchedApplyMatchesSingleEvents) {
   Rng rng(93);
   const std::vector<Point> pts = blob_universe(rng, 4, 10);
   const ServicePlacement placement = random_placement(rng, pts.size());
-  DynamicHfcOverlay batched(pts, placement, {}, BorderSelection::kClosestPair,
-                            ChurnMode::kIncremental);
-  DynamicHfcOverlay stepped(pts, placement, {}, BorderSelection::kClosestPair,
-                            ChurnMode::kIncremental);
+  DynamicHfcOverlay batched(pts, placement, {}, BorderSelection::kClosestPair);
+  DynamicHfcOverlay stepped(pts, placement, {}, BorderSelection::kClosestPair);
 
   std::vector<ChurnEvent> events;
   for (int v = 0; v < 8; ++v) {
@@ -487,17 +469,18 @@ TEST(ChurnEquivalence, BatchedApplyMatchesSingleEvents) {
 TEST(ChurnEquivalence, FailedBatchKeepsAppliedPrefixConsistent) {
   Rng rng(94);
   const std::vector<Point> pts = blob_universe(rng, 4, 10);
-  DualOverlay dual(pts, random_placement(rng, pts.size()));
+  ChurnHarness churn(pts, random_placement(rng, pts.size()));
 
   // Third event is invalid (node 1 is already active): the two valid
   // events before it must remain applied and repaired.
   std::vector<ChurnEvent> batch{ChurnEvent::make_deactivate(NodeId(0)),
                                 ChurnEvent::make_deactivate(NodeId(5)),
                                 ChurnEvent::make_activate(NodeId(1))};
-  EXPECT_THROW(dual.inc.apply(batch), std::invalid_argument);
-  dual.full.deactivate(NodeId(0));
-  dual.full.deactivate(NodeId(5));
-  dual.expect_equivalent(rng);
+  EXPECT_THROW(churn.overlay.apply(batch), std::invalid_argument);
+  EXPECT_FALSE(churn.overlay.is_active(NodeId(0)));
+  EXPECT_FALSE(churn.overlay.is_active(NodeId(5)));
+  EXPECT_TRUE(churn.overlay.is_active(NodeId(1)));
+  churn.expect_matches_full_rebuild(rng);
 }
 
 TEST(DynamicOverlay, ClusteringQualityMemoizedOnGeneration) {
@@ -516,16 +499,6 @@ TEST(DynamicOverlay, ClusteringQualityMemoizedOnGeneration) {
   (void)overlay.clustering_quality();
   (void)overlay.clustering_quality();
   EXPECT_EQ(computes.value(), start + 2);
-}
-
-TEST(DynamicOverlay, ChurnModeKnobSelectsImplementation) {
-  Rng rng(96);
-  DynamicHfcOverlay overlay(two_grids(rng), simple_placement(18));
-  EXPECT_EQ(overlay.churn_mode(), default_churn_mode());
-  DynamicHfcOverlay full(two_grids(rng), simple_placement(18), {},
-                         BorderSelection::kClosestPair,
-                         ChurnMode::kFullRebuild);
-  EXPECT_EQ(full.churn_mode(), ChurnMode::kFullRebuild);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
+#include "oracle/full_rebuild.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/brute_force.h"
@@ -664,21 +665,17 @@ TEST(RouteDegraded, UnroutableWhenEveryProviderIsDown) {
 TEST(RouteDegraded, DynamicOverlayModesAgree) {
   CrossWorld w;
   DynamicHfcOverlay inc(w.coords, CrossWorld::make_placement(), {},
-                        BorderSelection::kClosestPair, ChurnMode::kIncremental);
-  DynamicHfcOverlay full(w.coords, CrossWorld::make_placement(), {},
-                         BorderSelection::kClosestPair,
-                         ChurnMode::kFullRebuild);
-  // Stir both through identical churn before routing degraded.
-  for (DynamicHfcOverlay* dyn : {&inc, &full}) {
-    dyn->deactivate(NodeId(7));
-    dyn->activate(NodeId(7));
-  }
+                        BorderSelection::kClosestPair);
+  // Stir through churn before routing degraded.
+  inc.deactivate(NodeId(7));
+  inc.activate(NodeId(7));
   const ServiceRequest request = w.cross_request();
   const ClusterId cs = w.topo.cluster_of(request.source);
   const ClusterId cf = w.topo.cluster_of(NodeId(5));
   const NodeId near_border = w.topo.border(cs, cf);
   const auto up = [near_border](NodeId n) { return n != near_border; };
 
+  const oracle::FullRebuild full(inc);
   const ServicePath a = inc.route_degraded(request, up);
   const ServicePath b = full.route_degraded(request, up);
   ASSERT_TRUE(a.found);

@@ -19,6 +19,7 @@
 #include "dynamic/dynamic_overlay.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "oracle/full_rebuild.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
@@ -181,10 +182,7 @@ std::string run_chaos(std::uint64_t seed) {
 
   // --- leg 3: incremental churn maintenance vs full rebuild, degraded ---
   DynamicHfcOverlay inc(w.coords, w.placement, {},
-                        BorderSelection::kClosestPair, ChurnMode::kIncremental);
-  DynamicHfcOverlay full(w.coords, w.placement, {},
-                         BorderSelection::kClosestPair,
-                         ChurnMode::kFullRebuild);
+                        BorderSelection::kClosestPair);
   Rng crng = Rng(seed).fork(11);
   std::vector<ChurnEvent> events;
   for (std::size_t i : crng.sample_indices(w.coords.size(), 3)) {
@@ -194,7 +192,7 @@ std::string run_chaos(std::uint64_t seed) {
   events.push_back(ChurnEvent::make_add(
       {crng.uniform_real(0, 4), crng.uniform_real(0, 4)}, {ServiceId(0)}));
   (void)inc.apply(events);
-  (void)full.apply(events);
+  const oracle::FullRebuild full(inc);
 
   // Invariant (d): identical partitions, border pairs, and degraded routes.
   EXPECT_EQ(inc.active_partition(), full.active_partition())

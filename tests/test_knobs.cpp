@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/env.h"
 
 #ifndef HFC_SOURCE_DIR
@@ -119,6 +121,83 @@ TEST(KnobRegistry, SpatialRebuildBudgetRegistered) {
   const EnvKnob* knob = find_knob("HFC_SPATIAL_REBUILD_BUDGET");
   ASSERT_NE(knob, nullptr);
   EXPECT_EQ(std::string(knob->fallback), "0");
+}
+
+TEST(KnobRegistry, TraceBufDefaultMatchesTheRing) {
+  const EnvKnob* knob = find_knob("HFC_TRACE_BUF");
+  ASSERT_NE(knob, nullptr);
+  ::unsetenv("HFC_TRACE_BUF");
+  EXPECT_EQ(std::string(knob->fallback),
+            std::to_string(obs::trace_capacity_from_env()));
+}
+
+// Negative paths of the typed parsers: a bad value warns exactly once
+// per knob and falls back to the default, never to a silent reading.
+class KnobParsers : public ::testing::Test {
+ protected:
+  void SetUp() override { clear(); }
+  void TearDown() override { clear(); }
+  static void clear() {
+    for (const char* name : {"HFC_STREAM_MODE", "HFC_TRACE", "HFC_TRACE_BUF"}) {
+      ::unsetenv(name);
+    }
+    reset_env_warnings();
+  }
+};
+
+TEST_F(KnobParsers, ChoiceMatchesExactly) {
+  EXPECT_EQ(env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0), 0u);
+  ::setenv("HFC_STREAM_MODE", "clique", 1);
+  EXPECT_EQ(env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0), 1u);
+  ::setenv("HFC_STREAM_MODE", "locating", 1);
+  EXPECT_EQ(env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 1), 0u);
+  EXPECT_EQ(env_warning_count(), 0u);
+}
+
+TEST_F(KnobParsers, ChoiceRejectsAnythingElseOnce) {
+  for (const char* bad : {"Clique", "clique ", "", "2"}) {
+    reset_env_warnings();
+    ::setenv("HFC_STREAM_MODE", bad, 1);
+    EXPECT_EQ(env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0), 0u)
+        << bad;
+    EXPECT_EQ(env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0), 0u)
+        << bad;
+    EXPECT_EQ(env_warning_count(), 1u) << bad;
+  }
+}
+
+TEST_F(KnobParsers, FlagAcceptsZeroAndOne) {
+  EXPECT_FALSE(env_flag("HFC_TRACE", false));
+  EXPECT_TRUE(env_flag("HFC_TRACE", true));
+  ::setenv("HFC_TRACE", "1", 1);
+  EXPECT_TRUE(env_flag("HFC_TRACE", false));
+  ::setenv("HFC_TRACE", " 0 ", 1);
+  EXPECT_FALSE(env_flag("HFC_TRACE", true));
+  EXPECT_EQ(env_warning_count(), 0u);
+}
+
+TEST_F(KnobParsers, FlagRejectsAnythingElseOnce) {
+  for (const char* bad : {"true", "2", "on", ""}) {
+    reset_env_warnings();
+    ::setenv("HFC_TRACE", bad, 1);
+    EXPECT_FALSE(env_flag("HFC_TRACE", false)) << bad;
+    EXPECT_FALSE(env_flag("HFC_TRACE", false)) << bad;
+    EXPECT_EQ(env_warning_count(), 1u) << bad;
+  }
+}
+
+TEST_F(KnobParsers, TraceBufferRejectsNegativeGarbageAndZero) {
+  ::setenv("HFC_TRACE_BUF", "4096", 1);
+  EXPECT_EQ(obs::trace_capacity_from_env(), 4096u);
+  EXPECT_EQ(env_warning_count(), 0u);
+  // "-1" must not wrap to a SIZE_MAX-event ring.
+  for (const char* bad : {"-1", "abc", "0"}) {
+    reset_env_warnings();
+    ::setenv("HFC_TRACE_BUF", bad, 1);
+    EXPECT_EQ(obs::trace_capacity_from_env(), 131072u) << bad;
+    EXPECT_EQ(obs::trace_capacity_from_env(), 131072u) << bad;
+    EXPECT_EQ(env_warning_count(), 1u) << bad;
+  }
 }
 
 // The inventory gate: every HFC_* identifier used anywhere in src/,

@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 
+#include "env_guard.h"
 #include "multilevel/multilevel_hierarchy.h"
 #include "multilevel/multilevel_router.h"
 #include "routing/brute_force.h"
@@ -454,34 +455,9 @@ TEST(BoundedFanout, ValidatesParams) {
 // DESIGN.md §14: building with the group-local construction pipeline
 // must yield a hierarchy byte-identical to the single global sweep —
 // same groups, same borders, same external-length doubles — for any
-// thread count, on both index kinds, in both construction modes.
-
-/// RAII environment override that restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) {
-      had_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
+// thread count, in both construction modes. The HFC_ML_PAR_MIN_N floor
+// selects the path: above n keeps the global sweep, 2 forces the
+// pipeline.
 
 void expect_same_hierarchy(const MultiLevelHierarchy& a,
                            const MultiLevelHierarchy& b) {
@@ -512,26 +488,26 @@ void expect_same_hierarchy(const MultiLevelHierarchy& a,
   }
 }
 
+/// Parameterized by spatial index kind; the k-d tree is the only one.
 class GroupPipelineHierarchyTest
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GroupPipelineHierarchyTest, BoundedFanoutMatchesGlobalSweep) {
-  EnvGuard index("HFC_SPATIAL", GetParam());
   EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
-  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   EnvGuard group("HFC_ML_PAR_GROUP", "64");
   const std::vector<Point> pts = random_cloud(620, 3, 901);
 
-  MultiLevelParams baseline = MultiLevelParams::bounded(4, 48);
-  baseline.pipeline = GroupPipelineMode::kOff;
-  const MultiLevelHierarchy global(pts, baseline);
+  const MultiLevelParams params = MultiLevelParams::bounded(4, 48);
+  const MultiLevelHierarchy global = [&] {
+    EnvGuard global_sweep("HFC_ML_PAR_MIN_N", kAboveAnyN);
+    return MultiLevelHierarchy(pts, params);
+  }();
 
-  MultiLevelParams piped = MultiLevelParams::bounded(4, 48);
-  piped.pipeline = GroupPipelineMode::kOn;
+  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   set_global_threads(1);
-  const MultiLevelHierarchy serial(pts, piped);
+  const MultiLevelHierarchy serial(pts, params);
   set_global_threads(4);
-  const MultiLevelHierarchy threaded(pts, piped);
+  const MultiLevelHierarchy threaded(pts, params);
   set_global_threads(0);
 
   expect_same_hierarchy(global, serial);
@@ -539,22 +515,21 @@ TEST_P(GroupPipelineHierarchyTest, BoundedFanoutMatchesGlobalSweep) {
 }
 
 TEST_P(GroupPipelineHierarchyTest, FlatLevelsMatchGlobalSweep) {
-  EnvGuard index("HFC_SPATIAL", GetParam());
   EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
-  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   EnvGuard group("HFC_ML_PAR_GROUP", "64");
   const std::vector<Point> pts = random_cloud(400, 2, 902);
 
-  MultiLevelParams baseline;  // legacy fixed-levels construction
-  baseline.pipeline = GroupPipelineMode::kOff;
-  const MultiLevelHierarchy global(pts, baseline);
+  const MultiLevelParams params;  // legacy fixed-levels construction
+  const MultiLevelHierarchy global = [&] {
+    EnvGuard global_sweep("HFC_ML_PAR_MIN_N", kAboveAnyN);
+    return MultiLevelHierarchy(pts, params);
+  }();
 
-  MultiLevelParams piped;
-  piped.pipeline = GroupPipelineMode::kOn;
+  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   set_global_threads(1);
-  const MultiLevelHierarchy serial(pts, piped);
+  const MultiLevelHierarchy serial(pts, params);
   set_global_threads(4);
-  const MultiLevelHierarchy threaded(pts, piped);
+  const MultiLevelHierarchy threaded(pts, params);
   set_global_threads(0);
 
   expect_same_hierarchy(global, serial);
@@ -562,7 +537,7 @@ TEST_P(GroupPipelineHierarchyTest, FlatLevelsMatchGlobalSweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(IndexKinds, GroupPipelineHierarchyTest,
-                         ::testing::Values("kdtree", "grid"));
+                         ::testing::Values("kdtree"));
 
 }  // namespace
 }  // namespace hfc

@@ -212,8 +212,7 @@ TEST_P(StreamingRegraftSweep, RepairedTreeStaysNearScratchRebuild) {
   }
   for (const StreamMode mode : {StreamMode::kLocating, StreamMode::kClique}) {
     DynamicHfcOverlay overlay(pts, placement, {},
-                              BorderSelection::kClosestPair,
-                              ChurnMode::kIncremental);
+                              BorderSelection::kClosestPair);
     const OverlayNetwork& net = overlay.universe_network();
     const HfcTopology& topo = overlay.universe_topology();
     QosManager qos(net, topo, std::vector<double>(net.size(), 64.0),

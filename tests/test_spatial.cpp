@@ -1,8 +1,8 @@
-// Tests for src/spatial: the kd-tree and uniform-grid indexes, the
-// churn-capable DynamicSpatialSet, and — the load-bearing part — the
-// exactness contract: every consumer (MST, Zahn, HFC borders, mesh,
-// multilevel, dynamic join) must produce identical results on the brute
-// and spatial paths (DESIGN.md §11).
+// Tests for src/spatial: the kd-tree index, the churn-capable
+// DynamicSpatialSet, and — the load-bearing part — the exactness
+// contract: every consumer (MST, Zahn, HFC borders, mesh, multilevel,
+// dynamic join) must produce identical results on the brute and spatial
+// paths (DESIGN.md §11). Reference answers come from tests/oracle/.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,8 +25,11 @@
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
 #include "services/service_graph.h"
+#include "env_guard.h"
+#include "oracle/mst.h"
+#include "oracle/nearest.h"
 #include "spatial/dynamic_set.h"
-#include "spatial/spatial_index.h"
+#include "spatial/kd_tree.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -34,32 +37,9 @@
 namespace hfc {
 namespace {
 
-/// RAII environment override that restores the previous value on exit.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) {
-      had_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
+using oracle::brute_k_nearest;
+using oracle::brute_nearest;
+using oracle::brute_range;
 
 std::vector<Point> random_points(std::size_t n, std::size_t dim, Rng& rng,
                                  double lo = 0.0, double hi = 100.0) {
@@ -73,55 +53,6 @@ std::vector<Point> random_points(std::size_t n, std::size_t dim, Rng& rng,
   return pts;
 }
 
-/// Brute reference: ascending strict-`<` scan (the tie behaviour every
-/// consumer encodes).
-SpatialHit brute_nearest(const std::vector<Point>& pts,
-                         const std::vector<std::int32_t>& ids, const Point& q,
-                         double bound = std::numeric_limits<double>::infinity(),
-                         SpatialFilter accept = nullptr,
-                         const void* ctx = nullptr) {
-  SpatialHit best;
-  best.dist = bound;
-  best.id = std::numeric_limits<std::int32_t>::max();
-  for (const std::int32_t id : ids) {
-    if (accept != nullptr && !accept(id, ctx)) continue;
-    const double d = euclidean(q, pts[static_cast<std::size_t>(id)]);
-    if (d < best.dist || (d == best.dist && id < best.id)) {
-      best.dist = d;
-      best.id = id;
-    }
-  }
-  if (best.id == std::numeric_limits<std::int32_t>::max()) return SpatialHit{};
-  return best;
-}
-
-std::vector<SpatialHit> brute_k_nearest(const std::vector<Point>& pts,
-                                        const std::vector<std::int32_t>& ids,
-                                        const Point& q, std::size_t k) {
-  std::vector<SpatialHit> all;
-  for (const std::int32_t id : ids) {
-    all.push_back({id, euclidean(q, pts[static_cast<std::size_t>(id)])});
-  }
-  std::sort(all.begin(), all.end(), [](const SpatialHit& a, const SpatialHit& b) {
-    return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-  });
-  if (all.size() > k) all.resize(k);
-  return all;
-}
-
-std::vector<std::int32_t> brute_range(const std::vector<Point>& pts,
-                                      const std::vector<std::int32_t>& ids,
-                                      const Point& q, double radius) {
-  std::vector<std::int32_t> out;
-  for (const std::int32_t id : ids) {
-    if (euclidean(q, pts[static_cast<std::size_t>(id)]) <= radius) {
-      out.push_back(id);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::vector<std::int32_t> all_ids(std::size_t n) {
   std::vector<std::int32_t> ids(n);
   for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::int32_t>(i);
@@ -133,31 +64,31 @@ void expect_hit_eq(const SpatialHit& got, const SpatialHit& want) {
   EXPECT_EQ(got.dist, want.dist);  // exact: same doubles, not approximate
 }
 
-/// The full query battery for one index kind against the brute reference.
-void run_index_battery(SpatialMode mode) {
-  Rng rng(mode == SpatialMode::kKdTree ? 901 : 902);
+/// The full query battery against the brute reference.
+void run_index_battery() {
+  Rng rng(901);
   const std::vector<Point> pts = random_points(257, 3, rng);
   const auto ids = all_ids(pts.size());
-  const auto index = make_spatial_index(mode, pts);
-  ASSERT_EQ(index->size(), pts.size());
+  const KdTree index(pts);
+  ASSERT_EQ(index.size(), pts.size());
   QueryStats stats;
 
   for (std::size_t t = 0; t < 60; ++t) {
     Point q(3, 0.0);
     for (double& c : q) c = rng.uniform_real(-20.0, 120.0);
 
-    expect_hit_eq(index->nearest(
+    expect_hit_eq(index.nearest(
                       q, std::numeric_limits<double>::infinity(), stats),
                   brute_nearest(pts, ids, q));
 
     // Bounded query: the bound is inclusive.
     const double bound = rng.uniform_real(0.0, 60.0);
-    expect_hit_eq(index->nearest(q, bound, stats),
+    expect_hit_eq(index.nearest(q, bound, stats),
                   brute_nearest(pts, ids, q, bound));
 
     for (const std::size_t k : {std::size_t{1}, std::size_t{5},
                                 std::size_t{17}, pts.size() + 3}) {
-      const auto got = index->k_nearest(q, k, stats);
+      const auto got = index.k_nearest(q, k, stats);
       const auto want = brute_k_nearest(pts, ids, q, k);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -166,21 +97,21 @@ void run_index_battery(SpatialMode mode) {
     }
 
     const double radius = rng.uniform_real(0.0, 80.0);
-    EXPECT_EQ(index->range(q, radius, stats), brute_range(pts, ids, q, radius));
+    EXPECT_EQ(index.range(q, radius, stats), brute_range(pts, ids, q, radius));
   }
   EXPECT_GT(stats.nodes_visited, 0u);
-  EXPECT_GT(index->resident_bytes(), 0u);
+  EXPECT_GT(index.resident_bytes(), 0u);
 }
 
-void run_foreign_battery(SpatialMode mode) {
-  Rng rng(mode == SpatialMode::kKdTree ? 911 : 912);
+void run_foreign_battery() {
+  Rng rng(911);
   const std::vector<Point> pts = random_points(200, 2, rng);
-  const auto index = make_spatial_index(mode, pts);
+  KdTree index(pts);
   std::vector<std::int32_t> labels(pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     labels[i] = static_cast<std::int32_t>(i % 5);
   }
-  index->retag(labels);
+  index.retag(labels);
   QueryStats stats;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const std::int32_t own = labels[i];
@@ -196,50 +127,38 @@ void run_foreign_battery(SpatialMode mode) {
         want.id = id;
       }
     }
-    expect_hit_eq(index->nearest_foreign(
+    expect_hit_eq(index.nearest_foreign(
                       pts[i], own, std::numeric_limits<double>::infinity(),
                       stats),
                   want);
   }
 }
 
-void run_ties_battery(SpatialMode mode) {
+void run_ties_battery() {
   // Duplicate coordinates force exact distance ties; the smallest id must
   // win, exactly like the ascending strict-`<` scan.
   std::vector<Point> pts;
   for (std::size_t i = 0; i < 40; ++i) {
     pts.push_back({static_cast<double>(i / 4), static_cast<double>(i % 2)});
   }
-  const auto index = make_spatial_index(mode, pts);
+  const KdTree index(pts);
   const auto ids = all_ids(pts.size());
   QueryStats stats;
   for (std::size_t t = 0; t < pts.size(); ++t) {
     const Point& q = pts[t];
-    expect_hit_eq(index->nearest(
+    expect_hit_eq(index.nearest(
                       q, std::numeric_limits<double>::infinity(), stats),
                   brute_nearest(pts, ids, q));
-    const auto got = index->k_nearest(q, 7, stats);
+    const auto got = index.k_nearest(q, 7, stats);
     const auto want = brute_k_nearest(pts, ids, q, 7);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) expect_hit_eq(got[i], want[i]);
   }
 }
 
-TEST(SpatialKdTree, MatchesBruteForce) { run_index_battery(SpatialMode::kKdTree); }
-TEST(SpatialKdTree, NearestForeignMatchesBrute) {
-  run_foreign_battery(SpatialMode::kKdTree);
-}
-TEST(SpatialKdTree, TiesResolveToSmallestId) {
-  run_ties_battery(SpatialMode::kKdTree);
-}
-
-TEST(SpatialGrid, MatchesBruteForce) { run_index_battery(SpatialMode::kGrid); }
-TEST(SpatialGrid, NearestForeignMatchesBrute) {
-  run_foreign_battery(SpatialMode::kGrid);
-}
-TEST(SpatialGrid, TiesResolveToSmallestId) {
-  run_ties_battery(SpatialMode::kGrid);
-}
+TEST(SpatialKdTree, MatchesBruteForce) { run_index_battery(); }
+TEST(SpatialKdTree, NearestForeignMatchesBrute) { run_foreign_battery(); }
+TEST(SpatialKdTree, TiesResolveToSmallestId) { run_ties_battery(); }
 
 TEST(SpatialIndexKnobs, SubsetIndexAndFilter) {
   Rng rng(921);
@@ -248,8 +167,8 @@ TEST(SpatialIndexKnobs, SubsetIndexAndFilter) {
   for (std::size_t i = 0; i < pts.size(); i += 3) {
     subset.push_back(static_cast<std::int32_t>(i));
   }
-  const auto index = make_spatial_index(SpatialMode::kKdTree, pts, subset);
-  EXPECT_EQ(index->size(), subset.size());
+  const KdTree index(pts, subset);
+  EXPECT_EQ(index.size(), subset.size());
   const auto odd_only = [](std::int32_t id, const void*) {
     return id % 2 == 1;
   };
@@ -258,38 +177,34 @@ TEST(SpatialIndexKnobs, SubsetIndexAndFilter) {
     Point q(2, 0.0);
     for (double& c : q) c = rng.uniform_real(0.0, 100.0);
     expect_hit_eq(
-        index->nearest(q, std::numeric_limits<double>::infinity(), stats,
-                       odd_only, nullptr),
+        index.nearest(q, std::numeric_limits<double>::infinity(), stats,
+                      odd_only, nullptr),
         brute_nearest(pts, subset, q,
                       std::numeric_limits<double>::infinity(), odd_only,
                       nullptr));
   }
 }
 
+// The brute-vs-index mode is chosen by the HFC_SPATIAL_MIN_N floor alone.
 TEST(SpatialIndexKnobs, ModeParsing) {
-  {
-    EnvGuard g("HFC_SPATIAL", "off");
-    EXPECT_EQ(spatial_mode(), SpatialMode::kOff);
-    EXPECT_FALSE(spatial_enabled(1u << 20));
-  }
-  {
-    EnvGuard g("HFC_SPATIAL", "grid");
-    EXPECT_EQ(spatial_mode(), SpatialMode::kGrid);
-  }
-  {
-    EnvGuard g("HFC_SPATIAL", "kdtree");
-    EXPECT_EQ(spatial_mode(), SpatialMode::kKdTree);
-  }
-  {
-    // Invalid values fall back to the default kd-tree.
-    EnvGuard g("HFC_SPATIAL", "quadtree");
-    EXPECT_EQ(spatial_mode(), SpatialMode::kKdTree);
-  }
   {
     EnvGuard g("HFC_SPATIAL_MIN_N", "8");
     EXPECT_EQ(spatial_min_n(), 8u);
     EXPECT_FALSE(spatial_enabled(7));
     EXPECT_TRUE(spatial_enabled(8));
+  }
+  {
+    EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
+    EXPECT_FALSE(spatial_enabled(1u << 20));
+  }
+  {
+    // Malformed values warn once and fall back to the default floor.
+    EnvGuard g("HFC_SPATIAL_MIN_N", "quadtree");
+    reset_env_warnings();
+    EXPECT_EQ(spatial_min_n(), 256u);
+    EXPECT_EQ(spatial_min_n(), 256u);
+    EXPECT_EQ(env_warning_count(), 1u);
+    reset_env_warnings();
   }
 }
 
@@ -303,7 +218,7 @@ TEST(SpatialDynamicSet, ChurnMatchesBruteScan) {
     initial.push_back(static_cast<std::int32_t>(i));
     live.insert(static_cast<std::int32_t>(i));
   }
-  set.bulk_load(SpatialMode::kKdTree, pts, initial);
+  set.bulk_load(pts, initial);
 
   for (std::size_t round = 0; round < 40; ++round) {
     // A small batch of random inserts and erases.
@@ -344,8 +259,8 @@ TEST(SpatialDynamicSet, BcpMatchesBruteDoubleLoop) {
   }
   DynamicSpatialSet a;
   DynamicSpatialSet b;
-  a.bulk_load(SpatialMode::kKdTree, pts, left);
-  b.bulk_load(SpatialMode::kGrid, pts, right);
+  a.bulk_load(pts, left);
+  b.bulk_load(pts, right);
 
   BcpResult want;
   for (const std::int32_t x : left) {
@@ -387,13 +302,11 @@ TEST(SpatialEquivalence, MstEdgeSetMatchesBrute) {
   EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   std::vector<MstEdge> brute;
   {
-    EnvGuard g("HFC_SPATIAL", "off");
+    EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
     brute = euclidean_mst(pts);
   }
-  const std::vector<MstEdge> kd = euclidean_mst_spatial(pts, SpatialMode::kKdTree);
-  const std::vector<MstEdge> grid = euclidean_mst_spatial(pts, SpatialMode::kGrid);
+  const std::vector<MstEdge> kd = euclidean_mst_spatial(pts);
   EXPECT_EQ(edge_set(brute), edge_set(kd));
-  EXPECT_EQ(edge_set(brute), edge_set(grid));
 }
 
 TEST(SpatialEquivalence, ZahnClustersMatchBrute) {
@@ -404,33 +317,22 @@ TEST(SpatialEquivalence, ZahnClustersMatchBrute) {
   EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   Clustering brute;
   {
-    EnvGuard g("HFC_SPATIAL", "off");
+    EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
     brute = cluster_points(pts);
   }
-  Clustering kd;
-  {
-    EnvGuard g("HFC_SPATIAL", "kdtree");
-    kd = cluster_points(pts);
-  }
-  Clustering grid;
-  {
-    EnvGuard g("HFC_SPATIAL", "grid");
-    grid = cluster_points(pts);
-  }
+  const Clustering kd = cluster_points(pts);
   EXPECT_GE(brute.cluster_count(), 2u);
   EXPECT_EQ(brute.members, kd.members);
-  EXPECT_EQ(brute.members, grid.members);
 }
 
 /// Shared fixture state for the topology equivalence checks: one point
-/// cloud, one clustering, three topologies (brute / kd-tree / grid).
+/// cloud, one clustering, two topologies (brute / kd-tree).
 struct TopologyArms {
   std::vector<Point> pts;
   std::unique_ptr<CoordDistanceService> dist;
   Clustering clustering;
   std::unique_ptr<HfcTopology> brute;
   std::unique_ptr<HfcTopology> kd;
-  std::unique_ptr<HfcTopology> grid;
 
   explicit TopologyArms(std::uint64_t seed, std::size_t n = 240) {
     Rng rng(seed);
@@ -441,20 +343,12 @@ struct TopologyArms {
     dist = std::make_unique<CoordDistanceService>(pts);
     clustering = cluster_nodes(*dist);
     {
-      EnvGuard g("HFC_SPATIAL", "off");
+      EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
       brute = std::make_unique<HfcTopology>(clustering, *dist);
       EXPECT_FALSE(brute->spatial_active());
     }
-    {
-      EnvGuard g("HFC_SPATIAL", "kdtree");
-      kd = std::make_unique<HfcTopology>(clustering, *dist);
-      EXPECT_TRUE(kd->spatial_active());
-    }
-    {
-      EnvGuard g("HFC_SPATIAL", "grid");
-      grid = std::make_unique<HfcTopology>(clustering, *dist);
-      EXPECT_TRUE(grid->spatial_active());
-    }
+    kd = std::make_unique<HfcTopology>(clustering, *dist);
+    EXPECT_TRUE(kd->spatial_active());
   }
 };
 
@@ -477,7 +371,6 @@ TEST(SpatialEquivalence, BorderPairsMatchBrute) {
   TopologyArms arms(953);
   ASSERT_GE(arms.clustering.cluster_count(), 2u);
   expect_same_borders(*arms.brute, *arms.kd);
-  expect_same_borders(*arms.brute, *arms.grid);
   EXPECT_GT(arms.kd->spatial_resident_bytes(), 0u);
 }
 
@@ -514,9 +407,7 @@ TEST(SpatialEquivalence, ChurnRepairMatchesBrute) {
   };
   mutate(*arms.brute);
   mutate(*arms.kd);
-  mutate(*arms.grid);
   expect_same_borders(*arms.brute, *arms.kd);
-  expect_same_borders(*arms.brute, *arms.grid);
 }
 
 TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
@@ -527,17 +418,15 @@ TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
   MeshParams params;
   params.random_min = 0;
   params.random_max = 0;  // spatial and brute agree exactly without extras
-  const auto build = [&](const char* mode) {
-    EnvGuard g("HFC_SPATIAL", mode);
+  const auto build = [&](const char* min_n) {
+    EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
     Rng mesh_rng(957);
     return MeshTopology(dist, params, mesh_rng);
   };
-  const MeshTopology brute = build("off");
-  const MeshTopology kd = build("kdtree");
-  const MeshTopology grid = build("grid");
+  const MeshTopology brute = build(kAboveAnyN);
+  const MeshTopology kd = build("2");
   ASSERT_EQ(brute.node_count(), kd.node_count());
   EXPECT_EQ(brute.edge_count(), kd.edge_count());
-  EXPECT_EQ(brute.edge_count(), grid.edge_count());
   for (std::size_t v = 0; v < brute.node_count(); ++v) {
     const NodeId node(static_cast<std::int32_t>(v));
     auto sorted = [](std::vector<NodeId> n) {
@@ -545,7 +434,6 @@ TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
       return n;
     };
     EXPECT_EQ(sorted(brute.neighbors(node)), sorted(kd.neighbors(node)));
-    EXPECT_EQ(sorted(brute.neighbors(node)), sorted(grid.neighbors(node)));
   }
   EXPECT_TRUE(kd.connected());
 }
@@ -558,12 +446,12 @@ TEST(SpatialEquivalence, MultilevelHopPathsMatchBrute) {
   pts.insert(pts.end(), far.begin(), far.end());
   MultiLevelParams params;
   params.levels = 2;
-  const auto build = [&](const char* mode) {
-    EnvGuard g("HFC_SPATIAL", mode);
+  const auto build = [&](const char* min_n) {
+    EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
     return MultiLevelHierarchy(pts, params);
   };
-  const MultiLevelHierarchy brute = build("off");
-  const MultiLevelHierarchy kd = build("kdtree");
+  const MultiLevelHierarchy brute = build(kAboveAnyN);
+  const MultiLevelHierarchy kd = build("2");
   ASSERT_EQ(brute.levels(), kd.levels());
   Rng pick(959);
   for (std::size_t t = 0; t < 50; ++t) {
@@ -628,8 +516,8 @@ TEST(TopologyScaling, DynamicChurnEquivalence) {
   for (std::size_t v = 0; v < placement.size(); ++v) {
     placement[v] = {ServiceId(static_cast<std::int32_t>(v % 5))};
   }
-  const auto run_arm = [&](const char* mode) {
-    EnvGuard g("HFC_SPATIAL", mode);
+  const auto run_arm = [&](const char* min_n) {
+    EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
     DynamicHfcOverlay overlay(pts, placement);
     Rng events(972);
     std::vector<NodeId> inactive;
@@ -663,13 +551,10 @@ TEST(TopologyScaling, DynamicChurnEquivalence) {
     }
     return std::make_pair(overlay.active_partition(), overlay.border_pairs());
   };
-  const auto brute = run_arm("off");
-  const auto kd = run_arm("kdtree");
-  const auto grid = run_arm("grid");
+  const auto brute = run_arm(kAboveAnyN);
+  const auto kd = run_arm("2");
   EXPECT_EQ(brute.first, kd.first);
   EXPECT_EQ(brute.second, kd.second);
-  EXPECT_EQ(brute.first, grid.first);
-  EXPECT_EQ(brute.second, grid.second);
 }
 
 TEST(SpatialRebuildBudget, KnobOverridesAdaptiveDefault) {
@@ -709,7 +594,7 @@ TEST(SpatialRebuildBudget, TinyBudgetIsExactAndRebuildsOften) {
   const std::uint64_t before = rebuilds.value();
 
   DynamicSpatialSet set;
-  set.bulk_load(SpatialMode::kKdTree, pts, all_ids(n));
+  set.bulk_load(pts, all_ids(n));
   std::vector<std::int32_t> live = all_ids(n);
   for (std::size_t step = 0; step < 150; ++step) {
     const std::int32_t victim = live[static_cast<std::size_t>(
@@ -740,45 +625,42 @@ void expect_same_edges(const std::vector<MstEdge>& a,
   }
 }
 
-// The pruned Borůvka sweep must be bit-identical to the per-point rounds
-// sweep — same edges in the same order, not just the same edge set — for
-// any thread count, on both index kinds (DESIGN.md §13).
+// The pruned Borůvka sweep (and the group-local pipeline built on it)
+// must be bit-identical to the all-pairs Kruskal oracle — same edges in
+// the same order with the same doubles, not just the same edge set — for
+// any thread count, including on an exact-tie lattice where many MSTs
+// are valid and only the (d, a, b) order picks one (DESIGN.md §13).
 TEST(MstAlgo, PrunedMatchesRoundsBitwise) {
   Rng rng(961);
   const std::vector<Point> pts = random_points(600, 3, rng);
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
-  const std::vector<MstEdge> rounds =
-      euclidean_mst_spatial(pts, SpatialMode::kKdTree, MstAlgo::kRounds);
-  const std::vector<MstEdge> pruned =
-      euclidean_mst_spatial(pts, SpatialMode::kKdTree, MstAlgo::kPruned);
-  expect_same_edges(rounds, pruned);
-  const std::vector<MstEdge> grid_pruned =
-      euclidean_mst_spatial(pts, SpatialMode::kGrid, MstAlgo::kPruned);
-  expect_same_edges(rounds, grid_pruned);
-
+  const std::vector<MstEdge> want = oracle::kruskal_mst(pts);
+  expect_same_edges(want, euclidean_mst_spatial(pts));
+  expect_same_edges(want, euclidean_mst_grouped(pts, 64));
   set_global_threads(4);
-  const std::vector<MstEdge> pruned4 =
-      euclidean_mst_spatial(pts, SpatialMode::kKdTree, MstAlgo::kPruned);
+  const std::vector<MstEdge> pruned4 = euclidean_mst_spatial(pts);
+  const std::vector<MstEdge> grouped4 = euclidean_mst_grouped(pts, 64);
   set_global_threads(0);
-  expect_same_edges(rounds, pruned4);
-}
+  expect_same_edges(want, pruned4);
+  expect_same_edges(want, grouped4);
 
-TEST(MstAlgo, KnobParsing) {
-  {
-    EnvGuard g("HFC_MST_ALGO", "rounds");
-    EXPECT_EQ(mst_algo(), MstAlgo::kRounds);
+  // 12 x 12 x 3 unit lattice: every nearest-neighbour distance is exactly
+  // 1.0, so the tree is decided by the (a, b) tie-break alone.
+  std::vector<Point> lattice;
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) {
+      for (int z = 0; z < 3; ++z) {
+        lattice.push_back({static_cast<double>(x), static_cast<double>(y),
+                           static_cast<double>(z)});
+      }
+    }
   }
-  {
-    EnvGuard g("HFC_MST_ALGO", "pruned");
-    EXPECT_EQ(mst_algo(), MstAlgo::kPruned);
-  }
-  {
-    // Unknown values warn (once) and fall back to the pruned default.
-    EnvGuard g("HFC_MST_ALGO", "kruskal");
-    EXPECT_EQ(mst_algo(), MstAlgo::kPruned);
-  }
-  EXPECT_STREQ(mst_algo_name(MstAlgo::kRounds), "rounds");
-  EXPECT_STREQ(mst_algo_name(MstAlgo::kPruned), "pruned");
+  const std::vector<MstEdge> lattice_want = oracle::kruskal_mst(lattice);
+  expect_same_edges(lattice_want, euclidean_mst_spatial(lattice));
+  expect_same_edges(lattice_want, euclidean_mst_grouped(lattice, 48));
+  set_global_threads(4);
+  const std::vector<MstEdge> lattice4 = euclidean_mst_grouped(lattice, 48);
+  set_global_threads(0);
+  expect_same_edges(lattice_want, lattice4);
 }
 
 // Tombstone-heavy churn: erase 3/4 of the set through repeated budget
@@ -789,7 +671,7 @@ TEST(SpatialDynamicSet, TombstoneHeavyFoldsStayExact) {
   const std::size_t n = 400;
   const std::vector<Point> pts = random_points(n, 3, rng);
   DynamicSpatialSet set;
-  set.bulk_load(SpatialMode::kKdTree, pts, all_ids(n));
+  set.bulk_load(pts, all_ids(n));
   std::vector<std::int32_t> live = all_ids(n);
 
   obs::Counter& folds =
@@ -821,7 +703,7 @@ TEST(SpatialDynamicSet, EraseAllThenReinsertStaysExact) {
   const std::size_t n = 96;
   const std::vector<Point> pts = random_points(n, 2, rng);
   DynamicSpatialSet set;
-  set.bulk_load(SpatialMode::kKdTree, pts, all_ids(n));
+  set.bulk_load(pts, all_ids(n));
 
   for (std::size_t i = 0; i < n; ++i) {
     set.erase(static_cast<std::int32_t>(i));
@@ -862,7 +744,7 @@ TEST(SpatialRebuildBudget, BoundaryIsExclusiveAtExactBudget) {
   obs::Counter& rebuilds =
       obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
   DynamicSpatialSet set;
-  set.bulk_load(SpatialMode::kKdTree, pts, all_ids(n));
+  set.bulk_load(pts, all_ids(n));
 
   const std::uint64_t before = rebuilds.value();
   for (std::size_t i = 0; i < budget; ++i) {
@@ -875,65 +757,53 @@ TEST(SpatialRebuildBudget, BoundaryIsExclusiveAtExactBudget) {
   EXPECT_EQ(rebuilds.value(), before + 1) << "no fold at budget + 1";
 }
 
-// Randomized churn, one arm folding incrementally (subtree rebuilds) and
-// one arm forced to full bulk reloads: every query answer, and the final
-// live set, must be identical.
+// Randomized churn on a folding set (subtree rebuilds): after every round
+// the answers must equal both a freshly bulk-loaded set over the same
+// live ids (the full rebuild) and the brute scan.
 TEST(SpatialDynamicSet, FoldMatchesFullRebuildUnderChurn) {
-  const auto run_arm = [](const char* incremental) {
-    EnvGuard g("HFC_SPATIAL_INCREMENTAL", incremental);
-    Rng rng(974);
-    const std::size_t n = 350;
-    const std::vector<Point> pts = random_points(n, 3, rng);
-    DynamicSpatialSet set;
-    set.bulk_load(SpatialMode::kKdTree, pts, all_ids(n));
-    std::vector<bool> live(n, true);
-
-    std::vector<SpatialHit> answers;
-    for (std::size_t round = 0; round < 60; ++round) {
-      for (std::size_t m = 0; m < 12; ++m) {
-        const auto id =
-            static_cast<std::int32_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
-        if (live[static_cast<std::size_t>(id)]) {
-          set.erase(id);
-        } else {
-          set.insert(id);
-        }
-        live[static_cast<std::size_t>(id)] = !live[static_cast<std::size_t>(id)];
-      }
-      set.maybe_rebuild();
-      for (std::size_t t = 0; t < 4; ++t) {
-        Point q(3, 0.0);
-        for (double& c : q) c = rng.uniform_real(0.0, 100.0);
-        QueryStats stats;
-        answers.push_back(
-            set.nearest(q, std::numeric_limits<double>::infinity(), stats));
-      }
-    }
-    return std::make_pair(answers, set.live_ids());
-  };
-
   obs::Counter& folds =
       obs::MetricsRegistry::global().counter("spatial.set_folds");
   const std::uint64_t f0 = folds.value();
-  const auto full = run_arm("0");
-  const std::uint64_t f1 = folds.value();
-  EXPECT_EQ(f1, f0) << "HFC_SPATIAL_INCREMENTAL=0 must not fold";
-  const auto incremental = run_arm("1");
-  EXPECT_GT(folds.value(), f1) << "incremental arm never folded";
 
-  EXPECT_EQ(full.second, incremental.second);
-  ASSERT_EQ(full.first.size(), incremental.first.size());
-  for (std::size_t i = 0; i < full.first.size(); ++i) {
-    EXPECT_EQ(full.first[i].id, incremental.first[i].id) << "query " << i;
-    EXPECT_EQ(full.first[i].dist, incremental.first[i].dist) << "query " << i;
+  Rng rng(974);
+  const std::size_t n = 350;
+  const std::vector<Point> pts = random_points(n, 3, rng);
+  DynamicSpatialSet set;
+  set.bulk_load(pts, all_ids(n));
+  std::vector<bool> live(n, true);
+  for (std::size_t round = 0; round < 60; ++round) {
+    for (std::size_t m = 0; m < 12; ++m) {
+      const auto id =
+          static_cast<std::int32_t>(rng.uniform_int(0, static_cast<int>(n) - 1));
+      if (live[static_cast<std::size_t>(id)]) {
+        set.erase(id);
+      } else {
+        set.insert(id);
+      }
+      live[static_cast<std::size_t>(id)] = !live[static_cast<std::size_t>(id)];
+    }
+    set.maybe_rebuild();
+    DynamicSpatialSet rebuilt;
+    rebuilt.bulk_load(pts, set.live_ids());
+    for (std::size_t t = 0; t < 4; ++t) {
+      Point q(3, 0.0);
+      for (double& c : q) c = rng.uniform_real(0.0, 100.0);
+      QueryStats stats;
+      const SpatialHit got =
+          set.nearest(q, std::numeric_limits<double>::infinity(), stats);
+      expect_hit_eq(got, rebuilt.nearest(
+                             q, std::numeric_limits<double>::infinity(), stats));
+      expect_hit_eq(got, brute_nearest(pts, set.live_ids(), q));
+    }
   }
+  EXPECT_GT(folds.value(), f0) << "the churned set never folded";
 }
 
 // ---------------------------------------------------------------------
 // Group-local construction pipeline (DESIGN.md §14): the partitioned,
 // margin-safe sweep must be bit-identical to the single global sweep —
-// same edges, same order, same doubles — for any thread count, on both
-// index kinds, and regardless of the partition-cell size.
+// same edges, same order, same doubles — for any thread count and
+// regardless of the partition-cell size.
 
 std::vector<Point> blob_points(std::size_t blobs, std::size_t per_blob,
                                std::size_t dim, Rng& rng) {
@@ -960,21 +830,15 @@ std::vector<Point> blob_points(std::size_t blobs, std::size_t per_blob,
 TEST(GroupPipeline, GroupedMatchesGlobalSweepBitwise) {
   Rng rng(4242);
   const std::vector<Point> pts = random_points(700, 3, rng);
-  const std::vector<MstEdge> global =
-      euclidean_mst_spatial(pts, SpatialMode::kKdTree, MstAlgo::kPruned);
+  const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   for (const std::size_t limit : {48UL, 256UL, 4096UL}) {
-    expect_same_edges(
-        global, euclidean_mst_grouped(pts, SpatialMode::kKdTree, limit));
+    expect_same_edges(global, euclidean_mst_grouped(pts, limit));
   }
-  expect_same_edges(global,
-                    euclidean_mst_grouped(pts, SpatialMode::kGrid, 64));
 
   set_global_threads(1);
-  const std::vector<MstEdge> serial =
-      euclidean_mst_grouped(pts, SpatialMode::kKdTree, 48);
+  const std::vector<MstEdge> serial = euclidean_mst_grouped(pts, 48);
   set_global_threads(4);
-  const std::vector<MstEdge> threaded =
-      euclidean_mst_grouped(pts, SpatialMode::kKdTree, 48);
+  const std::vector<MstEdge> threaded = euclidean_mst_grouped(pts, 48);
   set_global_threads(0);
   expect_same_edges(global, serial);
   expect_same_edges(serial, threaded);
@@ -983,28 +847,21 @@ TEST(GroupPipeline, GroupedMatchesGlobalSweepBitwise) {
 TEST(GroupPipeline, ClusteredGeometryMatchesBitwise) {
   Rng rng(777);
   const std::vector<Point> pts = blob_points(24, 40, 3, rng);
-  const std::vector<MstEdge> global =
-      euclidean_mst_spatial(pts, SpatialMode::kKdTree, MstAlgo::kPruned);
+  const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   set_global_threads(1);
-  const std::vector<MstEdge> grouped1 =
-      euclidean_mst_grouped(pts, SpatialMode::kKdTree, 96);
+  const std::vector<MstEdge> grouped1 = euclidean_mst_grouped(pts, 96);
   set_global_threads(4);
-  const std::vector<MstEdge> grouped4 =
-      euclidean_mst_grouped(pts, SpatialMode::kKdTree, 96);
-  const std::vector<MstEdge> grid4 =
-      euclidean_mst_grouped(pts, SpatialMode::kGrid, 96);
+  const std::vector<MstEdge> grouped4 = euclidean_mst_grouped(pts, 96);
   set_global_threads(0);
   expect_same_edges(global, grouped1);
   expect_same_edges(global, grouped4);
-  expect_same_edges(global, grid4);
 }
 
 TEST(GroupPipeline, DispatchHonorsKnobs) {
   Rng rng(31337);
   const std::vector<Point> pts = random_points(400, 2, rng);
   EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
-  const std::vector<MstEdge> global =
-      euclidean_mst_spatial(pts, spatial_mode(), MstAlgo::kPruned);
+  const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   {
     // Forced on below the default floor: the auto dispatch must route
     // euclidean_mst through the pipeline and still match bitwise.
@@ -1013,32 +870,29 @@ TEST(GroupPipeline, DispatchHonorsKnobs) {
     EXPECT_TRUE(group_pipeline_enabled(pts.size()));
     expect_same_edges(global, euclidean_mst(pts));
   }
-  {
-    EnvGuard off("HFC_ML_PAR", "0");
-    EXPECT_FALSE(group_pipeline_enabled(pts.size()));
-    expect_same_edges(global, euclidean_mst(pts));
-  }
   // Default floor: small inputs stay on the global sweep.
   EXPECT_FALSE(group_pipeline_enabled(400));
-  EXPECT_TRUE(group_pipeline_selected(GroupPipelineMode::kOn, 400));
-  EXPECT_FALSE(group_pipeline_selected(GroupPipelineMode::kOff, 1 << 20));
+  expect_same_edges(global, euclidean_mst(pts));
+  EXPECT_TRUE(group_pipeline_enabled(8192));
 }
 
 TEST(GroupPipeline, ParallelZahnCutMatchesSerial) {
   Rng rng(909);
   const std::vector<Point> pts = blob_points(12, 30, 2, rng);
-  const std::vector<MstEdge> mst =
-      euclidean_mst_spatial(pts, SpatialMode::kKdTree, MstAlgo::kPruned);
+  const std::vector<MstEdge> mst = euclidean_mst_spatial(pts);
   for (const ZahnStatistic stat :
        {ZahnStatistic::kMean, ZahnStatistic::kMedian}) {
     ZahnParams params;
     params.statistic = stat;
-    const std::vector<std::size_t> serial = find_inconsistent_edges(
-        pts.size(), mst, params, GroupPipelineMode::kOff);
+    ASSERT_FALSE(group_pipeline_enabled(pts.size()));
+    const std::vector<std::size_t> serial =
+        find_inconsistent_edges(pts.size(), mst, params);
     EXPECT_FALSE(serial.empty());  // blob geometry has bridge edges
+    EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
+    ASSERT_TRUE(group_pipeline_enabled(pts.size()));
     set_global_threads(4);
-    const std::vector<std::size_t> parallel = find_inconsistent_edges(
-        pts.size(), mst, params, GroupPipelineMode::kOn);
+    const std::vector<std::size_t> parallel =
+        find_inconsistent_edges(pts.size(), mst, params);
     set_global_threads(0);
     EXPECT_EQ(serial, parallel);
   }
@@ -1053,7 +907,7 @@ TEST(GroupPipeline, SetScopedEntriesExactUnderTombstoneHeavyChurn) {
   std::vector<std::int32_t> ids(pts.size());
   std::iota(ids.begin(), ids.end(), 0);
   DynamicSpatialSet set;
-  set.bulk_load(SpatialMode::kKdTree, pts, ids);
+  set.bulk_load(pts, ids);
   // Erase over half the set and resurrect a slice, never folding: the
   // mutation buffers stay tombstone-heavy relative to the index.
   for (std::size_t i = 0; i < pts.size(); i += 2) {
@@ -1116,7 +970,7 @@ TEST(SpatialDynamicSet, NearestForeignMatchesManualScan) {
     std::vector<std::int32_t> ids(n);
     std::iota(ids.begin(), ids.end(), 0);
     DynamicSpatialSet set;
-    set.bulk_load(SpatialMode::kKdTree, pts, ids);
+    set.bulk_load(pts, ids);
     std::vector<std::int32_t> labels(n);
     for (std::size_t v = 0; v < n; ++v) {
       labels[v] = static_cast<std::int32_t>(v % 5);

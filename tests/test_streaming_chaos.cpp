@@ -63,8 +63,7 @@ StreamWorld make_world(std::uint64_t seed) {
 std::string run_streaming(std::uint64_t seed, StreamMode mode) {
   const StreamWorld w = make_world(seed);
   DynamicHfcOverlay overlay(w.coords, w.placement, {},
-                            BorderSelection::kClosestPair,
-                            ChurnMode::kIncremental);
+                            BorderSelection::kClosestPair);
   const OverlayNetwork& net = overlay.universe_network();
   const HfcTopology& topo = overlay.universe_topology();
   QosManager qos(net, topo, std::vector<double>(net.size(), 64.0),

@@ -3,6 +3,9 @@
 // solving, GNP host solving, and end-to-end hierarchical routing.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+
 #include "cluster/zahn.h"
 #include "coords/gnp.h"
 #include "core/framework.h"
@@ -81,7 +84,9 @@ struct RoutingFixture {
 
   explicit RoutingFixture(std::size_t proxies) {
     FrameworkConfig config;
-    config.physical_routers = proxies >= 500 ? 600 : 300;
+    // 1000 proxies over 1200 routers is Table 1 environment 4.
+    config.physical_routers =
+        proxies >= 1000 ? 1200 : (proxies >= 500 ? 600 : 300);
     config.proxies = proxies;
     config.seed = 99;
     fw = HfcFramework::build(config);
@@ -90,22 +95,26 @@ struct RoutingFixture {
   }
 };
 
+/// One fixture per proxy count, built on first use.
+RoutingFixture& routing_fixture(std::int64_t proxies) {
+  static std::map<std::int64_t, std::unique_ptr<RoutingFixture>> built;
+  std::unique_ptr<RoutingFixture>& fx = built[proxies];
+  if (!fx) fx = std::make_unique<RoutingFixture>(proxies);
+  return *fx;
+}
+
 void BM_HierarchicalRoute(benchmark::State& state) {
-  static RoutingFixture small(250);
-  static RoutingFixture large(500);
-  RoutingFixture& fx = state.range(0) == 250 ? small : large;
+  RoutingFixture& fx = routing_fixture(state.range(0));
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         fx.fw->route(fx.requests[i++ % fx.requests.size()]));
   }
 }
-BENCHMARK(BM_HierarchicalRoute)->Arg(250)->Arg(500);
+BENCHMARK(BM_HierarchicalRoute)->Arg(250)->Arg(500)->Arg(1000);
 
 void BM_FlatRoute(benchmark::State& state) {
-  static RoutingFixture small(250);
-  static RoutingFixture large(500);
-  RoutingFixture& fx = state.range(0) == 250 ? small : large;
+  RoutingFixture& fx = routing_fixture(state.range(0));
   const FlatServiceRouter flat(fx.fw->overlay(), fx.fw->estimated_distance());
   std::size_t i = 0;
   for (auto _ : state) {
@@ -113,7 +122,7 @@ void BM_FlatRoute(benchmark::State& state) {
         flat.route(fx.requests[i++ % fx.requests.size()]));
   }
 }
-BENCHMARK(BM_FlatRoute)->Arg(250)->Arg(500);
+BENCHMARK(BM_FlatRoute)->Arg(250)->Arg(500)->Arg(1000);
 
 }  // namespace
 }  // namespace hfc

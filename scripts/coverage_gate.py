@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Enforce the line-coverage floor for the fault and sim subsystems.
+"""Enforce the line-coverage floor for the monitored subsystems.
 
 Walks a -DHFC_COVERAGE=ON build tree after the test suite has run, feeds
 every .gcda through `gcov --json-format --stdout`, unions executed lines
@@ -17,8 +17,8 @@ import subprocess
 import sys
 
 MONITORED = ("src/cluster/group_pipeline", "src/cluster/mst",
-             "src/cluster/zahn", "src/fault", "src/multilevel", "src/serve",
-             "src/sim", "src/spatial", "src/streaming")
+             "src/cluster/zahn", "src/fault", "src/multilevel", "src/routing",
+             "src/serve", "src/sim", "src/spatial", "src/streaming")
 DEFAULT_FLOOR = 90.0
 
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "distance/distance_service.h"
@@ -14,15 +13,26 @@ namespace hfc {
 
 namespace {
 
-/// Search-state key: (SG is implicit per table) cluster + entry node.
-constexpr std::uint64_t state_key(ClusterId cluster, NodeId entry) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-              cluster.value()))
-          << 32) |
-         static_cast<std::uint32_t>(entry.value());
+/// Two 32-bit ids as one table key, `hi` in the upper half.
+constexpr std::uint64_t pack(std::int32_t hi, std::int32_t lo) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi)) << 32) |
+         static_cast<std::uint32_t>(lo);
 }
 
-struct Label {
+/// Search-state key: (SG is implicit per table) cluster + entry node.
+constexpr std::uint64_t state_key(ClusterId cluster, NodeId entry) {
+  return pack(cluster.value(), entry.value());
+}
+
+constexpr NodeId entry_of(std::uint64_t key) {
+  return NodeId(static_cast<std::int32_t>(key & 0xffffffffULL));
+}
+
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+/// One search state (cluster, entry) of one SG vertex.
+struct State {
+  std::uint64_t key = 0;
   double cost = std::numeric_limits<double>::infinity();
   // External transitions taken so far; first-order tie-break. The lower
   // bound only prices border chains, so whole-cluster alternatives that
@@ -30,10 +40,74 @@ struct Label {
   // picks the realised path with the least unpriced intra-cluster detour
   // (and matches the paper's Figure 7(d) dissection).
   std::uint32_t crossings = 0;
-  // Back-pointer into the previous vertex's table.
-  std::size_t prev_vertex = static_cast<std::size_t>(-1);
+  std::uint32_t cand = 0;  ///< index of the cluster in its vertex's candidates
+  // Back-pointer: predecessor vertex (kNone for an initial label), its
+  // slot for path recovery, and its key for the tie-break.
+  std::uint32_t prev_vertex = kNone;
+  std::uint32_t prev_slot = 0;
   std::uint64_t prev_key = 0;
 };
+
+/// Entry -> exit decision distance, memoized for one CSP.
+struct Memo {
+  std::uint64_t key = 0;
+  double distance = 0;
+};
+
+/// Offer (cost, crossings) reached from state `prev_key` (slot `prev_slot`
+/// of vertex `u`) to `target`. Strict improvement wins; equal-cost labels
+/// prefer fewer crossings, then, among offers from the same predecessor
+/// vertex, the smaller predecessor key. Within one predecessor vertex that
+/// is a total order, so the winner does not depend on the order offers
+/// arrive in; across predecessor vertices the first in topological order
+/// keeps its tie.
+void offer(State& target, double cost, std::uint32_t crossings,
+           std::uint32_t u, std::uint32_t prev_slot, std::uint64_t prev_key) {
+  if (cost < target.cost ||
+      (cost == target.cost &&
+       (crossings < target.crossings ||
+        (crossings == target.crossings && target.prev_vertex == u &&
+         prev_key < target.prev_key)))) {
+    target.cost = cost;
+    target.crossings = crossings;
+    target.prev_vertex = u;
+    target.prev_slot = prev_slot;
+    target.prev_key = prev_key;
+  }
+}
+
+/// A predecessor state as the relaxation reads it, gathered by cluster.
+struct Member {
+  std::uint64_t key;
+  double cost;
+  std::uint32_t crossings;
+  std::uint32_t slot;  ///< in its vertex's table
+};
+
+/// `states` grouped by candidate cluster: group g is
+/// members[offsets[g], offsets[g + 1]). A counting sort, O(states + groups).
+void group_by_cluster(const std::vector<State>& states, std::size_t groups,
+                      std::vector<std::uint32_t>& offsets,
+                      std::vector<Member>& members) {
+  offsets.assign(groups + 2, 0);
+  for (const State& s : states) ++offsets[s.cand + 2];
+  for (std::size_t g = 1; g <= groups; ++g) offsets[g + 1] += offsets[g];
+  members.resize(states.size());
+  for (std::uint32_t slot = 0; slot < states.size(); ++slot) {
+    const State& s = states[slot];
+    members[offsets[s.cand + 1]++] = Member{s.key, s.cost, s.crossings, slot};
+  }
+  offsets.pop_back();
+}
+
+/// The endpoint checks of every routing entry point, made before the
+/// endpoints reach the clustering.
+void require_endpoints(const ServiceRequest& request, std::size_t proxies) {
+  require(request.source.valid() && request.source.idx() < proxies,
+          "HierarchicalServiceRouter: bad source");
+  require(request.destination.valid() && request.destination.idx() < proxies,
+          "HierarchicalServiceRouter: bad destination");
+}
 
 }  // namespace
 
@@ -45,12 +119,9 @@ const BorderView::Pair& BorderView::resolve(ClusterId a, ClusterId b) const {
   // Key on the unordered pair; store oriented as (min, max).
   const ClusterId lo = a < b ? a : b;
   const ClusterId hi = a < b ? b : a;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo.value()))
-       << 32) |
-      static_cast<std::uint32_t>(hi.value());
-  const auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
+  const auto [slot, inserted] = memo_.emplace(pack(lo.value(), hi.value()));
+  Pair& pair = memo_.entries[slot];
+  if (!inserted) return pair;
   const HfcTopology::SurvivingPair sp =
       topo_.surviving_border_pair(lo, hi, node_up_);
   if (sp.is_fallback) {
@@ -62,12 +133,18 @@ const BorderView::Pair& BorderView::resolve(ClusterId a, ClusterId b) const {
         obs::MetricsRegistry::global().counter("fault.border_unreachable");
     unreachable.add(1);
   }
-  Pair pair;
   pair.in_a = sp.in_from;
   pair.in_b = sp.in_toward;
   pair.length = sp.length;
   pair.found = sp.found;
-  return memo_.emplace(key, pair).first->second;
+  return pair;
+}
+
+BorderView::Link BorderView::link(ClusterId from, ClusterId toward) const {
+  const Pair& pair = resolve(from, toward);
+  if (!pair.found) return Link{};
+  return from < toward ? Link{pair.in_a, pair.in_b, pair.length, true}
+                       : Link{pair.in_b, pair.in_a, pair.length, true};
 }
 
 bool BorderView::connected(ClusterId a, ClusterId b) const {
@@ -182,6 +259,7 @@ HierarchicalServiceRouter::Csp HierarchicalServiceRouter::compute_csp(
 HierarchicalServiceRouter::Csp HierarchicalServiceRouter::compute_csp(
     const ServiceRequest& request, const RoutingFilters& filters,
     const Exclusions& exclusions) const {
+  require_endpoints(request, net_.size());
   HFC_TRACE_SPAN("routing.csp");
   static obs::Counter& csp_calls =
       obs::MetricsRegistry::global().counter("routing.csp_calls");
@@ -210,22 +288,15 @@ HierarchicalServiceRouter::Csp HierarchicalServiceRouter::compute_csp(
     return csp;
   }
 
-  // Cost of stepping from cluster `c` (entered at `entry`) over the
-  // external link toward cluster `next` (!= c). +inf when no surviving
-  // border pair connects the two clusters.
-  const auto transition_cost = [&](ClusterId c, NodeId entry,
-                                   ClusterId next) {
-    if (!view.connected(c, next)) {
-      return std::numeric_limits<double>::infinity();
-    }
-    const NodeId exit_border = view.border(c, next);
-    double cost = view.external_length(c, next);
-    if (lb && entry != exit_border) cost += distance_(entry, exit_border);
-    return cost;
+  // Decision distance from `entry` to `exit`, memoized: a CSP prices many
+  // (state, candidate) transitions over few distinct border pairs.
+  FlatTable<Memo> memo;
+  const auto internal = [&](NodeId entry, NodeId exit) {
+    const auto [slot, inserted] =
+        memo.emplace(pack(entry.value(), exit.value()));
+    if (inserted) memo.entries[slot].distance = distance_(entry, exit);
+    return memo.entries[slot].distance;
   };
-
-  // Per SG vertex: (cluster, entry) -> Label.
-  std::vector<std::unordered_map<std::uint64_t, Label>> tables(graph.size());
 
   // Candidate clusters per vertex from SCT_C, pruned by the cluster-level
   // feasibility filter and the crankback exclusions.
@@ -246,53 +317,94 @@ HierarchicalServiceRouter::Csp HierarchicalServiceRouter::compute_csp(
     if (candidates[v].empty()) return csp;  // unsatisfiable system-wide
   }
 
+  // Per SG vertex: (cluster, entry) states.
+  std::vector<FlatTable<State>> tables(graph.size());
+  const auto state_at = [&tables](std::size_t v, ClusterId cluster,
+                                  NodeId entry, std::uint32_t cand) -> State& {
+    FlatTable<State>& table = tables[v];
+    const std::uint32_t slot = table.emplace(state_key(cluster, entry)).first;
+    table.entries[slot].cand = cand;
+    return table.entries[slot];
+  };
+
   // Initialise the SG source vertices from the source proxy.
   for (std::size_t v : graph.sources()) {
-    for (ClusterId c : candidates[v]) {
+    for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
+      const ClusterId c = candidates[v][j];
       double cost = 0.0;
       std::uint32_t crossings = 0;
       NodeId entry = request.source;
       if (c != src_cluster) {
-        cost = transition_cost(src_cluster, request.source, c);
+        const BorderView::Link link = view.link(src_cluster, c);
+        if (!link.found) continue;
+        cost = link.length;
+        if (lb && request.source != link.exit) {
+          cost += internal(request.source, link.exit);
+        }
         if (cost == std::numeric_limits<double>::infinity()) continue;
-        entry = view.border(c, src_cluster);
+        entry = link.entry;
         crossings = 1;
       }
-      Label& label = tables[v][state_key(c, entry)];
-      if (cost < label.cost) {
-        label = Label{cost, crossings, static_cast<std::size_t>(-1), 0};
+      State& state = state_at(v, c, entry, j);
+      if (cost < state.cost) {
+        state.cost = cost;
+        state.crossings = crossings;
       }
     }
   }
 
-  // Relax SG edges in topological order.
+  // Relax SG edges in topological order, cluster-major: u's states are
+  // grouped by cluster c, and for each candidate `next` != c of the
+  // successor the border pair is resolved once and only the group's best
+  // transition under (cost, crossings, key) is offered to its single
+  // target (next, border(next, c)). By offer()'s total order this equals
+  // offering every state. Staying in c (next == c) keeps each entry, so
+  // those are offered state by state.
+  std::vector<std::uint32_t> offsets;
+  std::vector<Member> members;
   for (std::size_t u : graph.topological_order()) {
+    if (tables[u].entries.empty() || graph.successors(u).empty()) continue;
+    group_by_cluster(tables[u].entries, candidates[u].size(), offsets,
+                     members);
+    const auto uu = static_cast<std::uint32_t>(u);
     for (std::size_t v : graph.successors(u)) {
-      for (const auto& [key, label] : tables[u]) {
-        const ClusterId c(static_cast<int>(key >> 32));
-        const NodeId entry(static_cast<int>(key & 0xffffffffULL));
-        for (ClusterId next : candidates[v]) {
-          double cost = label.cost;
-          std::uint32_t crossings = label.crossings;
-          NodeId next_entry = entry;
-          if (next != c) {
-            cost += transition_cost(c, entry, next);
+      for (std::size_t g = 0; g < candidates[u].size(); ++g) {
+        if (offsets[g] == offsets[g + 1]) continue;
+        const ClusterId c = candidates[u][g];
+        const Member* begin = members.data() + offsets[g];
+        const Member* end = members.data() + offsets[g + 1];
+        for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
+          const ClusterId next = candidates[v][j];
+          if (next == c) {
+            for (const Member* m = begin; m != end; ++m) {
+              offer(state_at(v, c, entry_of(m->key), j), m->cost,
+                    m->crossings, uu, m->slot, m->key);
+            }
+            continue;
+          }
+          const BorderView::Link link = view.link(c, next);
+          if (!link.found) continue;
+          double best = std::numeric_limits<double>::infinity();
+          const Member* winner = nullptr;
+          for (const Member* m = begin; m != end; ++m) {
+            double step = link.length;
+            if (lb && entry_of(m->key) != link.exit) {
+              step += internal(entry_of(m->key), link.exit);
+            }
+            const double cost = m->cost + step;
             if (cost == std::numeric_limits<double>::infinity()) continue;
-            next_entry = view.border(next, c);
-            ++crossings;
+            if (winner == nullptr || cost < best ||
+                (cost == best &&
+                 (m->crossings < winner->crossings ||
+                  (m->crossings == winner->crossings &&
+                   m->key < winner->key)))) {
+              best = cost;
+              winner = m;
+            }
           }
-          Label& target = tables[v][state_key(next, next_entry)];
-          // Strict improvement, or deterministic tie-break: equal-cost
-          // labels prefer fewer crossings, then the smaller predecessor
-          // key. The table is an unordered_map, so without this the
-          // winner would depend on hash iteration order.
-          if (cost < target.cost ||
-              (cost == target.cost &&
-               (crossings < target.crossings ||
-                (crossings == target.crossings &&
-                 target.prev_vertex == u && key < target.prev_key)))) {
-            target = Label{cost, crossings, u, key};
-          }
+          if (winner == nullptr) continue;
+          offer(state_at(v, next, link.entry, j), best,
+                winner->crossings + 1, uu, winner->slot, winner->key);
         }
       }
     }
@@ -302,41 +414,46 @@ HierarchicalServiceRouter::Csp HierarchicalServiceRouter::compute_csp(
   double best = std::numeric_limits<double>::infinity();
   std::uint32_t best_crossings = 0;
   std::size_t best_vertex = 0;
+  std::uint32_t best_slot = 0;
   std::uint64_t best_key = 0;
   for (std::size_t v : graph.sinks()) {
-    for (const auto& [key, label] : tables[v]) {
-      const ClusterId c(static_cast<int>(key >> 32));
-      const NodeId entry(static_cast<int>(key & 0xffffffffULL));
-      double cost = label.cost;
-      std::uint32_t crossings = label.crossings;
+    const std::vector<State>& states = tables[v].entries;
+    for (std::uint32_t slot = 0; slot < states.size(); ++slot) {
+      const State& s = states[slot];
+      const ClusterId c(static_cast<int>(s.key >> 32));
+      const NodeId entry = entry_of(s.key);
+      double cost = s.cost;
+      std::uint32_t crossings = s.crossings;
       if (c == dst_cluster) {
         if (lb && entry != request.destination) {
-          cost += distance_(entry, request.destination);
+          cost += internal(entry, request.destination);
         }
       } else {
-        cost += transition_cost(c, entry, dst_cluster);
+        const BorderView::Link link = view.link(c, dst_cluster);
+        if (!link.found) continue;
+        double step = link.length;
+        if (lb && entry != link.exit) step += internal(entry, link.exit);
+        cost += step;
         if (cost == std::numeric_limits<double>::infinity()) continue;
         ++crossings;
-        if (lb) {
-          const NodeId dst_entry = view.border(dst_cluster, c);
-          if (dst_entry != request.destination) {
-            cost += distance_(dst_entry, request.destination);
-          }
+        if (lb && link.entry != request.destination) {
+          cost += internal(link.entry, request.destination);
         }
       }
-      // Same deterministic tie-break as in the relaxation: equal-cost
-      // closings prefer fewer crossings, then (within one sink vertex)
-      // the smaller state key instead of hash iteration order. Across
-      // sinks, the first vertex in graph.sinks() order wins.
+      // Same deterministic tie-break as offer(): equal-cost closings
+      // prefer fewer crossings, then (within one sink vertex) the smaller
+      // state key. Across sinks, the first vertex in graph.sinks() order
+      // wins.
       if (cost < best ||
           (cost == best &&
            (crossings < best_crossings ||
             (crossings == best_crossings && v == best_vertex &&
-             key < best_key)))) {
+             s.key < best_key)))) {
         best = cost;
         best_crossings = crossings;
         best_vertex = v;
-        best_key = key;
+        best_slot = slot;
+        best_key = s.key;
       }
     }
   }
@@ -344,12 +461,14 @@ HierarchicalServiceRouter::Csp HierarchicalServiceRouter::compute_csp(
 
   csp.found = true;
   csp.lower_bound = best;
-  for (std::size_t v = best_vertex; v != static_cast<std::size_t>(-1);) {
+  for (std::uint32_t v = static_cast<std::uint32_t>(best_vertex),
+                     slot = best_slot;
+       v != kNone;) {
+    const State& s = tables[v].entries[slot];
     csp.elements.push_back(
-        CspElement{v, ClusterId(static_cast<int>(best_key >> 32))});
-    const Label& label = tables[v].at(best_key);
-    v = label.prev_vertex;
-    best_key = label.prev_key;
+        CspElement{v, ClusterId(static_cast<int>(s.key >> 32))});
+    v = s.prev_vertex;
+    slot = s.prev_slot;
   }
   std::reverse(csp.elements.begin(), csp.elements.end());
   return csp;
@@ -517,6 +636,7 @@ HierarchicalServiceRouter::RouteResult
 HierarchicalServiceRouter::route_with_crankback(
     const ServiceRequest& request, const RoutingFilters& filters,
     std::size_t max_crankbacks) const {
+  require_endpoints(request, net_.size());
   RouteResult result;
   Exclusions exclusions;
   static obs::Counter& crankbacks =
@@ -555,6 +675,7 @@ HierarchicalServiceRouter::RouteResult
 HierarchicalServiceRouter::route_degraded(const ServiceRequest& request,
                                           std::function<bool(NodeId)> up,
                                           std::size_t max_crankbacks) const {
+  require_endpoints(request, net_.size());
   HFC_TRACE_SPAN("routing.route_degraded");
   static obs::Counter& degraded =
       obs::MetricsRegistry::global().counter("fault.degraded_requests");
@@ -570,11 +691,7 @@ ServicePath HierarchicalServiceRouter::route(
   static obs::Counter& requests =
       obs::MetricsRegistry::global().counter("routing.requests");
   requests.add(1);
-  require(request.source.valid() && request.source.idx() < net_.size(),
-          "HierarchicalServiceRouter: bad source");
-  require(request.destination.valid() &&
-              request.destination.idx() < net_.size(),
-          "HierarchicalServiceRouter: bad destination");
+  require_endpoints(request, net_.size());
   const Csp csp = compute_csp(request);
   if (!csp.found) return ServicePath{};
   const std::vector<ChildRequest> children = divide(csp, request);

@@ -26,13 +26,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/flat_router.h"
+#include "routing/flat_table.h"
 #include "routing/service_path.h"
 
 namespace hfc {
@@ -80,9 +81,19 @@ class BorderView {
   /// Length of the surviving external link; +inf when disconnected.
   [[nodiscard]] double external_length(ClusterId a, ClusterId b) const;
 
+  /// The surviving link from `from` toward `toward`, resolved in one
+  /// lookup: `exit` = border(from, toward), `entry` = border(toward, from).
+  struct Link {
+    NodeId exit, entry;  ///< invalid when !found
+    double length = std::numeric_limits<double>::infinity();
+    bool found = false;
+  };
+  [[nodiscard]] Link link(ClusterId from, ClusterId toward) const;
+
  private:
   struct Pair {
-    NodeId in_a, in_b;  ///< keyed with a < b
+    std::uint64_t key = 0;  ///< (min cluster, max cluster)
+    NodeId in_a, in_b;      ///< keyed with a < b
     double length = 0;
     bool found = false;
   };
@@ -90,7 +101,7 @@ class BorderView {
 
   const HfcTopology& topo_;
   std::function<bool(NodeId)> node_up_;
-  mutable std::unordered_map<std::uint64_t, Pair> memo_;
+  mutable FlatTable<Pair> memo_;
 };
 
 class HierarchicalServiceRouter {

@@ -69,6 +69,29 @@ TEST(ApiContracts, HierarchicalRouterValidation) {
   EXPECT_THROW((void)router.route(request), std::invalid_argument);
 }
 
+// Every routing entry point checks its endpoints as route() does, before
+// they reach the clustering (which would throw std::out_of_range).
+TEST(ApiContracts, HierarchicalEntryPointsRejectBadEndpoints) {
+  TinyWorld w;
+  const HierarchicalServiceRouter router(w.net, w.topo,
+                                         w.net.coord_distance_fn());
+  const auto all_up = [](NodeId) { return true; };
+  ServiceRequest bad_source;
+  bad_source.source = NodeId(100000);
+  bad_source.destination = NodeId(3);
+  bad_source.graph = ServiceGraph::linear({ServiceId(1)});
+  ServiceRequest bad_destination = bad_source;
+  bad_destination.source = NodeId(0);
+  bad_destination.destination = NodeId{};
+  for (const ServiceRequest& request : {bad_source, bad_destination}) {
+    EXPECT_THROW((void)router.compute_csp(request), std::invalid_argument);
+    EXPECT_THROW((void)router.route_with_crankback(request, RoutingFilters{}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)router.route_degraded(request, all_up),
+                 std::invalid_argument);
+  }
+}
+
 TEST(ApiContracts, HfcTopologyRejectsNullDistance) {
   TinyWorld w;
   EXPECT_THROW(HfcTopology(w.clustering, nullptr), std::invalid_argument);

@@ -1,0 +1,325 @@
+// Differential suite for the cluster-level service path (CSP) search:
+// HierarchicalServiceRouter's cluster-major kernel against the per-state
+// reference relaxation in tests/oracle/csp.h. Both must return the same
+// CSP bit for bit (found, lower_bound, elements) and, through the router's
+// own divide and conquer, the same routes and crankback counts. Instances
+// are small randomized worlds (n <= 300) over several seeds, an exact-tie
+// lattice where CSP ties are structural (DESIGN.md §9 (b)), and a corpus
+// of Table 1 environment 4 requests.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <vector>
+
+#include "cluster/zahn.h"
+#include "core/experiment.h"
+#include "core/framework.h"
+#include "oracle/csp.h"
+#include "overlay/hfc_topology.h"
+#include "routing/hierarchical_router.h"
+#include "services/workload.h"
+#include "util/rng.h"
+
+namespace hfc {
+namespace {
+
+using Csp = HierarchicalServiceRouter::Csp;
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+void expect_same_csp(const Csp& want, const Csp& got) {
+  ASSERT_EQ(want.found, got.found);
+  EXPECT_EQ(bits_of(want.lower_bound), bits_of(got.lower_bound));
+  ASSERT_EQ(want.elements.size(), got.elements.size());
+  for (std::size_t i = 0; i < want.elements.size(); ++i) {
+    EXPECT_EQ(want.elements[i].sg_vertex, got.elements[i].sg_vertex);
+    EXPECT_EQ(want.elements[i].cluster, got.elements[i].cluster);
+  }
+}
+
+void expect_same_route(const HierarchicalServiceRouter::RouteResult& want,
+                       const HierarchicalServiceRouter::RouteResult& got) {
+  EXPECT_EQ(want.crankbacks, got.crankbacks);
+  ASSERT_EQ(want.path.found, got.path.found);
+  EXPECT_EQ(want.path.hops, got.path.hops);
+  EXPECT_EQ(bits_of(want.path.cost), bits_of(got.path.cost));
+}
+
+/// Deterministic pseudo-random predicate over two ids.
+bool keep(std::uint64_t seed, std::int32_t a, std::int32_t b,
+          unsigned one_in) {
+  std::uint64_t h = seed ^ (static_cast<std::uint64_t>(a) << 32) ^
+                    static_cast<std::uint32_t>(b);
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return (h ^ (h >> 31)) % one_in != 0;
+}
+
+/// A small world: proxies in Gaussian-ish blobs (so Zahn's cut yields a
+/// handful to a few dozen clusters), random service placement, and
+/// requests over every proxy. Borders and routing use the coordinate
+/// distance, or with `manhattan` the L1 distance over the same
+/// coordinates, under which integer layouts tie far more often.
+struct World {
+  std::vector<Point> coords;
+  OverlayNetwork net;
+  Clustering clustering;
+  OverlayDistance distance;
+  HfcTopology topo;
+  HierarchicalServiceRouter router;
+  WorkloadParams workload;
+  bool lb;
+
+  World(std::vector<Point> points, ServicePlacement placement,
+        WorkloadParams params, bool lower_bounds, bool manhattan = false)
+      : coords(std::move(points)),
+        net(coords, std::move(placement)),
+        clustering(cluster_points(coords)),
+        distance(manhattan ? OverlayDistance([this](NodeId a, NodeId b) {
+          const Point& p = coords[a.idx()];
+          const Point& q = coords[b.idx()];
+          return std::abs(p[0] - q[0]) + std::abs(p[1] - q[1]);
+        })
+                           : OverlayDistance(net.coord_distance_fn())),
+        topo(clustering, distance),
+        router(net, topo, distance,
+               HierarchicalRoutingParams{lower_bounds}),
+        workload(params),
+        lb(lower_bounds) {}
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
+  [[nodiscard]] Csp oracle_csp(
+      const ServiceRequest& request, const RoutingFilters& filters = {},
+      const HierarchicalServiceRouter::Exclusions& exclusions = {}) const {
+    return oracle::compute_csp(router, topo, distance, lb, request, filters,
+                               exclusions);
+  }
+  [[nodiscard]] HierarchicalServiceRouter::RouteResult oracle_route(
+      const ServiceRequest& request, const RoutingFilters& filters) const {
+    return oracle::route_with_crankback(router, topo, distance, lb, request,
+                                        filters);
+  }
+  [[nodiscard]] std::vector<ServiceRequest> requests(std::size_t count,
+                                                     Rng& rng) const {
+    std::vector<NodeId> pool;
+    for (std::size_t p = 0; p < net.size(); ++p) {
+      pool.push_back(NodeId(static_cast<std::int32_t>(p)));
+    }
+    return make_requests(count, pool, workload, rng);
+  }
+};
+
+World random_world(std::uint64_t seed, bool lb, double nonlinear) {
+  Rng rng(seed);
+  const std::size_t blobs = 4 + rng.pick_index(12);
+  const std::size_t n = 120 + rng.pick_index(181);  // 120..300
+  std::vector<Point> centers;
+  for (std::size_t b = 0; b < blobs; ++b) {
+    centers.push_back({rng.uniform_real(0, 1000), rng.uniform_real(0, 1000)});
+  }
+  std::vector<Point> coords;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Point& c = centers[rng.pick_index(blobs)];
+    coords.push_back({c[0] + rng.uniform_real(-25, 25),
+                      c[1] + rng.uniform_real(-25, 25)});
+  }
+  WorkloadParams params;
+  params.catalog_size = 10;
+  params.services_per_proxy_min = 1;
+  params.services_per_proxy_max = 3;
+  params.request_length_min = 2;
+  params.request_length_max = 6;
+  params.nonlinear_fraction = nonlinear;
+  ServicePlacement placement = assign_services(n, params, rng);
+  return World(std::move(coords), std::move(placement), params, lb);
+}
+
+/// Proxies on an integer lattice: 3 x 3 blocks of unit spacing, the blocks
+/// 10 apart on a 4 x 4 grid, so every adjacent block pair's closest pair
+/// is exactly 8 long and many CSPs tie at exactly equal cost. Services
+/// repeat in a pattern shared by every block. Under the L1 distance, paths
+/// through different numbers of blocks tie as well.
+World lattice_world(bool lb, bool manhattan) {
+  std::vector<Point> coords;
+  ServicePlacement placement;
+  for (int by = 0; by < 4; ++by) {
+    for (int bx = 0; bx < 4; ++bx) {
+      for (int y = 0; y < 3; ++y) {
+        for (int x = 0; x < 3; ++x) {
+          coords.push_back({10.0 * bx + x, 10.0 * by + y});
+          placement.push_back({ServiceId((x + y) % 3)});
+          if ((bx + by) % 2 == 0 && x == y) {
+            placement.back().push_back(ServiceId(3));
+          }
+        }
+      }
+    }
+  }
+  WorkloadParams params;
+  params.catalog_size = 4;
+  params.services_per_proxy_min = 1;
+  params.services_per_proxy_max = 2;
+  params.request_length_min = 2;
+  params.request_length_max = 4;
+  params.nonlinear_fraction = 0.5;
+  return World(std::move(coords), std::move(placement), params, lb,
+               manhattan);
+}
+
+void expect_plain_agreement(const World& w, std::uint64_t seed,
+                            std::size_t count) {
+  Rng rng(seed);
+  for (const ServiceRequest& request : w.requests(count, rng)) {
+    SCOPED_TRACE(request.graph.to_string());
+    expect_same_csp(w.oracle_csp(request), w.router.compute_csp(request));
+    expect_same_route(w.oracle_route(request, RoutingFilters{}),
+                      w.router.route_with_crankback(request, RoutingFilters{}));
+  }
+}
+
+TEST(CspOracle, RandomLinearAndNonLinearSgs) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    const World linear = random_world(seed, true, 0.0);
+    ASSERT_GE(linear.topo.cluster_count(), 2u);
+    expect_plain_agreement(linear, seed + 100, 60);
+    const World nonlinear = random_world(seed, true, 0.6);
+    expect_plain_agreement(nonlinear, seed + 200, 60);
+  }
+}
+
+// Ablation A5: external links only.
+TEST(CspOracle, ExternalOnlyLowerBounds) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_plain_agreement(random_world(seed, false, 0.5), seed + 300, 60);
+  }
+}
+
+TEST(CspOracle, ClusterFilters) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    const World w = random_world(seed, seed % 2 == 1, 0.4);
+    RoutingFilters filters;
+    filters.cluster_ok = [seed](ClusterId c, ServiceId s) {
+      return keep(seed, c.value(), s.value(), 3);
+    };
+    Rng rng(seed + 400);
+    for (const ServiceRequest& request : w.requests(60, rng)) {
+      expect_same_csp(w.oracle_csp(request, filters),
+                      w.router.compute_csp(request, filters, {}));
+      expect_same_route(w.oracle_route(request, filters),
+                        w.router.route_with_crankback(request, filters));
+    }
+  }
+}
+
+TEST(CspOracle, CrankbackExclusions) {
+  std::size_t crankbacks = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    const World w = random_world(seed, true, 0.4);
+    // Explicit exclusions, as crankback accumulates them.
+    Rng rng(seed + 500);
+    for (const ServiceRequest& request : w.requests(40, rng)) {
+      HierarchicalServiceRouter::Exclusions exclusions;
+      for (ServiceId s : request.graph.distinct_services()) {
+        for (ClusterId c : w.router.clusters_hosting(s)) {
+          if (!keep(seed + 1, c.value(), s.value(), 2)) {
+            exclusions.emplace_back(c, s);
+          }
+        }
+      }
+      expect_same_csp(w.oracle_csp(request, {}, exclusions),
+                      w.router.compute_csp(request, {}, exclusions));
+    }
+    // A node filter that leaves aggregate promises unkept, so conquer
+    // fails inside clusters and the router cranks back.
+    RoutingFilters filters;
+    filters.node_ok = [seed](NodeId p, ServiceId s) {
+      return keep(seed + 2, p.value(), s.value(), 2);
+    };
+    for (const ServiceRequest& request : w.requests(40, rng)) {
+      const auto want = w.oracle_route(request, filters);
+      expect_same_route(want, w.router.route_with_crankback(request, filters));
+      crankbacks += want.crankbacks;
+    }
+  }
+  EXPECT_GT(crankbacks, 0u);  // the filter really exercised crankback
+}
+
+TEST(CspOracle, CrashedStoredBorders) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    const World w = random_world(seed, seed % 2 == 0, 0.4);
+    // Crash the stored border of every third cluster pair plus a few
+    // random proxies.
+    std::set<NodeId> down;
+    const std::size_t count = w.topo.cluster_count();
+    for (std::size_t a = 0; a < count; ++a) {
+      for (std::size_t b = 0; b < count; ++b) {
+        if (a == b || (a + 2 * b + seed) % 3 != 0) continue;
+        down.insert(w.topo.border(ClusterId(static_cast<std::int32_t>(a)),
+                                  ClusterId(static_cast<std::int32_t>(b))));
+      }
+    }
+    Rng rng(seed + 600);
+    for (std::size_t i = 0; i < w.net.size() / 20; ++i) {
+      down.insert(NodeId(static_cast<std::int32_t>(
+          rng.pick_index(w.net.size()))));
+    }
+    RoutingFilters filters;
+    filters.node_up = [&down](NodeId p) { return down.count(p) == 0; };
+    for (const ServiceRequest& request : w.requests(60, rng)) {
+      if (down.count(request.source) || down.count(request.destination)) {
+        continue;
+      }
+      expect_same_csp(w.oracle_csp(request, filters),
+                      w.router.compute_csp(request, filters, {}));
+      expect_same_route(w.oracle_route(request, filters),
+                        w.router.route_degraded(request, filters.node_up));
+    }
+  }
+}
+
+TEST(CspOracle, ExactTieLattice) {
+  for (const bool manhattan : {false, true}) {
+    for (const bool lb : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "manhattan " << manhattan << " lb "
+                                      << lb);
+      const World w = lattice_world(lb, manhattan);
+      ASSERT_EQ(w.topo.cluster_count(), 16u);
+      expect_plain_agreement(w, lb ? 700 : 701, 150);
+    }
+  }
+}
+
+TEST(CspOracle, Env4Corpus) {
+  const auto fw = HfcFramework::build(config_for(paper_environments().back(),
+                                                 /*seed=*/1));
+  const HierarchicalServiceRouter& router = fw->router();
+  const OverlayDistance distance = fw->estimated_distance();
+  Rng rng(1);
+  for (const ServiceRequest& request : fw->generate_requests(200, rng)) {
+    expect_same_csp(oracle::compute_csp(router, fw->topology(), distance,
+                                        true, request),
+                    router.compute_csp(request));
+    const auto want = oracle::route_with_crankback(
+        router, fw->topology(), distance, true, request, RoutingFilters{});
+    ASSERT_TRUE(want.path.found);
+    const ServicePath got = router.route(request);
+    EXPECT_EQ(want.path.hops, got.hops);
+    EXPECT_EQ(bits_of(want.path.cost), bits_of(got.cost));
+  }
+}
+
+}  // namespace
+}  // namespace hfc

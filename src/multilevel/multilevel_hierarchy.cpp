@@ -68,6 +68,12 @@ void median_partition(const std::vector<Point>& pts,
   median_partition(pts, ids, mid, end, limit, out);
 }
 
+/// Key of the unordered group pair {a, b}.
+constexpr std::uint64_t pair_key(std::size_t a, std::size_t b) {
+  return (static_cast<std::uint64_t>(std::min(a, b)) << 32) |
+         static_cast<std::uint32_t>(std::max(a, b));
+}
+
 /// Mean of a group's member coordinates.
 [[nodiscard]] Point centroid_of(const std::vector<Point>& coords,
                                 const std::vector<NodeId>& nodes) {
@@ -340,10 +346,10 @@ void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
     }
     for (const PairTask& t : pairs) {
       ensure(t.result.found(), "MultiLevelHierarchy: empty group in BCP");
-      border_[pair_key(t.a, t.b)] = NodeId(t.result.x);
-      border_[pair_key(t.b, t.a)] = NodeId(t.result.y);
-      external_[pair_key(std::min(t.a, t.b), std::max(t.a, t.b))] =
-          t.result.dist;
+      const bool a_lo = t.a < t.b;
+      links_[pair_key(t.a, t.b)] = SiblingLink{
+          NodeId(a_lo ? t.result.x : t.result.y),
+          NodeId(a_lo ? t.result.y : t.result.x), t.result.dist};
       qs += t.stats;
     }
   }
@@ -384,18 +390,25 @@ std::size_t MultiLevelHierarchy::ancestor_of(NodeId node,
 
 NodeId MultiLevelHierarchy::border(std::size_t from,
                                    std::size_t toward) const {
-  const auto it = border_.find(pair_key(from, toward));
-  require(it != border_.end(),
-          "MultiLevelHierarchy::border: groups are not siblings");
-  return it->second;
+  const CspLink l = link(from, toward);
+  require(l.found, "MultiLevelHierarchy::border: groups are not siblings");
+  return l.exit;
 }
 
 double MultiLevelHierarchy::external_length(std::size_t a,
                                             std::size_t b) const {
-  const auto it = external_.find(pair_key(std::min(a, b), std::max(a, b)));
-  require(it != external_.end(),
+  const CspLink l = link(a, b);
+  require(l.found,
           "MultiLevelHierarchy::external_length: groups are not siblings");
-  return it->second;
+  return l.length;
+}
+
+CspLink MultiLevelHierarchy::link(std::size_t from, std::size_t toward) const {
+  const auto it = links_.find(pair_key(from, toward));
+  if (it == links_.end()) return CspLink{};
+  const SiblingLink& l = it->second;
+  return from < toward ? CspLink{l.in_lo, l.in_hi, l.length, true}
+                       : CspLink{l.in_hi, l.in_lo, l.length, true};
 }
 
 std::vector<NodeId> MultiLevelHierarchy::hop_path(NodeId a, NodeId b) const {
@@ -486,11 +499,9 @@ std::size_t MultiLevelHierarchy::resident_bytes() const {
   for (const std::vector<std::size_t>& lvl : level_groups_) {
     bytes += lvl.capacity() * sizeof(std::size_t);
   }
-  // Hash maps: key + value + bucket/next pointers per entry.
-  bytes += border_.size() *
-           (sizeof(std::uint64_t) + sizeof(NodeId) + 2 * sizeof(void*));
-  bytes += external_.size() *
-           (sizeof(std::uint64_t) + sizeof(double) + 2 * sizeof(void*));
+  // Hash map: key + value + bucket/next pointers per entry.
+  bytes += links_.size() *
+           (sizeof(std::uint64_t) + sizeof(SiblingLink) + 2 * sizeof(void*));
   return bytes;
 }
 

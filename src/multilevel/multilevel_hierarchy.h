@@ -24,6 +24,7 @@
 #include "cluster/zahn.h"
 #include "coords/point.h"
 #include "overlay/overlay_network.h"
+#include "routing/csp_kernel.h"
 #include "util/ids.h"
 
 namespace hfc {
@@ -110,6 +111,10 @@ class MultiLevelHierarchy {
   /// Length of the external link between the border pair of two siblings
   /// under the distance the hierarchy was built with.
   [[nodiscard]] double external_length(std::size_t a, std::size_t b) const;
+  /// The link from `from` toward `toward` in one lookup: `exit` =
+  /// border(from, toward), `entry` = border(toward, from). Not found
+  /// unless the two groups are distinct siblings.
+  [[nodiscard]] CspLink link(std::size_t from, std::size_t toward) const;
 
   /// The hop sequence (with border relays at every level) between two
   /// nodes, and its total length under `distance`.
@@ -122,7 +127,7 @@ class MultiLevelHierarchy {
   [[nodiscard]] std::size_t service_state_count(NodeId node) const;
 
   /// Bytes of hierarchy state resident (group membership lists plus the
-  /// border/external maps) — the bench memory-ceiling assertions bound
+  /// sibling-link map) — the bench memory-ceiling assertions bound
   /// this alongside the coordinate tier.
   [[nodiscard]] std::size_t resident_bytes() const;
 
@@ -134,18 +139,20 @@ class MultiLevelHierarchy {
   /// Append the virtual root over level_groups_.back().
   void finish_root();
   void select_borders(const std::vector<Point>& coords);
-  [[nodiscard]] static std::uint64_t pair_key(std::size_t a, std::size_t b) {
-    return (static_cast<std::uint64_t>(a) << 32) | static_cast<std::uint32_t>(b);
-  }
+
+  /// The border pair of two siblings `lo` < `hi` and its length.
+  struct SiblingLink {
+    NodeId in_lo, in_hi;
+    double length = 0;
+  };
 
   std::vector<HierarchyGroup> groups_;
   std::vector<std::vector<std::size_t>> level_groups_;  ///< [level-1] -> ids
   std::vector<std::size_t> node_leaf_;                  ///< node -> leaf group
   std::size_t levels_ = 0;
   std::size_t root_ = HierarchyGroup::kNoGroup;
-  /// (from, toward) -> border node in `from`; only sibling pairs present.
-  std::unordered_map<std::uint64_t, NodeId> border_;
-  std::unordered_map<std::uint64_t, double> external_;
+  /// (min group, max group) -> their link; only sibling pairs present.
+  std::unordered_map<std::uint64_t, SiblingLink> links_;
 };
 
 }  // namespace hfc

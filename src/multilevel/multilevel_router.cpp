@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "distance/distance_service.h"
@@ -14,21 +12,10 @@ namespace hfc {
 
 namespace {
 
-/// Append a hop, collapsing relay duplicates of the previous proxy.
-void append_hop(std::vector<ServiceHop>& hops, const ServiceHop& hop) {
-  if (!hops.empty() && hops.back().proxy == hop.proxy) {
-    if (hop.is_relay()) return;
-    if (hops.back().is_relay()) {
-      hops.back() = hop;
-      return;
-    }
-  }
-  hops.push_back(hop);
-}
-
-constexpr std::uint64_t state_key(std::size_t child, NodeId entry) {
-  return (static_cast<std::uint64_t>(child) << 32) |
-         static_cast<std::uint32_t>(entry.value());
+/// Append `nodes` to a path as relay hops.
+void append_relays(std::vector<ServiceHop>& hops,
+                   const std::vector<NodeId>& nodes) {
+  for (NodeId n : nodes) append_hop(hops, ServiceHop{n, ServiceId{}});
 }
 
 }  // namespace
@@ -46,13 +33,7 @@ MultiLevelRouter::MultiLevelRouter(const OverlayNetwork& net,
   const auto t_sync = std::chrono::steady_clock::now();
   capability_.resize(hierarchy_.group_count());
   for (std::size_t g = 0; g < hierarchy_.group_count(); ++g) {
-    std::vector<ServiceId>& agg = capability_[g];
-    for (NodeId n : hierarchy_.group(g).nodes) {
-      const auto& services = net_.services_at(n);
-      agg.insert(agg.end(), services.begin(), services.end());
-    }
-    std::sort(agg.begin(), agg.end());
-    agg.erase(std::unique(agg.begin(), agg.end()), agg.end());
+    capability_[g] = net_.aggregate_services(hierarchy_.group(g).nodes);
   }
   obs::MetricsRegistry::global()
       .counter("construct.router_sync_us")
@@ -89,13 +70,6 @@ ServicePath MultiLevelRouter::route(const ServiceRequest& request) const {
   return path;
 }
 
-ServicePath MultiLevelRouter::route_in_group(
-    std::size_t group, NodeId entry, NodeId exit,
-    const std::vector<ServiceId>& chain) const {
-  return route_in_group_graph(group, entry, exit,
-                              ServiceGraph::linear(chain));
-}
-
 ServicePath MultiLevelRouter::route_in_group_graph(
     std::size_t group, NodeId entry, NodeId exit,
     const ServiceGraph& graph) const {
@@ -103,9 +77,7 @@ ServicePath MultiLevelRouter::route_in_group_graph(
   if (graph.empty()) {
     ServicePath path;
     path.found = true;
-    for (NodeId n : hierarchy_.hop_path(entry, exit)) {
-      append_hop(path.hops, ServiceHop{n, ServiceId{}});
-    }
+    append_relays(path.hops, hierarchy_.hop_path(entry, exit));
     return path;
   }
   const HierarchyGroup& g = hierarchy_.group(group);
@@ -118,7 +90,6 @@ ServicePath MultiLevelRouter::route_in_group_graph(
   }
 
   // --- map: candidates per SG vertex = children whose aggregate hosts it.
-  const std::size_t child_level = hierarchy_.group(g.children.front()).level;
   std::vector<std::vector<std::size_t>> candidates(graph.size());
   for (std::size_t v = 0; v < graph.size(); ++v) {
     for (std::size_t child : g.children) {
@@ -126,169 +97,46 @@ ServicePath MultiLevelRouter::route_in_group_graph(
     }
     if (candidates[v].empty()) return ServicePath{};  // unsatisfiable here
   }
-  const std::size_t entry_child = hierarchy_.ancestor_of(entry, child_level);
-  const std::size_t exit_child = hierarchy_.ancestor_of(exit, child_level);
+  const std::size_t child_level = hierarchy_.group(g.children.front()).level;
+  const CspEnds<std::size_t> ends{entry, exit,
+                                  hierarchy_.ancestor_of(entry, child_level),
+                                  hierarchy_.ancestor_of(exit, child_level)};
 
-  // --- group-level shortest path, entry-augmented with internal lower
-  // bounds (the §5.1 refinement at this level of the tree).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  struct Label {
-    double cost = kInf;
-    std::size_t prev_vertex = static_cast<std::size_t>(-1);
-    std::uint64_t prev_key = 0;
-  };
-  std::vector<std::unordered_map<std::uint64_t, Label>> tables(graph.size());
+  // --- the group-level CSP with internal lower bounds (the §5.1
+  // refinement at this level of the tree), divided into runs per child.
+  const CspSearch<std::size_t> csp =
+      search_csp(graph, ends, candidates, hierarchy_, distance_, true);
+  if (!csp.found) return ServicePath{};
+  const std::vector<UnitRun<std::size_t>> runs = dissect_runs(
+      csp.steps, &CspStep<std::size_t>::unit, graph, ends, hierarchy_);
 
-  const auto transition = [&](std::size_t from_child, NodeId at,
-                              std::size_t to_child) {
-    const NodeId exit_border = hierarchy_.border(from_child, to_child);
-    double cost = hierarchy_.external_length(from_child, to_child);
-    if (at != exit_border) cost += distance_(at, exit_border);
-    return cost;
-  };
-
-  for (std::size_t v : graph.sources()) {
-    for (std::size_t c : candidates[v]) {
-      double cost = 0.0;
-      NodeId state_entry = entry;
-      if (c != entry_child) {
-        cost = transition(entry_child, entry, c);
-        state_entry = hierarchy_.border(c, entry_child);
-      }
-      Label& label = tables[v][state_key(c, state_entry)];
-      if (cost < label.cost) {
-        label = Label{cost, static_cast<std::size_t>(-1), 0};
-      }
-    }
-  }
-  for (std::size_t u : graph.topological_order()) {
-    for (std::size_t v : graph.successors(u)) {
-      for (const auto& [key, label] : tables[u]) {
-        const std::size_t c = static_cast<std::size_t>(key >> 32);
-        const NodeId at(static_cast<int>(key & 0xffffffffULL));
-        for (std::size_t next : candidates[v]) {
-          double cost = label.cost;
-          NodeId next_entry = at;
-          if (next != c) {
-            cost += transition(c, at, next);
-            next_entry = hierarchy_.border(next, c);
-          }
-          Label& target = tables[v][state_key(next, next_entry)];
-          if (cost < target.cost) {
-            target = Label{cost, u, key};
-          }
-        }
-      }
-    }
-  }
-  double best = kInf;
-  std::size_t best_vertex = 0;
-  std::uint64_t best_key = 0;
-  for (std::size_t v : graph.sinks()) {
-    for (const auto& [key, label] : tables[v]) {
-      const std::size_t c = static_cast<std::size_t>(key >> 32);
-      const NodeId at(static_cast<int>(key & 0xffffffffULL));
-      double cost = label.cost;
-      if (c == exit_child) {
-        if (at != exit) cost += distance_(at, exit);
-      } else {
-        cost += transition(c, at, exit_child);
-        const NodeId back = hierarchy_.border(exit_child, c);
-        if (back != exit) cost += distance_(back, exit);
-      }
-      if (cost < best) {
-        best = cost;
-        best_vertex = v;
-        best_key = key;
-      }
-    }
-  }
-  if (best == kInf) return ServicePath{};
-
-  // Reconstruct the chosen (vertex, child) assignment in order.
-  struct Element {
-    std::size_t sg_vertex;
-    std::size_t child;
-  };
-  std::vector<Element> elements;
-  for (std::size_t v = best_vertex; v != static_cast<std::size_t>(-1);) {
-    elements.push_back(
-        Element{v, static_cast<std::size_t>(best_key >> 32)});
-    const Label& label = tables[v].at(best_key);
-    v = label.prev_vertex;
-    best_key = label.prev_key;
-  }
-  std::reverse(elements.begin(), elements.end());
-
-  // --- divide into runs per child and conquer recursively.
-  struct Segment {
-    std::size_t child;
-    NodeId entry;
-    NodeId exit;
-    std::vector<ServiceId> chain;
-  };
-  std::vector<Segment> segments;
-  std::size_t i = 0;
-  while (i < elements.size()) {
-    std::size_t j = i;
-    while (j + 1 < elements.size() &&
-           elements[j + 1].child == elements[i].child) {
-      ++j;
-    }
-    Segment seg;
-    seg.child = elements[i].child;
-    for (std::size_t k = i; k <= j; ++k) {
-      seg.chain.push_back(graph.label(elements[k].sg_vertex));
-    }
-    if (i == 0 && seg.child == entry_child) {
-      seg.entry = entry;
-    } else {
-      const std::size_t prev =
-          (i == 0) ? entry_child : elements[i - 1].child;
-      seg.entry = hierarchy_.border(seg.child, prev);
-    }
-    if (j + 1 == elements.size() && seg.child == exit_child) {
-      seg.exit = exit;
-    } else {
-      const std::size_t next =
-          (j + 1 == elements.size()) ? exit_child : elements[j + 1].child;
-      seg.exit = hierarchy_.border(seg.child, next);
-    }
-    segments.push_back(std::move(seg));
-    i = j + 1;
-  }
-
-  ServicePath final_path;
+  // --- conquer: each run recursively inside its child, joined by hop
+  // paths one level down from the entry and to the exit where the first
+  // or last run lies in another child.
   std::vector<ServiceHop> hops;
   append_hop(hops, ServiceHop{entry, ServiceId{}});
-  if (segments.front().child != entry_child) {
-    // Head bridge: from entry to the exit border of its own child, one
-    // level down (possibly multi-hop), then across the external link.
-    const ServicePath head = route_in_group(
-        entry_child, entry,
-        hierarchy_.border(entry_child, segments.front().child), {});
-    ensure(head.found, "MultiLevelRouter: head bridge failed");
-    for (const ServiceHop& hop : head.hops) append_hop(hops, hop);
+  if (runs.front().unit != ends.source_unit) {
+    const NodeId out = hierarchy_.border(ends.source_unit, runs.front().unit);
+    append_relays(hops, hierarchy_.hop_path(entry, out));
   }
-  for (const Segment& seg : segments) {
-    const ServicePath part =
-        route_in_group(seg.child, seg.entry, seg.exit, seg.chain);
+  for (const UnitRun<std::size_t>& run : runs) {
+    const ServicePath part = route_in_group_graph(
+        run.unit, run.entry, run.exit, ServiceGraph::linear(run.chain));
     ensure(part.found, "MultiLevelRouter: child segment failed despite "
                        "aggregate capability");
     for (const ServiceHop& hop : part.hops) append_hop(hops, hop);
   }
-  if (segments.back().child != exit_child) {
-    const ServicePath tail = route_in_group(
-        exit_child,
-        hierarchy_.border(exit_child, segments.back().child), exit, {});
-    ensure(tail.found, "MultiLevelRouter: tail bridge failed");
-    for (const ServiceHop& hop : tail.hops) append_hop(hops, hop);
+  if (runs.back().unit != ends.destination_unit) {
+    const NodeId in =
+        hierarchy_.border(ends.destination_unit, runs.back().unit);
+    append_relays(hops, hierarchy_.hop_path(in, exit));
   }
   append_hop(hops, ServiceHop{exit, ServiceId{}});
 
-  final_path.found = true;
-  final_path.hops = std::move(hops);
-  return final_path;
+  ServicePath path;
+  path.found = true;
+  path.hops = std::move(hops);
+  return path;
 }
 
 }  // namespace hfc

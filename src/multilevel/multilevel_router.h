@@ -3,11 +3,15 @@
 //
 // Routing a request inside a group proceeds exactly like the paper's
 // destination proxy does at the top: map each service onto one of the
-// group's children (aggregate capability check), run the entry-augmented
-// group-level shortest path with internal lower bounds, dissect into one
-// child request per run of consecutive services in the same child, and
-// recurse; leaf clusters are fully connected, so the recursion bottoms
-// out in the flat algorithm of [11].
+// group's children (aggregate capability check), find the group-level
+// CSP with internal lower bounds, dissect it into one child request per
+// run of consecutive services in the same child, and recurse; leaf
+// clusters are fully connected, so the recursion bottoms out in the flat
+// algorithm of [11]. The CSP search and the run dissection are the ones
+// HierarchicalServiceRouter uses (routing/csp_kernel.h), with sibling
+// groups as units and MultiLevelHierarchy::link as the link source, so a
+// depth-1 hierarchy routes exactly as the flat router over the same
+// clusters and borders.
 #pragma once
 
 #include "multilevel/multilevel_hierarchy.h"
@@ -39,17 +43,10 @@ class MultiLevelRouter {
   [[nodiscard]] bool group_hosts(std::size_t group, ServiceId service) const;
 
  private:
-  /// Route a linear chain (vertex list of `request.graph` order) between
-  /// two nodes of `group`, recursively. Returns not-found only if some
-  /// service lacks a provider inside the group (callers guarantee it
-  /// otherwise via aggregate checks).
-  [[nodiscard]] ServicePath route_in_group(
-      std::size_t group, NodeId entry, NodeId exit,
-      const std::vector<ServiceId>& chain) const;
-
-  /// General (possibly non-linear) variant; the group-level shortest path
-  /// picks one configuration of the graph, so deeper recursion only ever
-  /// sees linear chains.
+  /// Route `graph` between two nodes of `group`, recursively. Not found
+  /// only if some service lacks a provider inside the group. The group-
+  /// level CSP picks one configuration of a non-linear graph, so deeper
+  /// recursion only ever sees linear chains.
   [[nodiscard]] ServicePath route_in_group_graph(std::size_t group,
                                                  NodeId entry, NodeId exit,
                                                  const ServiceGraph& graph)

@@ -67,6 +67,19 @@ bool OverlayNetwork::hosts(NodeId node, ServiceId service) const {
   return std::binary_search(services.begin(), services.end(), service);
 }
 
+std::vector<ServiceId> OverlayNetwork::aggregate_services(
+    const std::vector<NodeId>& members) const {
+  std::vector<ServiceId> aggregate;
+  for (NodeId member : members) {
+    const auto& services = services_at(member);
+    aggregate.insert(aggregate.end(), services.begin(), services.end());
+  }
+  std::sort(aggregate.begin(), aggregate.end());
+  aggregate.erase(std::unique(aggregate.begin(), aggregate.end()),
+                  aggregate.end());
+  return aggregate;
+}
+
 std::vector<NodeId> OverlayNetwork::hosts_of(ServiceId service) const {
   require(service.valid(), "OverlayNetwork::hosts_of: invalid service");
   if (service.idx() >= hosts_index_.size()) return {};

@@ -72,6 +72,12 @@ class OverlayNetwork {
   [[nodiscard]] const std::vector<ServiceId>& services_at(NodeId node) const;
   [[nodiscard]] bool hosts(NodeId node, ServiceId service) const;
 
+  /// Sorted, duplicate-free union of the services hosted by `members`:
+  /// the aggregate capability (SCT_C) of a cluster or group (paper §4,
+  /// footnote 5).
+  [[nodiscard]] std::vector<ServiceId> aggregate_services(
+      const std::vector<NodeId>& members) const;
+
   /// All proxies hosting `service` (possibly empty), ascending.
   [[nodiscard]] std::vector<NodeId> hosts_of(ServiceId service) const;
 

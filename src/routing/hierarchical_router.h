@@ -15,7 +15,9 @@
 // proxy). The paper implements this with a back-tracking verification
 // bolted onto DAG-shortest-paths; we achieve the same optimisation
 // exactly by augmenting the search state with the entry node of the
-// current cluster, which makes the cost function Markovian again. One
+// current cluster, which makes the cost function Markovian again; the
+// search and the dissection are shared with MultiLevelRouter
+// (routing/csp_kernel.h). One
 // deliberate refinement over the paper's worked example: we also count
 // the source proxy's internal distance to its cluster's exit border
 // (the example omits it; including it is still a valid lower bound and
@@ -26,12 +28,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
+#include "routing/csp_kernel.h"
 #include "routing/flat_router.h"
 #include "routing/flat_table.h"
 #include "routing/service_path.h"
@@ -83,11 +85,7 @@ class BorderView {
 
   /// The surviving link from `from` toward `toward`, resolved in one
   /// lookup: `exit` = border(from, toward), `entry` = border(toward, from).
-  struct Link {
-    NodeId exit, entry;  ///< invalid when !found
-    double length = std::numeric_limits<double>::infinity();
-    bool found = false;
-  };
+  using Link = CspLink;
   [[nodiscard]] Link link(ClusterId from, ClusterId toward) const;
 
  private:

@@ -29,6 +29,17 @@ std::vector<ServiceId> ServicePath::service_sequence() const {
   return out;
 }
 
+void append_hop(std::vector<ServiceHop>& hops, const ServiceHop& hop) {
+  if (!hops.empty() && hops.back().proxy == hop.proxy) {
+    if (hop.is_relay()) return;
+    if (hops.back().is_relay()) {
+      hops.back() = hop;
+      return;
+    }
+  }
+  hops.push_back(hop);
+}
+
 double path_length(const ServicePath& path, const OverlayDistance& distance) {
   if (!path.found || path.hops.size() < 2) return 0.0;
   double total = 0.0;

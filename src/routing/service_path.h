@@ -41,6 +41,11 @@ struct ServicePath {
   [[nodiscard]] std::vector<ServiceId> service_sequence() const;
 };
 
+/// Append `hop` to a path under composition: a relay on the proxy the
+/// path already ends at is dropped, and a service on a proxy the path
+/// ends at as a relay replaces that relay.
+void append_hop(std::vector<ServiceHop>& hops, const ServiceHop& hop);
+
 /// Total length of the hop sequence under `distance` (0 for paths with
 /// fewer than two hops; 0 for not-found paths).
 [[nodiscard]] double path_length(const ServicePath& path,

@@ -376,15 +376,7 @@ const ProxyStateTables& StateProtocolSim::tables(NodeId node) const {
 
 std::vector<ServiceId> StateProtocolSim::aggregate_of(
     ClusterId cluster) const {
-  std::vector<ServiceId> aggregate;
-  for (NodeId member : topo_.members(cluster)) {
-    const auto& services = net_.services_at(member);
-    aggregate.insert(aggregate.end(), services.begin(), services.end());
-  }
-  std::sort(aggregate.begin(), aggregate.end());
-  aggregate.erase(std::unique(aggregate.begin(), aggregate.end()),
-                  aggregate.end());
-  return aggregate;
+  return net_.aggregate_services(topo_.members(cluster));
 }
 
 double StateProtocolSim::convergence_fraction() const {

@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "block_lattice.h"
 #include "cluster/zahn.h"
 #include "core/experiment.h"
 #include "core/framework.h"
@@ -142,36 +143,11 @@ World random_world(std::uint64_t seed, bool lb, double nonlinear) {
   return World(std::move(coords), std::move(placement), params, lb);
 }
 
-/// Proxies on an integer lattice: 3 x 3 blocks of unit spacing, the blocks
-/// 10 apart on a 4 x 4 grid, so every adjacent block pair's closest pair
-/// is exactly 8 long and many CSPs tie at exactly equal cost. Services
-/// repeat in a pattern shared by every block. Under the L1 distance, paths
-/// through different numbers of blocks tie as well.
+/// The exact-tie block lattice (block_lattice.h).
 World lattice_world(bool lb, bool manhattan) {
-  std::vector<Point> coords;
-  ServicePlacement placement;
-  for (int by = 0; by < 4; ++by) {
-    for (int bx = 0; bx < 4; ++bx) {
-      for (int y = 0; y < 3; ++y) {
-        for (int x = 0; x < 3; ++x) {
-          coords.push_back({10.0 * bx + x, 10.0 * by + y});
-          placement.push_back({ServiceId((x + y) % 3)});
-          if ((bx + by) % 2 == 0 && x == y) {
-            placement.back().push_back(ServiceId(3));
-          }
-        }
-      }
-    }
-  }
-  WorkloadParams params;
-  params.catalog_size = 4;
-  params.services_per_proxy_min = 1;
-  params.services_per_proxy_max = 2;
-  params.request_length_min = 2;
-  params.request_length_max = 4;
-  params.nonlinear_fraction = 0.5;
-  return World(std::move(coords), std::move(placement), params, lb,
-               manhattan);
+  BlockLattice lattice = block_lattice();
+  return World(std::move(lattice.coords), std::move(lattice.placement),
+               lattice.workload, lb, manhattan);
 }
 
 void expect_plain_agreement(const World& w, std::uint64_t seed,

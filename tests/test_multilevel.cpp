@@ -1,17 +1,23 @@
 // Tests for the multi-level HFC extension: hierarchy construction,
 // border selection at every level, state accounting, hop paths, and
-// recursive routing validated against the flat oracle.
+// recursive routing validated against the flat oracle and, at depth 1,
+// against HierarchicalServiceRouter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <string>
 
+#include "block_lattice.h"
 #include "env_guard.h"
 #include "multilevel/multilevel_hierarchy.h"
 #include "multilevel/multilevel_router.h"
+#include "overlay/hfc_topology.h"
 #include "routing/brute_force.h"
+#include "routing/hierarchical_router.h"
 #include "services/workload.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -271,6 +277,127 @@ TEST(MultiLevelRouter, NonLinearGraph) {
   const ServicePath path = w.router.route(request);
   ASSERT_TRUE(path.found);
   EXPECT_TRUE(satisfies(path, request, w.net));
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+/// The leaf groups of `h` as a flat clustering: cluster i is the i-th
+/// entry of groups_at(1).
+Clustering leaf_clustering(const MultiLevelHierarchy& h) {
+  Clustering clustering;
+  clustering.assignment.resize(h.node_count());
+  for (const std::size_t leaf : h.groups_at(1)) {
+    const ClusterId id(static_cast<std::int32_t>(clustering.members.size()));
+    for (const NodeId n : h.group(leaf).nodes) {
+      clustering.assignment[n.idx()] = id;
+    }
+    clustering.members.push_back(h.group(leaf).nodes);
+  }
+  return clustering;
+}
+
+/// A levels = 1 hierarchy and the flat HFC stack over the same clusters
+/// and the same coordinate distance.
+struct BiLevelWorld {
+  OverlayNetwork net;
+  MultiLevelHierarchy hierarchy;
+  HfcTopology topo;
+  MultiLevelRouter multilevel;
+  HierarchicalServiceRouter flat;
+
+  BiLevelWorld(const std::vector<Point>& coords, ServicePlacement placement,
+               const ZahnParams& leaf_zahn)
+      : net(coords, std::move(placement)),
+        hierarchy(coords, bi_level(leaf_zahn)),
+        topo(leaf_clustering(hierarchy), net.coord_distance_fn()),
+        multilevel(net, hierarchy, net.coord_distance_fn()),
+        flat(net, topo, net.coord_distance_fn()) {}
+
+  static MultiLevelParams bi_level(const ZahnParams& leaf_zahn) {
+    MultiLevelParams params;
+    params.levels = 1;
+    params.leaf_zahn = leaf_zahn;
+    return params;
+  }
+
+  /// Every border and external length agrees between the two stacks.
+  void expect_same_links() const {
+    const std::vector<std::size_t>& leaves = hierarchy.groups_at(1);
+    ASSERT_EQ(leaves.size(), topo.cluster_count());
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      for (std::size_t j = 0; j < leaves.size(); ++j) {
+        if (i == j) continue;
+        const ClusterId a(static_cast<std::int32_t>(i));
+        const ClusterId b(static_cast<std::int32_t>(j));
+        ASSERT_EQ(hierarchy.border(leaves[i], leaves[j]), topo.border(a, b))
+            << "border of cluster " << i << " facing " << j;
+        ASSERT_EQ(bits_of(hierarchy.external_length(leaves[i], leaves[j])),
+                  bits_of(topo.external_length(a, b)))
+            << "external length between clusters " << i << " and " << j;
+      }
+    }
+  }
+
+  /// Both routers return the same route, hop for hop and in cost bits.
+  void expect_same_routes(const WorkloadParams& params, std::uint64_t seed,
+                          std::size_t count) const {
+    Rng rng(seed);
+    for (const ServiceRequest& request :
+         make_requests(count, net.all_nodes(), params, rng)) {
+      SCOPED_TRACE(request.graph.to_string());
+      const ServicePath want = flat.route(request);
+      const ServicePath got = multilevel.route(request);
+      ASSERT_EQ(want.found, got.found);
+      EXPECT_EQ(want.hops, got.hops);
+      EXPECT_EQ(bits_of(want.cost), bits_of(got.cost));
+    }
+  }
+};
+
+// At depth 1 the recursive router is the paper's bi-level HFC: the root's
+// children are the clusters, and both routers run the one CSP kernel and
+// dissection over the same borders. Routes must match exactly, including
+// how exact CSP ties break.
+TEST(MultiLevelRouter, BiLevelMatchesHierarchicalRouter) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<Point> centers;
+    for (int b = 0; b < 8; ++b) {
+      centers.push_back({rng.uniform_real(0, 1000), rng.uniform_real(0, 1000)});
+    }
+    std::vector<Point> coords;
+    for (int i = 0; i < 200; ++i) {
+      const Point& c = centers[rng.pick_index(centers.size())];
+      coords.push_back({c[0] + rng.uniform_real(-25, 25),
+                        c[1] + rng.uniform_real(-25, 25)});
+    }
+    WorkloadParams params;
+    params.catalog_size = 10;
+    params.services_per_proxy_min = 1;
+    params.services_per_proxy_max = 3;
+    params.request_length_min = 2;
+    params.request_length_max = 6;
+    ServicePlacement placement = assign_services(coords.size(), params, rng);
+    const BiLevelWorld w(coords, std::move(placement), ZahnParams{});
+    ASSERT_GE(w.topo.cluster_count(), 2u);
+    w.expect_same_links();
+    params.nonlinear_fraction = 0.0;
+    w.expect_same_routes(params, seed + 100, 60);
+    params.nonlinear_fraction = 0.6;
+    w.expect_same_routes(params, seed + 200, 60);
+  }
+  // The exact-tie lattice of the CSP oracle suite.
+  BlockLattice lattice = block_lattice();
+  const BiLevelWorld w(lattice.coords, std::move(lattice.placement),
+                       ZahnParams{});
+  ASSERT_EQ(w.topo.cluster_count(), 16u);
+  w.expect_same_links();
+  w.expect_same_routes(lattice.workload, 700, 150);
 }
 
 /// Property sweep: multi-level routing is always valid and never beats

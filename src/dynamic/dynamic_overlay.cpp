@@ -82,7 +82,6 @@ void DynamicHfcOverlay::do_deactivate(NodeId node) {
   --active_count_;
   ++mutations_since_restructure_;
   ++active_generation_;
-  dirty_ = true;
 }
 
 void DynamicHfcOverlay::do_activate(NodeId node) {
@@ -133,7 +132,6 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
     active_set_.maybe_rebuild();
   }
   inc_topo_->on_member_added(node, ClusterId(label));
-  dirty_ = true;
 }
 
 NodeId DynamicHfcOverlay::do_add(Point coords,
@@ -255,7 +253,6 @@ void DynamicHfcOverlay::restructure() {
   } else {
     active_set_ = DynamicSpatialSet{};
   }
-  dirty_ = true;
   build_universe_state();
 }
 
@@ -286,57 +283,6 @@ void DynamicHfcOverlay::build_universe_state() {
   inc_router_ =
       std::make_unique<HierarchicalServiceRouter>(*inc_net_, *inc_topo_,
                                                   *dist_);
-}
-
-void DynamicHfcOverlay::rebuild_if_dirty() {
-  if (!dirty_) return;
-  HFC_TRACE_SPAN("churn.view_rebuild");
-  full_rebuilds_counter().add(1);
-  // Dense view of the active set, in ascending universe order.
-  std::vector<std::int32_t> view_labels;
-  std::vector<Point> view_coords;
-  ServicePlacement view_placement;
-  for (std::size_t v = 0; v < coords_.size(); ++v) {
-    if (!active_[v]) continue;
-    view_labels.push_back(labels_[v]);
-    view_coords.push_back(coords_[v]);
-    view_placement.push_back(placement_[v]);
-  }
-
-  // Densify the maintained cluster labels (universe labels can have holes
-  // after leaves empty a cluster). Compaction is by ascending label value,
-  // so the dense cluster ids keep the same relative order as the
-  // universe topology's live slot ids — together with the router's
-  // canonical state-key tie-breaking this makes a router over the view
-  // resolve exact-cost CSP ties to the same route as the universe router.
-  std::vector<std::int32_t> distinct_labels = view_labels;
-  std::sort(distinct_labels.begin(), distinct_labels.end());
-  distinct_labels.erase(
-      std::unique(distinct_labels.begin(), distinct_labels.end()),
-      distinct_labels.end());
-  Clustering clustering;
-  clustering.assignment.resize(view_labels.size());
-  for (std::size_t d = 0; d < view_labels.size(); ++d) {
-    const std::int32_t label = view_labels[d];
-    const auto it = std::lower_bound(distinct_labels.begin(),
-                                     distinct_labels.end(), label);
-    clustering.assignment[d] = ClusterId(
-        static_cast<std::int32_t>(it - distinct_labels.begin()));
-  }
-  clustering.members.resize(distinct_labels.size());
-  for (std::size_t d = 0; d < clustering.assignment.size(); ++d) {
-    clustering.members[clustering.assignment[d].idx()].push_back(
-        NodeId(static_cast<std::int32_t>(d)));
-  }
-
-  view_topo_.reset();
-  view_net_.reset();
-  view_dist_ = std::make_unique<CoordDistanceService>(view_coords);
-  view_net_ = std::make_unique<OverlayNetwork>(std::move(view_coords),
-                                               std::move(view_placement));
-  view_topo_ = std::make_unique<HfcTopology>(std::move(clustering),
-                                             *view_dist_, selection_);
-  dirty_ = false;
 }
 
 ServicePath DynamicHfcOverlay::route(const ServiceRequest& request) {
@@ -408,16 +354,6 @@ const CoordDistanceService& DynamicHfcOverlay::universe_distance() const {
 HierarchicalServiceRouter& DynamicHfcOverlay::universe_router() {
   inc_router_->sync_with_topology();
   return *inc_router_;
-}
-
-const HfcTopology& DynamicHfcOverlay::view_topology() {
-  rebuild_if_dirty();
-  return *view_topo_;
-}
-
-const OverlayNetwork& DynamicHfcOverlay::view_network() {
-  rebuild_if_dirty();
-  return *view_net_;
 }
 
 }  // namespace hfc

@@ -25,13 +25,10 @@
 //
 // After any mutation sequence the incremental state is equivalent to a
 // from-scratch rebuild of the same active set: same partition, same
-// border pairs (up to exact distance ties — a fresh scan breaks ties by
-// member order, incremental repair keeps the incumbent), same routes.
-// tests/oracle/full_rebuild.h is that from-scratch rebuild.
-//
-// The dense inspection view (`view_topology`, `view_network`) is rebuilt
-// on demand; ids in it are dense view indices. All other public APIs
-// speak universe NodeIds throughout.
+// border pairs (up to exact distance ties — a fresh scan keeps the
+// lex-min pair, incremental repair keeps the incumbent), same routes.
+// tests/oracle/full_rebuild.h is that from-scratch rebuild, built from
+// the universe accessors below. Every public API speaks universe NodeIds.
 #pragma once
 
 #include <cstddef>
@@ -159,13 +156,6 @@ class DynamicHfcOverlay {
   /// pair per unordered live cluster pair, sorted.
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> border_pairs();
 
-  /// Dense-view accessors (rebuilt after mutations; ids in these objects
-  /// are dense view indices, NOT universe NodeIds — dense index d is the
-  /// d-th active node in ascending universe order). Exposed for metrics,
-  /// protocol simulation, and the full-rebuild test oracle.
-  [[nodiscard]] const HfcTopology& view_topology();
-  [[nodiscard]] const OverlayNetwork& view_network();
-
   /// --- universe-level routing state ---
   ///
   /// The serving engine (src/serve, DESIGN.md §12) snapshots these
@@ -185,7 +175,6 @@ class DynamicHfcOverlay {
   /// Rebuild the universe-level routing objects from labels_ (ctor,
   /// restructure). Counts as a churn.full_rebuild.
   void build_universe_state();
-  void rebuild_if_dirty();
 
   /// Universe-level cluster label per node (-1 for inactive). A label IS
   /// the topology's stable cluster slot id.
@@ -224,12 +213,6 @@ class DynamicHfcOverlay {
   mutable bool quality_valid_ = false;
   mutable std::uint64_t quality_gen_ = 0;
   mutable double quality_cache_ = 1.0;
-
-  /// Dense inspection view.
-  bool dirty_ = true;
-  std::unique_ptr<CoordDistanceService> view_dist_;
-  std::unique_ptr<OverlayNetwork> view_net_;
-  std::unique_ptr<HfcTopology> view_topo_;
 };
 
 }  // namespace hfc

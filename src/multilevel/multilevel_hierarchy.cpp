@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "spatial/dynamic_set.h"
+#include "spatial/closest_pair.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -267,10 +266,9 @@ void MultiLevelHierarchy::finish_root() {
 
 void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
   // For every parent, connect its children pairwise by the closest
-  // cross-group node pair (§3.3 applied at every level). Group node
-  // lists are sorted ascending, so the brute strict-`<` scan picks the
-  // lex-min (d, x, y) pair — exactly what the spatial BCP returns, so
-  // both paths agree even under exact distance ties.
+  // cross-group node pair (§3.3 applied at every level), through the one
+  // closest_pair routine HfcTopology uses. Group node lists are sorted
+  // ascending, so both of its paths pick the lex-min (d, x, y) pair.
   //
   // The child indexes are transient per parent: each child's set is
   // built when its parent is processed and dropped right after, so peak
@@ -284,12 +282,12 @@ void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
   static obs::Counter& visited =
       obs::MetricsRegistry::global().counter("spatial.nodes_visited");
   const bool use_spatial = spatial_enabled(coords.size());
+  const auto distance = [&coords](NodeId x, NodeId y) {
+    return euclidean(coords[x.idx()], coords[y.idx()]);
+  };
   QueryStats qs;
-  std::uint64_t brute_evals = 0;
 
   struct PairTask {
-    std::size_t a = 0;  ///< child group ids
-    std::size_t b = 0;
     std::size_t ia = 0;  ///< positions within parent.children
     std::size_t ib = 0;
     BcpResult result;
@@ -312,49 +310,33 @@ void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
         sets[i].bulk_load(coords, std::move(ids));
       }
     }
+    const auto side = [&](std::size_t i) {
+      return PairSide{groups_[parent.children[i]].nodes,
+                      use_spatial ? &sets[i] : nullptr};
+    };
     pairs.clear();
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
       for (std::size_t j = i + 1; j < parent.children.size(); ++j) {
-        PairTask t;
-        t.a = parent.children[i];
-        t.b = parent.children[j];
-        t.ia = i;
-        t.ib = j;
-        pairs.push_back(t);
+        pairs.push_back(PairTask{i, j, {}, {}});
       }
     }
-    if (use_spatial) {
-      parallel_for(pairs.size(), 4, [&](std::size_t k) {
-        PairTask& t = pairs[k];
-        t.result =
-            bichromatic_closest_pair(sets[t.ia], sets[t.ib], coords, t.stats);
-      });
-    } else {
-      for (PairTask& t : pairs) {
-        for (NodeId x : groups_[t.a].nodes) {
-          for (NodeId y : groups_[t.b].nodes) {
-            const double d = euclidean(coords[x.idx()], coords[y.idx()]);
-            ++brute_evals;
-            if (d < t.result.dist) {
-              t.result.dist = d;
-              t.result.x = x.value();
-              t.result.y = y.value();
-            }
-          }
-        }
-      }
-    }
+    parallel_for(pairs.size(), 4, [&](std::size_t k) {
+      PairTask& t = pairs[k];
+      t.result = closest_pair(side(t.ia), side(t.ib), distance, t.stats);
+    });
     for (const PairTask& t : pairs) {
       ensure(t.result.found(), "MultiLevelHierarchy: empty group in BCP");
-      const bool a_lo = t.a < t.b;
-      links_[pair_key(t.a, t.b)] = SiblingLink{
+      const std::size_t a = parent.children[t.ia];
+      const std::size_t b = parent.children[t.ib];
+      const bool a_lo = a < b;
+      links_[pair_key(a, b)] = SiblingLink{
           NodeId(a_lo ? t.result.x : t.result.y),
           NodeId(a_lo ? t.result.y : t.result.x), t.result.dist};
       qs += t.stats;
     }
   }
-  candidates.add(use_spatial ? qs.point_evals : brute_evals);
-  if (use_spatial) visited.add(qs.nodes_visited);
+  candidates.add(qs.point_evals);
+  visited.add(qs.nodes_visited);
 }
 
 const HierarchyGroup& MultiLevelHierarchy::group(std::size_t index) const {

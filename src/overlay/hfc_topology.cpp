@@ -1,7 +1,6 @@
 #include "overlay/hfc_topology.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "distance/distance_service.h"
 #include "obs/metrics.h"
@@ -58,21 +57,13 @@ void HfcTopology::build_borders() {
   generation_.assign(c, 0);
   border_epoch_.assign(c, 0);
 
-  // For kSingleHub, each cluster designates one representative (its lowest
-  // node id) for all external links — the classic "one logical node"
-  // aggregation the paper argues against.
-  std::vector<NodeId> hub(c);
-  if (selection_ == BorderSelection::kSingleHub) {
-    for (std::size_t i = 0; i < c; ++i) hub[i] = clustering_.members[i].front();
-  }
-
   // The O(C^2) cluster pairs are independent: pair (a, b) scans
-  // |a| * |b| candidate links and writes only its own border / length
-  // slots, so the selection sweep — the O(n^2)-ish hot spot of the
-  // topology build — runs as one parallel task per pair. Flattened pair
-  // index -> (a, b) keeps the task space dense. The shared `is_border_`
-  // flags are applied in a serial pass afterwards (vector<bool> packs
-  // bits, so concurrent writes to different nodes would still race).
+  // |a| * |b| candidate links and writes only its own two border slots,
+  // so the selection sweep — the O(n^2)-ish hot spot of the topology
+  // build — runs as one parallel task per pair, straight into border_.
+  // Flattened pair index -> (a, b) keeps the task space dense. The
+  // shared `border_refs_` counts are applied in a serial pass afterwards
+  // (two pairs can pick the same node, so concurrent increments race).
   const std::size_t pair_count = c * (c - 1) / 2;
   static obs::Counter& pairs =
       obs::MetricsRegistry::global().counter("topology.border_pairs");
@@ -91,57 +82,16 @@ void HfcTopology::build_borders() {
       ++a;
     }
     const std::size_t b = a + 1 + (pair - row_start);
-    const std::vector<NodeId>& xs = clustering_.members[a];
-    const std::vector<NodeId>& ys = clustering_.members[b];
     pairs.add(1);
-    NodeId xb;
-    NodeId yb;
-    switch (selection_) {
-      case BorderSelection::kClosestPair: {
-        if (spatial_active()) {
-          // Both counters report *actual* work: the candidate-pair
-          // reduction vs the brute |a|·|b| count is the headline number
-          // of BENCH_topology_scaling.json.
-          QueryStats qs;
-          const BcpResult r = bichromatic_closest_pair(
-              cluster_sets_[a], cluster_sets_[b], *coords_, qs);
-          ensure(r.found(), "HfcTopology: empty cluster in BCP");
-          candidates.add(qs.point_evals);
-          visited.add(qs.nodes_visited);
-          xb = NodeId(r.x);
-          yb = NodeId(r.y);
-          break;
-        }
-        candidates.add(xs.size() * ys.size());
-        double best = std::numeric_limits<double>::infinity();
-        for (NodeId x : xs) {
-          for (NodeId y : ys) {
-            const double d = distance_(x, y);
-            if (d < best) {
-              best = d;
-              xb = x;
-              yb = y;
-            }
-          }
-        }
-        break;
-      }
-      case BorderSelection::kRandomPair: {
-        // Deterministic pseudo-random pick keyed on the cluster pair, so
-        // the ablation does not need to thread an Rng through here.
-        const std::uint64_t h = splitmix64((a << 20) ^ b);
-        xb = xs[h % xs.size()];
-        yb = ys[(h >> 20) % ys.size()];
-        break;
-      }
-      case BorderSelection::kSingleHub:
-        xb = hub[a];
-        yb = hub[b];
-        break;
-    }
-    ensure(xb.valid() && yb.valid(), "HfcTopology: border selection failed");
-    border_[a * c + b] = xb;
-    border_[b * c + a] = yb;
+    // Both counters report *actual* work: the candidate-pair reduction
+    // vs the brute |a|·|b| count is the headline number of
+    // BENCH_topology_scaling.json.
+    QueryStats qs;
+    const PairChoice pick = choose_border_pair(a, b, /*rescan=*/true, qs);
+    candidates.add(qs.point_evals);
+    visited.add(qs.nodes_visited);
+    border_[a * c + b] = pick.in_a;
+    border_[b * c + a] = pick.in_b;
   });
 
   for (std::size_t a = 0; a + 1 < c; ++a) {
@@ -193,38 +143,20 @@ HfcTopology::SurvivingPair HfcTopology::surviving_border_pair(
           "HfcTopology::surviving_border_pair: bad cluster pair");
   require(live_[from.idx()] && live_[toward.idx()],
           "HfcTopology::surviving_border_pair: dead cluster");
-  SurvivingPair pair;
   const NodeId stored_from = border_[from.idx() * c + toward.idx()];
   const NodeId stored_toward = border_[toward.idx() * c + from.idx()];
   if (!up || (up(stored_from) && up(stored_toward))) {
-    pair.in_from = stored_from;
-    pair.in_toward = stored_toward;
-    pair.length = distance_(stored_from, stored_toward);
-    pair.found = true;
-    return pair;
+    return {stored_from, stored_toward,
+            distance_(stored_from, stored_toward), true, false};
   }
-  // One end of the stored pair is down: re-scan the surviving members for
-  // the next-closest pair, with the same member-order tie-break a fresh
-  // §3.3 selection uses (strict improvement keeps the earliest argmin).
-  double best = std::numeric_limits<double>::infinity();
-  for (NodeId x : clustering_.members[from.idx()]) {
-    if (!up(x)) continue;
-    for (NodeId y : clustering_.members[toward.idx()]) {
-      if (!up(y)) continue;
-      const double d = distance_(x, y);
-      if (d < best) {
-        best = d;
-        pair.in_from = x;
-        pair.in_toward = y;
-      }
-    }
-  }
-  if (pair.in_from.valid()) {
-    pair.length = best;
-    pair.found = true;
-    pair.is_fallback = true;
-  }
-  return pair;
+  // One end of the stored pair is down: the closest pair among the
+  // surviving members, with the lex-min tie-break a fresh §3.3 selection
+  // uses (the accept predicate keeps closest_pair on its scan).
+  QueryStats qs;
+  const BcpResult r =
+      closest_pair(side(from.idx()), side(toward.idx()), distance_, qs, up);
+  if (!r.found()) return {};
+  return {NodeId(r.x), NodeId(r.y), r.dist, true, true};
 }
 
 bool HfcTopology::is_border(NodeId node) const {
@@ -519,7 +451,7 @@ void HfcTopology::repair_staged() {
 
   // Each task owns one cluster pair and writes only its own output slot;
   // the shared border table and reference counts are applied serially
-  // afterwards, exactly like the construction-time selection sweep.
+  // afterwards.
   struct Repair {
     std::size_t a = 0;
     std::size_t b = 0;
@@ -530,119 +462,13 @@ void HfcTopology::repair_staged() {
   parallel_for(pairs.size(), 1, [&](std::size_t i) {
     const std::size_t a = pairs[i] / c;
     const std::size_t b = pairs[i] % c;
-    const std::vector<NodeId>& xs = clustering_.members[a];
-    const std::vector<NodeId>& ys = clustering_.members[b];
-    NodeId xb;
-    NodeId yb;
-    switch (selection_) {
-      case BorderSelection::kClosestPair: {
-        const NodeId cur_x = border_[a * c + b];
-        const NodeId cur_y = border_[b * c + a];
-        double best = std::numeric_limits<double>::infinity();
-        if (full_pairs_.contains(pairs[i]) || !cur_x.valid()) {
-          rescans.add(1);
-          if (spatial_active()) {
-            QueryStats qs;
-            const BcpResult r = bichromatic_closest_pair(
-                cluster_sets_[a], cluster_sets_[b], *coords_, qs);
-            ensure(r.found(), "HfcTopology: empty cluster in BCP repair");
-            visited.add(qs.nodes_visited);
-            xb = NodeId(r.x);
-            yb = NodeId(r.y);
-            break;
-          }
-          for (NodeId x : xs) {
-            for (NodeId y : ys) {
-              const double d = distance_(x, y);
-              if (d < best) {
-                best = d;
-                xb = x;
-                yb = y;
-              }
-            }
-          }
-        } else if (spatial_active()) {
-          // Incumbent-vs-additions, one nearest query per added node in
-          // staged order. `hit.dist < best` mirrors the brute strict-`<`
-          // (a tie never displaces the incumbent), and the per-query
-          // smallest-id tie-break matches the ascending inner scan.
-          add_scans.add(1);
-          QueryStats qs;
-          best = distance_(cur_x, cur_y);
-          xb = cur_x;
-          yb = cur_y;
-          if (const auto it = staged_adds_.find(a); it != staged_adds_.end()) {
-            for (NodeId x : it->second) {
-              const SpatialHit hit = cluster_sets_[b].nearest(
-                  (*coords_)[x.idx()], best, qs);
-              if (hit.found() && hit.dist < best) {
-                best = hit.dist;
-                xb = x;
-                yb = NodeId(hit.id);
-              }
-            }
-          }
-          if (const auto it = staged_adds_.find(b); it != staged_adds_.end()) {
-            for (NodeId y : it->second) {
-              const SpatialHit hit = cluster_sets_[a].nearest(
-                  (*coords_)[y.idx()], best, qs);
-              if (hit.found() && hit.dist < best) {
-                best = hit.dist;
-                xb = NodeId(hit.id);
-                yb = y;
-              }
-            }
-          }
-          visited.add(qs.nodes_visited);
-        } else {
-          // The incumbent pair is still the argmin over the surviving old
-          // members; only the additions can beat it.
-          add_scans.add(1);
-          best = distance_(cur_x, cur_y);
-          xb = cur_x;
-          yb = cur_y;
-          if (const auto it = staged_adds_.find(a);
-              it != staged_adds_.end()) {
-            for (NodeId x : it->second) {
-              for (NodeId y : ys) {
-                const double d = distance_(x, y);
-                if (d < best) {
-                  best = d;
-                  xb = x;
-                  yb = y;
-                }
-              }
-            }
-          }
-          if (const auto it = staged_adds_.find(b);
-              it != staged_adds_.end()) {
-            for (NodeId y : it->second) {
-              for (NodeId x : xs) {
-                const double d = distance_(x, y);
-                if (d < best) {
-                  best = d;
-                  xb = x;
-                  yb = y;
-                }
-              }
-            }
-          }
-        }
-        break;
-      }
-      case BorderSelection::kRandomPair: {
-        const std::uint64_t h = splitmix64((a << 20) ^ b);
-        xb = xs[h % xs.size()];
-        yb = ys[(h >> 20) % ys.size()];
-        break;
-      }
-      case BorderSelection::kSingleHub:
-        xb = xs.front();
-        yb = ys.front();
-        break;
-    }
-    ensure(xb.valid() && yb.valid(), "HfcTopology: border repair failed");
-    out[i] = Repair{a, b, xb, yb};
+    QueryStats qs;
+    const PairChoice pick =
+        choose_border_pair(a, b, full_pairs_.contains(pairs[i]), qs);
+    if (pick.scan == PairScan::kFull) rescans.add(1);
+    if (pick.scan == PairScan::kAdds) add_scans.add(1);
+    visited.add(qs.nodes_visited);
+    out[i] = Repair{a, b, pick.in_a, pick.in_b};
   });
 
   for (const Repair& r : out) {
@@ -652,6 +478,62 @@ void HfcTopology::repair_staged() {
   staged_adds_.clear();
   touched_.clear();
   full_pairs_.clear();
+}
+
+PairSide HfcTopology::side(std::size_t cluster) const {
+  return PairSide{clustering_.members[cluster],
+                  spatial_active() ? &cluster_sets_[cluster] : nullptr};
+}
+
+HfcTopology::PairChoice HfcTopology::choose_border_pair(
+    std::size_t a, std::size_t b, bool rescan, QueryStats& stats) const {
+  const std::vector<NodeId>& xs = clustering_.members[a];
+  const std::vector<NodeId>& ys = clustering_.members[b];
+  switch (selection_) {
+    case BorderSelection::kClosestPair:
+      break;
+    case BorderSelection::kRandomPair: {
+      // Deterministic pseudo-random pick keyed on the cluster pair, so
+      // the ablation does not need to thread an Rng through here.
+      const std::uint64_t h = splitmix64((a << 20) ^ b);
+      return PairChoice{xs[h % xs.size()], ys[(h >> 20) % ys.size()]};
+    }
+    case BorderSelection::kSingleHub:
+      // Each cluster's lowest node id is its hub for every external link
+      // — the classic "one logical node" aggregation the paper argues
+      // against.
+      return PairChoice{xs.front(), ys.front()};
+  }
+  const std::size_t c = clustering_.cluster_count();
+  const NodeId cur_x = border_[a * c + b];
+  const NodeId cur_y = border_[b * c + a];
+  if (rescan || !cur_x.valid()) {
+    const BcpResult r = closest_pair(side(a), side(b), distance_, stats);
+    ensure(r.found(), "HfcTopology: border selection failed");
+    return PairChoice{NodeId(r.x), NodeId(r.y), PairScan::kFull};
+  }
+  // The incumbent pair is still the argmin over the surviving old
+  // members; only the additions can beat it, one nearest-member query
+  // per added node in staged order. Each query keeps only a strictly
+  // closer member, so a tie never displaces the incumbent.
+  BcpResult best{cur_x.value(), cur_y.value(), distance_(cur_x, cur_y)};
+  if (const auto it = staged_adds_.find(a); it != staged_adds_.end()) {
+    for (const NodeId x : it->second) {
+      const SpatialHit hit =
+          nearest_member(x, side(b), best.dist, distance_, stats);
+      if (hit.found()) best = BcpResult{x.value(), hit.id, hit.dist};
+    }
+  }
+  if (const auto it = staged_adds_.find(b); it != staged_adds_.end()) {
+    // Added nodes of b are the scan's `q`; keep distance_'s (a, b) order.
+    const auto to_b = [this](NodeId y, NodeId x) { return distance_(x, y); };
+    for (const NodeId y : it->second) {
+      const SpatialHit hit =
+          nearest_member(y, side(a), best.dist, to_b, stats);
+      if (hit.found()) best = BcpResult{hit.id, y.value(), hit.dist};
+    }
+  }
+  return PairChoice{NodeId(best.x), NodeId(best.y), PairScan::kAdds};
 }
 
 }  // namespace hfc

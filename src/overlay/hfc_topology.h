@@ -31,6 +31,7 @@
 
 #include "cluster/zahn.h"
 #include "overlay/overlay_network.h"
+#include "spatial/closest_pair.h"
 #include "spatial/dynamic_set.h"
 #include "util/ids.h"
 
@@ -99,8 +100,9 @@ class HfcTopology {
   /// not query the topology concurrently with a mutation (the batch repair
   /// itself fans across the thread pool internally). Border repair is
   /// equivalent to a from-scratch rebuild of the same membership under
-  /// kClosestPair up to exact distance ties (a fresh scan breaks ties by
-  /// member order; incremental repair keeps the incumbent pair).
+  /// kClosestPair up to exact distance ties (a fresh scan keeps the
+  /// lex-min (d, x, y) pair; incremental repair keeps the incumbent
+  /// unless an addition is strictly closer).
 
   /// Per-cluster generation stamp, bumped on every membership change of
   /// that cluster (including its death). Lets routers invalidate derived
@@ -160,10 +162,11 @@ class HfcTopology {
   /// The closest cross-cluster pair between `from` and `toward` among
   /// proxies the `up` predicate accepts — graceful degradation under
   /// crashes (DESIGN.md §10). When the stored border pair is fully up it
-  /// is returned unchanged (`is_fallback == false`); otherwise the member
-  /// sets are re-scanned exactly like a §3.3 closest-pair repair, keeping
-  /// member-order tie-breaking, and `is_fallback` is set. `found` is false
-  /// when one side has no surviving member. A null `up` accepts everyone.
+  /// is returned unchanged (`is_fallback == false`); otherwise the
+  /// surviving members are re-scanned for their lex-min (d, x, y) pair,
+  /// exactly like a §3.3 closest-pair repair, and `is_fallback` is set.
+  /// `found` is false when one side has no surviving member. A null `up`
+  /// accepts everyone.
   struct SurvivingPair {
     NodeId in_from;     ///< surviving border inside `from`
     NodeId in_toward;   ///< surviving border inside `toward`
@@ -241,6 +244,22 @@ class HfcTopology {
 
   /// The border-selection sweep shared by both constructors.
   void build_borders();
+
+  /// The border pair of live clusters a < b under selection_: the one
+  /// BorderSelection switch, shared by the construction sweep and
+  /// repair_staged. kClosestPair scans the whole pair when `rescan` is set
+  /// or no pair is stored; otherwise only the staged additions challenge
+  /// the stored pair. `scan` says which (kNone for the ablation rules).
+  enum class PairScan { kNone, kFull, kAdds };
+  struct PairChoice {
+    NodeId in_a, in_b;
+    PairScan scan = PairScan::kNone;
+  };
+  [[nodiscard]] PairChoice choose_border_pair(std::size_t a, std::size_t b,
+                                              bool rescan,
+                                              QueryStats& stats) const;
+  /// Cluster slot `cluster` as a closest-pair side.
+  [[nodiscard]] PairSide side(std::size_t cluster) const;
   /// Key identifying the unordered cluster pair {a, b} in repair staging.
   [[nodiscard]] std::size_t pair_key(std::size_t a, std::size_t b) const;
   /// Overwrite one border slot, maintaining the per-node reference counts.

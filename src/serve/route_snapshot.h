@@ -7,7 +7,7 @@
 // tier, a clone of the HFC topology (borders, liveness, generation
 // stamps), a router whose SCT_C is derived from that frozen membership,
 // and the crash state — into one immutable object published RCU-style by
-// the ServingEngine (atomic shared_ptr swap). Reader threads route
+// the ServingEngine (shared_ptr swap under a mutex). Reader threads route
 // against whatever snapshot they loaded with no locks and no risk of a
 // torn topology; the publisher captures a fresh snapshot whenever
 // `HfcTopology::structure_generation()` advances or the crash set

@@ -84,7 +84,11 @@ bool ServingEngine::publish(std::vector<NodeId> crashed) {
   std::shared_ptr<const RouteSnapshot> snap =
       RouteSnapshot::capture(net, topo, dist, crashed, crash_epoch_);
   last_crashed_ = std::move(crashed);
-  snapshot_.store(std::move(snap), std::memory_order_release);
+  {
+    // Swap under the lock; the old snapshot dies outside it.
+    const std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(snap);
+  }
   publishes.add(1);
   publish_ms.observe(ms_since(start));
   return true;

@@ -4,7 +4,8 @@
 //   publish()  — RCU-style snapshot publication: when the live
 //                topology's structure generation has advanced (or the
 //                crash set changed), capture a fresh RouteSnapshot and
-//                swap it into an atomic shared_ptr. Readers holding the
+//                swap it into the published shared_ptr under a mutex
+//                held only for the pointer swap. Readers holding the
 //                old snapshot keep serving it untouched.
 //   serve()    — answer one *wave* of requests against the current
 //                snapshot: requests with identical (source, destination,
@@ -21,14 +22,14 @@
 //
 // serve() itself is externally synchronized (one dispatcher thread per
 // engine — the deterministic-wave contract is per call anyway);
-// concurrent *readers* that grab current() and route against it
-// lock-free are the supported concurrent path.
+// concurrent *readers* that grab current() and route against it are
+// the supported concurrent path.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -81,10 +82,12 @@ class ServingEngine {
   bool publish() { return publish(last_crashed_); }
   bool publish(std::vector<NodeId> crashed);
 
-  /// The currently published snapshot. Lock-free; callers may route
-  /// against it from any thread while the engine publishes newer ones.
+  /// The currently published snapshot. Callers may route against it
+  /// from any thread while the engine publishes newer ones; the lock
+  /// covers only the pointer copy.
   [[nodiscard]] std::shared_ptr<const RouteSnapshot> current() const {
-    return snapshot_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(snapshot_mu_);
+    return snapshot_;
   }
 
   /// Serve one wave of requests against the current snapshot. Returns
@@ -107,7 +110,10 @@ class ServingEngine {
   ShardedRouteCache cache_;
   std::vector<NodeId> last_crashed_;
   std::uint64_t crash_epoch_ = 0;
-  std::atomic<std::shared_ptr<const RouteSnapshot>> snapshot_;
+  /// The published snapshot, behind a mutex: ThreadSanitizer reports
+  /// libstdc++ 12's lock-bit std::atomic<std::shared_ptr> as a race.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const RouteSnapshot> snapshot_;
 };
 
 }  // namespace hfc::serve

@@ -58,6 +58,8 @@ class DynamicSpatialSet {
     return live_;
   }
   [[nodiscard]] std::size_t live_size() const { return live_.size(); }
+  /// The coordinate array the ids index (null before bulk_load).
+  [[nodiscard]] const std::vector<Point>* coords() const { return coords_; }
 
   /// Nearest live point to `q` within `bound` (inclusive), smallest id
   /// on distance ties — the same answer a strict-`<` ascending scan of

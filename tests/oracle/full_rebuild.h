@@ -1,18 +1,25 @@
 // Full-rebuild churn oracle: routing state built from scratch over a
 // DynamicHfcOverlay's current active set.
 //
-// The overlay's dense inspection view (`view_network`, `view_topology`)
-// is a fresh OverlayNetwork + closest-pair HfcTopology over the active
-// nodes in ascending universe order, clustered by the maintained labels.
-// This oracle adds a fresh CoordDistanceService and
-// HierarchicalServiceRouter over that view and maps dense ids back to
-// universe ids in the same ascending-active order, so its answers are
-// what a from-scratch rebuild after every mutation would give. The
-// incremental churn engine must agree with it: same partition, same
-// border pairs, same routes.
+// The oracle densifies the active set, read through the overlay's public
+// universe accessors: dense index d is the d-th active node in ascending
+// universe order, and the maintained cluster labels (the universe
+// topology's slot ids) compact to dense cluster ids by ascending label
+// value. Over that view it builds a fresh CoordDistanceService,
+// OverlayNetwork, closest-pair HfcTopology and HierarchicalServiceRouter,
+// and maps dense ids back to universe ids, so its answers are what a
+// from-scratch rebuild after every mutation would give. The incremental
+// churn engine must agree with it: same partition, same border pairs,
+// same routes.
 //
-// The view belongs to the overlay and is replaced on its next mutation:
-// build an oracle after mutating, and drop it before mutating again.
+// The ascending compaction keeps the dense cluster ids in the relative
+// order of the universe topology's live slots; with the router's
+// canonical state-key tie-breaking, a router over the view resolves
+// exact-cost CSP ties to the same route as the universe router
+// (DESIGN.md §9 (b)).
+//
+// The oracle is a standalone copy: it stays valid, and stale, after the
+// overlay mutates again.
 #pragma once
 
 #include <algorithm>
@@ -24,29 +31,33 @@
 
 #include "distance/coord_distance.h"
 #include "dynamic/dynamic_overlay.h"
+#include "overlay/hfc_topology.h"
+#include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
 
 namespace hfc::oracle {
 
 class FullRebuild {
  public:
-  explicit FullRebuild(DynamicHfcOverlay& overlay)
-      : net_(overlay.view_network()),
-        topo_(overlay.view_topology()),
-        dist_(view_coords(net_)),
-        router_(net_, topo_, dist_),
-        universe_to_dense_(overlay.universe_size(), -1) {
-    for (std::size_t v = 0; v < overlay.universe_size(); ++v) {
-      const NodeId node(static_cast<std::int32_t>(v));
-      if (!overlay.is_active(node)) continue;
-      universe_to_dense_[v] =
-          static_cast<std::int32_t>(dense_to_universe_.size());
-      dense_to_universe_.push_back(node);
+  explicit FullRebuild(const DynamicHfcOverlay& overlay)
+      : dense_to_universe_(active_nodes(overlay)),
+        universe_to_dense_(overlay.universe_size(), -1),
+        dist_(view_coords(overlay, dense_to_universe_)),
+        net_(dist_.coords(), view_placement(overlay, dense_to_universe_)),
+        topo_(view_clustering(overlay, dense_to_universe_), dist_),
+        router_(net_, topo_, dist_) {
+    for (std::size_t d = 0; d < dense_to_universe_.size(); ++d) {
+      universe_to_dense_[dense_to_universe_[d].idx()] =
+          static_cast<std::int32_t>(d);
     }
   }
 
   FullRebuild(const FullRebuild&) = delete;
   FullRebuild& operator=(const FullRebuild&) = delete;
+
+  /// The dense view; ids in it are dense indices, not universe ids.
+  [[nodiscard]] const OverlayNetwork& network() const { return net_; }
+  [[nodiscard]] const HfcTopology& topology() const { return topo_; }
 
   [[nodiscard]] std::size_t cluster_count() const {
     return topo_.cluster_count();
@@ -105,13 +116,59 @@ class FullRebuild {
   }
 
  private:
-  static std::vector<Point> view_coords(const OverlayNetwork& net) {
+  static std::vector<NodeId> active_nodes(const DynamicHfcOverlay& overlay) {
+    std::vector<NodeId> nodes;
+    for (std::size_t v = 0; v < overlay.universe_size(); ++v) {
+      const NodeId node(static_cast<std::int32_t>(v));
+      if (overlay.is_active(node)) nodes.push_back(node);
+    }
+    return nodes;
+  }
+
+  static std::vector<Point> view_coords(const DynamicHfcOverlay& overlay,
+                                        const std::vector<NodeId>& nodes) {
     std::vector<Point> coords;
-    coords.reserve(net.size());
-    for (std::size_t d = 0; d < net.size(); ++d) {
-      coords.push_back(net.coordinate(NodeId(static_cast<std::int32_t>(d))));
+    coords.reserve(nodes.size());
+    for (const NodeId node : nodes) {
+      coords.push_back(overlay.universe_network().coordinate(node));
     }
     return coords;
+  }
+
+  static ServicePlacement view_placement(const DynamicHfcOverlay& overlay,
+                                         const std::vector<NodeId>& nodes) {
+    ServicePlacement placement;
+    placement.reserve(nodes.size());
+    for (const NodeId node : nodes) {
+      placement.push_back(overlay.universe_network().services_at(node));
+    }
+    return placement;
+  }
+
+  /// Universe cluster slots compacted by ascending label value (slots
+  /// have holes once leaves empty a cluster).
+  static Clustering view_clustering(const DynamicHfcOverlay& overlay,
+                                    const std::vector<NodeId>& nodes) {
+    const HfcTopology& topo = overlay.universe_topology();
+    std::vector<ClusterId> labels;
+    labels.reserve(nodes.size());
+    for (const NodeId node : nodes) labels.push_back(topo.cluster_of(node));
+    std::vector<ClusterId> distinct = labels;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    Clustering clustering;
+    clustering.assignment.resize(nodes.size());
+    clustering.members.resize(distinct.size());
+    for (std::size_t d = 0; d < nodes.size(); ++d) {
+      const ClusterId dense(static_cast<std::int32_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), labels[d]) -
+          distinct.begin()));
+      clustering.assignment[d] = dense;
+      clustering.members[dense.idx()].emplace_back(
+          static_cast<std::int32_t>(d));
+    }
+    return clustering;
   }
 
   [[nodiscard]] NodeId universe(NodeId dense) const {
@@ -128,12 +185,12 @@ class FullRebuild {
     for (ServiceHop& hop : path.hops) hop.proxy = universe(hop.proxy);
   }
 
-  const OverlayNetwork& net_;
-  const HfcTopology& topo_;
-  CoordDistanceService dist_;
-  HierarchicalServiceRouter router_;
   std::vector<NodeId> dense_to_universe_;
   std::vector<std::int32_t> universe_to_dense_;
+  CoordDistanceService dist_;
+  OverlayNetwork net_;
+  HfcTopology topo_;
+  HierarchicalServiceRouter router_;
 };
 
 }  // namespace hfc::oracle

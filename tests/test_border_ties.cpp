@@ -1,0 +1,192 @@
+// Exact-tie border selection. On the block lattice (block_lattice.h)
+// adjacent blocks are exactly 8 apart across three node pairs, so every
+// border choice is a tie break, and the §3.3 rule breaks it to the
+// lex-min (x, y) pair. Every place that chooses a border pair must agree
+// with a brute all-pairs oracle: HfcTopology's construction, its
+// full-rescan and add-scan churn repairs, its crash fallback
+// (surviving_border_pair), and a levels = 1 MultiLevelHierarchy over the
+// same clusters. Each runs with the spatial index forced on and off, over
+// clusters of one block (9 proxies, below DynamicSpatialSet's brute
+// threshold) and of four blocks (36 proxies, above it).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "block_lattice.h"
+#include "distance/coord_distance.h"
+#include "env_guard.h"
+#include "multilevel/multilevel_hierarchy.h"
+#include "obs/metrics.h"
+#include "overlay/hfc_topology.h"
+#include "spatial/dynamic_set.h"
+
+namespace hfc {
+namespace {
+
+using Pair = std::pair<NodeId, NodeId>;
+
+/// The lattice, one cluster per block or per 2 x 2 quad of blocks. For
+/// quads the blocks move apart by 20 per quad step, so blocks inside a
+/// quad still tie at 8 while quads tie at 28 (six pairs each).
+std::vector<Point> lattice_coords(bool quads) {
+  std::vector<Point> coords = block_lattice().coords;
+  if (quads) {
+    for (Point& p : coords) {
+      for (double& v : p) v += 20.0 * static_cast<int>(v / 20.0);
+    }
+  }
+  return coords;
+}
+
+/// Leaf clustering that yields exactly the blocks or the quads.
+MultiLevelParams bi_level(bool quads) {
+  MultiLevelParams params;
+  params.levels = 1;
+  params.leaf_zahn = ZahnParams{};
+  if (quads) params.leaf_zahn.inconsistency_factor = 10.0;
+  return params;
+}
+
+/// The hierarchy's leaf groups as a flat clustering (cluster i is the
+/// i-th level-1 group).
+Clustering leaf_clustering(const MultiLevelHierarchy& h) {
+  Clustering clustering;
+  clustering.assignment.resize(h.node_count());
+  for (const std::size_t leaf : h.groups_at(1)) {
+    const ClusterId id(static_cast<std::int32_t>(clustering.members.size()));
+    for (const NodeId n : h.group(leaf).nodes) {
+      clustering.assignment[n.idx()] = id;
+    }
+    clustering.members.push_back(h.group(leaf).nodes);
+  }
+  return clustering;
+}
+
+/// Brute all-pairs oracle: the lex-min (d, x, y) over x ∈ xs, y ∈ ys
+/// that `up` admits (null admits everyone).
+Pair oracle_pair(const std::vector<Point>& coords,
+                 const std::vector<NodeId>& xs, const std::vector<NodeId>& ys,
+                 const std::function<bool(NodeId)>& up = nullptr) {
+  std::tuple<double, NodeId, NodeId> best{
+      std::numeric_limits<double>::infinity(), NodeId{}, NodeId{}};
+  for (const NodeId x : xs) {
+    for (const NodeId y : ys) {
+      if (up && (!up(x) || !up(y))) continue;
+      best = std::min(best, std::make_tuple(
+                                euclidean(coords[x.idx()], coords[y.idx()]),
+                                x, y));
+    }
+  }
+  return {std::get<1>(best), std::get<2>(best)};
+}
+
+ClusterId cluster(std::size_t c) {
+  return ClusterId(static_cast<std::int32_t>(c));
+}
+
+/// Every stored border pair of `topo` is the oracle's.
+void expect_oracle_borders(const HfcTopology& topo,
+                           const std::vector<Point>& coords) {
+  for (std::size_t a = 0; a < topo.cluster_count(); ++a) {
+    for (std::size_t b = a + 1; b < topo.cluster_count(); ++b) {
+      const Pair want = oracle_pair(coords, topo.members(cluster(a)),
+                                    topo.members(cluster(b)));
+      EXPECT_EQ(Pair(topo.border(cluster(a), cluster(b)),
+                     topo.border(cluster(b), cluster(a))),
+                want)
+          << "clusters " << a << " and " << b;
+    }
+  }
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
+void check_lex_min_everywhere(bool quads, bool spatial) {
+  SCOPED_TRACE(testing::Message() << (quads ? "quads" : "blocks")
+                                  << (spatial ? ", spatial" : ", brute"));
+  const EnvGuard min_n("HFC_SPATIAL_MIN_N", spatial ? "2" : kAboveAnyN);
+  std::vector<Point> coords = lattice_coords(quads);
+  const MultiLevelHierarchy hierarchy(coords, bi_level(quads));
+  const std::vector<std::size_t>& leaves = hierarchy.groups_at(1);
+  const std::size_t size = quads ? 36 : 9;
+  ASSERT_EQ(leaves.size(), coords.size() / size);
+  ASSERT_EQ(size > DynamicSpatialSet::kBruteThreshold, quads);
+
+  // A levels = 1 hierarchy: the root's children are the clusters.
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    ASSERT_EQ(hierarchy.group(leaves[i]).nodes.size(), size);
+    for (std::size_t j = i + 1; j < leaves.size(); ++j) {
+      EXPECT_EQ(Pair(hierarchy.border(leaves[i], leaves[j]),
+                     hierarchy.border(leaves[j], leaves[i])),
+                oracle_pair(coords, hierarchy.group(leaves[i]).nodes,
+                            hierarchy.group(leaves[j]).nodes))
+          << "sibling groups " << i << " and " << j;
+    }
+  }
+
+  // Construction.
+  CoordDistanceService dist(coords);
+  HfcTopology topo(leaf_clustering(hierarchy), dist);
+  ASSERT_EQ(topo.spatial_active(), spatial);
+  expect_oracle_borders(topo, coords);
+
+  // Full-rescan repair: remove the end in cluster 0 of its border pair
+  // with cluster 1. On the lattice the next pair ties it.
+  const NodeId removed = topo.border(cluster(0), cluster(1));
+  const std::uint64_t rescans = counter("churn.border_rescans");
+  topo.on_member_removed(removed);
+  EXPECT_GT(counter("churn.border_rescans"), rescans);
+  expect_oracle_borders(topo, coords);
+
+  // Add-scan repair: a new node at the removed node's place joins
+  // cluster 0, tying every pair the removed node was part of. A tie
+  // never displaces the incumbent, whose ids are all smaller.
+  const NodeId added(static_cast<std::int32_t>(coords.size()));
+  coords.push_back(coords[removed.idx()]);
+  dist.append(coords.back());
+  topo.append_node();
+  const std::uint64_t add_scans = counter("churn.border_add_scans");
+  const std::uint64_t rescans_before_add = counter("churn.border_rescans");
+  topo.on_member_added(added, cluster(0));
+  EXPECT_GT(counter("churn.border_add_scans"), add_scans);
+  EXPECT_EQ(counter("churn.border_rescans"), rescans_before_add);
+  expect_oracle_borders(topo, coords);
+
+  // Crash fallback: crash either end of each stored pair.
+  for (std::size_t a = 0; a < topo.cluster_count(); ++a) {
+    for (std::size_t b = a + 1; b < topo.cluster_count(); ++b) {
+      for (const NodeId crashed : {topo.border(cluster(a), cluster(b)),
+                                   topo.border(cluster(b), cluster(a))}) {
+        const auto up = [crashed](NodeId n) { return n != crashed; };
+        const HfcTopology::SurvivingPair got =
+            topo.surviving_border_pair(cluster(a), cluster(b), up);
+        ASSERT_TRUE(got.found);
+        EXPECT_TRUE(got.is_fallback);
+        EXPECT_EQ(Pair(got.in_from, got.in_toward),
+                  oracle_pair(coords, topo.members(cluster(a)),
+                              topo.members(cluster(b)), up))
+            << "clusters " << a << " and " << b << ", crashed " << crashed;
+      }
+    }
+  }
+}
+
+TEST(BorderPairTies, LexMinPairWhereverBordersAreChosen) {
+  for (const bool quads : {false, true}) {
+    for (const bool spatial : {true, false}) {
+      check_lex_min_everywhere(quads, spatial);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace hfc

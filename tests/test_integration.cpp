@@ -8,6 +8,7 @@
 #include "core/experiment.h"
 #include "core/framework.h"
 #include "dynamic/dynamic_overlay.h"
+#include "oracle/full_rebuild.h"
 #include "qos/qos_manager.h"
 #include "sim/state_protocol.h"
 
@@ -155,7 +156,7 @@ TEST(Integration, QosAdmissionOnFramework) {
 
 TEST(Integration, ProtocolConvergesOnChurnedTopology) {
   // After churn reshapes the clustering, the §4 protocol still converges
-  // on the dynamic overlay's current view.
+  // on a dense rebuild of the dynamic overlay's active set.
   const auto fw = HfcFramework::build(small_config(43));
   ServicePlacement placement;
   for (NodeId p : fw->overlay().all_nodes()) {
@@ -173,9 +174,9 @@ TEST(Integration, ProtocolConvergesOnChurnedTopology) {
     overlay.deactivate(victim);
     if (i % 2 == 0) overlay.activate(victim);
   }
-  const OverlayNetwork& view = overlay.view_network();
-  StateProtocolSim protocol(view, overlay.view_topology(),
-                            view.coord_distance_fn());
+  const oracle::FullRebuild view(overlay);
+  StateProtocolSim protocol(view.network(), view.topology(),
+                            view.network().coord_distance_fn());
   protocol.run();
   EXPECT_TRUE(protocol.fully_converged());
 }

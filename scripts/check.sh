@@ -14,7 +14,10 @@
 #      suites) with a 4-thread pool, so data races in the registry, the
 #      pool, the sharded LRU or the batched border repair fail loudly;
 #      the oracle-backed equivalence suites run again at 3 threads, since
-#      an odd pool size chunks parallel loops unevenly; then reduced
+#      an odd pool size chunks parallel loops unevenly, and the MST and
+#      spatial suites again at 2; the digest suites (ChaosSuite,
+#      StreamingChaosSuite, ServeTornRead: serial == replay == threaded)
+#      run at 2 and 3 threads as well — the determinism matrix; then reduced
 #      bench_churn_dynamic, bench_topology_scaling (spatial index and
 #      group-local pipeline forced on, so the parallel per-component
 #      scans run under TSan), bench_serving_throughput (the
@@ -70,7 +73,9 @@ cmake --build build-tsan -j"$JOBS"
 HFC_THREADS=4 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'Obs|Metrics|Trace|ThreadPool|Parallel|StateProtocol|Simulator|Distance|RowCache|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming'
 HFC_THREADS=3 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
-  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|MultiLevelRouter|BiLevel|BorderPairTies'
+  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|MultiLevelRouter|BiLevel|BorderPairTies|ChaosSuite|StreamingChaosSuite|ServeTornRead'
+HFC_THREADS=2 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
+  -R 'MstAlgo|Mst|GroupPipeline|SpatialEquivalence|SpatialKdTree|SpatialDynamicSet|ChaosSuite|StreamingChaosSuite|ServeTornRead'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \
   HFC_WAVES=2 HFC_BENCH_JSON=0 ./build-tsan/bench/bench_churn_dynamic
 # Group-local pipeline forced on at reduced n (floor 2, small cells), so

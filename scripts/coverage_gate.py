@@ -16,7 +16,8 @@ import os
 import subprocess
 import sys
 
-MONITORED = ("src/cluster/group_pipeline", "src/cluster/mst",
+MONITORED = ("src/cluster/boruvka", "src/cluster/group_pipeline",
+             "src/cluster/mst",
              "src/cluster/zahn", "src/fault", "src/multilevel", "src/routing",
              "src/serve", "src/sim", "src/spatial", "src/streaming")
 DEFAULT_FLOOR = 90.0

@@ -15,7 +15,7 @@
 //     disjoint UnionFind ranges, labels, margins, edge lists — so the
 //     phase is deterministic for any thread count.
 //   finish — the residual forest merges under the ordinary global
-//     pruned sweep, seeded with per-point lower bounds on the distance
+//     pruned sweep (boruvka::global_sweep), seeded with per-point lower bounds on the distance
 //     to the nearest foreign point (min of the last local answer and the
 //     cell margin). The bound is monotone — components only grow, so the
 //     foreign set only shrinks — and lets interior points skip their
@@ -36,6 +36,7 @@
 #include <limits>
 #include <numeric>
 
+#include "cluster/boruvka.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/env.h"
@@ -47,44 +48,6 @@ namespace hfc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Disjoint-set over node indices (path-halving). The local phase only
-/// ever touches slots of one cell per task — parent pointers stay inside
-/// a component, components stay inside their cell — so concurrent cells
-/// share one instance without races.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  /// False when a and b were already connected.
-  bool unite(std::size_t a, std::size_t b) {
-    const std::size_t ra = find(a);
-    const std::size_t rb = find(b);
-    if (ra == rb) return false;
-    parent_[ra] = rb;
-    return true;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-/// True when candidate (d, a, b) improves on the incumbent under the
-/// canonical lexicographic edge order.
-[[nodiscard]] bool edge_improves(double d, std::size_t a, std::size_t b,
-                                 double bd, std::size_t ba, std::size_t bb) {
-  if (d != bd) return d < bd;
-  if (a != ba) return a < ba;
-  return b < bb;
-}
 
 /// One partition cell: ids[begin, end) plus the closed axis-aligned box
 /// accumulated from the split planes on the path to the cell. Points of
@@ -101,7 +64,7 @@ struct Cell {
 /// halves inherit the split value as a face: the left keeps values <=
 /// split, the right >= split (ties on the plane go either way, which is
 /// why the margin test below must be strict).
-void partition_cells(const std::vector<Point>& pts,
+void partition_cells(const PointSet& pts,
                      std::vector<std::size_t>& ids, std::size_t begin,
                      std::size_t end, std::size_t limit,
                      std::vector<double> lo, std::vector<double> hi,
@@ -110,10 +73,9 @@ void partition_cells(const std::vector<Point>& pts,
     out.push_back(Cell{begin, end, std::move(lo), std::move(hi)});
     return;
   }
-  const std::size_t dim = pts[ids[begin]].size();
   std::size_t axis = 0;
   double widest = -1.0;
-  for (std::size_t d = 0; d < dim; ++d) {
+  for (std::size_t d = 0; d < pts.dim(); ++d) {
     double min_v = pts[ids[begin]][d];
     double max_v = min_v;
     for (std::size_t p = begin + 1; p < end; ++p) {
@@ -152,7 +114,8 @@ void partition_cells(const std::vector<Point>& pts,
 /// monotone IEEE rounding gives euclidean(v, p) >= margin_for(v) for
 /// every cross-cell p. Infinite when the cell is unbounded on all axes
 /// (single-cell inputs).
-[[nodiscard]] double margin_for(const Point& v, const std::vector<double>& lo,
+[[nodiscard]] double margin_for(std::span<const double> v,
+                                const std::vector<double>& lo,
                                 const std::vector<double>& hi) {
   double best_sq = kInf;
   for (std::size_t d = 0; d < v.size(); ++d) {
@@ -188,7 +151,7 @@ std::size_t group_pipeline_group_limit() {
   return env_size_t("HFC_ML_PAR_GROUP", 4096, 2);
 }
 
-std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
+std::vector<MstEdge> euclidean_mst_grouped(const PointSet& points,
                                            std::size_t group_limit) {
   HFC_TRACE_SPAN("cluster.mst");
   auto& registry = obs::MetricsRegistry::global();
@@ -198,7 +161,7 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
   if (n <= 1) return edges;
   edges.reserve(n - 1);
   if (group_limit == 0) group_limit = group_pipeline_group_limit();
-  const std::size_t dim = points.front().size();
+  const std::size_t dim = points.dim();
 
   const Clock::time_point t_partition = Clock::now();
   std::vector<std::size_t> ids(n);
@@ -210,7 +173,7 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
   registry.counter("construct.partition_us").add(elapsed_us(t_partition));
 
   const Clock::time_point t_local = Clock::now();
-  UnionFind uf(n);
+  boruvka::UnionFind uf(n);
   std::vector<std::int32_t> labels(n, 0);
   std::vector<double> margin(n, kInf);       // per-point cell-boundary floor
   std::vector<double> comp_margin(n, kInf);  // min member margin, by root
@@ -248,14 +211,9 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
           members.begin());
     };
 
-    // Per-cell CSR scratch, indexed by member position.
-    std::vector<std::int32_t> root_slot(m, -1);
-    std::vector<std::size_t> comp_of(m);  // slot of member i this round
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> comp_members(m);
-    std::vector<double> cand_d;
-    std::vector<std::size_t> cand_a;
-    std::vector<std::size_t> cand_b;
+    // Per-cell component lists, by member position.
+    boruvka::ComponentGroups comps(m);
+    std::vector<boruvka::Candidate> cand;
     std::vector<double> cand_margin;
 
     while (out.size() + 1 < m) {
@@ -264,74 +222,27 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
             static_cast<std::int32_t>(uf.find(static_cast<std::size_t>(id)));
       }
       set.retag(labels);
-
-      // Group members by component, first-seen ascending-member order.
-      std::size_t num_comps = 0;
-      std::vector<std::size_t> comp_roots;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t rp =
-            member_pos(labels[static_cast<std::size_t>(members[i])]);
-        if (root_slot[rp] < 0) {
-          root_slot[rp] = static_cast<std::int32_t>(num_comps++);
-          comp_roots.push_back(rp);
-        }
-        comp_of[i] = static_cast<std::size_t>(root_slot[rp]);
-      }
-      if (num_comps <= 1) {
-        for (const std::size_t rp : comp_roots) root_slot[rp] = -1;
-        break;
-      }
-      offsets.assign(num_comps + 1, 0);
-      for (std::size_t i = 0; i < m; ++i) ++offsets[comp_of[i] + 1];
-      for (std::size_t c = 0; c < num_comps; ++c) offsets[c + 1] += offsets[c];
-      {
-        std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-        for (std::size_t i = 0; i < m; ++i) {
-          comp_members[cursor[comp_of[i]]++] = i;
-        }
-      }
+      comps.group(m, [&](std::size_t i) {
+        return member_pos(labels[static_cast<std::size_t>(members[i])]);
+      });
+      const std::size_t num_comps = comps.count();
+      if (num_comps <= 1) break;
 
       // Scan each component with a shrinking inclusive bound, skipping
       // members whose lower bound already rules them out.
-      cand_d.assign(num_comps, kInf);
-      cand_a.assign(num_comps, 0);
-      cand_b.assign(num_comps, 0);
+      cand.assign(num_comps, boruvka::Candidate{});
       cand_margin.assign(num_comps, kInf);
       for (std::size_t c = 0; c < num_comps; ++c) {
-        const std::int32_t label = labels[static_cast<std::size_t>(
-            members[comp_members[offsets[c]]])];
-        cand_margin[c] = comp_margin[static_cast<std::size_t>(label)];
-        double best_d = kInf;
-        std::size_t best_a = 0;
-        std::size_t best_b = 0;
-        for (std::size_t k = offsets[c]; k < offsets[c + 1]; ++k) {
-          const auto v =
-              static_cast<std::size_t>(members[comp_members[k]]);
-          if (lb[v] > best_d) {
-            ++cell_skips[ci];
-            continue;
-          }
-          const SpatialHit hit =
-              set.nearest_foreign(points[v], label, best_d, st);
-          if (hit.found()) {
-            lb[v] = hit.dist;
-            const auto u = static_cast<std::size_t>(hit.id);
-            const std::size_t a = std::min(v, u);
-            const std::size_t b = std::max(v, u);
-            if (edge_improves(hit.dist, a, b, best_d, best_a, best_b)) {
-              best_d = hit.dist;
-              best_a = a;
-              best_b = b;
-            }
-          } else {
-            lb[v] = std::max(lb[v], best_d);
-          }
-        }
-        cand_d[c] = best_d;
-        cand_a[c] = best_a;
-        cand_b[c] = best_b;
+        const std::size_t root =
+            static_cast<std::size_t>(members[comps.key(c)]);
+        cand_margin[c] = comp_margin[root];
+        cand[c] = boruvka::cheapest_outgoing(
+            set, points, static_cast<std::int32_t>(root), comps.members(c),
+            [&members](std::size_t i) {
+              return static_cast<std::size_t>(members[i]);
+            },
+            lb.data(), st, cell_skips[ci]);
       }
-      for (const std::size_t rp : comp_roots) root_slot[rp] = -1;
 
       // Margin-safe contraction: apply only candidates strictly inside
       // the component's cell-boundary floor — those are globally minimal
@@ -339,14 +250,14 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
       // in the unique (d, a, b)-lexicographic MST.
       bool progress = false;
       for (std::size_t c = 0; c < num_comps; ++c) {
-        if (!(cand_d[c] < cand_margin[c])) continue;
-        const std::size_t ra = uf.find(cand_a[c]);
-        const std::size_t rb = uf.find(cand_b[c]);
+        if (!(cand[c].d < cand_margin[c])) continue;
+        const std::size_t ra = uf.find(cand[c].a);
+        const std::size_t rb = uf.find(cand[c].b);
         if (ra == rb) continue;  // mutual selection, already merged
         const double merged = std::min(comp_margin[ra], comp_margin[rb]);
         uf.unite(ra, rb);
         comp_margin[uf.find(ra)] = merged;
-        out.push_back(MstEdge{cand_a[c], cand_b[c], cand_d[c]});
+        out.push_back(MstEdge{cand[c].a, cand[c].b, cand[c].d});
         progress = true;
       }
       if (!progress) break;
@@ -365,119 +276,23 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
   registry.counter("construct.local_mst_us").add(elapsed_us(t_local));
 
   const Clock::time_point t_finish = Clock::now();
-  QueryStats total;
-  std::uint64_t lb_skips = 0;
+  boruvka::SweepStats stats;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     edges.insert(edges.end(), cell_edges[ci].begin(), cell_edges[ci].end());
-    total += cell_stats[ci];
-    lb_skips += cell_skips[ci];
+    stats.queries += cell_stats[ci];
+    stats.lb_skips += cell_skips[ci];
   }
-
+  // Finish: the pruned global sweep over the seeded forest, with the
+  // lower-bound skip layered on.
   if (edges.size() + 1 < n) {
-    // Finish: the ordinary pruned global sweep (cluster/mst.cpp) over
-    // the seeded forest, with the lower-bound skip layered on. A member
-    // whose bound exceeds the component's incumbent cannot improve it —
-    // its query would miss at that bound — so skipping is exact, and
-    // ties (lb == best) still query so the (a, b) tie-break is
-    // preserved.
-    KdTree index(points);
-    std::vector<double> cand_d(n, kInf);
-    std::vector<std::size_t> cand_a(n, 0);
-    std::vector<std::size_t> cand_b(n, 0);
-    std::vector<std::int32_t> root_slot(n, -1);
-    std::vector<std::size_t> comp_roots;
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> members(n);
-    std::vector<QueryStats> comp_stats;
-    std::vector<std::uint64_t> comp_skips;
-
-    while (edges.size() + 1 < n) {
-      for (std::size_t v = 0; v < n; ++v) {
-        labels[v] = static_cast<std::int32_t>(uf.find(v));
-      }
-      index.retag(labels);
-
-      std::size_t num_comps = 0;
-      comp_roots.clear();
-      for (std::size_t v = 0; v < n; ++v) {
-        const auto root = static_cast<std::size_t>(labels[v]);
-        if (root_slot[root] < 0) {
-          root_slot[root] = static_cast<std::int32_t>(num_comps++);
-          comp_roots.push_back(root);
-        }
-      }
-      offsets.assign(num_comps + 1, 0);
-      for (std::size_t v = 0; v < n; ++v) {
-        ++offsets[static_cast<std::size_t>(
-                      root_slot[static_cast<std::size_t>(labels[v])]) +
-                  1];
-      }
-      for (std::size_t c = 0; c < num_comps; ++c) offsets[c + 1] += offsets[c];
-      {
-        std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-        for (std::size_t v = 0; v < n; ++v) {
-          members[cursor[static_cast<std::size_t>(
-              root_slot[static_cast<std::size_t>(labels[v])])]++] = v;
-        }
-      }
-      comp_stats.assign(num_comps, QueryStats{});
-      comp_skips.assign(num_comps, 0);
-      parallel_for(num_comps, 16, [&](std::size_t c) {
-        const std::size_t root = comp_roots[c];
-        const auto label = static_cast<std::int32_t>(root);
-        double best_d = kInf;
-        std::size_t best_a = 0;
-        std::size_t best_b = 0;
-        QueryStats& st = comp_stats[c];
-        for (std::size_t k = offsets[c]; k < offsets[c + 1]; ++k) {
-          const std::size_t v = members[k];
-          if (lb[v] > best_d) {
-            ++comp_skips[c];
-            continue;
-          }
-          const SpatialHit hit =
-              index.nearest_foreign(points[v], label, best_d, st);
-          if (hit.found()) {
-            lb[v] = hit.dist;
-            const auto u = static_cast<std::size_t>(hit.id);
-            const std::size_t a = std::min(v, u);
-            const std::size_t b = std::max(v, u);
-            if (edge_improves(hit.dist, a, b, best_d, best_a, best_b)) {
-              best_d = hit.dist;
-              best_a = a;
-              best_b = b;
-            }
-          } else {
-            lb[v] = std::max(lb[v], best_d);
-          }
-        }
-        cand_d[root] = best_d;
-        cand_a[root] = best_a;
-        cand_b[root] = best_b;
-      });
-      for (std::size_t c = 0; c < num_comps; ++c) {
-        ensure(cand_d[comp_roots[c]] != kInf,
-               "euclidean_mst_grouped: disconnected point set");
-        total += comp_stats[c];
-        lb_skips += comp_skips[c];
-        root_slot[comp_roots[c]] = -1;
-      }
-
-      const std::size_t before = edges.size();
-      for (std::size_t root = 0; root < n; ++root) {
-        if (cand_d[root] == kInf) continue;
-        if (uf.unite(cand_a[root], cand_b[root])) {
-          edges.push_back(MstEdge{cand_a[root], cand_b[root], cand_d[root]});
-        }
-        cand_d[root] = kInf;
-      }
-      ensure(edges.size() > before, "euclidean_mst_grouped: no progress");
-    }
+    boruvka::global_sweep(points, uf, lb.data(), edges, stats,
+                          "euclidean_mst_grouped");
   }
   registry.counter("construct.finish_mst_us").add(elapsed_us(t_finish));
-  registry.counter("cluster.mst_candidate_pairs").add(total.point_evals);
-  registry.counter("spatial.nodes_visited").add(total.nodes_visited);
-  registry.counter("cluster.mst_lb_skips").add(lb_skips);
+  registry.counter("cluster.mst_candidate_pairs")
+      .add(stats.queries.point_evals);
+  registry.counter("spatial.nodes_visited").add(stats.queries.nodes_visited);
+  registry.counter("cluster.mst_lb_skips").add(stats.lb_skips);
 
   std::sort(edges.begin(), edges.end(), [](const MstEdge& x, const MstEdge& y) {
     if (x.a != y.a) return x.a < y.a;
@@ -487,16 +302,11 @@ std::vector<MstEdge> euclidean_mst_grouped(const std::vector<Point>& points,
 }
 
 std::vector<MstEdge> euclidean_mst_of_set(const DynamicSpatialSet& set,
-                                          const std::vector<Point>& coords) {
+                                          const PointSet& coords) {
   const std::vector<std::int32_t>& live = set.live_ids();
   std::vector<MstEdge> edges;
   if (live.size() <= 1) return edges;
-  std::vector<Point> sub;
-  sub.reserve(live.size());
-  for (const std::int32_t id : live) {
-    sub.push_back(coords[static_cast<std::size_t>(id)]);
-  }
-  edges = euclidean_mst(sub);
+  edges = euclidean_mst(coords.subset(live));
   // live is ascending, so the order-preserving remap keeps a < b and the
   // canonical (a, b) sort order.
   for (MstEdge& e : edges) {
@@ -506,19 +316,13 @@ std::vector<MstEdge> euclidean_mst_of_set(const DynamicSpatialSet& set,
   return edges;
 }
 
-Clustering cluster_set(const DynamicSpatialSet& set,
-                       const std::vector<Point>& coords,
+Clustering cluster_set(const DynamicSpatialSet& set, const PointSet& coords,
                        const ZahnParams& params) {
   const std::vector<std::int32_t>& live = set.live_ids();
   Clustering out;
   out.assignment.assign(coords.size(), ClusterId{});
   if (live.empty()) return out;
-  std::vector<Point> sub;
-  sub.reserve(live.size());
-  for (const std::int32_t id : live) {
-    sub.push_back(coords[static_cast<std::size_t>(id)]);
-  }
-  const Clustering local = cluster_points(sub, params);
+  const Clustering local = cluster_points(coords.subset(live), params);
   out.members.resize(local.cluster_count());
   for (std::size_t i = 0; i < live.size(); ++i) {
     const ClusterId c = local.assignment[i];

@@ -33,14 +33,14 @@ namespace hfc {
 /// is remapped order-preservingly, so the tree equals the MST of the
 /// same points presented alone. Empty for fewer than two live ids.
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_of_set(
-    const DynamicSpatialSet& set, const std::vector<Point>& coords);
+    const DynamicSpatialSet& set, const PointSet& coords);
 
 /// Zahn clustering of the live ids of `set`. The returned assignment is
 /// sized coords.size(); nodes outside the set get an invalid ClusterId.
 /// Cluster ids are dense in first-seen ascending-member order, exactly
 /// as `cluster_points` labels the same subset presented alone.
 [[nodiscard]] Clustering cluster_set(const DynamicSpatialSet& set,
-                                     const std::vector<Point>& coords,
+                                     const PointSet& coords,
                                      const ZahnParams& params = {});
 
 }  // namespace hfc

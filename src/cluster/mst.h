@@ -20,9 +20,10 @@
 //     n >= 256), and it is the tier that carries Zahn clustering to the
 //     1M-proxy scale (bench_topology_scaling).
 //
-// The Borůvka sweep groups points by component and scans each component
-// sequentially, passing the component's best candidate distance so far
-// as the (inclusive) query bound (DESIGN.md §13). The bound shrinks as
+// The Borůvka sweep (boruvka::global_sweep, cluster/boruvka.h) groups
+// points by component and scans each component sequentially, passing
+// the component's best candidate distance so far as the (inclusive)
+// query bound (DESIGN.md §13). The bound shrinks as
 // candidates improve, so most member queries cut off after a few node
 // visits; components scan in parallel, writing disjoint candidate slots.
 // The inclusive-bound contract (spatial_index.h) returns candidates at
@@ -45,7 +46,7 @@
 #include <functional>
 #include <vector>
 
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "distance/distance_service.h"
 #include "spatial/spatial_index.h"
 
@@ -78,14 +79,13 @@ using DistanceFn = std::function<double(std::size_t, std::size_t)>;
 /// MST of points under Euclidean distance. Dispatches between Prim and
 /// the Borůvka path via `spatial_enabled(points.size())`, and on to the
 /// group-local pipeline via `group_pipeline_enabled`.
-[[nodiscard]] std::vector<MstEdge> euclidean_mst(
-    const std::vector<Point>& points);
+[[nodiscard]] std::vector<MstEdge> euclidean_mst(const PointSet& points);
 
 /// The Borůvka-over-k-d-tree path, exposed directly so equivalence
 /// tests and benches can pin it regardless of the HFC_SPATIAL_MIN_N
 /// floor. Edges come back canonical: a < b, sorted ascending by (a, b).
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_spatial(
-    const std::vector<Point>& points);
+    const PointSet& points);
 
 /// The group-local pipeline gate: n >= HFC_ML_PAR_MIN_N (default 8192 —
 /// below that the single global sweep is already cheap). Selects both
@@ -105,7 +105,7 @@ using DistanceFn = std::function<double(std::size_t, std::size_t)>;
 /// floating-point-margin argument in DESIGN.md §14. `group_limit` 0 reads
 /// HFC_ML_PAR_GROUP.
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_grouped(
-    const std::vector<Point>& points, std::size_t group_limit = 0);
+    const PointSet& points, std::size_t group_limit = 0);
 
 /// Total length of an edge set.
 [[nodiscard]] double total_length(const std::vector<MstEdge>& edges);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <utility>
 
+#include "cluster/boruvka.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/require.h"
@@ -68,24 +68,7 @@ double typical_length(std::vector<double>& lengths, ZahnStatistic statistic) {
   return sum / static_cast<double>(lengths.size());
 }
 
-/// Disjoint-set over node indices.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
+using boruvka::UnionFind;
 
 Clustering components_to_clustering(std::size_t n, UnionFind& uf) {
   Clustering out;
@@ -293,8 +276,7 @@ Clustering zahn_cluster(std::size_t n, const std::vector<MstEdge>& mst,
   return clustering;
 }
 
-Clustering cluster_points(const std::vector<Point>& points,
-                          const ZahnParams& params) {
+Clustering cluster_points(const PointSet& points, const ZahnParams& params) {
   const DistanceFn distance = [&points](std::size_t i, std::size_t j) {
     return euclidean(points[i], points[j]);
   };

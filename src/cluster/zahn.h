@@ -61,7 +61,7 @@ struct Clustering {
 
 /// Convenience: MST (`euclidean_mst`) + clustering of points under
 /// Euclidean distance.
-[[nodiscard]] Clustering cluster_points(const std::vector<Point>& points,
+[[nodiscard]] Clustering cluster_points(const PointSet& points,
                                         const ZahnParams& params = {});
 
 /// MST + clustering over all nodes of a distance service (the pipeline

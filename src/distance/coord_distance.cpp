@@ -7,15 +7,11 @@
 
 namespace hfc {
 
-CoordDistanceService::CoordDistanceService(std::vector<Point> coords)
+CoordDistanceService::CoordDistanceService(PointSet coords)
     : coords_(std::move(coords)) {
   require(!coords_.empty(), "CoordDistanceService: no coordinates");
-  const std::size_t dim = coords_.front().size();
-  require(dim >= 1, "CoordDistanceService: zero-dimensional coordinates");
-  for (const Point& p : coords_) {
-    require(p.size() == dim,
-            "CoordDistanceService: inconsistent coordinate dimensions");
-  }
+  require(coords_.dim() >= 1,
+          "CoordDistanceService: zero-dimensional coordinates");
 }
 
 double CoordDistanceService::at(std::size_t a, std::size_t b) const {
@@ -31,23 +27,22 @@ std::shared_ptr<const std::vector<double>> CoordDistanceService::row(
       obs::MetricsRegistry::global().counter("distance.coord_row_computes");
   rows.add(1);
   auto out = std::make_shared<std::vector<double>>(coords_.size(), 0.0);
+  const std::span<const double> from = coords_[source];
   for (std::size_t j = 0; j < coords_.size(); ++j) {
-    (*out)[j] = euclidean(coords_[source], coords_[j]);
+    (*out)[j] = euclidean(from, coords_[j]);
   }
   return out;
 }
 
-void CoordDistanceService::append(Point p) {
-  require(p.size() == coords_.front().size(),
+void CoordDistanceService::append(const Point& p) {
+  require(p.size() == coords_.dim(),
           "CoordDistanceService::append: dimension mismatch");
-  coords_.push_back(std::move(p));
+  coords_.push_back(p);
 }
 
 std::size_t CoordDistanceService::resident_bytes() const {
   // The coordinates themselves are the tier's entire resident state.
-  std::size_t bytes = 0;
-  for (const Point& p : coords_) bytes += p.size() * sizeof(double);
-  return bytes;
+  return coords_.resident_bytes();
 }
 
 }  // namespace hfc

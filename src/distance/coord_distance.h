@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "distance/distance_service.h"
 
 namespace hfc {
@@ -20,7 +20,7 @@ class CoordDistanceService final : public DistanceService {
  public:
   /// Takes its own copy of the coordinates (O(kn) — the tier's whole
   /// point), so it has no lifetime ties to the producer.
-  explicit CoordDistanceService(std::vector<Point> coords);
+  explicit CoordDistanceService(PointSet coords);
 
   [[nodiscard]] std::size_t size() const override { return coords_.size(); }
   [[nodiscard]] DistanceTier tier() const override {
@@ -30,18 +30,18 @@ class CoordDistanceService final : public DistanceService {
   [[nodiscard]] std::shared_ptr<const std::vector<double>> row(
       std::size_t source) const override;
   [[nodiscard]] std::size_t resident_bytes() const override;
-  [[nodiscard]] const std::vector<Point>* coord_view() const override {
+  [[nodiscard]] const PointSet* coord_view() const override {
     return &coords_;
   }
 
-  [[nodiscard]] const std::vector<Point>& coords() const { return coords_; }
+  [[nodiscard]] const PointSet& coords() const { return coords_; }
 
   /// Grow the tier by one coordinate (dynamic membership, DESIGN.md §9).
   /// Not safe concurrently with queries.
-  void append(Point p);
+  void append(const Point& p);
 
  private:
-  std::vector<Point> coords_;
+  PointSet coords_;
 };
 
 }  // namespace hfc

@@ -30,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "util/ids.h"
 
 namespace hfc {
@@ -84,12 +84,12 @@ class DistanceService {
   /// coordinates). The quantity the bench memory-ceiling assertion bounds.
   [[nodiscard]] virtual std::size_t resident_bytes() const = 0;
 
-  /// The embedded coordinate array behind this service, when its
-  /// distances *are* `euclidean()` over those points (the coordinate
+  /// The embedded coordinate store behind this service, when its
+  /// distances *are* `euclidean()` over those rows (the coordinate
   /// tier). Null for tiers whose distances are not geometric — spatial
   /// index consumers must then stay on their brute paths, since index
   /// pruning is only sound for the metric the boxes bound.
-  [[nodiscard]] virtual const std::vector<Point>* coord_view() const {
+  [[nodiscard]] virtual const PointSet* coord_view() const {
     return nullptr;
   }
 };

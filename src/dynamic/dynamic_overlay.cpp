@@ -26,7 +26,7 @@ obs::Counter& full_rebuilds_counter() {
 
 /// Mean intra-cluster pairwise coordinate distance over active nodes with
 /// the given labels (label < 0 = inactive). 0 when no intra pair exists.
-double intra_cluster_cost(const std::vector<Point>& coords,
+double intra_cluster_cost(const PointSet& coords,
                           const std::vector<std::int32_t>& labels) {
   double sum = 0.0;
   std::size_t pairs = 0;
@@ -43,24 +43,23 @@ double intra_cluster_cost(const std::vector<Point>& coords,
 
 }  // namespace
 
-DynamicHfcOverlay::DynamicHfcOverlay(std::vector<Point> coords,
+DynamicHfcOverlay::DynamicHfcOverlay(PointSet coords,
                                      ServicePlacement placement,
                                      ZahnParams zahn,
                                      BorderSelection selection,
                                      ChurnMode /*mode*/)
-    : coords_(std::move(coords)),
-      placement_(std::move(placement)),
-      zahn_(zahn),
-      selection_(selection) {
-  require(coords_.size() == placement_.size(),
+    : placement_(std::move(placement)), zahn_(zahn), selection_(selection) {
+  require(coords.size() == placement_.size(),
           "DynamicHfcOverlay: coords/placement size mismatch");
-  require(!coords_.empty(), "DynamicHfcOverlay: empty universe");
-  active_.assign(coords_.size(), true);
-  active_count_ = coords_.size();
-  labels_.assign(coords_.size(), -1);
-  dist_ = std::make_unique<CoordDistanceService>(coords_);
+  require(!coords.empty(), "DynamicHfcOverlay: empty universe");
+  active_.assign(coords.size(), true);
+  active_count_ = coords.size();
+  labels_.assign(coords.size(), -1);
+  dist_ = std::make_unique<CoordDistanceService>(std::move(coords));
   restructure();
 }
+
+const PointSet& DynamicHfcOverlay::coords() const { return dist_->coords(); }
 
 bool DynamicHfcOverlay::is_active(NodeId node) const {
   require(node.valid() && node.idx() < active_.size(),
@@ -102,7 +101,7 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
   if (spatial_join_) {
     QueryStats qs;
     const SpatialHit hit = active_set_.nearest(
-        coords_[node.idx()], std::numeric_limits<double>::infinity(), qs);
+        coords()[node.idx()], std::numeric_limits<double>::infinity(), qs);
     ensure(hit.found(), "DynamicHfcOverlay::activate: no active neighbour");
     label = labels_[static_cast<std::size_t>(hit.id)];
     join_candidates.add(qs.point_evals);
@@ -110,7 +109,7 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
   } else {
     double best = std::numeric_limits<double>::infinity();
     std::uint64_t evals = 0;
-    for (std::size_t v = 0; v < coords_.size(); ++v) {
+    for (std::size_t v = 0; v < active_.size(); ++v) {
       if (!active_[v]) continue;
       const double d = dist_->at(node.idx(), v);
       ++evals;
@@ -134,20 +133,19 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
   inc_topo_->on_member_added(node, ClusterId(label));
 }
 
-NodeId DynamicHfcOverlay::do_add(Point coords,
+NodeId DynamicHfcOverlay::do_add(const Point& coords,
                                  std::vector<ServiceId> services) {
-  require(coords.size() == coords_.front().size(),
+  require(coords.size() == dist_->coords().dim(),
           "DynamicHfcOverlay::add_proxy: dimension mismatch");
   require(std::is_sorted(services.begin(), services.end()),
           "DynamicHfcOverlay::add_proxy: services must be sorted");
   inc_net_->add_node(coords, services);
   inc_topo_->append_node();
   dist_->append(coords);
-  coords_.push_back(std::move(coords));
   placement_.push_back(std::move(services));
   active_.push_back(false);
   labels_.push_back(-1);
-  const NodeId node(static_cast<std::int32_t>(coords_.size() - 1));
+  const NodeId node(static_cast<std::int32_t>(active_.size() - 1));
   do_activate(node);
   return node;
 }
@@ -165,7 +163,7 @@ void DynamicHfcOverlay::activate(NodeId node) {
 NodeId DynamicHfcOverlay::add_proxy(Point coords,
                                     std::vector<ServiceId> services) {
   churn_events_counter().add(1);
-  return do_add(std::move(coords), std::move(services));
+  return do_add(coords, std::move(services));
 }
 
 std::vector<NodeId> DynamicHfcOverlay::apply(
@@ -205,21 +203,15 @@ double DynamicHfcOverlay::clustering_quality() const {
       obs::MetricsRegistry::global().counter("churn.quality_computes");
   computes.add(1);
   // Fresh Zahn over the active set.
-  std::vector<Point> active_coords;
-  std::vector<std::size_t> dense_to_universe;
-  for (std::size_t v = 0; v < coords_.size(); ++v) {
-    if (active_[v]) {
-      active_coords.push_back(coords_[v]);
-      dense_to_universe.push_back(v);
-    }
-  }
-  const Clustering fresh = cluster_points(active_coords, zahn_);
-  std::vector<std::int32_t> fresh_labels(coords_.size(), -1);
+  const std::vector<std::size_t> dense_to_universe = active_ids();
+  const Clustering fresh =
+      cluster_points(coords().subset(dense_to_universe), zahn_);
+  std::vector<std::int32_t> fresh_labels(active_.size(), -1);
   for (std::size_t d = 0; d < dense_to_universe.size(); ++d) {
     fresh_labels[dense_to_universe[d]] = fresh.assignment[d].value();
   }
-  const double fresh_cost = intra_cluster_cost(coords_, fresh_labels);
-  const double current_cost = intra_cluster_cost(coords_, labels_);
+  const double fresh_cost = intra_cluster_cost(coords(), fresh_labels);
+  const double current_cost = intra_cluster_cost(coords(), labels_);
   quality_cache_ =
       current_cost == 0.0 ? 1.0 : fresh_cost / current_cost;
   quality_gen_ = active_generation_;
@@ -227,29 +219,29 @@ double DynamicHfcOverlay::clustering_quality() const {
   return quality_cache_;
 }
 
-void DynamicHfcOverlay::restructure() {
-  std::vector<Point> active_coords;
-  std::vector<std::size_t> dense_to_universe;
-  for (std::size_t v = 0; v < coords_.size(); ++v) {
-    if (active_[v]) {
-      active_coords.push_back(coords_[v]);
-      dense_to_universe.push_back(v);
-    }
+std::vector<std::size_t> DynamicHfcOverlay::active_ids() const {
+  std::vector<std::size_t> ids;
+  ids.reserve(active_count_);
+  for (std::size_t v = 0; v < active_.size(); ++v) {
+    if (active_[v]) ids.push_back(v);
   }
-  const Clustering fresh = cluster_points(active_coords, zahn_);
+  return ids;
+}
+
+void DynamicHfcOverlay::restructure() {
+  const std::vector<std::size_t> dense_to_universe = active_ids();
+  const Clustering fresh =
+      cluster_points(coords().subset(dense_to_universe), zahn_);
   for (std::size_t d = 0; d < dense_to_universe.size(); ++d) {
     labels_[dense_to_universe[d]] = fresh.assignment[d].value();
   }
   mutations_since_restructure_ = 0;
   ++active_generation_;
-  spatial_join_ = spatial_enabled(coords_.size());
+  spatial_join_ = spatial_enabled(active_.size());
   if (spatial_join_) {
-    std::vector<std::int32_t> active_ids;
-    active_ids.reserve(active_count_);
-    for (std::size_t v = 0; v < coords_.size(); ++v) {
-      if (active_[v]) active_ids.push_back(static_cast<std::int32_t>(v));
-    }
-    active_set_.bulk_load(coords_, std::move(active_ids));
+    std::vector<std::int32_t> ids(dense_to_universe.begin(),
+                                  dense_to_universe.end());
+    active_set_.bulk_load(coords(), std::move(ids));
   } else {
     active_set_ = DynamicSpatialSet{};
   }
@@ -262,13 +254,13 @@ void DynamicHfcOverlay::build_universe_state() {
   // Universe-level clustering: fresh Zahn labels are dense 0..C-1, so a
   // label IS the topology cluster slot id; inactive nodes stay unassigned.
   Clustering clustering;
-  clustering.assignment.assign(coords_.size(), ClusterId{});
+  clustering.assignment.assign(labels_.size(), ClusterId{});
   std::int32_t max_label = -1;
-  for (std::size_t v = 0; v < coords_.size(); ++v) {
+  for (std::size_t v = 0; v < labels_.size(); ++v) {
     max_label = std::max(max_label, labels_[v]);
   }
   clustering.members.resize(static_cast<std::size_t>(max_label + 1));
-  for (std::size_t v = 0; v < coords_.size(); ++v) {
+  for (std::size_t v = 0; v < labels_.size(); ++v) {
     if (labels_[v] < 0) continue;
     clustering.assignment[v] = ClusterId(labels_[v]);
     clustering.members[static_cast<std::size_t>(labels_[v])].push_back(
@@ -277,7 +269,7 @@ void DynamicHfcOverlay::build_universe_state() {
   inc_router_.reset();
   inc_topo_.reset();
   inc_net_.reset();
-  inc_net_ = std::make_unique<OverlayNetwork>(coords_, placement_);
+  inc_net_ = std::make_unique<OverlayNetwork>(coords(), placement_);
   inc_topo_ =
       std::make_unique<HfcTopology>(std::move(clustering), *dist_, selection_);
   inc_router_ =

@@ -79,12 +79,12 @@ class DynamicHfcOverlay {
  public:
   /// The universe of potential proxies, all initially active, clustered by
   /// a fresh Zahn run. Throws on inconsistent inputs.
-  DynamicHfcOverlay(std::vector<Point> coords, ServicePlacement placement,
+  DynamicHfcOverlay(PointSet coords, ServicePlacement placement,
                     ZahnParams zahn = {},
                     BorderSelection selection = BorderSelection::kClosestPair,
                     ChurnMode mode = ChurnMode::kIncremental);
 
-  [[nodiscard]] std::size_t universe_size() const { return coords_.size(); }
+  [[nodiscard]] std::size_t universe_size() const { return active_.size(); }
   [[nodiscard]] std::size_t active_count() const { return active_count_; }
   [[nodiscard]] bool is_active(NodeId node) const;
   /// Bumped on every mutation and restructure; memoization key for
@@ -171,7 +171,12 @@ class DynamicHfcOverlay {
  private:
   void do_deactivate(NodeId node);
   void do_activate(NodeId node);
-  NodeId do_add(Point coords, std::vector<ServiceId> services);
+  NodeId do_add(const Point& coords, std::vector<ServiceId> services);
+  /// The universe coordinates: the distance tier's store, the one copy
+  /// the overlay keeps besides its OverlayNetwork's.
+  [[nodiscard]] const PointSet& coords() const;
+  /// Active universe ids, ascending.
+  [[nodiscard]] std::vector<std::size_t> active_ids() const;
   /// Rebuild the universe-level routing objects from labels_ (ctor,
   /// restructure). Counts as a churn.full_rebuild.
   void build_universe_state();
@@ -180,7 +185,6 @@ class DynamicHfcOverlay {
   /// the topology's stable cluster slot id.
   std::vector<std::int32_t> labels_;
 
-  std::vector<Point> coords_;
   ServicePlacement placement_;
   std::vector<bool> active_;
   std::size_t active_count_ = 0;

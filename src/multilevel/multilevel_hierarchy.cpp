@@ -30,7 +30,7 @@ void add_phase_us(const char* counter,
 /// `pts` — under the (coordinate, id) total order, the same
 /// deterministic partition rule as the k-d tree build, into consecutive
 /// ranges of at most `limit` ids appended to `out` left-to-right.
-void median_partition(const std::vector<Point>& pts,
+void median_partition(const PointSet& pts,
                       std::vector<std::size_t>& ids, std::size_t begin,
                       std::size_t end, std::size_t limit,
                       std::vector<std::pair<std::size_t, std::size_t>>& out) {
@@ -38,10 +38,9 @@ void median_partition(const std::vector<Point>& pts,
     out.emplace_back(begin, end);
     return;
   }
-  const std::size_t dim = pts[ids[begin]].size();
   std::size_t axis = 0;
   double widest = -1.0;
-  for (std::size_t d = 0; d < dim; ++d) {
+  for (std::size_t d = 0; d < pts.dim(); ++d) {
     double lo = pts[ids[begin]][d];
     double hi = lo;
     for (std::size_t p = begin + 1; p < end; ++p) {
@@ -74,9 +73,9 @@ constexpr std::uint64_t pair_key(std::size_t a, std::size_t b) {
 }
 
 /// Mean of a group's member coordinates.
-[[nodiscard]] Point centroid_of(const std::vector<Point>& coords,
+[[nodiscard]] Point centroid_of(const PointSet& coords,
                                 const std::vector<NodeId>& nodes) {
-  const std::size_t dim = coords.front().size();
+  const std::size_t dim = coords.dim();
   Point centroid(dim, 0.0);
   for (const NodeId n : nodes) {
     for (std::size_t d = 0; d < dim; ++d) centroid[d] += coords[n.idx()][d];
@@ -87,7 +86,7 @@ constexpr std::uint64_t pair_key(std::size_t a, std::size_t b) {
 
 }  // namespace
 
-MultiLevelHierarchy::MultiLevelHierarchy(const std::vector<Point>& coords,
+MultiLevelHierarchy::MultiLevelHierarchy(const PointSet& coords,
                                          const MultiLevelParams& params) {
   require(!coords.empty(), "MultiLevelHierarchy: empty coordinate set");
   require(params.factor_growth >= 1.0,
@@ -109,7 +108,7 @@ MultiLevelHierarchy::MultiLevelHierarchy(const std::vector<Point>& coords,
   add_phase_us("construct.borders_us", t_borders);
 }
 
-void MultiLevelHierarchy::build_fixed_levels(const std::vector<Point>& coords,
+void MultiLevelHierarchy::build_fixed_levels(const PointSet& coords,
                                              const MultiLevelParams& params) {
   // Level 1: Zahn clusters of the proxies.
   const auto t_leaf = std::chrono::steady_clock::now();
@@ -135,7 +134,7 @@ void MultiLevelHierarchy::build_fixed_levels(const std::vector<Point>& coords,
     if (below.size() <= 1) break;  // nothing left to group
     zahn.inconsistency_factor *= params.factor_growth;
 
-    std::vector<Point> centroids;
+    PointSet centroids(coords.dim());
     centroids.reserve(below.size());
     for (std::size_t gid : below) {
       centroids.push_back(centroid_of(coords, groups_[gid].nodes));
@@ -166,7 +165,7 @@ void MultiLevelHierarchy::build_fixed_levels(const std::vector<Point>& coords,
 }
 
 void MultiLevelHierarchy::build_bounded_fanout(
-    const std::vector<Point>& coords, const MultiLevelParams& params) {
+    const PointSet& coords, const MultiLevelParams& params) {
   // Level 1: Zahn clusters of the proxies, with oversized clusters split
   // by median partition so no leaf exceeds leaf_limit nodes. The split is
   // geometric (widest axis, deterministic (coordinate, id) median), so
@@ -216,7 +215,7 @@ void MultiLevelHierarchy::build_bounded_fanout(
   // from n instead of a caller guess: ~log_fanout(#leaves) levels.
   while (level_groups_.back().size() > params.group_fanout) {
     const std::vector<std::size_t> below = level_groups_.back();
-    std::vector<Point> centroids;
+    PointSet centroids(coords.dim());
     centroids.reserve(below.size());
     for (std::size_t gid : below) {
       centroids.push_back(centroid_of(coords, groups_[gid].nodes));
@@ -264,7 +263,7 @@ void MultiLevelHierarchy::finish_root() {
   groups_.push_back(std::move(root));
 }
 
-void MultiLevelHierarchy::select_borders(const std::vector<Point>& coords) {
+void MultiLevelHierarchy::select_borders(const PointSet& coords) {
   // For every parent, connect its children pairwise by the closest
   // cross-group node pair (§3.3 applied at every level), through the one
   // closest_pair routine HfcTopology uses. Group node lists are sorted

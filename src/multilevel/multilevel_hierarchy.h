@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "cluster/zahn.h"
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "overlay/overlay_network.h"
 #include "routing/csp_kernel.h"
 #include "util/ids.h"
@@ -85,9 +85,9 @@ struct MultiLevelParams {
 
 class MultiLevelHierarchy {
  public:
-  /// Build from proxy coordinates. Throws on empty input or zero levels.
-  MultiLevelHierarchy(const std::vector<Point>& coords,
-                      const MultiLevelParams& params);
+  /// Build from proxy coordinates (read only during the build). Throws
+  /// on empty input or zero levels.
+  MultiLevelHierarchy(const PointSet& coords, const MultiLevelParams& params);
 
   [[nodiscard]] std::size_t node_count() const { return node_leaf_.size(); }
   /// Number of real clustering levels built (excludes the virtual root).
@@ -132,13 +132,13 @@ class MultiLevelHierarchy {
   [[nodiscard]] std::size_t resident_bytes() const;
 
  private:
-  void build_fixed_levels(const std::vector<Point>& coords,
+  void build_fixed_levels(const PointSet& coords,
                           const MultiLevelParams& params);
-  void build_bounded_fanout(const std::vector<Point>& coords,
+  void build_bounded_fanout(const PointSet& coords,
                             const MultiLevelParams& params);
   /// Append the virtual root over level_groups_.back().
   void finish_root();
-  void select_borders(const std::vector<Point>& coords);
+  void select_borders(const PointSet& coords);
 
   /// The border pair of two siblings `lo` < `hi` and its length.
   struct SiblingLink {

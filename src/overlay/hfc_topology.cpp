@@ -21,7 +21,7 @@ HfcTopology::HfcTopology(Clustering clustering,
   // other strategies never scan candidate pairs) and only when the
   // service's distances *are* euclidean() over an exposed coordinate
   // array — index pruning is unsound for any other metric.
-  const std::vector<Point>* coords = distance.coord_view();
+  const PointSet* coords = distance.coord_view();
   if (selection == BorderSelection::kClosestPair && coords != nullptr &&
       spatial_enabled(clustering_.node_count())) {
     coords_ = coords;

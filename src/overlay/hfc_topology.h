@@ -304,8 +304,8 @@ class HfcTopology {
   /// Spatial acceleration (DESIGN.md §11). Set only by the
   /// DistanceService constructor when the service has a coordinate view
   /// and `spatial_enabled(n)` holds; points into the service's
-  /// coordinate array (which may grow — ids are re-read through it).
-  const std::vector<Point>* coords_ = nullptr;
+  /// coordinate store (which may grow — rows are re-read through it).
+  const PointSet* coords_ = nullptr;
   /// One churn-capable set per cluster slot, mirroring members.
   std::vector<DynamicSpatialSet> cluster_sets_;
 };

@@ -248,7 +248,7 @@ bool MeshTopology::connected() const {
 
 MeshTopology::MeshTopology(const DistanceService& distance,
                            const MeshParams& params, Rng& rng) {
-  const std::vector<Point>* coords = distance.coord_view();
+  const PointSet* coords = distance.coord_view();
   if (coords != nullptr && spatial_enabled(coords->size())) {
     require(coords->size() > 0, "MeshTopology: empty network");
     require(params.nearest_min >= 1 &&
@@ -264,7 +264,7 @@ MeshTopology::MeshTopology(const DistanceService& distance,
                        params, rng);
 }
 
-void MeshTopology::build_spatial(const std::vector<Point>& coords,
+void MeshTopology::build_spatial(const PointSet& coords,
                                  const MeshParams& params, Rng& rng) {
   const std::size_t n = coords.size();
   static obs::Counter& candidates =

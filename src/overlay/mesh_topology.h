@@ -9,7 +9,7 @@
 #include <memory>
 #include <vector>
 
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "distance/row_cache.h"
 #include "overlay/overlay_network.h"
 #include "util/ids.h"
@@ -110,8 +110,8 @@ class MeshTopology {
  private:
   void add_edge(NodeId a, NodeId b);
   /// Spatial-index construction path (coordinate-tier services).
-  void build_spatial(const std::vector<Point>& coords,
-                     const MeshParams& params, Rng& rng);
+  void build_spatial(const PointSet& coords, const MeshParams& params,
+                     Rng& rng);
 
   std::vector<std::vector<NodeId>> adjacency_;
   std::size_t edge_count_ = 0;

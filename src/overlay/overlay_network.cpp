@@ -6,18 +6,14 @@
 
 namespace hfc {
 
-OverlayNetwork::OverlayNetwork(std::vector<Point> coords,
-                               ServicePlacement placement)
+OverlayNetwork::OverlayNetwork(PointSet coords, ServicePlacement placement)
     : coords_(std::move(coords)), placement_(std::move(placement)) {
   require(coords_.size() == placement_.size(),
           "OverlayNetwork: coords/placement size mismatch");
   require(!coords_.empty(), "OverlayNetwork: empty network");
-  const std::size_t dim = coords_.front().size();
-  require(dim >= 1, "OverlayNetwork: zero-dimensional coordinates");
+  require(coords_.dim() >= 1, "OverlayNetwork: zero-dimensional coordinates");
   std::int32_t max_service = -1;
   for (std::size_t p = 0; p < coords_.size(); ++p) {
-    require(coords_[p].size() == dim,
-            "OverlayNetwork: inconsistent coordinate dimensions");
     require(std::is_sorted(placement_[p].begin(), placement_[p].end()),
             "OverlayNetwork: per-proxy service lists must be sorted");
     for (ServiceId s : placement_[p]) {
@@ -35,7 +31,7 @@ OverlayNetwork::OverlayNetwork(std::vector<Point> coords,
 
 NodeId OverlayNetwork::add_node(Point coords,
                                 std::vector<ServiceId> services) {
-  require(coords.size() == coords_.front().size(),
+  require(coords.size() == coords_.dim(),
           "OverlayNetwork::add_node: dimension mismatch");
   require(std::is_sorted(services.begin(), services.end()),
           "OverlayNetwork::add_node: services must be sorted");
@@ -45,12 +41,12 @@ NodeId OverlayNetwork::add_node(Point coords,
     if (s.idx() >= hosts_index_.size()) hosts_index_.resize(s.idx() + 1);
     hosts_index_[s.idx()].push_back(node);
   }
-  coords_.push_back(std::move(coords));
+  coords_.push_back(coords);
   placement_.push_back(std::move(services));
   return node;
 }
 
-const Point& OverlayNetwork::coordinate(NodeId node) const {
+std::span<const double> OverlayNetwork::coordinate(NodeId node) const {
   require(node.valid() && node.idx() < coords_.size(),
           "OverlayNetwork::coordinate: bad node");
   return coords_[node.idx()];

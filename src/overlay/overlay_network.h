@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "services/workload.h"
 #include "util/ids.h"
 #include "util/require.h"
@@ -59,7 +59,7 @@ class OverlayNetwork {
  public:
   /// Throws unless coords and placement describe the same node count and
   /// all coordinates share one dimension.
-  OverlayNetwork(std::vector<Point> coords, ServicePlacement placement);
+  OverlayNetwork(PointSet coords, ServicePlacement placement);
 
   [[nodiscard]] std::size_t size() const { return coords_.size(); }
 
@@ -68,7 +68,7 @@ class OverlayNetwork {
   /// must be sorted. Outstanding CoordDistanceRef functors stay valid.
   NodeId add_node(Point coords, std::vector<ServiceId> services);
 
-  [[nodiscard]] const Point& coordinate(NodeId node) const;
+  [[nodiscard]] std::span<const double> coordinate(NodeId node) const;
   [[nodiscard]] const std::vector<ServiceId>& services_at(NodeId node) const;
   [[nodiscard]] bool hosts(NodeId node, ServiceId service) const;
 
@@ -93,7 +93,7 @@ class OverlayNetwork {
   [[nodiscard]] std::vector<NodeId> all_nodes() const;
 
  private:
-  std::vector<Point> coords_;
+  PointSet coords_;
   ServicePlacement placement_;
   /// hosts_index_[s] = proxies hosting service s (for services < catalog
   /// bound seen in the placement).

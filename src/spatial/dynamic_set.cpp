@@ -18,7 +18,7 @@ bool not_dead(std::int32_t id, const void* ctx) {
 
 }  // namespace
 
-void DynamicSpatialSet::bulk_load(const std::vector<Point>& coords,
+void DynamicSpatialSet::bulk_load(const PointSet& coords,
                                   std::vector<std::int32_t> ids) {
   coords_ = &coords;
   labels_ = nullptr;
@@ -112,8 +112,8 @@ void DynamicSpatialSet::maybe_rebuild() {
   dead_.clear();
 }
 
-SpatialHit DynamicSpatialSet::nearest(const Point& q, double bound,
-                                      QueryStats& stats) const {
+SpatialHit DynamicSpatialSet::nearest(std::span<const double> q,
+                                      double bound, QueryStats& stats) const {
   SpatialHit best;
   best.dist = bound;
   best.id = std::numeric_limits<std::int32_t>::max();
@@ -151,7 +151,7 @@ void DynamicSpatialSet::retag(const std::vector<std::int32_t>& labels) {
   if (index_ != nullptr) index_->retag(labels);
 }
 
-SpatialHit DynamicSpatialSet::nearest_foreign(const Point& q,
+SpatialHit DynamicSpatialSet::nearest_foreign(std::span<const double> q,
                                               std::int32_t label, double bound,
                                               QueryStats& stats) const {
   require(pending_.empty() && dead_.empty(),
@@ -184,7 +184,7 @@ std::size_t DynamicSpatialSet::resident_bytes() const {
 
 BcpResult bichromatic_closest_pair(const DynamicSpatialSet& a,
                                    const DynamicSpatialSet& b,
-                                   const std::vector<Point>& coords,
+                                   const PointSet& coords,
                                    QueryStats& stats) {
   // Enumerate the smaller side against the larger side's index. The
   // per-query smallest-id tie-break plus the full (d, x, y) update below

@@ -33,10 +33,11 @@ class DynamicSpatialSet {
 
   DynamicSpatialSet() = default;
 
-  /// Reset to exactly `ids` over `coords` (which must outlive the set;
-  /// it may grow — ids are re-read through it on every access).
-  void bulk_load(const std::vector<Point>& coords,
-                 std::vector<std::int32_t> ids);
+  /// Reset to exactly `ids` over `coords` (which must outlive the set —
+  /// a temporary is rejected at compile time; it may grow — rows are
+  /// re-read through it on every access).
+  void bulk_load(const PointSet& coords, std::vector<std::int32_t> ids);
+  void bulk_load(PointSet&&, std::vector<std::int32_t>) = delete;
 
   void insert(std::int32_t id);
   void erase(std::int32_t id);
@@ -58,13 +59,13 @@ class DynamicSpatialSet {
     return live_;
   }
   [[nodiscard]] std::size_t live_size() const { return live_.size(); }
-  /// The coordinate array the ids index (null before bulk_load).
-  [[nodiscard]] const std::vector<Point>* coords() const { return coords_; }
+  /// The coordinate store the ids index (null before bulk_load).
+  [[nodiscard]] const PointSet* coords() const { return coords_; }
 
   /// Nearest live point to `q` within `bound` (inclusive), smallest id
   /// on distance ties — the same answer a strict-`<` ascending scan of
   /// the live ids produces.
-  [[nodiscard]] SpatialHit nearest(const Point& q, double bound,
+  [[nodiscard]] SpatialHit nearest(std::span<const double> q, double bound,
                                    QueryStats& stats) const;
 
   /// Attach component labels (indexed by point id, like
@@ -78,8 +79,8 @@ class DynamicSpatialSet {
   /// folded set. Below the brute threshold this is an exact ascending
   /// scan — the tier the group-local construction pipeline leans on for
   /// small partition cells (DESIGN.md §14).
-  [[nodiscard]] SpatialHit nearest_foreign(const Point& q, std::int32_t label,
-                                           double bound,
+  [[nodiscard]] SpatialHit nearest_foreign(std::span<const double> q,
+                                           std::int32_t label, double bound,
                                            QueryStats& stats) const;
 
   [[nodiscard]] std::size_t resident_bytes() const;
@@ -87,7 +88,7 @@ class DynamicSpatialSet {
  private:
   void rebuild();
 
-  const std::vector<Point>* coords_ = nullptr;
+  const PointSet* coords_ = nullptr;
   const std::vector<std::int32_t>* labels_ = nullptr;  ///< retag() target
   std::vector<std::int32_t> live_;     ///< sorted source of truth
   std::unique_ptr<KdTree> index_;
@@ -111,7 +112,7 @@ struct BcpResult {
 
 [[nodiscard]] BcpResult bichromatic_closest_pair(const DynamicSpatialSet& a,
                                                  const DynamicSpatialSet& b,
-                                                 const std::vector<Point>& coords,
+                                                 const PointSet& coords,
                                                  QueryStats& stats);
 
 }  // namespace hfc

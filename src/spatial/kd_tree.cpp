@@ -19,11 +19,9 @@ namespace {
 
 }  // namespace
 
-KdTree::KdTree(const std::vector<Point>& coords,
-               std::vector<std::int32_t> ids)
-    : coords_(&coords), ids_(std::move(ids)) {
+KdTree::KdTree(const PointSet& coords, std::vector<std::int32_t> ids)
+    : coords_(&coords), dim_(coords.dim()), ids_(std::move(ids)) {
   require(!coords.empty(), "KdTree: empty coordinate set");
-  dim_ = coords.front().size();
   require(dim_ >= 1, "KdTree: zero-dimensional points");
   if (ids_.empty()) {
     ids_.reserve(coords.size());
@@ -32,9 +30,8 @@ KdTree::KdTree(const std::vector<Point>& coords,
     }
   }
   for (const std::int32_t id : ids_) {
-    require(id >= 0 && static_cast<std::size_t>(id) < coords.size() &&
-                coords[static_cast<std::size_t>(id)].size() == dim_,
-            "KdTree: bad point id or dimension");
+    require(id >= 0 && static_cast<std::size_t>(id) < coords.size(),
+            "KdTree: bad point id");
   }
   require(!ids_.empty(), "KdTree: empty id subset");
   nodes_.reserve(2 * ids_.size() / kLeafSize + 2);
@@ -50,8 +47,8 @@ std::int32_t KdTree::build_range(std::vector<std::int32_t>& ids,
   const std::int32_t me = static_cast<std::int32_t>(nodes.size());
   nodes.push_back(Node{begin, end, -1, -1, -1, 0.0});
   boxes.resize(boxes.size() + 2 * dim_);
-  const auto at = [this, &ids](std::uint32_t pos) -> const Point& {
-    return (*coords_)[static_cast<std::size_t>(ids[pos])];
+  const auto at = [this, &ids](std::uint32_t pos) {
+    return coords_->row(static_cast<std::size_t>(ids[pos]));
   };
   // Exact bounding box of the subtree's points.
   const std::size_t box = static_cast<std::size_t>(me) * 2 * dim_;
@@ -98,7 +95,8 @@ std::int32_t KdTree::build_range(std::vector<std::int32_t>& ids,
   return me;
 }
 
-double KdTree::box_distance(std::int32_t node, const Point& q) const {
+double KdTree::box_distance(std::int32_t node,
+                            std::span<const double> q) const {
   // Structurally identical accumulation to euclidean(): per-axis excess
   // in axis order, squared, summed, rooted — so the computed bound never
   // exceeds the computed distance of any point inside the box.
@@ -116,7 +114,7 @@ double KdTree::box_distance(std::int32_t node, const Point& q) const {
   return std::sqrt(sum);
 }
 
-void KdTree::search(std::int32_t node, const Point& q,
+void KdTree::search(std::int32_t node, std::span<const double> q,
                     std::int32_t foreign_label, SpatialFilter accept,
                     const void* ctx, SpatialHit& best,
                     QueryStats& stats) const {
@@ -152,8 +150,9 @@ void KdTree::search(std::int32_t node, const Point& q,
          stats);
 }
 
-SpatialHit KdTree::nearest(const Point& q, double bound, QueryStats& stats,
-                           SpatialFilter accept, const void* ctx) const {
+SpatialHit KdTree::nearest(std::span<const double> q, double bound,
+                           QueryStats& stats, SpatialFilter accept,
+                           const void* ctx) const {
   require(q.size() == dim_, "KdTree::nearest: dimension mismatch");
   SpatialHit best;
   best.dist = bound;
@@ -163,8 +162,9 @@ SpatialHit KdTree::nearest(const Point& q, double bound, QueryStats& stats,
   return best;
 }
 
-SpatialHit KdTree::nearest_foreign(const Point& q, std::int32_t label,
-                                   double bound, QueryStats& stats) const {
+SpatialHit KdTree::nearest_foreign(std::span<const double> q,
+                                   std::int32_t label, double bound,
+                                   QueryStats& stats) const {
   require(q.size() == dim_, "KdTree::nearest_foreign: dimension mismatch");
   require(node_tag_.size() == nodes_.size(),
           "KdTree::nearest_foreign: retag() has not been called");
@@ -176,8 +176,8 @@ SpatialHit KdTree::nearest_foreign(const Point& q, std::int32_t label,
   return best;
 }
 
-std::vector<SpatialHit> KdTree::k_nearest(const Point& q, std::size_t k,
-                                          QueryStats& stats,
+std::vector<SpatialHit> KdTree::k_nearest(std::span<const double> q,
+                                          std::size_t k, QueryStats& stats,
                                           SpatialFilter accept,
                                           const void* ctx) const {
   require(q.size() == dim_, "KdTree::k_nearest: dimension mismatch");
@@ -221,7 +221,8 @@ std::vector<SpatialHit> KdTree::k_nearest(const Point& q, std::size_t k,
   return heap;
 }
 
-std::vector<std::int32_t> KdTree::range(const Point& q, double radius,
+std::vector<std::int32_t> KdTree::range(std::span<const double> q,
+                                        double radius,
                                         QueryStats& stats) const {
   require(q.size() == dim_, "KdTree::range: dimension mismatch");
   std::vector<std::int32_t> out;
@@ -281,9 +282,8 @@ std::int32_t KdTree::retag_node(std::int32_t node,
 void KdTree::fold_updates(const std::vector<std::int32_t>& adds,
                           const std::vector<std::int32_t>& removes) {
   for (const std::int32_t id : adds) {
-    require(id >= 0 && static_cast<std::size_t>(id) < coords_->size() &&
-                (*coords_)[static_cast<std::size_t>(id)].size() == dim_,
-            "KdTree::fold_updates: bad point id or dimension");
+    require(id >= 0 && static_cast<std::size_t>(id) < coords_->size(),
+            "KdTree::fold_updates: bad point id");
   }
   const std::size_t old_n = ids_.size();
   require(removes.size() <= old_n, "KdTree::fold_updates: too many removes");
@@ -307,7 +307,8 @@ void KdTree::fold_updates(const std::vector<std::int32_t>& adds,
   std::vector<std::uint32_t> add_count(nodes_.size(), 0);
   std::vector<std::vector<std::int32_t>> leaf_adds(nodes_.size());
   for (const std::int32_t id : adds) {
-    const Point& pt = (*coords_)[static_cast<std::size_t>(id)];
+    const std::span<const double> pt =
+        coords_->row(static_cast<std::size_t>(id));
     std::int32_t node = root_;
     while (true) {
       ++add_count[static_cast<std::size_t>(node)];

@@ -26,22 +26,25 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "coords/point_set.h"
 #include "spatial/spatial_index.h"
 
 namespace hfc {
 
-/// An index over a subset of a coordinate array. The coordinate vector
-/// must outlive the tree; point ids are indices into it (the subset form
-/// indexes only the listed ids, so cluster-scoped indexes and
+/// An index over a subset of a coordinate store. The PointSet must
+/// outlive the tree (a temporary is rejected at compile time); point ids
+/// are row indices into it, read through it on every access (the subset
+/// form indexes only the listed ids, so cluster-scoped indexes and
 /// whole-overlay indexes share one implementation).
 class KdTree {
  public:
   /// Index the points `ids` (empty = all) of `coords`. Throws on empty
-  /// input or inconsistent dimensions.
-  explicit KdTree(const std::vector<Point>& coords,
-                  std::vector<std::int32_t> ids = {});
+  /// input, zero-dimensional points or out-of-range ids.
+  explicit KdTree(const PointSet& coords, std::vector<std::int32_t> ids = {});
+  KdTree(PointSet&&, std::vector<std::int32_t> = {}) = delete;
 
   /// Number of indexed points.
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
@@ -50,7 +53,7 @@ class KdTree {
   /// strictly beyond the bound may be pruned; candidates at exactly the
   /// bound are still returned so callers can finish lexicographic
   /// tie-breaks). `accept`/`ctx` optionally reject candidate ids.
-  [[nodiscard]] SpatialHit nearest(const Point& q, double bound,
+  [[nodiscard]] SpatialHit nearest(std::span<const double> q, double bound,
                                    QueryStats& stats,
                                    SpatialFilter accept = nullptr,
                                    const void* ctx = nullptr) const;
@@ -60,11 +63,12 @@ class KdTree {
   /// pairs produces. Fewer than k are returned when the (filtered) index
   /// is smaller.
   [[nodiscard]] std::vector<SpatialHit> k_nearest(
-      const Point& q, std::size_t k, QueryStats& stats,
+      std::span<const double> q, std::size_t k, QueryStats& stats,
       SpatialFilter accept = nullptr, const void* ctx = nullptr) const;
 
   /// All indexed ids within `radius` of `q` (inclusive), ascending by id.
-  [[nodiscard]] std::vector<std::int32_t> range(const Point& q, double radius,
+  [[nodiscard]] std::vector<std::int32_t> range(std::span<const double> q,
+                                                double radius,
                                                 QueryStats& stats) const;
 
   /// Assign a component label to every *indexed* point (labels is indexed
@@ -76,8 +80,8 @@ class KdTree {
 
   /// Nearest indexed point whose label (from the last `retag`) differs
   /// from `label`, with the same bound/tie contract as `nearest`.
-  [[nodiscard]] SpatialHit nearest_foreign(const Point& q, std::int32_t label,
-                                           double bound,
+  [[nodiscard]] SpatialHit nearest_foreign(std::span<const double> q,
+                                           std::int32_t label, double bound,
                                            QueryStats& stats) const;
 
   /// Fold a batch of mutations into the tree in place (see the header
@@ -110,8 +114,8 @@ class KdTree {
     double split = 0.0;
   };
 
-  [[nodiscard]] const Point& point(std::uint32_t pos) const {
-    return (*coords_)[static_cast<std::size_t>(ids_[pos])];
+  [[nodiscard]] std::span<const double> point(std::uint32_t pos) const {
+    return coords_->row(static_cast<std::size_t>(ids_[pos]));
   }
   /// Build a subtree over ids[begin, end) into the given arrays (which
   /// may be the members or the fold-emit scratch); returns the new node
@@ -144,14 +148,15 @@ class KdTree {
   void gather_adds(std::int32_t old_node, FoldScratch& s,
                    std::vector<std::int32_t>& out) const;
   /// Exact distance from q to node's bounding box (0 when inside).
-  [[nodiscard]] double box_distance(std::int32_t node, const Point& q) const;
-  void search(std::int32_t node, const Point& q, std::int32_t foreign_label,
-              SpatialFilter accept, const void* ctx, SpatialHit& best,
-              QueryStats& stats) const;
+  [[nodiscard]] double box_distance(std::int32_t node,
+                                    std::span<const double> q) const;
+  void search(std::int32_t node, std::span<const double> q,
+              std::int32_t foreign_label, SpatialFilter accept,
+              const void* ctx, SpatialHit& best, QueryStats& stats) const;
   [[nodiscard]] std::int32_t retag_node(
       std::int32_t node, const std::vector<std::int32_t>& labels);
 
-  const std::vector<Point>* coords_;
+  const PointSet* coords_;
   std::size_t dim_ = 0;
   std::vector<std::int32_t> ids_;    ///< permuted by the build
   std::vector<Node> nodes_;

@@ -125,12 +125,12 @@ class FullRebuild {
     return nodes;
   }
 
-  static std::vector<Point> view_coords(const DynamicHfcOverlay& overlay,
-                                        const std::vector<NodeId>& nodes) {
-    std::vector<Point> coords;
-    coords.reserve(nodes.size());
+  static PointSet view_coords(const DynamicHfcOverlay& overlay,
+                              const std::vector<NodeId>& nodes) {
+    PointSet coords;
     for (const NodeId node : nodes) {
-      coords.push_back(overlay.universe_network().coordinate(node));
+      const auto row = overlay.universe_network().coordinate(node);
+      coords.push_back(Point(row.begin(), row.end()));
     }
     return coords;
   }

@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "cluster/mst.h"
-#include "coords/point.h"
+#include "coords/point_set.h"
 
 namespace hfc::oracle {
 
-inline std::vector<MstEdge> kruskal_mst(const std::vector<Point>& points) {
+inline std::vector<MstEdge> kruskal_mst(const PointSet& points) {
   const std::size_t n = points.size();
   std::vector<MstEdge> pairs;
   pairs.reserve(n * (n > 0 ? n - 1 : 0) / 2);

@@ -9,7 +9,7 @@
 #include <limits>
 #include <vector>
 
-#include "coords/point.h"
+#include "coords/point_set.h"
 #include "spatial/spatial_index.h"
 
 namespace hfc::oracle {
@@ -17,8 +17,9 @@ namespace hfc::oracle {
 /// Nearest id to `q` within `bound` (inclusive) among those `accept`
 /// admits; not found when none qualifies.
 inline SpatialHit brute_nearest(
-    const std::vector<Point>& pts, const std::vector<std::int32_t>& ids,
-    const Point& q, double bound = std::numeric_limits<double>::infinity(),
+    const PointSet& pts, const std::vector<std::int32_t>& ids,
+    std::span<const double> q,
+    double bound = std::numeric_limits<double>::infinity(),
     SpatialFilter accept = nullptr, const void* ctx = nullptr) {
   SpatialHit best;
   best.dist = bound;
@@ -37,8 +38,8 @@ inline SpatialHit brute_nearest(
 
 /// The k ids minimising (distance, id), ascending.
 inline std::vector<SpatialHit> brute_k_nearest(
-    const std::vector<Point>& pts, const std::vector<std::int32_t>& ids,
-    const Point& q, std::size_t k) {
+    const PointSet& pts, const std::vector<std::int32_t>& ids,
+    std::span<const double> q, std::size_t k) {
   std::vector<SpatialHit> all;
   for (const std::int32_t id : ids) {
     all.push_back({id, euclidean(q, pts[static_cast<std::size_t>(id)])});
@@ -53,8 +54,8 @@ inline std::vector<SpatialHit> brute_k_nearest(
 
 /// Every id within `radius` of `q` (inclusive), ascending.
 inline std::vector<std::int32_t> brute_range(
-    const std::vector<Point>& pts, const std::vector<std::int32_t>& ids,
-    const Point& q, double radius) {
+    const PointSet& pts, const std::vector<std::int32_t>& ids,
+    std::span<const double> q, double radius) {
   std::vector<std::int32_t> out;
   for (const std::int32_t id : ids) {
     if (euclidean(q, pts[static_cast<std::size_t>(id)]) <= radius) {

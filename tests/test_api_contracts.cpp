@@ -6,7 +6,7 @@
 #include "multilevel/multilevel_router.h"
 #include "overlay/hfc_topology.h"
 #include "qos/qos_manager.h"
-#include "routing/brute_force.h"
+#include "oracle/brute_force.h"
 #include "routing/flat_router.h"
 #include "routing/hierarchical_router.h"
 #include "sim/state_protocol.h"
@@ -16,6 +16,8 @@
 
 namespace hfc {
 namespace {
+
+using oracle::brute_force_route;
 
 struct TinyWorld {
   std::vector<Point> coords{{0, 0}, {2, 0}, {100, 0}, {102, 0}};

@@ -2,13 +2,18 @@
 // pipeline.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "coords/gnp.h"
 #include "distance/latency_oracle.h"
 #include "topology/shortest_paths.h"
 #include "coords/nelder_mead.h"
 #include "coords/point.h"
+#include "coords/point_set.h"
 #include "topology/transit_stub.h"
 #include "topology/overlay_placement.h"
 #include "util/rng.h"
@@ -18,9 +23,62 @@ namespace hfc {
 namespace {
 
 TEST(Point, Euclidean) {
-  EXPECT_DOUBLE_EQ(euclidean({0.0, 0.0}, {3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(euclidean({1.0}, {1.0}), 0.0);
-  EXPECT_THROW((void)euclidean({1.0}, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(euclidean(Point{0.0, 0.0}, Point{3.0, 4.0}), 5.0);
+  EXPECT_DOUBLE_EQ(euclidean(Point{1.0}, Point{1.0}), 0.0);
+  EXPECT_THROW((void)euclidean(Point{1.0}, Point{1.0, 2.0}),
+               std::invalid_argument);
+}
+
+/// euclidean() as it was written over two Points, before the span
+/// kernel: the reference the kernel must reproduce bit for bit.
+double per_point_euclidean(const Point& a, const Point& b) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return std::sqrt(sum);
+}
+
+TEST(Point, EuclideanRowsBitEqual) {
+  // Coordinates from the awkward corners of IEEE arithmetic: signed
+  // zeros, subnormals, values whose squares overflow or underflow, and
+  // ordinary magnitudes, mixed per axis.
+  const double min_sub = std::numeric_limits<double>::denorm_min();
+  const double min_norm = std::numeric_limits<double>::min();
+  const std::vector<double> specials{
+      0.0,     -0.0,      min_sub,   -min_sub, 3 * min_sub, min_norm / 2,
+      min_norm, -min_norm, 1e-300,   -1e-300,  1e-160,      1e300,
+      -1e300,  1.7e308,   1e154,    0.1,      -2.5,        1234.5678};
+  Rng rng(77);
+  const auto draw = [&] {
+    return rng.chance(0.5)
+               ? specials[rng.pick_index(specials.size())]
+               : rng.uniform_real(-1.0, 1.0) *
+                     std::pow(10.0, rng.uniform_real(-310.0, 308.0));
+  };
+  for (std::size_t dim = 1; dim <= 8; ++dim) {
+    std::vector<Point> points;
+    for (std::size_t i = 0; i < 64; ++i) {
+      Point p(dim);
+      for (double& c : p) c = draw();
+      points.push_back(std::move(p));
+    }
+    const PointSet rows(points);
+    ASSERT_EQ(rows.dim(), dim);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (std::size_t j = 0; j < points.size(); ++j) {
+        const double want = per_point_euclidean(points[i], points[j]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(euclidean(rows[i], rows[j])),
+                  std::bit_cast<std::uint64_t>(want))
+            << "dim " << dim << " rows " << i << ", " << j;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(euclidean(points[i], rows[j])),
+                  std::bit_cast<std::uint64_t>(want));
+      }
+    }
+  }
+  EXPECT_THROW((void)euclidean(PointSet{{1.0, 2.0}}[0], Point{1.0}),
+               std::invalid_argument);
 }
 
 TEST(NelderMead, QuadraticBowl) {

@@ -18,10 +18,10 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
+#include "oracle/brute_force.h"
 #include "oracle/full_rebuild.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
-#include "routing/brute_force.h"
 #include "routing/filters.h"
 #include "routing/hierarchical_router.h"
 #include "routing/service_path.h"
@@ -32,6 +32,8 @@
 
 namespace hfc {
 namespace {
+
+using oracle::brute_force_route;
 
 std::uint64_t counter_now(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();

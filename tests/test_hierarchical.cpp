@@ -8,7 +8,7 @@
 
 #include "cluster/zahn.h"
 #include "overlay/hfc_topology.h"
-#include "routing/brute_force.h"
+#include "oracle/brute_force.h"
 #include "routing/flat_router.h"
 #include "routing/full_state_router.h"
 #include "routing/hierarchical_router.h"
@@ -18,6 +18,8 @@
 
 namespace hfc {
 namespace {
+
+using oracle::brute_force_route;
 
 /// A paper-Figure-6-style fixture: four well-separated clusters with a
 /// hand-placed service catalog S1..S5 (ids 1..5).

@@ -16,7 +16,7 @@
 #include "multilevel/multilevel_hierarchy.h"
 #include "multilevel/multilevel_router.h"
 #include "overlay/hfc_topology.h"
-#include "routing/brute_force.h"
+#include "oracle/brute_force.h"
 #include "routing/hierarchical_router.h"
 #include "services/workload.h"
 #include "util/rng.h"
@@ -24,6 +24,8 @@
 
 namespace hfc {
 namespace {
+
+using oracle::brute_force_route;
 
 /// Four tight 4-node squares arranged as two well-separated super-pairs:
 ///   squares at (0,0) and (30,0)        -> super-group "west"

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "overlay/mesh_topology.h"
-#include "routing/brute_force.h"
+#include "oracle/brute_force.h"
 #include "routing/flat_router.h"
 #include "routing/path_expansion.h"
 #include "routing/service_dag.h"
@@ -15,6 +15,8 @@
 
 namespace hfc {
 namespace {
+
+using oracle::brute_force_route;
 
 // ---------------------------------------------------------------- DAG ----
 

@@ -11,6 +11,8 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/group_pipeline.h"
@@ -67,7 +69,7 @@ void expect_hit_eq(const SpatialHit& got, const SpatialHit& want) {
 /// The full query battery against the brute reference.
 void run_index_battery() {
   Rng rng(901);
-  const std::vector<Point> pts = random_points(257, 3, rng);
+  const PointSet pts = random_points(257, 3, rng);
   const auto ids = all_ids(pts.size());
   const KdTree index(pts);
   ASSERT_EQ(index.size(), pts.size());
@@ -105,7 +107,7 @@ void run_index_battery() {
 
 void run_foreign_battery() {
   Rng rng(911);
-  const std::vector<Point> pts = random_points(200, 2, rng);
+  const PointSet pts = random_points(200, 2, rng);
   KdTree index(pts);
   std::vector<std::int32_t> labels(pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -137,7 +139,7 @@ void run_foreign_battery() {
 void run_ties_battery() {
   // Duplicate coordinates force exact distance ties; the smallest id must
   // win, exactly like the ascending strict-`<` scan.
-  std::vector<Point> pts;
+  PointSet pts;
   for (std::size_t i = 0; i < 40; ++i) {
     pts.push_back({static_cast<double>(i / 4), static_cast<double>(i % 2)});
   }
@@ -145,7 +147,7 @@ void run_ties_battery() {
   const auto ids = all_ids(pts.size());
   QueryStats stats;
   for (std::size_t t = 0; t < pts.size(); ++t) {
-    const Point& q = pts[t];
+    const std::span<const double> q = pts[t];
     expect_hit_eq(index.nearest(
                       q, std::numeric_limits<double>::infinity(), stats),
                   brute_nearest(pts, ids, q));
@@ -162,7 +164,7 @@ TEST(SpatialKdTree, TiesResolveToSmallestId) { run_ties_battery(); }
 
 TEST(SpatialIndexKnobs, SubsetIndexAndFilter) {
   Rng rng(921);
-  const std::vector<Point> pts = random_points(120, 2, rng);
+  const PointSet pts = random_points(120, 2, rng);
   std::vector<std::int32_t> subset;
   for (std::size_t i = 0; i < pts.size(); i += 3) {
     subset.push_back(static_cast<std::int32_t>(i));
@@ -210,7 +212,7 @@ TEST(SpatialIndexKnobs, ModeParsing) {
 
 TEST(SpatialDynamicSet, ChurnMatchesBruteScan) {
   Rng rng(931);
-  const std::vector<Point> pts = random_points(300, 3, rng);
+  const PointSet pts = random_points(300, 3, rng);
   DynamicSpatialSet set;
   std::set<std::int32_t> live;
   std::vector<std::int32_t> initial;
@@ -251,7 +253,7 @@ TEST(SpatialDynamicSet, ChurnMatchesBruteScan) {
 
 TEST(SpatialDynamicSet, BcpMatchesBruteDoubleLoop) {
   Rng rng(941);
-  const std::vector<Point> pts = random_points(260, 2, rng);
+  const PointSet pts = random_points(260, 2, rng);
   std::vector<std::int32_t> left;
   std::vector<std::int32_t> right;
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -298,7 +300,7 @@ std::multiset<std::pair<std::size_t, std::size_t>> edge_set(
 
 TEST(SpatialEquivalence, MstEdgeSetMatchesBrute) {
   Rng rng(951);
-  const std::vector<Point> pts = random_points(300, 3, rng);
+  const PointSet pts = random_points(300, 3, rng);
   EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   std::vector<MstEdge> brute;
   {
@@ -413,7 +415,7 @@ TEST(SpatialEquivalence, ChurnRepairMatchesBrute) {
 TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
   EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   Rng rng(956);
-  const std::vector<Point> pts = random_points(220, 2, rng);
+  const PointSet pts = random_points(220, 2, rng);
   const CoordDistanceService dist(pts);
   MeshParams params;
   params.random_min = 0;
@@ -587,7 +589,7 @@ TEST(SpatialRebuildBudget, TinyBudgetIsExactAndRebuildsOften) {
   EnvGuard guard("HFC_SPATIAL_REBUILD_BUDGET", "1");
   Rng rng(4242);
   const std::size_t n = 300;
-  std::vector<Point> pts = random_points(n, 2, rng);
+  PointSet pts = random_points(n, 2, rng);
 
   obs::Counter& rebuilds =
       obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
@@ -632,7 +634,7 @@ void expect_same_edges(const std::vector<MstEdge>& a,
 // are valid and only the (d, a, b) order picks one (DESIGN.md §13).
 TEST(MstAlgo, PrunedMatchesRoundsBitwise) {
   Rng rng(961);
-  const std::vector<Point> pts = random_points(600, 3, rng);
+  const PointSet pts = random_points(600, 3, rng);
   const std::vector<MstEdge> want = oracle::kruskal_mst(pts);
   expect_same_edges(want, euclidean_mst_spatial(pts));
   expect_same_edges(want, euclidean_mst_grouped(pts, 64));
@@ -669,7 +671,7 @@ TEST(MstAlgo, PrunedMatchesRoundsBitwise) {
 TEST(SpatialDynamicSet, TombstoneHeavyFoldsStayExact) {
   Rng rng(971);
   const std::size_t n = 400;
-  const std::vector<Point> pts = random_points(n, 3, rng);
+  const PointSet pts = random_points(n, 3, rng);
   DynamicSpatialSet set;
   set.bulk_load(pts, all_ids(n));
   std::vector<std::int32_t> live = all_ids(n);
@@ -701,7 +703,7 @@ TEST(SpatialDynamicSet, TombstoneHeavyFoldsStayExact) {
 TEST(SpatialDynamicSet, EraseAllThenReinsertStaysExact) {
   Rng rng(972);
   const std::size_t n = 96;
-  const std::vector<Point> pts = random_points(n, 2, rng);
+  const PointSet pts = random_points(n, 2, rng);
   DynamicSpatialSet set;
   set.bulk_load(pts, all_ids(n));
 
@@ -737,7 +739,7 @@ TEST(SpatialRebuildBudget, BoundaryIsExclusiveAtExactBudget) {
   EnvGuard unset("HFC_SPATIAL_REBUILD_BUDGET", "0");
   Rng rng(973);
   const std::size_t n = 200;
-  const std::vector<Point> pts = random_points(n, 2, rng);
+  const PointSet pts = random_points(n, 2, rng);
   const std::size_t budget = DynamicSpatialSet::rebuild_budget(n);
   ASSERT_EQ(budget, std::max<std::size_t>(32, n / 4));
 
@@ -767,7 +769,7 @@ TEST(SpatialDynamicSet, FoldMatchesFullRebuildUnderChurn) {
 
   Rng rng(974);
   const std::size_t n = 350;
-  const std::vector<Point> pts = random_points(n, 3, rng);
+  const PointSet pts = random_points(n, 3, rng);
   DynamicSpatialSet set;
   set.bulk_load(pts, all_ids(n));
   std::vector<bool> live(n, true);
@@ -829,7 +831,7 @@ std::vector<Point> blob_points(std::size_t blobs, std::size_t per_blob,
 
 TEST(GroupPipeline, GroupedMatchesGlobalSweepBitwise) {
   Rng rng(4242);
-  const std::vector<Point> pts = random_points(700, 3, rng);
+  const PointSet pts = random_points(700, 3, rng);
   const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   for (const std::size_t limit : {48UL, 256UL, 4096UL}) {
     expect_same_edges(global, euclidean_mst_grouped(pts, limit));
@@ -846,7 +848,7 @@ TEST(GroupPipeline, GroupedMatchesGlobalSweepBitwise) {
 
 TEST(GroupPipeline, ClusteredGeometryMatchesBitwise) {
   Rng rng(777);
-  const std::vector<Point> pts = blob_points(24, 40, 3, rng);
+  const PointSet pts = blob_points(24, 40, 3, rng);
   const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   set_global_threads(1);
   const std::vector<MstEdge> grouped1 = euclidean_mst_grouped(pts, 96);
@@ -859,7 +861,7 @@ TEST(GroupPipeline, ClusteredGeometryMatchesBitwise) {
 
 TEST(GroupPipeline, DispatchHonorsKnobs) {
   Rng rng(31337);
-  const std::vector<Point> pts = random_points(400, 2, rng);
+  const PointSet pts = random_points(400, 2, rng);
   EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
   const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   {
@@ -878,7 +880,7 @@ TEST(GroupPipeline, DispatchHonorsKnobs) {
 
 TEST(GroupPipeline, ParallelZahnCutMatchesSerial) {
   Rng rng(909);
-  const std::vector<Point> pts = blob_points(12, 30, 2, rng);
+  const PointSet pts = blob_points(12, 30, 2, rng);
   const std::vector<MstEdge> mst = euclidean_mst_spatial(pts);
   for (const ZahnStatistic stat :
        {ZahnStatistic::kMean, ZahnStatistic::kMedian}) {
@@ -903,7 +905,7 @@ TEST(GroupPipeline, ParallelZahnCutMatchesSerial) {
 // multilevel per-group repair flows through.
 TEST(GroupPipeline, SetScopedEntriesExactUnderTombstoneHeavyChurn) {
   Rng rng(5150);
-  const std::vector<Point> pts = blob_points(10, 48, 3, rng);
+  const PointSet pts = blob_points(10, 48, 3, rng);
   std::vector<std::int32_t> ids(pts.size());
   std::iota(ids.begin(), ids.end(), 0);
   DynamicSpatialSet set;
@@ -917,11 +919,7 @@ TEST(GroupPipeline, SetScopedEntriesExactUnderTombstoneHeavyChurn) {
     set.insert(static_cast<std::int32_t>(i));
   }
   const std::vector<std::int32_t> live = set.live_ids();
-  std::vector<Point> sub;
-  sub.reserve(live.size());
-  for (const std::int32_t id : live) {
-    sub.push_back(pts[static_cast<std::size_t>(id)]);
-  }
+  const PointSet sub = pts.subset(live);
 
   EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
   EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
@@ -963,10 +961,62 @@ TEST(GroupPipeline, SetScopedEntriesExactUnderTombstoneHeavyChurn) {
   EXPECT_EQ(clusters1.members, clusters4.members);
 }
 
+// KdTree and DynamicSpatialSet keep a pointer to their PointSet, so
+// binding either to a temporary — including the one a Point list would
+// convert to — must not compile.
+template <class Coords>
+concept BulkLoadable = requires(DynamicSpatialSet set, Coords&& coords) {
+  set.bulk_load(std::forward<Coords>(coords), std::vector<std::int32_t>{});
+};
+static_assert(std::is_constructible_v<KdTree, const PointSet&>);
+static_assert(!std::is_constructible_v<KdTree, PointSet&&>);
+static_assert(!std::is_constructible_v<KdTree, const std::vector<Point>&>);
+static_assert(BulkLoadable<const PointSet&>);
+static_assert(!BulkLoadable<PointSet&&>);
+static_assert(!BulkLoadable<const std::vector<Point>&>);
+
+// The add_node path: a set bound to a PointSet that keeps growing past
+// its capacity — every reallocation moves the rows under the set's index
+// — still answers exactly as the brute scan over the same live ids.
+TEST(SpatialDynamicSet, GrowingPointSet) {
+  Rng rng(6121);
+  PointSet pts = random_points(64, 3, rng);
+  std::vector<std::int32_t> live = all_ids(pts.size());
+  DynamicSpatialSet set;
+  set.bulk_load(pts, live);
+  const double* first_block = pts.row(0).data();
+  QueryStats stats;
+  while (pts.size() < 600) {
+    const auto id = static_cast<std::int32_t>(pts.size());
+    pts.push_back(random_points(1, 3, rng).front());
+    set.insert(id);
+    live.push_back(id);
+    if (id % 3 == 0) {
+      const std::size_t victim = rng.pick_index(live.size());
+      set.erase(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    set.maybe_rebuild();
+    std::vector<std::int32_t> sorted = live;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(set.live_ids(), sorted);
+    for (std::size_t t = 0; t < 4; ++t) {
+      const Point q = random_points(1, 3, rng).front();
+      expect_hit_eq(set.nearest(q, std::numeric_limits<double>::infinity(),
+                                stats),
+                    brute_nearest(pts, sorted, q));
+      const auto joiner = pts[static_cast<std::size_t>(id)];
+      expect_hit_eq(set.nearest(joiner, 30.0, stats),
+                    brute_nearest(pts, sorted, joiner, 30.0));
+    }
+  }
+  EXPECT_NE(pts.row(0).data(), first_block);  // the block did move
+}
+
 TEST(SpatialDynamicSet, NearestForeignMatchesManualScan) {
   Rng rng(6021);
   for (const std::size_t n : {20UL, 90UL}) {  // brute tier and index tier
-    const std::vector<Point> pts = random_points(n, 2, rng);
+    const PointSet pts = random_points(n, 2, rng);
     std::vector<std::int32_t> ids(n);
     std::iota(ids.begin(), ids.end(), 0);
     DynamicSpatialSet set;

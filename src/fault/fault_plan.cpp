@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -222,10 +224,24 @@ double parse_double(const std::string& token, const std::string& context) {
   return v;
 }
 
+/// A time, span, jitter or loss: stod accepts "inf" and "nan", which no
+/// schedule can use.
+double parse_finite(const std::string& token, const std::string& context) {
+  const double v = parse_double(token, context);
+  require(std::isfinite(v), "FaultPlan::parse: non-finite number '" + token +
+                                "' in '" + context + "'");
+  return v;
+}
+
+/// A node or cluster id: checked against the int32 range before the
+/// cast, which is undefined behaviour outside it.
 int parse_int(const std::string& token, const std::string& context) {
   const double v = parse_double(token, context);
   require(v >= 0.0 && v == std::floor(v),
           "FaultPlan::parse: '" + context + "' needs a non-negative integer");
+  require(v <= static_cast<double>(std::numeric_limits<std::int32_t>::max()),
+          "FaultPlan::parse: id '" + token + "' above INT32_MAX in '" +
+              context + "'");
   return static_cast<int>(v);
 }
 
@@ -310,13 +326,13 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                                                   ? colon
                                                   : at);
     if (head == "loss") {
-      base_loss = parse_double(token.substr(colon + 1), token);
+      base_loss = parse_finite(token.substr(colon + 1), token);
       require(base_loss >= 0.0 && base_loss < 1.0,
               "FaultPlan::parse: loss outside [0,1) in '" + token + "'");
       continue;
     }
     if (head == "jitter") {
-      jitter = parse_double(token.substr(colon + 1), token);
+      jitter = parse_finite(token.substr(colon + 1), token);
       require(jitter >= 0.0, "FaultPlan::parse: negative jitter");
       continue;
     }
@@ -339,7 +355,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string arg = token.substr(colon + 1);
     if (head == "crash" || head == "recover") {
       FaultEvent ev;
-      ev.time_ms = parse_double(time_part, token);
+      ev.time_ms = parse_finite(time_part, token);
       ev.kind = head == "crash" ? FaultKind::kCrash : FaultKind::kRecover;
       ev.node = NodeId(parse_int(arg, token));
       events.push_back(ev);
@@ -348,7 +364,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       require(slash != std::string::npos,
               "FaultPlan::parse: expected 'a/b' clusters in '" + token + "'");
       FaultEvent ev;
-      ev.time_ms = parse_double(time_part, token);
+      ev.time_ms = parse_finite(time_part, token);
       ev.kind = head == "partition" ? FaultKind::kPartition : FaultKind::kHeal;
       ev.a = ClusterId(parse_int(arg.substr(0, slash), token));
       ev.b = ClusterId(parse_int(arg.substr(slash + 1), token));
@@ -358,13 +374,15 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       require(plus != std::string::npos,
               "FaultPlan::parse: expected 'burst@open+span:loss' in '" +
                   token + "'");
-      const double open = parse_double(time_part.substr(0, plus), token);
-      const double span = parse_double(time_part.substr(plus + 1), token);
+      const double open = parse_finite(time_part.substr(0, plus), token);
+      const double span = parse_finite(time_part.substr(plus + 1), token);
       require(span > 0.0, "FaultPlan::parse: burst span must be positive");
+      require(std::isfinite(open + span),
+              "FaultPlan::parse: burst end overflows in '" + token + "'");
       FaultEvent start;
       start.time_ms = open;
       start.kind = FaultKind::kBurstStart;
-      start.loss = parse_double(arg, token);
+      start.loss = parse_finite(arg, token);
       events.push_back(start);
       FaultEvent end;
       end.time_ms = open + span;

@@ -33,8 +33,9 @@ struct AcceptAll {
 
 /// Closest pair x ∈ a, y ∈ b: the lex-min (distance(x, y), x, y) among
 /// the members `accept` admits; not found when a side admits none. An
-/// accept predicate forces the scan. `stats.point_evals` counts the
-/// distance evaluations on either path.
+/// accept predicate forces the scan, and asks it once per member: the
+/// admitted members of each side are filtered first, then scanned.
+/// `stats.point_evals` counts the distance evaluations on either path.
 template <class Distance, class Accept = AcceptAll>
 [[nodiscard]] BcpResult closest_pair(PairSide a, PairSide b,
                                      const Distance& distance,
@@ -45,6 +46,17 @@ template <class Distance, class Accept = AcceptAll>
       return bichromatic_closest_pair(*a.set, *b.set, *a.set->coords(),
                                       stats);
     }
+  } else {
+    const auto admitted = [&accept](const std::vector<NodeId>& members) {
+      std::vector<NodeId> out;
+      for (const NodeId m : members) {
+        if (accept(m)) out.push_back(m);
+      }
+      return out;
+    };
+    const std::vector<NodeId> xs = admitted(a.members);
+    const std::vector<NodeId> ys = admitted(b.members);
+    return closest_pair(PairSide{xs}, PairSide{ys}, distance, stats);
   }
   BcpResult best;
   std::uint64_t evals = 0;

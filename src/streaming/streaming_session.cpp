@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "services/service_graph.h"
 #include "util/env.h"
 #include "util/require.h"
@@ -25,6 +26,9 @@ struct StreamMetrics {
   obs::Counter& rejected;          ///< joins/regrafts left detached
   obs::Counter& regrafts;
   obs::Counter& repair_failures;   ///< repair-pass orphans with no feasible attach
+  obs::Counter& candidate_routes;  ///< pending candidates routed
+  /// Pending candidates left unrouted at a graft: they could not win.
+  obs::Counter& candidate_routes_skipped;
   obs::Counter& breaks_crash;      ///< edges broken by a crash or a leave
   obs::Counter& breaks_partition;  ///< edges broken by a partition
   obs::Counter& restores;          ///< edges revived in place (recover/heal)
@@ -44,6 +48,8 @@ struct StreamMetrics {
         reg.counter("stream.rejected"),
         reg.counter("stream.regrafts"),
         reg.counter("stream.repair_failures"),
+        reg.counter("stream.candidate_routes"),
+        reg.counter("stream.candidate_routes_skipped"),
         reg.counter("stream.breaks_crash"),
         reg.counter("stream.breaks_partition"),
         reg.counter("stream.restores"),
@@ -55,6 +61,24 @@ struct StreamMetrics {
     return m;
   }
 };
+
+/// A pending candidate's key: its attach-to-node coordinate distance ê
+/// times this factor, a lower bound on the cost its route will have.
+///
+/// A route runs from the attach point to the node, so by the triangle
+/// inequality its true hop-distance sum is at least the true distance e.
+/// Only rounding can break the bound. With u = 2^-53 and
+/// γ_n = n·u / (1 − n·u): euclidean() over k axes rounds each difference,
+/// square, the k-term sum and the root, so every computed distance is
+/// within a factor (1 ± γ_{k+3}) of the true one; the left-to-right sum of
+/// m computed hop distances loses at most another factor (1 − γ_{m−1}).
+/// The computed cost is therefore at least
+/// (1 − γ_{m−1})(1 − γ_{k+3}) / (1 + γ_{k+3}) · ê ≥ (1 − γ_{m+2k+6}) · ê,
+/// and the rounded product ê · (1 − s) is at most ê · (1 − s)(1 + u). A
+/// slack s ≥ γ_{m+2k+8} suffices: 1e-9 covers m + 2k up to ~9·10^6,
+/// far beyond any path length or coordinate dimension here.
+/// route_candidate checks the bound on every route it solves.
+constexpr double kBoundShrink = 1.0 - 1e-9;
 
 void insert_sorted(std::vector<NodeId>& v, NodeId node) {
   const auto it = std::lower_bound(v.begin(), v.end(), node);
@@ -290,24 +314,18 @@ NodeId StreamingSession::resolve_head(Tree& tree,
 std::vector<StreamingSession::Candidate> StreamingSession::collect_candidates(
     Tree& tree, NodeId node, NodeId exclude) const {
   const OverlayNetwork& net = overlay_.universe_network();
-  const auto eligible = [&](NodeId x) {
-    if (x == node || x == exclude || !node_up(x)) return false;
-    const auto it = tree.members.find(x);
-    return it != tree.members.end() && it->second.blocked == 0;
-  };
-  const auto nearer = [&](NodeId a, NodeId b) {
-    const double da = net.coord_distance(a, node);
-    const double db = net.coord_distance(b, node);
-    if (da != db) return da < db;
-    return a < b;
-  };
   const std::int32_t label = cluster_label(node);
-  std::vector<NodeId> pool;
+  // (distance to node, id): each distance is evaluated once, and the
+  // pair order is the nearest-first order with ties to the smaller id.
+  std::vector<std::pair<double, NodeId>> pool;
+  const auto offer = [&](NodeId x) {
+    pool.emplace_back(net.coord_distance(x, node), x);
+  };
   if (params_.mode == StreamMode::kClique) {
     const NodeId head = resolve_head(tree, label);
     if (head.valid() && head != node && head != exclude) {
       // Clustered dissemination: strictly through the cluster head.
-      pool.push_back(head);
+      offer(head);
     } else {
       // No eligible own-cluster head: this member attaches cross-cluster
       // (and becomes the head on success). Other heads form the backbone.
@@ -315,46 +333,61 @@ std::vector<StreamingSession::Candidate> StreamingSession::collect_candidates(
         (void)unused;
         if (cluster == label) continue;
         const NodeId other = resolve_head(tree, cluster);
-        if (other.valid() && other != node && other != exclude) {
-          pool.push_back(other);
-        }
-      }
-      std::sort(pool.begin(), pool.end(), nearer);
-      if (pool.size() > params_.repair_budget) {
-        pool.resize(params_.repair_budget);
+        if (other.valid() && other != node && other != exclude) offer(other);
       }
     }
   } else {
     // Locating-first: own-cluster members by coordinate distance; fall
     // back to a global scan only when the cluster offers nothing.
+    const auto eligible = [&](NodeId x, const Member& member) {
+      return x != node && x != exclude && member.blocked == 0 && node_up(x);
+    };
     const auto cit = tree.by_cluster.find(label);
     if (cit != tree.by_cluster.end()) {
       for (NodeId x : cit->second) {
-        if (eligible(x)) pool.push_back(x);
+        const auto it = tree.members.find(x);
+        if (it != tree.members.end() && eligible(x, it->second)) offer(x);
       }
     }
     if (pool.empty()) {
       for (const auto& [x, member] : tree.members) {
-        (void)member;
-        if (eligible(x)) pool.push_back(x);
+        if (eligible(x, member)) offer(x);
       }
     }
-    std::sort(pool.begin(), pool.end(), nearer);
-    if (pool.size() > params_.repair_budget) {
-      pool.resize(params_.repair_budget);
-    }
   }
+  // The repair_budget nearest, in order: the prefix a full sort keeps.
+  if (pool.size() > params_.repair_budget) {
+    const auto cut =
+        pool.begin() + static_cast<std::ptrdiff_t>(params_.repair_budget);
+    std::nth_element(pool.begin(), cut, pool.end());
+    pool.erase(cut, pool.end());
+  }
+  std::sort(pool.begin(), pool.end());
+
   std::vector<Candidate> out;
   out.reserve(pool.size() + 1);
-  for (NodeId x : pool) {
-    if (params_.mode == StreamMode::kClique || eligible(x)) {
-      out.push_back(Candidate{x, ServicePath{}, 0.0});
+  for (const auto& [distance, x] : pool) {
+    Candidate cand{x, ServicePath{}, distance, false};
+    if (cluster_label(x) == label) {
+      // Intra-cluster attach: clusters are fully connected, the chain was
+      // applied upstream of the attach — a direct relay edge suffices (the
+      // locating step; no router refinement needed).
+      cand.path.found = true;
+      cand.path.hops = {ServiceHop{x, ServiceId{}},
+                        ServiceHop{node, ServiceId{}}};
+      cand.path.cost = distance;
+    } else {
+      cand.cost = distance * kBoundShrink;
+      cand.pending = true;
     }
+    out.push_back(std::move(cand));
   }
   // The source is always a candidate of last resort (first-in-tree joins,
   // head promotions) unless it is down.
   if (node_up(tree.source) && tree.source != exclude) {
-    out.push_back(Candidate{tree.source, ServicePath{}, 0.0});
+    out.push_back(Candidate{
+        tree.source, ServicePath{},
+        net.coord_distance(tree.source, node) * kBoundShrink, true});
   }
   return out;
 }
@@ -363,19 +396,8 @@ void StreamingSession::route_candidate(const HierarchicalServiceRouter& router,
                                        const Tree& tree, NodeId node,
                                        Candidate& cand,
                                        NodeId exclude) const {
+  StreamMetrics::get().candidate_routes.add(1);
   const OverlayNetwork& net = overlay_.universe_network();
-  if (cand.attach != tree.source &&
-      cluster_label(cand.attach) == cluster_label(node)) {
-    // Intra-cluster attach: clusters are fully connected, the chain was
-    // applied upstream of the attach — a direct relay edge suffices (the
-    // locating step; no router refinement needed).
-    cand.path.found = true;
-    cand.path.hops = {ServiceHop{cand.attach, ServiceId{}},
-                      ServiceHop{node, ServiceId{}}};
-    cand.cost = net.coord_distance(cand.attach, node);
-    cand.path.cost = cand.cost;
-    return;
-  }
   // Cross-cluster (or source) attach: refine through the unicast router.
   // Only a source attach still has services to place — a member attach
   // sits downstream of the full chain.
@@ -387,35 +409,60 @@ void StreamingSession::route_candidate(const HierarchicalServiceRouter& router,
     return node_up(x) && x != exclude;
   };
   cand.path = router.route_degraded(request, up).path;
+  cand.pending = false;
   if (!cand.path.found) return;
+  const double bound = cand.cost;
   cand.cost = 0.0;
   for (std::size_t h = 1; h < cand.path.hops.size(); ++h) {
     cand.cost += net.coord_distance(cand.path.hops[h - 1].proxy,
                                     cand.path.hops[h].proxy);
   }
+  ensure(cand.cost >= bound,
+         "StreamingSession: routed cost below its attach lower bound");
 }
 
-bool StreamingSession::apply_attach(Simulator& sim, std::size_t tree_index,
-                                    NodeId node,
-                                    std::vector<Candidate>& candidates) {
+std::size_t StreamingSession::next_winner(
+    const HierarchicalServiceRouter& router, const Tree& tree, NodeId node,
+    std::vector<Candidate>& candidates, NodeId exclude) const {
+  // (cost, pending before exact, attach): attach ids are distinct, so
+  // the order is total.
+  const auto before = [](const Candidate& a, const Candidate& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    if (a.pending != b.pending) return a.pending;
+    return a.attach < b.attach;
+  };
+  while (!candidates.empty()) {
+    const auto best =
+        std::min_element(candidates.begin(), candidates.end(), before);
+    if (!best->pending) {
+      return static_cast<std::size_t>(best - candidates.begin());
+    }
+    route_candidate(router, tree, node, *best, exclude);
+    if (!best->path.found) candidates.erase(best);
+  }
+  return candidates.size();
+}
+
+bool StreamingSession::apply_attach(Simulator& sim,
+                                    const HierarchicalServiceRouter& router,
+                                    std::size_t tree_index, NodeId node,
+                                    std::vector<Candidate>& candidates,
+                                    NodeId exclude) {
+  HFC_TRACE_SPAN("streaming.attach");
   Tree& tree = trees_[tree_index];
   Member& member = tree.members.at(node);
-  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
-                                  [](const Candidate& c) {
-                                    return !c.path.found;
-                                  }),
-                   candidates.end());
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.cost != b.cost) return a.cost < b.cost;
-              return a.attach < b.attach;
-            });
   // Release the old claim first so a regraft that reuses proxies of the
   // old edge sees the capacity it is about to return; restore it if no
   // candidate turns out feasible.
   const std::vector<NodeId> old_claim = member.edge.claimed;
   if (!old_claim.empty()) qos_.release_nodes(old_claim, params_.demand);
-  for (Candidate& cand : candidates) {
+  StreamMetrics& m = StreamMetrics::get();
+  while (true) {
+    const std::size_t i =
+        next_winner(router, tree, node, candidates, exclude);
+    if (i == candidates.size()) break;
+    Candidate cand = std::move(candidates[i]);
+    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(i));
     // Re-check eligibility: earlier applies in this pass may have
     // consumed capacity (never blocked an attach point, though — repairs
     // only unblock subtrees).
@@ -471,6 +518,9 @@ bool StreamingSession::apply_attach(Simulator& sim, std::size_t tree_index,
                              " parent=" + std::to_string(cand.attach.value()) +
                              " cost=" + hexd(cand.cost) +
                              (member.edge.ok ? "" : " born-broken"));
+    m.candidate_routes_skipped.add(static_cast<std::uint64_t>(
+        std::count_if(candidates.begin(), candidates.end(),
+                      [](const Candidate& c) { return c.pending; })));
     return true;
   }
   if (!old_claim.empty()) qos_.reserve_nodes(old_claim, params_.demand);
@@ -479,13 +529,10 @@ bool StreamingSession::apply_attach(Simulator& sim, std::size_t tree_index,
 
 bool StreamingSession::try_attach(Simulator& sim, std::size_t tree_index,
                                   NodeId node, NodeId exclude) {
-  Tree& tree = trees_[tree_index];
-  std::vector<Candidate> candidates = collect_candidates(tree, node, exclude);
-  const HierarchicalServiceRouter& router = overlay_.universe_router();
-  for (Candidate& cand : candidates) {
-    route_candidate(router, tree, node, cand, exclude);
-  }
-  return apply_attach(sim, tree_index, node, candidates);
+  std::vector<Candidate> candidates =
+      collect_candidates(trees_[tree_index], node, exclude);
+  return apply_attach(sim, overlay_.universe_router(), tree_index, node,
+                      candidates, exclude);
 }
 
 // ---------------------------------------------------------------------------
@@ -689,6 +736,7 @@ void StreamingSession::schedule_repair(Simulator& sim) {
 
 void StreamingSession::repair_pass(Simulator& sim) {
   if (finished_) return;
+  HFC_TRACE_SPAN("streaming.repair_pass");
   StreamMetrics& m = StreamMetrics::get();
   struct Job {
     std::size_t tree;
@@ -708,22 +756,24 @@ void StreamingSession::repair_pass(Simulator& sim) {
   for (Job& job : jobs) {
     job.candidates = collect_candidates(trees_[job.tree], job.node, NodeId{});
   }
-  // …then the routing fan-out: read-only route_degraded calls against the
-  // pre-synced universe router, one slot per orphan, merged serially —
-  // the digest is thread-count independent.
+  // …then the routing fan-out: each orphan's selection runs read-only up
+  // to its first exact winner against the pre-synced universe router, one
+  // slot per orphan. The serial graft continues the same selection; a
+  // route depends only on the router and the crash set, neither of which
+  // a graft changes, so the digest is thread-count independent.
   const HierarchicalServiceRouter& router = overlay_.universe_router();
   parallel_for(jobs.size(), 1, [&](std::size_t i) {
     Job& job = jobs[i];
-    for (Candidate& cand : job.candidates) {
-      route_candidate(router, trees_[job.tree], job.node, cand, NodeId{});
-    }
+    (void)next_winner(router, trees_[job.tree], job.node, job.candidates,
+                      NodeId{});
   });
   for (Job& job : jobs) {
     Tree& tree = trees_[job.tree];
     const auto it = tree.members.find(job.node);
     if (it == tree.members.end() || !it->second.edge.wants_repair) continue;
     const double broke_at = it->second.edge.broke_at;
-    if (apply_attach(sim, job.tree, job.node, job.candidates)) {
+    if (apply_attach(sim, router, job.tree, job.node, job.candidates,
+                     NodeId{})) {
       regrafts_++;
       m.regrafts.add(1);
       m.repair_latency_ms.observe(sim.now() - broke_at);

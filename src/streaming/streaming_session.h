@@ -25,8 +25,9 @@
 //  - kLocating ("A Locating-First Approach for Scalable Overlay
 //    Multicast"): a joiner or orphan first locates the nearest live
 //    already-attached members by GNP coordinate distance — own cluster
-//    first — then refines the shortlist through the unicast router and
-//    attaches to the cheapest feasible candidate.
+//    first — then refines the shortlist through the unicast router only
+//    where a routed candidate can still win, and attaches to the cheapest
+//    feasible candidate.
 //  - kClique (CliqueStream-style clustered dissemination): each cluster
 //    elects one head per tree; members attach to their cluster head
 //    directly (intra-cluster full connectivity), heads form the
@@ -36,7 +37,7 @@
 // Determinism contract: all session state mutates inside simulator
 // handlers, which run serially; the only parallel section is the repair
 // pass's candidate routing, which fans read-only `route_degraded` calls
-// over the thread pool into per-orphan slots and merges serially — so a
+// over the thread pool into per-orphan slots and grafts serially — so a
 // given (universe, schedule, plan, seed) tuple produces a bit-identical
 // digest at any thread count.
 #pragma once
@@ -216,12 +217,14 @@ class StreamingSession {
     std::uint64_t expected = 0;
     std::uint64_t delivered = 0;
   };
-  /// One scored attach candidate (route filled by the repair pass's
-  /// parallel fan-out or inline for joins/leaves).
+  /// One attach candidate. An exact candidate carries its edge and cost;
+  /// a pending one (the source, or a cross-cluster attach) carries only a
+  /// lower bound on its cost until the selection routes it.
   struct Candidate {
     NodeId attach;
     ServicePath path;
-    double cost = 0.0;
+    double cost = 0.0;  ///< exact cost, or the lower bound while pending
+    bool pending = false;
   };
 
   [[nodiscard]] bool node_up(NodeId node) const;
@@ -238,22 +241,33 @@ class StreamingSession {
   /// Shortlisted attach points for (re)grafting `node` onto `tree`,
   /// mode-dependent, excluding `exclude` (a leaver mid-withdrawal).
   /// Candidates are eligible *now*: attached, unblocked, up members (or
-  /// the source). Routes are not filled in.
+  /// the source). Intra-cluster members come exact (a direct relay edge);
+  /// the source and cross-cluster members come pending.
   [[nodiscard]] std::vector<Candidate> collect_candidates(
       Tree& tree, NodeId node, NodeId exclude) const;
-  /// Fill candidate.path/cost: direct intra-cluster edge when possible,
-  /// unicast route otherwise. `router` must be pre-synced (the caller
-  /// grabs universe_router() serially); the call itself is read-only and
-  /// safe to fan out in parallel.
+  /// Route a pending candidate through the unicast router and make it
+  /// exact (path.found = false when no route exists). `router` must be
+  /// pre-synced; the call is read-only and safe to fan out in parallel.
   void route_candidate(const HierarchicalServiceRouter& router,
                        const Tree& tree, NodeId node, Candidate& cand,
                        NodeId exclude) const;
-  /// Serially pick the cheapest feasible routed candidate and graft
-  /// `node` under it (releasing the old claim, rebasing the subtree).
-  /// Returns false when nothing is feasible; the member stays detached.
-  bool apply_attach(Simulator& sim, std::size_t tree_index, NodeId node,
-                    std::vector<Candidate>& candidates);
-  /// collect + route + apply inline (joins and leave-time regrafts).
+  /// The selection order's next winner: routes pending minima under
+  /// (cost, pending before exact, attach) — re-keyed, or dropped when
+  /// unroutable — until the minimum is exact, and returns its index
+  /// (candidates.size() when none is left). It writes only `candidates`:
+  /// the repair pass runs it in its parallel fan-out.
+  std::size_t next_winner(const HierarchicalServiceRouter& router,
+                          const Tree& tree, NodeId node,
+                          std::vector<Candidate>& candidates,
+                          NodeId exclude) const;
+  /// Serially graft `node` under the first winner that passes the
+  /// eligibility and QoS re-checks (releasing the old claim, rebasing the
+  /// subtree). Returns false when nothing is feasible; the member stays
+  /// detached.
+  bool apply_attach(Simulator& sim, const HierarchicalServiceRouter& router,
+                    std::size_t tree_index, NodeId node,
+                    std::vector<Candidate>& candidates, NodeId exclude);
+  /// collect + select + graft inline (joins and leave-time regrafts).
   bool try_attach(Simulator& sim, std::size_t tree_index, NodeId node,
                   NodeId exclude);
 

@@ -7,7 +7,9 @@
 // (surviving_border_pair), and a levels = 1 MultiLevelHierarchy over the
 // same clusters. Each runs with the spatial index forced on and off, over
 // clusters of one block (9 proxies, below DynamicSpatialSet's brute
-// threshold) and of four blocks (36 proxies, above it).
+// threshold) and of four blocks (36 proxies, above it). The crash
+// fallback's accept-predicate scan is also checked on its own: one
+// predicate call per member, the per-pair scan's pair.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include "multilevel/multilevel_hierarchy.h"
 #include "obs/metrics.h"
 #include "overlay/hfc_topology.h"
+#include "spatial/closest_pair.h"
 #include "spatial/dynamic_set.h"
 
 namespace hfc {
@@ -184,6 +187,49 @@ TEST(BorderPairTies, LexMinPairWhereverBordersAreChosen) {
   for (const bool quads : {false, true}) {
     for (const bool spatial : {true, false}) {
       check_lex_min_everywhere(quads, spatial);
+    }
+  }
+}
+
+/// An accept predicate is asked once per member, not once per pair, and
+/// the pair is still the per-pair scan's: every block pair of the
+/// lattice, under a predicate that drops a pattern of members from both
+/// sides (every pair ties at 8, so each answer is a tie break).
+TEST(ClosestPairAccept, AsksEachMemberOnceAndKeepsThePerPairScansPair) {
+  const std::vector<Point> coords = block_lattice().coords;
+  std::vector<std::vector<NodeId>> blocks(coords.size() / 9);
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    blocks[i / 9].push_back(NodeId(static_cast<std::int32_t>(i)));
+  }
+  const auto distance = [&coords](NodeId x, NodeId y) {
+    return euclidean(coords[x.idx()], coords[y.idx()]);
+  };
+  for (const int drop : {0, 2, 3}) {
+    std::uint64_t calls = 0;
+    const std::function<bool(NodeId)> up = [&calls, drop](NodeId n) {
+      ++calls;
+      return drop == 0 || n.value() % drop != 0;
+    };
+    for (std::size_t a = 0; a < blocks.size(); ++a) {
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        if (a == b) continue;
+        calls = 0;
+        QueryStats stats;
+        const BcpResult got = closest_pair(PairSide{blocks[a]},
+                                           PairSide{blocks[b]}, distance,
+                                           stats, up);
+        EXPECT_LE(calls, blocks[a].size() + blocks[b].size());
+        const std::uint64_t admitted_a = static_cast<std::uint64_t>(
+            std::count_if(blocks[a].begin(), blocks[a].end(), up));
+        const std::uint64_t admitted_b = static_cast<std::uint64_t>(
+            std::count_if(blocks[b].begin(), blocks[b].end(), up));
+        EXPECT_EQ(stats.point_evals, admitted_a * admitted_b);
+        ASSERT_TRUE(got.found());
+        EXPECT_EQ(Pair(NodeId(got.x), NodeId(got.y)),
+                  oracle_pair(coords, blocks[a], blocks[b], up))
+            << "blocks " << a << " and " << b << ", drop " << drop;
+        EXPECT_EQ(got.dist, distance(NodeId(got.x), NodeId(got.y)));
+      }
     }
   }
 }

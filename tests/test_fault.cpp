@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/zahn.h"
@@ -278,6 +279,61 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   for (const char* spec : bad) {
     EXPECT_THROW((void)FaultPlan::parse(spec), std::invalid_argument) << spec;
   }
+}
+
+/// parse(spec) throws std::invalid_argument whose message names `token`.
+void expect_rejected_naming(const std::string& spec, const std::string& token) {
+  try {
+    (void)FaultPlan::parse(spec);
+    ADD_FAILURE() << "accepted '" << spec << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+        << "'" << spec << "' rejected with: " << e.what();
+  }
+}
+
+TEST(FaultPlan, ParseRejectsANodeIdAboveInt32) {
+  expect_rejected_naming("crash@1:3000000000", "3000000000");
+}
+
+TEST(FaultPlan, ParseRejectsAnExponentNodeIdAboveInt32) {
+  expect_rejected_naming("crash@1:1e20", "1e20");
+}
+
+TEST(FaultPlan, ParseRejectsAnInfiniteNodeId) {
+  expect_rejected_naming("crash@1:inf", "inf");
+}
+
+TEST(FaultPlan, ParseRejectsAClusterIdAboveInt32) {
+  expect_rejected_naming("partition@1:0/2147483648", "2147483648");
+}
+
+TEST(FaultPlan, ParseRejectsANonFiniteTime) {
+  expect_rejected_naming("crash@inf:3", "inf");
+}
+
+TEST(FaultPlan, ParseRejectsANonFiniteBurstSpan) {
+  expect_rejected_naming("burst@1+inf:0.5", "inf");
+}
+
+TEST(FaultPlan, ParseRejectsABurstEndPastTheDoubleRange) {
+  expect_rejected_naming("burst@1e308+1e308:0.5", "burst@1e308+1e308:0.5");
+}
+
+TEST(FaultPlan, ParseRejectsANonFiniteJitter) {
+  expect_rejected_naming("jitter:inf", "inf");
+}
+
+TEST(FaultPlan, ParseRejectsANonFiniteLoss) {
+  expect_rejected_naming("loss:nan", "nan");
+  expect_rejected_naming("burst@1+5:nan", "nan");
+}
+
+TEST(FaultPlan, ParseRoundTripsTheLargestNodeId) {
+  const FaultPlan plan = FaultPlan::parse("crash@1:2147483647;seed:1");
+  ASSERT_EQ(plan.events().size(), 1u);
+  EXPECT_EQ(plan.events()[0].node, NodeId(2147483647));
+  EXPECT_EQ(FaultPlan::parse(plan.serialize()), plan);
 }
 
 TEST(FaultPlan, ConstructionSortsEventsStably) {

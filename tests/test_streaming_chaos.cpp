@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -198,6 +199,61 @@ TEST_P(StreamingChaosSuite, CliqueModeHoldsTheSameInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingChaosSuite,
                          ::testing::Values(31u, 32u, 33u, 34u, 35u));
+
+// ------------------------------------------------- golden digests ----
+
+/// 64-bit FNV-1a.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// FNV-1a of run_streaming's digest + plan per (seed, mode), as the eager
+/// selection produced them: it routed every shortlisted candidate, then
+/// grafted the first feasible one in (cost, attach) order. The lazy
+/// selection routes a candidate only when it can still win, and must
+/// reproduce every byte.
+struct GoldenDigest {
+  std::uint64_t seed;
+  std::uint64_t locating;
+  std::uint64_t clique;
+};
+constexpr GoldenDigest kGoldenDigests[] = {
+    {31u, 0xb15395f436c7dba2ull, 0x8f51924d198dc0adull},
+    {32u, 0x4ffeb0e783815a5cull, 0xb5194f5acfca642eull},
+    {33u, 0x751c280ac57044afull, 0xb070614c8046948aull},
+    {34u, 0xddbf50ab7a7553c1ull, 0x5443a940067b8570ull},
+    {35u, 0x6df67d7f9f307169ull, 0xbd71815798ef52a1ull},
+};
+
+void PrintTo(const GoldenDigest& golden, std::ostream* os) {
+  *os << "seed " << golden.seed;
+}
+
+class StreamingGoldenDigest : public ::testing::TestWithParam<GoldenDigest> {
+};
+
+TEST_P(StreamingGoldenDigest, LazySelectionKeepsEveryByte) {
+  const GoldenDigest& golden = GetParam();
+  const auto hex = [](std::uint64_t v) {
+    std::ostringstream os;
+    os << std::hex << "0x" << v;
+    return os.str();
+  };
+  EXPECT_EQ(hex(fnv1a(run_streaming(golden.seed, StreamMode::kLocating))),
+            hex(golden.locating))
+      << "locating, seed " << golden.seed;
+  EXPECT_EQ(hex(fnv1a(run_streaming(golden.seed, StreamMode::kClique))),
+            hex(golden.clique))
+      << "clique, seed " << golden.seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StreamingGoldenDigest,
+                         ::testing::ValuesIn(kGoldenDigests));
 
 // ------------------------- knob negative paths (satellite 5) ----------
 

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
   const auto csp = fw->router().compute_csp(request);
   std::cout << "Cluster-level service path (CSP), lower bound "
             << csp.lower_bound << " ms:\n  ";
-  for (const auto& e : csp.elements) {
+  for (const auto& e : csp.steps) {
     std::cout << "S" << request.graph.label(e.sg_vertex).value() << "/C"
-              << e.cluster.value() << " ";
+              << e.unit.value() << " ";
   }
   std::cout << "\n\n";
 

@@ -19,7 +19,9 @@
 #      StreamingChaosSuite, ServeTornRead: serial == replay == threaded)
 #      run at 2 and 3 threads as well — the determinism matrix — and the
 #      attach-selection suites (StreamingGoldenDigest, StreamingLazyAttach,
-#      ClosestPairAccept) at 3; then reduced
+#      ClosestPairAccept) and the live-link suites (the multilevel
+#      DegradedSweepTest instances, SurvivingBorderPair, BorderView) at 3;
+#      then reduced
 #      bench_churn_dynamic, bench_topology_scaling (spatial index and
 #      group-local pipeline forced on, so the parallel per-component
 #      scans run under TSan), bench_serving_throughput (the
@@ -75,7 +77,7 @@ cmake --build build-tsan -j"$JOBS"
 HFC_THREADS=4 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'Obs|Metrics|Trace|ThreadPool|Parallel|StateProtocol|Simulator|Distance|RowCache|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming'
 HFC_THREADS=3 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
-  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|ServeTornRead'
+  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|ServeTornRead|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
 HFC_THREADS=2 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'MstAlgo|Mst|GroupPipeline|SpatialEquivalence|SpatialKdTree|SpatialDynamicSet|ChaosSuite|StreamingChaosSuite|ServeTornRead'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \

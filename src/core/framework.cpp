@@ -1,5 +1,6 @@
 #include "core/framework.h"
 
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -76,6 +77,13 @@ std::unique_ptr<HfcFramework> HfcFramework::build(
     MultiLevelParams ml = config.multilevel;
     if (ml.group_fanout == 0) {
       ml.group_fanout = env_size_t("HFC_ML_FANOUT", 32, 2);
+      // Leaves hold 8x the fanout: a fanout whose leaf limit wraps is
+      // unusable like any other malformed value.
+      if (ml.group_fanout > std::numeric_limits<std::size_t>::max() / 8) {
+        warn_env_once("HFC_ML_FANOUT", std::getenv("HFC_ML_FANOUT"),
+                      "leaf limit (8 x fanout) overflows", "32");
+        ml.group_fanout = 32;
+      }
       ml.leaf_limit = 8 * ml.group_fanout;
     }
     fw->hierarchy_ = std::make_unique<MultiLevelHierarchy>(

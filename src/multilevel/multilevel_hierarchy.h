@@ -116,6 +116,11 @@ class MultiLevelHierarchy {
   /// unless the two groups are distinct siblings.
   [[nodiscard]] CspLink link(std::size_t from, std::size_t toward) const;
 
+  /// A group's proxies, ascending (the live-link view's closest-pair side).
+  [[nodiscard]] const std::vector<NodeId>& members(std::size_t group) const {
+    return this->group(group).nodes;
+  }
+
   /// The hop sequence (with border relays at every level) between two
   /// nodes, and its total length under `distance`.
   [[nodiscard]] std::vector<NodeId> hop_path(NodeId a, NodeId b) const;

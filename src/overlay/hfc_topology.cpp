@@ -134,29 +134,16 @@ double HfcTopology::external_length(ClusterId a, ClusterId b) const {
                    border_[b.idx() * c + a.idx()]);
 }
 
-HfcTopology::SurvivingPair HfcTopology::surviving_border_pair(
-    ClusterId from, ClusterId toward,
-    const std::function<bool(NodeId)>& up) const {
+CspLink HfcTopology::link(ClusterId from, ClusterId toward) const {
   const std::size_t c = clustering_.cluster_count();
-  require(from.valid() && from.idx() < c && toward.valid() &&
-              toward.idx() < c && from != toward,
-          "HfcTopology::surviving_border_pair: bad cluster pair");
-  require(live_[from.idx()] && live_[toward.idx()],
-          "HfcTopology::surviving_border_pair: dead cluster");
-  const NodeId stored_from = border_[from.idx() * c + toward.idx()];
-  const NodeId stored_toward = border_[toward.idx() * c + from.idx()];
-  if (!up || (up(stored_from) && up(stored_toward))) {
-    return {stored_from, stored_toward,
-            distance_(stored_from, stored_toward), true, false};
-  }
-  // One end of the stored pair is down: the closest pair among the
-  // surviving members, with the lex-min tie-break a fresh §3.3 selection
-  // uses (the accept predicate keeps closest_pair on its scan).
-  QueryStats qs;
-  const BcpResult r =
-      closest_pair(side(from.idx()), side(toward.idx()), distance_, qs, up);
-  if (!r.found()) return {};
-  return {NodeId(r.x), NodeId(r.y), r.dist, true, true};
+  require(from.valid() && from.idx() < c && toward.valid() && toward.idx() < c,
+          "HfcTopology::link: bad cluster");
+  if (from == toward || !live_[from.idx()] || !live_[toward.idx()]) return {};
+  const NodeId exit = border_[from.idx() * c + toward.idx()];
+  const NodeId entry = border_[toward.idx() * c + from.idx()];
+  return {exit, entry,
+          from < toward ? distance_(exit, entry) : distance_(entry, exit),
+          true};
 }
 
 bool HfcTopology::is_border(NodeId node) const {

@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,6 +30,7 @@
 
 #include "cluster/zahn.h"
 #include "overlay/overlay_network.h"
+#include "routing/csp_kernel.h"
 #include "spatial/closest_pair.h"
 #include "spatial/dynamic_set.h"
 #include "util/ids.h"
@@ -159,24 +159,14 @@ class HfcTopology {
 
   [[nodiscard]] bool is_border(NodeId node) const;
 
-  /// The closest cross-cluster pair between `from` and `toward` among
-  /// proxies the `up` predicate accepts — graceful degradation under
-  /// crashes (DESIGN.md §10). When the stored border pair is fully up it
-  /// is returned unchanged (`is_fallback == false`); otherwise the
-  /// surviving members are re-scanned for their lex-min (d, x, y) pair,
-  /// exactly like a §3.3 closest-pair repair, and `is_fallback` is set.
-  /// `found` is false when one side has no surviving member. A null `up`
-  /// accepts everyone.
-  struct SurvivingPair {
-    NodeId in_from;     ///< surviving border inside `from`
-    NodeId in_toward;   ///< surviving border inside `toward`
-    double length = 0;  ///< distance between them (build-time metric)
-    bool found = false;
-    bool is_fallback = false;
-  };
-  [[nodiscard]] SurvivingPair surviving_border_pair(
-      ClusterId from, ClusterId toward,
-      const std::function<bool(NodeId)>& up) const;
+  /// The stored link from `from` toward `toward` (the live-link view's
+  /// store): `exit` = border(from, toward), `entry` = border(toward, from)
+  /// and their distance from the lower id's end; found for distinct live
+  /// clusters.
+  [[nodiscard]] CspLink link(ClusterId from, ClusterId toward) const;
+
+  /// The distance border pairs are chosen and measured under.
+  [[nodiscard]] const OverlayDistance& distance() const { return distance_; }
 
   /// All distinct border nodes in the system, ascending. After incremental
   /// mutations the list is refreshed lazily on first access (not safe to

@@ -1,6 +1,6 @@
 // Open-addressing table for the routing layer's per-computation scratch:
-// the CSP kernel's search states and distance memo, and BorderView's
-// surviving-pair memo.
+// the CSP kernel's search states and distance memo, and the live-link
+// view's surviving-pair memo.
 #pragma once
 
 #include <algorithm>

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "routing/live_links.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -66,31 +67,31 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
   for (NodeId node : snap->crashed_) snap->up_[node.idx()] = 0;
 
   // Bake the degraded border table: resolve every live pair whose stored
-  // border has a crashed end to its surviving pair, once, so readers pay
-  // O(1) per BorderView resolution instead of a member re-scan per
-  // request. Pairs with no survivor keep their stored slots — the
-  // reader's per-request scan then reports them disconnected exactly like
-  // the live router would.
+  // border has a crashed end through the live-link view, once, so readers
+  // pay O(1) per link instead of a member re-scan per request.
+  // Pairs with no survivor keep their stored slots — the reader's
+  // per-request view then reports them disconnected exactly like the live
+  // router would.
   if (!snap->crashed_.empty()) {
     static obs::Counter& baked =
         obs::MetricsRegistry::global().counter("serve.baked_borders");
-    const auto up = [&snap](NodeId n) { return snap->up_[n.idx()] != 0; };
     HfcTopology& frozen = *snap->topo_;
+    const LiveLinkView<ClusterId, HfcTopology> links(
+        frozen, frozen.distance(),
+        [&snap](NodeId n) { return snap->up_[n.idx()] != 0; });
     const std::size_t slots = frozen.cluster_count();
     for (std::size_t a = 0; a + 1 < slots; ++a) {
       const ClusterId ca(static_cast<std::int32_t>(a));
-      if (!frozen.live(ca)) continue;
       for (std::size_t b = a + 1; b < slots; ++b) {
         const ClusterId cb(static_cast<std::int32_t>(b));
-        if (!frozen.live(cb)) continue;
-        const NodeId in_a = frozen.border(ca, cb);
-        const NodeId in_b = frozen.border(cb, ca);
-        if (!in_a.valid() || !in_b.valid()) continue;
-        if (up(in_a) && up(in_b)) continue;
-        const HfcTopology::SurvivingPair pair =
-            frozen.surviving_border_pair(ca, cb, up);
-        if (!pair.found) continue;
-        frozen.override_border_pair(ca, cb, pair.in_from, pair.in_toward);
+        const CspLink stored = frozen.link(ca, cb);
+        if (!stored.found || (snap->up_[stored.exit.idx()] != 0 &&
+                              snap->up_[stored.entry.idx()] != 0)) {
+          continue;
+        }
+        const CspLink live = links.link(ca, cb);
+        if (!live.found) continue;
+        frozen.override_border_pair(ca, cb, live.exit, live.entry);
         baked.add(1);
       }
     }

@@ -15,9 +15,9 @@
 //
 // Degradation baking: when the snapshot carries crashed nodes, border
 // pairs whose stored end is down are resolved to the surviving pair
-// (HfcTopology::surviving_border_pair) ONCE at capture and written into
-// the frozen border table, so per-request BorderView resolution is O(1)
-// instead of an O(|a|·|b|) member re-scan per request. Pairs with no
+// through the live-link view (routing/live_links.h) ONCE at capture and
+// written into the frozen border table, so a request's link resolution
+// is O(1) instead of an O(|a|·|b|) member re-scan. Pairs with no
 // surviving member keep their stored slots, which reproduces the live
 // router's per-request not-found handling exactly. Routes served from a
 // snapshot are byte-identical to what the live router returns for the

@@ -19,7 +19,7 @@ RoutingTransaction simulate_routing_transaction(
     // The resolver is the child's exit node: a member of the cluster, so
     // it holds the needed SCT_P. When the resolver is pd itself (the last
     // child, resolved locally), no messages are exchanged.
-    const NodeId resolver = child.request.destination;
+    const NodeId resolver = child.exit;
     if (resolver == pd) continue;
     txn.control_messages += 2;
     slowest = std::max(slowest,

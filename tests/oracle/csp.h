@@ -3,11 +3,11 @@
 // This is the per-state relaxation `HierarchicalServiceRouter::compute_csp`
 // used before its cluster-major kernel: one `std::unordered_map` of
 // (cluster, entry) labels per SG vertex, every (state x candidate cluster)
-// transition priced and offered on its own through `BorderView` and the
-// distance functor. It reads only public API: `cluster_capability`, a
-// `BorderView` over the topology and the decision distance. The kernel
+// transition priced and offered on its own through the live-link view and
+// the distance functor. It reads only public API: `cluster_capability`, a
+// `LiveLinkView` over the topology and the decision distance. The kernel
 // must agree with it bit for bit: same `found`, same `lower_bound` double,
-// same elements, including exact ties (DESIGN.md §9 (b)).
+// same steps, including exact ties (DESIGN.md §9 (b)).
 //
 // `route_with_crankback` repeats the router's crankback loop with this CSP
 // in place of the kernel's, using the router's own divide and conquer
@@ -24,6 +24,7 @@
 
 #include "overlay/hfc_topology.h"
 #include "routing/hierarchical_router.h"
+#include "routing/live_links.h"
 
 namespace hfc::oracle {
 
@@ -60,7 +61,11 @@ inline HierarchicalServiceRouter::Csp compute_csp(
   const ClusterId src_cluster = topo.cluster_of(request.source);
   const ClusterId dst_cluster = topo.cluster_of(request.destination);
   const bool lb = use_internal_lower_bounds;
-  const BorderView view(topo, filters.node_up);
+  const LiveLinkView<ClusterId, HfcTopology> view(topo, topo.distance(),
+                                                  filters.node_up);
+  const auto border = [&view](ClusterId from, ClusterId toward) {
+    return view.link(from, toward).exit;
+  };
 
   if (graph.empty()) {
     if (src_cluster == dst_cluster) {
@@ -68,10 +73,10 @@ inline HierarchicalServiceRouter::Csp compute_csp(
       csp.lower_bound = distance(request.source, request.destination);
       return csp;
     }
-    if (!view.connected(src_cluster, dst_cluster)) return csp;
-    const NodeId bu = view.border(src_cluster, dst_cluster);
-    const NodeId bv = view.border(dst_cluster, src_cluster);
-    double total = view.external_length(src_cluster, dst_cluster);
+    if (!view.link(src_cluster, dst_cluster).found) return csp;
+    const NodeId bu = border(src_cluster, dst_cluster);
+    const NodeId bv = border(dst_cluster, src_cluster);
+    double total = view.link(src_cluster, dst_cluster).length;
     if (request.source != bu) total += distance(request.source, bu);
     if (request.destination != bv) total += distance(bv, request.destination);
     csp.found = true;
@@ -81,11 +86,11 @@ inline HierarchicalServiceRouter::Csp compute_csp(
 
   const auto transition_cost = [&](ClusterId c, NodeId entry,
                                    ClusterId next) {
-    if (!view.connected(c, next)) {
+    if (!view.link(c, next).found) {
       return std::numeric_limits<double>::infinity();
     }
-    const NodeId exit_border = view.border(c, next);
-    double cost = view.external_length(c, next);
+    const NodeId exit_border = border(c, next);
+    double cost = view.link(c, next).length;
     if (lb && entry != exit_border) cost += distance(entry, exit_border);
     return cost;
   };
@@ -120,7 +125,7 @@ inline HierarchicalServiceRouter::Csp compute_csp(
       if (c != src_cluster) {
         cost = transition_cost(src_cluster, request.source, c);
         if (cost == std::numeric_limits<double>::infinity()) continue;
-        entry = view.border(c, src_cluster);
+        entry = border(c, src_cluster);
         crossings = 1;
       }
       Label& label = tables[v][state_key(c, entry)];
@@ -142,7 +147,7 @@ inline HierarchicalServiceRouter::Csp compute_csp(
           if (next != c) {
             cost += transition_cost(c, entry, next);
             if (cost == std::numeric_limits<double>::infinity()) continue;
-            next_entry = view.border(next, c);
+            next_entry = border(next, c);
             ++crossings;
           }
           Label& target = tables[v][state_key(next, next_entry)];
@@ -177,7 +182,7 @@ inline HierarchicalServiceRouter::Csp compute_csp(
         if (cost == std::numeric_limits<double>::infinity()) continue;
         ++crossings;
         if (lb) {
-          const NodeId dst_entry = view.border(dst_cluster, c);
+          const NodeId dst_entry = border(dst_cluster, c);
           if (dst_entry != request.destination) {
             cost += distance(dst_entry, request.destination);
           }
@@ -200,18 +205,19 @@ inline HierarchicalServiceRouter::Csp compute_csp(
   csp.found = true;
   csp.lower_bound = best;
   for (std::size_t v = best_vertex; v != static_cast<std::size_t>(-1);) {
-    csp.elements.push_back(HierarchicalServiceRouter::CspElement{
+    csp.steps.push_back(CspStep<ClusterId>{
         v, ClusterId(static_cast<int>(best_key >> 32))});
     const Label& label = tables[v].at(best_key);
     v = label.prev_vertex;
     best_key = label.prev_key;
   }
-  std::reverse(csp.elements.begin(), csp.elements.end());
+  std::reverse(csp.steps.begin(), csp.steps.end());
   return csp;
 }
 
 /// `HierarchicalServiceRouter::route_with_crankback` with the oracle CSP:
-/// the same liveness folding, exclusion accumulation and budget.
+/// the same exclusion accumulation and budget, through the router's own
+/// divide and conquer under the same filters.
 inline HierarchicalServiceRouter::RouteResult route_with_crankback(
     const HierarchicalServiceRouter& router, const HfcTopology& topo,
     const OverlayDistance& distance, bool use_internal_lower_bounds,
@@ -219,25 +225,19 @@ inline HierarchicalServiceRouter::RouteResult route_with_crankback(
     std::size_t max_crankbacks = 8) {
   HierarchicalServiceRouter::RouteResult result;
   HierarchicalServiceRouter::Exclusions exclusions;
-  RoutingFilters eff = filters;
-  if (eff.node_up) {
-    eff.node_ok = [up = eff.node_up, ok = filters.node_ok](
-                      NodeId node, ServiceId service) {
-      return up(node) && (!ok || ok(node, service));
-    };
-  }
-  const BorderView view(topo, eff.node_up);
   for (std::size_t attempt = 0; attempt <= max_crankbacks; ++attempt) {
     const HierarchicalServiceRouter::Csp csp =
         compute_csp(router, topo, distance, use_internal_lower_bounds,
-                    request, eff, exclusions);
+                    request, filters, exclusions);
     if (!csp.found) return result;
-    const auto children = router.divide(csp, request, view);
-    auto conquered = router.conquer_filtered(csp, children, request, eff);
+    const auto children = router.divide(csp, request, filters);
+    auto conquered =
+        router.conquer_filtered(csp, children, request, filters);
     if (conquered.path.found) {
       result.path = std::move(conquered.path);
       return result;
     }
+    if (conquered.infeasible.empty()) return result;
     ++result.crankbacks;
     exclusions.insert(exclusions.end(), conquered.infeasible.begin(),
                       conquered.infeasible.end());

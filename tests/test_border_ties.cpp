@@ -3,8 +3,8 @@
 // border choice is a tie break, and the §3.3 rule breaks it to the
 // lex-min (x, y) pair. Every place that chooses a border pair must agree
 // with a brute all-pairs oracle: HfcTopology's construction, its
-// full-rescan and add-scan churn repairs, its crash fallback
-// (surviving_border_pair), and a levels = 1 MultiLevelHierarchy over the
+// full-rescan and add-scan churn repairs, its crash fallback (the
+// live-link view), and a levels = 1 MultiLevelHierarchy over the
 // same clusters. Each runs with the spatial index forced on and off, over
 // clusters of one block (9 proxies, below DynamicSpatialSet's brute
 // threshold) and of four blocks (36 proxies, above it). The crash
@@ -27,6 +27,7 @@
 #include "multilevel/multilevel_hierarchy.h"
 #include "obs/metrics.h"
 #include "overlay/hfc_topology.h"
+#include "routing/live_links.h"
 #include "spatial/closest_pair.h"
 #include "spatial/dynamic_set.h"
 
@@ -170,11 +171,12 @@ void check_lex_min_everywhere(bool quads, bool spatial) {
       for (const NodeId crashed : {topo.border(cluster(a), cluster(b)),
                                    topo.border(cluster(b), cluster(a))}) {
         const auto up = [crashed](NodeId n) { return n != crashed; };
-        const HfcTopology::SurvivingPair got =
-            topo.surviving_border_pair(cluster(a), cluster(b), up);
+        const LiveLinkView<ClusterId, HfcTopology> view(topo, topo.distance(),
+                                                        up);
+        const CspLink got = view.link(cluster(a), cluster(b));
         ASSERT_TRUE(got.found);
-        EXPECT_TRUE(got.is_fallback);
-        EXPECT_EQ(Pair(got.in_from, got.in_toward),
+        EXPECT_EQ(view.fallbacks(), 1u);
+        EXPECT_EQ(Pair(got.exit, got.entry),
                   oracle_pair(coords, topo.members(cluster(a)),
                               topo.members(cluster(b)), up))
             << "clusters " << a << " and " << b << ", crashed " << crashed;
@@ -187,6 +189,45 @@ TEST(BorderPairTies, LexMinPairWhereverBordersAreChosen) {
   for (const bool quads : {false, true}) {
     for (const bool spatial : {true, false}) {
       check_lex_min_everywhere(quads, spatial);
+    }
+  }
+}
+
+/// The live-link view falls back over sibling groups as over clusters:
+/// on a two-level hierarchy of the quad lattice (blocks under quads),
+/// crashing either end of a level-2 sibling link yields the oracle's
+/// lex-min surviving pair.
+TEST(BorderPairTies, LevelTwoSiblingFallbackIsLexMin) {
+  const std::vector<Point> coords = lattice_coords(true);
+  MultiLevelParams params = bi_level(false);
+  params.levels = 2;
+  // Blocks (gaps of 8) and quads (centroids 30 apart, blocks 10) split.
+  params.leaf_zahn.inconsistency_factor = 2.0;
+  params.factor_growth = 1.0;
+  const MultiLevelHierarchy hierarchy(coords, params);
+  ASSERT_EQ(hierarchy.levels(), 2u);
+  ASSERT_EQ(hierarchy.groups_at(1).size(), 16u);
+  const std::vector<std::size_t>& groups = hierarchy.groups_at(2);
+  ASSERT_EQ(groups.size(), 4u);
+  const OverlayDistance distance = [&coords](NodeId x, NodeId y) {
+    return euclidean(coords[x.idx()], coords[y.idx()]);
+  };
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    for (std::size_t j = i + 1; j < groups.size(); ++j) {
+      const CspLink stored = hierarchy.link(groups[i], groups[j]);
+      ASSERT_TRUE(stored.found);
+      for (const NodeId crashed : {stored.exit, stored.entry}) {
+        const auto up = [crashed](NodeId n) { return n != crashed; };
+        const LiveLinkView<std::size_t, MultiLevelHierarchy> view(
+            hierarchy, distance, up);
+        const CspLink got = view.link(groups[i], groups[j]);
+        ASSERT_TRUE(got.found);
+        EXPECT_EQ(view.fallbacks(), 1u);
+        EXPECT_EQ(Pair(got.exit, got.entry),
+                  oracle_pair(coords, hierarchy.members(groups[i]),
+                              hierarchy.members(groups[j]), up))
+            << "groups " << i << " and " << j << ", crashed " << crashed;
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
 // Differential suite for the cluster-level service path (CSP) search:
 // HierarchicalServiceRouter's cluster-major kernel against the per-state
 // reference relaxation in tests/oracle/csp.h. Both must return the same
-// CSP bit for bit (found, lower_bound, elements) and, through the router's
+// CSP bit for bit (found, lower_bound, steps) and, through the router's
 // own divide and conquer, the same routes and crankback counts. Instances
 // are small randomized worlds (n <= 300) over several seeds, an exact-tie
 // lattice where CSP ties are structural (DESIGN.md §9 (b)), and a corpus
@@ -38,10 +38,10 @@ std::uint64_t bits_of(double value) {
 void expect_same_csp(const Csp& want, const Csp& got) {
   ASSERT_EQ(want.found, got.found);
   EXPECT_EQ(bits_of(want.lower_bound), bits_of(got.lower_bound));
-  ASSERT_EQ(want.elements.size(), got.elements.size());
-  for (std::size_t i = 0; i < want.elements.size(); ++i) {
-    EXPECT_EQ(want.elements[i].sg_vertex, got.elements[i].sg_vertex);
-    EXPECT_EQ(want.elements[i].cluster, got.elements[i].cluster);
+  ASSERT_EQ(want.steps.size(), got.steps.size());
+  for (std::size_t i = 0; i < want.steps.size(); ++i) {
+    EXPECT_EQ(want.steps[i].sg_vertex, got.steps[i].sg_vertex);
+    EXPECT_EQ(want.steps[i].unit, got.steps[i].unit);
   }
 }
 

@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,8 @@
 #include "dynamic/dynamic_overlay.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "multilevel/multilevel_hierarchy.h"
+#include "multilevel/multilevel_router.h"
 #include "obs/metrics.h"
 #include "oracle/brute_force.h"
 #include "oracle/full_rebuild.h"
@@ -25,6 +29,7 @@
 #include "overlay/overlay_network.h"
 #include "routing/filters.h"
 #include "routing/hierarchical_router.h"
+#include "routing/live_links.h"
 #include "routing/service_path.h"
 #include "services/workload.h"
 #include "sim/event_queue.h"
@@ -529,16 +534,19 @@ TEST(FaultInjector, DownEndpointsCountAsDownDrops) {
 
 // -------------------------------------------------- surviving border pairs
 
+using ClusterLinks = LiveLinkView<ClusterId, HfcTopology>;
+
 TEST(SurvivingBorderPair, NullPredicatePassesStoredPairThrough) {
   FaultWorld w;
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c1 = w.topo.cluster_of(NodeId(3));
-  const auto pair = w.topo.surviving_border_pair(c0, c1, nullptr);
-  ASSERT_TRUE(pair.found);
-  EXPECT_FALSE(pair.is_fallback);
-  EXPECT_EQ(pair.in_from, w.topo.border(c0, c1));
-  EXPECT_EQ(pair.in_toward, w.topo.border(c1, c0));
-  EXPECT_DOUBLE_EQ(pair.length, w.topo.external_length(c0, c1));
+  const ClusterLinks view(w.topo, w.topo.distance(), nullptr);
+  const CspLink link = view.link(c0, c1);
+  ASSERT_TRUE(link.found);
+  EXPECT_EQ(link.exit, w.topo.border(c0, c1));
+  EXPECT_EQ(link.entry, w.topo.border(c1, c0));
+  EXPECT_DOUBLE_EQ(link.length, w.topo.external_length(c0, c1));
+  EXPECT_EQ(view.fallbacks(), 0u);
 }
 
 TEST(SurvivingBorderPair, FallsBackToClosestSurvivingPair) {
@@ -548,11 +556,12 @@ TEST(SurvivingBorderPair, FallsBackToClosestSurvivingPair) {
   const NodeId stored = w.topo.border(c0, c1);
   const auto up = [stored](NodeId n) { return n != stored; };
 
-  const auto pair = w.topo.surviving_border_pair(c0, c1, up);
-  ASSERT_TRUE(pair.found);
-  EXPECT_TRUE(pair.is_fallback);
-  EXPECT_NE(pair.in_from, stored);
-  EXPECT_GE(pair.length, w.topo.external_length(c0, c1));
+  const ClusterLinks view(w.topo, w.topo.distance(), up);
+  const CspLink link = view.link(c0, c1);
+  ASSERT_TRUE(link.found);
+  EXPECT_EQ(view.fallbacks(), 1u);
+  EXPECT_NE(link.exit, stored);
+  EXPECT_GE(link.length, w.topo.external_length(c0, c1));
 
   // The fallback is exactly the closest surviving cross pair.
   const OverlayDistance d = w.net.coord_distance_fn();
@@ -563,21 +572,21 @@ TEST(SurvivingBorderPair, FallsBackToClosestSurvivingPair) {
       best = std::min(best, d(a, b));
     }
   }
-  EXPECT_DOUBLE_EQ(pair.length, best);
-  EXPECT_DOUBLE_EQ(pair.length, d(pair.in_from, pair.in_toward));
+  EXPECT_DOUBLE_EQ(link.length, best);
+  EXPECT_DOUBLE_EQ(link.length, d(link.exit, link.entry));
 }
 
 TEST(SurvivingBorderPair, NotFoundWhenOneSideIsDark) {
   FaultWorld w;
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c1 = w.topo.cluster_of(NodeId(3));
-  const auto all_of_c0_down = [&](NodeId n) {
+  const ClusterLinks view(w.topo, w.topo.distance(), [&](NodeId n) {
     return w.topo.cluster_of(n) != c0;
-  };
-  const auto pair = w.topo.surviving_border_pair(c0, c1, all_of_c0_down);
-  EXPECT_FALSE(pair.found);
-  EXPECT_THROW((void)w.topo.surviving_border_pair(c0, c0, nullptr),
-               std::invalid_argument);
+  });
+  EXPECT_FALSE(view.link(c0, c1).found);
+  EXPECT_EQ(view.unreachable(), 1u);
+  EXPECT_FALSE(view.link(c0, c0).found);
+  EXPECT_THROW((void)view.link(c0, ClusterId(99)), std::invalid_argument);
 }
 
 TEST(BorderView, MemoizesFallbackResolution) {
@@ -585,27 +594,44 @@ TEST(BorderView, MemoizesFallbackResolution) {
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c1 = w.topo.cluster_of(NodeId(3));
   const NodeId stored = w.topo.border(c0, c1);
-  const std::uint64_t fallbacks_before = counter_now("fault.border_fallbacks");
-  BorderView view(w.topo, [stored](NodeId n) { return n != stored; });
-  ASSERT_TRUE(view.connected(c0, c1));
-  const NodeId via = view.border(c0, c1);
+  const ClusterLinks view(w.topo, w.topo.distance(),
+                          [stored](NodeId n) { return n != stored; });
+  ASSERT_TRUE(view.link(c0, c1).found);
+  const NodeId via = view.link(c0, c1).exit;
   EXPECT_NE(via, stored);
   EXPECT_EQ(w.topo.cluster_of(via), c0);
-  EXPECT_EQ(w.topo.cluster_of(view.border(c1, c0)), c1);
-  EXPECT_TRUE(std::isfinite(view.external_length(c0, c1)));
+  EXPECT_EQ(w.topo.cluster_of(view.link(c1, c0).exit), c1);
+  EXPECT_EQ(view.link(c1, c0).entry, via);
+  EXPECT_TRUE(std::isfinite(view.link(c0, c1).length));
   // Re-querying the same pair (either orientation) resolves from the memo.
-  (void)view.border(c0, c1);
-  (void)view.external_length(c1, c0);
-  EXPECT_EQ(counter_now("fault.border_fallbacks") - fallbacks_before, 1u);
+  (void)view.link(c0, c1);
+  (void)view.link(c1, c0);
+  EXPECT_EQ(view.fallbacks(), 1u);
 
-  const std::uint64_t unreachable_before =
-      counter_now("fault.border_unreachable");
-  BorderView dark(w.topo,
-                  [&](NodeId n) { return w.topo.cluster_of(n) != c1; });
-  EXPECT_FALSE(dark.connected(c0, c1));
-  EXPECT_FALSE(dark.border(c0, c1).valid());
-  EXPECT_TRUE(std::isinf(dark.external_length(c0, c1)));
-  EXPECT_EQ(counter_now("fault.border_unreachable") - unreachable_before, 1u);
+  const ClusterLinks dark(w.topo, w.topo.distance(), [&](NodeId n) {
+    return w.topo.cluster_of(n) != c1;
+  });
+  EXPECT_FALSE(dark.link(c0, c1).found);
+  EXPECT_FALSE(dark.link(c0, c1).exit.valid());
+  EXPECT_TRUE(std::isinf(dark.link(c1, c0).length));
+  EXPECT_EQ(dark.unreachable(), 1u);
+  EXPECT_EQ(dark.fallbacks(), 0u);
+
+  // A routing computation publishes its view's tallies once: a relay
+  // across the broken pair falls back through it exactly once.
+  const HierarchicalServiceRouter router(w.net, w.topo,
+                                         w.net.coord_distance_fn());
+  ServiceRequest relay;
+  relay.source = w.topo.members(c0).back() == stored
+                     ? w.topo.members(c0).front()
+                     : w.topo.members(c0).back();
+  relay.destination = w.topo.members(c1).front();
+  const std::uint64_t fallbacks_before = counter_now("fault.border_fallbacks");
+  const auto routed = router.route_degraded(
+      relay, [stored](NodeId n) { return n != stored; });
+  ASSERT_TRUE(routed.path.found);
+  for (const ServiceHop& hop : routed.path.hops) EXPECT_NE(hop.proxy, stored);
+  EXPECT_EQ(counter_now("fault.border_fallbacks") - fallbacks_before, 1u);
 }
 
 // ------------------------------------------------------ degradation routing
@@ -747,15 +773,47 @@ TEST(RouteDegraded, DynamicOverlayModesAgree) {
                std::invalid_argument);
 }
 
-/// Acceptance sweep (ISSUE 5): on random worlds up to n = 200 proxies,
-/// crash sets that include the stored border pair of the endpoint clusters
-/// (and sometimes a whole cluster). The degraded router must find a valid
-/// path exactly when the brute-force oracle restricted to surviving
-/// proxies finds one, and must never route through a crashed proxy.
-class DegradedSweepTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// The stack a degraded sweep routes with: the flat HFC router, or the
+/// multilevel router over a fixed-depth or a bounded-fanout hierarchy.
+enum class SweepStack { kFlat, kLevels1, kLevels2, kLevels3, kBounded };
+
+/// Acceptance sweep: on random worlds up to n = 200 proxies, crash sets
+/// that include every stored border on the endpoints' hop path — the
+/// border pair of their clusters, or both sibling-link ends at every
+/// level of a hierarchy — and sometimes a whole leaf cluster. The
+/// degraded router must find a valid path exactly when the brute-force
+/// oracle restricted to surviving proxies finds one, within its crankback
+/// budget, and must never route through a crashed proxy.
+struct SweepCase {
+  SweepStack stack;
+  std::uint64_t seed;
+};
+
+/// "801" for the flat stack, "MultiLevel2_801" and so on for the others:
+/// the value test listings name an instance by.
+std::string sweep_name(const SweepCase& c) {
+  static const char* const kPrefix[] = {"", "MultiLevel1_", "MultiLevel2_",
+                                        "MultiLevel3_", "Bounded3x6_"};
+  return kPrefix[static_cast<int>(c.stack)] + std::to_string(c.seed);
+}
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << sweep_name(c); }
+
+std::vector<SweepCase> sweep_cases() {
+  std::vector<SweepCase> cases;
+  for (const SweepStack stack :
+       {SweepStack::kFlat, SweepStack::kLevels1, SweepStack::kLevels2,
+        SweepStack::kLevels3, SweepStack::kBounded}) {
+    for (std::uint64_t seed = 801; seed <= 806; ++seed) {
+      cases.push_back(SweepCase{stack, seed});
+    }
+  }
+  return cases;
+}
+
+class DegradedSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DegradedSweepTest, FallbackFoundWheneverOneExists) {
-  const std::uint64_t seed = GetParam();
+  const auto [stack, seed] = GetParam();
   Rng rng(seed);
   const std::size_t kSizes[] = {60, 200, 120};
   const std::size_t n = kSizes[seed % 3];
@@ -776,29 +834,60 @@ TEST_P(DegradedSweepTest, FallbackFoundWheneverOneExists) {
   Rng wrng = rng.fork(1);
   const OverlayNetwork net(pts, assign_services(n, wp, wrng));
   const OverlayDistance distance = net.coord_distance_fn();
-  const HfcTopology topo(cluster_points(pts), distance);
-  const HierarchicalServiceRouter router(net, topo, distance);
+
+  // Either stack as (leaf clusters, hop path, degraded route).
+  std::vector<std::vector<NodeId>> leaves;
+  std::function<std::vector<NodeId>(NodeId, NodeId)> hop_path;
+  std::function<RouteResult(const ServiceRequest&,
+                            std::function<bool(NodeId)>)>
+      route;
+  std::unique_ptr<HfcTopology> topo;
+  std::unique_ptr<HierarchicalServiceRouter> flat;
+  std::unique_ptr<MultiLevelHierarchy> hierarchy;
+  std::unique_ptr<MultiLevelRouter> multilevel;
+  if (stack == SweepStack::kFlat) {
+    topo = std::make_unique<HfcTopology>(cluster_points(pts), distance);
+    flat = std::make_unique<HierarchicalServiceRouter>(net, *topo, distance);
+    leaves = topo->clustering().members;
+    hop_path = [&](NodeId a, NodeId b) { return topo->hop_path(a, b); };
+    route = [&](const ServiceRequest& r, std::function<bool(NodeId)> up) {
+      return flat->route_degraded(r, std::move(up), /*crankbacks=*/64);
+    };
+  } else {
+    MultiLevelParams params = MultiLevelParams::bounded(3, 6);
+    if (stack != SweepStack::kBounded) {
+      params = MultiLevelParams{};
+      params.levels = stack == SweepStack::kLevels1   ? 1
+                      : stack == SweepStack::kLevels2 ? 2
+                                                      : 3;
+    }
+    hierarchy = std::make_unique<MultiLevelHierarchy>(pts, params);
+    multilevel = std::make_unique<MultiLevelRouter>(net, *hierarchy, distance);
+    for (const std::size_t leaf : hierarchy->groups_at(1)) {
+      leaves.push_back(hierarchy->group(leaf).nodes);
+    }
+    hop_path = [&](NodeId a, NodeId b) { return hierarchy->hop_path(a, b); };
+    route = [&](const ServiceRequest& r, std::function<bool(NodeId)> up) {
+      return multilevel->route_degraded(r, std::move(up), /*crankbacks=*/64);
+    };
+  }
 
   Rng rrng = rng.fork(2);
   const auto requests = make_requests(6, net.all_nodes(), wp, rrng);
   for (const ServiceRequest& request : requests) {
-    // Crash the stored border pair between the endpoint clusters, a few
-    // random proxies, and sometimes one whole bystander cluster.
-    std::vector<NodeId> crashed;
-    const ClusterId cs = topo.cluster_of(request.source);
-    const ClusterId cd = topo.cluster_of(request.destination);
-    if (cs != cd) {
-      crashed.push_back(topo.border(cs, cd));
-      crashed.push_back(topo.border(cd, cs));
-    }
+    // Crash every stored border between the endpoints, a few random
+    // proxies, and sometimes one whole bystander leaf cluster.
+    std::vector<NodeId> crashed =
+        hop_path(request.source, request.destination);
     for (std::size_t i : rng.sample_indices(n, 5)) {
       crashed.push_back(NodeId(static_cast<int>(i)));
     }
     if (rng.chance(0.5)) {
-      for (std::size_t c = 0; c < topo.cluster_count(); ++c) {
-        const ClusterId id(static_cast<int>(c));
-        if (id == cs || id == cd) continue;
-        const auto& members = topo.members(id);
+      for (const std::vector<NodeId>& members : leaves) {
+        const auto holds = [&members](NodeId node) {
+          return std::binary_search(members.begin(), members.end(), node);
+        };
+        if (holds(request.source) || holds(request.destination)) continue;
         crashed.insert(crashed.end(), members.begin(), members.end());
         break;
       }
@@ -816,11 +905,12 @@ TEST_P(DegradedSweepTest, FallbackFoundWheneverOneExists) {
       if (up(node)) survivors.push_back(node);
     }
 
-    const auto result = router.route_degraded(request, up, /*crankbacks=*/64);
+    const RouteResult result = route(request, up);
     const ServicePath oracle =
         brute_force_route(request, net, distance, survivors);
     EXPECT_EQ(result.path.found, oracle.found)
         << "seed " << seed << " request " << request.graph.to_string();
+    EXPECT_LE(result.crankbacks, 64u) << "seed " << seed;
     if (!result.path.found) continue;
     EXPECT_TRUE(satisfies(result.path, request, net));
     for (const ServiceHop& hop : result.path.hops) {
@@ -833,7 +923,7 @@ TEST_P(DegradedSweepTest, FallbackFoundWheneverOneExists) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DegradedSweepTest,
-                         ::testing::Values(801, 802, 803, 804, 805, 806));
+                         ::testing::ValuesIn(sweep_cases()));
 
 // ----------------------------------------------------- TTL expiry + retries
 

@@ -1,14 +1,17 @@
 // End-to-end tests of the HfcFramework façade and the experiment harness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
 
 #include "core/experiment.h"
 #include "core/framework.h"
+#include "env_guard.h"
 #include "routing/service_path.h"
 #include "sim/state_protocol.h"
+#include "util/env.h"
 
 namespace hfc {
 namespace {
@@ -219,6 +222,24 @@ TEST(FrameworkScheme, AutoThresholdKnobSwitchesStacks) {
   }
   EXPECT_TRUE(multilevel->is_multilevel());
   EXPECT_FALSE(flat->is_multilevel());
+}
+
+TEST(FrameworkScheme, OverflowingFanoutWarnsAndFallsBack) {
+  // 2^61 + 1: eight times it wraps to 8-node leaves.
+  const EnvGuard fanout("HFC_ML_FANOUT", "2305843009213693953");
+  reset_env_warnings();
+  FrameworkConfig config = small_config(37);
+  config.physical_routers = 600;
+  config.proxies = 300;
+  config.scheme = TopologyScheme::kMultiLevel;
+  const auto fw = HfcFramework::build(config);
+  EXPECT_EQ(env_warning_count(), 1u);
+  std::size_t largest = 0;
+  for (const std::size_t leaf : fw->hierarchy().groups_at(1)) {
+    largest = std::max(largest, fw->hierarchy().group(leaf).nodes.size());
+  }
+  EXPECT_LE(largest, 256u);
+  EXPECT_GT(largest, 8u);  // the fallback fanout's leaves, not 8-node ones
 }
 
 TEST(FrameworkScheme, MultiLevelBuildIsDeterministic) {

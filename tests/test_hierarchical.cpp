@@ -98,13 +98,13 @@ TEST(Hierarchical, PaperStyleRequestRoutes) {
                                         ServiceId(5)});
   const auto csp = w.router.compute_csp(request);
   ASSERT_TRUE(csp.found);
-  ASSERT_EQ(csp.elements.size(), 5u);
+  ASSERT_EQ(csp.steps.size(), 5u);
   // S1 must be served by C0 or C3, S5 by C2; S2,S3 cannot be in C0/C3.
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c2 = w.topo.cluster_of(NodeId(8));
   const ClusterId c3 = w.topo.cluster_of(NodeId(11));
-  EXPECT_TRUE(csp.elements[0].cluster == c0 || csp.elements[0].cluster == c3);
-  EXPECT_EQ(csp.elements[4].cluster, c2);
+  EXPECT_TRUE(csp.steps[0].unit == c0 || csp.steps[0].unit == c3);
+  EXPECT_EQ(csp.steps[4].unit, c2);
 
   const ServicePath path = w.router.route(request);
   ASSERT_TRUE(path.found);
@@ -126,44 +126,43 @@ TEST(Hierarchical, DivideProducesWellFormedChildren) {
   const auto children = w.router.divide(csp, request);
   ASSERT_GE(children.size(), 2u);
 
-  // Consecutive children live in distinct clusters; chains are linear;
+  // Consecutive children live in distinct clusters;
   // every chain service is in the child's cluster aggregate.
   std::size_t total_services = 0;
   for (std::size_t i = 0; i < children.size(); ++i) {
     const auto& child = children[i];
-    EXPECT_TRUE(child.request.graph.is_linear());
-    total_services += child.request.graph.size();
+    total_services += child.chain.size();
     if (i + 1 < children.size()) {
-      EXPECT_NE(child.cluster, children[i + 1].cluster);
+      EXPECT_NE(child.unit, children[i + 1].unit);
       // This child's exit is the border toward the next child's cluster.
-      EXPECT_EQ(child.request.destination,
-                w.topo.border(child.cluster, children[i + 1].cluster));
+      EXPECT_EQ(child.exit,
+                w.topo.border(child.unit, children[i + 1].unit));
       // The next child's entry is the mirror border.
-      EXPECT_EQ(children[i + 1].request.source,
-                w.topo.border(children[i + 1].cluster, child.cluster));
+      EXPECT_EQ(children[i + 1].entry,
+                w.topo.border(children[i + 1].unit, child.unit));
     }
-    for (ServiceId s : child.request.graph.distinct_services()) {
+    for (ServiceId s : child.chain) {
       const auto hosting = w.router.clusters_hosting(s);
       EXPECT_TRUE(
-          std::count(hosting.begin(), hosting.end(), child.cluster));
+          std::count(hosting.begin(), hosting.end(), child.unit));
     }
     // Child endpoints belong to the child's cluster (or are the original
     // request endpoints).
-    if (child.request.source != request.source) {
-      EXPECT_EQ(w.topo.cluster_of(child.request.source), child.cluster);
+    if (child.entry != request.source) {
+      EXPECT_EQ(w.topo.cluster_of(child.entry), child.unit);
     }
-    if (child.request.destination != request.destination) {
-      EXPECT_EQ(w.topo.cluster_of(child.request.destination), child.cluster);
+    if (child.exit != request.destination) {
+      EXPECT_EQ(w.topo.cluster_of(child.exit), child.unit);
     }
   }
   EXPECT_EQ(total_services, request.graph.size());
 
   // First/last child endpoint rules (§5.1 step 3).
-  if (children.front().cluster == w.topo.cluster_of(request.source)) {
-    EXPECT_EQ(children.front().request.source, request.source);
+  if (children.front().unit == w.topo.cluster_of(request.source)) {
+    EXPECT_EQ(children.front().entry, request.source);
   }
-  if (children.back().cluster == w.topo.cluster_of(request.destination)) {
-    EXPECT_EQ(children.back().request.destination, request.destination);
+  if (children.back().unit == w.topo.cluster_of(request.destination)) {
+    EXPECT_EQ(children.back().exit, request.destination);
   }
 }
 

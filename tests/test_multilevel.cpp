@@ -263,6 +263,34 @@ TEST(MultiLevelRouter, EmptyGraphRelays) {
   EXPECT_EQ(path.hops.back().proxy, NodeId(13));
 }
 
+// Crankback happens at the level that failed: with service 1's host in
+// the source's square down, the west super-group backs out of that square
+// and serves from its other one (node 5); only a spent budget reports the
+// whole group to the root.
+TEST(MultiLevelRouter, CranksBackInsideTheFailingGroup) {
+  MlWorld w;
+  ASSERT_EQ(w.hierarchy.levels(), 2u);
+  ServiceRequest request;
+  request.source = NodeId(0);
+  request.destination = NodeId(2);
+  request.graph = ServiceGraph::linear({ServiceId(1)});
+  const auto up = [](NodeId n) { return n != NodeId(1); };
+  const RouteResult result = w.router.route_degraded(request, up);
+  ASSERT_TRUE(result.path.found);
+  EXPECT_EQ(result.crankbacks, 1u);
+  EXPECT_TRUE(satisfies(result.path, request, w.net));
+  std::vector<NodeId> servers;
+  for (const ServiceHop& hop : result.path.hops) {
+    EXPECT_NE(hop.proxy, NodeId(1));
+    if (!hop.is_relay()) servers.push_back(hop.proxy);
+  }
+  EXPECT_EQ(servers, std::vector<NodeId>{NodeId(5)});
+
+  const RouteResult spent = w.router.route_degraded(request, up, 0);
+  EXPECT_FALSE(spent.path.found);
+  EXPECT_EQ(spent.crankbacks, 1u);
+}
+
 TEST(MultiLevelRouter, NonLinearGraph) {
   MlWorld w;
   ServiceGraph g;
@@ -358,6 +386,39 @@ struct BiLevelWorld {
       EXPECT_EQ(bits_of(want.cost), bits_of(got.cost));
     }
   }
+
+  /// Both routers degrade the same way: under random crash sets that
+  /// include the endpoints' stored border pair, route_degraded returns
+  /// the same route, cost bits and crankback count.
+  void expect_same_degraded(const WorkloadParams& params, std::uint64_t seed,
+                            std::size_t count) const {
+    Rng rng(seed);
+    std::size_t crankbacks = 0;
+    for (const ServiceRequest& request :
+         make_requests(count, net.all_nodes(), params, rng)) {
+      SCOPED_TRACE(request.graph.to_string());
+      std::vector<NodeId> crashed = topo.hop_path(request.source,
+                                                  request.destination);
+      for (const std::size_t i : rng.sample_indices(net.size(),
+                                                    net.size() / 8)) {
+        crashed.push_back(NodeId(static_cast<std::int32_t>(i)));
+      }
+      std::sort(crashed.begin(), crashed.end());
+      std::erase(crashed, request.source);
+      std::erase(crashed, request.destination);
+      const auto up = [&crashed](NodeId node) {
+        return !std::binary_search(crashed.begin(), crashed.end(), node);
+      };
+      const RouteResult want = flat.route_degraded(request, up);
+      const RouteResult got = multilevel.route_degraded(request, up);
+      ASSERT_EQ(want.path.found, got.path.found);
+      EXPECT_EQ(want.path.hops, got.path.hops);
+      EXPECT_EQ(bits_of(want.path.cost), bits_of(got.path.cost));
+      EXPECT_EQ(want.crankbacks, got.crankbacks);
+      crankbacks += want.crankbacks;
+    }
+    EXPECT_GT(crankbacks, 0u);  // the crash sets really forced crankback
+  }
 };
 
 // At depth 1 the recursive router is the paper's bi-level HFC: the root's
@@ -392,6 +453,7 @@ TEST(MultiLevelRouter, BiLevelMatchesHierarchicalRouter) {
     w.expect_same_routes(params, seed + 100, 60);
     params.nonlinear_fraction = 0.6;
     w.expect_same_routes(params, seed + 200, 60);
+    w.expect_same_degraded(params, seed + 300, 60);
   }
   // The exact-tie lattice of the CSP oracle suite.
   BlockLattice lattice = block_lattice();

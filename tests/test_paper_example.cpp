@@ -140,8 +140,8 @@ TEST(PaperExample, InternalLowerBoundsFlipPathChoice) {
   const HierarchicalServiceRouter with_lb(w.net, w.topo, w.distance_fn());
   const auto csp_lb = with_lb.compute_csp(request);
   ASSERT_TRUE(csp_lb.found);
-  ASSERT_EQ(csp_lb.elements.size(), 1u);
-  EXPECT_EQ(csp_lb.elements[0].cluster, ClusterId(3));
+  ASSERT_EQ(csp_lb.steps.size(), 1u);
+  EXPECT_EQ(csp_lb.steps[0].unit, ClusterId(3));
   EXPECT_DOUBLE_EQ(csp_lb.lower_bound, 48.0);
 
   // Judged by external links only: path 1 through C1 (20 + 24.9 = 44.9)
@@ -153,8 +153,8 @@ TEST(PaperExample, InternalLowerBoundsFlipPathChoice) {
                                              ext_only);
   const auto csp_ext = without_lb.compute_csp(request);
   ASSERT_TRUE(csp_ext.found);
-  ASSERT_EQ(csp_ext.elements.size(), 1u);
-  EXPECT_EQ(csp_ext.elements[0].cluster, ClusterId(1));
+  ASSERT_EQ(csp_ext.steps.size(), 1u);
+  EXPECT_EQ(csp_ext.steps[0].unit, ClusterId(1));
   EXPECT_DOUBLE_EQ(csp_ext.lower_bound, 44.9);
 }
 
@@ -201,10 +201,10 @@ TEST(PaperExample, DivideMatchesFigure7d) {
   // S1/C0, S2/C1, S3/C1, S4/C1, S5/C2.
   const auto children = router.divide(csp, request);
   ASSERT_EQ(children.size(), 3u);
-  EXPECT_EQ(children[0].request.source, request.source);
-  EXPECT_EQ(children[2].cluster, ClusterId(2));
-  EXPECT_EQ(children[2].request.destination, request.destination);
-  EXPECT_EQ(children[1].request.graph.size(), 3u);  // S2, S3, S4 in C1
+  EXPECT_EQ(children[0].entry, request.source);
+  EXPECT_EQ(children[2].unit, ClusterId(2));
+  EXPECT_EQ(children[2].exit, request.destination);
+  EXPECT_EQ(children[1].chain.size(), 3u);  // S2, S3, S4 in C1
 }
 
 }  // namespace

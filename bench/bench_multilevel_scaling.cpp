@@ -26,8 +26,8 @@
 
 #include "bench/common.h"
 #include "core/experiment.h"
-#include "multilevel/multilevel_hierarchy.h"
-#include "multilevel/multilevel_router.h"
+#include "overlay/hfc_topology.h"
+#include "routing/hierarchical_router.h"
 #include "services/service_graph.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -90,10 +90,9 @@ int main() {
       // conservative and rarely splits the (fairly uniform) centroid
       // clouds transit-stub coordinate spaces produce.
       params.factor_growth = 1.0;
-      const MultiLevelHierarchy hierarchy(fw->distance_map().proxy_coords,
-                                          params);
-      const MultiLevelRouter router(fw->overlay(), hierarchy,
-                                    fw->estimated_distance());
+      const HfcTopology hierarchy(fw->distance_map().proxy_coords, params);
+      const HierarchicalServiceRouter router(fw->overlay(), hierarchy,
+                                             fw->estimated_distance());
       RunningStat coord;
       for (NodeId n : fw->overlay().all_nodes()) {
         coord.add(static_cast<double>(hierarchy.coordinate_state_count(n)));
@@ -137,7 +136,7 @@ int main() {
   const std::vector<Point> coords = clustered_coords(stretch_n, kDim, 8601);
   const std::size_t fanout = env_size_t("HFC_ML_FANOUT", 32, 2);
   const auto b0 = std::chrono::steady_clock::now();
-  const MultiLevelHierarchy hierarchy(
+  const HfcTopology hierarchy(
       coords, MultiLevelParams::bounded(fanout, 8 * fanout));
   const double build_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - b0)
@@ -152,7 +151,7 @@ int main() {
   }
   const OverlayNetwork net(coords, std::move(placement));
   const OverlayDistance truth = net.coord_distance_fn();
-  const MultiLevelRouter router(net, hierarchy, truth);
+  const HierarchicalServiceRouter router(net, hierarchy, truth);
 
   Rng rng(8602);
   std::vector<double> stretches;

@@ -42,11 +42,10 @@
 #include "src/cluster/mst.h"
 #include "src/cluster/zahn.h"
 #include "src/distance/coord_distance.h"
-#include "src/multilevel/multilevel_hierarchy.h"
-#include "src/multilevel/multilevel_router.h"
 #include "src/obs/metrics.h"
 #include "src/overlay/hfc_topology.h"
 #include "src/overlay/overlay_network.h"
+#include "src/routing/hierarchical_router.h"
 #include "src/services/service_graph.h"
 #include "src/util/rng.h"
 
@@ -250,7 +249,7 @@ int main() {
 
   // ---- Phase 3: multilevel build + route at n under memory ceilings ----
   // Resident ceiling: linear in n — the coordinate tier plus all hierarchy
-  // state (membership lists, border/external maps). The dense pairwise
+  // state (membership lists, sibling tables). The dense pairwise
   // matrix this pipeline used to imply is shown for contrast. Peak RSS is
   // additionally bounded at large n (skipped on reduced runs, where
   // sanitizer shadow memory dominates).
@@ -285,7 +284,7 @@ int main() {
   }
   const auto b0 = std::chrono::steady_clock::now();
   const CoordDistanceService dist(coords);
-  const MultiLevelHierarchy hierarchy(
+  const HfcTopology hierarchy(
       coords, MultiLevelParams::bounded(fanout, 8 * fanout));
   const double build_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - b0)
@@ -331,7 +330,7 @@ int main() {
     placement[v] = {ServiceId(static_cast<std::int32_t>(v % kCatalog))};
   }
   const OverlayNetwork net(std::move(coords), std::move(placement));
-  const MultiLevelRouter router(net, hierarchy, dist);
+  const HierarchicalServiceRouter router(net, hierarchy, dist);
   double phase_ms[kPhaseCount];
   std::cout << "  phases:";
   for (std::size_t i = 0; i < kPhaseCount; ++i) {

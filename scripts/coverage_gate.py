@@ -18,8 +18,9 @@ import sys
 
 MONITORED = ("src/cluster/boruvka", "src/cluster/group_pipeline",
              "src/cluster/mst",
-             "src/cluster/zahn", "src/fault", "src/multilevel", "src/routing",
-             "src/serve", "src/sim", "src/spatial", "src/streaming")
+             "src/cluster/zahn", "src/fault", "src/overlay/hfc_topology",
+             "src/routing", "src/serve", "src/sim", "src/spatial",
+             "src/streaming")
 DEFAULT_FLOOR = 90.0
 
 

@@ -20,7 +20,7 @@ namespace hfc {
 /// test. kMean is Zahn's (and the paper's) formulation; kMedian is robust
 /// to multi-scale data, where one enormous nearby edge can mask a
 /// moderately long one (needed when clustering hierarchically laid-out
-/// points, see src/multilevel/).
+/// points, see HfcTopology's multi-level construction).
 enum class ZahnStatistic { kMean, kMedian };
 
 struct ZahnParams {

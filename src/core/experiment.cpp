@@ -115,12 +115,16 @@ ConstructionCost measure_construction_cost(const HfcFramework& fw) {
   cost.report_messages = fw.overlay().size();
   cost.info_messages = fw.overlay().size();
   const HfcTopology& topo = fw.topology();
-  const std::size_t c = topo.cluster_count();
-  // Per proxy (Figure 4): its cluster membership list, the global border
-  // table (two node ids per cluster pair), and the coordinates it must
-  // retain.
-  const std::size_t border_table_entries = c * (c - 1);
+  // Per proxy (Figure 4): its cluster membership list, the border table
+  // of every sibling set on its ancestry (two node ids per sibling pair;
+  // c·(c−1) in a one-level topology), and the coordinates it must retain.
   for (NodeId node : fw.overlay().all_nodes()) {
+    std::size_t border_table_entries = 0;
+    for (ClusterId g = topo.cluster_of(node); g != topo.root();
+         g = topo.group(g).parent) {
+      const std::size_t k = topo.group(topo.group(g).parent).children.size();
+      border_table_entries += k * (k - 1);
+    }
     cost.info_node_states += topo.members(topo.cluster_of(node)).size() +
                              border_table_entries +
                              topo.coordinate_state_count(node);

@@ -66,14 +66,15 @@ std::unique_ptr<HfcFramework> HfcFramework::build(
       assign_services(config.proxies, config.workload, workload_rng));
 
   // 5 + 6. Topology and router. kAuto escalates to the bounded-fanout
-  //    multilevel stack at HFC_ML_AUTO_N proxies: the flat topology's
+  //    tree at HFC_ML_AUTO_N proxies: the one-level topology's
   //    all-cluster-pairs border selection is quadratic in the cluster
   //    count and becomes the wall on the way to 1M (DESIGN.md §13).
-  bool use_multilevel = config.scheme == TopologyScheme::kMultiLevel;
+  fw->multilevel_ = config.scheme == TopologyScheme::kMultiLevel;
   if (config.scheme == TopologyScheme::kAuto) {
-    use_multilevel = config.proxies >= env_size_t("HFC_ML_AUTO_N", 100000, 1);
+    fw->multilevel_ =
+        config.proxies >= env_size_t("HFC_ML_AUTO_N", 100000, 1);
   }
-  if (use_multilevel) {
+  if (fw->multilevel_) {
     MultiLevelParams ml = config.multilevel;
     if (ml.group_fanout == 0) {
       ml.group_fanout = env_size_t("HFC_ML_FANOUT", 32, 2);
@@ -86,20 +87,19 @@ std::unique_ptr<HfcFramework> HfcFramework::build(
       }
       ml.leaf_limit = 8 * ml.group_fanout;
     }
-    fw->hierarchy_ = std::make_unique<MultiLevelHierarchy>(
-        fw->distance_map_.proxy_coords, ml);
-    fw->ml_router_ = std::make_unique<MultiLevelRouter>(
-        *fw->overlay_, *fw->hierarchy_, *fw->coord_service_);
+    fw->topology_ =
+        std::make_unique<HfcTopology>(fw->distance_map_.proxy_coords, ml);
   } else {
     // Clustering by MST + inconsistent-edge removal (§3.2) and the HFC
     // topology with border selection (§3.3), both querying the
-    // coordinate tier; hierarchical router over the aggregate state (§5).
+    // coordinate tier.
     Clustering clustering = cluster_nodes(*fw->coord_service_, config.zahn);
     fw->topology_ = std::make_unique<HfcTopology>(
         std::move(clustering), *fw->coord_service_, config.border_selection);
-    fw->router_ = std::make_unique<HierarchicalServiceRouter>(
-        *fw->overlay_, *fw->topology_, *fw->coord_service_, config.routing);
   }
+  // The hierarchical router over the aggregate state (§5).
+  fw->router_ = std::make_unique<HierarchicalServiceRouter>(
+      *fw->overlay_, *fw->topology_, *fw->coord_service_, config.routing);
 
   // 7. Client endpoint pool: each client's nearest proxy by true delay.
   fw->client_proxies_.reserve(config.clients);

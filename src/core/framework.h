@@ -16,26 +16,25 @@
 #include "coords/gnp.h"
 #include "distance/coord_distance.h"
 #include "distance/truth_distance.h"
-#include "multilevel/multilevel_hierarchy.h"
-#include "multilevel/multilevel_router.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
 #include "services/workload.h"
 #include "topology/overlay_placement.h"
 #include "topology/transit_stub.h"
-#include "util/require.h"
 #include "util/rng.h"
 
 namespace hfc {
 
-/// Which topology/routing stack a framework build assembles.
+/// Which HFC topology a framework build assembles. Both are HfcTopology
+/// routed by HierarchicalServiceRouter; they differ in how the tree is
+/// built.
 ///
-///   kFlat       — the paper's bi-level HfcTopology + hierarchical router
+///   kFlat       — the paper's bi-level topology over the Zahn clusters
 ///                 (every cluster pair gets a border pair, so border
 ///                 selection is quadratic in the cluster count — fine to
 ///                 ~100k proxies, the wall beyond).
-///   kMultiLevel — bounded-fanout MultiLevelHierarchy + MultiLevelRouter:
+///   kMultiLevel — a bounded-fanout tree built from the coordinates:
 ///                 per-parent sibling counts stay O(HFC_ML_FANOUT) as n
 ///                 grows, which is what carries construction to 1M
 ///                 proxies (DESIGN.md §13).
@@ -67,7 +66,7 @@ struct FrameworkConfig {
   /// (the default) resolves to bounded-fanout mode with HFC_ML_FANOUT
   /// children per group (default 32) and leaf clusters of 8x that many
   /// nodes; callers wanting the legacy fixed-`levels` construction can
-  /// build a MultiLevelHierarchy directly.
+  /// build an HfcTopology from coordinates directly.
   MultiLevelParams multilevel;
 
   /// Row-cache capacity for the truth distance tier (0 = resolve via the
@@ -102,32 +101,13 @@ class HfcFramework {
   }
   [[nodiscard]] const OverlayNetwork& overlay() const { return *overlay_; }
 
-  /// True when this build assembled the multilevel stack (kMultiLevel,
-  /// or kAuto at large n). Flat-stack accessors (topology / router)
-  /// and multilevel accessors (hierarchy / multilevel_router) are
-  /// mutually exclusive.
-  [[nodiscard]] bool is_multilevel() const { return hierarchy_ != nullptr; }
+  /// True when this build assembled the tree from coordinates (kMultiLevel,
+  /// or kAuto at large n).
+  [[nodiscard]] bool is_multilevel() const { return multilevel_; }
 
-  [[nodiscard]] const HfcTopology& topology() const {
-    require(topology_ != nullptr,
-            "HfcFramework::topology: multilevel build has no flat topology");
-    return *topology_;
-  }
+  [[nodiscard]] const HfcTopology& topology() const { return *topology_; }
   [[nodiscard]] const HierarchicalServiceRouter& router() const {
-    require(router_ != nullptr,
-            "HfcFramework::router: multilevel build has no flat router");
     return *router_;
-  }
-  [[nodiscard]] const MultiLevelHierarchy& hierarchy() const {
-    require(hierarchy_ != nullptr,
-            "HfcFramework::hierarchy: flat build has no multilevel hierarchy");
-    return *hierarchy_;
-  }
-  [[nodiscard]] const MultiLevelRouter& multilevel_router() const {
-    require(ml_router_ != nullptr,
-            "HfcFramework::multilevel_router: flat build has no "
-            "multilevel router");
-    return *ml_router_;
   }
 
   /// The coordinate distance tier every construction stage queries (what
@@ -158,10 +138,8 @@ class HfcFramework {
     return client_proxies_;
   }
 
-  /// Route hierarchically (aggregate state), paper §5 — through the flat
-  /// router or the multilevel router, whichever this build assembled.
+  /// Route hierarchically (aggregate state), paper §5.
   [[nodiscard]] ServicePath route(const ServiceRequest& request) const {
-    if (ml_router_ != nullptr) return ml_router_->route(request);
     return router_->route(request);
   }
 
@@ -182,12 +160,9 @@ class HfcFramework {
   std::shared_ptr<const CoordDistanceService> coord_service_;
   std::shared_ptr<const TruthDistanceService> proxy_truth_;
   std::unique_ptr<OverlayNetwork> overlay_;
-  /// Flat stack (kFlat, or kAuto at small n)...
   std::unique_ptr<HfcTopology> topology_;
   std::unique_ptr<HierarchicalServiceRouter> router_;
-  /// ...or multilevel stack (kMultiLevel, or kAuto at large n).
-  std::unique_ptr<MultiLevelHierarchy> hierarchy_;
-  std::unique_ptr<MultiLevelRouter> ml_router_;
+  bool multilevel_ = false;
   std::vector<NodeId> client_proxies_;
 };
 

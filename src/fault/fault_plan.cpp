@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "overlay/hfc_topology.h"
@@ -63,10 +64,11 @@ FaultPlan::FaultPlan(std::vector<FaultEvent> events, double base_loss,
         break;
     }
   }
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const FaultEvent& x, const FaultEvent& y) {
-                     return x.time_ms < y.time_ms;
-                   });
+  std::sort(events_.begin(), events_.end(),
+            [](const FaultEvent& x, const FaultEvent& y) {
+              return std::tie(x.time_ms, x.kind, x.node, x.a, x.b, x.loss) <
+                     std::tie(y.time_ms, y.kind, y.node, y.a, y.b, y.loss);
+            });
 }
 
 double FaultPlan::last_event_ms() const {
@@ -325,6 +327,10 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string head = token.substr(0, at == std::string::npos
                                                   ? colon
                                                   : at);
+    const bool timed = at != std::string::npos && at < colon;
+    require(!timed || (head != "loss" && head != "jitter" && head != "seed"),
+            "FaultPlan::parse: '" + head + "' takes no time in '" + token +
+                "'");
     if (head == "loss") {
       base_loss = parse_finite(token.substr(colon + 1), token);
       require(base_loss >= 0.0 && base_loss < 1.0,
@@ -348,9 +354,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       }
       continue;
     }
-    require(at != std::string::npos && at < colon,
-            "FaultPlan::parse: expected '<kind>@<time>:...' in '" + token +
-                "'");
+    require(timed, "FaultPlan::parse: expected '<kind>@<time>:...' in '" +
+                       token + "'");
     const std::string time_part = token.substr(at + 1, colon - at - 1);
     const std::string arg = token.substr(colon + 1);
     if (head == "crash" || head == "recover") {
@@ -370,7 +375,13 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       ev.b = ClusterId(parse_int(arg.substr(slash + 1), token));
       events.push_back(ev);
     } else if (head == "burst") {
-      const std::size_t plus = time_part.find('+');
+      // The separating '+' is the first one outside an exponent, as
+      // serialize() writes large times in "1e+20" form.
+      std::size_t plus = time_part.find('+');
+      while (plus != std::string::npos && plus > 0 &&
+             (time_part[plus - 1] == 'e' || time_part[plus - 1] == 'E')) {
+        plus = time_part.find('+', plus + 1);
+      }
       require(plus != std::string::npos,
               "FaultPlan::parse: expected 'burst@open+span:loss' in '" +
                   token + "'");
@@ -379,13 +390,19 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       require(span > 0.0, "FaultPlan::parse: burst span must be positive");
       require(std::isfinite(open + span),
               "FaultPlan::parse: burst end overflows in '" + token + "'");
+      // serialize() writes the span back as end - open: the window must
+      // close after it opens, and that span must land on the same end.
+      const double close = open + span;
+      require(close > open && open + (close - open) == close,
+              "FaultPlan::parse: burst span lost to rounding in '" + token +
+                  "'");
       FaultEvent start;
       start.time_ms = open;
       start.kind = FaultKind::kBurstStart;
       start.loss = parse_finite(arg, token);
       events.push_back(start);
       FaultEvent end;
-      end.time_ms = open + span;
+      end.time_ms = close;
       end.kind = FaultKind::kBurstEnd;
       events.push_back(end);
     } else {

@@ -67,8 +67,10 @@ struct FaultPlanParams {
 
 class FaultPlan {
  public:
-  /// Events sorted by (time, insertion order). Construction sorts; the
-  /// relative order of same-time events is preserved (stable).
+  /// Events sorted by (time, kind, node, clusters, loss): same-time
+  /// events apply in FaultKind order, so a plan is its set of events and
+  /// serialize() -> parse() returns an equal plan whatever the order of
+  /// the spec's directives.
   explicit FaultPlan(std::vector<FaultEvent> events = {},
                      double base_loss = 0.0, double jitter_ms = 0.0,
                      std::uint64_t seed = 1);

@@ -40,13 +40,17 @@ std::string to_dot(const HfcTopology& topo) {
     os << "  }\n";
   }
   os << std::fixed << std::setprecision(1);
-  for (std::size_t a = 0; a + 1 < topo.cluster_count(); ++a) {
-    for (std::size_t b = a + 1; b < topo.cluster_count(); ++b) {
-      const ClusterId ca(static_cast<std::int32_t>(a));
-      const ClusterId cb(static_cast<std::int32_t>(b));
-      os << "  p" << topo.border(ca, cb).value() << " -- p"
-         << topo.border(cb, ca).value() << " [label=\""
-         << topo.external_length(ca, cb) << "\", style=bold];\n";
+  for (std::size_t g = 0; g < topo.group_count(); ++g) {
+    const std::vector<ClusterId>& siblings =
+        topo.group(ClusterId(static_cast<std::int32_t>(g))).children;
+    for (std::size_t i = 0; i + 1 < siblings.size(); ++i) {
+      for (std::size_t j = i + 1; j < siblings.size(); ++j) {
+        const ClusterId a = siblings[i];
+        const ClusterId b = siblings[j];
+        os << "  p" << topo.border(a, b).value() << " -- p"
+           << topo.border(b, a).value() << " [label=\""
+           << topo.external_length(a, b) << "\", style=bold];\n";
+      }
     }
   }
   os << "}\n";

@@ -18,9 +18,9 @@ namespace hfc {
 /// as boxes, stub routers as points; edges labelled with delay).
 [[nodiscard]] std::string to_dot(const PhysicalNetwork& net);
 
-/// The HFC topology: one cluster subgraph per cluster (members listed,
-/// borders emphasised), plus the external border-pair links labelled with
-/// their length.
+/// The HFC topology: one cluster subgraph per leaf cluster (members
+/// listed, borders emphasised), plus every parent's sibling links between
+/// border pairs, labelled with their length.
 [[nodiscard]] std::string to_dot(const HfcTopology& topo);
 
 /// The mesh overlay as a plain undirected graph.

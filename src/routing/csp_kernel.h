@@ -1,9 +1,10 @@
 // The cluster-level service path (CSP) search of paper §5.1 and the run
-// dissection that follows it, shared by both hierarchical routers.
+// dissection that follows it, run by the hierarchical router at every
+// level.
 //
 // A *unit* is what the current level of the hierarchy routes across: a
-// cluster for HierarchicalServiceRouter, a sibling child group at each
-// recursion step of MultiLevelRouter. The search maps every SG vertex
+// leaf cluster under the root of a one-level topology, a sibling child
+// group at each recursion step of a deeper one. The search maps every SG vertex
 // onto one candidate unit and prices the configuration by its external
 // links plus, with lower bounds on, the internal segments it cannot
 // avoid. Its state is (unit, entry node), which keeps that cost
@@ -74,13 +75,10 @@ struct UnitRun {
 
 namespace csp_detail {
 
-/// An id or group index as one half of a table key.
+/// An id as one half of a table key.
 template <typename Tag>
 constexpr std::uint32_t bits(Id<Tag> id) {
   return static_cast<std::uint32_t>(id.value());
-}
-constexpr std::uint32_t bits(std::size_t group) {
-  return static_cast<std::uint32_t>(group);
 }
 
 /// Two 32-bit halves as one table key, `hi` in the upper half.

@@ -20,22 +20,60 @@
 // the source proxy's internal distance to its cluster's exit border
 // (the example omits it; including it is still a valid lower bound and
 // strictly better informed). `use_internal_lower_bounds = false` falls
-// back to external-links-only selection (ablation A5). Every step is the
-// pipeline MultiLevelRouter runs (routing/conquer_pipeline.h), here over
-// one level of clusters.
+// back to external-links-only selection (ablation A5).
+//
+// The same router serves every depth of HfcTopology (DESIGN.md §5): a
+// request between two proxies of a group runs
+//   1. candidate groups per SG vertex: the group's children whose
+//      aggregate capability hosts the service, less crankback exclusions
+//      and the leaf clusters `cluster_ok` rejects;
+//   2. the group-level CSP (search_csp), dissected into runs;
+//   3. each run solved inside its child: flat routing ([11]) at a leaf
+//      cluster, the same steps one level down at an inner group;
+//   4. the runs joined by relays through the live links of every level;
+//   5. a failed run reported as (unit, service) pairs and cranked back.
+// Over a one-level topology — the root's children are the clusters —
+// that is exactly the paper's §5.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <ranges>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
-#include "routing/conquer_pipeline.h"
+#include "routing/csp_kernel.h"
+#include "routing/flat_router.h"
 #include "routing/service_path.h"
 
 namespace hfc {
+
+class DistanceService;
+
+/// Feasibility filters for QoS-style routing (paper §7 future work), as
+/// candidate pruning. `cluster_ok(c, s)` prunes clusters as providers of
+/// service s at the CSP level (e.g. aggregate capacity below the session
+/// demand); `node_ok(p, s)` prunes proxies inside a cluster, which
+/// crankback answers when an optimistic aggregate passed cluster_ok.
+/// `node_up(p)` is *liveness*: a down proxy neither provides nor relays,
+/// and links with a down end fall back (LiveLinkView), while a proxy
+/// node_ok rejects may still relay. Null members accept everything.
+struct RoutingFilters {
+  std::function<bool(ClusterId, ServiceId)> cluster_ok;
+  NodeServiceFilter node_ok;
+  std::function<bool(NodeId)> node_up;
+};
+
+/// Routing outcome under filters, including how often the router had to
+/// back out of a unit whose aggregate state proved too optimistic.
+struct RouteResult {
+  ServicePath path;
+  std::size_t crankbacks = 0;
+};
+
+class ConquerPipeline;
 
 struct HierarchicalRoutingParams {
   /// Account for unavoidable intra-cluster border-to-border distances when
@@ -44,9 +82,10 @@ struct HierarchicalRoutingParams {
   bool use_internal_lower_bounds = true;
 };
 
-class HierarchicalServiceRouter
-    : public PipelineRouter<HierarchicalServiceRouter> {
+class HierarchicalServiceRouter {
  public:
+  using RouteResult = hfc::RouteResult;
+
   /// `net` and `topo` must outlive the router. `decision_distance` is what
   /// proxies believe about the overlay (coordinate estimates in the
   /// paper). Aggregate cluster capabilities (SCT_C) are derived from the
@@ -64,7 +103,22 @@ class HierarchicalServiceRouter
                             const DistanceService& decision_distance,
                             HierarchicalRoutingParams params = {});
 
-  // route, route_with_crankback and route_degraded: PipelineRouter.
+  /// Full pipeline: map -> CSP -> divide -> conquer, at every level.
+  [[nodiscard]] ServicePath route(const ServiceRequest& request) const;
+
+  /// Filtered pipeline with crankback: a run its unit cannot serve has its
+  /// (unit, service) pairs excluded and that level's CSP recomputed;
+  /// `max_crankbacks` bounds the crankbacks of all levels together.
+  [[nodiscard]] RouteResult route_with_crankback(
+      const ServiceRequest& request, const RoutingFilters& filters,
+      std::size_t max_crankbacks = 8) const;
+
+  /// Graceful degradation: route_with_crankback treating every proxy `up`
+  /// rejects as crashed — it cannot serve, relay, or anchor a border pair.
+  /// Finds a valid path whenever one exists among the survivors.
+  [[nodiscard]] RouteResult route_degraded(
+      const ServiceRequest& request, std::function<bool(NodeId)> up,
+      std::size_t max_crankbacks = 8) const;
 
   /// --- the pipeline's steps at the cluster level, exposed for tests,
   /// the simulator and the quickstart example ---
@@ -96,9 +150,13 @@ class HierarchicalServiceRouter
                                     const std::vector<ChildRequest>& children,
                                     const ServiceRequest& request) const;
 
-  /// Conquer under filters; on failure reports which (cluster, service)
-  /// pairs failed so the caller can crank back.
-  using ConquerResult = Conquered<ClusterId>;
+  /// Conquer under filters: the hops of the solved runs, or on failure
+  /// the (cluster, service) pairs of the failed run so the caller can
+  /// crank back; both empty when a relay found its clusters disconnected.
+  struct ConquerResult {
+    ServicePath path;
+    Exclusions infeasible;
+  };
   [[nodiscard]] ConquerResult conquer_filtered(
       const Csp& csp, const std::vector<ChildRequest>& children,
       const ServiceRequest& request, const RoutingFilters& filters) const;
@@ -110,11 +168,12 @@ class HierarchicalServiceRouter
 
   /// Re-derive SCT_C only for clusters whose topology generation stamp
   /// changed since construction / the previous sync (incremental churn,
-  /// DESIGN.md §9). Dead clusters resolve to an empty aggregate and drop
-  /// out of CSP candidacy. O(live changed clusters), not O(C).
+  /// DESIGN.md §9, one-level topologies). Dead clusters resolve to an
+  /// empty aggregate and drop out of CSP candidacy. O(live changed
+  /// clusters), not O(C).
   void sync_with_topology();
 
-  /// Clusters whose aggregate service set (SCT_C) contains `service`.
+  /// Leaf clusters whose aggregate service set (SCT_C) contains `service`.
   [[nodiscard]] std::vector<ClusterId> clusters_hosting(
       ServiceId service) const;
 
@@ -125,31 +184,21 @@ class HierarchicalServiceRouter
   [[nodiscard]] const std::vector<ServiceId>& cluster_capability(
       ClusterId cluster) const;
 
+  /// Aggregate service capability of any group (union over its nodes).
+  [[nodiscard]] bool group_hosts(ClusterId group, ServiceId service) const;
+
  private:
-  friend class ConquerPipeline<HierarchicalServiceRouter>;
+  friend class ConquerPipeline;
 
-  // The pipeline's tree: every cluster slot under a virtual root.
-  using Unit = ClusterId;
-  using Store = HfcTopology;
-  static ClusterId root() { return ClusterId{}; }
-  [[nodiscard]] auto children(ClusterId /*root*/) const {
-    return std::views::iota(std::size_t{0}, capabilities_.size()) |
-           std::views::transform([](std::size_t c) {
-             return ClusterId(static_cast<std::int32_t>(c));
-           });
-  }
-  [[nodiscard]] ClusterId child_holding(ClusterId /*root*/, NodeId node) const {
-    return topo_.cluster_of(node);
-  }
-  static bool is_leaf(ClusterId unit) { return unit.valid(); }
-  [[nodiscard]] const HfcTopology& store() const { return topo_; }
-  [[nodiscard]] const OverlayDistance& store_distance() const {
-    return topo_.distance();
-  }
-  [[nodiscard]] bool lower_bounds() const {
-    return params_.use_internal_lower_bounds;
-  }
+  /// The endpoint checks of every entry point.
+  void require_endpoints(const ServiceRequest& request) const;
 
+  const OverlayNetwork& net_;
+  OverlayDistance distance_;
+  FlatServiceRouter flat_;
+  /// capabilities_[g] = the aggregate services of group g, ascending, for
+  /// every group but the root.
+  std::vector<std::vector<ServiceId>> capabilities_;
   const HfcTopology& topo_;
   HierarchicalRoutingParams params_;
   /// Topology generation each SCT_C entry was derived at (sync_with_topology).

@@ -1,7 +1,7 @@
 // The live-link view (DESIGN.md §10): the links one routing computation
 // crosses between sibling units, crashed proxies taken out. A store —
-// HfcTopology over clusters, MultiLevelHierarchy over the sibling groups
-// of every level — keeps one §3.3 border pair per unit pair. Under an
+// HfcTopology, over the sibling groups of every level — keeps one §3.3
+// border pair per unit pair. Under an
 // `up` predicate a stored pair with a down end gives way to the closest
 // pair of the two units' surviving members (lex-min (d, x, y), as a fresh
 // selection); with no survivor on one side the units are disconnected.

@@ -1,7 +1,7 @@
 // The §3.3 border-pair rule, written once: the border pair of two node
 // sets is their closest cross-set pair, ties broken by the smallest
-// (x, y). HfcTopology (construction, churn repair, crash fallback) and
-// MultiLevelHierarchy (sibling borders) choose every pair here.
+// (x, y). HfcTopology (sibling borders at every level, churn repair) and
+// the live-link view (crash fallback) choose every pair here.
 //
 // With a DynamicSpatialSet on both sides the pair comes from
 // bichromatic_closest_pair; otherwise from an ascending strict-`<` scan

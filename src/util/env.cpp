@@ -52,6 +52,12 @@ bool parse_u64(const char* raw, std::uint64_t& out, const char*& why) {
     why = "not a plain non-negative integer";
     return false;
   }
+  // Digits only: strtoull alone would skip leading "\n", "\v" or "\r"
+  // and then accept a sign after them.
+  if (s.find_first_not_of("0123456789") != std::string::npos) {
+    why = "not a number";
+    return false;
+  }
   errno = 0;
   char* parse_end = nullptr;
   const unsigned long long v = std::strtoull(s.c_str(), &parse_end, 10);

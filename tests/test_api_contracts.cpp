@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "cluster/zahn.h"
-#include "multilevel/multilevel_router.h"
 #include "overlay/hfc_topology.h"
 #include "qos/qos_manager.h"
 #include "oracle/brute_force.h"
@@ -151,16 +150,16 @@ TEST(ApiContracts, QosFiltersRejectNegativeDemand) {
 
 TEST(ApiContracts, MultiLevelRouterValidation) {
   TinyWorld w;
-  const MultiLevelHierarchy hierarchy(w.coords, MultiLevelParams{});
-  EXPECT_THROW(MultiLevelRouter(w.net, hierarchy, nullptr),
+  const HfcTopology hierarchy(w.coords, MultiLevelParams{});
+  EXPECT_THROW(HierarchicalServiceRouter(w.net, hierarchy, nullptr),
                std::invalid_argument);
-  const MultiLevelRouter router(w.net, hierarchy,
-                                w.net.coord_distance_fn());
+  const HierarchicalServiceRouter router(w.net, hierarchy,
+                                         w.net.coord_distance_fn());
   ServiceRequest request;
   request.source = NodeId(55);
   request.destination = NodeId(0);
   EXPECT_THROW((void)router.route(request), std::invalid_argument);
-  EXPECT_THROW((void)router.group_hosts(999, ServiceId(0)),
+  EXPECT_THROW((void)router.group_hosts(ClusterId(999), ServiceId(0)),
                std::invalid_argument);
 }
 

@@ -4,8 +4,8 @@
 // lex-min (x, y) pair. Every place that chooses a border pair must agree
 // with a brute all-pairs oracle: HfcTopology's construction, its
 // full-rescan and add-scan churn repairs, its crash fallback (the
-// live-link view), and a levels = 1 MultiLevelHierarchy over the
-// same clusters. Each runs with the spatial index forced on and off, over
+// live-link view), and a levels = 1 HfcTopology built from the
+// coordinates over the same clusters. Each runs with the spatial index forced on and off, over
 // clusters of one block (9 proxies, below DynamicSpatialSet's brute
 // threshold) and of four blocks (36 proxies, above it). The crash
 // fallback's accept-predicate scan is also checked on its own: one
@@ -24,7 +24,6 @@
 #include "block_lattice.h"
 #include "distance/coord_distance.h"
 #include "env_guard.h"
-#include "multilevel/multilevel_hierarchy.h"
 #include "obs/metrics.h"
 #include "overlay/hfc_topology.h"
 #include "routing/live_links.h"
@@ -60,15 +59,15 @@ MultiLevelParams bi_level(bool quads) {
 
 /// The hierarchy's leaf groups as a flat clustering (cluster i is the
 /// i-th level-1 group).
-Clustering leaf_clustering(const MultiLevelHierarchy& h) {
+Clustering leaf_clustering(const HfcTopology& h) {
   Clustering clustering;
   clustering.assignment.resize(h.node_count());
-  for (const std::size_t leaf : h.groups_at(1)) {
+  for (const ClusterId leaf : h.groups_at(1)) {
     const ClusterId id(static_cast<std::int32_t>(clustering.members.size()));
-    for (const NodeId n : h.group(leaf).nodes) {
+    for (const NodeId n : h.members(leaf)) {
       clustering.assignment[n.idx()] = id;
     }
-    clustering.members.push_back(h.group(leaf).nodes);
+    clustering.members.push_back(h.members(leaf));
   }
   return clustering;
 }
@@ -119,20 +118,20 @@ void check_lex_min_everywhere(bool quads, bool spatial) {
                                   << (spatial ? ", spatial" : ", brute"));
   const EnvGuard min_n("HFC_SPATIAL_MIN_N", spatial ? "2" : kAboveAnyN);
   std::vector<Point> coords = lattice_coords(quads);
-  const MultiLevelHierarchy hierarchy(coords, bi_level(quads));
-  const std::vector<std::size_t>& leaves = hierarchy.groups_at(1);
+  const HfcTopology hierarchy(coords, bi_level(quads));
+  const std::vector<ClusterId>& leaves = hierarchy.groups_at(1);
   const std::size_t size = quads ? 36 : 9;
   ASSERT_EQ(leaves.size(), coords.size() / size);
   ASSERT_EQ(size > DynamicSpatialSet::kBruteThreshold, quads);
 
   // A levels = 1 hierarchy: the root's children are the clusters.
   for (std::size_t i = 0; i < leaves.size(); ++i) {
-    ASSERT_EQ(hierarchy.group(leaves[i]).nodes.size(), size);
+    ASSERT_EQ(hierarchy.members(leaves[i]).size(), size);
     for (std::size_t j = i + 1; j < leaves.size(); ++j) {
       EXPECT_EQ(Pair(hierarchy.border(leaves[i], leaves[j]),
                      hierarchy.border(leaves[j], leaves[i])),
-                oracle_pair(coords, hierarchy.group(leaves[i]).nodes,
-                            hierarchy.group(leaves[j]).nodes))
+                oracle_pair(coords, hierarchy.members(leaves[i]),
+                            hierarchy.members(leaves[j])))
           << "sibling groups " << i << " and " << j;
     }
   }
@@ -204,10 +203,10 @@ TEST(BorderPairTies, LevelTwoSiblingFallbackIsLexMin) {
   // Blocks (gaps of 8) and quads (centroids 30 apart, blocks 10) split.
   params.leaf_zahn.inconsistency_factor = 2.0;
   params.factor_growth = 1.0;
-  const MultiLevelHierarchy hierarchy(coords, params);
+  const HfcTopology hierarchy(coords, params);
   ASSERT_EQ(hierarchy.levels(), 2u);
   ASSERT_EQ(hierarchy.groups_at(1).size(), 16u);
-  const std::vector<std::size_t>& groups = hierarchy.groups_at(2);
+  const std::vector<ClusterId>& groups = hierarchy.groups_at(2);
   ASSERT_EQ(groups.size(), 4u);
   const OverlayDistance distance = [&coords](NodeId x, NodeId y) {
     return euclidean(coords[x.idx()], coords[y.idx()]);
@@ -218,7 +217,7 @@ TEST(BorderPairTies, LevelTwoSiblingFallbackIsLexMin) {
       ASSERT_TRUE(stored.found);
       for (const NodeId crashed : {stored.exit, stored.entry}) {
         const auto up = [crashed](NodeId n) { return n != crashed; };
-        const LiveLinkView<std::size_t, MultiLevelHierarchy> view(
+        const LiveLinkView<ClusterId, HfcTopology> view(
             hierarchy, distance, up);
         const CspLink got = view.link(groups[i], groups[j]);
         ASSERT_TRUE(got.found);

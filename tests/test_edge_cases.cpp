@@ -10,7 +10,7 @@
 #include "distance/latency_oracle.h"
 #include "coords/nelder_mead.h"
 #include "core/experiment.h"
-#include "multilevel/multilevel_hierarchy.h"
+#include "overlay/hfc_topology.h"
 #include "overlay/mesh_topology.h"
 #include "services/workload.h"
 #include "topology/transit_stub.h"
@@ -170,7 +170,7 @@ TEST(ExperimentEdge, RelayLoadWithZeroRequests) {
 
 TEST(MultiLevelEdge, TwoNodesFormTrivialHierarchy) {
   const std::vector<Point> pts{{0, 0}, {1, 0}};
-  const MultiLevelHierarchy h(pts, MultiLevelParams{});
+  const HfcTopology h(pts, MultiLevelParams{});
   EXPECT_EQ(h.node_count(), 2u);
   EXPECT_GE(h.levels(), 1u);
   const auto path = h.hop_path(NodeId(0), NodeId(1));
@@ -185,7 +185,7 @@ TEST(MultiLevelEdge, PathDistanceSumsHopPath) {
       pts.push_back({base + i, rng.uniform_real(0, 1)});
     }
   }
-  const MultiLevelHierarchy h(pts, MultiLevelParams{});
+  const HfcTopology h(pts, MultiLevelParams{});
   const OverlayDistance d = [&pts](NodeId a, NodeId b) {
     return euclidean(pts[a.idx()], pts[b.idx()]);
   };

@@ -20,8 +20,6 @@
 #include "dynamic/dynamic_overlay.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
-#include "multilevel/multilevel_hierarchy.h"
-#include "multilevel/multilevel_router.h"
 #include "obs/metrics.h"
 #include "oracle/brute_force.h"
 #include "oracle/full_rebuild.h"
@@ -280,6 +278,10 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
       "seed:-3",              // negative seed
       "seed:1.5",             // fractional seed
       "seed:18446744073709551616",  // above the u64 range
+      "loss@99:0.25",         // plan-wide directives take no time
+      "jitter@x:2",
+      "seed@5:42",
+      "burst@1e17+1:0.5",     // span lost to rounding at the open time
   };
   for (const char* spec : bad) {
     EXPECT_THROW((void)FaultPlan::parse(spec), std::invalid_argument) << spec;
@@ -843,8 +845,8 @@ TEST_P(DegradedSweepTest, FallbackFoundWheneverOneExists) {
       route;
   std::unique_ptr<HfcTopology> topo;
   std::unique_ptr<HierarchicalServiceRouter> flat;
-  std::unique_ptr<MultiLevelHierarchy> hierarchy;
-  std::unique_ptr<MultiLevelRouter> multilevel;
+  std::unique_ptr<HfcTopology> hierarchy;
+  std::unique_ptr<HierarchicalServiceRouter> multilevel;
   if (stack == SweepStack::kFlat) {
     topo = std::make_unique<HfcTopology>(cluster_points(pts), distance);
     flat = std::make_unique<HierarchicalServiceRouter>(net, *topo, distance);
@@ -861,10 +863,11 @@ TEST_P(DegradedSweepTest, FallbackFoundWheneverOneExists) {
                       : stack == SweepStack::kLevels2 ? 2
                                                       : 3;
     }
-    hierarchy = std::make_unique<MultiLevelHierarchy>(pts, params);
-    multilevel = std::make_unique<MultiLevelRouter>(net, *hierarchy, distance);
-    for (const std::size_t leaf : hierarchy->groups_at(1)) {
-      leaves.push_back(hierarchy->group(leaf).nodes);
+    hierarchy = std::make_unique<HfcTopology>(pts, params);
+    multilevel =
+        std::make_unique<HierarchicalServiceRouter>(net, *hierarchy, distance);
+    for (const ClusterId leaf : hierarchy->groups_at(1)) {
+      leaves.push_back(hierarchy->members(leaf));
     }
     hop_path = [&](NodeId a, NodeId b) { return hierarchy->hop_path(a, b); };
     route = [&](const ServiceRequest& r, std::function<bool(NodeId)> up) {

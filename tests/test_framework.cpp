@@ -9,6 +9,7 @@
 #include "core/experiment.h"
 #include "core/framework.h"
 #include "env_guard.h"
+#include "overlay/dot_export.h"
 #include "routing/service_path.h"
 #include "sim/state_protocol.h"
 #include "util/env.h"
@@ -175,6 +176,79 @@ TEST(Experiment, ConstructionCostAccounting) {
   EXPECT_GE(cost.info_node_states, coord_total);
 }
 
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// The experiment helpers and the DOT export read the one topology at any
+// depth. A bounded-fanout build of three children per group is several
+// levels deep at 80 proxies.
+TEST(Experiment, HelpersServeMultiLevelBuilds) {
+  FrameworkConfig config = small_config(41);
+  config.scheme = TopologyScheme::kMultiLevel;
+  config.multilevel = MultiLevelParams::bounded(3, 8);
+  const auto fw = HfcFramework::build(config);
+  const HfcTopology& topo = fw->topology();
+  ASSERT_GE(topo.levels(), 2u);
+
+  const OverheadSample overhead = measure_state_overhead(*fw);
+  EXPECT_EQ(overhead.clusters, topo.cluster_count());
+  EXPECT_LT(overhead.hfc_coordinate, overhead.flat_coordinate);
+  EXPECT_LT(overhead.hfc_service, overhead.flat_service);
+
+  const PathEfficiencySample paths = measure_path_efficiency(*fw, 20, 43);
+  EXPECT_EQ(paths.requests, 20u);
+  EXPECT_EQ(paths.failures, 0u);
+  EXPECT_GT(paths.hfc_agg_avg, 0.0);
+  EXPECT_GT(paths.hfc_noagg_avg, 0.0);
+
+  // Each proxy holds the sibling tables on its ancestry: at most 3·2
+  // entries per level, far below the c·(c−1) of one flat table.
+  const ConstructionCost cost = measure_construction_cost(*fw);
+  std::size_t base = 0;
+  for (const NodeId n : fw->overlay().all_nodes()) {
+    base += topo.members(topo.cluster_of(n)).size() +
+            topo.coordinate_state_count(n);
+  }
+  EXPECT_GT(cost.info_node_states, base);
+  EXPECT_LE(cost.info_node_states, base + 80 * 6 * topo.levels());
+
+  EXPECT_GT(measure_relay_load(*fw, 20, 47).loaded_proxies, 0u);
+
+  // One subgraph per leaf cluster, one bold link per sibling pair.
+  const std::string dot = to_dot(topo);
+  std::size_t sibling_pairs = 0;
+  for (std::size_t g = 0; g < topo.group_count(); ++g) {
+    const std::size_t k =
+        topo.group(ClusterId(static_cast<int>(g))).children.size();
+    sibling_pairs += k * (k - 1) / 2;
+  }
+  EXPECT_EQ(count_of(dot, "subgraph cluster_"), topo.cluster_count());
+  EXPECT_EQ(count_of(dot, "style=bold"), sibling_pairs);
+}
+
+// On the paper's bi-level topology the same helpers count one global
+// border table of c·(c−1) entries and draw every cluster pair.
+TEST(Experiment, FlatHelpersCountTheGlobalBorderTable) {
+  const auto fw = HfcFramework::build(small_config(21));
+  const HfcTopology& topo = fw->topology();
+  ASSERT_EQ(topo.levels(), 1u);
+  const std::size_t c = topo.cluster_count();
+  std::size_t want = 0;
+  for (const NodeId n : fw->overlay().all_nodes()) {
+    want += topo.members(topo.cluster_of(n)).size() + c * (c - 1) +
+            topo.coordinate_state_count(n);
+  }
+  EXPECT_EQ(measure_construction_cost(*fw).info_node_states, want);
+  EXPECT_EQ(count_of(to_dot(topo), "style=bold"), c * (c - 1) / 2);
+}
+
 TEST(Experiment, FormatRowPadsCells) {
   const std::string row = format_row({"ab", "c"}, 4);
   EXPECT_EQ(row, "ab   c    ");
@@ -184,8 +258,6 @@ TEST(FrameworkScheme, AutoStaysFlatAtSmallN) {
   const auto fw = HfcFramework::build(small_config(25));
   EXPECT_FALSE(fw->is_multilevel());
   EXPECT_EQ(fw->topology().node_count(), 80u);
-  EXPECT_THROW((void)fw->hierarchy(), std::invalid_argument);
-  EXPECT_THROW((void)fw->multilevel_router(), std::invalid_argument);
 }
 
 TEST(FrameworkScheme, ExplicitMultiLevelBuildsAndRoutes) {
@@ -193,9 +265,7 @@ TEST(FrameworkScheme, ExplicitMultiLevelBuildsAndRoutes) {
   config.scheme = TopologyScheme::kMultiLevel;
   const auto fw = HfcFramework::build(config);
   EXPECT_TRUE(fw->is_multilevel());
-  EXPECT_EQ(fw->hierarchy().node_count(), 80u);
-  EXPECT_THROW((void)fw->topology(), std::invalid_argument);
-  EXPECT_THROW((void)fw->router(), std::invalid_argument);
+  EXPECT_EQ(fw->topology().node_count(), 80u);
 
   Rng rng(29);
   std::size_t found = 0;
@@ -235,8 +305,8 @@ TEST(FrameworkScheme, OverflowingFanoutWarnsAndFallsBack) {
   const auto fw = HfcFramework::build(config);
   EXPECT_EQ(env_warning_count(), 1u);
   std::size_t largest = 0;
-  for (const std::size_t leaf : fw->hierarchy().groups_at(1)) {
-    largest = std::max(largest, fw->hierarchy().group(leaf).nodes.size());
+  for (const ClusterId leaf : fw->topology().groups_at(1)) {
+    largest = std::max(largest, fw->topology().members(leaf).size());
   }
   EXPECT_LE(largest, 256u);
   EXPECT_GT(largest, 8u);  // the fallback fanout's leaves, not 8-node ones
@@ -247,7 +317,7 @@ TEST(FrameworkScheme, MultiLevelBuildIsDeterministic) {
   config.scheme = TopologyScheme::kMultiLevel;
   const auto a = HfcFramework::build(config);
   const auto b = HfcFramework::build(config);
-  EXPECT_EQ(a->hierarchy().group_count(), b->hierarchy().group_count());
+  EXPECT_EQ(a->topology().group_count(), b->topology().group_count());
   Rng rng_a(35);
   Rng rng_b(35);
   const auto req_a = a->generate_requests(5, rng_a);

@@ -13,8 +13,6 @@
 
 #include "block_lattice.h"
 #include "env_guard.h"
-#include "multilevel/multilevel_hierarchy.h"
-#include "multilevel/multilevel_router.h"
 #include "overlay/hfc_topology.h"
 #include "oracle/brute_force.h"
 #include "routing/hierarchical_router.h"
@@ -52,25 +50,29 @@ ServicePlacement spread_placement(std::size_t n, std::size_t catalog) {
 }
 
 TEST(MultiLevelHierarchy, BuildsTwoLevels) {
-  const MultiLevelHierarchy h(two_super_groups(), MultiLevelParams{});
+  const HfcTopology h(two_super_groups(), MultiLevelParams{});
   EXPECT_EQ(h.node_count(), 16u);
   EXPECT_EQ(h.levels(), 2u);
   EXPECT_EQ(h.groups_at(1).size(), 4u);  // the four squares
   EXPECT_EQ(h.groups_at(2).size(), 2u);  // west + east
   // Root holds the two super-groups.
   EXPECT_EQ(h.group(h.root()).children.size(), 2u);
-  EXPECT_EQ(h.group(h.root()).nodes.size(), 16u);
+  std::size_t covered = 0;
+  for (const ClusterId g : h.group(h.root()).children) {
+    covered += h.members(g).size();
+  }
+  EXPECT_EQ(covered, 16u);
 }
 
 TEST(MultiLevelHierarchy, AncestryIsConsistent) {
-  const MultiLevelHierarchy h(two_super_groups(), MultiLevelParams{});
+  const HfcTopology h(two_super_groups(), MultiLevelParams{});
   for (int v = 0; v < 16; ++v) {
     const NodeId node(v);
-    const std::size_t leaf = h.leaf_of(node);
+    const ClusterId leaf = h.cluster_of(node);
     EXPECT_EQ(h.group(leaf).level, 1u);
-    EXPECT_TRUE(std::binary_search(h.group(leaf).nodes.begin(),
-                                   h.group(leaf).nodes.end(), node));
-    const std::size_t super = h.ancestor_of(node, 2);
+    EXPECT_TRUE(std::binary_search(h.members(leaf).begin(),
+                                   h.members(leaf).end(), node));
+    const ClusterId super = h.ancestor_of(node, 2);
     EXPECT_EQ(h.group(super).level, 2u);
     EXPECT_EQ(h.group(leaf).parent, super);
     // Nodes 0-7 west, 8-15 east.
@@ -82,20 +84,20 @@ TEST(MultiLevelHierarchy, AncestryIsConsistent) {
 
 TEST(MultiLevelHierarchy, BordersAreClosestPairsPerLevel) {
   const std::vector<Point> pts = two_super_groups();
-  const MultiLevelHierarchy h(pts, MultiLevelParams{});
+  const HfcTopology h(pts, MultiLevelParams{});
   // Check every sibling pair at every parent.
   for (std::size_t g = 0; g < h.group_count(); ++g) {
-    const HierarchyGroup& parent = h.group(g);
+    const HierarchyGroup& parent = h.group(ClusterId(static_cast<int>(g)));
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
       for (std::size_t j = i + 1; j < parent.children.size(); ++j) {
-        const std::size_t a = parent.children[i];
-        const std::size_t b = parent.children[j];
+        const ClusterId a = parent.children[i];
+        const ClusterId b = parent.children[j];
         const NodeId ba = h.border(a, b);
         const NodeId bb = h.border(b, a);
         const double chosen = euclidean(pts[ba.idx()], pts[bb.idx()]);
         EXPECT_DOUBLE_EQ(chosen, h.external_length(a, b));
-        for (NodeId x : h.group(a).nodes) {
-          for (NodeId y : h.group(b).nodes) {
+        for (NodeId x : h.members(a)) {
+          for (NodeId y : h.members(b)) {
             EXPECT_GE(euclidean(pts[x.idx()], pts[y.idx()]),
                       chosen - 1e-12);
           }
@@ -106,16 +108,16 @@ TEST(MultiLevelHierarchy, BordersAreClosestPairsPerLevel) {
 }
 
 TEST(MultiLevelHierarchy, BorderRequiresSiblings) {
-  const MultiLevelHierarchy h(two_super_groups(), MultiLevelParams{});
+  const HfcTopology h(two_super_groups(), MultiLevelParams{});
   // A leaf in the west and a leaf in the east are not siblings.
-  const std::size_t west_leaf = h.leaf_of(NodeId(0));
-  const std::size_t east_leaf = h.leaf_of(NodeId(8));
+  const ClusterId west_leaf = h.cluster_of(NodeId(0));
+  const ClusterId east_leaf = h.cluster_of(NodeId(8));
   EXPECT_THROW((void)h.border(west_leaf, east_leaf), std::invalid_argument);
 }
 
 TEST(MultiLevelHierarchy, HopPathDepthBound) {
   const std::vector<Point> pts = two_super_groups();
-  const MultiLevelHierarchy h(pts, MultiLevelParams{});
+  const HfcTopology h(pts, MultiLevelParams{});
   for (int a = 0; a < 16; ++a) {
     for (int b = 0; b < 16; ++b) {
       const auto path = h.hop_path(NodeId(a), NodeId(b));
@@ -136,9 +138,9 @@ TEST(MultiLevelHierarchy, HopPathDepthBound) {
 
 TEST(MultiLevelHierarchy, CrossSuperPathsCrossTheSuperBorder) {
   const std::vector<Point> pts = two_super_groups();
-  const MultiLevelHierarchy h(pts, MultiLevelParams{});
-  const std::size_t west = h.ancestor_of(NodeId(0), 2);
-  const std::size_t east = h.ancestor_of(NodeId(8), 2);
+  const HfcTopology h(pts, MultiLevelParams{});
+  const ClusterId west = h.ancestor_of(NodeId(0), 2);
+  const ClusterId east = h.ancestor_of(NodeId(8), 2);
   const NodeId bw = h.border(west, east);
   const NodeId be = h.border(east, west);
   const auto path = h.hop_path(NodeId(0), NodeId(15));
@@ -147,7 +149,7 @@ TEST(MultiLevelHierarchy, CrossSuperPathsCrossTheSuperBorder) {
 }
 
 TEST(MultiLevelHierarchy, StateCountsBelowFlat) {
-  const MultiLevelHierarchy h(two_super_groups(), MultiLevelParams{});
+  const HfcTopology h(two_super_groups(), MultiLevelParams{});
   for (int v = 0; v < 16; ++v) {
     const NodeId node(v);
     EXPECT_LT(h.coordinate_state_count(node), 16u);
@@ -159,7 +161,7 @@ TEST(MultiLevelHierarchy, StateCountsBelowFlat) {
 TEST(MultiLevelHierarchy, SingleLevelFallsBackToBiLevel) {
   MultiLevelParams params;
   params.levels = 1;
-  const MultiLevelHierarchy h(two_super_groups(), params);
+  const HfcTopology h(two_super_groups(), params);
   EXPECT_EQ(h.levels(), 1u);
   // Root directly holds the four squares.
   EXPECT_EQ(h.group(h.root()).children.size(), 4u);
@@ -168,7 +170,7 @@ TEST(MultiLevelHierarchy, SingleLevelFallsBackToBiLevel) {
 TEST(MultiLevelHierarchy, RequestingManyLevelsStopsEarly) {
   MultiLevelParams params;
   params.levels = 6;
-  const MultiLevelHierarchy h(two_super_groups(), params);
+  const HfcTopology h(two_super_groups(), params);
   // After west/east no further coarsening is possible (2 -> 1 group stops
   // at the "no coarsening" or single-group check).
   EXPECT_LE(h.levels(), 3u);
@@ -176,12 +178,34 @@ TEST(MultiLevelHierarchy, RequestingManyLevelsStopsEarly) {
 }
 
 TEST(MultiLevelHierarchy, ValidatesInput) {
-  EXPECT_THROW(MultiLevelHierarchy({}, MultiLevelParams{}),
+  EXPECT_THROW(HfcTopology({}, MultiLevelParams{}),
                std::invalid_argument);
   MultiLevelParams zero;
   zero.levels = 0;
-  EXPECT_THROW(MultiLevelHierarchy(two_super_groups(), zero),
+  EXPECT_THROW(HfcTopology(two_super_groups(), zero),
                std::invalid_argument);
+}
+
+// Incremental maintenance covers one-level topologies built over a
+// distance; every mutator refuses a deeper tree, and a one-level tree
+// built from coordinates (stored lengths, no distance to repair under).
+TEST(MultiLevelHierarchy, MutatorsNeedOneLevel) {
+  MultiLevelParams one;
+  one.levels = 1;
+  for (const MultiLevelParams& params : {MultiLevelParams{}, one}) {
+    HfcTopology h(two_super_groups(), params);
+    ASSERT_EQ(h.levels(), params.levels);
+    const ClusterId a = h.cluster_of(NodeId(0));
+    const ClusterId b = h.cluster_of(NodeId(4));
+    ASSERT_NE(a, b);
+    EXPECT_THROW(h.append_node(), std::invalid_argument);
+    EXPECT_THROW(h.on_member_added(NodeId(0), a), std::invalid_argument);
+    EXPECT_THROW(h.on_member_removed(NodeId(0)), std::invalid_argument);
+    EXPECT_THROW(h.begin_mutation_batch(), std::invalid_argument);
+    EXPECT_THROW(h.override_border_pair(a, b, NodeId(0), NodeId(4)),
+                 std::invalid_argument);
+    EXPECT_EQ(h.members(a).size(), 4u);  // nothing changed
+  }
 }
 
 // ----------------------------------------------------------- routing ----
@@ -189,8 +213,8 @@ TEST(MultiLevelHierarchy, ValidatesInput) {
 struct MlWorld {
   std::vector<Point> coords;
   OverlayNetwork net;
-  MultiLevelHierarchy hierarchy;
-  MultiLevelRouter router;
+  HfcTopology hierarchy;
+  HierarchicalServiceRouter router;
 
   explicit MlWorld(std::size_t catalog = 4)
       : coords(two_super_groups()),
@@ -202,7 +226,7 @@ struct MlWorld {
 TEST(MultiLevelRouter, GroupHostsAggregates) {
   MlWorld w;
   // Service 0 lives on nodes 0,4,8,12 -> in every leaf square.
-  for (std::size_t leaf : w.hierarchy.groups_at(1)) {
+  for (ClusterId leaf : w.hierarchy.groups_at(1)) {
     EXPECT_TRUE(w.router.group_hosts(leaf, ServiceId(0)));
   }
   EXPECT_TRUE(w.router.group_hosts(w.hierarchy.root(), ServiceId(3)));
@@ -231,13 +255,13 @@ TEST(MultiLevelRouter, IntraLeafStaysLocalAndOptimal) {
   ASSERT_TRUE(path.found);
   // Services 1 and 2 exist inside the first square (nodes 1 and 2): the
   // path must stay inside it and match the flat optimum.
-  const std::size_t leaf = w.hierarchy.leaf_of(NodeId(0));
+  const ClusterId leaf = w.hierarchy.cluster_of(NodeId(0));
   for (const ServiceHop& hop : path.hops) {
-    EXPECT_EQ(w.hierarchy.leaf_of(hop.proxy), leaf);
+    EXPECT_EQ(w.hierarchy.cluster_of(hop.proxy), leaf);
   }
   const ServicePath oracle =
       brute_force_route(request, w.net, w.net.coord_distance_fn(),
-                        w.hierarchy.group(leaf).nodes);
+                        w.hierarchy.members(leaf));
   EXPECT_NEAR(path_length(path, w.net.coord_distance_fn()), oracle.cost,
               1e-9);
 }
@@ -317,15 +341,15 @@ std::uint64_t bits_of(double value) {
 
 /// The leaf groups of `h` as a flat clustering: cluster i is the i-th
 /// entry of groups_at(1).
-Clustering leaf_clustering(const MultiLevelHierarchy& h) {
+Clustering leaf_clustering(const HfcTopology& h) {
   Clustering clustering;
   clustering.assignment.resize(h.node_count());
-  for (const std::size_t leaf : h.groups_at(1)) {
+  for (const ClusterId leaf : h.groups_at(1)) {
     const ClusterId id(static_cast<std::int32_t>(clustering.members.size()));
-    for (const NodeId n : h.group(leaf).nodes) {
+    for (const NodeId n : h.members(leaf)) {
       clustering.assignment[n.idx()] = id;
     }
-    clustering.members.push_back(h.group(leaf).nodes);
+    clustering.members.push_back(h.members(leaf));
   }
   return clustering;
 }
@@ -334,9 +358,9 @@ Clustering leaf_clustering(const MultiLevelHierarchy& h) {
 /// and the same coordinate distance.
 struct BiLevelWorld {
   OverlayNetwork net;
-  MultiLevelHierarchy hierarchy;
+  HfcTopology hierarchy;
   HfcTopology topo;
-  MultiLevelRouter multilevel;
+  HierarchicalServiceRouter multilevel;
   HierarchicalServiceRouter flat;
 
   BiLevelWorld(const std::vector<Point>& coords, ServicePlacement placement,
@@ -356,7 +380,7 @@ struct BiLevelWorld {
 
   /// Every border and external length agrees between the two stacks.
   void expect_same_links() const {
-    const std::vector<std::size_t>& leaves = hierarchy.groups_at(1);
+    const std::vector<ClusterId>& leaves = hierarchy.groups_at(1);
     ASSERT_EQ(leaves.size(), topo.cluster_count());
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       for (std::size_t j = 0; j < leaves.size(); ++j) {
@@ -492,8 +516,9 @@ TEST_P(MultiLevelPropertyTest, ValidAndAboveFlatOptimum) {
   wp.services_per_proxy_max = 2;
   Rng wrng = rng.fork(1);
   const OverlayNetwork net(pts, assign_services(pts.size(), wp, wrng));
-  const MultiLevelHierarchy hierarchy(pts, MultiLevelParams{});
-  const MultiLevelRouter router(net, hierarchy, net.coord_distance_fn());
+  const HfcTopology hierarchy(pts, MultiLevelParams{});
+  const HierarchicalServiceRouter router(net, hierarchy,
+                                         net.coord_distance_fn());
 
   wp.request_length_min = 1;
   wp.request_length_max = 3;
@@ -531,15 +556,16 @@ std::vector<Point> random_cloud(std::size_t n, std::size_t dim,
 // the leaves must partition the node set.
 TEST(BoundedFanout, FanoutAndLeafBoundsHold) {
   const std::vector<Point> pts = random_cloud(500, 3, 771);
-  const MultiLevelHierarchy h(pts, MultiLevelParams::bounded(4, 8));
+  const HfcTopology h(pts, MultiLevelParams::bounded(4, 8));
   EXPECT_GE(h.levels(), 2u);
   std::set<NodeId> seen;
   for (std::size_t g = 0; g < h.group_count(); ++g) {
-    const HierarchyGroup& group = h.group(g);
+    const ClusterId id(static_cast<int>(g));
+    const HierarchyGroup& group = h.group(id);
     EXPECT_LE(group.children.size(), 4u) << "group " << g;
     if (group.level == 1) {
-      EXPECT_LE(group.nodes.size(), 8u) << "leaf " << g;
-      for (NodeId v : group.nodes) {
+      EXPECT_LE(h.members(id).size(), 8u) << "leaf " << g;
+      for (NodeId v : h.members(id)) {
         EXPECT_TRUE(seen.insert(v).second) << "node in two leaves";
       }
     }
@@ -547,7 +573,7 @@ TEST(BoundedFanout, FanoutAndLeafBoundsHold) {
   EXPECT_EQ(seen.size(), 500u);
   // Ancestry stays consistent across the derived depth.
   for (int v = 0; v < 500; v += 37) {
-    std::size_t g = h.leaf_of(NodeId(v));
+    ClusterId g = h.cluster_of(NodeId(v));
     for (std::size_t level = 2; level <= h.levels() + 1; ++level) {
       g = h.group(g).parent;
       EXPECT_EQ(h.ancestor_of(NodeId(v), level), g);
@@ -558,19 +584,19 @@ TEST(BoundedFanout, FanoutAndLeafBoundsHold) {
 
 TEST(BoundedFanout, BordersAreClosestPairsPerLevel) {
   const std::vector<Point> pts = random_cloud(120, 2, 772);
-  const MultiLevelHierarchy h(pts, MultiLevelParams::bounded(3, 6));
+  const HfcTopology h(pts, MultiLevelParams::bounded(3, 6));
   for (std::size_t g = 0; g < h.group_count(); ++g) {
-    const HierarchyGroup& parent = h.group(g);
+    const HierarchyGroup& parent = h.group(ClusterId(static_cast<int>(g)));
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
       for (std::size_t j = i + 1; j < parent.children.size(); ++j) {
-        const std::size_t a = parent.children[i];
-        const std::size_t b = parent.children[j];
+        const ClusterId a = parent.children[i];
+        const ClusterId b = parent.children[j];
         const NodeId ba = h.border(a, b);
         const NodeId bb = h.border(b, a);
         const double chosen = euclidean(pts[ba.idx()], pts[bb.idx()]);
         EXPECT_DOUBLE_EQ(chosen, h.external_length(a, b));
-        for (NodeId x : h.group(a).nodes) {
-          for (NodeId y : h.group(b).nodes) {
+        for (NodeId x : h.members(a)) {
+          for (NodeId y : h.members(b)) {
             EXPECT_GE(euclidean(pts[x.idx()], pts[y.idx()]),
                       chosen - 1e-12);
           }
@@ -582,7 +608,7 @@ TEST(BoundedFanout, BordersAreClosestPairsPerLevel) {
 
 TEST(BoundedFanout, HopPathsConnectAndRouterRoutes) {
   const std::vector<Point> pts = random_cloud(300, 2, 773);
-  const MultiLevelHierarchy h(pts, MultiLevelParams::bounded(5, 12));
+  const HfcTopology h(pts, MultiLevelParams::bounded(5, 12));
   Rng rng(774);
   for (std::size_t t = 0; t < 50; ++t) {
     const NodeId a(rng.uniform_int(0, 299));
@@ -596,7 +622,7 @@ TEST(BoundedFanout, HopPathsConnectAndRouterRoutes) {
   }
 
   const OverlayNetwork net(pts, spread_placement(pts.size(), 6));
-  const MultiLevelRouter router(net, h, net.coord_distance_fn());
+  const HierarchicalServiceRouter router(net, h, net.coord_distance_fn());
   Rng rrng(775);
   for (std::size_t t = 0; t < 25; ++t) {
     ServiceRequest request;
@@ -613,20 +639,23 @@ TEST(BoundedFanout, HopPathsConnectAndRouterRoutes) {
 TEST(BoundedFanout, DeterministicAcrossThreadCounts) {
   const std::vector<Point> pts = random_cloud(260, 3, 776);
   const MultiLevelParams params = MultiLevelParams::bounded(4, 10);
-  const MultiLevelHierarchy serial(pts, params);
+  const HfcTopology serial(pts, params);
   set_global_threads(4);
-  const MultiLevelHierarchy threaded(pts, params);
+  const HfcTopology threaded(pts, params);
   set_global_threads(0);
 
   ASSERT_EQ(serial.group_count(), threaded.group_count());
   for (std::size_t g = 0; g < serial.group_count(); ++g) {
-    EXPECT_EQ(serial.group(g).children, threaded.group(g).children);
-    EXPECT_EQ(serial.group(g).nodes, threaded.group(g).nodes);
-    const HierarchyGroup& parent = serial.group(g);
+    const ClusterId id(static_cast<int>(g));
+    EXPECT_EQ(serial.group(id).children, threaded.group(id).children);
+    if (id != serial.root()) {
+      EXPECT_EQ(serial.members(id), threaded.members(id));
+    }
+    const HierarchyGroup& parent = serial.group(id);
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
       for (std::size_t j = i + 1; j < parent.children.size(); ++j) {
-        const std::size_t a = parent.children[i];
-        const std::size_t b = parent.children[j];
+        const ClusterId a = parent.children[i];
+        const ClusterId b = parent.children[j];
         EXPECT_EQ(serial.border(a, b), threaded.border(a, b));
         EXPECT_EQ(serial.external_length(a, b), threaded.external_length(a, b));
       }
@@ -636,9 +665,9 @@ TEST(BoundedFanout, DeterministicAcrossThreadCounts) {
 
 TEST(BoundedFanout, ValidatesParams) {
   const std::vector<Point> pts = random_cloud(40, 2, 777);
-  EXPECT_THROW(MultiLevelHierarchy(pts, MultiLevelParams::bounded(1, 8)),
+  EXPECT_THROW(HfcTopology(pts, MultiLevelParams::bounded(1, 8)),
                std::invalid_argument);
-  EXPECT_THROW(MultiLevelHierarchy(pts, MultiLevelParams::bounded(4, 0)),
+  EXPECT_THROW(HfcTopology(pts, MultiLevelParams::bounded(4, 0)),
                std::invalid_argument);
 }
 
@@ -650,22 +679,25 @@ TEST(BoundedFanout, ValidatesParams) {
 // selects the path: above n keeps the global sweep, 2 forces the
 // pipeline.
 
-void expect_same_hierarchy(const MultiLevelHierarchy& a,
-                           const MultiLevelHierarchy& b) {
+void expect_same_hierarchy(const HfcTopology& a,
+                           const HfcTopology& b) {
   ASSERT_EQ(a.node_count(), b.node_count());
   ASSERT_EQ(a.levels(), b.levels());
   ASSERT_EQ(a.group_count(), b.group_count());
   EXPECT_EQ(a.root(), b.root());
   for (std::size_t g = 0; g < a.group_count(); ++g) {
-    EXPECT_EQ(a.group(g).level, b.group(g).level) << "group " << g;
-    EXPECT_EQ(a.group(g).parent, b.group(g).parent) << "group " << g;
-    EXPECT_EQ(a.group(g).children, b.group(g).children) << "group " << g;
-    EXPECT_EQ(a.group(g).nodes, b.group(g).nodes) << "group " << g;
-    const HierarchyGroup& parent = a.group(g);
+    const ClusterId id(static_cast<int>(g));
+    EXPECT_EQ(a.group(id).level, b.group(id).level) << "group " << g;
+    EXPECT_EQ(a.group(id).parent, b.group(id).parent) << "group " << g;
+    EXPECT_EQ(a.group(id).children, b.group(id).children) << "group " << g;
+    if (id != a.root()) {
+      EXPECT_EQ(a.members(id), b.members(id)) << "group " << g;
+    }
+    const HierarchyGroup& parent = a.group(id);
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
       for (std::size_t j = i + 1; j < parent.children.size(); ++j) {
-        const std::size_t x = parent.children[i];
-        const std::size_t y = parent.children[j];
+        const ClusterId x = parent.children[i];
+        const ClusterId y = parent.children[j];
         EXPECT_EQ(a.border(x, y), b.border(x, y));
         EXPECT_EQ(a.border(y, x), b.border(y, x));
         // Exact double equality: same BCP, same euclidean() rounding.
@@ -674,8 +706,8 @@ void expect_same_hierarchy(const MultiLevelHierarchy& a,
     }
   }
   for (std::size_t v = 0; v < a.node_count(); ++v) {
-    EXPECT_EQ(a.leaf_of(NodeId(static_cast<int>(v))),
-              b.leaf_of(NodeId(static_cast<int>(v))));
+    EXPECT_EQ(a.cluster_of(NodeId(static_cast<int>(v))),
+              b.cluster_of(NodeId(static_cast<int>(v))));
   }
 }
 
@@ -689,16 +721,16 @@ TEST_P(GroupPipelineHierarchyTest, BoundedFanoutMatchesGlobalSweep) {
   const std::vector<Point> pts = random_cloud(620, 3, 901);
 
   const MultiLevelParams params = MultiLevelParams::bounded(4, 48);
-  const MultiLevelHierarchy global = [&] {
+  const HfcTopology global = [&] {
     EnvGuard global_sweep("HFC_ML_PAR_MIN_N", kAboveAnyN);
-    return MultiLevelHierarchy(pts, params);
+    return HfcTopology(pts, params);
   }();
 
   EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   set_global_threads(1);
-  const MultiLevelHierarchy serial(pts, params);
+  const HfcTopology serial(pts, params);
   set_global_threads(4);
-  const MultiLevelHierarchy threaded(pts, params);
+  const HfcTopology threaded(pts, params);
   set_global_threads(0);
 
   expect_same_hierarchy(global, serial);
@@ -711,16 +743,16 @@ TEST_P(GroupPipelineHierarchyTest, FlatLevelsMatchGlobalSweep) {
   const std::vector<Point> pts = random_cloud(400, 2, 902);
 
   const MultiLevelParams params;  // legacy fixed-levels construction
-  const MultiLevelHierarchy global = [&] {
+  const HfcTopology global = [&] {
     EnvGuard global_sweep("HFC_ML_PAR_MIN_N", kAboveAnyN);
-    return MultiLevelHierarchy(pts, params);
+    return HfcTopology(pts, params);
   }();
 
   EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   set_global_threads(1);
-  const MultiLevelHierarchy serial(pts, params);
+  const HfcTopology serial(pts, params);
   set_global_threads(4);
-  const MultiLevelHierarchy threaded(pts, params);
+  const HfcTopology threaded(pts, params);
   set_global_threads(0);
 
   expect_same_hierarchy(global, serial);

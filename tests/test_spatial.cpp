@@ -20,7 +20,6 @@
 #include "cluster/zahn.h"
 #include "distance/coord_distance.h"
 #include "dynamic/dynamic_overlay.h"
-#include "multilevel/multilevel_hierarchy.h"
 #include "obs/metrics.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/mesh_topology.h"
@@ -450,10 +449,10 @@ TEST(SpatialEquivalence, MultilevelHopPathsMatchBrute) {
   params.levels = 2;
   const auto build = [&](const char* min_n) {
     EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
-    return MultiLevelHierarchy(pts, params);
+    return HfcTopology(pts, params);
   };
-  const MultiLevelHierarchy brute = build(kAboveAnyN);
-  const MultiLevelHierarchy kd = build("2");
+  const HfcTopology brute = build(kAboveAnyN);
+  const HfcTopology kd = build("2");
   ASSERT_EQ(brute.levels(), kd.levels());
   Rng pick(959);
   for (std::size_t t = 0; t < 50; ++t) {

@@ -19,7 +19,9 @@
 #      StreamingChaosSuite, ServeTornRead: serial == replay == threaded)
 #      run at 2 and 3 threads as well — the determinism matrix — and the
 #      attach-selection suites (StreamingGoldenDigest, StreamingLazyAttach,
-#      ClosestPairAccept) and the live-link suites (the multilevel
+#      ClosestPairAccept), the dense session-state suites
+#      (StreamingSlotReuse, StreamingDigestText, FaultCrashTable) and the
+#      live-link suites (the multilevel
 #      DegradedSweepTest instances, SurvivingBorderPair, BorderView) at 3;
 #      then reduced
 #      bench_churn_dynamic, bench_topology_scaling (spatial index and
@@ -77,7 +79,7 @@ cmake --build build-tsan -j"$JOBS"
 HFC_THREADS=4 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'Obs|Metrics|Trace|ThreadPool|Parallel|StateProtocol|Simulator|Distance|RowCache|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming'
 HFC_THREADS=3 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
-  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|ServeTornRead|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
+  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|StreamingSlotReuse|StreamingDigestText|FaultCrashTable|ServeTornRead|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
 HFC_THREADS=2 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'MstAlgo|Mst|GroupPipeline|SpatialEquivalence|SpatialKdTree|SpatialDynamicSet|ChaosSuite|StreamingChaosSuite|ServeTornRead'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \
@@ -113,7 +115,11 @@ HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 HFC_TOPO_REQUESTS=40 \
 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_serving_throughput
 # Streaming under ASan: session construction, churn-driven join/leave
-# withdrawal and the regraft machinery at reduced receiver count.
+# withdrawal and the regraft machinery at reduced receiver count. The
+# ctest pass above already ran the dense session-state suites
+# (StreamingSlotReuse's slot reuse and on-demand table growth,
+# StreamingDigestText, FaultCrashTable) through its Streaming and Fault
+# patterns.
 HFC_STREAM_N=300 HFC_BENCH_JSON=0 ./build-asan/bench/bench_chaos_streaming
 
 echo "== [5/5] coverage gate =="

@@ -69,14 +69,27 @@ std::function<bool(NodeId)> FaultInjector::up_predicate() const {
 void FaultInjector::apply(Simulator&, const FaultEvent& event) {
   FaultMetrics& m = FaultMetrics::get();
   switch (event.kind) {
-    case FaultKind::kCrash:
-      if (crashed_.insert(event.node).second) {
+    case FaultKind::kCrash: {
+      // The table is per topology node: a crash naming a proxy the
+      // topology does not hold is a malformed plan, and growing the table
+      // to an arbitrary id would allocate up to 2 GiB.
+      require(event.node.idx() < topo_.node_count(),
+              "FaultInjector: crash of a node outside the topology");
+      const std::size_t i = event.node.idx();
+      if (i >= crashed_.size()) crashed_.resize(i + 1);
+      std::uint8_t& down = crashed_[i];
+      if (down == 0) {
+        down = 1;
+        ++crashed_count_;
         m.crashes.add(1);
         if (on_crash_) on_crash_(event.node);
       }
       break;
+    }
     case FaultKind::kRecover:
-      if (crashed_.erase(event.node) > 0) {
+      if (!node_up(event.node)) {
+        crashed_[event.node.idx()] = 0;
+        --crashed_count_;
         m.recoveries.add(1);
         if (on_recover_) on_recover_(event.node);
       }

@@ -17,6 +17,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_set>
+#include <vector>
 
 #include "fault/fault_plan.h"
 #include "sim/event_queue.h"
@@ -48,9 +49,9 @@ class FaultInjector {
 
   /// Liveness "now" (as of the armed simulator's clock).
   [[nodiscard]] bool node_up(NodeId node) const {
-    return crashed_.find(node) == crashed_.end();
+    return node.idx() >= crashed_.size() || crashed_[node.idx()] == 0;
   }
-  [[nodiscard]] std::size_t crashed_count() const { return crashed_.size(); }
+  [[nodiscard]] std::size_t crashed_count() const { return crashed_count_; }
   /// A copyable predicate view of node_up, for routing filters.
   [[nodiscard]] std::function<bool(NodeId)> up_predicate() const;
 
@@ -99,7 +100,10 @@ class FaultInjector {
   const HfcTopology& topo_;
   Rng msg_rng_;
   bool armed_ = false;
-  std::unordered_set<NodeId> crashed_;
+  /// 1 per crashed node, indexed by id; grown on demand up to the largest
+  /// id crashed (an id past the end is up).
+  std::vector<std::uint8_t> crashed_;
+  std::size_t crashed_count_ = 0;
   std::unordered_set<std::uint64_t> partitions_;
   /// Loss of each open burst window, oldest first (FIFO close order).
   std::deque<double> open_burst_losses_;

@@ -106,6 +106,23 @@ std::string hexd(double v) {
   return os.str();
 }
 
+/// v[i], growing `v` to i + 1 slots first when it is shorter.
+template <typename T>
+T& grow_at(std::vector<T>& v, std::size_t i) {
+  if (i >= v.size()) v.resize(i + 1);
+  return v[i];
+}
+
+/// fn(id, member) over the tree's subscribed members, ascending id.
+template <typename Tree, typename Fn>
+void for_each_member(Tree& tree, Fn&& fn) {
+  for (std::size_t i = 0; i < tree.members.size(); ++i) {
+    if (tree.members[i].present) {
+      fn(NodeId(static_cast<std::int32_t>(i)), tree.members[i]);
+    }
+  }
+}
+
 }  // namespace
 
 StreamMode stream_mode_from_env() {
@@ -183,11 +200,30 @@ void StreamingSession::start(Simulator& sim, double horizon_ms) {
                     [this](Simulator& s) { tick(s); });
   }
   sim.schedule_at(horizon_ms, [this](Simulator& s) { finish(s); });
-  log_event(sim.now(), "start horizon=" + hexd(horizon_ms));
+  log_event(LogRecord::Kind::kStart, sim.now()).value = horizon_ms;
 }
 
 // ---------------------------------------------------------------------------
 // Small state helpers.
+
+const StreamingSession::Member* StreamingSession::find_member(
+    const Tree& tree, NodeId node) {
+  if (!node.valid() || node.idx() >= tree.members.size()) return nullptr;
+  const Member& member = tree.members[node.idx()];
+  return member.present ? &member : nullptr;
+}
+
+StreamingSession::Member* StreamingSession::find_member(Tree& tree,
+                                                        NodeId node) {
+  return const_cast<Member*>(find_member(std::as_const(tree), node));
+}
+
+StreamingSession::Member& StreamingSession::member_at(Tree& tree,
+                                                      NodeId node) {
+  Member* member = find_member(tree, node);
+  ensure(member != nullptr, "StreamingSession: not a member");
+  return *member;
+}
 
 bool StreamingSession::node_up(NodeId node) const {
   // The universe router spans inactive (departed) proxies too, so the
@@ -212,7 +248,9 @@ bool StreamingSession::edge_alive(const Edge& edge) const {
 std::uint32_t StreamingSession::parent_blocked(const Tree& tree,
                                                NodeId parent) const {
   if (parent == tree.source) return 0;
-  return tree.members.at(parent).blocked;
+  const Member* member = find_member(tree, parent);
+  ensure(member != nullptr, "StreamingSession: parent is not a member");
+  return member->blocked;
 }
 
 std::int32_t StreamingSession::cluster_label(NodeId node) const {
@@ -222,19 +260,16 @@ std::int32_t StreamingSession::cluster_label(NodeId node) const {
 std::vector<NodeId>& StreamingSession::children_of(Tree& tree,
                                                    NodeId parent) {
   if (parent == tree.source) return tree.source_children;
-  return tree.members.at(parent).children;
+  return member_at(tree, parent).children;
 }
 
 void StreamingSession::index_edge(Tree& tree, NodeId node, const Edge& edge,
                                   bool add) {
   for (const ServiceHop& hop : edge.hops) {
     if (add) {
-      insert_sorted(tree.by_proxy[hop.proxy], node);
-    } else {
-      const auto it = tree.by_proxy.find(hop.proxy);
-      if (it == tree.by_proxy.end()) continue;
-      erase_sorted(it->second, node);
-      if (it->second.empty()) tree.by_proxy.erase(it);
+      insert_sorted(grow_at(tree.by_proxy, hop.proxy.idx()), node);
+    } else if (hop.proxy.idx() < tree.by_proxy.size()) {
+      erase_sorted(tree.by_proxy[hop.proxy.idx()], node);
     }
   }
 }
@@ -247,7 +282,7 @@ void StreamingSession::bump_subtree(Simulator& sim, Tree& tree, NodeId node,
   while (!stack.empty()) {
     const NodeId at = stack.back();
     stack.pop_back();
-    Member& member = tree.members.at(at);
+    Member& member = member_at(tree, at);
     const std::uint32_t old = member.blocked;
     const std::int64_t next = static_cast<std::int64_t>(old) + delta;
     require(next >= 0, "StreamingSession: blocked count went negative");
@@ -266,7 +301,7 @@ void StreamingSession::bump_subtree(Simulator& sim, Tree& tree, NodeId node,
 
 void StreamingSession::mark_edge_broken(Simulator& sim, Tree& tree,
                                         NodeId node, bool wants_repair) {
-  Member& member = tree.members.at(node);
+  Member& member = member_at(tree, node);
   if (member.edge.ok) {
     member.edge.ok = false;
     member.edge.broke_at = sim.now();
@@ -277,13 +312,13 @@ void StreamingSession::mark_edge_broken(Simulator& sim, Tree& tree,
 
 void StreamingSession::try_restore_edge(Simulator& sim, Tree& tree,
                                         NodeId node) {
-  Member& member = tree.members.at(node);
+  Member& member = member_at(tree, node);
   if (member.edge.ok || !edge_alive(member.edge)) return;
   member.edge.ok = true;
   member.edge.wants_repair = false;
   StreamMetrics::get().restores.add(1);
   bump_subtree(sim, tree, node, -1);
-  log_event(sim.now(), "restore m=" + std::to_string(node.value()));
+  log_event(LogRecord::Kind::kRestore, sim.now(), node);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,23 +327,23 @@ void StreamingSession::try_restore_edge(Simulator& sim, Tree& tree,
 NodeId StreamingSession::resolve_head(Tree& tree,
                                       std::int32_t cluster) const {
   const auto ok = [&](NodeId x) {
-    const auto it = tree.members.find(x);
-    return it != tree.members.end() && it->second.blocked == 0 &&
-           it->second.cluster == cluster && node_up(x);
+    const Member* member = find_member(tree, x);
+    return member != nullptr && member->blocked == 0 &&
+           member->cluster == cluster && node_up(x);
   };
-  const auto hit = tree.head.find(cluster);
-  if (hit != tree.head.end() && ok(hit->second)) return hit->second;
-  const auto cit = tree.by_cluster.find(cluster);
-  if (cit != tree.by_cluster.end()) {
-    for (NodeId x : cit->second) {
+  const auto c = static_cast<std::size_t>(cluster);
+  if (c < tree.head.size() && ok(tree.head[c])) return tree.head[c];
+  NodeId elected;
+  if (c < tree.by_cluster.size()) {
+    for (NodeId x : tree.by_cluster[c]) {
       if (ok(x)) {
-        tree.head[cluster] = x;
-        return x;
+        elected = x;
+        break;
       }
     }
   }
-  if (hit != tree.head.end()) tree.head.erase(cluster);
-  return NodeId{};
+  if (elected.valid() || c < tree.head.size()) grow_at(tree.head, c) = elected;
+  return elected;
 }
 
 std::vector<StreamingSession::Candidate> StreamingSession::collect_candidates(
@@ -329,9 +364,9 @@ std::vector<StreamingSession::Candidate> StreamingSession::collect_candidates(
     } else {
       // No eligible own-cluster head: this member attaches cross-cluster
       // (and becomes the head on success). Other heads form the backbone.
-      for (const auto& [cluster, unused] : tree.by_cluster) {
-        (void)unused;
-        if (cluster == label) continue;
+      for (std::size_t c = 0; c < tree.by_cluster.size(); ++c) {
+        const auto cluster = static_cast<std::int32_t>(c);
+        if (tree.by_cluster[c].empty() || cluster == label) continue;
         const NodeId other = resolve_head(tree, cluster);
         if (other.valid() && other != node && other != exclude) offer(other);
       }
@@ -342,17 +377,17 @@ std::vector<StreamingSession::Candidate> StreamingSession::collect_candidates(
     const auto eligible = [&](NodeId x, const Member& member) {
       return x != node && x != exclude && member.blocked == 0 && node_up(x);
     };
-    const auto cit = tree.by_cluster.find(label);
-    if (cit != tree.by_cluster.end()) {
-      for (NodeId x : cit->second) {
-        const auto it = tree.members.find(x);
-        if (it != tree.members.end() && eligible(x, it->second)) offer(x);
+    const auto c = static_cast<std::size_t>(label);
+    if (c < tree.by_cluster.size()) {
+      // by_cluster lists subscribed members only: read their slots.
+      for (NodeId x : tree.by_cluster[c]) {
+        if (eligible(x, tree.members[x.idx()])) offer(x);
       }
     }
     if (pool.empty()) {
-      for (const auto& [x, member] : tree.members) {
+      for_each_member(tree, [&](NodeId x, const Member& member) {
         if (eligible(x, member)) offer(x);
-      }
+      });
     }
   }
   // The repair_budget nearest, in order: the prefix a full sort keeps.
@@ -450,7 +485,7 @@ bool StreamingSession::apply_attach(Simulator& sim,
                                     NodeId exclude) {
   HFC_TRACE_SPAN("streaming.attach");
   Tree& tree = trees_[tree_index];
-  Member& member = tree.members.at(node);
+  Member& member = member_at(tree, node);
   // Release the old claim first so a regraft that reuses proxies of the
   // old edge sees the capacity it is about to return; restore it if no
   // candidate turns out feasible.
@@ -469,8 +504,8 @@ bool StreamingSession::apply_attach(Simulator& sim,
     if (cand.attach == tree.source) {
       if (!node_up(tree.source)) continue;
     } else {
-      const auto it = tree.members.find(cand.attach);
-      if (it == tree.members.end() || it->second.blocked != 0 ||
+      const Member* attach = find_member(tree, cand.attach);
+      if (attach == nullptr || attach->blocked != 0 ||
           !node_up(cand.attach)) {
         continue;
       }
@@ -510,14 +545,15 @@ bool StreamingSession::apply_attach(Simulator& sim,
     bump_subtree(sim, tree, node, delta);
     if (params_.mode == StreamMode::kClique &&
         (cand.attach == tree.source ||
-         tree.members.at(cand.attach).cluster != member.cluster)) {
-      tree.head[member.cluster] = node;  // cross-cluster entry point
+         member_at(tree, cand.attach).cluster != member.cluster)) {
+      // Cross-cluster entry point.
+      grow_at(tree.head, static_cast<std::size_t>(member.cluster)) = node;
     }
-    log_event(sim.now(), "attach tree=" + std::to_string(tree_index) +
-                             " m=" + std::to_string(node.value()) +
-                             " parent=" + std::to_string(cand.attach.value()) +
-                             " cost=" + hexd(cand.cost) +
-                             (member.edge.ok ? "" : " born-broken"));
+    LogRecord& attach = log_event(LogRecord::Kind::kAttach, sim.now(), node);
+    attach.born_broken = !member.edge.ok;
+    attach.parent = cand.attach;
+    attach.index = tree_index;
+    attach.value = cand.cost;
     m.candidate_routes_skipped.add(static_cast<std::uint64_t>(
         std::count_if(candidates.begin(), candidates.end(),
                       [](const Candidate& c) { return c.pending; })));
@@ -548,24 +584,25 @@ void StreamingSession::subscribe(Simulator& sim, NodeId node) {
   require(!is_member(node), "StreamingSession::subscribe: already a member");
   StreamMetrics& m = StreamMetrics::get();
   m.joins.add(1);
-  log_event(sim.now(), "join m=" + std::to_string(node.value()));
+  log_event(LogRecord::Kind::kJoin, sim.now(), node);
+  ++member_count_;
+  const std::int32_t label = cluster_label(node);
+  ensure(label >= 0, "StreamingSession::subscribe: active node unclustered");
   for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
     Tree& tree = trees_[ti];
-    Member member;
-    member.parent = NodeId{};
+    Member& member = grow_at(tree.members, node.idx());
+    member.present = true;
     member.blocked = 1;  // the missing edge counts as broken
-    member.cluster = cluster_label(node);
-    member.edge.ok = false;
+    member.cluster = label;
     member.edge.wants_repair = true;
     member.edge.broke_at = sim.now();
-    tree.members.emplace(node, std::move(member));
-    insert_sorted(tree.by_cluster[tree.members.at(node).cluster], node);
+    insert_sorted(grow_at(tree.by_cluster, static_cast<std::size_t>(label)),
+                  node);
     const bool attached =
         node_up(node) && try_attach(sim, ti, node, NodeId{});
     if (!attached) {
       m.rejected.add(1);
-      log_event(sim.now(), "join-detached tree=" + std::to_string(ti) +
-                               " m=" + std::to_string(node.value()));
+      log_event(LogRecord::Kind::kJoinDetached, sim.now(), node).index = ti;
       schedule_repair(sim);
     }
   }
@@ -576,19 +613,19 @@ void StreamingSession::unsubscribe(Simulator& sim, NodeId node) {
   require(is_member(node), "StreamingSession::unsubscribe: not a member");
   StreamMetrics& m = StreamMetrics::get();
   m.leaves.add(1);
-  log_event(sim.now(), "leave m=" + std::to_string(node.value()));
+  log_event(LogRecord::Kind::kLeave, sim.now(), node);
+  --member_count_;
   for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
     Tree& tree = trees_[ti];
-    Member& member = tree.members.at(node);
+    Member& member = member_at(tree, node);
     if (member.blocked > 0 && member.interrupted_since >= 0.0) {
       m.interruption_ms.observe(sim.now() - member.interrupted_since);
     }
     // Everyone whose edge rides the leaver: its children (their edges
     // start at it) plus members relaying through it.
     std::vector<NodeId> affected;
-    const auto bit = tree.by_proxy.find(node);
-    if (bit != tree.by_proxy.end()) {
-      for (NodeId x : bit->second) {
+    if (node.idx() < tree.by_proxy.size()) {
+      for (NodeId x : tree.by_proxy[node.idx()]) {
         if (x != node) affected.push_back(x);
       }
     }
@@ -599,22 +636,14 @@ void StreamingSession::unsubscribe(Simulator& sim, NodeId node) {
     if (member.parent.valid()) {
       erase_sorted(children_of(tree, member.parent), node);
     }
-    {
-      const auto cit = tree.by_cluster.find(member.cluster);
-      if (cit != tree.by_cluster.end()) {
-        erase_sorted(cit->second, node);
-        if (cit->second.empty()) tree.by_cluster.erase(cit);
-      }
-      const auto hit = tree.head.find(member.cluster);
-      if (hit != tree.head.end() && hit->second == node) {
-        tree.head.erase(hit);
-      }
-    }
-    tree.members.erase(node);
+    const auto c = static_cast<std::size_t>(member.cluster);
+    erase_sorted(tree.by_cluster[c], node);
+    if (c < tree.head.size() && tree.head[c] == node) tree.head[c] = NodeId{};
+    member = Member{};  // the slot is free for a later subscribe
     // Detach every affected member first (so none is picked as a
     // candidate for another), then regraft, avoiding the leaver's proxy.
     for (NodeId x : affected) {
-      Member& mx = tree.members.at(x);
+      Member& mx = member_at(tree, x);
       if (!mx.edge.claimed.empty()) {
         qos_.release_nodes(mx.edge.claimed, params_.demand);
       }
@@ -650,11 +679,11 @@ void StreamingSession::on_crash(Simulator& sim, NodeId node) {
   StreamMetrics& m = StreamMetrics::get();
   bool any = false;
   for (Tree& tree : trees_) {
-    const auto bit = tree.by_proxy.find(node);
-    if (bit == tree.by_proxy.end()) continue;
-    const std::vector<NodeId> affected = bit->second;  // copy: we mutate
+    if (node.idx() >= tree.by_proxy.size()) continue;
+    const std::vector<NodeId> affected =
+        tree.by_proxy[node.idx()];  // copy: we mutate
     for (NodeId x : affected) {
-      Member& member = tree.members.at(x);
+      Member& member = member_at(tree, x);
       if (member.edge.ok) m.breaks_crash.add(1);
       // wants_repair even if the edge was already partition-severed: one
       // of its proxies is gone now, so waiting for the heal is pointless.
@@ -663,7 +692,7 @@ void StreamingSession::on_crash(Simulator& sim, NodeId node) {
     }
   }
   if (any) {
-    log_event(sim.now(), "crash p=" + std::to_string(node.value()));
+    log_event(LogRecord::Kind::kCrash, sim.now(), node);
     schedule_repair(sim);
   }
 }
@@ -671,9 +700,8 @@ void StreamingSession::on_crash(Simulator& sim, NodeId node) {
 void StreamingSession::on_recover(Simulator& sim, NodeId node) {
   if (finished_) return;
   for (Tree& tree : trees_) {
-    const auto bit = tree.by_proxy.find(node);
-    if (bit == tree.by_proxy.end()) continue;
-    const std::vector<NodeId> affected = bit->second;
+    if (node.idx() >= tree.by_proxy.size()) continue;
+    const std::vector<NodeId> affected = tree.by_proxy[node.idx()];
     for (NodeId x : affected) try_restore_edge(sim, tree, x);
   }
   // A recovered member may be a detached orphan (its edge is empty, so
@@ -693,9 +721,9 @@ void StreamingSession::on_partition(Simulator& sim, ClusterId a,
   };
   for (Tree& tree : trees_) {
     std::vector<NodeId> hit;
-    for (const auto& [x, member] : tree.members) {
+    for_each_member(tree, [&](NodeId x, const Member& member) {
       if (member.edge.ok && crosses(member.edge)) hit.push_back(x);
-    }
+    });
     for (NodeId x : hit) {
       m.breaks_partition.add(1);
       // A severed edge is intact — both ends will still be there when
@@ -711,9 +739,9 @@ void StreamingSession::on_heal(Simulator& sim, ClusterId a, ClusterId b) {
   (void)b;
   for (Tree& tree : trees_) {
     std::vector<NodeId> broken;
-    for (const auto& [x, member] : tree.members) {
+    for_each_member(tree, [&](NodeId x, const Member& member) {
       if (!member.edge.ok && !member.edge.hops.empty()) broken.push_back(x);
-    }
+    });
     for (NodeId x : broken) try_restore_edge(sim, tree, x);
   }
 }
@@ -745,11 +773,11 @@ void StreamingSession::repair_pass(Simulator& sim) {
   };
   std::vector<Job> jobs;
   for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
-    for (const auto& [x, member] : trees_[ti].members) {
+    for_each_member(trees_[ti], [&](NodeId x, const Member& member) {
       if (member.edge.wants_repair && node_up(x)) {
         jobs.push_back(Job{ti, x, {}});
       }
-    }
+    });
   }
   if (jobs.empty()) return;
   // Candidate shortlists serially (clique head election mutates state)…
@@ -768,10 +796,9 @@ void StreamingSession::repair_pass(Simulator& sim) {
                       NodeId{});
   });
   for (Job& job : jobs) {
-    Tree& tree = trees_[job.tree];
-    const auto it = tree.members.find(job.node);
-    if (it == tree.members.end() || !it->second.edge.wants_repair) continue;
-    const double broke_at = it->second.edge.broke_at;
+    const Member* member = find_member(trees_[job.tree], job.node);
+    if (member == nullptr || !member->edge.wants_repair) continue;
+    const double broke_at = member->edge.broke_at;
     if (apply_attach(sim, router, job.tree, job.node, job.candidates,
                      NodeId{})) {
       regrafts_++;
@@ -784,14 +811,9 @@ void StreamingSession::repair_pass(Simulator& sim) {
   }
   bool remaining = false;
   for (const Tree& tree : trees_) {
-    for (const auto& [x, member] : tree.members) {
-      (void)x;
-      if (member.edge.wants_repair) {
-        remaining = true;
-        break;
-      }
-    }
-    if (remaining) break;
+    for_each_member(tree, [&](NodeId, const Member& member) {
+      remaining = remaining || member.edge.wants_repair;
+    });
   }
   if (remaining) schedule_repair(sim);
 }
@@ -809,16 +831,15 @@ void StreamingSession::tick(Simulator& sim) {
                      injector_->current_burst_loss());
   TickPoint point;
   point.time_ms = sim.now();
-  for (Tree& tree : trees_) {
-    for (const auto& [x, member] : tree.members) {
-      (void)x;
+  for (const Tree& tree : trees_) {
+    for_each_member(tree, [&](NodeId, const Member& member) {
       ++point.expected;
       bool delivered = member.blocked == 0;
       if (delivered && loss > 0.0 && tick_rng_.chance(loss)) {
         delivered = false;
       }
       if (delivered) ++point.delivered;
-    }
+    });
   }
   m.ticks_expected.add(point.expected);
   m.ticks_delivered.add(point.delivered);
@@ -830,8 +851,7 @@ void StreamingSession::finish(Simulator& sim) {
   finished_ = true;
   StreamMetrics& m = StreamMetrics::get();
   for (Tree& tree : trees_) {
-    for (auto& [x, member] : tree.members) {
-      (void)x;
+    for_each_member(tree, [&](NodeId, Member& member) {
       if (member.blocked > 0 && member.interrupted_since >= 0.0) {
         m.interruption_ms.observe(sim.now() - member.interrupted_since);
         member.interrupted_since = -1.0;
@@ -840,9 +860,9 @@ void StreamingSession::finish(Simulator& sim) {
         qos_.release_nodes(member.edge.claimed, params_.demand);
         member.edge.claimed.clear();
       }
-    }
+    });
   }
-  log_event(sim.now(), "finish members=" + std::to_string(member_count()));
+  log_event(LogRecord::Kind::kFinish, sim.now()).index = member_count();
 }
 
 // ---------------------------------------------------------------------------
@@ -853,32 +873,27 @@ NodeId StreamingSession::source(std::size_t tree) const {
   return trees_[tree].source;
 }
 
-std::size_t StreamingSession::member_count() const {
-  return trees_.empty() ? 0 : trees_.front().members.size();
-}
+std::size_t StreamingSession::member_count() const { return member_count_; }
 
 bool StreamingSession::is_member(NodeId node) const {
-  return !trees_.empty() &&
-         trees_.front().members.find(node) != trees_.front().members.end();
+  return !trees_.empty() && find_member(trees_.front(), node) != nullptr;
 }
 
 std::size_t StreamingSession::unblocked_count(std::size_t tree) const {
   require(tree < trees_.size(), "StreamingSession: bad tree");
   std::size_t n = 0;
-  for (const auto& [x, member] : trees_[tree].members) {
-    (void)x;
+  for_each_member(trees_[tree], [&](NodeId, const Member& member) {
     if (member.blocked == 0) ++n;
-  }
+  });
   return n;
 }
 
 std::size_t StreamingSession::orphan_count(std::size_t tree) const {
   require(tree < trees_.size(), "StreamingSession: bad tree");
   std::size_t n = 0;
-  for (const auto& [x, member] : trees_[tree].members) {
-    (void)x;
+  for_each_member(trees_[tree], [&](NodeId, const Member& member) {
     if (!member.edge.ok) ++n;
-  }
+  });
   return n;
 }
 
@@ -889,17 +904,17 @@ std::vector<ServiceHop> StreamingSession::branch_of(std::size_t tree,
   std::vector<NodeId> chain;
   NodeId at = node;
   while (true) {
-    const auto it = t.members.find(at);
-    if (it == t.members.end()) return {};  // not a member
+    const Member* member = find_member(t, at);
+    if (member == nullptr) return {};  // not a member
     chain.push_back(at);
-    if (!it->second.parent.valid()) return {};  // detached somewhere
-    if (it->second.parent == t.source) break;
-    at = it->second.parent;
+    if (!member->parent.valid()) return {};  // detached somewhere
+    if (member->parent == t.source) break;
+    at = member->parent;
   }
   std::reverse(chain.begin(), chain.end());
   std::vector<ServiceHop> out{ServiceHop{t.source, ServiceId{}}};
   for (NodeId m : chain) {
-    const Edge& edge = t.members.at(m).edge;
+    const Edge& edge = t.members[m.idx()].edge;
     if (edge.hops.empty()) return {};
     const std::size_t first = edge.hops.front().is_relay() ? 1 : 0;
     for (std::size_t h = first; h < edge.hops.size(); ++h) {
@@ -919,7 +934,7 @@ StreamingSession::TreeExport StreamingSession::as_multicast_tree(
   MulticastTree& mt = out.tree;
   mt.nodes.push_back(MulticastTree::TreeNode{
       t.source, ServiceId{}, MulticastTree::TreeNode::kNoParent});
-  std::map<NodeId, std::size_t> leaf;
+  std::vector<std::pair<NodeId, std::size_t>> leaf;
   // DFS from the source over attached edges; children vectors are sorted,
   // so the node order is deterministic.
   std::vector<std::pair<NodeId, std::size_t>> stack;
@@ -930,7 +945,7 @@ StreamingSession::TreeExport StreamingSession::as_multicast_tree(
   while (!stack.empty()) {
     const auto [m, parent_leaf] = stack.back();
     stack.pop_back();
-    const Member& member = t.members.at(m);
+    const Member& member = t.members[m.idx()];
     if (member.edge.hops.empty()) continue;
     std::size_t parent = parent_leaf;
     const std::size_t first = member.edge.hops.front().is_relay() ? 1 : 0;
@@ -939,12 +954,13 @@ StreamingSession::TreeExport StreamingSession::as_multicast_tree(
           member.edge.hops[h].proxy, member.edge.hops[h].service, parent});
       parent = mt.nodes.size() - 1;
     }
-    leaf[m] = parent;
+    leaf.emplace_back(m, parent);
     for (auto it = member.children.rbegin(); it != member.children.rend();
          ++it) {
       stack.emplace_back(*it, parent);
     }
   }
+  std::sort(leaf.begin(), leaf.end());
   for (const auto& [m, index] : leaf) {
     out.request.destinations.push_back(m);
     mt.destination_leaf.push_back(index);
@@ -970,8 +986,14 @@ ContinuityStats StreamingSession::continuity(double after_ms) const {
   return stats;
 }
 
-void StreamingSession::log_event(double time_ms, const std::string& line) {
-  log_.push_back("t=" + hexd(time_ms) + " " + line);
+StreamingSession::LogRecord& StreamingSession::log_event(LogRecord::Kind kind,
+                                                        double time_ms,
+                                                        NodeId node) {
+  LogRecord& record = log_.emplace_back();
+  record.kind = kind;
+  record.node = node;
+  record.time_ms = time_ms;
+  return record;
 }
 
 std::string StreamingSession::digest() const {
@@ -981,11 +1003,45 @@ std::string StreamingSession::digest() const {
      << (params_.mode == StreamMode::kLocating ? "locating" : "clique")
      << " sources=" << sources_.size() << " budget=" << params_.repair_budget
      << " chain=" << params_.chain.size() << "\n";
-  for (const std::string& line : log_) os << line << "\n";
+  for (const LogRecord& r : log_) {
+    using Kind = LogRecord::Kind;
+    const std::string m = std::to_string(r.node.value());
+    os << "t=" << hexd(r.time_ms) << " ";
+    switch (r.kind) {
+      case Kind::kStart:
+        os << "start horizon=" << hexd(r.value);
+        break;
+      case Kind::kJoin:
+        os << "join m=" << m;
+        break;
+      case Kind::kAttach:
+        os << "attach tree=" << std::to_string(r.index) << " m=" << m
+           << " parent=" << std::to_string(r.parent.value())
+           << " cost=" << hexd(r.value)
+           << (r.born_broken ? " born-broken" : "");
+        break;
+      case Kind::kJoinDetached:
+        os << "join-detached tree=" << std::to_string(r.index) << " m=" << m;
+        break;
+      case Kind::kRestore:
+        os << "restore m=" << m;
+        break;
+      case Kind::kCrash:
+        os << "crash p=" << m;
+        break;
+      case Kind::kLeave:
+        os << "leave m=" << m;
+        break;
+      case Kind::kFinish:
+        os << "finish members=" << std::to_string(r.index);
+        break;
+    }
+    os << "\n";
+  }
   for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
     const Tree& tree = trees_[ti];
     os << "tree " << ti << " source=" << tree.source.value() << "\n";
-    for (const auto& [x, member] : tree.members) {
+    for_each_member(tree, [&](NodeId x, const Member& member) {
       os << "  m=" << x.value() << " parent=" << member.parent.value()
          << " blocked=" << member.blocked
          << " ok=" << (member.edge.ok ? 1 : 0) << " hops=";
@@ -993,7 +1049,7 @@ std::string StreamingSession::digest() const {
         os << hop.proxy.value() << "/" << hop.service.value() << ",";
       }
       os << "\n";
-    }
+    });
   }
   for (const TickPoint& point : ticks_) {
     os << "tick " << point.time_ms << " " << point.expected << " "

@@ -45,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -193,6 +192,7 @@ class StreamingSession {
     double broke_at = 0.0;
   };
   struct Member {
+    bool present = false;  ///< the slot holds a subscribed member
     NodeId parent;  ///< source or member; invalid = detached
     std::vector<NodeId> children;
     Edge edge;
@@ -201,16 +201,20 @@ class StreamingSession {
     double interrupted_since = -1.0;
     std::int32_t cluster = -1;  ///< universe cluster label at join time
   };
+  /// Dense tables indexed by id: `members` and `by_proxy` by NodeId,
+  /// `by_cluster` and `head` by cluster label. Each grows on demand up to
+  /// the largest id it is written at, and iteration runs in ascending id
+  /// order, so ticks, repair jobs and the digest are deterministic.
   struct Tree {
     NodeId source;
-    std::map<NodeId, Member> members;  ///< deterministic iteration order
+    std::vector<Member> members;
     std::vector<NodeId> source_children;  ///< sorted
     /// proxy -> members whose edge includes it (sorted, deduped).
-    std::map<NodeId, std::vector<NodeId>> by_proxy;
-    /// cluster label -> members (sorted); keys from Member::cluster.
-    std::map<std::int32_t, std::vector<NodeId>> by_cluster;
-    /// kClique: cluster label -> designated head member.
-    std::map<std::int32_t, NodeId> head;
+    std::vector<std::vector<NodeId>> by_proxy;
+    /// cluster label -> members (sorted); labels from Member::cluster.
+    std::vector<std::vector<NodeId>> by_cluster;
+    /// kClique: cluster label -> designated head member (invalid = none).
+    std::vector<NodeId> head;
   };
   struct TickPoint {
     double time_ms = 0.0;
@@ -227,6 +231,34 @@ class StreamingSession {
     bool pending = false;
   };
 
+  /// One event-log entry, rendered as a text line by digest().
+  struct LogRecord {
+    enum class Kind : std::uint8_t {
+      kStart,
+      kJoin,
+      kAttach,
+      kJoinDetached,
+      kRestore,
+      kCrash,
+      kLeave,
+      kFinish,
+    };
+    Kind kind = Kind::kStart;
+    bool born_broken = false;  ///< kAttach: under an open partition
+    NodeId node;               ///< the member; kCrash: the proxy
+    NodeId parent;             ///< kAttach
+    /// kAttach, kJoinDetached: the tree index; kFinish: the member count.
+    std::size_t index = 0;
+    double time_ms = 0.0;
+    double value = 0.0;  ///< kStart: horizon; kAttach: cost
+  };
+
+  /// The member in `node`'s slot, or null when `node` is not subscribed.
+  [[nodiscard]] static Member* find_member(Tree& tree, NodeId node);
+  [[nodiscard]] static const Member* find_member(const Tree& tree,
+                                                 NodeId node);
+  /// The subscribed member `node` (an internal invariant: it must be one).
+  [[nodiscard]] static Member& member_at(Tree& tree, NodeId node);
   [[nodiscard]] bool node_up(NodeId node) const;
   [[nodiscard]] bool edge_alive(const Edge& edge) const;
   [[nodiscard]] std::uint32_t parent_blocked(const Tree& tree,
@@ -289,7 +321,9 @@ class StreamingSession {
   void repair_pass(Simulator& sim);
   void tick(Simulator& sim);
 
-  void log_event(double time_ms, const std::string& line);
+  /// Append a record; the caller fills the kind's remaining fields.
+  LogRecord& log_event(LogRecord::Kind kind, double time_ms,
+                       NodeId node = {});
 
   DynamicHfcOverlay& overlay_;
   QosManager& qos_;
@@ -306,8 +340,9 @@ class StreamingSession {
   double horizon_ms_ = -1.0;
   std::uint64_t regrafts_ = 0;
   std::uint64_t repair_failures_ = 0;
+  std::size_t member_count_ = 0;
   std::vector<TickPoint> ticks_;
-  std::vector<std::string> log_;
+  std::vector<LogRecord> log_;
 };
 
 }  // namespace hfc

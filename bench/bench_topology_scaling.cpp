@@ -4,9 +4,10 @@
 //
 // Phase 1 (A/B, default n = 20000): build the full structural pipeline —
 // Zahn clustering over the Euclidean MST plus HFC closest-pair border
-// selection — twice over the same clustered point cloud, once with
-// HFC_SPATIAL_MIN_N above n (the quadratic scans) and once with the
-// kd-tree, and compare wall-clock and the `topology.candidate_links` /
+// selection — twice over the same clustered point cloud, once over a
+// distance service with its coordinates hidden (the quadratic scans) and
+// once over the coordinate tier (the kd-tree), and compare wall-clock
+// and the `topology.candidate_links` /
 // `cluster.mst_candidate_pairs` counters. At the acceptance size
 // (n >= 20000) the bench *asserts* a >= 10x construction speedup and a
 // >= 100x border-candidate reduction; reduced runs only report.
@@ -48,6 +49,7 @@
 #include "src/routing/hierarchical_router.h"
 #include "src/services/service_graph.h"
 #include "src/util/rng.h"
+#include "tests/oracle/scan_distance.h"
 
 namespace {
 
@@ -89,10 +91,9 @@ struct BuildResult {
   std::uint64_t mst_candidates = 0;
 };
 
-/// Cluster + build the HFC topology once under the current
-/// HFC_SPATIAL_MIN_N setting, returning wall-clock and the
-/// candidate-counter deltas.
-BuildResult build_once(const std::vector<Point>& coords) {
+/// Cluster + build the HFC topology once over `dist` (coordinates hidden
+/// or exposed), returning wall-clock and the candidate-counter deltas.
+BuildResult build_once(const DistanceService& dist) {
   obs::Counter& borders =
       obs::MetricsRegistry::global().counter("topology.candidate_links");
   obs::Counter& mst =
@@ -100,7 +101,6 @@ BuildResult build_once(const std::vector<Point>& coords) {
   const std::uint64_t borders0 = borders.value();
   const std::uint64_t mst0 = mst.value();
   const auto t0 = std::chrono::steady_clock::now();
-  const CoordDistanceService dist(coords);
   const Clustering clustering = cluster_nodes(dist);
   const HfcTopology topo(clustering, dist);
   BuildResult r;
@@ -154,19 +154,10 @@ int main() {
   // ---- Phase 1: brute vs spatial A/B at cmp_n --------------------------
   std::cout << "Topology construction A/B at n=" << cmp_n << " (dim=" << dim
             << ")\n";
-  const std::vector<Point> cmp_coords = clustered_coords(cmp_n, dim, 4071);
-  // A spatial floor above n forces every consumer onto its brute scan;
-  // the caller's floor (if any) is restored for the spatial arm.
-  const char* raw_floor = std::getenv("HFC_SPATIAL_MIN_N");
-  const std::string caller_floor = raw_floor != nullptr ? raw_floor : "";
-  setenv("HFC_SPATIAL_MIN_N", std::to_string(cmp_n + 1).c_str(), 1);
-  const BuildResult brute = build_once(cmp_coords);
-  if (caller_floor.empty()) {
-    unsetenv("HFC_SPATIAL_MIN_N");
-  } else {
-    setenv("HFC_SPATIAL_MIN_N", caller_floor.c_str(), 1);
-  }
-  const BuildResult spatial = build_once(cmp_coords);
+  const CoordDistanceService cmp_dist(clustered_coords(cmp_n, dim, 4071));
+  // Hiding the coordinates sends every consumer to its scan.
+  const BuildResult brute = build_once(oracle::ScanDistance(cmp_dist));
+  const BuildResult spatial = build_once(cmp_dist);
   const double speedup = brute.wall_ms / std::max(spatial.wall_ms, 1e-9);
   const double border_reduction =
       static_cast<double>(brute.border_candidates) /

@@ -24,9 +24,9 @@
 #      live-link suites (the multilevel
 #      DegradedSweepTest instances, SurvivingBorderPair, BorderView) at 3;
 #      then reduced
-#      bench_churn_dynamic, bench_topology_scaling (spatial index and
-#      group-local pipeline forced on, so the parallel per-component
-#      scans run under TSan), bench_serving_throughput (the
+#      bench_churn_dynamic, bench_topology_scaling (group-local
+#      pipeline forced on, so the parallel per-component scans run under
+#      TSan), bench_serving_throughput (the
 #      serving bench hammers snapshot publication + the sharded cache
 #      with a 4-thread pool) and a reduced bench_chaos_streaming (the
 #      repair pass fans candidate routing over the pool) under the same
@@ -88,8 +88,7 @@ HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \
 # the per-cell parallel local phase + block-parallel Zahn cut run under
 # TSan with a 4-thread pool.
 HFC_THREADS=4 HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 \
-  HFC_TOPO_REQUESTS=40 HFC_SPATIAL_MIN_N=2 \
-  HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
+  HFC_TOPO_REQUESTS=40 HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
   HFC_BENCH_JSON=0 ./build-tsan/bench/bench_topology_scaling
 HFC_THREADS=4 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-tsan/bench/bench_serving_throughput
@@ -110,7 +109,7 @@ HFC_DIST_N=400 HFC_DIST_REQUESTS=200 HFC_BENCH_JSON=0 \
 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 HFC_WAVES=2 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_churn_dynamic
 HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 HFC_TOPO_REQUESTS=40 \
-  HFC_SPATIAL_MIN_N=2 HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
+  HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_topology_scaling
 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_serving_throughput

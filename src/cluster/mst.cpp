@@ -19,56 +19,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-std::vector<MstEdge> mst_dense(std::size_t n, const DistanceFn& distance) {
-  HFC_TRACE_SPAN("cluster.mst");
-  obs::MetricsRegistry::global().counter("cluster.mst_builds").add(1);
-  std::vector<MstEdge> edges;
-  if (n <= 1) return edges;
-  edges.reserve(n - 1);
-
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best(n, kInf);     // cheapest edge into the tree
-  std::vector<std::size_t> parent(n, 0);
-  std::uint64_t evals = 0;
-
-  in_tree[0] = true;
-  for (std::size_t v = 1; v < n; ++v) {
-    best[v] = distance(0, v);
-    ++evals;
-    parent[v] = 0;
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t next = n;
-    double next_cost = kInf;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!in_tree[v] && best[v] < next_cost) {
-        next = v;
-        next_cost = best[v];
-      }
-    }
-    ensure(next < n, "mst_dense: graph distance returned infinity");
-    in_tree[next] = true;
-    edges.push_back(MstEdge{parent[next], next, next_cost});
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!in_tree[v]) {
-        const double d = distance(next, v);
-        ++evals;
-        if (d < best[v]) {
-          best[v] = d;
-          parent[v] = next;
-        }
-      }
-    }
-  }
-  obs::MetricsRegistry::global()
-      .counter("cluster.mst_candidate_pairs")
-      .add(evals);
-  return edges;
-}
-
 std::vector<MstEdge> mst_dense(const DistanceService& distance) {
-  const PointSet* coords = distance.coord_view();
-  if (coords != nullptr && spatial_enabled(coords->size())) {
+  if (const PointSet* coords = distance.coord_view()) {
     return euclidean_mst(*coords);
   }
 
@@ -128,15 +80,10 @@ std::vector<MstEdge> mst_dense(const DistanceService& distance) {
 }
 
 std::vector<MstEdge> euclidean_mst(const PointSet& points) {
-  if (spatial_enabled(points.size())) {
-    if (group_pipeline_enabled(points.size())) {
-      return euclidean_mst_grouped(points);
-    }
-    return euclidean_mst_spatial(points);
+  if (group_pipeline_enabled(points.size())) {
+    return euclidean_mst_grouped(points);
   }
-  return mst_dense(points.size(), [&points](std::size_t i, std::size_t j) {
-    return euclidean(points[i], points[j]);
-  });
+  return euclidean_mst_spatial(points);
 }
 
 std::vector<MstEdge> euclidean_mst_spatial(const PointSet& points) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <queue>
 #include <utility>
 
 #include "cluster/boruvka.h"
@@ -15,47 +14,6 @@
 namespace hfc {
 
 namespace {
-
-struct Adjacency {
-  struct Arc {
-    std::size_t edge;  ///< index into the MST edge list
-    std::size_t to;
-  };
-  std::vector<std::vector<Arc>> arcs;
-};
-
-Adjacency build_adjacency(std::size_t n, const std::vector<MstEdge>& mst) {
-  Adjacency adj;
-  adj.arcs.resize(n);
-  for (std::size_t e = 0; e < mst.size(); ++e) {
-    require(mst[e].a < n && mst[e].b < n, "zahn: edge endpoint out of range");
-    adj.arcs[mst[e].a].push_back({e, mst[e].b});
-    adj.arcs[mst[e].b].push_back({e, mst[e].a});
-  }
-  return adj;
-}
-
-/// Lengths of edges reachable from `start` within `depth` hops without
-/// crossing `banned_edge`.
-void collect_nearby(const Adjacency& adj, const std::vector<MstEdge>& mst,
-                    std::size_t start, std::size_t banned_edge,
-                    std::size_t depth, std::vector<double>& lengths) {
-  std::queue<std::pair<std::size_t, std::size_t>> frontier;  // (node, depth)
-  std::vector<bool> visited(adj.arcs.size(), false);
-  frontier.emplace(start, 0);
-  visited[start] = true;
-  while (!frontier.empty()) {
-    const auto [u, d] = frontier.front();
-    frontier.pop();
-    if (d >= depth) continue;
-    for (const Adjacency::Arc& arc : adj.arcs[u]) {
-      if (arc.edge == banned_edge || visited[arc.to]) continue;
-      visited[arc.to] = true;
-      lengths.push_back(mst[arc.edge].length);
-      frontier.emplace(arc.to, d + 1);
-    }
-  }
-}
 
 double typical_length(std::vector<double>& lengths, ZahnStatistic statistic) {
   if (statistic == ZahnStatistic::kMedian) {
@@ -136,17 +94,22 @@ Clustering merge_small_clusters(Clustering clustering, std::size_t min_size,
   return clustering;
 }
 
-/// Block-parallel variant of the sweep below. Every edge's verdict is a
-/// pure function of the MST adjacency, so edges evaluate independently;
-/// fixed-size blocks (independent of thread count) carry their own
-/// epoch-stamped visited array and FIFO, and reproduce collect_nearby's
-/// BFS arc order — and with it the kMean summation order — exactly. The
-/// per-edge flags are collected serially ascending, so the result is
-/// byte-identical to the serial sweep for any HFC_THREADS.
-std::vector<std::size_t> find_inconsistent_edges_parallel(
+}  // namespace
+
+std::vector<std::size_t> find_inconsistent_edges(
     std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params) {
-  // CSR adjacency with arcs in the same per-node order as
-  // build_adjacency's push_backs (a stable counting sort over edges).
+  require(params.inconsistency_factor > 0.0,
+          "zahn: inconsistency factor must be positive");
+  require(params.neighborhood_depth >= 1, "zahn: neighborhood depth >= 1");
+  const auto t0 = std::chrono::steady_clock::now();
+
+  // CSR adjacency: each node's arcs in ascending edge order (a stable
+  // counting sort over the edge list), so every BFS visits neighbours in
+  // the same order for any thread count.
+  struct Arc {
+    std::size_t edge;  ///< index into the MST edge list
+    std::size_t to;
+  };
   const std::size_t m = mst.size();
   std::vector<std::size_t> offsets(n + 1, 0);
   for (const MstEdge& e : mst) {
@@ -155,7 +118,7 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
     ++offsets[e.b + 1];
   }
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  std::vector<Adjacency::Arc> arcs(2 * m);
+  std::vector<Arc> arcs(2 * m);
   {
     std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
     for (std::size_t e = 0; e < m; ++e) {
@@ -164,6 +127,14 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
     }
   }
 
+  // Every edge's verdict is a pure function of the adjacency, so edges
+  // evaluate independently in fixed-size blocks (independent of thread
+  // count), each with its own epoch-stamped visited array and FIFO. The
+  // nearby lengths are those of edges reachable from either endpoint
+  // within `neighborhood_depth` hops without crossing the edge itself,
+  // gathered in BFS order — which fixes the kMean summation order. The
+  // per-edge flags are collected serially ascending, so the result is
+  // byte-identical for any HFC_THREADS.
   std::vector<std::uint8_t> flagged(m, 0);
   constexpr std::size_t kBlock = 2048;
   const std::size_t blocks = (m + kBlock - 1) / kBlock;
@@ -177,7 +148,7 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
     for (std::size_t e = lo; e < hi; ++e) {
       lengths.clear();
       for (const std::size_t start : {mst[e].a, mst[e].b}) {
-        ++epoch;  // fresh visited set per endpoint, like collect_nearby
+        ++epoch;  // fresh visited set per endpoint
         fifo.clear();
         fifo.emplace_back(start, 0);
         stamp[start] = epoch;
@@ -185,7 +156,7 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
           const auto [u, d] = fifo[head];
           if (d >= params.neighborhood_depth) continue;
           for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
-            const Adjacency::Arc& arc = arcs[k];
+            const Arc& arc = arcs[k];
             if (arc.edge == e || stamp[arc.to] == epoch) continue;
             stamp[arc.to] = epoch;
             lengths.push_back(mst[arc.edge].length);
@@ -193,9 +164,9 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
           }
         }
       }
-      if (lengths.empty()) continue;
+      if (lengths.empty()) continue;  // nothing to compare against: keep
       const double typical = typical_length(lengths, params.statistic);
-      if (typical <= 0.0) continue;
+      if (typical <= 0.0) continue;  // degenerate (co-located neighbourhood)
       if (mst[e].length / typical > params.inconsistency_factor) {
         flagged[e] = 1;
       }
@@ -205,37 +176,6 @@ std::vector<std::size_t> find_inconsistent_edges_parallel(
   std::vector<std::size_t> inconsistent;
   for (std::size_t e = 0; e < m; ++e) {
     if (flagged[e] != 0) inconsistent.push_back(e);
-  }
-  return inconsistent;
-}
-
-}  // namespace
-
-std::vector<std::size_t> find_inconsistent_edges(
-    std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params) {
-  require(params.inconsistency_factor > 0.0,
-          "zahn: inconsistency factor must be positive");
-  require(params.neighborhood_depth >= 1, "zahn: neighborhood depth >= 1");
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::size_t> inconsistent;
-  if (group_pipeline_enabled(n)) {
-    inconsistent = find_inconsistent_edges_parallel(n, mst, params);
-  } else {
-    const Adjacency adj = build_adjacency(n, mst);
-    std::vector<double> lengths;
-    for (std::size_t e = 0; e < mst.size(); ++e) {
-      lengths.clear();
-      collect_nearby(adj, mst, mst[e].a, e, params.neighborhood_depth,
-                     lengths);
-      collect_nearby(adj, mst, mst[e].b, e, params.neighborhood_depth,
-                     lengths);
-      if (lengths.empty()) continue;  // nothing to compare against: keep
-      const double typical = typical_length(lengths, params.statistic);
-      if (typical <= 0.0) continue;  // degenerate (co-located neighbourhood)
-      if (mst[e].length / typical > params.inconsistency_factor) {
-        inconsistent.push_back(e);
-      }
-    }
   }
   obs::MetricsRegistry::global()
       .counter("construct.zahn_cut_us")

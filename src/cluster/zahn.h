@@ -71,12 +71,13 @@ struct Clustering {
 [[nodiscard]] Clustering cluster_nodes(const DistanceService& distance,
                                        const ZahnParams& params = {});
 
-/// Indices (into `mst`) of the edges Zahn's test marks inconsistent.
-/// Each edge's verdict is a pure function of the MST adjacency, so once
-/// `group_pipeline_enabled(n)` holds the sweep evaluates fixed-size edge
-/// blocks in parallel (per-block epoch-stamped BFS scratch, identical
-/// traversal and floating-point summation order) and returns a
-/// byte-identical list to the serial sweep for any HFC_THREADS.
+/// Indices (into `mst`) of the edges Zahn's test marks inconsistent,
+/// ascending. Each edge's verdict is a pure function of the MST
+/// adjacency, so the sweep evaluates fixed-size edge blocks in parallel
+/// (per-block epoch-stamped BFS scratch, a fixed traversal and
+/// floating-point summation order) and returns a byte-identical list for
+/// any HFC_THREADS — the one serial edge-by-edge sweep in
+/// tests/oracle/zahn_cut.h.
 [[nodiscard]] std::vector<std::size_t> find_inconsistent_edges(
     std::size_t n, const std::vector<MstEdge>& mst, const ZahnParams& params);
 

@@ -72,10 +72,8 @@ void DynamicHfcOverlay::do_deactivate(NodeId node) {
   require(active_count_ > 1,
           "DynamicHfcOverlay::deactivate: cannot empty the overlay");
   inc_topo_->on_member_removed(node);
-  if (spatial_join_) {
-    active_set_.erase(node.value());
-    active_set_.maybe_rebuild();
-  }
+  active_set_.erase(node.value());
+  active_set_.maybe_rebuild();
   active_[node.idx()] = false;
   labels_[node.idx()] = -1;
   --active_count_;
@@ -88,48 +86,28 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
           "DynamicHfcOverlay::activate: bad node");
   require(!active_[node.idx()],
           "DynamicHfcOverlay::activate: node already active");
-  // Paper's join rule: enter the cluster of the nearest active proxy. The
-  // brute scan goes through the coordinate distance tier (bit-equal to
-  // the raw euclidean); the spatial path queries the active set, whose
-  // (distance, id) tie-break matches the ascending strict-`<` scan
-  // exactly.
+  // Paper's join rule: enter the cluster of the nearest active proxy.
+  // The active set's (distance, id) tie-break is the smallest-id
+  // nearest, exactly what an ascending strict-`<` scan would keep.
   static obs::Counter& join_candidates =
       obs::MetricsRegistry::global().counter("churn.join_candidates");
   static obs::Counter& visited =
       obs::MetricsRegistry::global().counter("spatial.nodes_visited");
-  std::int32_t label = -1;
-  if (spatial_join_) {
-    QueryStats qs;
-    const SpatialHit hit = active_set_.nearest(
-        coords()[node.idx()], std::numeric_limits<double>::infinity(), qs);
-    ensure(hit.found(), "DynamicHfcOverlay::activate: no active neighbour");
-    label = labels_[static_cast<std::size_t>(hit.id)];
-    join_candidates.add(qs.point_evals);
-    visited.add(qs.nodes_visited);
-  } else {
-    double best = std::numeric_limits<double>::infinity();
-    std::uint64_t evals = 0;
-    for (std::size_t v = 0; v < active_.size(); ++v) {
-      if (!active_[v]) continue;
-      const double d = dist_->at(node.idx(), v);
-      ++evals;
-      if (d < best) {
-        best = d;
-        label = labels_[v];
-      }
-    }
-    join_candidates.add(evals);
-  }
+  QueryStats qs;
+  const SpatialHit hit = active_set_.nearest(
+      coords()[node.idx()], std::numeric_limits<double>::infinity(), qs);
+  ensure(hit.found(), "DynamicHfcOverlay::activate: no active neighbour");
+  const std::int32_t label = labels_[static_cast<std::size_t>(hit.id)];
+  join_candidates.add(qs.point_evals);
+  visited.add(qs.nodes_visited);
   ensure(label >= 0, "DynamicHfcOverlay::activate: no active neighbour");
   active_[node.idx()] = true;
   labels_[node.idx()] = label;
   ++active_count_;
   ++mutations_since_restructure_;
   ++active_generation_;
-  if (spatial_join_) {
-    active_set_.insert(node.value());
-    active_set_.maybe_rebuild();
-  }
+  active_set_.insert(node.value());
+  active_set_.maybe_rebuild();
   inc_topo_->on_member_added(node, ClusterId(label));
 }
 
@@ -237,14 +215,9 @@ void DynamicHfcOverlay::restructure() {
   }
   mutations_since_restructure_ = 0;
   ++active_generation_;
-  spatial_join_ = spatial_enabled(active_.size());
-  if (spatial_join_) {
-    std::vector<std::int32_t> ids(dense_to_universe.begin(),
-                                  dense_to_universe.end());
-    active_set_.bulk_load(coords(), std::move(ids));
-  } else {
-    active_set_ = DynamicSpatialSet{};
-  }
+  active_set_.bulk_load(coords(), std::vector<std::int32_t>(
+                                      dense_to_universe.begin(),
+                                      dense_to_universe.end()));
   build_universe_state();
 }
 

@@ -199,14 +199,8 @@ class DynamicHfcOverlay {
 
   /// Spatial set over the active nodes for the nearest-active join rule
   /// (DESIGN.md §11). Rebuilt by restructure(); maintained by
-  /// insert/erase at every (de)activation. `spatial_join_` is latched per
-  /// restructure from `spatial_enabled(universe size)`, so a
-  /// universe that grows past the threshold switches over at the next
-  /// restructure. The brute scan picks the min (distance, id) active
-  /// node under strict `<`, which is exactly what `nearest` returns, so
-  /// both paths assign identical labels.
+  /// insert/erase at every (de)activation.
   DynamicSpatialSet active_set_;
-  bool spatial_join_ = false;
 
   /// Universe-level routing state, mutated in place.
   std::unique_ptr<OverlayNetwork> inc_net_;

@@ -107,8 +107,7 @@ HfcTopology::HfcTopology(Clustering clustering,
   // service's distances *are* euclidean() over an exposed coordinate
   // array — index pruning is unsound for any other metric.
   const PointSet* coords = distance.coord_view();
-  if (selection == BorderSelection::kClosestPair && coords != nullptr &&
-      spatial_enabled(clustering_.node_count())) {
+  if (selection == BorderSelection::kClosestPair && coords != nullptr) {
     coords_ = coords;
     cluster_sets_.resize(clustering_.cluster_count());
     for (std::size_t ci = 0; ci < clustering_.cluster_count(); ++ci) {
@@ -336,7 +335,7 @@ void HfcTopology::build_borders(const OverlayDistance& distance,
       obs::MetricsRegistry::global().counter("spatial.nodes_visited");
   // Transient child indexes are built when their parent is processed and
   // dropped right after, so peak index memory is one parent's worth.
-  const bool transient = coords != nullptr && spatial_enabled(coords->size());
+  const bool transient = coords != nullptr;
   std::vector<DynamicSpatialSet> sets;
   for (const HierarchyGroup& parent : groups_) {
     const std::vector<ClusterId>& kids = parent.children;

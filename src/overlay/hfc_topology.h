@@ -140,12 +140,13 @@ class HfcTopology {
 
   /// Same, querying a distance service (the framework passes its
   /// coordinate tier). The service must outlive the topology. When the
-  /// service exposes a coordinate view and `spatial_enabled(n)` holds,
-  /// kClosestPair border selection — at build time and in churn repair —
-  /// runs as bichromatic closest-pair queries over per-cluster spatial
-  /// sets instead of full cross-cluster scans; member lists are kept
-  /// sorted ascending, so the answers (lex-min (d, x, y) pairs) are
-  /// identical to the brute scans even under exact distance ties.
+  /// service exposes a coordinate view, kClosestPair border selection —
+  /// at build time and in churn repair — runs as bichromatic
+  /// closest-pair queries over per-cluster spatial sets instead of full
+  /// cross-cluster scans; member lists are kept sorted ascending, so the
+  /// answers (lex-min (d, x, y) pairs) are identical to the brute scans
+  /// even under exact distance ties. Without a coordinate view it scans
+  /// like the OverlayDistance constructor.
   HfcTopology(Clustering clustering, const DistanceService& distance,
               BorderSelection selection = BorderSelection::kClosestPair);
 
@@ -357,8 +358,8 @@ class HfcTopology {
 
   /// The border-selection sweep: every parent's sibling pairs, chosen
   /// under `distance`. With `coords` each parent's children get transient
-  /// spatial sets over it when the spatial path is enabled; otherwise the
-  /// persistent per-cluster sets are used where present.
+  /// spatial sets over it; otherwise the persistent per-cluster sets are
+  /// used where present.
   void build_borders(const OverlayDistance& distance, const PointSet* coords,
                      const char* candidate_counter);
 
@@ -453,9 +454,9 @@ class HfcTopology {
   std::unordered_set<std::size_t> full_pairs_;
 
   /// Spatial acceleration (DESIGN.md §11). Set only by the
-  /// DistanceService constructor when the service has a coordinate view
-  /// and `spatial_enabled(n)` holds; points into the service's
-  /// coordinate store (which may grow — rows are re-read through it).
+  /// DistanceService constructor when the service has a coordinate view;
+  /// points into the service's coordinate store (which may grow — rows
+  /// are re-read through it).
   const PointSet* coords_ = nullptr;
   /// One churn-capable set per cluster slot, mirroring members.
   std::vector<DynamicSpatialSet> cluster_sets_;

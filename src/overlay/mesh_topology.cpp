@@ -248,8 +248,7 @@ bool MeshTopology::connected() const {
 
 MeshTopology::MeshTopology(const DistanceService& distance,
                            const MeshParams& params, Rng& rng) {
-  const PointSet* coords = distance.coord_view();
-  if (coords != nullptr && spatial_enabled(coords->size())) {
+  if (const PointSet* coords = distance.coord_view()) {
     require(coords->size() > 0, "MeshTopology: empty network");
     require(params.nearest_min >= 1 &&
                 params.nearest_min <= params.nearest_max,

@@ -80,13 +80,14 @@ class MeshTopology {
                const MeshParams& params, Rng& rng);
 
   /// Same, querying a distance service. The service is only used during
-  /// construction. When the service exposes a coordinate view and
-  /// `spatial_enabled(n)` holds, the k-nearest links come from spatial
-  /// k-NN queries (the same (d, id)-ranked prefix the brute partial_sort
-  /// keeps) and connectivity repair uses nearest-foreign queries; the
-  /// random far links then pick by ascending id among non-neighbors
-  /// instead of by rank position, so meshes with random links differ
-  /// between the paths (both remain deterministic for a given Rng).
+  /// construction. When the service exposes a coordinate view, the
+  /// k-nearest links come from spatial k-NN queries (the same
+  /// (d, id)-ranked prefix the brute partial_sort keeps) and connectivity
+  /// repair uses nearest-foreign queries; the random far links then pick
+  /// by ascending id among non-neighbors instead of by rank position, so
+  /// meshes with random links differ between the paths (both remain
+  /// deterministic for a given Rng). Without a coordinate view it runs
+  /// the OverlayDistance constructor's scan over `distance.fn()`.
   MeshTopology(const DistanceService& distance, const MeshParams& params,
                Rng& rng);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "util/env.h"
 #include "util/require.h"
 
 namespace hfc {
@@ -70,17 +69,6 @@ void DynamicSpatialSet::erase(std::int32_t id) {
 
 bool DynamicSpatialSet::contains(std::int32_t id) const {
   return std::binary_search(live_.begin(), live_.end(), id);
-}
-
-std::size_t DynamicSpatialSet::rebuild_budget(std::size_t indexed) {
-  // HFC_SPATIAL_REBUILD_BUDGET >= 1 pins the budget; unset (or rejected
-  // by the robust parser, which falls back to 0) keeps the adaptive rule.
-  // Queries stay exact at any budget — the pending/tombstone overlay is
-  // consulted on every lookup — so the knob only trades rebuild frequency
-  // against per-query overlay size.
-  const std::size_t knob = env_size_t("HFC_SPATIAL_REBUILD_BUDGET", 0, 1);
-  if (knob > 0) return knob;
-  return std::max<std::size_t>(32, indexed / 4);
 }
 
 void DynamicSpatialSet::maybe_rebuild() {

@@ -6,8 +6,8 @@
 // buffer updates; queries answer over (indexed − tombstoned) ∪ pending,
 // so they are exact at every instant without rebuilding. `maybe_rebuild`
 // folds the buffers back into the index once they exceed the rebuild
-// budget — max(32, indexed/4), or the HFC_SPATIAL_REBUILD_BUDGET knob
-// when set — callers invoke it only from serial mutation points, never
+// budget, max(32, indexed/4) — callers invoke it only from serial
+// mutation points, never
 // concurrently with queries, so the parallel repair sweeps can fan out
 // over `nearest` safely. The fold goes through KdTree::fold_updates —
 // scapegoat-style subtree rebuilds that touch only the unbalanced parts
@@ -17,6 +17,7 @@
 // the sorted live list is both exact and faster than tree traversal.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
@@ -47,12 +48,14 @@ class DynamicSpatialSet {
   /// rebuild budget. Serial mutation points only.
   void maybe_rebuild();
 
-  /// The rebuild budget for a set of `indexed` points: the
-  /// HFC_SPATIAL_REBUILD_BUDGET knob when set (>= 1), otherwise the
-  /// adaptive max(32, indexed/4). Exact query results are independent of
-  /// the budget — it only schedules when buffers fold back into the
-  /// index (each fold bumps the spatial.set_rebuilds counter).
-  [[nodiscard]] static std::size_t rebuild_budget(std::size_t indexed);
+  /// The rebuild budget for a set of `indexed` points: max(32,
+  /// indexed/4). Exact query results are independent of the budget — it
+  /// only schedules when buffers fold back into the index (each fold
+  /// bumps the spatial.set_rebuilds counter).
+  [[nodiscard]] static constexpr std::size_t rebuild_budget(
+      std::size_t indexed) {
+    return std::max<std::size_t>(32, indexed / 4);
+  }
 
   /// Live ids, ascending.
   [[nodiscard]] const std::vector<std::int32_t>& live_ids() const {

@@ -18,31 +18,21 @@
 // take the index or the scan; the brute-force oracles in tests/oracle/
 // pin that.
 //
-// Policy knob:
-//   HFC_SPATIAL_MIN_N = smallest point count that uses the index
-//                       (default 256 — below it the brute scan is both
-//                       exact and faster than building a tree; also keeps
-//                       hand-laid-out unit-test point sets, which may
-//                       contain exact distance ties, on the scan whose
-//                       tie behaviour their expectations encode). Setting
-//                       it above n forces the brute scan.
+// Selection rule: a consumer takes the index whenever its distance
+// exposes coordinates (DistanceService::coord_view() != nullptr, or a
+// PointSet passed directly) and no accept predicate filters members. It
+// scans only for input the index cannot serve: distances without
+// coordinates (truth and probe tiers, OverlayDistance functors) and
+// predicate-filtered queries. There is no size floor; DynamicSpatialSet
+// keeps its own exact scan below 32 points.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
 #include "coords/point.h"
 
 namespace hfc {
-
-/// Resolve HFC_SPATIAL_MIN_N (default 256, minimum 2; re-read on each
-/// call — consumers resolve it once per construction, never per query).
-[[nodiscard]] std::size_t spatial_min_n();
-
-/// True when an operation over `n` points should use the index:
-/// n >= spatial_min_n().
-[[nodiscard]] bool spatial_enabled(std::size_t n);
 
 /// One query answer: the winning point id and its exact euclidean()
 /// distance. Ties in distance resolve to the smallest id.

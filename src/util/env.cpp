@@ -167,8 +167,8 @@ const std::vector<EnvKnob>& registered_knobs() {
        "phase", "core"},
       {"HFC_ML_PAR_MIN_N", "8192",
        "point count at which the group-local pipeline (margin-safe "
-       "per-cell Borůvka + parallel Zahn cut) takes over from the single "
-       "global sweep", "core"},
+       "per-cell Borůvka) takes over from the single global MST sweep",
+       "core"},
       {"HFC_ML_STRETCH_N", "100000",
        "proxy count of the multilevel-vs-flat-oracle stretch stage in "
        "bench_multilevel_scaling", "bench"},
@@ -198,12 +198,6 @@ const std::vector<EnvKnob>& registered_knobs() {
        "requests per wave in bench_serving_throughput", "bench"},
       {"HFC_SESSIONS", "600 (2000 full)",
        "session count in bench_ablation_qos_aggregation", "bench"},
-      {"HFC_SPATIAL_MIN_N", "256",
-       "smallest point count that turns the spatial index on (above n "
-       "forces the brute scan)", "core"},
-      {"HFC_SPATIAL_REBUILD_BUDGET", "0",
-       "DynamicSpatialSet mutations tolerated before a rebuild "
-       "(0 = auto max(32, indexed/4))", "core"},
       {"HFC_SPEEDUP_N", "512",
        "problem size for bench_parallel_speedup", "bench"},
       {"HFC_STREAM_MODE", "locating",

@@ -8,9 +8,11 @@
 // value. Over that view it builds a fresh CoordDistanceService,
 // OverlayNetwork, closest-pair HfcTopology and HierarchicalServiceRouter,
 // and maps dense ids back to universe ids, so its answers are what a
-// from-scratch rebuild after every mutation would give. The incremental
-// churn engine must agree with it: same partition, same border pairs,
-// same routes.
+// from-scratch rebuild after every mutation would give. The topology is
+// built through the OverlayDistance constructor, so its border pairs come
+// from the all-pairs scan, never from the spatial index the overlay
+// repairs with. The incremental churn engine must agree with it: same
+// partition, same border pairs, same routes.
 //
 // The ascending compaction keeps the dense cluster ids in the relative
 // order of the universe topology's live slots; with the router's
@@ -44,7 +46,7 @@ class FullRebuild {
         universe_to_dense_(overlay.universe_size(), -1),
         dist_(view_coords(overlay, dense_to_universe_)),
         net_(dist_.coords(), view_placement(overlay, dense_to_universe_)),
-        topo_(view_clustering(overlay, dense_to_universe_), dist_),
+        topo_(view_clustering(overlay, dense_to_universe_), dist_.fn()),
         router_(net_, topo_, dist_) {
     for (std::size_t d = 0; d < dense_to_universe_.size(); ++d) {
       universe_to_dense_[dense_to_universe_[d].idx()] =

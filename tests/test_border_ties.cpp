@@ -5,9 +5,11 @@
 // with a brute all-pairs oracle: HfcTopology's construction, its
 // full-rescan and add-scan churn repairs, its crash fallback (the
 // live-link view), and a levels = 1 HfcTopology built from the
-// coordinates over the same clusters. Each runs with the spatial index forced on and off, over
-// clusters of one block (9 proxies, below DynamicSpatialSet's brute
-// threshold) and of four blocks (36 proxies, above it). The crash
+// coordinates over the same clusters. Each runs with the spatial index
+// (the coordinate-service constructor) and with the scan (the
+// OverlayDistance constructor), over clusters of one block (9 proxies,
+// below DynamicSpatialSet's brute threshold) and of four blocks (36
+// proxies, above it). The crash
 // fallback's accept-predicate scan is also checked on its own: one
 // predicate call per member, the per-pair scan's pair.
 
@@ -17,13 +19,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "block_lattice.h"
 #include "distance/coord_distance.h"
-#include "env_guard.h"
 #include "obs/metrics.h"
 #include "overlay/hfc_topology.h"
 #include "routing/live_links.h"
@@ -116,7 +118,6 @@ std::uint64_t counter(const char* name) {
 void check_lex_min_everywhere(bool quads, bool spatial) {
   SCOPED_TRACE(testing::Message() << (quads ? "quads" : "blocks")
                                   << (spatial ? ", spatial" : ", brute"));
-  const EnvGuard min_n("HFC_SPATIAL_MIN_N", spatial ? "2" : kAboveAnyN);
   std::vector<Point> coords = lattice_coords(quads);
   const HfcTopology hierarchy(coords, bi_level(quads));
   const std::vector<ClusterId>& leaves = hierarchy.groups_at(1);
@@ -138,7 +139,11 @@ void check_lex_min_everywhere(bool quads, bool spatial) {
 
   // Construction.
   CoordDistanceService dist(coords);
-  HfcTopology topo(leaf_clustering(hierarchy), dist);
+  const std::unique_ptr<HfcTopology> built =
+      spatial ? std::make_unique<HfcTopology>(leaf_clustering(hierarchy), dist)
+              : std::make_unique<HfcTopology>(leaf_clustering(hierarchy),
+                                              dist.fn());
+  HfcTopology& topo = *built;
   ASSERT_EQ(topo.spatial_active(), spatial);
   expect_oracle_borders(topo, coords);
 

@@ -3,8 +3,11 @@
 // bit-equality contracts the refactor away from dense matrices relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,8 @@
 #include "distance/row_cache.h"
 #include "distance/truth_distance.h"
 #include "obs/metrics.h"
+#include "oracle/mst.h"
+#include "oracle/scan_distance.h"
 #include "overlay/mesh_topology.h"
 #include "overlay/overlay_network.h"
 #include "topology/shortest_paths.h"
@@ -271,23 +276,25 @@ TEST(CoordDistance, RowPairsAndFnMatchAt) {
   EXPECT_GT(svc.resident_bytes(), 0u);
 }
 
-TEST(CoordDistance, MstDenseRowPathBitEqualToCallbackPath) {
-  // n = 60 stays under HFC_SPATIAL_MIN_N, so the service form runs the
-  // row-grouped Prim; it must be bit-identical to the per-pair callback
-  // form (the coordinate tier is exactly symmetric).
+TEST(CoordDistance, MstDenseRowPathMatchesKruskalOracle) {
+  // With the coordinates hidden the service form runs the row-grouped
+  // Prim; its edge set must be the Kruskal oracle's, with the same
+  // doubles (the coordinate tier is exactly symmetric). Prim emits edges
+  // in insertion order, so compare as sets of canonical edges.
   const std::vector<Point> pts = random_points(60, 13);
   const CoordDistanceService svc(pts);
-  const std::vector<MstEdge> grouped = mst_dense(svc);
-  const std::vector<MstEdge> callback =
-      mst_dense(pts.size(), [&pts](std::size_t i, std::size_t j) {
-        return euclidean(pts[i], pts[j]);
-      });
-  ASSERT_EQ(grouped.size(), callback.size());
-  for (std::size_t e = 0; e < grouped.size(); ++e) {
-    EXPECT_EQ(grouped[e].a, callback[e].a);
-    EXPECT_EQ(grouped[e].b, callback[e].b);
-    EXPECT_EQ(grouped[e].length, callback[e].length);
+  const std::vector<MstEdge> prim = mst_dense(oracle::ScanDistance(svc));
+  using Edge = std::tuple<std::size_t, std::size_t, double>;
+  std::set<Edge> got;
+  for (const MstEdge& e : prim) {
+    got.emplace(std::min(e.a, e.b), std::max(e.a, e.b), e.length);
   }
+  std::set<Edge> want;
+  for (const MstEdge& e : oracle::kruskal_mst(pts)) {
+    want.emplace(e.a, e.b, e.length);
+  }
+  EXPECT_EQ(prim.size(), pts.size() - 1);
+  EXPECT_EQ(got, want);
 }
 
 TEST(CoordDistance, RejectsInconsistentInput) {

@@ -117,12 +117,6 @@ TEST(KnobRegistry, ServingKnobsRegistered) {
   EXPECT_EQ(std::string(cache->fallback), "4096");
 }
 
-TEST(KnobRegistry, SpatialRebuildBudgetRegistered) {
-  const EnvKnob* knob = find_knob("HFC_SPATIAL_REBUILD_BUDGET");
-  ASSERT_NE(knob, nullptr);
-  EXPECT_EQ(std::string(knob->fallback), "0");
-}
-
 TEST(KnobRegistry, TraceBufDefaultMatchesTheRing) {
   const EnvKnob* knob = find_knob("HFC_TRACE_BUF");
   ASSERT_NE(knob, nullptr);

@@ -716,7 +716,6 @@ class GroupPipelineHierarchyTest
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GroupPipelineHierarchyTest, BoundedFanoutMatchesGlobalSweep) {
-  EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
   EnvGuard group("HFC_ML_PAR_GROUP", "64");
   const std::vector<Point> pts = random_cloud(620, 3, 901);
 
@@ -738,7 +737,6 @@ TEST_P(GroupPipelineHierarchyTest, BoundedFanoutMatchesGlobalSweep) {
 }
 
 TEST_P(GroupPipelineHierarchyTest, FlatLevelsMatchGlobalSweep) {
-  EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
   EnvGuard group("HFC_ML_PAR_GROUP", "64");
   const std::vector<Point> pts = random_cloud(400, 2, 902);
 

@@ -1,8 +1,9 @@
 // Tests for src/spatial: the kd-tree index, the churn-capable
 // DynamicSpatialSet, and — the load-bearing part — the exactness
 // contract: every consumer (MST, Zahn, HFC borders, mesh, multilevel,
-// dynamic join) must produce identical results on the brute and spatial
-// paths (DESIGN.md §11). Reference answers come from tests/oracle/.
+// dynamic join) must produce the results of a brute scan (DESIGN.md §11).
+// The scan arms are the OverlayDistance constructors, which never index,
+// and the reference answers in tests/oracle/.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,11 +28,12 @@
 #include "routing/hierarchical_router.h"
 #include "services/service_graph.h"
 #include "env_guard.h"
+#include "oracle/full_rebuild.h"
 #include "oracle/mst.h"
 #include "oracle/nearest.h"
+#include "oracle/zahn_cut.h"
 #include "spatial/dynamic_set.h"
 #include "spatial/kd_tree.h"
-#include "util/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -186,29 +188,6 @@ TEST(SpatialIndexKnobs, SubsetIndexAndFilter) {
   }
 }
 
-// The brute-vs-index mode is chosen by the HFC_SPATIAL_MIN_N floor alone.
-TEST(SpatialIndexKnobs, ModeParsing) {
-  {
-    EnvGuard g("HFC_SPATIAL_MIN_N", "8");
-    EXPECT_EQ(spatial_min_n(), 8u);
-    EXPECT_FALSE(spatial_enabled(7));
-    EXPECT_TRUE(spatial_enabled(8));
-  }
-  {
-    EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
-    EXPECT_FALSE(spatial_enabled(1u << 20));
-  }
-  {
-    // Malformed values warn once and fall back to the default floor.
-    EnvGuard g("HFC_SPATIAL_MIN_N", "quadtree");
-    reset_env_warnings();
-    EXPECT_EQ(spatial_min_n(), 256u);
-    EXPECT_EQ(spatial_min_n(), 256u);
-    EXPECT_EQ(env_warning_count(), 1u);
-    reset_env_warnings();
-  }
-}
-
 TEST(SpatialDynamicSet, ChurnMatchesBruteScan) {
   Rng rng(931);
   const PointSet pts = random_points(300, 3, rng);
@@ -300,12 +279,7 @@ std::multiset<std::pair<std::size_t, std::size_t>> edge_set(
 TEST(SpatialEquivalence, MstEdgeSetMatchesBrute) {
   Rng rng(951);
   const PointSet pts = random_points(300, 3, rng);
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
-  std::vector<MstEdge> brute;
-  {
-    EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
-    brute = euclidean_mst(pts);
-  }
+  const std::vector<MstEdge> brute = oracle::kruskal_mst(pts);
   const std::vector<MstEdge> kd = euclidean_mst_spatial(pts);
   EXPECT_EQ(edge_set(brute), edge_set(kd));
 }
@@ -315,19 +289,16 @@ TEST(SpatialEquivalence, ZahnClustersMatchBrute) {
   std::vector<Point> pts = random_points(150, 2, rng, 0.0, 10.0);
   const std::vector<Point> far = random_points(150, 2, rng, 200.0, 210.0);
   pts.insert(pts.end(), far.begin(), far.end());
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
-  Clustering brute;
-  {
-    EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
-    brute = cluster_points(pts);
-  }
+  const Clustering brute =
+      zahn_cluster(pts.size(), oracle::kruskal_mst(pts), ZahnParams{}, {});
   const Clustering kd = cluster_points(pts);
   EXPECT_GE(brute.cluster_count(), 2u);
   EXPECT_EQ(brute.members, kd.members);
 }
 
 /// Shared fixture state for the topology equivalence checks: one point
-/// cloud, one clustering, two topologies (brute / kd-tree).
+/// cloud, one clustering, two topologies (brute scan over the distance
+/// functor / kd-tree over the coordinate service).
 struct TopologyArms {
   std::vector<Point> pts;
   std::unique_ptr<CoordDistanceService> dist;
@@ -343,11 +314,8 @@ struct TopologyArms {
     pts.insert(pts.end(), far.begin(), far.end());
     dist = std::make_unique<CoordDistanceService>(pts);
     clustering = cluster_nodes(*dist);
-    {
-      EnvGuard g("HFC_SPATIAL_MIN_N", kAboveAnyN);
-      brute = std::make_unique<HfcTopology>(clustering, *dist);
-      EXPECT_FALSE(brute->spatial_active());
-    }
+    brute = std::make_unique<HfcTopology>(clustering, dist->fn());
+    EXPECT_FALSE(brute->spatial_active());
     kd = std::make_unique<HfcTopology>(clustering, *dist);
     EXPECT_TRUE(kd->spatial_active());
   }
@@ -368,7 +336,6 @@ void expect_same_borders(const HfcTopology& a, const HfcTopology& b) {
 }
 
 TEST(SpatialEquivalence, BorderPairsMatchBrute) {
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   TopologyArms arms(953);
   ASSERT_GE(arms.clustering.cluster_count(), 2u);
   expect_same_borders(*arms.brute, *arms.kd);
@@ -376,7 +343,6 @@ TEST(SpatialEquivalence, BorderPairsMatchBrute) {
 }
 
 TEST(SpatialEquivalence, ChurnRepairMatchesBrute) {
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   TopologyArms arms(954);
   Rng rng(955);
   const auto mutate = [&](HfcTopology& topo) {
@@ -412,20 +378,16 @@ TEST(SpatialEquivalence, ChurnRepairMatchesBrute) {
 }
 
 TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   Rng rng(956);
   const PointSet pts = random_points(220, 2, rng);
   const CoordDistanceService dist(pts);
   MeshParams params;
   params.random_min = 0;
   params.random_max = 0;  // spatial and brute agree exactly without extras
-  const auto build = [&](const char* min_n) {
-    EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
-    Rng mesh_rng(957);
-    return MeshTopology(dist, params, mesh_rng);
-  };
-  const MeshTopology brute = build(kAboveAnyN);
-  const MeshTopology kd = build("2");
+  Rng brute_rng(957);
+  const MeshTopology brute(dist.size(), dist.fn(), params, brute_rng);
+  Rng kd_rng(957);
+  const MeshTopology kd(dist, params, kd_rng);
   ASSERT_EQ(brute.node_count(), kd.node_count());
   EXPECT_EQ(brute.edge_count(), kd.edge_count());
   for (std::size_t v = 0; v < brute.node_count(); ++v) {
@@ -440,25 +402,48 @@ TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
 }
 
 TEST(SpatialEquivalence, MultilevelHopPathsMatchBrute) {
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   Rng rng(958);
   std::vector<Point> pts = random_points(120, 2, rng, 0.0, 15.0);
   const std::vector<Point> far = random_points(120, 2, rng, 400.0, 430.0);
   pts.insert(pts.end(), far.begin(), far.end());
   MultiLevelParams params;
   params.levels = 2;
-  const auto build = [&](const char* min_n) {
-    EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
-    return HfcTopology(pts, params);
-  };
-  const HfcTopology brute = build(kAboveAnyN);
-  const HfcTopology kd = build("2");
-  ASSERT_EQ(brute.levels(), kd.levels());
+  const HfcTopology kd(pts, params);
+  ASSERT_EQ(kd.levels(), 2u);
+  // Brute arm: hop paths are read off the sibling border pairs, so each
+  // pair at each level must be the all-pairs lex-min (d, x, y) scan's.
+  const PointSet coords(pts);
+  std::size_t pairs = 0;
+  for (std::size_t level = 1; level <= kd.levels(); ++level) {
+    for (const ClusterId x : kd.groups_at(level)) {
+      for (const ClusterId y : kd.groups_at(level)) {
+        if (!(x < y) || kd.group(x).parent != kd.group(y).parent) continue;
+        std::vector<std::int32_t> ys;
+        for (const NodeId m : kd.members(y)) ys.push_back(m.value());
+        SpatialHit best;
+        NodeId best_x;
+        for (const NodeId m : kd.members(x)) {
+          const SpatialHit hit = brute_nearest(coords, ys, coords[m.idx()]);
+          if (hit.dist < best.dist) {
+            best = hit;
+            best_x = m;
+          }
+        }
+        EXPECT_EQ(kd.border(x, y), best_x);
+        EXPECT_EQ(kd.border(y, x), NodeId(best.id));
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GT(pairs, 1u);
   Rng pick(959);
   for (std::size_t t = 0; t < 50; ++t) {
     const NodeId a(pick.uniform_int(0, static_cast<int>(pts.size()) - 1));
     const NodeId b(pick.uniform_int(0, static_cast<int>(pts.size()) - 1));
-    EXPECT_EQ(brute.hop_path(a, b), kd.hop_path(a, b));
+    const std::vector<NodeId> path = kd.hop_path(a, b);
+    ASSERT_FALSE(path.empty());
+    EXPECT_EQ(path.front(), a);
+    EXPECT_EQ(path.back(), b);
   }
 }
 
@@ -467,7 +452,6 @@ TEST(SpatialEquivalence, MultilevelHopPathsMatchBrute) {
 /// 4-thread runs).
 void run_routing_equivalence(std::size_t threads) {
   set_global_threads(threads);
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   TopologyArms arms(961);
   ServicePlacement placement(arms.pts.size());
   for (std::size_t v = 0; v < placement.size(); ++v) {
@@ -508,84 +492,95 @@ TEST(TopologyScaling, RoutedPathsMatchBruteFourThreads) {
 }
 
 TEST(TopologyScaling, DynamicChurnEquivalence) {
-  EnvGuard min_n("HFC_SPATIAL_MIN_N", "2");
   Rng rng(971);
   std::vector<Point> pts = random_points(80, 2, rng, 0.0, 12.0);
   const std::vector<Point> far = random_points(80, 2, rng, 250.0, 270.0);
   pts.insert(pts.end(), far.begin(), far.end());
+  const PointSet coords(pts);
   ServicePlacement placement(pts.size());
   for (std::size_t v = 0; v < placement.size(); ++v) {
     placement[v] = {ServiceId(static_cast<std::int32_t>(v % 5))};
   }
-  const auto run_arm = [&](const char* min_n) {
-    EnvGuard g("HFC_SPATIAL_MIN_N", min_n);
-    DynamicHfcOverlay overlay(pts, placement);
-    Rng events(972);
-    std::vector<NodeId> inactive;
-    for (std::size_t round = 0; round < 12; ++round) {
-      std::vector<ChurnEvent> batch;
-      for (std::size_t e = 0; e < 6; ++e) {
-        const bool leave = inactive.empty() || events.uniform_int(0, 1) == 0;
-        if (leave && overlay.active_count() > 4) {
-          NodeId victim;
-          do {
-            victim = NodeId(events.uniform_int(
-                0, static_cast<int>(overlay.universe_size()) - 1));
-          } while (!overlay.is_active(victim));
-          batch.push_back(ChurnEvent::make_deactivate(victim));
-          inactive.push_back(victim);
-          // Mark locally so the loop above skips it next time.
-          // (is_active reflects it only after apply.)
-        } else if (!inactive.empty()) {
-          batch.push_back(ChurnEvent::make_activate(inactive.back()));
-          inactive.pop_back();
-        }
+  DynamicHfcOverlay overlay(pts, placement);
+  Rng events(972);
+  std::vector<NodeId> inactive;
+  for (std::size_t round = 0; round < 12; ++round) {
+    std::vector<ChurnEvent> batch;
+    for (std::size_t e = 0; e < 6; ++e) {
+      const bool leave = inactive.empty() || events.uniform_int(0, 1) == 0;
+      if (leave && overlay.active_count() > 4) {
+        NodeId victim;
+        do {
+          victim = NodeId(events.uniform_int(
+              0, static_cast<int>(overlay.universe_size()) - 1));
+        } while (!overlay.is_active(victim));
+        batch.push_back(ChurnEvent::make_deactivate(victim));
+        inactive.push_back(victim);
+        // Mark locally so the loop above skips it next time.
+        // (is_active reflects it only after apply.)
+      } else if (!inactive.empty()) {
+        batch.push_back(ChurnEvent::make_activate(inactive.back()));
+        inactive.pop_back();
       }
-      // Deduplicate conflicting events inside the batch: a node picked
-      // for deactivation twice would throw on the second.
-      std::vector<ChurnEvent> cleaned;
-      std::set<std::int32_t> touched;
-      for (const ChurnEvent& ev : batch) {
-        if (touched.insert(ev.node.value()).second) cleaned.push_back(ev);
-      }
-      overlay.apply(cleaned);
     }
-    return std::make_pair(overlay.active_partition(), overlay.border_pairs());
-  };
-  const auto brute = run_arm(kAboveAnyN);
-  const auto kd = run_arm("2");
-  EXPECT_EQ(brute.first, kd.first);
-  EXPECT_EQ(brute.second, kd.second);
-}
+    // Deduplicate conflicting events inside the batch: a node picked
+    // for deactivation twice would throw on the second.
+    std::vector<ChurnEvent> cleaned;
+    std::set<std::int32_t> touched;
+    for (const ChurnEvent& ev : batch) {
+      if (touched.insert(ev.node.value()).second) cleaned.push_back(ev);
+    }
 
-TEST(SpatialRebuildBudget, KnobOverridesAdaptiveDefault) {
-  {
-    EnvGuard unset("HFC_SPATIAL_REBUILD_BUDGET", "0");
-    EXPECT_EQ(DynamicSpatialSet::rebuild_budget(0), 32u);
-    EXPECT_EQ(DynamicSpatialSet::rebuild_budget(100), 32u);
-    EXPECT_EQ(DynamicSpatialSet::rebuild_budget(1000), 250u);
+    // Brute arm of the join rule: replay the batch over the active ids
+    // with an ascending scan; a joiner takes its nearest active node's
+    // cluster.
+    const HfcTopology& topo = overlay.universe_topology();
+    std::vector<ClusterId> want(overlay.universe_size());
+    std::vector<std::int32_t> live;
+    for (std::size_t v = 0; v < overlay.universe_size(); ++v) {
+      const NodeId node(static_cast<std::int32_t>(v));
+      if (!overlay.is_active(node)) continue;
+      want[v] = topo.cluster_of(node);
+      live.push_back(node.value());
+    }
+    for (const ChurnEvent& ev : cleaned) {
+      const auto at = std::lower_bound(live.begin(), live.end(),
+                                       ev.node.value());
+      if (ev.kind == ChurnEvent::Kind::kDeactivate) {
+        live.erase(at);
+        continue;
+      }
+      const SpatialHit hit =
+          brute_nearest(coords, live, coords[ev.node.idx()]);
+      ASSERT_TRUE(hit.found());
+      want[ev.node.idx()] = want[static_cast<std::size_t>(hit.id)];
+      live.insert(at, ev.node.value());
+    }
+
+    overlay.apply(cleaned);
+    for (const std::int32_t v : live) {
+      EXPECT_EQ(overlay.universe_topology().cluster_of(NodeId(v)),
+                want[static_cast<std::size_t>(v)])
+          << "round " << round << ", node " << v;
+    }
+    // Brute arm of the border repair: a scan-built rebuild.
+    const oracle::FullRebuild full(overlay);
+    EXPECT_EQ(overlay.border_pairs(), full.border_pairs());
   }
-  {
-    EnvGuard guard("HFC_SPATIAL_REBUILD_BUDGET", "7");
-    EXPECT_EQ(DynamicSpatialSet::rebuild_budget(0), 7u);
-    EXPECT_EQ(DynamicSpatialSet::rebuild_budget(1000000), 7u);
-  }
 }
 
-TEST(SpatialRebuildBudget, MalformedKnobWarnsOnceAndFallsBack) {
-  EnvGuard guard("HFC_SPATIAL_REBUILD_BUDGET", "not-a-number");
-  reset_env_warnings();
-  EXPECT_EQ(DynamicSpatialSet::rebuild_budget(400), 100u);
-  EXPECT_EQ(DynamicSpatialSet::rebuild_budget(400), 100u);
-  EXPECT_EQ(env_warning_count(), 1u);
+TEST(SpatialRebuildBudget, DerivedFromIndexedSize) {
+  EXPECT_EQ(DynamicSpatialSet::rebuild_budget(0), 32u);
+  EXPECT_EQ(DynamicSpatialSet::rebuild_budget(100), 32u);
+  EXPECT_EQ(DynamicSpatialSet::rebuild_budget(1000), 250u);
 }
 
-// A pathologically small budget forces a rebuild after almost every
-// mutation; query answers must be identical to the brute scan anyway
-// (the budget only schedules index folds), and the spatial.set_rebuilds
-// counter must show the folds actually happened.
+// Overrunning the budget between folds forces a rebuild at every
+// maybe_rebuild: each step makes more than max(32, n/4) mutations. Query
+// answers must be identical to the brute scan anyway (the budget only
+// schedules index folds), and the spatial.set_rebuilds counter must show
+// the folds actually happened.
 TEST(SpatialRebuildBudget, TinyBudgetIsExactAndRebuildsOften) {
-  EnvGuard guard("HFC_SPATIAL_REBUILD_BUDGET", "1");
   Rng rng(4242);
   const std::size_t n = 300;
   PointSet pts = random_points(n, 2, rng);
@@ -596,24 +591,47 @@ TEST(SpatialRebuildBudget, TinyBudgetIsExactAndRebuildsOften) {
 
   DynamicSpatialSet set;
   set.bulk_load(pts, all_ids(n));
-  std::vector<std::int32_t> live = all_ids(n);
-  for (std::size_t step = 0; step < 150; ++step) {
-    const std::int32_t victim = live[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(live.size()) - 1))];
-    set.erase(victim);
-    live.erase(std::find(live.begin(), live.end(), victim));
+  std::vector<bool> live(n, true);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // The index never holds more than n points, so a burst of this many
+  // distinct ids overruns the budget at every fold.
+  const std::size_t burst = DynamicSpatialSet::rebuild_budget(n) + 1;
+  constexpr std::size_t kSteps = 40;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    for (std::size_t m = 0; m < burst; ++m) {
+      // Partial Fisher-Yates: the burst's ids are distinct, so no toggle
+      // cancels another inside the mutation buffers.
+      const auto pick = m + static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<int>(n - m) - 1));
+      std::swap(order[m], order[pick]);
+      const std::size_t id = order[m];
+      if (live[id]) {
+        set.erase(static_cast<std::int32_t>(id));
+      } else {
+        set.insert(static_cast<std::int32_t>(id));
+      }
+      live[id] = !live[id];
+    }
     set.maybe_rebuild();
 
-    Point q(2, 0.0);
-    for (double& c : q) c = rng.uniform_real(0.0, 100.0);
-    QueryStats stats;
-    const SpatialHit got = set.nearest(
-        q, std::numeric_limits<double>::infinity(), stats);
-    const SpatialHit want = brute_nearest(pts, live, q);
-    EXPECT_EQ(got.id, want.id);
-    EXPECT_EQ(got.dist, want.dist);
+    std::vector<std::int32_t> live_ids;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (live[v]) live_ids.push_back(static_cast<std::int32_t>(v));
+    }
+    ASSERT_EQ(set.live_ids(), live_ids);
+    for (std::size_t t = 0; t < 4; ++t) {
+      Point q(2, 0.0);
+      for (double& c : q) c = rng.uniform_real(0.0, 100.0);
+      QueryStats stats;
+      const SpatialHit got = set.nearest(
+          q, std::numeric_limits<double>::infinity(), stats);
+      const SpatialHit want = brute_nearest(pts, live_ids, q);
+      EXPECT_EQ(got.id, want.id);
+      EXPECT_EQ(got.dist, want.dist);
+    }
   }
-  EXPECT_GT(rebuilds.value() - before, 50u);
+  EXPECT_GE(rebuilds.value() - before, kSteps);
 }
 
 void expect_same_edges(const std::vector<MstEdge>& a,
@@ -735,7 +753,6 @@ TEST(SpatialDynamicSet, EraseAllThenReinsertStaysExact) {
 // when the buffered mutation count *exceeds* it: exactly-at-budget is a
 // no-op, budget+1 folds.
 TEST(SpatialRebuildBudget, BoundaryIsExclusiveAtExactBudget) {
-  EnvGuard unset("HFC_SPATIAL_REBUILD_BUDGET", "0");
   Rng rng(973);
   const std::size_t n = 200;
   const PointSet pts = random_points(n, 2, rng);
@@ -861,7 +878,6 @@ TEST(GroupPipeline, ClusteredGeometryMatchesBitwise) {
 TEST(GroupPipeline, DispatchHonorsKnobs) {
   Rng rng(31337);
   const PointSet pts = random_points(400, 2, rng);
-  EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
   const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
   {
     // Forced on below the default floor: the auto dispatch must route
@@ -877,25 +893,39 @@ TEST(GroupPipeline, DispatchHonorsKnobs) {
   EXPECT_TRUE(group_pipeline_enabled(8192));
 }
 
+// The Zahn cut scores edges in fixed 2048-edge blocks. It must return the
+// serial sweep's list (tests/oracle/zahn_cut.h) on a one-block input and
+// at the block boundaries — 2047, 2048 and 2049 edges around the first,
+// 4097 one past the second — for both statistics, at 1 and 4 threads.
 TEST(GroupPipeline, ParallelZahnCutMatchesSerial) {
   Rng rng(909);
-  const PointSet pts = blob_points(12, 30, 2, rng);
-  const std::vector<MstEdge> mst = euclidean_mst_spatial(pts);
-  for (const ZahnStatistic stat :
-       {ZahnStatistic::kMean, ZahnStatistic::kMedian}) {
-    ZahnParams params;
-    params.statistic = stat;
-    ASSERT_FALSE(group_pipeline_enabled(pts.size()));
-    const std::vector<std::size_t> serial =
-        find_inconsistent_edges(pts.size(), mst, params);
-    EXPECT_FALSE(serial.empty());  // blob geometry has bridge edges
-    EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
-    ASSERT_TRUE(group_pipeline_enabled(pts.size()));
-    set_global_threads(4);
-    const std::vector<std::size_t> parallel =
-        find_inconsistent_edges(pts.size(), mst, params);
-    set_global_threads(0);
-    EXPECT_EQ(serial, parallel);
+  const PointSet one_block = blob_points(12, 30, 2, rng);
+  const PointSet cloud = blob_points(52, 80, 2, rng);
+  std::vector<PointSet> inputs{one_block};
+  for (const std::size_t edges : {2047UL, 2048UL, 2049UL, 4097UL}) {
+    std::vector<std::size_t> prefix(edges + 1);
+    std::iota(prefix.begin(), prefix.end(), std::size_t{0});
+    inputs.push_back(cloud.subset(prefix));
+  }
+  for (const PointSet& pts : inputs) {
+    const std::vector<MstEdge> mst = euclidean_mst_spatial(pts);
+    for (const ZahnStatistic stat :
+         {ZahnStatistic::kMean, ZahnStatistic::kMedian}) {
+      SCOPED_TRACE(testing::Message()
+                   << mst.size() << " edges, "
+                   << (stat == ZahnStatistic::kMean ? "mean" : "median"));
+      ZahnParams params;
+      params.statistic = stat;
+      const std::vector<std::size_t> serial =
+          oracle::zahn_cut(pts.size(), mst, params);
+      EXPECT_FALSE(serial.empty());  // blob geometry has bridge edges
+      for (const std::size_t threads : {1UL, 4UL}) {
+        set_global_threads(threads);
+        EXPECT_EQ(find_inconsistent_edges(pts.size(), mst, params), serial)
+            << threads << " threads";
+      }
+      set_global_threads(0);
+    }
   }
 }
 
@@ -920,7 +950,6 @@ TEST(GroupPipeline, SetScopedEntriesExactUnderTombstoneHeavyChurn) {
   const std::vector<std::int32_t> live = set.live_ids();
   const PointSet sub = pts.subset(live);
 
-  EnvGuard spatial_floor("HFC_SPATIAL_MIN_N", "2");
   EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
   EnvGuard group("HFC_ML_PAR_GROUP", "48");
 

@@ -164,7 +164,9 @@ int main() {
   const std::size_t source_count =
       benchutil::env_size("HFC_STREAM_SOURCES", 2);
   const std::uint64_t seed = env_u64("HFC_STREAM_SEED", 1);
-  const StreamMode mode = stream_mode_from_env();
+  // Choice order follows the StreamMode enumerators.
+  const auto mode = static_cast<StreamMode>(
+      env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0));
 
   std::cerr << "[chaos_streaming] receivers=" << receivers
             << " sources=" << source_count << " mode="

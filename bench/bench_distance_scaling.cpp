@@ -7,7 +7,7 @@
 // alone is n*(n+1)/2 * 8 B ~= 1.6 GB — and the old pipeline materialized
 // several (oracle truth, evaluation truth, mesh routing). The tiered
 // DistanceService replaces all of them with bounded LRU row caches
-// (HFC_DIST_CACHE_ROWS, default 256 rows here), so the same construction
+// (HFC_DIST_CACHE_ROWS, default 256 rows), so the same construction
 // + routing pipeline runs in O(cache_rows * n) distance memory. This
 // bench is the enforcement point: it exits 1 if the truth tier ever
 // reports more resident bytes than its configured ceiling.
@@ -27,7 +27,8 @@ int main() {
   using namespace hfc;
   const std::size_t n = benchutil::env_size("HFC_DIST_N", 20000);
   const std::size_t requests = benchutil::env_size("HFC_DIST_REQUESTS", 1000);
-  const std::size_t cache_rows = resolve_cache_rows(0, 256);
+  const std::size_t cache_rows =
+      benchutil::env_size("HFC_DIST_CACHE_ROWS", 256);
   benchutil::BenchJson json("distance_scaling");
 
   FrameworkConfig config;

@@ -9,6 +9,7 @@
 // snapshots and reported as `obs::counter_delta` between them, rather
 // than from any per-run tallies kept by the simulator itself.
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <vector>
 
@@ -172,8 +173,11 @@ int main() {
     burst_close.time_ms = 350.0;
     burst_close.kind = FaultKind::kBurstEnd;
     events.push_back(burst_close);
-    // HFC_FAULT_PLAN overrides the scripted scenario with any spec.
-    FaultPlan plan = FaultPlan::from_env();
+    // HFC_FAULT_PLAN overrides the scripted scenario with any spec
+    // (FaultPlan::parse throws on a malformed one).
+    const char* spec = std::getenv("HFC_FAULT_PLAN");
+    FaultPlan plan = spec != nullptr && *spec != '\0' ? FaultPlan::parse(spec)
+                                                      : FaultPlan();
     if (plan.events().empty()) {
       plan = FaultPlan(events, /*base_loss=*/0.0, /*jitter_ms=*/0.0,
                        /*seed=*/8000);

@@ -15,7 +15,9 @@
 // Phase 2 (A/B, default n = 100000): the Borůvka MST alone, the single
 // global pruned sweep vs the group-local pipeline (DESIGN.md §14). The
 // two must produce bit-identical edge lists; the bench asserts that and
-// reports the wall-clock, candidate-pair and node-visit counts.
+// reports the wall-clock, candidate-pair and node-visit counts. The
+// pipeline's cells hold n/8 points, capped at the library default of
+// 4096, so reduced runs still split into several cells.
 //
 // Phase 3 (default n = 1000000): build + route at a proxy count where the
 // flat topology's all-pairs border selection is infeasible, through the
@@ -29,7 +31,8 @@
 // default 20000), HFC_TOPO_REQUESTS (routed requests, default 1000),
 // HFC_TOPO_DIM (coordinate dimension, default 5), HFC_ML_FANOUT (phase-3
 // hierarchy fanout). The sanitizer legs of scripts/check.sh run reduced
-// sizes with the group-local pipeline forced on.
+// sizes.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -208,11 +211,14 @@ int main() {
   // ---- Phase 2b: group-local pipeline vs global sweep at mst_n ---------
   // The DESIGN.md §14 pipeline must return the bit-identical tree; the
   // wall-clock delta here is the per-sweep win the 1M build banks on.
+  const std::size_t cell_limit = std::clamp<std::size_t>(
+      mst_n / 8, 2, kGroupPipelineCellPoints);
   obs::Counter& lb_skips =
       obs::MetricsRegistry::global().counter("cluster.mst_lb_skips");
   const std::uint64_t skips0 = lb_skips.value();
   const auto g0 = std::chrono::steady_clock::now();
-  const std::vector<MstEdge> grouped = euclidean_mst_grouped(mst_coords);
+  const std::vector<MstEdge> grouped =
+      euclidean_mst_grouped(mst_coords, cell_limit);
   const double grouped_ms = std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - g0)
                                 .count();

@@ -84,11 +84,11 @@ HFC_THREADS=2 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'MstAlgo|Mst|GroupPipeline|SpatialEquivalence|SpatialKdTree|SpatialDynamicSet|ChaosSuite|StreamingChaosSuite|ServeTornRead'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \
   HFC_WAVES=2 HFC_BENCH_JSON=0 ./build-tsan/bench/bench_churn_dynamic
-# Group-local pipeline forced on at reduced n (floor 2, small cells), so
-# the per-cell parallel local phase + block-parallel Zahn cut run under
-# TSan with a 4-thread pool.
+# Reduced n: phase 2 runs the group-local pipeline over cells of n/8
+# points (eight cells at n = 600), so its per-cell parallel local phase
+# runs under TSan with a 4-thread pool.
 HFC_THREADS=4 HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 \
-  HFC_TOPO_REQUESTS=40 HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
+  HFC_TOPO_REQUESTS=40 \
   HFC_BENCH_JSON=0 ./build-tsan/bench/bench_topology_scaling
 HFC_THREADS=4 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-tsan/bench/bench_serving_throughput
@@ -109,7 +109,6 @@ HFC_DIST_N=400 HFC_DIST_REQUESTS=200 HFC_BENCH_JSON=0 \
 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 HFC_WAVES=2 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_churn_dynamic
 HFC_TOPO_N=1500 HFC_TOPO_MST_N=600 HFC_TOPO_CMP_N=400 HFC_TOPO_REQUESTS=40 \
-  HFC_ML_PAR_MIN_N=2 HFC_ML_PAR_GROUP=96 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_topology_scaling
 HFC_SERVE_N=500 HFC_SERVE_WAVES=8 HFC_SERVE_WAVE_REQUESTS=48 \
   HFC_BENCH_JSON=0 ./build-asan/bench/bench_serving_throughput

@@ -3,8 +3,8 @@
 // Three phases, all producing the exact same tree as the global sweep:
 //
 //   partition — recursive widest-axis median split of the point ids into
-//     cells of at most HFC_ML_PAR_GROUP points, recording each cell's
-//     axis-aligned bounding box from the split planes it passed through.
+//     cells of at most `group_limit` points (median_partition), then each
+//     cell's axis-aligned box from the split planes it passed through.
 //   local — every cell runs its own Borůvka contraction over a
 //     DynamicSpatialSet of only its members (brute scan below 32 points,
 //     subset index above). A component may contract its intra-cell
@@ -28,8 +28,6 @@
 // computed margin. The strict `<` then guarantees the local candidate
 // beats every cross-cell edge under the (d, a, b) order — see DESIGN.md
 // §14 for the full argument.
-#include "cluster/group_pipeline.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,9 +35,11 @@
 #include <numeric>
 
 #include "cluster/boruvka.h"
+#include "cluster/median_partition.h"
+#include "cluster/mst.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/env.h"
+#include "spatial/dynamic_set.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -48,6 +48,29 @@ namespace hfc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The axis of widest coordinate extent over ids[begin, end), the first
+/// such axis on ties. Order-independent: any permutation of the range
+/// picks the same axis.
+std::size_t widest_axis(const PointSet& pts,
+                        const std::vector<std::size_t>& ids,
+                        std::size_t begin, std::size_t end) {
+  std::size_t axis = 0;
+  double widest = -1.0;
+  for (std::size_t d = 0; d < pts.dim(); ++d) {
+    double lo = pts[ids[begin]][d];
+    double hi = lo;
+    for (std::size_t p = begin + 1; p < end; ++p) {
+      lo = std::min(lo, pts[ids[p]][d]);
+      hi = std::max(hi, pts[ids[p]][d]);
+    }
+    if (hi - lo > widest) {
+      widest = hi - lo;
+      axis = d;
+    }
+  }
+  return axis;
+}
 
 /// One partition cell: ids[begin, end) plus the closed axis-aligned box
 /// accumulated from the split planes on the path to the cell. Points of
@@ -59,13 +82,14 @@ struct Cell {
   std::vector<double> hi;
 };
 
-/// Recursive widest-axis median split under the (coordinate, id) total
-/// order — the multilevel partition rule — tracking cell boxes. Both
-/// halves inherit the split value as a face: the left keeps values <=
-/// split, the right >= split (ties on the plane go either way, which is
-/// why the margin test below must be strict).
+/// The cells of a finished median_partition of ids[begin, end), left to
+/// right: the same recursion replayed over the partitioned ids, whose
+/// split value is the right half's least coordinate on the split axis.
+/// Both halves inherit the split value as a face: the left keeps values
+/// <= split, the right >= split (ties on the plane go either way, which
+/// is why the margin test below must be strict).
 void partition_cells(const PointSet& pts,
-                     std::vector<std::size_t>& ids, std::size_t begin,
+                     const std::vector<std::size_t>& ids, std::size_t begin,
                      std::size_t end, std::size_t limit,
                      std::vector<double> lo, std::vector<double> hi,
                      std::vector<Cell>& out) {
@@ -73,31 +97,12 @@ void partition_cells(const PointSet& pts,
     out.push_back(Cell{begin, end, std::move(lo), std::move(hi)});
     return;
   }
-  std::size_t axis = 0;
-  double widest = -1.0;
-  for (std::size_t d = 0; d < pts.dim(); ++d) {
-    double min_v = pts[ids[begin]][d];
-    double max_v = min_v;
-    for (std::size_t p = begin + 1; p < end; ++p) {
-      min_v = std::min(min_v, pts[ids[p]][d]);
-      max_v = std::max(max_v, pts[ids[p]][d]);
-    }
-    if (max_v - min_v > widest) {
-      widest = max_v - min_v;
-      axis = d;
-    }
-  }
+  const std::size_t axis = widest_axis(pts, ids, begin, end);
   const std::size_t mid = begin + (end - begin) / 2;
-  std::nth_element(ids.begin() + static_cast<std::ptrdiff_t>(begin),
-                   ids.begin() + static_cast<std::ptrdiff_t>(mid),
-                   ids.begin() + static_cast<std::ptrdiff_t>(end),
-                   [&pts, axis](std::size_t a, std::size_t b) {
-                     const double va = pts[a][axis];
-                     const double vb = pts[b][axis];
-                     if (va != vb) return va < vb;
-                     return a < b;
-                   });
-  const double split = pts[ids[mid]][axis];
+  double split = pts[ids[mid]][axis];
+  for (std::size_t p = mid + 1; p < end; ++p) {
+    split = std::min(split, pts[ids[p]][axis]);
+  }
   std::vector<double> left_hi = hi;
   left_hi[axis] = std::min(left_hi[axis], split);
   std::vector<double> right_lo = lo;
@@ -143,12 +148,30 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-bool group_pipeline_enabled(std::size_t n) {
-  return n >= env_size_t("HFC_ML_PAR_MIN_N", 8192, 2);
+void median_partition(const PointSet& pts, std::vector<std::size_t>& ids,
+                      std::size_t begin, std::size_t end, std::size_t limit,
+                      std::vector<std::pair<std::size_t, std::size_t>>& out) {
+  if (end - begin <= limit) {
+    out.emplace_back(begin, end);
+    return;
+  }
+  const std::size_t axis = widest_axis(pts, ids, begin, end);
+  const std::size_t mid = begin + (end - begin) / 2;
+  std::nth_element(ids.begin() + static_cast<std::ptrdiff_t>(begin),
+                   ids.begin() + static_cast<std::ptrdiff_t>(mid),
+                   ids.begin() + static_cast<std::ptrdiff_t>(end),
+                   [&pts, axis](std::size_t a, std::size_t b) {
+                     const double va = pts[a][axis];
+                     const double vb = pts[b][axis];
+                     if (va != vb) return va < vb;
+                     return a < b;
+                   });
+  median_partition(pts, ids, begin, mid, limit, out);
+  median_partition(pts, ids, mid, end, limit, out);
 }
 
-std::size_t group_pipeline_group_limit() {
-  return env_size_t("HFC_ML_PAR_GROUP", 4096, 2);
+bool group_pipeline_enabled(std::size_t n) {
+  return n >= kGroupPipelineMinPoints;
 }
 
 std::vector<MstEdge> euclidean_mst_grouped(const PointSet& points,
@@ -160,13 +183,17 @@ std::vector<MstEdge> euclidean_mst_grouped(const PointSet& points,
   std::vector<MstEdge> edges;
   if (n <= 1) return edges;
   edges.reserve(n - 1);
-  if (group_limit == 0) group_limit = group_pipeline_group_limit();
+  require(group_limit >= 1,
+          "euclidean_mst_grouped: group_limit must be >= 1");
   const std::size_t dim = points.dim();
 
   const Clock::time_point t_partition = Clock::now();
   std::vector<std::size_t> ids(n);
   std::iota(ids.begin(), ids.end(), std::size_t{0});
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  median_partition(points, ids, 0, n, group_limit, ranges);
   std::vector<Cell> cells;
+  cells.reserve(ranges.size());
   partition_cells(points, ids, 0, n, group_limit,
                   std::vector<double>(dim, -kInf),
                   std::vector<double>(dim, kInf), cells);
@@ -299,37 +326,6 @@ std::vector<MstEdge> euclidean_mst_grouped(const PointSet& points,
     return x.b < y.b;
   });
   return edges;
-}
-
-std::vector<MstEdge> euclidean_mst_of_set(const DynamicSpatialSet& set,
-                                          const PointSet& coords) {
-  const std::vector<std::int32_t>& live = set.live_ids();
-  std::vector<MstEdge> edges;
-  if (live.size() <= 1) return edges;
-  edges = euclidean_mst(coords.subset(live));
-  // live is ascending, so the order-preserving remap keeps a < b and the
-  // canonical (a, b) sort order.
-  for (MstEdge& e : edges) {
-    e.a = static_cast<std::size_t>(live[e.a]);
-    e.b = static_cast<std::size_t>(live[e.b]);
-  }
-  return edges;
-}
-
-Clustering cluster_set(const DynamicSpatialSet& set, const PointSet& coords,
-                       const ZahnParams& params) {
-  const std::vector<std::int32_t>& live = set.live_ids();
-  Clustering out;
-  out.assignment.assign(coords.size(), ClusterId{});
-  if (live.empty()) return out;
-  const Clustering local = cluster_points(coords.subset(live), params);
-  out.members.resize(local.cluster_count());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const ClusterId c = local.assignment[i];
-    out.assignment[static_cast<std::size_t>(live[i])] = c;
-    out.members[c.idx()].push_back(NodeId(live[i]));
-  }
-  return out;
 }
 
 }  // namespace hfc

@@ -73,25 +73,27 @@ using DistanceFn = std::function<double(std::size_t, std::size_t)>;
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_spatial(
     const PointSet& points);
 
-/// The group-local pipeline gate: n >= HFC_ML_PAR_MIN_N (default 8192 —
-/// below that the single global sweep is already cheap). Selects the
-/// pipeline's MST (`euclidean_mst_grouped`) over the global sweep
-/// (DESIGN.md §14).
+/// Point count from which `euclidean_mst` takes the group-local pipeline;
+/// below it the single global sweep is already cheap (DESIGN.md §14).
+inline constexpr std::size_t kGroupPipelineMinPoints = 8192;
+
+/// Default partition-cell size cap of the pipeline's local phase.
+inline constexpr std::size_t kGroupPipelineCellPoints = 4096;
+
+/// The group-local pipeline gate: n >= kGroupPipelineMinPoints. Selects
+/// the pipeline's MST (`euclidean_mst_grouped`) over the global sweep.
 [[nodiscard]] bool group_pipeline_enabled(std::size_t n);
 
-/// Partition-cell size cap for the pipeline's local phase
-/// (HFC_ML_PAR_GROUP, default 4096).
-[[nodiscard]] std::size_t group_pipeline_group_limit();
-
-/// The group-local Borůvka pipeline: median partition with cell bounds,
-/// margin-safe per-cell contraction over DynamicSpatialSet-backed local
-/// indexes (cells run via parallel_for into disjoint slots), then a
+/// The group-local Borůvka pipeline: median partition into cells of at
+/// most `group_limit` (>= 1) points with their boxes, margin-safe
+/// per-cell contraction over DynamicSpatialSet-backed local indexes
+/// (cells run via parallel_for into disjoint slots), then a
 /// lower-bound-pruned global finish sweep. Bit-identical to
-/// `euclidean_mst_spatial` for any HFC_THREADS — see the cut-property and
-/// floating-point-margin argument in DESIGN.md §14. `group_limit` 0 reads
-/// HFC_ML_PAR_GROUP.
+/// `euclidean_mst_spatial` at any pool size and any `group_limit` — see
+/// the cut-property and floating-point-margin argument in DESIGN.md §14.
 [[nodiscard]] std::vector<MstEdge> euclidean_mst_grouped(
-    const PointSet& points, std::size_t group_limit = 0);
+    const PointSet& points,
+    std::size_t group_limit = kGroupPipelineCellPoints);
 
 /// Total length of an edge set.
 [[nodiscard]] double total_length(const std::vector<MstEdge>& edges);

@@ -1,16 +1,24 @@
 #include "core/framework.h"
 
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "topology/shortest_paths.h"
-#include "util/env.h"
 #include "util/require.h"
 
 namespace hfc {
+
+bool builds_multilevel(TopologyScheme scheme, std::size_t proxies) {
+  // kAuto's escalation point: the one-level topology's all-cluster-pairs
+  // border selection is quadratic in the cluster count and becomes the
+  // wall on the way to 1M (DESIGN.md §13).
+  constexpr std::size_t kAutoMultiLevelProxies = 100000;
+  return scheme == TopologyScheme::kMultiLevel ||
+         (scheme == TopologyScheme::kAuto &&
+          proxies >= kAutoMultiLevelProxies);
+}
 
 std::unique_ptr<HfcFramework> HfcFramework::build(
     const FrameworkConfig& config) {
@@ -65,30 +73,11 @@ std::unique_ptr<HfcFramework> HfcFramework::build(
       fw->distance_map_.proxy_coords,
       assign_services(config.proxies, config.workload, workload_rng));
 
-  // 5 + 6. Topology and router. kAuto escalates to the bounded-fanout
-  //    tree at HFC_ML_AUTO_N proxies: the one-level topology's
-  //    all-cluster-pairs border selection is quadratic in the cluster
-  //    count and becomes the wall on the way to 1M (DESIGN.md §13).
-  fw->multilevel_ = config.scheme == TopologyScheme::kMultiLevel;
-  if (config.scheme == TopologyScheme::kAuto) {
-    fw->multilevel_ =
-        config.proxies >= env_size_t("HFC_ML_AUTO_N", 100000, 1);
-  }
+  // 5 + 6. Topology and router (see builds_multilevel).
+  fw->multilevel_ = builds_multilevel(config.scheme, config.proxies);
   if (fw->multilevel_) {
-    MultiLevelParams ml = config.multilevel;
-    if (ml.group_fanout == 0) {
-      ml.group_fanout = env_size_t("HFC_ML_FANOUT", 32, 2);
-      // Leaves hold 8x the fanout: a fanout whose leaf limit wraps is
-      // unusable like any other malformed value.
-      if (ml.group_fanout > std::numeric_limits<std::size_t>::max() / 8) {
-        warn_env_once("HFC_ML_FANOUT", std::getenv("HFC_ML_FANOUT"),
-                      "leaf limit (8 x fanout) overflows", "32");
-        ml.group_fanout = 32;
-      }
-      ml.leaf_limit = 8 * ml.group_fanout;
-    }
-    fw->topology_ =
-        std::make_unique<HfcTopology>(fw->distance_map_.proxy_coords, ml);
+    fw->topology_ = std::make_unique<HfcTopology>(
+        fw->distance_map_.proxy_coords, config.multilevel);
   } else {
     // Clustering by MST + inconsistent-edge removal (§3.2) and the HFC
     // topology with border selection (§3.3), both querying the

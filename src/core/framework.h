@@ -35,13 +35,18 @@ namespace hfc {
 ///                 selection is quadratic in the cluster count — fine to
 ///                 ~100k proxies, the wall beyond).
 ///   kMultiLevel — a bounded-fanout tree built from the coordinates:
-///                 per-parent sibling counts stay O(HFC_ML_FANOUT) as n
+///                 per-parent sibling counts stay O(fanout) as n
 ///                 grows, which is what carries construction to 1M
 ///                 proxies (DESIGN.md §13).
-///   kAuto       — kMultiLevel once proxies >= HFC_ML_AUTO_N (default
-///                 100000), kFlat below, so small-n behaviour — and every
-///                 existing caller — is unchanged.
+///   kAuto       — kMultiLevel once proxies >= 100000, kFlat below, so
+///                 small-n behaviour — and every existing caller — is
+///                 unchanged.
 enum class TopologyScheme { kAuto, kFlat, kMultiLevel };
+
+/// Whether a build of `proxies` proxies under `scheme` assembles the
+/// bounded-fanout tree (kMultiLevel, or kAuto at 100000 proxies and up).
+[[nodiscard]] bool builds_multilevel(TopologyScheme scheme,
+                                     std::size_t proxies);
 
 struct FrameworkConfig {
   /// Approximate router count of the generated underlay (Table 1 column
@@ -62,15 +67,14 @@ struct FrameworkConfig {
 
   /// Topology/routing stack selection (see TopologyScheme above).
   TopologyScheme scheme = TopologyScheme::kAuto;
-  /// Hierarchy parameters for multilevel builds. A zero group_fanout
-  /// (the default) resolves to bounded-fanout mode with HFC_ML_FANOUT
-  /// children per group (default 32) and leaf clusters of 8x that many
-  /// nodes; callers wanting the legacy fixed-`levels` construction can
-  /// build an HfcTopology from coordinates directly.
-  MultiLevelParams multilevel;
+  /// Hierarchy parameters for multilevel builds, used as given: bounded-
+  /// fanout mode with 32 children per group and leaf clusters of 8x that
+  /// many nodes by default. `group_fanout` 0 selects the fixed-`levels`
+  /// construction.
+  MultiLevelParams multilevel = MultiLevelParams::bounded(32, 256);
 
-  /// Row-cache capacity for the truth distance tier (0 = resolve via the
-  /// HFC_DIST_CACHE_ROWS environment variable, then the built-in default).
+  /// Row-cache capacity for the truth distance tier (0 = the tier's
+  /// built-in default).
   /// Bounds resident ground-truth distance state at cache_rows * proxies
   /// doubles instead of a dense O(proxies^2) matrix.
   std::size_t distance_cache_rows = 0;

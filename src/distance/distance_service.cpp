@@ -1,6 +1,5 @@
 #include "distance/distance_service.h"
 
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace hfc {
@@ -36,8 +35,7 @@ std::function<double(NodeId, NodeId)> DistanceService::fn() const {
 }
 
 std::size_t resolve_cache_rows(std::size_t requested, std::size_t fallback) {
-  if (requested > 0) return requested;
-  return env_size_t("HFC_DIST_CACHE_ROWS", fallback, /*min_value=*/1);
+  return requested > 0 ? requested : fallback;
 }
 
 }  // namespace hfc

@@ -94,9 +94,8 @@ class DistanceService {
   }
 };
 
-/// Resolve the row-cache capacity for a service: `requested` wins when
-/// positive, then the `HFC_DIST_CACHE_ROWS` environment variable, then
-/// `fallback`.
+/// Resolve the row-cache capacity for a service: `requested` when
+/// positive, otherwise the consumer's own `fallback`.
 [[nodiscard]] std::size_t resolve_cache_rows(std::size_t requested,
                                              std::size_t fallback);
 

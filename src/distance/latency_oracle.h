@@ -44,7 +44,7 @@ class LatencyOracle {
  public:
   /// `noise` is the maximum relative inflation per probe (0.2 = up to
   /// +20%). Zero noise makes measurements exact. `cache_rows` bounds the
-  /// resident ground-truth rows (0 = HFC_DIST_CACHE_ROWS / default).
+  /// resident ground-truth rows (0 = the truth tier's default).
   /// The network must outlive the oracle.
   LatencyOracle(const PhysicalNetwork& net, std::vector<RouterId> endpoints,
                 double noise, Rng rng, std::size_t cache_rows = 0);

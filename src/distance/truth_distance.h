@@ -5,7 +5,7 @@
 // O(n^2) matrix that caps the reproduction at a few thousand proxies.
 // This service runs the same per-source Dijkstra only when a row is
 // actually touched and keeps at most `cache_rows` rows resident in a
-// sharded LRU (HFC_DIST_CACHE_ROWS knob), so ground truth at n = 20000+
+// sharded LRU, so ground truth at n = 20000+
 // costs O(cache_rows * n) memory instead of O(n^2).
 //
 // Bit-equality: `at(a, b)` reads row(max(a, b))[min(a, b)] — exactly the
@@ -28,7 +28,7 @@ namespace hfc {
 class TruthDistanceService final : public DistanceService {
  public:
   /// `endpoints[i]` is the attachment router of node i. `cache_rows` = 0
-  /// resolves via HFC_DIST_CACHE_ROWS, defaulting to 256 resident rows.
+  /// means the default of 256 resident rows.
   /// The network must outlive the service.
   TruthDistanceService(const PhysicalNetwork& net,
                        std::vector<RouterId> endpoints,

@@ -24,14 +24,15 @@ obs::Counter& full_rebuilds_counter() {
   return c;
 }
 
-/// Mean intra-cluster pairwise coordinate distance over active nodes with
-/// the given labels (label < 0 = inactive). 0 when no intra pair exists.
+/// Mean intra-cluster pairwise coordinate distance over the nodes with a
+/// valid cluster in `labels` (inactive nodes have none). 0 when no intra
+/// pair exists.
 double intra_cluster_cost(const PointSet& coords,
-                          const std::vector<std::int32_t>& labels) {
+                          const std::vector<ClusterId>& labels) {
   double sum = 0.0;
   std::size_t pairs = 0;
   for (std::size_t i = 0; i < coords.size(); ++i) {
-    if (labels[i] < 0) continue;
+    if (!labels[i].valid()) continue;
     for (std::size_t j = i + 1; j < coords.size(); ++j) {
       if (labels[j] != labels[i]) continue;
       sum += euclidean(coords[i], coords[j]);
@@ -54,7 +55,6 @@ DynamicHfcOverlay::DynamicHfcOverlay(PointSet coords,
   require(!coords.empty(), "DynamicHfcOverlay: empty universe");
   active_.assign(coords.size(), true);
   active_count_ = coords.size();
-  labels_.assign(coords.size(), -1);
   dist_ = std::make_unique<CoordDistanceService>(std::move(coords));
   restructure();
 }
@@ -75,7 +75,6 @@ void DynamicHfcOverlay::do_deactivate(NodeId node) {
   active_set_.erase(node.value());
   active_set_.maybe_rebuild();
   active_[node.idx()] = false;
-  labels_[node.idx()] = -1;
   --active_count_;
   ++mutations_since_restructure_;
   ++active_generation_;
@@ -97,18 +96,17 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
   const SpatialHit hit = active_set_.nearest(
       coords()[node.idx()], std::numeric_limits<double>::infinity(), qs);
   ensure(hit.found(), "DynamicHfcOverlay::activate: no active neighbour");
-  const std::int32_t label = labels_[static_cast<std::size_t>(hit.id)];
+  const ClusterId cluster = inc_topo_->cluster_of(NodeId(hit.id));
   join_candidates.add(qs.point_evals);
   visited.add(qs.nodes_visited);
-  ensure(label >= 0, "DynamicHfcOverlay::activate: no active neighbour");
+  ensure(cluster.valid(), "DynamicHfcOverlay::activate: no active neighbour");
   active_[node.idx()] = true;
-  labels_[node.idx()] = label;
   ++active_count_;
   ++mutations_since_restructure_;
   ++active_generation_;
   active_set_.insert(node.value());
   active_set_.maybe_rebuild();
-  inc_topo_->on_member_added(node, ClusterId(label));
+  inc_topo_->on_member_added(node, cluster);
 }
 
 NodeId DynamicHfcOverlay::do_add(const Point& coords,
@@ -122,7 +120,6 @@ NodeId DynamicHfcOverlay::do_add(const Point& coords,
   dist_->append(coords);
   placement_.push_back(std::move(services));
   active_.push_back(false);
-  labels_.push_back(-1);
   const NodeId node(static_cast<std::int32_t>(active_.size() - 1));
   do_activate(node);
   return node;
@@ -184,12 +181,13 @@ double DynamicHfcOverlay::clustering_quality() const {
   const std::vector<std::size_t> dense_to_universe = active_ids();
   const Clustering fresh =
       cluster_points(coords().subset(dense_to_universe), zahn_);
-  std::vector<std::int32_t> fresh_labels(active_.size(), -1);
+  std::vector<ClusterId> fresh_labels(active_.size(), ClusterId{});
   for (std::size_t d = 0; d < dense_to_universe.size(); ++d) {
-    fresh_labels[dense_to_universe[d]] = fresh.assignment[d].value();
+    fresh_labels[dense_to_universe[d]] = fresh.assignment[d];
   }
   const double fresh_cost = intra_cluster_cost(coords(), fresh_labels);
-  const double current_cost = intra_cluster_cost(coords(), labels_);
+  const double current_cost =
+      intra_cluster_cost(coords(), inc_topo_->clustering().assignment);
   quality_cache_ =
       current_cost == 0.0 ? 1.0 : fresh_cost / current_cost;
   quality_gen_ = active_generation_;
@@ -210,35 +208,28 @@ void DynamicHfcOverlay::restructure() {
   const std::vector<std::size_t> dense_to_universe = active_ids();
   const Clustering fresh =
       cluster_points(coords().subset(dense_to_universe), zahn_);
+  // Universe-level clustering: fresh Zahn ids are dense 0..C-1 and become
+  // the topology's cluster slot ids; inactive nodes stay unassigned. The
+  // ascending dense-to-universe map keeps every member list ascending.
+  Clustering clustering;
+  clustering.assignment.assign(active_.size(), ClusterId{});
+  clustering.members.resize(fresh.cluster_count());
   for (std::size_t d = 0; d < dense_to_universe.size(); ++d) {
-    labels_[dense_to_universe[d]] = fresh.assignment[d].value();
+    const NodeId node(static_cast<std::int32_t>(dense_to_universe[d]));
+    clustering.assignment[node.idx()] = fresh.assignment[d];
+    clustering.members[fresh.assignment[d].idx()].push_back(node);
   }
   mutations_since_restructure_ = 0;
   ++active_generation_;
   active_set_.bulk_load(coords(), std::vector<std::int32_t>(
                                       dense_to_universe.begin(),
                                       dense_to_universe.end()));
-  build_universe_state();
+  build_universe_state(std::move(clustering));
 }
 
-void DynamicHfcOverlay::build_universe_state() {
+void DynamicHfcOverlay::build_universe_state(Clustering clustering) {
   HFC_TRACE_SPAN("churn.full_rebuild");
   full_rebuilds_counter().add(1);
-  // Universe-level clustering: fresh Zahn labels are dense 0..C-1, so a
-  // label IS the topology cluster slot id; inactive nodes stay unassigned.
-  Clustering clustering;
-  clustering.assignment.assign(labels_.size(), ClusterId{});
-  std::int32_t max_label = -1;
-  for (std::size_t v = 0; v < labels_.size(); ++v) {
-    max_label = std::max(max_label, labels_[v]);
-  }
-  clustering.members.resize(static_cast<std::size_t>(max_label + 1));
-  for (std::size_t v = 0; v < labels_.size(); ++v) {
-    if (labels_[v] < 0) continue;
-    clustering.assignment[v] = ClusterId(labels_[v]);
-    clustering.members[static_cast<std::size_t>(labels_[v])].push_back(
-        NodeId(static_cast<std::int32_t>(v)));
-  }
   inc_router_.reset();
   inc_topo_.reset();
   inc_net_.reset();

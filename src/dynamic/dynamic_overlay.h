@@ -109,8 +109,7 @@ class DynamicHfcOverlay {
   /// Apply a batch of churn events in order. The border-pair repairs
   /// are coalesced: deferred to the end of the batch
   /// and fanned across the thread pool, one task per affected cluster
-  /// pair. Callers stream large event sequences in batches (the benches
-  /// use the `HFC_CHURN_BATCH` knob for the batch size). Returns the
+  /// pair. Callers stream large event sequences in batches. Returns the
   /// NodeIds assigned to the kAdd events, in order. If an event throws,
   /// the events before it remain applied and the repairs for them run
   /// before the exception propagates.
@@ -177,13 +176,11 @@ class DynamicHfcOverlay {
   [[nodiscard]] const PointSet& coords() const;
   /// Active universe ids, ascending.
   [[nodiscard]] std::vector<std::size_t> active_ids() const;
-  /// Rebuild the universe-level routing objects from labels_ (ctor,
-  /// restructure). Counts as a churn.full_rebuild.
-  void build_universe_state();
-
-  /// Universe-level cluster label per node (-1 for inactive). A label IS
-  /// the topology's stable cluster slot id.
-  std::vector<std::int32_t> labels_;
+  /// Rebuild the universe-level routing objects over `clustering`
+  /// (restructure). Counts as a churn.full_rebuild. The topology's
+  /// cluster assignment is then the one record of each node's cluster
+  /// slot (invalid for inactive nodes).
+  void build_universe_state(Clustering clustering);
 
   ServicePlacement placement_;
   std::vector<bool> active_;

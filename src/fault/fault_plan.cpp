@@ -75,16 +75,6 @@ double FaultPlan::last_event_ms() const {
   return events_.empty() ? 0.0 : events_.back().time_ms;
 }
 
-std::uint64_t FaultPlan::default_seed() {
-  return env_u64("HFC_FAULT_SEED", 1);
-}
-
-FaultPlan FaultPlan::from_env() {
-  const char* spec = std::getenv("HFC_FAULT_PLAN");
-  if (spec == nullptr || *spec == '\0') return FaultPlan();
-  return parse(spec);
-}
-
 FaultPlan FaultPlan::random(const FaultPlanParams& params,
                             const HfcTopology& topo, std::uint64_t seed) {
   require(params.horizon_ms > 0.0, "FaultPlan::random: empty horizon");
@@ -344,8 +334,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     }
     if (head == "seed") {
       // Full-u64 path: serialize() writes the seed verbatim, and a seed
-      // (e.g. from HFC_FAULT_SEED) can exceed both INT_MAX (UB through the
-      // parse_int cast) and 2^53 (silent precision loss through double).
+      // can exceed both INT_MAX (UB through the parse_int cast) and 2^53
+      // (silent precision loss through double).
       const std::string raw = token.substr(colon + 1);
       const char* why = "";
       if (!parse_u64(raw.c_str(), seed, why)) {

@@ -6,7 +6,7 @@
 // (burst) loss and delivery jitter. A `FaultPlan` is an explicit, fully
 // ordered schedule of such events plus the plan-wide loss/jitter knobs —
 // replayable bit-for-bit from a single seed, serializable to a compact
-// text spec (the `HFC_FAULT_PLAN` format), and parseable back, so a chaos
+// text spec (see `FaultPlan::parse`), and parseable back, so a chaos
 // run can be pinned in a bug report as one short string.
 #pragma once
 
@@ -83,7 +83,7 @@ class FaultPlan {
                                         const HfcTopology& topo,
                                         std::uint64_t seed);
 
-  /// Parse the HFC_FAULT_PLAN text format (see serialize); throws
+  /// Parse the text format (see serialize); throws
   /// std::invalid_argument with a position hint on malformed input.
   ///
   ///   crash@500:3;recover@1700:3;partition@800:0/2;heal@2100:0/2;
@@ -93,15 +93,6 @@ class FaultPlan {
   /// Compact text form, parseable by `parse`. Equal plans serialize to
   /// equal strings — the chaos suite's schedule-determinism check.
   [[nodiscard]] std::string serialize() const;
-
-  /// Seed for random plans when the caller has no opinion: HFC_FAULT_SEED
-  /// (default 1).
-  [[nodiscard]] static std::uint64_t default_seed();
-
-  /// The HFC_FAULT_PLAN environment knob: parse the spec when set and
-  /// non-empty (throws std::invalid_argument on a malformed one),
-  /// otherwise an empty plan (no faults).
-  [[nodiscard]] static FaultPlan from_env();
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "cluster/median_partition.h"
 #include "distance/distance_service.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -32,46 +33,6 @@ void add_phase_us(const char* counter,
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - since)
               .count()));
-}
-
-/// Recursive widest-axis median split of ids[begin, end) — indices into
-/// `pts` — under the (coordinate, id) total order, the same
-/// deterministic partition rule as the k-d tree build, into consecutive
-/// ranges of at most `limit` ids appended to `out` left-to-right.
-void median_partition(const PointSet& pts,
-                      std::vector<std::size_t>& ids, std::size_t begin,
-                      std::size_t end, std::size_t limit,
-                      std::vector<std::pair<std::size_t, std::size_t>>& out) {
-  if (end - begin <= limit) {
-    out.emplace_back(begin, end);
-    return;
-  }
-  std::size_t axis = 0;
-  double widest = -1.0;
-  for (std::size_t d = 0; d < pts.dim(); ++d) {
-    double lo = pts[ids[begin]][d];
-    double hi = lo;
-    for (std::size_t p = begin + 1; p < end; ++p) {
-      lo = std::min(lo, pts[ids[p]][d]);
-      hi = std::max(hi, pts[ids[p]][d]);
-    }
-    if (hi - lo > widest) {
-      widest = hi - lo;
-      axis = d;
-    }
-  }
-  const std::size_t mid = begin + (end - begin) / 2;
-  std::nth_element(ids.begin() + static_cast<std::ptrdiff_t>(begin),
-                   ids.begin() + static_cast<std::ptrdiff_t>(mid),
-                   ids.begin() + static_cast<std::ptrdiff_t>(end),
-                   [&pts, axis](std::size_t a, std::size_t b) {
-                     const double va = pts[a][axis];
-                     const double vb = pts[b][axis];
-                     if (va != vb) return va < vb;
-                     return a < b;
-                   });
-  median_partition(pts, ids, begin, mid, limit, out);
-  median_partition(pts, ids, mid, end, limit, out);
 }
 
 /// The mean of each group's member coordinates.

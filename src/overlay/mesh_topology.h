@@ -38,8 +38,8 @@ struct MeshParams {
 /// outlive this object.
 class MeshRouting {
  public:
-  /// `cache_rows` = 0 resolves via HFC_DIST_CACHE_ROWS, defaulting to all
-  /// n sources resident (the dense-equivalent working set).
+  /// `cache_rows` = 0 keeps all n sources resident (the dense-equivalent
+  /// working set).
   MeshRouting(std::vector<std::vector<NodeId>> adjacency,
               OverlayDistance edge_distance, std::size_t cache_rows = 0);
 

@@ -103,7 +103,7 @@ struct CachedRoute {
 class ShardedRouteCache {
  public:
   /// `shards` independent maps of `capacity_per_shard` entries each
-  /// (both >= 1; knobs HFC_SERVE_SHARDS / HFC_SERVE_CACHE).
+  /// (both >= 1; ServeParams supplies them).
   ShardedRouteCache(std::size_t shards, std::size_t capacity_per_shard);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }

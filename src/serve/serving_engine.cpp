@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "util/env.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -27,14 +26,6 @@ using Clock = std::chrono::steady_clock;
 }
 
 }  // namespace
-
-ServeParams ServeParams::from_env() {
-  ServeParams params;
-  params.shards = env_size_t("HFC_SERVE_SHARDS", params.shards, 1);
-  params.capacity_per_shard =
-      env_size_t("HFC_SERVE_CACHE", params.capacity_per_shard, 1);
-  return params;
-}
 
 ServingEngine::ServingEngine(const OverlayNetwork& net,
                              const HfcTopology& topo,

@@ -15,7 +15,7 @@
 //
 // Determinism: a wave's outcome — every served path, every serve.*
 // counter, the exact cache contents afterwards — is a function of the
-// request sequence and the snapshot, never of HFC_THREADS. The wave is
+// request sequence and the snapshot, never of the pool size. The wave is
 // structured as serial group / serial lookup / parallel solve / serial
 // insert phases; the parallel phase writes only per-group slots, so
 // thread interleaving cannot reorder anything observable.
@@ -45,11 +45,8 @@
 namespace hfc::serve {
 
 struct ServeParams {
-  std::size_t shards = 16;             ///< HFC_SERVE_SHARDS
-  std::size_t capacity_per_shard = 4096;  ///< HFC_SERVE_CACHE
-
-  /// Resolve from the environment knobs (fallbacks above).
-  [[nodiscard]] static ServeParams from_env();
+  std::size_t shards = 16;                ///< route-cache shards (>= 1)
+  std::size_t capacity_per_shard = 4096;  ///< cached routes per shard (>= 1)
 };
 
 /// One request's answer plus how the engine produced it.
@@ -67,12 +64,12 @@ class ServingEngine {
   /// The constructor publishes the initial snapshot.
   ServingEngine(const OverlayNetwork& net, const HfcTopology& topo,
                 const CoordDistanceService& dist,
-                ServeParams params = ServeParams::from_env());
+                ServeParams params = {});
 
   /// Serve a dynamic overlay: publish() captures
   /// from its universe-level routing state between mutation batches.
   explicit ServingEngine(DynamicHfcOverlay& overlay,
-                         ServeParams params = ServeParams::from_env());
+                         ServeParams params = {});
 
   /// Re-capture and swap the snapshot if the live structure generation
   /// advanced or the crash set differs from the published one; no-op

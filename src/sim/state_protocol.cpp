@@ -8,7 +8,6 @@
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/env.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -63,10 +62,7 @@ StateProtocolSim::StateProtocolSim(const OverlayNetwork& net,
   require(params_.local_period_ms > 0.0 && params_.aggregate_period_ms > 0.0,
           "StateProtocolSim: periods must be positive");
   require(params_.rounds >= 1, "StateProtocolSim: need >= 1 round");
-  if (params_.sct_ttl_ms < 0.0) {
-    params_.sct_ttl_ms =
-        static_cast<double>(env_u64("HFC_SCT_TTL", 0));  // 0 = no expiry
-  }
+  require(params_.sct_ttl_ms >= 0.0, "StateProtocolSim: negative TTL");
   require(params_.aggregate_retries == 0 || params_.retry_timeout_ms > 0.0,
           "StateProtocolSim: retries need a positive retry timeout");
   tables_.resize(net_.size());

@@ -38,9 +38,8 @@ struct StateProtocolParams {
   std::uint64_t loss_seed = 1;
   /// Soft-state lifetime: SCT_P/SCT_C entries not refreshed for this long
   /// are expired, so state from a crashed or partitioned peer ages out
-  /// instead of lingering as stale truth. 0 disables expiry; the default
-  /// (negative) resolves HFC_SCT_TTL from the environment (ms, default 0).
-  double sct_ttl_ms = -1.0;
+  /// instead of lingering as stale truth. 0 (the default) disables expiry.
+  double sct_ttl_ms = 0.0;
   /// Retransmission attempts for each border-to-border aggregate message
   /// whose (implicit) delivery ack has not arrived after retry_timeout_ms.
   /// 0 keeps the paper's pure periodic-refresh behaviour.

@@ -221,32 +221,6 @@ std::vector<SpatialHit> KdTree::k_nearest(std::span<const double> q,
   return heap;
 }
 
-std::vector<std::int32_t> KdTree::range(std::span<const double> q,
-                                        double radius,
-                                        QueryStats& stats) const {
-  require(q.size() == dim_, "KdTree::range: dimension mismatch");
-  std::vector<std::int32_t> out;
-  std::vector<std::int32_t> stack{root_};
-  while (!stack.empty()) {
-    const std::int32_t node = stack.back();
-    stack.pop_back();
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    ++stats.nodes_visited;
-    if (box_distance(node, q) > radius) continue;
-    if (n.axis < 0) {
-      for (std::uint32_t p = n.begin; p < n.end; ++p) {
-        ++stats.point_evals;
-        if (euclidean(q, point(p)) <= radius) out.push_back(ids_[p]);
-      }
-      continue;
-    }
-    stack.push_back(n.left);
-    stack.push_back(n.right);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void KdTree::retag(const std::vector<std::int32_t>& labels) {
   point_tag_.resize(ids_.size());
   for (std::size_t p = 0; p < ids_.size(); ++p) {

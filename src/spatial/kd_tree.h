@@ -66,11 +66,6 @@ class KdTree {
       std::span<const double> q, std::size_t k, QueryStats& stats,
       SpatialFilter accept = nullptr, const void* ctx = nullptr) const;
 
-  /// All indexed ids within `radius` of `q` (inclusive), ascending by id.
-  [[nodiscard]] std::vector<std::int32_t> range(std::span<const double> q,
-                                                double radius,
-                                                QueryStats& stats) const;
-
   /// Assign a component label to every *indexed* point (labels is indexed
   /// by point id) and cache per-subtree homogeneity tags, so
   /// `nearest_foreign` can prune subtrees entirely inside the query's own

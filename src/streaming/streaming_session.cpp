@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "services/service_graph.h"
-#include "util/env.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -125,12 +124,6 @@ void for_each_member(Tree& tree, Fn&& fn) {
 
 }  // namespace
 
-StreamMode stream_mode_from_env() {
-  // Choice order follows the enumerators.
-  return static_cast<StreamMode>(
-      env_choice("HFC_STREAM_MODE", {"locating", "clique"}, 0));
-}
-
 StreamingSession::StreamingSession(DynamicHfcOverlay& overlay,
                                    QosManager& qos,
                                    std::vector<NodeId> sources,
@@ -145,9 +138,8 @@ StreamingSession::StreamingSession(DynamicHfcOverlay& overlay,
   require(params_.repair_delay_ms > 0.0,
           "StreamingSession: repair_delay_ms must be > 0");
   require(params_.demand >= 0.0, "StreamingSession: negative demand");
-  if (params_.repair_budget == 0) {
-    params_.repair_budget = env_size_t("HFC_STREAM_REPAIR_BUDGET", 8);
-  }
+  require(params_.repair_budget >= 1,
+          "StreamingSession: repair_budget must be >= 1");
   std::vector<NodeId> dedup(sources_);
   std::sort(dedup.begin(), dedup.end());
   require(std::adjacent_find(dedup.begin(), dedup.end()) == dedup.end(),

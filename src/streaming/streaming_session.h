@@ -19,7 +19,7 @@
 //    latency histograms) and a per-run digest that is byte-identical
 //    across serial, replay and multi-threaded runs.
 //
-// Two regraft strategies, selected by the HFC_STREAM_MODE knob
+// Two regraft strategies, selected by `StreamingParams::mode`
 // (DESIGN.md §15):
 //
 //  - kLocating ("A Locating-First Approach for Scalable Overlay
@@ -65,11 +65,6 @@ enum class StreamMode {
   kClique,    ///< per-cluster heads, CliqueStream-style
 };
 
-/// Mode selected by the HFC_STREAM_MODE knob: "locating" (default) or
-/// "clique". Malformed values warn once (env_warning_count observable)
-/// and fall back to kLocating.
-[[nodiscard]] StreamMode stream_mode_from_env();
-
 struct StreamingParams {
   /// Service chain applied source-to-member (may be empty = pure relay
   /// dissemination). Every branch applies it exactly once.
@@ -84,10 +79,10 @@ struct StreamingParams {
   /// Capacity units a member's uplink reserves on every distinct proxy of
   /// its edge (relays included — they forward the stream).
   double demand = 1.0;
-  StreamMode mode = stream_mode_from_env();
+  StreamMode mode = StreamMode::kLocating;
   /// Attach candidates refined through the unicast router per join or
-  /// orphan (HFC_STREAM_REPAIR_BUDGET).
-  std::size_t repair_budget = 0;  ///< 0 = read the knob
+  /// orphan (>= 1).
+  std::size_t repair_budget = 8;
   /// Seeds the per-tick loss draws (statistically independent from the
   /// injector's message stream).
   std::uint64_t seed = 1;

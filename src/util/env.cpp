@@ -142,33 +142,23 @@ const std::vector<EnvKnob>& registered_knobs() {
       {"HFC_CHURN_N", "0",
        "single universe-size override for bench_churn_dynamic (0 = sweep)",
        "bench"},
-      {"HFC_DIST_CACHE_ROWS", "per-consumer",
-       "row capacity of the truth-distance LRU row cache", "core"},
+      {"HFC_DIST_CACHE_ROWS", "256",
+       "truth-distance row-cache capacity in bench_distance_scaling",
+       "bench"},
       {"HFC_DIST_N", "20000",
        "overlay size for bench_distance_scaling", "bench"},
       {"HFC_DIST_REQUESTS", "2000",
        "routed requests in bench_distance_scaling", "bench"},
-      {"HFC_FAULT_PLAN", "(none)",
-       "fault schedule spec armed by FaultPlan::from_env "
-       "(crash@t:n;recover@t:n;...)", "core"},
-      {"HFC_FAULT_SEED", "1",
-       "seed for FaultPlan::random when the caller has no opinion", "core"},
+      {"HFC_FAULT_PLAN", "(scripted)",
+       "FaultPlan spec (crash@t:n;recover@t:n;...) replacing "
+       "bench_protocol_traffic's scripted fault scenario", "bench"},
       {"HFC_FULL", "0",
        "1 = paper-scale benchmark configurations instead of reduced ones",
        "bench"},
-      {"HFC_ML_AUTO_N", "100000",
-       "proxy count at which kAuto framework builds switch to the "
-       "bounded-fanout multilevel stack", "core"},
       {"HFC_ML_FANOUT", "32",
-       "children per group in bounded-fanout multilevel builds "
-       "(leaf clusters hold 8x this many nodes)", "core"},
-      {"HFC_ML_PAR_GROUP", "4096",
-       "partition-cell size cap for the group-local pipeline's local "
-       "phase", "core"},
-      {"HFC_ML_PAR_MIN_N", "8192",
-       "point count at which the group-local pipeline (margin-safe "
-       "per-cell Borůvka) takes over from the single global MST sweep",
-       "core"},
+       "children per group of the bounded-fanout builds in "
+       "bench_topology_scaling and bench_multilevel_scaling (leaf "
+       "clusters hold 8x this many nodes)", "bench"},
       {"HFC_ML_STRETCH_N", "100000",
        "proxy count of the multilevel-vs-flat-oracle stretch stage in "
        "bench_multilevel_scaling", "bench"},
@@ -179,18 +169,11 @@ const std::vector<EnvKnob>& registered_knobs() {
        "request-batch size used by several benches", "bench"},
       {"HFC_RUNS", "2 (5 full)",
        "independent underlay runs in bench_fig10_path_efficiency", "bench"},
-      {"HFC_SCT_TTL", "0",
-       "soft-state TTL in ms for protocol SCT entries (0 = no expiry)",
-       "core"},
-      {"HFC_SERVE_CACHE", "4096",
-       "route-cache capacity per shard in the serving engine", "core"},
       {"HFC_SERVE_HOT", "90",
        "percent of bench_serving_throughput requests drawn from the hot set",
        "bench"},
       {"HFC_SERVE_N", "2000",
        "universe size for bench_serving_throughput", "bench"},
-      {"HFC_SERVE_SHARDS", "16",
-       "shard count of the serving engine's route cache", "core"},
       {"HFC_SERVE_WAVES", "24",
        "request waves per configuration in bench_serving_throughput",
        "bench"},
@@ -201,13 +184,10 @@ const std::vector<EnvKnob>& registered_knobs() {
       {"HFC_SPEEDUP_N", "512",
        "problem size for bench_parallel_speedup", "bench"},
       {"HFC_STREAM_MODE", "locating",
-       "streaming regraft strategy: locating | clique (DESIGN.md §15)",
-       "core"},
+       "regraft strategy of bench_chaos_streaming: locating | clique "
+       "(DESIGN.md §15)", "bench"},
       {"HFC_STREAM_N", "10000",
        "receiver count driven by bench_chaos_streaming", "bench"},
-      {"HFC_STREAM_REPAIR_BUDGET", "8",
-       "attach candidates a streaming regraft refines through the unicast "
-       "router", "core"},
       {"HFC_STREAM_SEED", "1",
        "seed for bench_chaos_streaming's churn and fault schedules",
        "bench"},

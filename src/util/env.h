@@ -1,10 +1,16 @@
-// Robust environment-knob parsing.
+// Robust environment-knob parsing and the knob registry.
 //
-// Every numeric HFC_* tuning knob (HFC_THREADS, HFC_DIST_CACHE_ROWS,
-// HFC_CHURN_BATCH, HFC_SCT_TTL, ...) goes through `env_size_t`, which
-// turns malformed input — non-numeric text, negative numbers, values
-// below the knob's minimum, or values that overflow an unsigned 64-bit
-// integer — into the documented default plus a single stderr warning,
+// The library reads four deployment and observability knobs from the
+// environment — HFC_THREADS, HFC_TRACE, HFC_TRACE_BUF, HFC_TRACE_FILE —
+// and nothing else: every tuning value is a field of the config struct
+// that consumes it (StreamingParams, ServeParams, FrameworkConfig, ...),
+// with its default as the field's initializer. Benches and examples read
+// their own sweep knobs ("bench" scope) and set those fields.
+//
+// Every numeric knob goes through `env_size_t`, which turns malformed
+// input — non-numeric text, negative numbers, values below the knob's
+// minimum, or values that overflow an unsigned 64-bit integer — into
+// the documented default plus a single stderr warning,
 // instead of silently mis-parsing (strtoull happily returns 0 for "abc"
 // and wraps negatives) or invoking undefined behaviour downstream.
 // Enumerated knobs go through `env_choice` and on/off knobs through
@@ -59,12 +65,13 @@ namespace hfc {
 /// source of truth for what knobs exist: `hfc_cli knobs` dumps it, and
 /// tests/test_knobs.cpp greps the tree for `HFC_[A-Z0-9_]+` uses and
 /// fails on any knob that is missing from it — so a new knob cannot land
-/// undocumented.
+/// undocumented — and on any core knob outside the deployment set.
 struct EnvKnob {
   const char* name;         ///< e.g. "HFC_THREADS"
   const char* fallback;     ///< human-readable default ("hardware", "16")
   const char* description;  ///< one line: what the knob controls
-  /// "core" for library knobs, "bench" for bench/example sweep knobs.
+  /// "core" for the library's deployment knobs, "bench" for bench and
+  /// example sweep knobs.
   const char* scope;
 };
 

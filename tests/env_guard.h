@@ -33,8 +33,4 @@ class EnvGuard {
   std::string old_;
 };
 
-/// A point-count floor above any test's input size. As HFC_ML_PAR_MIN_N
-/// it keeps construction on the single global sweep.
-inline constexpr const char* kAboveAnyN = "1000000000";
-
 }  // namespace hfc

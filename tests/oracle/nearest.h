@@ -52,18 +52,4 @@ inline std::vector<SpatialHit> brute_k_nearest(
   return all;
 }
 
-/// Every id within `radius` of `q` (inclusive), ascending.
-inline std::vector<std::int32_t> brute_range(
-    const PointSet& pts, const std::vector<std::int32_t>& ids,
-    std::span<const double> q, double radius) {
-  std::vector<std::int32_t> out;
-  for (const std::int32_t id : ids) {
-    if (euclidean(q, pts[static_cast<std::size_t>(id)]) <= radius) {
-      out.push_back(id);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace hfc::oracle

@@ -137,18 +137,11 @@ TEST(RowCache, RejectsZeroCapacity) {
   EXPECT_THROW(RowCache<std::vector<double>>(0, 8), std::invalid_argument);
 }
 
-// ------------------------------------------------- cache-size knob ----
+// ------------------------------------------------- cache-size default ----
 
-TEST(ResolveCacheRows, RequestedBeatsEnvBeatsFallback) {
-  ::unsetenv("HFC_DIST_CACHE_ROWS");
+TEST(ResolveCacheRows, RequestedBeatsFallback) {
   EXPECT_EQ(resolve_cache_rows(5, 99), 5u);
   EXPECT_EQ(resolve_cache_rows(0, 99), 99u);
-  ::setenv("HFC_DIST_CACHE_ROWS", "7", 1);
-  EXPECT_EQ(resolve_cache_rows(0, 99), 7u);
-  EXPECT_EQ(resolve_cache_rows(5, 99), 5u);  // explicit still wins
-  ::setenv("HFC_DIST_CACHE_ROWS", "not-a-number", 1);
-  EXPECT_EQ(resolve_cache_rows(0, 99), 99u);
-  ::unsetenv("HFC_DIST_CACHE_ROWS");
 }
 
 // ------------------------------------------------------ truth tier ----

@@ -361,28 +361,6 @@ TEST(FaultPlan, ConstructionSortsEventsStably) {
   EXPECT_EQ(plan.events()[2].node, NodeId(1));
 }
 
-TEST(FaultPlan, DefaultSeedReadsEnvironment) {
-  ::setenv("HFC_FAULT_SEED", "99", 1);
-  EXPECT_EQ(FaultPlan::default_seed(), 99u);
-  ::unsetenv("HFC_FAULT_SEED");
-  EXPECT_EQ(FaultPlan::default_seed(), 1u);
-}
-
-TEST(FaultPlan, FromEnvParsesTheSpecKnob) {
-  ::unsetenv("HFC_FAULT_PLAN");
-  EXPECT_TRUE(FaultPlan::from_env().events().empty());
-  ::setenv("HFC_FAULT_PLAN", "", 1);
-  EXPECT_TRUE(FaultPlan::from_env().events().empty());
-  ::setenv("HFC_FAULT_PLAN", "crash@100:3;recover@500:3;seed:7", 1);
-  const FaultPlan plan = FaultPlan::from_env();
-  ASSERT_EQ(plan.events().size(), 2u);
-  EXPECT_EQ(plan.events()[0].kind, FaultKind::kCrash);
-  EXPECT_EQ(plan.seed(), 7u);
-  ::setenv("HFC_FAULT_PLAN", "crash@oops", 1);
-  EXPECT_THROW(FaultPlan::from_env(), std::invalid_argument);
-  ::unsetenv("HFC_FAULT_PLAN");
-}
-
 // ------------------------------------------------------------ FaultInjector
 
 TEST(FaultInjector, CrashRecoverTogglesLiveness) {
@@ -961,13 +939,12 @@ TEST(SoftStateTtl, CrashedPeerStateAgesOut) {
 }
 
 TEST(SoftStateTtl, DisabledTtlKeepsStaleEntries) {
-  ::unsetenv("HFC_SCT_TTL");
   FaultWorld w;
   StateProtocolParams params;
   params.local_period_ms = 100.0;
   params.aggregate_period_ms = 100.0;
   params.aggregate_phase_ms = 50.0;
-  params.rounds = 6;  // sct_ttl_ms stays at the env default: 0 = no expiry
+  params.rounds = 6;  // sct_ttl_ms stays at its default: 0 = no expiry
   StateProtocolSim sim(w.net, w.topo, w.net.coord_distance_fn(), params);
 
   const FaultPlan plan = FaultPlan::parse("crash@120:0;seed:1");

@@ -2,17 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <string>
 
 #include "core/experiment.h"
 #include "core/framework.h"
-#include "env_guard.h"
 #include "overlay/dot_export.h"
 #include "routing/service_path.h"
 #include "sim/state_protocol.h"
-#include "util/env.h"
 
 namespace hfc {
 namespace {
@@ -277,39 +274,17 @@ TEST(FrameworkScheme, ExplicitMultiLevelBuildsAndRoutes) {
 }
 
 TEST(FrameworkScheme, AutoThresholdKnobSwitchesStacks) {
-  // Same config, threshold above vs below the proxy count.
-  const char* knob = "HFC_ML_AUTO_N";
-  const char* old = ::getenv(knob);
-  const std::string saved = old != nullptr ? old : "";
-  ::setenv(knob, "40", 1);
-  const auto multilevel = HfcFramework::build(small_config(31));
-  ::setenv(knob, "200", 1);
-  const auto flat = HfcFramework::build(small_config(31));
-  if (old != nullptr) {
-    ::setenv(knob, saved.c_str(), 1);
-  } else {
-    ::unsetenv(knob);
-  }
-  EXPECT_TRUE(multilevel->is_multilevel());
-  EXPECT_FALSE(flat->is_multilevel());
-}
-
-TEST(FrameworkScheme, OverflowingFanoutWarnsAndFallsBack) {
-  // 2^61 + 1: eight times it wraps to 8-node leaves.
-  const EnvGuard fanout("HFC_ML_FANOUT", "2305843009213693953");
-  reset_env_warnings();
-  FrameworkConfig config = small_config(37);
-  config.physical_routers = 600;
-  config.proxies = 300;
+  // kAuto escalates exactly at 100000 proxies; the explicit schemes
+  // ignore the count.
+  EXPECT_FALSE(builds_multilevel(TopologyScheme::kAuto, 99999));
+  EXPECT_TRUE(builds_multilevel(TopologyScheme::kAuto, 100000));
+  EXPECT_FALSE(builds_multilevel(TopologyScheme::kFlat, 100000));
+  EXPECT_TRUE(builds_multilevel(TopologyScheme::kMultiLevel, 80));
+  // A build follows the same decision.
+  FrameworkConfig config = small_config(31);
+  EXPECT_FALSE(HfcFramework::build(config)->is_multilevel());
   config.scheme = TopologyScheme::kMultiLevel;
-  const auto fw = HfcFramework::build(config);
-  EXPECT_EQ(env_warning_count(), 1u);
-  std::size_t largest = 0;
-  for (const ClusterId leaf : fw->topology().groups_at(1)) {
-    largest = std::max(largest, fw->topology().members(leaf).size());
-  }
-  EXPECT_LE(largest, 256u);
-  EXPECT_GT(largest, 8u);  // the fallback fanout's leaves, not 8-node ones
+  EXPECT_TRUE(HfcFramework::build(config)->is_multilevel());
 }
 
 TEST(FrameworkScheme, MultiLevelBuildIsDeterministic) {

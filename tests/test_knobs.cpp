@@ -4,10 +4,12 @@
 // mechanism that keeps the registry the single source of truth.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
@@ -42,12 +44,13 @@ const std::set<std::string>& non_knob_identifiers() {
   return allow;
 }
 
-/// Every HFC_* identifier in the scanned tree, mapped to one file that
-/// mentions it.
-std::map<std::string, std::string> scan_tree() {
-  std::map<std::string, std::string> found;
+/// The text of every .h/.cpp file under `dirs` of the source tree, keyed
+/// by path relative to the tree's root.
+std::map<std::string, std::string> read_tree(
+    std::initializer_list<const char*> dirs) {
+  std::map<std::string, std::string> files;
   const fs::path root(HFC_SOURCE_DIR);
-  for (const char* dir : {"src", "bench", "examples"}) {
+  for (const char* dir : dirs) {
     for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
       if (!entry.is_regular_file()) continue;
       const std::string ext = entry.path().extension().string();
@@ -55,29 +58,42 @@ std::map<std::string, std::string> scan_tree() {
       std::ifstream in(entry.path());
       std::stringstream buf;
       buf << in.rdbuf();
-      const std::string text = buf.str();
-      for (std::size_t pos = text.find("HFC_"); pos != std::string::npos;
-           pos = text.find("HFC_", pos + 1)) {
-        // Must not be the tail of a longer identifier.
-        if (pos > 0 && (std::isalnum(static_cast<unsigned char>(
-                            text[pos - 1])) != 0 ||
-                        text[pos - 1] == '_')) {
-          continue;
-        }
-        std::size_t end = pos + 4;
-        while (end < text.size() &&
-               (std::isupper(static_cast<unsigned char>(text[end])) != 0 ||
-                std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
-                text[end] == '_')) {
-          ++end;
-        }
-        if (end == pos + 4) continue;  // bare "HFC_" prefix of other text
-        found.emplace(text.substr(pos, end - pos),
-                      entry.path().lexically_relative(root).string());
+      files.emplace(entry.path().lexically_relative(root).string(), buf.str());
+    }
+  }
+  return files;
+}
+
+/// Every HFC_* identifier in `files`, mapped to one file that mentions it.
+std::map<std::string, std::string> scan_identifiers(
+    const std::map<std::string, std::string>& files) {
+  std::map<std::string, std::string> found;
+  for (const auto& [path, text] : files) {
+    for (std::size_t pos = text.find("HFC_"); pos != std::string::npos;
+         pos = text.find("HFC_", pos + 1)) {
+      // Must not be the tail of a longer identifier.
+      if (pos > 0 &&
+          (std::isalnum(static_cast<unsigned char>(text[pos - 1])) != 0 ||
+           text[pos - 1] == '_')) {
+        continue;
       }
+      std::size_t end = pos + 4;
+      while (end < text.size() &&
+             (std::isupper(static_cast<unsigned char>(text[end])) != 0 ||
+              std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
+              text[end] == '_')) {
+        ++end;
+      }
+      if (end == pos + 4) continue;  // bare "HFC_" prefix of other text
+      found.emplace(text.substr(pos, end - pos), path);
     }
   }
   return found;
+}
+
+/// Every HFC_* identifier in src/, bench/ and examples/.
+std::map<std::string, std::string> scan_tree() {
+  return scan_identifiers(read_tree({"src", "bench", "examples"}));
 }
 
 TEST(KnobRegistry, SortedUniqueAndWellFormed) {
@@ -104,17 +120,41 @@ TEST(KnobRegistry, FindKnob) {
 }
 
 TEST(KnobRegistry, ServingKnobsRegistered) {
-  for (const char* name : {"HFC_SERVE_SHARDS", "HFC_SERVE_CACHE",
-                           "HFC_SERVE_N", "HFC_SERVE_WAVES",
+  for (const char* name : {"HFC_SERVE_N", "HFC_SERVE_WAVES",
                            "HFC_SERVE_WAVE_REQUESTS", "HFC_SERVE_HOT"}) {
     EXPECT_NE(find_knob(name), nullptr) << name;
   }
-  const EnvKnob* shards = find_knob("HFC_SERVE_SHARDS");
-  ASSERT_NE(shards, nullptr);
-  EXPECT_EQ(std::string(shards->fallback), "16");
-  const EnvKnob* cache = find_knob("HFC_SERVE_CACHE");
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(std::string(cache->fallback), "4096");
+}
+
+// The library reads only its deployment and observability knobs; every
+// tuning value is a config field. Benches read their own sweep knobs and
+// set those fields, so no bench-scope name appears in src/ outside the
+// registry itself.
+TEST(KnobRegistry, CoreKnobsAreDeploymentOnly) {
+  std::set<std::string> core;
+  for (const EnvKnob& knob : registered_knobs()) {
+    if (std::string(knob.scope) == "core") core.insert(knob.name);
+  }
+  EXPECT_EQ(core, (std::set<std::string>{"HFC_THREADS", "HFC_TRACE",
+                                         "HFC_TRACE_BUF", "HFC_TRACE_FILE"}));
+
+  std::map<std::string, std::string> src = read_tree({"src"});
+  ASSERT_EQ(src.erase("src/util/env.cpp"), 1u);
+  for (const std::string& name : core) {
+    // A read passes the name as a string literal.
+    const std::string literal = "\"" + name + "\"";
+    const bool read = std::any_of(src.begin(), src.end(), [&](const auto& f) {
+      return f.second.find(literal) != std::string::npos;
+    });
+    EXPECT_TRUE(read) << name << " is core but never read under src/";
+  }
+  const std::map<std::string, std::string> used = scan_identifiers(src);
+  for (const EnvKnob& knob : registered_knobs()) {
+    if (std::string(knob.scope) != "bench") continue;
+    const auto it = used.find(knob.name);
+    EXPECT_TRUE(it == used.end())
+        << knob.name << " is bench-scope but appears in " << it->second;
+  }
 }
 
 TEST(KnobRegistry, TraceBufDefaultMatchesTheRing) {

@@ -8,11 +8,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "block_lattice.h"
-#include "env_guard.h"
+#include "cluster/mst.h"
 #include "overlay/hfc_topology.h"
 #include "oracle/brute_force.h"
 #include "routing/hierarchical_router.h"
@@ -672,12 +673,11 @@ TEST(BoundedFanout, ValidatesParams) {
 }
 
 // ------------------------------------------- group-local pipeline ----
-// DESIGN.md §14: building with the group-local construction pipeline
-// must yield a hierarchy byte-identical to the single global sweep —
-// same groups, same borders, same external-length doubles — for any
-// thread count, in both construction modes. The HFC_ML_PAR_MIN_N floor
-// selects the path: above n keeps the global sweep, 2 forces the
-// pipeline.
+// DESIGN.md §14: from kGroupPipelineMinPoints on, construction runs the
+// group-local pipeline, whose MST must be bit-identical to the single
+// global sweep's. The hierarchy is a function of that MST, so it must
+// match too — same groups, same borders, same external-length doubles —
+// for any thread count, in both construction modes.
 
 void expect_same_hierarchy(const HfcTopology& a,
                            const HfcTopology& b) {
@@ -711,54 +711,38 @@ void expect_same_hierarchy(const HfcTopology& a,
   }
 }
 
-/// Parameterized by spatial index kind; the k-d tree is the only one.
-class GroupPipelineHierarchyTest
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(GroupPipelineHierarchyTest, BoundedFanoutMatchesGlobalSweep) {
-  EnvGuard group("HFC_ML_PAR_GROUP", "64");
-  const std::vector<Point> pts = random_cloud(620, 3, 901);
-
-  const MultiLevelParams params = MultiLevelParams::bounded(4, 48);
-  const HfcTopology global = [&] {
-    EnvGuard global_sweep("HFC_ML_PAR_MIN_N", kAboveAnyN);
-    return HfcTopology(pts, params);
-  }();
-
-  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
-  set_global_threads(1);
-  const HfcTopology serial(pts, params);
-  set_global_threads(4);
-  const HfcTopology threaded(pts, params);
+void expect_pipeline_hierarchy(const std::vector<Point>& cloud,
+                               const MultiLevelParams& params) {
+  const PointSet pts(cloud);
+  ASSERT_TRUE(group_pipeline_enabled(pts.size()));
+  const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
+  const auto build_at = [&](std::size_t threads) {
+    set_global_threads(threads);
+    const std::vector<MstEdge> grouped = euclidean_mst(pts);
+    EXPECT_EQ(grouped.size(), global.size()) << threads << " threads";
+    for (std::size_t i = 0; i < std::min(grouped.size(), global.size());
+         ++i) {
+      EXPECT_EQ(grouped[i].a, global[i].a) << "edge " << i;
+      EXPECT_EQ(grouped[i].b, global[i].b) << "edge " << i;
+      EXPECT_EQ(grouped[i].length, global[i].length) << "edge " << i;
+    }
+    return std::make_unique<HfcTopology>(pts, params);
+  };
+  const std::unique_ptr<HfcTopology> serial = build_at(1);
+  const std::unique_ptr<HfcTopology> threaded = build_at(4);
   set_global_threads(0);
-
-  expect_same_hierarchy(global, serial);
-  expect_same_hierarchy(global, threaded);
+  expect_same_hierarchy(*serial, *threaded);
 }
 
-TEST_P(GroupPipelineHierarchyTest, FlatLevelsMatchGlobalSweep) {
-  EnvGuard group("HFC_ML_PAR_GROUP", "64");
-  const std::vector<Point> pts = random_cloud(400, 2, 902);
-
-  const MultiLevelParams params;  // legacy fixed-levels construction
-  const HfcTopology global = [&] {
-    EnvGuard global_sweep("HFC_ML_PAR_MIN_N", kAboveAnyN);
-    return HfcTopology(pts, params);
-  }();
-
-  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
-  set_global_threads(1);
-  const HfcTopology serial(pts, params);
-  set_global_threads(4);
-  const HfcTopology threaded(pts, params);
-  set_global_threads(0);
-
-  expect_same_hierarchy(global, serial);
-  expect_same_hierarchy(global, threaded);
+TEST(GroupPipelineHierarchy, BoundedFanoutMatchesGlobalSweep) {
+  expect_pipeline_hierarchy(random_cloud(9000, 3, 901),
+                            MultiLevelParams::bounded(4, 48));
 }
 
-INSTANTIATE_TEST_SUITE_P(IndexKinds, GroupPipelineHierarchyTest,
-                         ::testing::Values("kdtree"));
+TEST(GroupPipelineHierarchy, FlatLevelsMatchGlobalSweep) {
+  // The fixed-`levels` construction (group_fanout 0).
+  expect_pipeline_hierarchy(random_cloud(9000, 2, 902), MultiLevelParams{});
+}
 
 }  // namespace
 }  // namespace hfc

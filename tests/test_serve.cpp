@@ -662,9 +662,14 @@ TEST(ServeEngineDeterminism, RoutesAndCountersInvariantAcrossThreadCounts) {
 }
 
 TEST(ServeEngine, ServeKnobsFeedParams) {
-  const ServeParams defaults = ServeParams::from_env();
+  const ServeParams defaults;
   EXPECT_EQ(defaults.shards, 16u);
   EXPECT_EQ(defaults.capacity_per_shard, 4096u);
+  Rng rng(664);
+  DynamicHfcOverlay overlay(blob_universe(40, rng), random_placement(40, rng));
+  const ServingEngine engine(overlay);
+  EXPECT_EQ(engine.cache().shard_count(), 16u);
+  EXPECT_EQ(engine.cache().capacity_per_shard(), 4096u);
 }
 
 // --- torn-read hunt ----------------------------------------------------

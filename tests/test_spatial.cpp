@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/group_pipeline.h"
 #include "cluster/mst.h"
 #include "cluster/zahn.h"
 #include "distance/coord_distance.h"
@@ -27,7 +26,6 @@
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
 #include "services/service_graph.h"
-#include "env_guard.h"
 #include "oracle/full_rebuild.h"
 #include "oracle/mst.h"
 #include "oracle/nearest.h"
@@ -42,7 +40,6 @@ namespace {
 
 using oracle::brute_k_nearest;
 using oracle::brute_nearest;
-using oracle::brute_range;
 
 std::vector<Point> random_points(std::size_t n, std::size_t dim, Rng& rng,
                                  double lo = 0.0, double hi = 100.0) {
@@ -98,9 +95,6 @@ void run_index_battery() {
         expect_hit_eq(got[i], want[i]);
       }
     }
-
-    const double radius = rng.uniform_real(0.0, 80.0);
-    EXPECT_EQ(index.range(q, radius, stats), brute_range(pts, ids, q, radius));
   }
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GT(index.resident_bytes(), 0u);
@@ -879,18 +873,18 @@ TEST(GroupPipeline, DispatchHonorsKnobs) {
   Rng rng(31337);
   const PointSet pts = random_points(400, 2, rng);
   const std::vector<MstEdge> global = euclidean_mst_spatial(pts);
-  {
-    // Forced on below the default floor: the auto dispatch must route
-    // euclidean_mst through the pipeline and still match bitwise.
-    EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
-    EnvGuard group("HFC_ML_PAR_GROUP", "64");
-    EXPECT_TRUE(group_pipeline_enabled(pts.size()));
-    expect_same_edges(global, euclidean_mst(pts));
-  }
-  // Default floor: small inputs stay on the global sweep.
+  // A cell limit passed below n runs the pipeline over several cells.
+  expect_same_edges(global, euclidean_mst_grouped(pts, 64));
+  // Below the floor the dispatch stays on the global sweep.
   EXPECT_FALSE(group_pipeline_enabled(400));
+  EXPECT_FALSE(group_pipeline_enabled(8191));
   expect_same_edges(global, euclidean_mst(pts));
+  // From the floor on, euclidean_mst routes through the pipeline, here
+  // over two default-size cells, and still matches bitwise.
   EXPECT_TRUE(group_pipeline_enabled(8192));
+  const PointSet floor_pts = random_points(8192, 2, rng);
+  expect_same_edges(euclidean_mst_spatial(floor_pts),
+                    euclidean_mst(floor_pts));
 }
 
 // The Zahn cut scores edges in fixed 2048-edge blocks. It must return the
@@ -927,66 +921,6 @@ TEST(GroupPipeline, ParallelZahnCutMatchesSerial) {
       set_global_threads(0);
     }
   }
-}
-
-// The group-scoped entry points must answer over a churned, tombstone-
-// heavy set exactly as over the same subset presented alone — the seam
-// multilevel per-group repair flows through.
-TEST(GroupPipeline, SetScopedEntriesExactUnderTombstoneHeavyChurn) {
-  Rng rng(5150);
-  const PointSet pts = blob_points(10, 48, 3, rng);
-  std::vector<std::int32_t> ids(pts.size());
-  std::iota(ids.begin(), ids.end(), 0);
-  DynamicSpatialSet set;
-  set.bulk_load(pts, ids);
-  // Erase over half the set and resurrect a slice, never folding: the
-  // mutation buffers stay tombstone-heavy relative to the index.
-  for (std::size_t i = 0; i < pts.size(); i += 2) {
-    set.erase(static_cast<std::int32_t>(i));
-  }
-  for (std::size_t i = 0; i < pts.size(); i += 8) {
-    set.insert(static_cast<std::int32_t>(i));
-  }
-  const std::vector<std::int32_t> live = set.live_ids();
-  const PointSet sub = pts.subset(live);
-
-  EnvGuard par_floor("HFC_ML_PAR_MIN_N", "2");
-  EnvGuard group("HFC_ML_PAR_GROUP", "48");
-
-  set_global_threads(1);
-  const std::vector<MstEdge> mst1 = euclidean_mst_of_set(set, pts);
-  const Clustering clusters1 = cluster_set(set, pts);
-  set_global_threads(4);
-  const std::vector<MstEdge> mst4 = euclidean_mst_of_set(set, pts);
-  const Clustering clusters4 = cluster_set(set, pts);
-  set_global_threads(0);
-
-  // Oracle: the same subset solved standalone, remapped through the
-  // (ascending, order-preserving) live-id list.
-  std::vector<MstEdge> expected = euclidean_mst(sub);
-  for (MstEdge& e : expected) {
-    e.a = static_cast<std::size_t>(live[e.a]);
-    e.b = static_cast<std::size_t>(live[e.b]);
-  }
-  expect_same_edges(expected, mst1);
-  expect_same_edges(mst1, mst4);
-
-  const Clustering local = cluster_points(sub);
-  ASSERT_EQ(clusters1.cluster_count(), local.cluster_count());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(clusters1.assignment[static_cast<std::size_t>(live[i])],
-              local.assignment[i]);
-  }
-  for (std::size_t v = 0; v < pts.size(); ++v) {
-    if (!set.contains(static_cast<std::int32_t>(v))) {
-      EXPECT_FALSE(clusters1.assignment[v].valid());
-    }
-  }
-  ASSERT_EQ(clusters1.cluster_count(), clusters4.cluster_count());
-  for (std::size_t v = 0; v < pts.size(); ++v) {
-    EXPECT_EQ(clusters1.assignment[v], clusters4.assignment[v]);
-  }
-  EXPECT_EQ(clusters1.members, clusters4.members);
 }
 
 // KdTree and DynamicSpatialSet keep a pointer to their PointSet, so

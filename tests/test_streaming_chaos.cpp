@@ -8,7 +8,6 @@
 //   (c) continuity 1.0 over the fault-free tail,
 // and the whole scenario replays bit-for-bit: the same seed produces the
 // same digest on a serial run, a re-run, and a 4-thread run.
-// Also home to the HFC_STREAM_* knob negative-path tests (satellite 5).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include "sim/event_queue.h"
 #include "streaming/stream_schedule.h"
 #include "streaming/streaming_session.h"
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace hfc {
@@ -254,49 +252,6 @@ TEST_P(StreamingGoldenDigest, LazySelectionKeepsEveryByte) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingGoldenDigest,
                          ::testing::ValuesIn(kGoldenDigests));
-
-// ------------------------- knob negative paths (satellite 5) ----------
-
-class StreamKnobGuard : public ::testing::Test {
- protected:
-  void SetUp() override {
-    unsetenv("HFC_STREAM_MODE");
-    unsetenv("HFC_STREAM_REPAIR_BUDGET");
-    reset_env_warnings();
-  }
-  void TearDown() override {
-    unsetenv("HFC_STREAM_MODE");
-    unsetenv("HFC_STREAM_REPAIR_BUDGET");
-    reset_env_warnings();
-  }
-};
-
-TEST_F(StreamKnobGuard, ModeKnobParsesBothStrategies) {
-  EXPECT_EQ(stream_mode_from_env(), StreamMode::kLocating);  // unset
-  setenv("HFC_STREAM_MODE", "locating", 1);
-  EXPECT_EQ(stream_mode_from_env(), StreamMode::kLocating);
-  setenv("HFC_STREAM_MODE", "clique", 1);
-  EXPECT_EQ(stream_mode_from_env(), StreamMode::kClique);
-  EXPECT_EQ(env_warning_count(), 0u);
-}
-
-TEST_F(StreamKnobGuard, MalformedModeWarnsOnceAndFallsBack) {
-  setenv("HFC_STREAM_MODE", "multicastish", 1);
-  EXPECT_EQ(stream_mode_from_env(), StreamMode::kLocating);
-  EXPECT_EQ(env_warning_count(), 1u);
-  EXPECT_EQ(stream_mode_from_env(), StreamMode::kLocating);
-  EXPECT_EQ(env_warning_count(), 1u) << "warning must fire once per name";
-}
-
-TEST_F(StreamKnobGuard, MalformedRepairBudgetWarnsAndFallsBack) {
-  setenv("HFC_STREAM_REPAIR_BUDGET", "-3", 1);
-  EXPECT_EQ(env_size_t("HFC_STREAM_REPAIR_BUDGET", 8), 8u);
-  EXPECT_EQ(env_warning_count(), 1u);
-  setenv("HFC_STREAM_REPAIR_BUDGET", "6", 1);
-  reset_env_warnings();
-  EXPECT_EQ(env_size_t("HFC_STREAM_REPAIR_BUDGET", 8), 6u);
-  EXPECT_EQ(env_warning_count(), 0u);
-}
 
 }  // namespace
 }  // namespace hfc

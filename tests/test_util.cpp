@@ -224,9 +224,9 @@ TEST(Stats, RunningStatEmpty) {
 
 // ------------------------------------------------------------ env knobs ----
 // Negative paths of the HFC_* environment parsing (HFC_THREADS,
-// HFC_DIST_CACHE_ROWS, HFC_CHURN_BATCH, HFC_SCT_TTL all route through
-// these): malformed input falls back to the documented default with
-// exactly one warning per variable name.
+// HFC_TRACE_BUF and the bench knobs all route through these): malformed
+// input falls back to the documented default with exactly one warning
+// per variable name.
 
 class EnvKnobTest : public ::testing::Test {
  protected:
@@ -282,7 +282,7 @@ TEST_F(EnvKnobTest, BelowMinimumFallsBack) {
   ::setenv(kName, "0", 1);
   EXPECT_EQ(env_size_t(kName, 7, /*min_value=*/1), 7u);
   EXPECT_EQ(env_warning_count(), 1u);
-  // With min_value 0 (HFC_SCT_TTL-style: 0 = disabled) it is accepted.
+  // With min_value 0 (for knobs where 0 means disabled) it is accepted.
   reset_env_warnings();
   EXPECT_EQ(env_size_t(kName, 7, /*min_value=*/0), 0u);
   EXPECT_EQ(env_u64(kName, 42), 0u);

@@ -11,10 +11,14 @@
 // oracle (tests/oracle/full_rebuild.h: routing state rebuilt from scratch
 // before every probe), and we report events/sec for both. Knobs: HFC_CHURN_N (single size override), HFC_CHURN_EVENTS
 // (stream length per size, default 320), HFC_CHURN_BATCH (events per
-// apply() batch, default 16). BENCH_churn_dynamic.json carries the
-// events/sec and speedup numbers plus the registry snapshot
+// apply() batch, default 16). The incremental run also reports its border
+// repair work: full closest-pair rescans, add-scans (pairs whose staged
+// additions were queried) and box rejects (additions settled by the other
+// cluster's bounding box without a query). BENCH_churn_dynamic.json
+// carries the events/sec and speedup numbers plus the registry snapshot
 // (churn.events / churn.border_rescans / churn.full_rebuilds ...).
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -22,6 +26,7 @@
 #include "bench/common.h"
 #include "core/experiment.h"
 #include "dynamic/dynamic_overlay.h"
+#include "obs/metrics.h"
 #include "tests/oracle/full_rebuild.h"
 #include "util/stats.h"
 
@@ -117,12 +122,26 @@ ChurnStream make_stream(Rng rng, const std::vector<Point>& pts,
   return stream;
 }
 
+/// What the incremental engine did over one stream.
+struct IncrementalRun {
+  double events_per_sec = 0.0;
+  std::uint64_t rescans = 0;      ///< churn.border_rescans
+  std::uint64_t add_scans = 0;    ///< churn.border_add_scans
+  std::uint64_t box_rejects = 0;  ///< churn.border_box_rejects
+};
+
 /// Replay the stream through the incremental engine: apply each batch,
-/// then route its probe. Returns events/sec.
-double run_incremental(const std::vector<Point>& pts,
-                       const ServicePlacement& placement,
-                       const ChurnStream& stream) {
+/// then route its probe.
+IncrementalRun run_incremental(const std::vector<Point>& pts,
+                               const ServicePlacement& placement,
+                               const ChurnStream& stream) {
   DynamicHfcOverlay overlay(pts, placement);
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& rescans = registry.counter("churn.border_rescans");
+  obs::Counter& add_scans = registry.counter("churn.border_add_scans");
+  obs::Counter& box_rejects = registry.counter("churn.border_box_rejects");
+  IncrementalRun run{0.0, rescans.value(), add_scans.value(),
+                     box_rejects.value()};
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t b = 0; b < stream.batches.size(); ++b) {
     (void)overlay.apply(stream.batches[b]);
@@ -131,7 +150,11 @@ double run_incremental(const std::vector<Point>& pts,
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return static_cast<double>(stream.events) / seconds;
+  run.events_per_sec = static_cast<double>(stream.events) / seconds;
+  run.rescans = rescans.value() - run.rescans;
+  run.add_scans = add_scans.value() - run.add_scans;
+  run.box_rejects = box_rejects.value() - run.box_rejects;
+  return run;
 }
 
 /// Replay the stream with a from-scratch rebuild of the overlay network,
@@ -168,19 +191,25 @@ void churn_engine_comparison(benchutil::BenchJson& bench) {
 
   std::cout << "\nIncremental churn engine vs full rebuild (" << events
             << " events per size, batch " << batch << ")\n";
-  std::cout << format_row({"n", "inc ev/s", "full ev/s", "speedup"}) << "\n";
+  std::cout << format_row({"n", "inc ev/s", "full ev/s", "speedup", "rescans",
+                           "add-scans", "box rejects"})
+            << "\n";
   for (const std::size_t n : sizes) {
     Rng rng(8300 + n);
     const std::vector<Point> pts = blob_universe(rng, n);
     const ServicePlacement placement = random_placement(rng, n);
     const ChurnStream stream = make_stream(rng.fork(2), pts, events, batch);
 
-    const double inc = run_incremental(pts, placement, stream);
+    const IncrementalRun run = run_incremental(pts, placement, stream);
+    const double inc = run.events_per_sec;
     const double full = run_full_rebuild(pts, placement, stream);
     const double speedup = inc / full;
     std::cout << format_row({std::to_string(n), benchutil::fmt(inc, 0),
                              benchutil::fmt(full, 0),
-                             benchutil::fmt(speedup, 1) + "x"})
+                             benchutil::fmt(speedup, 1) + "x",
+                             std::to_string(run.rescans),
+                             std::to_string(run.add_scans),
+                             std::to_string(run.box_rejects)})
               << "\n";
     const std::string suffix = "_n" + std::to_string(n);
     bench.note("events_per_sec_incremental" + suffix, inc);

@@ -3,14 +3,17 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "cluster/median_partition.h"
 #include "distance/distance_service.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "spatial/spatial_index.h"
 #include "util/require.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -258,17 +261,21 @@ void HfcTopology::add_group(std::size_t level, std::vector<ClusterId> children,
 void HfcTopology::finish_tree() {
   rank_.assign(groups_.size(), 0);
   row_.assign(groups_.size(), 0);
+  column_.assign(groups_.size(), 0);
   std::size_t table = 0;
+  std::size_t triangle = 0;
   for (const HierarchyGroup& parent : groups_) {
     const std::size_t k = parent.children.size();
     for (std::size_t i = 0; i < k; ++i) {
       rank_[parent.children[i].idx()] = i;
       row_[parent.children[i].idx()] = table + i * k;
+      column_[parent.children[i].idx()] = triangle + i * (i - 1) / 2;
     }
     table += k * k;
+    triangle += k * (k - 1) / 2;
   }
   border_.assign(table, NodeId{});
-  if (!distance_) length_.assign(table, 0.0);
+  length_.assign(triangle, 0.0);
   const std::size_t c = clustering_.cluster_count();
   live_.assign(c, true);
   live_count_ = c;
@@ -340,7 +347,7 @@ void HfcTopology::build_borders(const OverlayDistance& distance,
       visited.add(qs.nodes_visited);
       border_[slot(a, b)] = pick.in_a;
       border_[slot(b, a)] = pick.in_b;
-      if (!length_.empty()) length_[slot(a, b)] = pick.dist;
+      length_[length_slot(a, b)] = pick.dist;
     });
   }
 
@@ -398,18 +405,9 @@ NodeId HfcTopology::border(ClusterId from, ClusterId toward) const {
   return border_[slot(from.idx(), toward.idx())];
 }
 
-double HfcTopology::pair_length(std::size_t lo, std::size_t hi) const {
-  // Derived on demand where a distance is held: same functor, same border
-  // pair as at build time, so the value is bit-equal to a stored one.
-  if (length_.empty()) {
-    return distance_(border_[slot(lo, hi)], border_[slot(hi, lo)]);
-  }
-  return length_[slot(lo, hi)];
-}
-
 double HfcTopology::external_length(ClusterId a, ClusterId b) const {
   (void)border(a, b);  // validates a distinct sibling pair
-  return a < b ? pair_length(a.idx(), b.idx()) : pair_length(b.idx(), a.idx());
+  return length_[length_slot(a.idx(), b.idx())];
 }
 
 CspLink HfcTopology::link(ClusterId from, ClusterId toward) const {
@@ -426,7 +424,7 @@ CspLink HfcTopology::link(ClusterId from, ClusterId toward) const {
     return {};
   }
   return {border_[slot(f, t)], border_[slot(t, f)],
-          f < t ? pair_length(f, t) : pair_length(t, f), true};
+          length_[length_slot(f, t)], true};
 }
 
 bool HfcTopology::is_border(NodeId node) const {
@@ -553,7 +551,7 @@ std::size_t HfcTopology::service_state_count(NodeId node) const {
 }
 
 std::size_t HfcTopology::spatial_resident_bytes() const {
-  std::size_t bytes = 0;
+  std::size_t bytes = boxes_.capacity() * sizeof(double);
   for (const DynamicSpatialSet& s : cluster_sets_) {
     bytes += s.resident_bytes();
   }
@@ -574,7 +572,8 @@ std::size_t HfcTopology::resident_bytes() const {
   for (const std::vector<ClusterId>& lvl : level_groups_) {
     bytes += lvl.capacity() * sizeof(ClusterId);
   }
-  bytes += (rank_.capacity() + row_.capacity()) * sizeof(std::size_t) +
+  bytes += (rank_.capacity() + row_.capacity() + column_.capacity()) *
+               sizeof(std::size_t) +
            border_.capacity() * sizeof(NodeId) +
            length_.capacity() * sizeof(double) +
            border_refs_.capacity() * sizeof(std::uint32_t);
@@ -596,6 +595,7 @@ std::unique_ptr<HfcTopology> HfcTopology::clone_frozen(
   copy->inner_members_ = inner_members_;
   copy->rank_ = rank_;
   copy->row_ = row_;
+  copy->column_ = column_;
   copy->border_ = border_;
   copy->length_ = length_;
   copy->border_refs_ = border_refs_;
@@ -625,24 +625,21 @@ void HfcTopology::override_border_pair(ClusterId a, ClusterId b, NodeId in_a,
           "HfcTopology::override_border_pair: in_b not a member of b");
   set_border(a.idx(), b.idx(), in_a);
   set_border(b.idx(), a.idx(), in_b);
+  length_[length_slot(a.idx(), b.idx())] =
+      a < b ? distance_(in_a, in_b) : distance_(in_b, in_a);
 }
 
 // ---------------------------------------------------------------------
 // Incremental membership maintenance (DESIGN.md §9).
 
 void HfcTopology::require_mutable(const char* what) const {
-  // Stored lengths mark a topology built from coordinates: it holds no
-  // distance to repair pairs under.
-  if (levels() != 1 || !length_.empty()) {
+  // A topology built from coordinates holds no distance to repair pairs
+  // under.
+  if (levels() != 1 || !distance_) {
     throw std::invalid_argument(
         std::string(what) + ": needs a one-level topology built over a "
         "distance");
   }
-}
-
-std::size_t HfcTopology::pair_key(std::size_t a, std::size_t b) const {
-  const std::size_t c = clustering_.cluster_count();
-  return a < b ? a * c + b : b * c + a;
 }
 
 void HfcTopology::set_border(std::size_t from, std::size_t toward,
@@ -670,8 +667,10 @@ void HfcTopology::kill_cluster(std::size_t cluster) {
     set_border(cluster, o, NodeId{});
     set_border(o, cluster, NodeId{});
   }
-  touched_.erase(cluster);
-  staged_adds_.erase(cluster);
+  if (cluster < staged_.size()) {
+    staged_[cluster].adds.clear();
+    staged_[cluster].rescans.clear();
+  }
 }
 
 void HfcTopology::append_node() {
@@ -692,11 +691,16 @@ void HfcTopology::on_member_added(NodeId node, ClusterId cluster) {
   std::vector<NodeId>& ms = clustering_.members[cluster.idx()];
   ms.insert(std::lower_bound(ms.begin(), ms.end(), node), node);
   clustering_.assignment[node.idx()] = cluster;
-  if (spatial_active()) cluster_sets_[cluster.idx()].insert(node.value());
+  if (spatial_active()) {
+    cluster_sets_[cluster.idx()].insert(node.value());
+    if (!boxes_.empty()) {
+      double* box = &boxes_[cluster.idx() * 2 * coords_->dim()];
+      widen_box(box, box + coords_->dim(), (*coords_)[node.idx()]);
+    }
+  }
   ++generation_[cluster.idx()];
   ++structure_generation_;
-  touched_.insert(cluster.idx());
-  staged_adds_[cluster.idx()].push_back(node);
+  stage(cluster.idx()).adds.push_back(node);
   if (!in_batch_) repair_staged();
 }
 
@@ -713,21 +717,19 @@ void HfcTopology::on_member_removed(NodeId node) {
   if (spatial_active()) cluster_sets_[ci].erase(node.value());
   ++generation_[ci];
   ++structure_generation_;
+  Staged& staged = stage(ci);
   // If the node joined earlier in this batch it is no longer an add.
-  if (const auto it = staged_adds_.find(ci); it != staged_adds_.end()) {
-    std::vector<NodeId>& adds = it->second;
-    adds.erase(std::remove(adds.begin(), adds.end(), node), adds.end());
-  }
+  std::erase(staged.adds, node);
   if (ms.empty()) {
     kill_cluster(ci);
-  } else {
-    touched_.insert(ci);
+  } else if (border_refs_[node.idx()] > 0) {
     // A removed border node invalidates its pair's stored closest pair;
     // removing any other member leaves the pair's argmin intact.
-    const std::size_t c = clustering_.cluster_count();
-    for (std::size_t o = 0; o < c; ++o) {
-      if (o == ci || !live_[o]) continue;
-      if (border_[slot(ci, o)] == node) full_pairs_.insert(pair_key(ci, o));
+    for (const ClusterId sibling : groups_[root_.idx()].children) {
+      const std::size_t o = sibling.idx();
+      if (o != ci && live_[o] && border_[slot(ci, o)] == node) {
+        staged.rescans.push_back(o);
+      }
     }
   }
   if (!in_batch_) repair_staged();
@@ -745,74 +747,153 @@ void HfcTopology::end_mutation_batch() {
   repair_staged();
 }
 
-void HfcTopology::repair_staged() {
-  if (touched_.empty() && full_pairs_.empty()) {
-    staged_adds_.clear();
-    return;
+HfcTopology::Staged& HfcTopology::stage(std::size_t cluster) {
+  if (staged_.empty()) staged_.resize(clustering_.cluster_count());
+  Staged& staged = staged_[cluster];
+  if (!staged.touched) {
+    staged.touched = true;
+    touched_.push_back(cluster);
   }
-  HFC_TRACE_SPAN("churn.repair_borders");
-  const std::size_t c = clustering_.cluster_count();
+  return staged;
+}
 
-  // Distinct live cluster pairs needing work: a pair repairs when either
-  // side gained members or its stored border was removed.
-  const auto has_adds = [this](std::size_t cluster) {
-    const auto it = staged_adds_.find(cluster);
-    return it != staged_adds_.end() && !it->second.empty();
-  };
-  std::vector<std::size_t> pairs;
-  std::unordered_set<std::size_t> seen;
+std::vector<HfcTopology::PairWork> HfcTopology::staged_pairs() const {
+  // Pairs whose stored border node left: few, so a sorted list.
+  std::vector<std::pair<std::size_t, std::size_t>> rescans;
   for (const std::size_t t : touched_) {
     if (!live_[t]) continue;
-    for (std::size_t o = 0; o < c; ++o) {
-      if (o == t || !live_[o]) continue;
-      const std::size_t key = pair_key(t, o);
-      if (!full_pairs_.contains(key) && !has_adds(t) && !has_adds(o)) {
-        continue;  // O(1): a non-border leave does not move the pair
-      }
-      if (seen.insert(key).second) pairs.push_back(key);
+    for (const std::size_t o : staged_[t].rescans) {
+      if (live_[o]) rescans.emplace_back(std::min(t, o), std::max(t, o));
     }
   }
-  std::sort(pairs.begin(), pairs.end());
+  std::sort(rescans.begin(), rescans.end());
+  rescans.erase(std::unique(rescans.begin(), rescans.end()), rescans.end());
 
-  // Fold mutation buffers into the per-cluster indexes *before* the
-  // parallel fan-out below — queries are const and never rebuild, so
-  // this serial point is the only place set structure may change.
-  if (spatial_active()) {
-    for (const std::size_t key : pairs) {
-      cluster_sets_[key / c].maybe_rebuild();
-      cluster_sets_[key % c].maybe_rebuild();
+  const auto gained = [this](std::size_t g) {
+    return !staged_[g].adds.empty();
+  };
+  std::vector<PairWork> work;
+  for (const std::size_t t : touched_) {
+    if (!live_[t] || !gained(t)) continue;
+    const HierarchyGroup& parent = groups_[groups_[t].parent.idx()];
+    for (const ClusterId sibling : parent.children) {
+      const std::size_t o = sibling.idx();
+      // A pair of two gaining clusters is the lower one's.
+      if (o == t || !live_[o] || (gained(o) && o < t)) continue;
+      const std::size_t a = std::min(t, o);
+      const std::size_t b = std::max(t, o);
+      work.push_back(PairWork{
+          a, b, std::binary_search(rescans.begin(), rescans.end(),
+                                   std::make_pair(a, b))});
     }
+  }
+  for (const auto& [a, b] : rescans) {
+    if (!gained(a) && !gained(b)) work.push_back(PairWork{a, b, true});
+  }
+  return work;
+}
+
+void HfcTopology::build_boxes() {
+  const std::size_t dim = coords_->dim();
+  boxes_.resize(clustering_.cluster_count() * 2 * dim);
+  for (std::size_t c = 0; c < clustering_.cluster_count(); ++c) {
+    double* box = &boxes_[c * 2 * dim];
+    std::fill(box, box + dim, std::numeric_limits<double>::infinity());
+    std::fill(box + dim, box + 2 * dim,
+              -std::numeric_limits<double>::infinity());
+    for (const NodeId m : clustering_.members[c]) {
+      widen_box(box, box + dim, (*coords_)[m.idx()]);
+    }
+  }
+}
+
+bool HfcTopology::beyond_box(NodeId node, std::size_t cluster,
+                             double bound) const {
+  const double* box = &boxes_[cluster * 2 * coords_->dim()];
+  return box_distance(box, box + coords_->dim(), (*coords_)[node.idx()]) >
+         bound;
+}
+
+bool HfcTopology::adds_beyond_boxes(const PairWork& work,
+                                    std::uint64_t& rejects) const {
+  if (!border_[slot(work.a, work.b)].valid()) return false;  // no incumbent
+  const double length = length_[length_slot(work.a, work.b)];
+  const auto beyond = [&](std::size_t from, std::size_t toward) {
+    for (const NodeId x : staged_[from].adds) {
+      if (!beyond_box(x, toward, length)) return false;
+    }
+    return true;
+  };
+  if (!beyond(work.a, work.b) || !beyond(work.b, work.a)) return false;
+  rejects += staged_[work.a].adds.size() + staged_[work.b].adds.size();
+  return true;
+}
+
+void HfcTopology::repair_staged() {
+  if (touched_.empty()) return;
+  HFC_TRACE_SPAN("churn.repair_borders");
+
+  // Fold each touched cluster's mutation buffers into its index once,
+  // before the parallel fan-out below — queries are const and never
+  // rebuild, so this serial point is the only place set structure may
+  // change. An untouched set was folded in the batch that last touched it.
+  if (spatial_active()) {
+    for (const std::size_t t : touched_) {
+      if (live_[t]) cluster_sets_[t].maybe_rebuild();
+    }
+    if (boxes_.empty()) build_boxes();
   }
 
   static obs::Counter& rescans =
       obs::MetricsRegistry::global().counter("churn.border_rescans");
   static obs::Counter& add_scans =
       obs::MetricsRegistry::global().counter("churn.border_add_scans");
+  static obs::Counter& box_rejects =
+      obs::MetricsRegistry::global().counter("churn.border_box_rejects");
   static obs::Counter& visited =
       obs::MetricsRegistry::global().counter("spatial.nodes_visited");
+
+  // An add-only pair whose additions all lie beyond the other side's box
+  // keeps its incumbent without a query; only the rest fan out. Without
+  // spatial sets there are no boxes.
+  std::vector<PairWork> work = staged_pairs();
+  std::uint64_t rejected = 0;
+  if (spatial_active()) {
+    std::erase_if(work, [&](const PairWork& w) {
+      return !w.rescan && adds_beyond_boxes(w, rejected);
+    });
+  }
 
   // Each task owns one cluster pair and writes only its own output slot;
   // the shared border table and reference counts are applied serially
   // afterwards.
-  std::vector<PairChoice> out(pairs.size());
-  parallel_for(pairs.size(), 1, [&](std::size_t i) {
-    const std::size_t a = pairs[i] / c;
-    const std::size_t b = pairs[i] % c;
+  std::vector<PairChoice> out(work.size());
+  parallel_for(work.size(), 1, [&](std::size_t i) {
+    const std::size_t a = work[i].a;
+    const std::size_t b = work[i].b;
     QueryStats qs;
     out[i] = choose_border_pair(group_id(a), group_id(b), side(a), side(b),
-                                distance_, full_pairs_.contains(pairs[i]), qs);
-    if (out[i].scan == PairScan::kFull) rescans.add(1);
-    if (out[i].scan == PairScan::kAdds) add_scans.add(1);
+                                distance_, work[i].rescan, qs);
     visited.add(qs.nodes_visited);
   });
 
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    set_border(pairs[i] / c, pairs[i] % c, out[i].in_a);
-    set_border(pairs[i] % c, pairs[i] / c, out[i].in_b);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    const std::size_t a = work[i].a;
+    const std::size_t b = work[i].b;
+    if (out[i].scan == PairScan::kFull) rescans.add(1);
+    if (out[i].scan == PairScan::kAdds) add_scans.add(1);
+    rejected += out[i].box_rejects;
+    set_border(a, b, out[i].in_a);
+    set_border(b, a, out[i].in_b);
+    length_[length_slot(a, b)] = out[i].dist;
   }
-  staged_adds_.clear();
+  box_rejects.add(rejected);
+  for (const std::size_t t : touched_) {
+    staged_[t].adds.clear();
+    staged_[t].rescans.clear();
+    staged_[t].touched = false;
+  }
   touched_.clear();
-  full_pairs_.clear();
 }
 
 PairSide HfcTopology::side(std::size_t group) const {
@@ -832,45 +913,86 @@ HfcTopology::PairChoice HfcTopology::choose_border_pair(
       // Deterministic pseudo-random pick keyed on the cluster pair, so
       // the ablation does not need to thread an Rng through here.
       const std::uint64_t h = splitmix64((a.idx() << 20) ^ b.idx());
-      return PairChoice{xs[h % xs.size()], ys[(h >> 20) % ys.size()]};
+      const NodeId x = xs[h % xs.size()];
+      const NodeId y = ys[(h >> 20) % ys.size()];
+      return PairChoice{x, y, PairScan::kNone, distance(x, y)};
     }
     case BorderSelection::kSingleHub:
       // Each cluster's lowest node id is its hub for every external link
       // — the classic "one logical node" aggregation the paper argues
       // against.
-      return PairChoice{xs.front(), ys.front()};
+      return PairChoice{xs.front(), ys.front(), PairScan::kNone,
+                        distance(xs.front(), ys.front())};
   }
   const NodeId cur_x = border_[slot(a.idx(), b.idx())];
   const NodeId cur_y = border_[slot(b.idx(), a.idx())];
   if (rescan || !cur_x.valid()) {
-    const BcpResult r = closest_pair(side_a, side_b, distance, stats);
+    // An end of the stored pair that is still a member, with its nearest
+    // member across, is a real pair: it seeds the index search's bound.
+    // (A scan visits every pair whatever its bound.)
+    BcpResult seed;
+    const auto still_in = [&](NodeId end, ClusterId cluster) {
+      return side_a.set != nullptr && side_b.set != nullptr && end.valid() &&
+             clustering_.assignment[end.idx()] == cluster;
+    };
+    if (still_in(cur_x, a)) {
+      const SpatialHit hit = nearest_member(
+          cur_x, side_b, std::numeric_limits<double>::infinity(), distance,
+          stats);
+      if (hit.found()) seed = BcpResult{cur_x.value(), hit.id, hit.dist};
+    }
+    if (still_in(cur_y, b)) {
+      const auto to_b = [&distance](NodeId y, NodeId x) {
+        return distance(x, y);
+      };
+      const SpatialHit hit = nearest_member(
+          cur_y, side_a, std::numeric_limits<double>::infinity(), to_b, stats);
+      if (hit.found() &&
+          std::tuple(hit.dist, hit.id, cur_y.value()) <
+              std::tuple(seed.dist, seed.x, seed.y)) {
+        seed = BcpResult{hit.id, cur_y.value(), hit.dist};
+      }
+    }
+    const BcpResult r =
+        closest_pair(side_a, side_b, distance, stats, AcceptAll{}, seed);
     ensure(r.found(), "HfcTopology: border selection failed");
     return PairChoice{NodeId(r.x), NodeId(r.y), PairScan::kFull, r.dist};
   }
   // The incumbent pair is still the argmin over the surviving old
   // members; only the additions can beat it, one nearest-member query
   // per added node in staged order. Each query keeps only a strictly
-  // closer member, so a tie never displaces the incumbent.
-  BcpResult best{cur_x.value(), cur_y.value(), distance(cur_x, cur_y)};
-  if (const auto it = staged_adds_.find(a.idx()); it != staged_adds_.end()) {
-    for (const NodeId x : it->second) {
-      const SpatialHit hit =
-          nearest_member(x, side_b, best.dist, distance, stats);
-      if (hit.found()) best = BcpResult{x.value(), hit.id, hit.dist};
+  // closer member, so a tie never displaces the incumbent, and an
+  // addition beyond the other side's box cannot beat it.
+  PairChoice best{cur_x, cur_y, PairScan::kAdds,
+                  length_[length_slot(a.idx(), b.idx())]};
+  for (const NodeId x : staged_[a.idx()].adds) {
+    if (spatial_active() && beyond_box(x, b.idx(), best.dist)) {
+      ++best.box_rejects;
+      continue;
+    }
+    const SpatialHit hit =
+        nearest_member(x, side_b, best.dist, distance, stats);
+    if (hit.found()) {
+      best.in_a = x;
+      best.in_b = NodeId(hit.id);
+      best.dist = hit.dist;
     }
   }
-  if (const auto it = staged_adds_.find(b.idx()); it != staged_adds_.end()) {
-    // Added nodes of b are the scan's `q`; keep distance's (a, b) order.
-    const auto to_b = [&distance](NodeId y, NodeId x) {
-      return distance(x, y);
-    };
-    for (const NodeId y : it->second) {
-      const SpatialHit hit =
-          nearest_member(y, side_a, best.dist, to_b, stats);
-      if (hit.found()) best = BcpResult{hit.id, y.value(), hit.dist};
+  // Added nodes of b are the scan's `q`; keep distance's (a, b) order.
+  const auto to_b = [&distance](NodeId y, NodeId x) { return distance(x, y); };
+  for (const NodeId y : staged_[b.idx()].adds) {
+    if (spatial_active() && beyond_box(y, a.idx(), best.dist)) {
+      ++best.box_rejects;
+      continue;
+    }
+    const SpatialHit hit = nearest_member(y, side_a, best.dist, to_b, stats);
+    if (hit.found()) {
+      best.in_a = NodeId(hit.id);
+      best.in_b = y;
+      best.dist = hit.dist;
     }
   }
-  return PairChoice{NodeId(best.x), NodeId(best.y), PairScan::kAdds};
+  return best;
 }
 
 }  // namespace hfc

@@ -39,8 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/zahn.h"
@@ -225,8 +223,10 @@ class HfcTopology {
 
   /// `node` (currently unclustered) joins `cluster` (which must be live).
   /// Outside a batch, the C−1 border pairs involving `cluster` are
-  /// repaired immediately by scanning only the new node against each other
-  /// cluster; inside a batch the repair is deferred and coalesced.
+  /// repaired immediately by testing only the new node against each other
+  /// cluster — its box first, a nearest query only where the box cannot
+  /// rule a closer pair out; inside a batch the repair is deferred and
+  /// coalesced.
   void on_member_added(NodeId node, ClusterId cluster);
 
   /// `node` leaves its cluster. A non-border leave costs O(C) slot checks;
@@ -253,8 +253,7 @@ class HfcTopology {
   [[nodiscard]] NodeId border(ClusterId from, ClusterId toward) const;
 
   /// Length of the external link between the border pair of two distinct
-  /// siblings. In a topology built over a distance it is derived on demand
-  /// from the stored functor — no length matrix is materialized.
+  /// siblings, as stored when the pair was chosen.
   [[nodiscard]] double external_length(ClusterId a, ClusterId b) const;
 
   [[nodiscard]] bool is_border(NodeId node) const;
@@ -300,8 +299,9 @@ class HfcTopology {
 
   /// Deep-copy the routing-relevant state into a standalone frozen
   /// topology for snapshot publication (src/serve, DESIGN.md §12): the
-  /// tree, border table + reference counts, liveness and the generation
-  /// stamps are all copied; the distance functor is rebound to `distance`
+  /// tree, border and length tables + reference counts, liveness and the
+  /// generation stamps are all copied; the distance functor is rebound to
+  /// `distance`
   /// (the snapshot owns its own coordinate tier, so the clone has no
   /// lifetime tie to this topology's service). Spatial acceleration is
   /// deliberately dropped — a frozen clone never mutates, and spatial
@@ -367,12 +367,15 @@ class HfcTopology {
   /// BorderSelection switch, shared by the construction sweep and
   /// repair_staged. kClosestPair scans the whole pair when `rescan` is set
   /// or no pair is stored; otherwise only the staged additions challenge
-  /// the stored pair. `scan` says which (kNone for the ablation rules).
+  /// the stored pair, each skipped when the other side's box lies beyond
+  /// the best length so far. `scan` says which (kNone for the ablation
+  /// rules).
   enum class PairScan { kNone, kFull, kAdds };
   struct PairChoice {
     NodeId in_a, in_b;
     PairScan scan = PairScan::kNone;
-    double dist = 0;  ///< kFull: distance(in_a, in_b)
+    double dist = 0;  ///< distance(in_a, in_b)
+    std::uint64_t box_rejects = 0;  ///< kAdds: additions the box skipped
   };
   [[nodiscard]] PairChoice choose_border_pair(ClusterId a, ClusterId b,
                                               PairSide side_a,
@@ -387,24 +390,60 @@ class HfcTopology {
   [[nodiscard]] std::size_t slot(std::size_t from, std::size_t toward) const {
     return row_[from] + rank_[toward];
   }
-  /// Length of the link between siblings lo < hi: derived from distance_
-  /// unless stored.
-  [[nodiscard]] double pair_length(std::size_t lo, std::size_t hi) const;
+  /// The length_ slot of two distinct siblings, in either order.
+  [[nodiscard]] std::size_t length_slot(std::size_t a, std::size_t b) const {
+    return rank_[a] < rank_[b] ? column_[b] + rank_[a]
+                               : column_[a] + rank_[b];
+  }
   /// Visit the nodes after `a` on the hop path from `a` to `b`, in order.
   template <typename Visit>
   void walk(NodeId a, NodeId b, const Visit& visit) const;
   /// Throw unless the topology supports incremental maintenance: one
-  /// level, lengths derived from a distance.
+  /// level, built over a distance.
   void require_mutable(const char* what) const;
-  /// Key identifying the unordered cluster pair {a, b} in repair staging.
-  [[nodiscard]] std::size_t pair_key(std::size_t a, std::size_t b) const;
   /// Overwrite border(from, toward), maintaining the per-node reference
   /// counts and both clusters' border epochs.
   void set_border(std::size_t from, std::size_t toward, NodeId node);
   /// Kill an emptied cluster: clear every border pair involving it.
   void kill_cluster(std::size_t cluster);
+
+  /// Membership changes of one cluster slot, staged for repair.
+  struct Staged {
+    /// Nodes added to the cluster that are still members, in staged order.
+    std::vector<NodeId> adds;
+    /// Siblings whose stored border pair with this cluster lost its node
+    /// here: those pairs rescan in full.
+    std::vector<std::size_t> rescans;
+    bool touched = false;
+  };
+  /// One sibling pair a batch revisits, a < b.
+  struct PairWork {
+    std::size_t a = 0;
+    std::size_t b = 0;
+    bool rescan = false;
+  };
+  /// `cluster`'s staging slot, marking the cluster touched.
+  Staged& stage(std::size_t cluster);
+  /// The live sibling pairs the staged changes can move, by touched row:
+  /// every pair of a cluster that gained members, and every pair whose
+  /// stored border node left. Each pair once.
+  [[nodiscard]] std::vector<PairWork> staged_pairs() const;
+  /// True when `cluster`'s member box lies strictly farther than `bound`
+  /// from `node` — the inclusive `>` rule KdTree::search prunes by, so at
+  /// an equal distance a query must still run. Spatial topologies only,
+  /// after build_boxes().
+  [[nodiscard]] bool beyond_box(NodeId node, std::size_t cluster,
+                                double bound) const;
+  /// Size boxes_ and fit each cluster slot's box to its members.
+  void build_boxes();
+  /// True when no staged addition of either side of an add-only pair can
+  /// beat its stored length: each lies beyond the other side's box.
+  /// Counts the additions tested into `rejects` when so.
+  [[nodiscard]] bool adds_beyond_boxes(const PairWork& work,
+                                       std::uint64_t& rejects) const;
   /// Repair the border pairs invalidated by staged membership changes,
-  /// one parallel task per affected cluster pair, then clear the staging.
+  /// one parallel task per pair the boxes do not settle, then clear the
+  /// staging.
   void repair_staged();
 
   Clustering clustering_;
@@ -424,10 +463,15 @@ class HfcTopology {
   /// border_[row_[from] + rank_[toward]]. One-level: border_[from*C+toward].
   std::vector<std::size_t> rank_;
   std::vector<std::size_t> row_;
+  /// Per group: the offset of its column in the parent's length triangle,
+  /// so siblings a, b with rank_[a] < rank_[b] keep their link length at
+  /// length_[column_[b] + rank_[a]].
+  std::vector<std::size_t> column_;
   /// Every parent's k x k sibling table, parents in id order.
   std::vector<NodeId> border_;
-  /// Stored link lengths at the (lower id, higher id) slots, when there is
-  /// no distance to derive them from.
+  /// Every parent's k (k - 1) / 2 link lengths, beside border_: the
+  /// distance between the pair's border nodes, from the lower id's end,
+  /// stored whenever the pair is chosen.
   std::vector<double> length_;
   /// Per node: number of border slots currently pointing at it (a node is
   /// a border iff its count is non-zero).
@@ -446,12 +490,10 @@ class HfcTopology {
   /// Mutation staging (between begin/end_mutation_batch, or for the
   /// single-event immediate-repair path).
   bool in_batch_ = false;
-  /// Clusters whose membership changed, with the nodes added to them that
-  /// are still members (a node removed again within the batch is dropped).
-  std::unordered_map<std::size_t, std::vector<NodeId>> staged_adds_;
-  std::unordered_set<std::size_t> touched_;
-  /// Pair keys whose stored border node was removed: full rescan needed.
-  std::unordered_set<std::size_t> full_pairs_;
+  /// Per cluster slot, sized at the first mutation.
+  std::vector<Staged> staged_;
+  /// The clusters touched since the last repair, in first-touch order.
+  std::vector<std::size_t> touched_;
 
   /// Spatial acceleration (DESIGN.md §11). Set only by the
   /// DistanceService constructor when the service has a coordinate view;
@@ -460,6 +502,11 @@ class HfcTopology {
   const PointSet* coords_ = nullptr;
   /// One churn-capable set per cluster slot, mirroring members.
   std::vector<DynamicSpatialSet> cluster_sets_;
+  /// Per cluster slot, built at the first repair: a box covering every
+  /// member the cluster has had since — widened on each join, never
+  /// shrunk — so it covers its set's indexed and still-pending points
+  /// alike. dim lows, then dim highs, cluster after cluster.
+  std::vector<double> boxes_;
 };
 
 }  // namespace hfc

@@ -262,6 +262,7 @@ HierarchicalServiceRouter::HierarchicalServiceRouter(
   const std::size_t clusters = topo_.cluster_count();
   capabilities_.resize(topo_.group_count() - 1);
   synced_gen_.resize(clusters);
+  synced_structure_ = topo_.structure_generation();
   for (std::size_t g = 0; g < capabilities_.size(); ++g) {
     const ClusterId id(static_cast<int>(g));
     if (g < clusters) {
@@ -286,6 +287,10 @@ HierarchicalServiceRouter::HierarchicalServiceRouter(
 }
 
 void HierarchicalServiceRouter::sync_with_topology() {
+  // Every membership change bumps the structure generation, so while it
+  // stands still no cluster's generation has moved.
+  if (synced_structure_ == topo_.structure_generation()) return;
+  synced_structure_ = topo_.structure_generation();
   static obs::Counter& refreshes =
       obs::MetricsRegistry::global().counter("routing.sct_refreshes");
   for (std::size_t c = 0; c < topo_.cluster_count(); ++c) {

@@ -169,8 +169,8 @@ class HierarchicalServiceRouter {
   /// Re-derive SCT_C only for clusters whose topology generation stamp
   /// changed since construction / the previous sync (incremental churn,
   /// DESIGN.md §9, one-level topologies). Dead clusters resolve to an
-  /// empty aggregate and drop out of CSP candidacy. O(live changed
-  /// clusters), not O(C).
+  /// empty aggregate and drop out of CSP candidacy. O(1) when no
+  /// membership changed since the last sync.
   void sync_with_topology();
 
   /// Leaf clusters whose aggregate service set (SCT_C) contains `service`.
@@ -203,6 +203,8 @@ class HierarchicalServiceRouter {
   HierarchicalRoutingParams params_;
   /// Topology generation each SCT_C entry was derived at (sync_with_topology).
   std::vector<std::uint64_t> synced_gen_;
+  /// The topology's structure generation at the last sync.
+  std::uint64_t synced_structure_ = 0;
 };
 
 }  // namespace hfc

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "spatial/dynamic_set.h"
@@ -36,15 +37,18 @@ struct AcceptAll {
 /// accept predicate forces the scan, and asks it once per member: the
 /// admitted members of each side are filtered first, then scanned.
 /// `stats.point_evals` counts the distance evaluations on either path.
+/// A `seed` — any admitted pair with its distance — bounds the search
+/// from the start; the answer stays the lex-min pair.
 template <class Distance, class Accept = AcceptAll>
 [[nodiscard]] BcpResult closest_pair(PairSide a, PairSide b,
                                      const Distance& distance,
                                      QueryStats& stats,
-                                     const Accept& accept = {}) {
+                                     const Accept& accept = {},
+                                     const BcpResult& seed = {}) {
   if constexpr (std::is_same_v<Accept, AcceptAll>) {
     if (a.set != nullptr && b.set != nullptr) {
       return bichromatic_closest_pair(*a.set, *b.set, *a.set->coords(),
-                                      stats);
+                                      stats, seed);
     }
   } else {
     const auto admitted = [&accept](const std::vector<NodeId>& members) {
@@ -56,9 +60,10 @@ template <class Distance, class Accept = AcceptAll>
     };
     const std::vector<NodeId> xs = admitted(a.members);
     const std::vector<NodeId> ys = admitted(b.members);
-    return closest_pair(PairSide{xs}, PairSide{ys}, distance, stats);
+    return closest_pair(PairSide{xs}, PairSide{ys}, distance, stats,
+                        AcceptAll{}, seed);
   }
-  BcpResult best;
+  BcpResult best = seed;
   std::uint64_t evals = 0;
   for (const NodeId x : a.members) {
     if (!accept(x)) continue;
@@ -66,7 +71,13 @@ template <class Distance, class Accept = AcceptAll>
       if (!accept(y)) continue;
       const double d = distance(x, y);
       ++evals;
-      if (d < best.dist) best = BcpResult{x.value(), y.value(), d};
+      // Pairs come in ascending (x, y), so only a seed can be tied by a
+      // lex-smaller pair.
+      if (d < best.dist ||
+          (d == best.dist && std::pair(x.value(), y.value()) <
+                                 std::pair(best.x, best.y))) {
+        best = BcpResult{x.value(), y.value(), d};
+      }
     }
   }
   stats.point_evals += evals;

@@ -173,14 +173,14 @@ std::size_t DynamicSpatialSet::resident_bytes() const {
 BcpResult bichromatic_closest_pair(const DynamicSpatialSet& a,
                                    const DynamicSpatialSet& b,
                                    const PointSet& coords,
-                                   QueryStats& stats) {
+                                   QueryStats& stats, const BcpResult& seed) {
   // Enumerate the smaller side against the larger side's index. The
   // per-query smallest-id tie-break plus the full (d, x, y) update below
   // make the answer independent of which side is enumerated.
   const bool enumerate_a = a.live_size() <= b.live_size();
   const DynamicSpatialSet& outer = enumerate_a ? a : b;
   const DynamicSpatialSet& inner = enumerate_a ? b : a;
-  BcpResult best;
+  BcpResult best = seed;
   for (const std::int32_t o : outer.live_ids()) {
     const SpatialHit hit =
         inner.nearest(coords[static_cast<std::size_t>(o)], best.dist, stats);

@@ -103,7 +103,9 @@ class DynamicSpatialSet {
 /// Closest cross-set pair: the exact minimum of euclidean(coords[x],
 /// coords[y]) over x ∈ a, y ∈ b, ties broken by smallest (x, y). The
 /// smaller side is enumerated against the larger side's index; the
-/// result is independent of which side that is. `stats` accumulates the
+/// result is independent of which side that is. A `seed` pair (x ∈ a,
+/// y ∈ b, at its distance) starts the search bounded, which only prunes:
+/// the answer is the same lex-min pair. `stats` accumulates the
 /// traversal work (point_evals is the candidate-pair count the obs
 /// counters report).
 struct BcpResult {
@@ -116,6 +118,7 @@ struct BcpResult {
 [[nodiscard]] BcpResult bichromatic_closest_pair(const DynamicSpatialSet& a,
                                                  const DynamicSpatialSet& b,
                                                  const PointSet& coords,
-                                                 QueryStats& stats);
+                                                 QueryStats& stats,
+                                                 const BcpResult& seed = {});
 
 }  // namespace hfc

@@ -97,21 +97,8 @@ std::int32_t KdTree::build_range(std::vector<std::int32_t>& ids,
 
 double KdTree::box_distance(std::int32_t node,
                             std::span<const double> q) const {
-  // Structurally identical accumulation to euclidean(): per-axis excess
-  // in axis order, squared, summed, rooted — so the computed bound never
-  // exceeds the computed distance of any point inside the box.
   const std::size_t box = static_cast<std::size_t>(node) * 2 * dim_;
-  double sum = 0.0;
-  for (std::size_t d = 0; d < dim_; ++d) {
-    double excess = 0.0;
-    if (q[d] < boxes_[box + d]) {
-      excess = boxes_[box + d] - q[d];
-    } else if (q[d] > boxes_[box + dim_ + d]) {
-      excess = q[d] - boxes_[box + dim_ + d];
-    }
-    sum += excess * excess;
-  }
-  return std::sqrt(sum);
+  return hfc::box_distance(&boxes_[box], &boxes_[box + dim_], q);
 }
 
 void KdTree::search(std::int32_t node, std::span<const double> q,

@@ -27,8 +27,10 @@
 // keeps its own exact scan below 32 points.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "coords/point.h"
 
@@ -56,6 +58,35 @@ struct QueryStats {
     return *this;
   }
 };
+
+/// Distance from `q` to the axis-aligned box [lo, hi] (0 inside), with
+/// the same accumulation as euclidean(): per-axis excess in axis order,
+/// squared, summed, rooted — so it never exceeds the computed distance of
+/// any point inside the box. An empty box (lo = +inf, hi = -inf) is
+/// infinitely far.
+[[nodiscard]] inline double box_distance(const double* lo, const double* hi,
+                                         std::span<const double> q) {
+  double sum = 0.0;
+  for (std::size_t d = 0; d < q.size(); ++d) {
+    double excess = 0.0;
+    if (q[d] < lo[d]) {
+      excess = lo[d] - q[d];
+    } else if (q[d] > hi[d]) {
+      excess = q[d] - hi[d];
+    }
+    sum += excess * excess;
+  }
+  return std::sqrt(sum);
+}
+
+/// Widen the box [lo, hi] to cover `p`. An empty box starts at lo = +inf,
+/// hi = -inf on every axis.
+inline void widen_box(double* lo, double* hi, std::span<const double> p) {
+  for (std::size_t d = 0; d < p.size(); ++d) {
+    if (p[d] < lo[d]) lo[d] = p[d];
+    if (p[d] > hi[d]) hi[d] = p[d];
+  }
+}
 
 /// Candidate acceptance predicate over point ids (nullptr = accept all).
 /// Must be pure for the duration of the query.

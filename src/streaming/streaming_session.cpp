@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "services/service_graph.h"
+#include "spatial/spatial_index.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -326,8 +327,8 @@ NodeId StreamingSession::resolve_head(Tree& tree,
   const auto c = static_cast<std::size_t>(cluster);
   if (c < tree.head.size() && ok(tree.head[c])) return tree.head[c];
   NodeId elected;
-  if (c < tree.by_cluster.size()) {
-    for (NodeId x : tree.by_cluster[c]) {
+  if (c < by_cluster_.size()) {
+    for (NodeId x : by_cluster_[c]) {
       if (ok(x)) {
         elected = x;
         break;
@@ -338,83 +339,107 @@ NodeId StreamingSession::resolve_head(Tree& tree,
   return elected;
 }
 
+void StreamingSession::widen_cluster_box(std::size_t cluster, NodeId node) {
+  const std::span<const double> at =
+      overlay_.universe_network().coordinate(node);
+  const std::size_t dim = at.size();
+  if (cluster_box_.size() < (cluster + 1) * 2 * dim) {
+    // New labels start empty: lows at +inf, highs at -inf.
+    for (std::size_t c = cluster_box_.size() / (2 * dim); c <= cluster; ++c) {
+      cluster_box_.insert(cluster_box_.end(), dim,
+                          std::numeric_limits<double>::infinity());
+      cluster_box_.insert(cluster_box_.end(), dim,
+                          -std::numeric_limits<double>::infinity());
+    }
+  }
+  double* box = &cluster_box_[cluster * 2 * dim];
+  widen_box(box, box + dim, at);
+}
+
+std::vector<AttachKey> StreamingSession::own_keys(NodeId node) const {
+  const auto c = static_cast<std::size_t>(cluster_label(node));
+  if (params_.mode != StreamMode::kLocating || c >= by_cluster_.size()) {
+    return {};
+  }
+  const OverlayNetwork& net = overlay_.universe_network();
+  std::vector<AttachKey> keys;
+  keys.reserve(by_cluster_[c].size());
+  for (NodeId x : by_cluster_[c]) {
+    if (x != node) keys.emplace_back(net.coord_distance(x, node), x);
+  }
+  return keys;
+}
+
 std::vector<StreamingSession::Candidate> StreamingSession::collect_candidates(
-    Tree& tree, NodeId node, NodeId exclude) const {
+    Tree& tree, NodeId node, NodeId exclude,
+    std::span<const AttachKey> own) const {
   const OverlayNetwork& net = overlay_.universe_network();
   const std::int32_t label = cluster_label(node);
-  // (distance to node, id): each distance is evaluated once, and the
-  // pair order is the nearest-first order with ties to the smaller id.
-  std::vector<std::pair<double, NodeId>> pool;
-  const auto offer = [&](NodeId x) {
-    pool.emplace_back(net.coord_distance(x, node), x);
-  };
+  const auto distance = [&](NodeId x) { return net.coord_distance(x, node); };
+  std::vector<AttachKey> keys;
   if (params_.mode == StreamMode::kClique) {
+    // Clustered dissemination: strictly through the own cluster's head.
+    // Without an eligible one this member attaches cross-cluster (and
+    // becomes the head on success); the other heads form the backbone.
     const NodeId head = resolve_head(tree, label);
-    if (head.valid() && head != node && head != exclude) {
-      // Clustered dissemination: strictly through the cluster head.
-      offer(head);
-    } else {
-      // No eligible own-cluster head: this member attaches cross-cluster
-      // (and becomes the head on success). Other heads form the backbone.
-      for (std::size_t c = 0; c < tree.by_cluster.size(); ++c) {
-        const auto cluster = static_cast<std::int32_t>(c);
-        if (tree.by_cluster[c].empty() || cluster == label) continue;
-        const NodeId other = resolve_head(tree, cluster);
-        if (other.valid() && other != node && other != exclude) offer(other);
-      }
-    }
+    std::vector<AttachKey> head_key;
+    if (head.valid()) head_key.emplace_back(distance(head), head);
+    keys = select_attach_keys(
+        head_key, params_.repair_budget,
+        [&](NodeId x) { return x != node && x != exclude; }, distance,
+        [&](const auto& offer, const auto& /*reach*/) {
+          for (std::size_t c = 0; c < by_cluster_.size(); ++c) {
+            const auto cluster = static_cast<std::int32_t>(c);
+            if (by_cluster_[c].empty() || cluster == label) continue;
+            const NodeId other = resolve_head(tree, cluster);
+            if (other.valid()) offer(other);
+          }
+        });
   } else {
     // Locating-first: own-cluster members by coordinate distance; fall
     // back to a global scan only when the cluster offers nothing.
-    const auto eligible = [&](NodeId x, const Member& member) {
-      return x != node && x != exclude && member.blocked == 0 && node_up(x);
+    const auto eligible = [&](NodeId x) {
+      // Every listed or offered id is a subscribed member: read its slot.
+      return x != node && x != exclude &&
+             tree.members[x.idx()].blocked == 0 && node_up(x);
     };
-    const auto c = static_cast<std::size_t>(label);
-    if (c < tree.by_cluster.size()) {
-      // by_cluster lists subscribed members only: read their slots.
-      for (NodeId x : tree.by_cluster[c]) {
-        if (eligible(x, tree.members[x.idx()])) offer(x);
+    // The fallback visits clusters nearest box first and stops at the
+    // first whose box lies beyond the reach of the keys kept so far.
+    const auto everyone = [&](const auto& offer, const auto& reach) {
+      const std::span<const double> at = net.coordinate(node);
+      std::vector<std::pair<double, std::size_t>> order;
+      for (std::size_t c = 0; c < by_cluster_.size(); ++c) {
+        if (by_cluster_[c].empty()) continue;
+        const double* box = &cluster_box_[c * 2 * at.size()];
+        order.emplace_back(box_distance(box, box + at.size(), at), c);
       }
-    }
-    if (pool.empty()) {
-      for_each_member(tree, [&](NodeId x, const Member& member) {
-        if (eligible(x, member)) offer(x);
-      });
-    }
+      std::sort(order.begin(), order.end());
+      for (const auto& [bound, c] : order) {
+        if (bound > reach()) break;
+        for (NodeId x : by_cluster_[c]) offer(x);
+      }
+    };
+    keys = select_attach_keys(own, params_.repair_budget, eligible, distance,
+                              everyone);
   }
-  // The repair_budget nearest, in order: the prefix a full sort keeps.
-  if (pool.size() > params_.repair_budget) {
-    const auto cut =
-        pool.begin() + static_cast<std::ptrdiff_t>(params_.repair_budget);
-    std::nth_element(pool.begin(), cut, pool.end());
-    pool.erase(cut, pool.end());
-  }
-  std::sort(pool.begin(), pool.end());
 
   std::vector<Candidate> out;
-  out.reserve(pool.size() + 1);
-  for (const auto& [distance, x] : pool) {
-    Candidate cand{x, ServicePath{}, distance, false};
+  out.reserve(keys.size() + 1);
+  for (const auto& [d, x] : keys) {
     if (cluster_label(x) == label) {
       // Intra-cluster attach: clusters are fully connected, the chain was
       // applied upstream of the attach — a direct relay edge suffices (the
       // locating step; no router refinement needed).
-      cand.path.found = true;
-      cand.path.hops = {ServiceHop{x, ServiceId{}},
-                        ServiceHop{node, ServiceId{}}};
-      cand.path.cost = distance;
+      out.push_back(Candidate{x, ServicePath{}, d, false, true});
     } else {
-      cand.cost = distance * kBoundShrink;
-      cand.pending = true;
+      out.push_back(Candidate{x, ServicePath{}, d * kBoundShrink, true});
     }
-    out.push_back(std::move(cand));
   }
   // The source is always a candidate of last resort (first-in-tree joins,
   // head promotions) unless it is down.
   if (node_up(tree.source) && tree.source != exclude) {
-    out.push_back(Candidate{
-        tree.source, ServicePath{},
-        net.coord_distance(tree.source, node) * kBoundShrink, true});
+    out.push_back(Candidate{tree.source, ServicePath{},
+                            distance(tree.source) * kBoundShrink, true});
   }
   return out;
 }
@@ -502,7 +527,11 @@ bool StreamingSession::apply_attach(Simulator& sim,
         continue;
       }
     }
-    const std::vector<NodeId> claim = edge_claim(cand.path.hops);
+    std::vector<ServiceHop> hops =
+        cand.relay ? std::vector<ServiceHop>{ServiceHop{cand.attach, {}},
+                                             ServiceHop{node, {}}}
+                   : std::move(cand.path.hops);
+    const std::vector<NodeId> claim = edge_claim(hops);
     if (!qos_.feasible_nodes(claim, params_.demand)) continue;
     qos_.reserve_nodes(claim, params_.demand);
 
@@ -512,7 +541,7 @@ bool StreamingSession::apply_attach(Simulator& sim,
     index_edge(tree, node, member.edge, /*add=*/false);
 
     Edge edge;
-    edge.hops = std::move(cand.path.hops);
+    edge.hops = std::move(hops);
     edge.claimed = claim;
     for (std::size_t h = 1; h < edge.hops.size(); ++h) {
       const ClusterId a = overlay_.universe_topology().cluster_of(
@@ -556,9 +585,10 @@ bool StreamingSession::apply_attach(Simulator& sim,
 }
 
 bool StreamingSession::try_attach(Simulator& sim, std::size_t tree_index,
-                                  NodeId node, NodeId exclude) {
+                                  NodeId node, NodeId exclude,
+                                  std::span<const AttachKey> own) {
   std::vector<Candidate> candidates =
-      collect_candidates(trees_[tree_index], node, exclude);
+      collect_candidates(trees_[tree_index], node, exclude, own);
   return apply_attach(sim, overlay_.universe_router(), tree_index, node,
                       candidates, exclude);
 }
@@ -580,6 +610,11 @@ void StreamingSession::subscribe(Simulator& sim, NodeId node) {
   ++member_count_;
   const std::int32_t label = cluster_label(node);
   ensure(label >= 0, "StreamingSession::subscribe: active node unclustered");
+  insert_sorted(grow_at(by_cluster_, static_cast<std::size_t>(label)), node);
+  widen_cluster_box(static_cast<std::size_t>(label), node);
+  // Distances from the own cluster are computed once; each tree applies
+  // its own eligibility to them.
+  const std::vector<AttachKey> own = own_keys(node);
   for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
     Tree& tree = trees_[ti];
     Member& member = grow_at(tree.members, node.idx());
@@ -588,10 +623,8 @@ void StreamingSession::subscribe(Simulator& sim, NodeId node) {
     member.cluster = label;
     member.edge.wants_repair = true;
     member.edge.broke_at = sim.now();
-    insert_sorted(grow_at(tree.by_cluster, static_cast<std::size_t>(label)),
-                  node);
     const bool attached =
-        node_up(node) && try_attach(sim, ti, node, NodeId{});
+        node_up(node) && try_attach(sim, ti, node, NodeId{}, own);
     if (!attached) {
       m.rejected.add(1);
       log_event(LogRecord::Kind::kJoinDetached, sim.now(), node).index = ti;
@@ -607,6 +640,10 @@ void StreamingSession::unsubscribe(Simulator& sim, NodeId node) {
   m.leaves.add(1);
   log_event(LogRecord::Kind::kLeave, sim.now(), node);
   --member_count_;
+  erase_sorted(
+      by_cluster_[static_cast<std::size_t>(
+          member_at(trees_.front(), node).cluster)],
+      node);
   for (std::size_t ti = 0; ti < trees_.size(); ++ti) {
     Tree& tree = trees_[ti];
     Member& member = member_at(tree, node);
@@ -629,7 +666,6 @@ void StreamingSession::unsubscribe(Simulator& sim, NodeId node) {
       erase_sorted(children_of(tree, member.parent), node);
     }
     const auto c = static_cast<std::size_t>(member.cluster);
-    erase_sorted(tree.by_cluster[c], node);
     if (c < tree.head.size() && tree.head[c] == node) tree.head[c] = NodeId{};
     member = Member{};  // the slot is free for a later subscribe
     // Detach every affected member first (so none is picked as a
@@ -652,7 +688,7 @@ void StreamingSession::unsubscribe(Simulator& sim, NodeId node) {
                    1 - static_cast<std::int64_t>(mx.blocked));
     }
     for (NodeId x : affected) {
-      if (node_up(x) && try_attach(sim, ti, x, node)) {
+      if (node_up(x) && try_attach(sim, ti, x, node, own_keys(x))) {
         regrafts_++;
         m.regrafts.add(1);
       } else {
@@ -774,7 +810,8 @@ void StreamingSession::repair_pass(Simulator& sim) {
   if (jobs.empty()) return;
   // Candidate shortlists serially (clique head election mutates state)…
   for (Job& job : jobs) {
-    job.candidates = collect_candidates(trees_[job.tree], job.node, NodeId{});
+    job.candidates = collect_candidates(trees_[job.tree], job.node, NodeId{},
+                                        own_keys(job.node));
   }
   // …then the routing fan-out: each orphan's selection runs read-only up
   // to its first exact winner against the pre-synced universe router, one

@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,7 @@
 #include "qos/qos_manager.h"
 #include "routing/service_path.h"
 #include "sim/event_queue.h"
+#include "streaming/attach_select.h"
 #include "util/ids.h"
 #include "util/rng.h"
 
@@ -197,17 +199,15 @@ class StreamingSession {
     std::int32_t cluster = -1;  ///< universe cluster label at join time
   };
   /// Dense tables indexed by id: `members` and `by_proxy` by NodeId,
-  /// `by_cluster` and `head` by cluster label. Each grows on demand up to
-  /// the largest id it is written at, and iteration runs in ascending id
-  /// order, so ticks, repair jobs and the digest are deterministic.
+  /// `head` by cluster label. Each grows on demand up to the largest id it
+  /// is written at, and iteration runs in ascending id order, so ticks,
+  /// repair jobs and the digest are deterministic.
   struct Tree {
     NodeId source;
     std::vector<Member> members;
     std::vector<NodeId> source_children;  ///< sorted
     /// proxy -> members whose edge includes it (sorted, deduped).
     std::vector<std::vector<NodeId>> by_proxy;
-    /// cluster label -> members (sorted); labels from Member::cluster.
-    std::vector<std::vector<NodeId>> by_cluster;
     /// kClique: cluster label -> designated head member (invalid = none).
     std::vector<NodeId> head;
   };
@@ -216,14 +216,17 @@ class StreamingSession {
     std::uint64_t expected = 0;
     std::uint64_t delivered = 0;
   };
-  /// One attach candidate. An exact candidate carries its edge and cost;
-  /// a pending one (the source, or a cross-cluster attach) carries only a
-  /// lower bound on its cost until the selection routes it.
+  /// One attach candidate. An exact candidate carries its cost and, once
+  /// routed, its edge; an intra-cluster one is a direct relay edge, built
+  /// only when it wins. A pending one (the source, or a cross-cluster
+  /// attach) carries only a lower bound on its cost until the selection
+  /// routes it.
   struct Candidate {
     NodeId attach;
-    ServicePath path;
+    ServicePath path;   ///< the routed edge (empty for a relay)
     double cost = 0.0;  ///< exact cost, or the lower bound while pending
     bool pending = false;
+    bool relay = false;  ///< intra-cluster: the edge is attach -> node
   };
 
   /// One event-log entry, rendered as a text line by digest().
@@ -265,13 +268,22 @@ class StreamingSession {
   /// (stored back), else invalid.
   NodeId resolve_head(Tree& tree, std::int32_t cluster) const;
 
+  /// kLocating: the keys (coordinate distance to `node`, id) of every
+  /// other subscribed member of `node`'s cluster, in id order — what a
+  /// selection on any tree starts from, before that tree's eligibility.
+  /// kClique: empty (heads are resolved per tree).
+  [[nodiscard]] std::vector<AttachKey> own_keys(NodeId node) const;
+  /// Widen `cluster`'s member box to cover `node`.
+  void widen_cluster_box(std::size_t cluster, NodeId node);
   /// Shortlisted attach points for (re)grafting `node` onto `tree`,
-  /// mode-dependent, excluding `exclude` (a leaver mid-withdrawal).
-  /// Candidates are eligible *now*: attached, unblocked, up members (or
-  /// the source). Intra-cluster members come exact (a direct relay edge);
-  /// the source and cross-cluster members come pending.
+  /// mode-dependent, excluding `exclude` (a leaver mid-withdrawal); `own`
+  /// is own_keys(node). Candidates are eligible *now*: attached,
+  /// unblocked, up members (or the source). Intra-cluster members come
+  /// exact (a direct relay edge); the source and cross-cluster members
+  /// come pending.
   [[nodiscard]] std::vector<Candidate> collect_candidates(
-      Tree& tree, NodeId node, NodeId exclude) const;
+      Tree& tree, NodeId node, NodeId exclude,
+      std::span<const AttachKey> own) const;
   /// Route a pending candidate through the unicast router and make it
   /// exact (path.found = false when no route exists). `router` must be
   /// pre-synced; the call is read-only and safe to fan out in parallel.
@@ -296,7 +308,7 @@ class StreamingSession {
                     std::vector<Candidate>& candidates, NodeId exclude);
   /// collect + select + graft inline (joins and leave-time regrafts).
   bool try_attach(Simulator& sim, std::size_t tree_index, NodeId node,
-                  NodeId exclude);
+                  NodeId exclude, std::span<const AttachKey> own);
 
   /// Add/remove `node`'s edge hops to/from the by_proxy index.
   void index_edge(Tree& tree, NodeId node, const Edge& edge, bool add);
@@ -328,6 +340,14 @@ class StreamingSession {
   /// The armed simulator (set by start()); injector hooks need the clock.
   Simulator* sim_ = nullptr;
   std::vector<Tree> trees_;
+  /// cluster label -> subscribed members (sorted), by Member::cluster.
+  /// Every tree subscribes and unsubscribes a member under one label, so
+  /// the lists are the session's, not per tree.
+  std::vector<std::vector<NodeId>> by_cluster_;
+  /// cluster label -> a box covering every member ever listed under it:
+  /// coordinate lows, then highs. Leaves do not shrink it, so it still
+  /// covers the current members.
+  std::vector<double> cluster_box_;
   Rng tick_rng_;
   bool started_ = false;
   bool finished_ = false;

@@ -40,10 +40,11 @@
 #      pipeline — including row-cache eviction and incremental border
 #      repair — is exercised under ASan.
 #   5. Build with -DHFC_COVERAGE=ON into build-cov/, run the full suite,
-#      and enforce the line-coverage floor (90%) for src/fault/,
-#      src/serve/, src/sim/, src/spatial/, src/streaming/,
-#      src/cluster/mst.*, src/cluster/zahn.*, src/cluster/group_pipeline.*,
-#      src/multilevel/ and src/routing/ via scripts/coverage_gate.py
+#      and enforce the line-coverage floor (90%) for
+#      src/cluster/boruvka.*, src/cluster/group_pipeline.*,
+#      src/cluster/mst.*, src/cluster/zahn.*, src/fault/,
+#      src/overlay/hfc_topology.*, src/routing/, src/serve/, src/sim/,
+#      src/spatial/ and src/streaming/ via scripts/coverage_gate.py
 #      (gcov JSON, no gcovr).
 #
 # The sanitizer and coverage stages are the expensive ones; --fast skips

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <utility>
 
 #include "distance/distance_service.h"
 #include "obs/metrics.h"
-#include "spatial/kd_tree.h"
 #include "util/require.h"
 
 namespace hfc {
@@ -38,11 +36,6 @@ std::int32_t label_components(const std::vector<std::vector<NodeId>>& adj,
     ++comps;
   }
   return comps;
-}
-
-/// SpatialFilter excluding the query node itself; ctx is its id.
-bool not_self(std::int32_t id, const void* ctx) {
-  return id != *static_cast<const std::int32_t*>(ctx);
 }
 
 }  // namespace
@@ -246,98 +239,9 @@ bool MeshTopology::connected() const {
   return visited == adjacency_.size();
 }
 
-MeshTopology::MeshTopology(const DistanceService& distance,
-                           const MeshParams& params, Rng& rng) {
-  if (const PointSet* coords = distance.coord_view()) {
-    require(coords->size() > 0, "MeshTopology: empty network");
-    require(params.nearest_min >= 1 &&
-                params.nearest_min <= params.nearest_max,
-            "MeshTopology: bad nearest-neighbor range");
-    require(params.random_min <= params.random_max,
-            "MeshTopology: bad random-link range");
-    adjacency_.resize(coords->size());
-    build_spatial(*coords, params, rng);
-    return;
-  }
-  *this = MeshTopology(distance.size(), OverlayDistance(distance.fn()),
-                       params, rng);
-}
-
-void MeshTopology::build_spatial(const PointSet& coords,
-                                 const MeshParams& params, Rng& rng) {
-  const std::size_t n = coords.size();
-  static obs::Counter& candidates =
-      obs::MetricsRegistry::global().counter("mesh.candidate_links");
-  static obs::Counter& visited =
-      obs::MetricsRegistry::global().counter("spatial.nodes_visited");
-  KdTree index(coords);
-  QueryStats qs;
-
-  for (std::size_t u = 0; u < n; ++u) {
-    const NodeId nu(static_cast<std::int32_t>(u));
-    const std::int32_t self = static_cast<std::int32_t>(u);
-    const std::size_t k = std::min<std::size_t>(
-        static_cast<std::size_t>(
-            rng.uniform_int(static_cast<int>(params.nearest_min),
-                            static_cast<int>(params.nearest_max))),
-        n - 1);
-    // Same (distance, id)-ranked prefix the brute partial_sort keeps.
-    const std::vector<SpatialHit> hits =
-        index.k_nearest(coords[u], k, qs, &not_self, &self);
-    for (const SpatialHit& hit : hits) add_edge(nu, NodeId(hit.id));
-
-    const std::size_t extras = static_cast<std::size_t>(
-        rng.uniform_int(static_cast<int>(params.random_min),
-                        static_cast<int>(params.random_max)));
-    // Exclusion list for the far links: self plus the k nearest.
-    std::vector<std::int32_t> excluded{self};
-    for (const SpatialHit& hit : hits) excluded.push_back(hit.id);
-    std::sort(excluded.begin(), excluded.end());
-    for (std::size_t e = 0; e < extras && n > k + 1; ++e) {
-      // Same Rng draw as the brute path; the draw indexes the remaining
-      // ids ascending instead of the unsorted tail of a partial_sort.
-      std::size_t target = rng.pick_index(n - 1 - k);
-      for (const std::int32_t ex : excluded) {
-        if (static_cast<std::size_t>(ex) <= target) ++target;
-      }
-      add_edge(nu, NodeId(static_cast<std::int32_t>(target)));
-    }
-  }
-
-  // Connectivity repair: nearest-foreign queries against the components.
-  std::vector<std::int32_t> component;
-  while (label_components(adjacency_, component) > 1) {
-    index.retag(component);
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t ba = 0;
-    std::size_t bb = 0;
-    bool found = false;
-    for (std::size_t a = 0; a < n; ++a) {
-      if (component[a] != 0) continue;
-      const SpatialHit hit = index.nearest_foreign(coords[a], 0, best, qs);
-      if (hit.found() && hit.dist < best) {
-        best = hit.dist;
-        ba = a;
-        bb = static_cast<std::size_t>(hit.id);
-        found = true;
-      }
-    }
-    ensure(found, "MeshTopology: connectivity repair found no pair");
-    add_edge(NodeId(static_cast<std::int32_t>(ba)),
-             NodeId(static_cast<std::int32_t>(bb)));
-  }
-  candidates.add(qs.point_evals);
-  visited.add(qs.nodes_visited);
-}
-
 MeshRouting MeshTopology::compute_routing(const OverlayDistance& distance,
                                           std::size_t cache_rows) const {
   return MeshRouting(adjacency_, distance, cache_rows);
-}
-
-MeshRouting MeshTopology::compute_routing(const DistanceService& distance,
-                                          std::size_t cache_rows) const {
-  return MeshRouting(adjacency_, OverlayDistance(distance.fn()), cache_rows);
 }
 
 }  // namespace hfc

@@ -3,21 +3,23 @@
 // neighbors (to make the topology connected)". Every node keeps global
 // state; service paths must follow mesh edges, so non-adjacent services
 // need relay proxies in between.
+//
+// The mesh is built by one scan of the distance functor: each node ranks
+// every other node (O(n^2) evaluations, counted in mesh.candidate_links),
+// which is affordable at the baseline sizes the path-efficiency
+// comparison (Fig. 10) measures. It takes no spatial index.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "coords/point_set.h"
 #include "distance/row_cache.h"
 #include "overlay/overlay_network.h"
 #include "util/ids.h"
 #include "util/rng.h"
 
 namespace hfc {
-
-class DistanceService;
 
 struct MeshParams {
   std::size_t nearest_min = 1;
@@ -79,18 +81,6 @@ class MeshTopology {
   MeshTopology(std::size_t n, const OverlayDistance& distance,
                const MeshParams& params, Rng& rng);
 
-  /// Same, querying a distance service. The service is only used during
-  /// construction. When the service exposes a coordinate view, the
-  /// k-nearest links come from spatial k-NN queries (the same
-  /// (d, id)-ranked prefix the brute partial_sort keeps) and connectivity
-  /// repair uses nearest-foreign queries; the random far links then pick
-  /// by ascending id among non-neighbors instead of by rank position, so
-  /// meshes with random links differ between the paths (both remain
-  /// deterministic for a given Rng). Without a coordinate view it runs
-  /// the OverlayDistance constructor's scan over `distance.fn()`.
-  MeshTopology(const DistanceService& distance, const MeshParams& params,
-               Rng& rng);
-
   [[nodiscard]] std::size_t node_count() const { return adjacency_.size(); }
   [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId node) const;
   [[nodiscard]] bool has_edge(NodeId a, NodeId b) const;
@@ -103,16 +93,8 @@ class MeshTopology {
   [[nodiscard]] MeshRouting compute_routing(const OverlayDistance& distance,
                                             std::size_t cache_rows = 0) const;
 
-  /// Same, querying a distance service; the service must outlive the
-  /// returned MeshRouting.
-  [[nodiscard]] MeshRouting compute_routing(const DistanceService& distance,
-                                            std::size_t cache_rows = 0) const;
-
  private:
   void add_edge(NodeId a, NodeId b);
-  /// Spatial-index construction path (coordinate-tier services).
-  void build_spatial(const PointSet& coords, const MeshParams& params,
-                     Rng& rng);
 
   std::vector<std::vector<NodeId>> adjacency_;
   std::size_t edge_count_ = 0;

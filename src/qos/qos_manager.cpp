@@ -106,11 +106,14 @@ void QosManager::release(const ServicePath& path, double demand) {
 
 namespace {
 
-std::vector<NodeId> distinct_nodes(const std::vector<NodeId>& nodes) {
-  std::vector<NodeId> out(nodes);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+/// Check a claim list: in range and strictly ascending, so each proxy
+/// appears once and no copy or sort is needed to apply it.
+void require_claim(const std::vector<NodeId>& nodes, std::size_t n,
+                   const char* bad_node, const char* unsorted) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    require(nodes[i].valid() && nodes[i].idx() < n, bad_node);
+    require(i == 0 || nodes[i - 1] < nodes[i], unsorted);
+  }
 }
 
 }  // namespace
@@ -118,9 +121,10 @@ std::vector<NodeId> distinct_nodes(const std::vector<NodeId>& nodes) {
 bool QosManager::feasible_nodes(const std::vector<NodeId>& nodes,
                                 double demand) const {
   require(demand >= 0.0, "QosManager::feasible_nodes: negative demand");
-  for (NodeId proxy : distinct_nodes(nodes)) {
-    require(proxy.valid() && proxy.idx() < capacities_.size(),
-            "QosManager::feasible_nodes: bad node");
+  require_claim(nodes, capacities_.size(),
+                "QosManager::feasible_nodes: bad node",
+                "QosManager::feasible_nodes: claim not strictly ascending");
+  for (NodeId proxy : nodes) {
     if (capacities_[proxy.idx()] < demand) return false;
   }
   return true;
@@ -129,9 +133,10 @@ bool QosManager::feasible_nodes(const std::vector<NodeId>& nodes,
 void QosManager::reserve_nodes(const std::vector<NodeId>& nodes,
                                double demand) {
   require(demand >= 0.0, "QosManager::reserve_nodes: negative demand");
-  for (NodeId proxy : distinct_nodes(nodes)) {
-    require(proxy.valid() && proxy.idx() < capacities_.size(),
-            "QosManager::reserve_nodes: bad node");
+  require_claim(nodes, capacities_.size(),
+                "QosManager::reserve_nodes: bad node",
+                "QosManager::reserve_nodes: claim not strictly ascending");
+  for (NodeId proxy : nodes) {
     capacities_[proxy.idx()] -= demand;
     ensure(capacities_[proxy.idx()] >= -1e-9,
            "QosManager::reserve_nodes: reservation drove capacity negative");
@@ -141,11 +146,10 @@ void QosManager::reserve_nodes(const std::vector<NodeId>& nodes,
 void QosManager::release_nodes(const std::vector<NodeId>& nodes,
                                double demand) {
   require(demand >= 0.0, "QosManager::release_nodes: negative demand");
-  for (NodeId proxy : distinct_nodes(nodes)) {
-    require(proxy.valid() && proxy.idx() < capacities_.size(),
-            "QosManager::release_nodes: bad node");
-    capacities_[proxy.idx()] += demand;
-  }
+  require_claim(nodes, capacities_.size(),
+                "QosManager::release_nodes: bad node",
+                "QosManager::release_nodes: claim not strictly ascending");
+  for (NodeId proxy : nodes) capacities_[proxy.idx()] += demand;
 }
 
 double QosManager::reserved_total() const {

@@ -82,12 +82,13 @@ class QosManager {
 
   /// Node-list bookkeeping for long-lived tree edges (src/streaming):
   /// a streaming member's uplink consumes `demand` units on every
-  /// *distinct* proxy of `nodes` — relays forward the stream, so unlike
-  /// the per-session path API they are not free. Duplicates in `nodes`
-  /// are collapsed before reserving, mirroring the distinct-proxy rule.
-  /// `feasible_nodes` is the admission probe: true iff every distinct
-  /// proxy still has `demand` residual. `release_nodes` must be called
-  /// with the same list that was reserved.
+  /// proxy of `nodes` — relays forward the stream, so unlike the
+  /// per-session path API they are not free. `nodes` must be strictly
+  /// ascending (each proxy once, the distinct-proxy rule), as the
+  /// streaming layer's sorted, deduplicated edge claims are; all three
+  /// throw otherwise. `feasible_nodes` is the admission probe: true iff
+  /// every proxy still has `demand` residual. `release_nodes` must be
+  /// called with the same list that was reserved.
   [[nodiscard]] bool feasible_nodes(const std::vector<NodeId>& nodes,
                                     double demand) const;
   void reserve_nodes(const std::vector<NodeId>& nodes, double demand);

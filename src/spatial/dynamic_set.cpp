@@ -25,16 +25,11 @@ void DynamicSpatialSet::bulk_load(const PointSet& coords,
   require(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
           "DynamicSpatialSet: duplicate ids");
   live_ = std::move(ids);
-  index_.reset();
-  indexed_count_ = 0;
-  pending_.clear();
-  dead_.clear();
   rebuild();
 }
 
 void DynamicSpatialSet::rebuild() {
   index_.reset();
-  indexed_count_ = 0;
   pending_.clear();
   dead_.clear();
   if (live_.size() < kBruteThreshold) return;
@@ -42,7 +37,6 @@ void DynamicSpatialSet::rebuild() {
       obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
   rebuilds.add(1);
   index_ = std::make_unique<KdTree>(*coords_, live_);
-  indexed_count_ = live_.size();
 }
 
 void DynamicSpatialSet::insert(std::int32_t id) {
@@ -76,28 +70,10 @@ void DynamicSpatialSet::maybe_rebuild() {
     if (live_.size() >= kBruteThreshold) rebuild();
     return;
   }
-  if (pending_.size() + dead_.size() <= rebuild_budget(indexed_count_)) return;
-  if (live_.size() < kBruteThreshold) {
-    rebuild();  // drops the index: the set is back on the brute scan
-    return;
-  }
-  // Fold the overlay into the index in place, rebuilding only the
-  // subtrees the batch unbalances. The overlay empties, so queries
-  // afterwards are pure index hits. Every fold counts as a
-  // spatial.set_rebuilds event (the budget schedule) and a
-  // spatial.set_folds event.
-  static obs::Counter& rebuilds =
-      obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
-  static obs::Counter& folds =
-      obs::MetricsRegistry::global().counter("spatial.set_folds");
-  std::vector<std::int32_t> removes(dead_.begin(), dead_.end());
-  std::sort(removes.begin(), removes.end());
-  index_->fold_updates(pending_, removes);
-  rebuilds.add(1);
-  folds.add(1);
-  indexed_count_ = live_.size();
-  pending_.clear();
-  dead_.clear();
+  if (pending_.size() + dead_.size() <= rebuild_budget(index_->size())) return;
+  // A fresh build over the live ids (or, below the brute threshold, no
+  // index at all); the buffers empty, so queries are pure index hits.
+  rebuild();
 }
 
 SpatialHit DynamicSpatialSet::nearest(std::span<const double> q,
@@ -134,7 +110,7 @@ SpatialHit DynamicSpatialSet::nearest(std::span<const double> q,
 
 void DynamicSpatialSet::retag(const std::vector<std::int32_t>& labels) {
   require(pending_.empty() && dead_.empty(),
-          "DynamicSpatialSet::retag: fold mutation buffers first");
+          "DynamicSpatialSet::retag: mutation buffers not empty");
   labels_ = &labels;
   if (index_ != nullptr) index_->retag(labels);
 }
@@ -143,7 +119,7 @@ SpatialHit DynamicSpatialSet::nearest_foreign(std::span<const double> q,
                                               std::int32_t label, double bound,
                                               QueryStats& stats) const {
   require(pending_.empty() && dead_.empty(),
-          "DynamicSpatialSet::nearest_foreign: fold mutation buffers first");
+          "DynamicSpatialSet::nearest_foreign: mutation buffers not empty");
   require(labels_ != nullptr, "DynamicSpatialSet::nearest_foreign: retag first");
   if (index_ != nullptr) return index_->nearest_foreign(q, label, bound, stats);
   SpatialHit best;

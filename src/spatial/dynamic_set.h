@@ -5,13 +5,11 @@
 // keeps one over the active set. Mutations (insert/erase) are O(log n)
 // buffer updates; queries answer over (indexed − tombstoned) ∪ pending,
 // so they are exact at every instant without rebuilding. `maybe_rebuild`
-// folds the buffers back into the index once they exceed the rebuild
-// budget, max(32, indexed/4) — callers invoke it only from serial
-// mutation points, never
-// concurrently with queries, so the parallel repair sweeps can fan out
-// over `nearest` safely. The fold goes through KdTree::fold_updates —
-// scapegoat-style subtree rebuilds that touch only the unbalanced parts
-// of the tree (DESIGN.md §13).
+// replaces the index with a fresh KdTree over the live ids once the
+// buffers exceed the rebuild budget, max(32, indexed/4) (DESIGN.md §13) —
+// callers invoke it only from serial mutation points, never concurrently
+// with queries, so the parallel repair sweeps can fan out over `nearest`
+// safely.
 //
 // Sets smaller than 32 points skip the index entirely: a brute scan of
 // the sorted live list is both exact and faster than tree traversal.
@@ -44,14 +42,14 @@ class DynamicSpatialSet {
   void erase(std::int32_t id);
   [[nodiscard]] bool contains(std::int32_t id) const;
 
-  /// Fold mutation buffers into a fresh index when they exceed the
-  /// rebuild budget. Serial mutation points only.
+  /// Rebuild the index over the live ids when the mutation buffers
+  /// exceed the rebuild budget. Serial mutation points only.
   void maybe_rebuild();
 
   /// The rebuild budget for a set of `indexed` points: max(32,
   /// indexed/4). Exact query results are independent of the budget — it
-  /// only schedules when buffers fold back into the index (each fold
-  /// bumps the spatial.set_rebuilds counter).
+  /// only schedules when the index is rebuilt (each rebuild bumps the
+  /// spatial.set_rebuilds counter).
   [[nodiscard]] static constexpr std::size_t rebuild_budget(
       std::size_t indexed) {
     return std::max<std::size_t>(32, indexed / 4);
@@ -72,14 +70,14 @@ class DynamicSpatialSet {
                                    QueryStats& stats) const;
 
   /// Attach component labels (indexed by point id, like
-  /// KdTree::retag) for `nearest_foreign` queries. Folded sets
-  /// only — call from serial points with empty mutation buffers; the
-  /// labels vector must outlive the queries it serves.
+  /// KdTree::retag) for `nearest_foreign` queries. Call from serial
+  /// points with empty mutation buffers; the labels vector must outlive
+  /// the queries it serves.
   void retag(const std::vector<std::int32_t>& labels);
 
   /// Nearest live point whose label differs from `label`, within `bound`
-  /// (inclusive), smallest id on ties. Requires a preceding `retag` and a
-  /// folded set. Below the brute threshold this is an exact ascending
+  /// (inclusive), smallest id on ties. Requires a preceding `retag` and
+  /// empty mutation buffers. Below the brute threshold this is an exact ascending
   /// scan — the tier the group-local construction pipeline leans on for
   /// small partition cells (DESIGN.md §14).
   [[nodiscard]] SpatialHit nearest_foreign(std::span<const double> q,
@@ -95,7 +93,6 @@ class DynamicSpatialSet {
   const std::vector<std::int32_t>* labels_ = nullptr;  ///< retag() target
   std::vector<std::int32_t> live_;     ///< sorted source of truth
   std::unique_ptr<KdTree> index_;
-  std::size_t indexed_count_ = 0;      ///< points in index_ at build time
   std::vector<std::int32_t> pending_;  ///< live but not indexed (sorted)
   std::unordered_set<std::int32_t> dead_;  ///< indexed but not live
 };

@@ -13,16 +13,9 @@
 // exactly the best distance are still visited, which is what preserves
 // the smallest-id tie-break.
 //
-// `fold_updates` (DESIGN.md §13) merges a mutation batch without a full
-// rebuild: removed ids are located in one scan, added points are routed
-// down the existing split planes, and an emit pass copies the tree into
-// fresh arrays — untouched subtrees verbatim, touched subtrees kept when
-// the change count stays within a scapegoat budget (max(16, size/4)) and
-// rebuilt from their surviving points otherwise. Kept nodes keep their
-// split planes and take the union of their children's boxes, so boxes
-// always *contain* their subtree's points; containment (not tightness)
-// is all the search correctness argument above needs — a loose box only
-// costs pruning efficiency until a later rebuild tightens it.
+// The tree is immutable once built: churn-capable callers
+// (DynamicSpatialSet) buffer mutations beside it and replace it with a
+// fresh build once the buffers exceed their budget (DESIGN.md §13).
 #pragma once
 
 #include <cstdint>
@@ -58,14 +51,6 @@ class KdTree {
                                    SpatialFilter accept = nullptr,
                                    const void* ctx = nullptr) const;
 
-  /// The k indexed points minimising (distance, id) lexicographically,
-  /// ascending — exactly the prefix a partial_sort of (distance, id)
-  /// pairs produces. Fewer than k are returned when the (filtered) index
-  /// is smaller.
-  [[nodiscard]] std::vector<SpatialHit> k_nearest(
-      std::span<const double> q, std::size_t k, QueryStats& stats,
-      SpatialFilter accept = nullptr, const void* ctx = nullptr) const;
-
   /// Assign a component label to every *indexed* point (labels is indexed
   /// by point id) and cache per-subtree homogeneity tags, so
   /// `nearest_foreign` can prune subtrees entirely inside the query's own
@@ -78,16 +63,6 @@ class KdTree {
   [[nodiscard]] SpatialHit nearest_foreign(std::span<const double> q,
                                            std::int32_t label, double bound,
                                            QueryStats& stats) const;
-
-  /// Fold a batch of mutations into the tree in place (see the header
-  /// comment): `adds` become indexed points, `removes` (which must all be
-  /// indexed) stop existing, and at least one point must remain. The tree
-  /// then answers queries over exactly (indexed − removes) ∪ adds with the
-  /// same exactness contract as a fresh build; any `retag` state is
-  /// discarded and must be re-established before the next
-  /// `nearest_foreign`. Not thread-safe with concurrent queries.
-  void fold_updates(const std::vector<std::int32_t>& adds,
-                    const std::vector<std::int32_t>& removes);
 
   /// Bytes of index state currently resident (the bench memory-ceiling
   /// assertions bound this alongside the coordinate tier).
@@ -112,36 +87,9 @@ class KdTree {
   [[nodiscard]] std::span<const double> point(std::uint32_t pos) const {
     return coords_->row(static_cast<std::size_t>(ids_[pos]));
   }
-  /// Build a subtree over ids[begin, end) into the given arrays (which
-  /// may be the members or the fold-emit scratch); returns the new node
-  /// index. Only coords_/dim_ of *this are read.
-  [[nodiscard]] std::int32_t build_range(std::vector<std::int32_t>& ids,
-                                         std::vector<Node>& nodes,
-                                         std::vector<double>& boxes,
-                                         std::uint32_t begin,
-                                         std::uint32_t end) const;
-  /// fold_updates emit pass (see the header comment). `dead_prefix` is
-  /// the prefix-count of tombstoned positions, `add_count`/`leaf_adds`
-  /// the per-node routing of added ids.
-  struct FoldScratch {
-    const std::vector<std::uint32_t>* dead_prefix;
-    const std::vector<std::uint32_t>* add_count;
-    const std::vector<std::vector<std::int32_t>>* leaf_adds;
-    std::vector<std::int32_t> ids;
-    std::vector<Node> nodes;
-    std::vector<double> boxes;
-    std::uint64_t points_rebuilt = 0;
-  };
-  [[nodiscard]] std::int32_t fold_emit(std::int32_t old_node,
-                                       FoldScratch& s) const;
-  /// Copy an untouched subtree verbatim, shifting id positions by the
-  /// subtree's new location.
-  [[nodiscard]] std::int32_t fold_copy(std::int32_t old_node,
-                                       std::int64_t pos_delta,
-                                       FoldScratch& s) const;
-  /// Append the ids of every add routed into `old_node`'s subtree.
-  void gather_adds(std::int32_t old_node, FoldScratch& s,
-                   std::vector<std::int32_t>& out) const;
+  /// Build a subtree over ids_[begin, end); returns the new node index.
+  [[nodiscard]] std::int32_t build_range(std::uint32_t begin,
+                                         std::uint32_t end);
   /// Exact distance from q to node's bounding box (0 when inside).
   [[nodiscard]] double box_distance(std::int32_t node,
                                     std::span<const double> q) const;

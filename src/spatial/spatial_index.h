@@ -1,11 +1,12 @@
 // Spatial indexing over GNP coordinates (DESIGN.md §11).
 //
-// Every structural phase of the pipeline — the Euclidean MST behind Zahn
-// clustering (§3.2), closest-pair border selection (§3.3), and mesh
-// neighbor choice — is a nearest-pair problem over the embedded
-// coordinates. Scanning all O(n^2) candidate pairs was the scale wall
-// past ~5k proxies; once nodes carry coordinates, all of these queries
-// become near-logarithmic with the bucketed k-d tree in kd_tree.h.
+// The structural phases of the pipeline — the Euclidean MST behind Zahn
+// clustering (§3.2) and closest-pair border selection (§3.3) — are
+// nearest-pair problems over the embedded coordinates. Scanning all
+// O(n^2) candidate pairs was the scale wall past ~5k proxies; once nodes
+// carry coordinates, these queries become near-logarithmic with the
+// bucketed k-d tree in kd_tree.h. (The §6.2 mesh baseline is built by
+// its distance scan alone.)
 //
 // Exactness contract: every query answers with the *same doubles and the
 // same argmin* as the brute-force scan it replaces. Distances between

@@ -4,7 +4,6 @@
 // ascending scan keeps.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -34,22 +33,6 @@ inline SpatialHit brute_nearest(
   }
   if (best.id == std::numeric_limits<std::int32_t>::max()) return SpatialHit{};
   return best;
-}
-
-/// The k ids minimising (distance, id), ascending.
-inline std::vector<SpatialHit> brute_k_nearest(
-    const PointSet& pts, const std::vector<std::int32_t>& ids,
-    std::span<const double> q, std::size_t k) {
-  std::vector<SpatialHit> all;
-  for (const std::int32_t id : ids) {
-    all.push_back({id, euclidean(q, pts[static_cast<std::size_t>(id)])});
-  }
-  std::sort(all.begin(), all.end(),
-            [](const SpatialHit& a, const SpatialHit& b) {
-              return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
-            });
-  if (all.size() > k) all.resize(k);
-  return all;
 }
 
 }  // namespace hfc::oracle

@@ -2,8 +2,7 @@
 //
 // Forwards every query to a wrapped service but leaves `coord_view()`
 // null, so each coordinate consumer (clustering's MST, HfcTopology's
-// border selection, MeshTopology) takes its scan instead of the spatial
-// index. The distances are the wrapped service's own doubles, so the scan
+// border selection) takes its scan instead of the spatial index. The distances are the wrapped service's own doubles, so the scan
 // arm and the index arm answer the same problem: the reference for the
 // index's exactness contract (DESIGN.md §11), and the brute arm of
 // bench_topology_scaling's A/B.

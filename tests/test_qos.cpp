@@ -176,6 +176,32 @@ TEST(QosManager, ZeroDemandIsUnconstrained) {
   EXPECT_TRUE(admission.admitted);
 }
 
+// Node-list claims must be strictly ascending: the streaming layer hands
+// over sorted, deduplicated claims, and the manager applies them as is.
+TEST(QosManager, NodeClaimsMustBeStrictlyAscending) {
+  QosWorld w;
+  QosManager qos(w.net, w.topo, std::vector<double>(8, 3.0),
+                 CapacityAggregation::kOptimistic);
+  const std::vector<NodeId> duplicated{NodeId(1), NodeId(1), NodeId(4)};
+  const std::vector<NodeId> unsorted{NodeId(4), NodeId(1)};
+  for (const auto* claim : {&duplicated, &unsorted}) {
+    EXPECT_THROW((void)qos.feasible_nodes(*claim, 1.0), std::invalid_argument);
+    EXPECT_THROW(qos.reserve_nodes(*claim, 1.0), std::invalid_argument);
+    EXPECT_THROW(qos.release_nodes(*claim, 1.0), std::invalid_argument);
+  }
+  EXPECT_DOUBLE_EQ(qos.reserved_total(), 0.0);
+
+  const std::vector<NodeId> claim{NodeId(1), NodeId(4), NodeId(6)};
+  ASSERT_TRUE(qos.feasible_nodes(claim, 2.0));
+  qos.reserve_nodes(claim, 2.0);
+  EXPECT_DOUBLE_EQ(qos.reserved_total(), 6.0);
+  EXPECT_DOUBLE_EQ(qos.residual(NodeId(4)), 1.0);
+  EXPECT_FALSE(qos.feasible_nodes(claim, 2.0));
+  qos.release_nodes(claim, 2.0);
+  EXPECT_DOUBLE_EQ(qos.reserved_total(), 0.0);
+  EXPECT_DOUBLE_EQ(qos.residual(NodeId(4)), 3.0);
+}
+
 TEST(RoutingFilters, ClusterFilterPrunesCsp) {
   QosWorld w;
   ServiceRequest request;

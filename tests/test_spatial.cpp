@@ -1,7 +1,7 @@
 // Tests for src/spatial: the kd-tree index, the churn-capable
 // DynamicSpatialSet, and — the load-bearing part — the exactness
-// contract: every consumer (MST, Zahn, HFC borders, mesh, multilevel,
-// dynamic join) must produce the results of a brute scan (DESIGN.md §11).
+// contract: every consumer (MST, Zahn, HFC borders, multilevel, dynamic
+// join) must produce the results of a brute scan (DESIGN.md §11).
 // The scan arms are the OverlayDistance constructors, which never index,
 // and the reference answers in tests/oracle/.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "dynamic/dynamic_overlay.h"
 #include "obs/metrics.h"
 #include "overlay/hfc_topology.h"
-#include "overlay/mesh_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
 #include "services/service_graph.h"
@@ -38,7 +37,6 @@
 namespace hfc {
 namespace {
 
-using oracle::brute_k_nearest;
 using oracle::brute_nearest;
 
 std::vector<Point> random_points(std::size_t n, std::size_t dim, Rng& rng,
@@ -86,15 +84,6 @@ void run_index_battery() {
     expect_hit_eq(index.nearest(q, bound, stats),
                   brute_nearest(pts, ids, q, bound));
 
-    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
-                                std::size_t{17}, pts.size() + 3}) {
-      const auto got = index.k_nearest(q, k, stats);
-      const auto want = brute_k_nearest(pts, ids, q, k);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        expect_hit_eq(got[i], want[i]);
-      }
-    }
   }
   EXPECT_GT(stats.nodes_visited, 0u);
   EXPECT_GT(index.resident_bytes(), 0u);
@@ -146,10 +135,6 @@ void run_ties_battery() {
     expect_hit_eq(index.nearest(
                       q, std::numeric_limits<double>::infinity(), stats),
                   brute_nearest(pts, ids, q));
-    const auto got = index.k_nearest(q, 7, stats);
-    const auto want = brute_k_nearest(pts, ids, q, 7);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) expect_hit_eq(got[i], want[i]);
   }
 }
 
@@ -371,30 +356,6 @@ TEST(SpatialEquivalence, ChurnRepairMatchesBrute) {
   expect_same_borders(*arms.brute, *arms.kd);
 }
 
-TEST(SpatialEquivalence, MeshKnnLinksMatchBrute) {
-  Rng rng(956);
-  const PointSet pts = random_points(220, 2, rng);
-  const CoordDistanceService dist(pts);
-  MeshParams params;
-  params.random_min = 0;
-  params.random_max = 0;  // spatial and brute agree exactly without extras
-  Rng brute_rng(957);
-  const MeshTopology brute(dist.size(), dist.fn(), params, brute_rng);
-  Rng kd_rng(957);
-  const MeshTopology kd(dist, params, kd_rng);
-  ASSERT_EQ(brute.node_count(), kd.node_count());
-  EXPECT_EQ(brute.edge_count(), kd.edge_count());
-  for (std::size_t v = 0; v < brute.node_count(); ++v) {
-    const NodeId node(static_cast<std::int32_t>(v));
-    auto sorted = [](std::vector<NodeId> n) {
-      std::sort(n.begin(), n.end());
-      return n;
-    };
-    EXPECT_EQ(sorted(brute.neighbors(node)), sorted(kd.neighbors(node)));
-  }
-  EXPECT_TRUE(kd.connected());
-}
-
 TEST(SpatialEquivalence, MultilevelHopPathsMatchBrute) {
   Rng rng(958);
   std::vector<Point> pts = random_points(120, 2, rng, 0.0, 15.0);
@@ -569,11 +530,11 @@ TEST(SpatialRebuildBudget, DerivedFromIndexedSize) {
   EXPECT_EQ(DynamicSpatialSet::rebuild_budget(1000), 250u);
 }
 
-// Overrunning the budget between folds forces a rebuild at every
+// Overrunning the budget between rebuilds forces a rebuild at every
 // maybe_rebuild: each step makes more than max(32, n/4) mutations. Query
 // answers must be identical to the brute scan anyway (the budget only
-// schedules index folds), and the spatial.set_rebuilds counter must show
-// the folds actually happened.
+// schedules index rebuilds), and the spatial.set_rebuilds counter must
+// show the rebuilds actually happened.
 TEST(SpatialRebuildBudget, TinyBudgetIsExactAndRebuildsOften) {
   Rng rng(4242);
   const std::size_t n = 300;
@@ -589,7 +550,7 @@ TEST(SpatialRebuildBudget, TinyBudgetIsExactAndRebuildsOften) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   // The index never holds more than n points, so a burst of this many
-  // distinct ids overruns the budget at every fold.
+  // distinct ids overruns the budget at every rebuild.
   const std::size_t burst = DynamicSpatialSet::rebuild_budget(n) + 1;
   constexpr std::size_t kSteps = 40;
   for (std::size_t step = 0; step < kSteps; ++step) {
@@ -677,8 +638,8 @@ TEST(MstAlgo, PrunedMatchesRoundsBitwise) {
 }
 
 // Tombstone-heavy churn: erase 3/4 of the set through repeated budget
-// folds. Subtree rebuilds must keep answering exactly, including where
-// whole subtrees die.
+// rebuilds. Answers must stay exact throughout, including where whole
+// regions of the index die.
 TEST(SpatialDynamicSet, TombstoneHeavyFoldsStayExact) {
   Rng rng(971);
   const std::size_t n = 400;
@@ -687,9 +648,9 @@ TEST(SpatialDynamicSet, TombstoneHeavyFoldsStayExact) {
   set.bulk_load(pts, all_ids(n));
   std::vector<std::int32_t> live = all_ids(n);
 
-  obs::Counter& folds =
-      obs::MetricsRegistry::global().counter("spatial.set_folds");
-  const std::uint64_t folds0 = folds.value();
+  obs::Counter& rebuilds =
+      obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
+  const std::uint64_t rebuilds0 = rebuilds.value();
 
   while (live.size() > n / 4) {
     const std::size_t victim_pos = static_cast<std::size_t>(
@@ -706,9 +667,8 @@ TEST(SpatialDynamicSet, TombstoneHeavyFoldsStayExact) {
         brute_nearest(pts, live, q));
   }
   EXPECT_EQ(set.live_ids(), live);
-  // The default budget path must actually have gone through folds, not
-  // silently fallen back to full reloads.
-  EXPECT_GT(folds.value() - folds0, 0u);
+  // The default budget path must actually have rebuilt the index.
+  EXPECT_GT(rebuilds.value() - rebuilds0, 0u);
 }
 
 TEST(SpatialDynamicSet, EraseAllThenReinsertStaysExact) {
@@ -743,9 +703,9 @@ TEST(SpatialDynamicSet, EraseAllThenReinsertStaysExact) {
   }
 }
 
-// The adaptive budget is max(32, indexed/4), and maybe_rebuild folds only
-// when the buffered mutation count *exceeds* it: exactly-at-budget is a
-// no-op, budget+1 folds.
+// The adaptive budget is max(32, indexed/4), and maybe_rebuild rebuilds
+// only when the buffered mutation count *exceeds* it: exactly-at-budget is
+// a no-op, budget+1 rebuilds.
 TEST(SpatialRebuildBudget, BoundaryIsExclusiveAtExactBudget) {
   Rng rng(973);
   const std::size_t n = 200;
@@ -763,19 +723,19 @@ TEST(SpatialRebuildBudget, BoundaryIsExclusiveAtExactBudget) {
     set.erase(static_cast<std::int32_t>(i));
     set.maybe_rebuild();
   }
-  EXPECT_EQ(rebuilds.value(), before) << "fold at <= budget mutations";
+  EXPECT_EQ(rebuilds.value(), before) << "rebuild at <= budget mutations";
   set.erase(static_cast<std::int32_t>(budget));
   set.maybe_rebuild();
-  EXPECT_EQ(rebuilds.value(), before + 1) << "no fold at budget + 1";
+  EXPECT_EQ(rebuilds.value(), before + 1) << "no rebuild at budget + 1";
 }
 
-// Randomized churn on a folding set (subtree rebuilds): after every round
-// the answers must equal both a freshly bulk-loaded set over the same
-// live ids (the full rebuild) and the brute scan.
+// Randomized churn on a rebuilding set: after every round the answers
+// must equal both a freshly bulk-loaded set over the same live ids and
+// the brute scan.
 TEST(SpatialDynamicSet, FoldMatchesFullRebuildUnderChurn) {
-  obs::Counter& folds =
-      obs::MetricsRegistry::global().counter("spatial.set_folds");
-  const std::uint64_t f0 = folds.value();
+  obs::Counter& rebuilds =
+      obs::MetricsRegistry::global().counter("spatial.set_rebuilds");
+  const std::uint64_t r0 = rebuilds.value();
 
   Rng rng(974);
   const std::size_t n = 350;
@@ -808,7 +768,7 @@ TEST(SpatialDynamicSet, FoldMatchesFullRebuildUnderChurn) {
       expect_hit_eq(got, brute_nearest(pts, set.live_ids(), q));
     }
   }
-  EXPECT_GT(folds.value(), f0) << "the churned set never folded";
+  EXPECT_GT(rebuilds.value(), r0) << "the churned set never rebuilt";
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,9 @@
 // avoid. Its state is (unit, entry node), which keeps that cost
 // Markovian, and it relaxes unit-major: per SG edge, each (unit, next
 // unit) group resolves its link once and offers only its best transition.
-// DESIGN.md §5 has the work bound and §9 (b) the tie-break.
+// A backward link-only lower bound and a priced greedy upper bound let it
+// skip every state that can neither win nor tie. DESIGN.md §5 has the
+// bounds and the work they save, §9 (b) the tie-break.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "overlay/overlay_network.h"
 #include "routing/flat_table.h"
 #include "services/service_graph.h"
@@ -148,13 +151,19 @@ struct Member {
 };
 
 /// `states` grouped by candidate unit: group g is
-/// members[offsets[g], offsets[g + 1]). A counting sort, O(states + groups).
+/// members[offsets[g], offsets[g + 1]) and least[g] its cheapest label. A
+/// counting sort, O(states + groups).
 inline void group_by_unit(const std::vector<State>& states,
                           std::size_t groups,
                           std::vector<std::uint32_t>& offsets,
-                          std::vector<Member>& members) {
+                          std::vector<Member>& members,
+                          std::vector<double>& least) {
   offsets.assign(groups + 2, 0);
-  for (const State& s : states) ++offsets[s.cand + 2];
+  least.assign(groups, std::numeric_limits<double>::infinity());
+  for (const State& s : states) {
+    ++offsets[s.cand + 2];
+    least[s.cand] = std::min(least[s.cand], s.cost);
+  }
   for (std::size_t g = 1; g <= groups; ++g) offsets[g + 1] += offsets[g];
   members.resize(states.size());
   for (std::uint32_t slot = 0; slot < states.size(); ++slot) {
@@ -164,13 +173,51 @@ inline void group_by_unit(const std::vector<State>& states,
   offsets.pop_back();
 }
 
+/// The link-only lower bound from one (SG vertex, candidate unit) to the
+/// destination's unit, and the successor (index into the vertex's
+/// successors) and candidate that attain it.
+struct Rest {
+  double length = std::numeric_limits<double>::infinity();
+  std::uint32_t succ = kNone;
+  std::uint32_t cand = kNone;
+};
+
 }  // namespace csp_detail
+
+/// Relative slack on the upper bound the search prunes against.
+///
+/// A state with computed label L at SG vertex v, unit j, is dropped when
+/// fl(L + H) > fl(UB · fl(1 + s)), H the computed link-only bound. Any
+/// completion of it is priced left to right as L plus m ≤ |SG| + 1 step
+/// terms, each fl(length + d) ≥ length, plus closing distances ≥ 0, and
+/// rounded addition of non-negatives is monotone; so with u = 2^-53 and
+/// γ_n = n·u / (1 − n·u), its computed cost F is at least
+/// (1 − γ_m)(L + Σ length) over its own links. H is the least of m-term
+/// rounded sums, at most (1 + γ_m) · Σ length for those links. Rounding
+/// L + H loses at most a factor (1 + u), and the threshold is at least
+/// UB (1 + s)(1 − u)^2. So F > UB as soon as
+/// 1 + s ≥ (1 + γ_m)(1 + u) / ((1 − γ_m)(1 − u)^2), which s ≥ γ_{2m+4}
+/// ensures: 1e-9 covers SG paths of up to ~4·10^6 vertices. The greedy
+/// configuration behind UB is priced by the search's own expressions, so
+/// the optimum is ≤ UB bit for bit, and a dropped state can neither win
+/// nor tie.
+inline constexpr double kBoundSlack = 1e-9;
 
 /// The cheapest unit-level service path for a non-empty `graph` between
 /// `ends`. `candidates[v]` lists the units that may serve SG vertex v,
 /// each at most once. `links.link(from, toward)` returns a CspLink;
 /// `distance` prices internal segments, which count only when
 /// `lower_bounds` is set. Not found when no configuration connects.
+///
+/// The search is bounded (DESIGN.md §5): a backward pass over the same
+/// candidates gives H, the least sum of link lengths from each (vertex,
+/// unit) to the destination's unit; the cheapest greedy configuration
+/// along H's argmins prices an upper bound UB; and the forward pass keeps
+/// only states, groups and transitions whose label plus H can still reach
+/// UB. Every state that can win or tie keeps the label, back-pointer and
+/// tie-break of the unbounded search, so the result is bit-identical to
+/// it. Adds the states kept to `routing.csp_states` and the states, pairs
+/// and groups the bound dropped to `routing.csp_bound_skips`.
 template <typename Unit, typename LinkSource>
 [[nodiscard]] CspSearch<Unit> search_csp(
     const ServiceGraph& graph, const CspEnds<Unit>& ends,
@@ -180,8 +227,13 @@ template <typename Unit, typename LinkSource>
   using csp_detail::entry_of;
   using csp_detail::Member;
   using csp_detail::pack;
+  using csp_detail::Rest;
   using csp_detail::State;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  static obs::Counter& kept_counter =
+      obs::MetricsRegistry::global().counter("routing.csp_states");
+  static obs::Counter& skip_counter =
+      obs::MetricsRegistry::global().counter("routing.csp_bound_skips");
 
   // Decision distance from `entry` to `exit`, memoized: a search prices
   // many (state, candidate) transitions over few distinct border pairs.
@@ -190,6 +242,153 @@ template <typename Unit, typename LinkSource>
     const auto [slot, inserted] = memo.emplace(pack(bits(entry), bits(exit)));
     if (inserted) memo.entries[slot].distance = distance(entry, exit);
     return memo.entries[slot].distance;
+  };
+
+  // The three cost expressions, shared by the upper bound and the search.
+  // Entering unit c from the source proxy: the cost, kInf when c cannot be
+  // reached; sets the entry node and the crossings.
+  const auto enter = [&](Unit c, NodeId& entry, std::uint32_t& crossings) {
+    entry = ends.source;
+    crossings = 0;
+    if (c == ends.source_unit) return 0.0;
+    const CspLink link = links.link(ends.source_unit, c);
+    if (!link.found) return kInf;
+    double cost = link.length;
+    if (lower_bounds && ends.source != link.exit) {
+      cost += internal(ends.source, link.exit);
+    }
+    entry = link.entry;
+    crossings = 1;
+    return cost;
+  };
+  // Crossing `link` from a state entered at `entry`.
+  const auto step = [&](NodeId entry, const CspLink& link) {
+    double cost = link.length;
+    if (lower_bounds && entry != link.exit) cost += internal(entry, link.exit);
+    return cost;
+  };
+  // Closing a state of unit c entered at `entry` with label `cost` at the
+  // destination proxy: the total, kInf when unreachable; counts the
+  // crossing.
+  const auto close = [&](Unit c, NodeId entry, double cost,
+                         std::uint32_t& crossings) {
+    if (c == ends.destination_unit) {
+      if (lower_bounds && entry != ends.destination) {
+        cost += internal(entry, ends.destination);
+      }
+      return cost;
+    }
+    const CspLink link = links.link(c, ends.destination_unit);
+    if (!link.found) return kInf;
+    cost += step(entry, link);
+    if (cost == kInf) return kInf;
+    ++crossings;
+    if (lower_bounds && link.entry != ends.destination) {
+      cost += internal(link.entry, ends.destination);
+    }
+    return cost;
+  };
+
+  // Backward pass: rest[v][j] bounds what any completion from unit j at
+  // vertex v still pays, counting only link lengths (a stay costs 0). It
+  // needs no triangle inequality. through[v][s * K_v + j] is the same
+  // bound restricted to v's s-th successor.
+  const std::vector<std::size_t> order = graph.topological_order();
+  std::vector<std::vector<Rest>> rest(graph.size());
+  std::vector<std::vector<double>> through(graph.size());
+  std::vector<std::uint32_t> by_rest;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t v = *it;
+    const std::vector<Unit>& units = candidates[v];
+    const std::vector<std::size_t>& succ = graph.successors(v);
+    rest[v].assign(units.size(), Rest{});
+    if (succ.empty()) {
+      for (std::uint32_t j = 0; j < units.size(); ++j) {
+        if (units[j] == ends.destination_unit) {
+          rest[v][j].length = 0.0;
+        } else if (const CspLink link =
+                       links.link(units[j], ends.destination_unit);
+                   link.found) {
+          rest[v][j].length = link.length;
+        }
+      }
+      continue;
+    }
+    through[v].assign(succ.size() * units.size(), kInf);
+    for (std::uint32_t s = 0; s < succ.size(); ++s) {
+      const std::vector<Unit>& nexts = candidates[succ[s]];
+      const std::vector<Rest>& after = rest[succ[s]];
+      // Reachable successors by ascending bound: a link adds a
+      // non-negative length, so the scan stops at the first bound that
+      // cannot beat the best so far.
+      by_rest.clear();
+      for (std::uint32_t k = 0; k < nexts.size(); ++k) {
+        if (after[k].length != kInf) by_rest.push_back(k);
+      }
+      std::sort(by_rest.begin(), by_rest.end(),
+                [&after](std::uint32_t a, std::uint32_t b) {
+                  return after[a].length < after[b].length ||
+                         (after[a].length == after[b].length && a < b);
+                });
+      for (std::uint32_t j = 0; j < units.size(); ++j) {
+        double best = kInf;
+        std::uint32_t arg = csp_detail::kNone;
+        for (const std::uint32_t k : by_rest) {
+          if (after[k].length >= best) break;
+          double length = after[k].length;
+          if (nexts[k] != units[j]) {
+            const CspLink link = links.link(units[j], nexts[k]);
+            if (!link.found) continue;
+            length = link.length + length;
+          }
+          if (length < best) {
+            best = length;
+            arg = k;
+          }
+        }
+        through[v][s * units.size() + j] = best;
+        if (best < rest[v][j].length) rest[v][j] = Rest{best, s, arg};
+      }
+    }
+  }
+
+  // Upper bound: from every source candidate, follow the argmins to a
+  // sink and price that configuration as the search would.
+  double upper = kInf;
+  for (std::size_t v : graph.sources()) {
+    for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
+      if (rest[v][j].length == kInf) continue;
+      NodeId entry;
+      std::uint32_t crossings = 0;
+      double cost = enter(candidates[v][j], entry, crossings);
+      std::size_t at = v;
+      std::uint32_t cand = j;
+      while (cost != kInf && !graph.successors(at).empty()) {
+        const Rest& r = rest[at][cand];
+        const std::size_t next_at = graph.successors(at)[r.succ];
+        const Unit unit = candidates[at][cand];
+        const Unit next = candidates[next_at][r.cand];
+        if (next != unit) {
+          const CspLink link = links.link(unit, next);
+          cost = cost + step(entry, link);
+          entry = link.entry;
+        }
+        at = next_at;
+        cand = r.cand;
+      }
+      if (cost == kInf) continue;
+      upper = std::min(upper,
+                       close(candidates[at][cand], entry, cost, crossings));
+    }
+  }
+  // Keep a label only if it can still reach the upper bound; with
+  // upper == kInf every label is kept.
+  const double threshold = upper * (1.0 + kBoundSlack);
+  std::uint64_t skips = 0;
+  const auto keeps = [&](double label, double bound) {
+    if (label + bound <= threshold) return true;
+    ++skips;
+    return false;
   };
 
   // Per SG vertex: (unit, entry) states.
@@ -207,20 +406,10 @@ template <typename Unit, typename LinkSource>
   for (std::size_t v : graph.sources()) {
     for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
       const Unit c = candidates[v][j];
-      double cost = 0.0;
+      NodeId entry;
       std::uint32_t crossings = 0;
-      NodeId entry = ends.source;
-      if (c != ends.source_unit) {
-        const CspLink link = links.link(ends.source_unit, c);
-        if (!link.found) continue;
-        cost = link.length;
-        if (lower_bounds && ends.source != link.exit) {
-          cost += internal(ends.source, link.exit);
-        }
-        if (cost == kInf) continue;
-        entry = link.entry;
-        crossings = 1;
-      }
+      const double cost = enter(c, entry, crossings);
+      if (cost == kInf || !keeps(cost, rest[v][j].length)) continue;
       State& state = state_at(v, c, entry, j);
       if (cost < state.cost) {
         state.cost = cost;
@@ -231,39 +420,47 @@ template <typename Unit, typename LinkSource>
 
   // Relax SG edges in topological order, unit-major: by offer()'s total
   // order, offering each (unit, next) group's best transition equals
-  // offering every state.
+  // offering every state. A group, pair or transition whose cheapest
+  // label cannot reach the upper bound is skipped before its links or
+  // members are read.
   std::vector<std::uint32_t> offsets;
   std::vector<Member> members;
-  for (std::size_t u : graph.topological_order()) {
+  std::vector<double> least;
+  for (std::size_t u : order) {
     if (tables[u].entries.empty() || graph.successors(u).empty()) continue;
-    csp_detail::group_by_unit(tables[u].entries, candidates[u].size(),
-                              offsets, members);
+    const std::size_t groups = candidates[u].size();
+    csp_detail::group_by_unit(tables[u].entries, groups, offsets, members,
+                              least);
     const auto uu = static_cast<std::uint32_t>(u);
-    for (std::size_t v : graph.successors(u)) {
-      for (std::size_t g = 0; g < candidates[u].size(); ++g) {
-        if (offsets[g] == offsets[g + 1]) continue;
+    const std::vector<std::size_t>& succ = graph.successors(u);
+    for (std::size_t s = 0; s < succ.size(); ++s) {
+      const std::size_t v = succ[s];
+      for (std::size_t g = 0; g < groups; ++g) {
+        if (offsets[g] == offsets[g + 1] ||
+            !keeps(least[g], through[u][s * groups + g])) {
+          continue;
+        }
         const Unit c = candidates[u][g];
         const Member* begin = members.data() + offsets[g];
         const Member* end = members.data() + offsets[g + 1];
         for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
           const Unit next = candidates[v][j];
+          const double bound = rest[v][j].length;
+          if (!keeps(least[g], bound)) continue;
           if (next == c) {
             for (const Member* m = begin; m != end; ++m) {
+              if (!keeps(m->cost, bound)) continue;
               csp_detail::offer(state_at(v, c, entry_of(m->key), j), m->cost,
                                 m->crossings, uu, m->slot, m->key);
             }
             continue;
           }
           const CspLink link = links.link(c, next);
-          if (!link.found) continue;
+          if (!link.found || !keeps(least[g] + link.length, bound)) continue;
           double best = kInf;
           const Member* winner = nullptr;
           for (const Member* m = begin; m != end; ++m) {
-            double step = link.length;
-            if (lower_bounds && entry_of(m->key) != link.exit) {
-              step += internal(entry_of(m->key), link.exit);
-            }
-            const double cost = m->cost + step;
+            const double cost = m->cost + step(entry_of(m->key), link);
             if (cost == kInf) continue;
             if (winner == nullptr || cost < best ||
                 (cost == best &&
@@ -274,7 +471,7 @@ template <typename Unit, typename LinkSource>
               winner = m;
             }
           }
-          if (winner == nullptr) continue;
+          if (winner == nullptr || !keeps(best, bound)) continue;
           csp_detail::offer(state_at(v, next, link.entry, j), best,
                             winner->crossings + 1, uu, winner->slot,
                             winner->key);
@@ -289,32 +486,16 @@ template <typename Unit, typename LinkSource>
   std::size_t best_vertex = 0;
   std::uint32_t best_slot = 0;
   std::uint64_t best_key = 0;
+  std::uint64_t kept = 0;
+  for (const FlatTable<State>& table : tables) kept += table.entries.size();
   for (std::size_t v : graph.sinks()) {
     const std::vector<State>& states = tables[v].entries;
     for (std::uint32_t slot = 0; slot < states.size(); ++slot) {
       const State& s = states[slot];
-      const Unit c = candidates[v][s.cand];
-      const NodeId entry = entry_of(s.key);
-      double cost = s.cost;
       std::uint32_t crossings = s.crossings;
-      if (c == ends.destination_unit) {
-        if (lower_bounds && entry != ends.destination) {
-          cost += internal(entry, ends.destination);
-        }
-      } else {
-        const CspLink link = links.link(c, ends.destination_unit);
-        if (!link.found) continue;
-        double step = link.length;
-        if (lower_bounds && entry != link.exit) {
-          step += internal(entry, link.exit);
-        }
-        cost += step;
-        if (cost == kInf) continue;
-        ++crossings;
-        if (lower_bounds && link.entry != ends.destination) {
-          cost += internal(link.entry, ends.destination);
-        }
-      }
+      const double cost =
+          close(candidates[v][s.cand], entry_of(s.key), s.cost, crossings);
+      if (cost == kInf) continue;
       // Same deterministic tie-break as offer(): equal-cost closings
       // prefer fewer crossings, then (within one sink vertex) the smaller
       // state key. Across sinks, the first vertex in graph.sinks() order
@@ -332,6 +513,8 @@ template <typename Unit, typename LinkSource>
       }
     }
   }
+  kept_counter.add(kept);
+  skip_counter.add(skips);
 
   CspSearch<Unit> csp;
   if (best == kInf) return csp;

@@ -5,19 +5,26 @@
 // own divide and conquer, the same routes and crankback counts. Instances
 // are small randomized worlds (n <= 300) over several seeds, an exact-tie
 // lattice where CSP ties are structural (DESIGN.md §9 (b)), and a corpus
-// of Table 1 environment 4 requests.
+// of Table 1 environment 4 requests. RouteGoldenDigest pins the routes
+// of a fixed environment 4 corpus to a hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ios>
+#include <limits>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "block_lattice.h"
 #include "cluster/zahn.h"
 #include "core/experiment.h"
 #include "core/framework.h"
+#include "obs/metrics.h"
 #include "oracle/csp.h"
 #include "overlay/hfc_topology.h"
 #include "routing/hierarchical_router.h"
@@ -53,25 +60,50 @@ void expect_same_route(const HierarchicalServiceRouter::RouteResult& want,
   EXPECT_EQ(bits_of(want.path.cost), bits_of(got.path.cost));
 }
 
-/// Deterministic pseudo-random predicate over two ids.
-bool keep(std::uint64_t seed, std::int32_t a, std::int32_t b,
-          unsigned one_in) {
+/// Deterministic pseudo-random hash of two ids.
+std::uint64_t mix(std::uint64_t seed, std::int32_t a, std::int32_t b) {
   std::uint64_t h = seed ^ (static_cast<std::uint64_t>(a) << 32) ^
                     static_cast<std::uint32_t>(b);
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  return (h ^ (h >> 31)) % one_in != 0;
+  return h ^ (h >> 31);
+}
+
+/// Deterministic pseudo-random predicate over two ids.
+bool keep(std::uint64_t seed, std::int32_t a, std::int32_t b,
+          unsigned one_in) {
+  return mix(seed, a, b) % one_in != 0;
+}
+
+/// A symmetric distance that ignores the coordinates: every pair of
+/// distinct proxies draws its own length in [0, 1500) from `seed`, so the
+/// triangle inequality fails freely. With `holes` set, one pair in
+/// `holes` is unreachable (infinite).
+OverlayDistance scrambled(std::uint64_t seed, unsigned holes = 0) {
+  return [seed, holes](NodeId a, NodeId b) {
+    if (a == b) return 0.0;
+    const std::int32_t lo = std::min(a.value(), b.value());
+    const std::int32_t hi = std::max(a.value(), b.value());
+    const std::uint64_t h = mix(seed, lo, hi);
+    if (holes != 0 && (h >> 40) % holes == 0) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return static_cast<double>(h % 1'500'000) / 1000.0;
+  };
 }
 
 /// A small world: proxies in Gaussian-ish blobs (so Zahn's cut yields a
 /// handful to a few dozen clusters), random service placement, and
 /// requests over every proxy. Borders and routing use the coordinate
 /// distance, or with `manhattan` the L1 distance over the same
-/// coordinates, under which integer layouts tie far more often.
+/// coordinates, under which integer layouts tie far more often. A
+/// `decision` distance, when given, prices routing instead, while the
+/// borders and link lengths stay under the coordinates.
 struct World {
   std::vector<Point> coords;
   OverlayNetwork net;
   Clustering clustering;
+  OverlayDistance links;
   OverlayDistance distance;
   HfcTopology topo;
   HierarchicalServiceRouter router;
@@ -79,17 +111,19 @@ struct World {
   bool lb;
 
   World(std::vector<Point> points, ServicePlacement placement,
-        WorkloadParams params, bool lower_bounds, bool manhattan = false)
+        WorkloadParams params, bool lower_bounds, bool manhattan = false,
+        OverlayDistance decision = {})
       : coords(std::move(points)),
         net(coords, std::move(placement)),
         clustering(cluster_points(coords)),
-        distance(manhattan ? OverlayDistance([this](NodeId a, NodeId b) {
+        links(manhattan ? OverlayDistance([this](NodeId a, NodeId b) {
           const Point& p = coords[a.idx()];
           const Point& q = coords[b.idx()];
           return std::abs(p[0] - q[0]) + std::abs(p[1] - q[1]);
         })
-                           : OverlayDistance(net.coord_distance_fn())),
-        topo(clustering, distance),
+                        : OverlayDistance(net.coord_distance_fn())),
+        distance(decision ? std::move(decision) : links),
+        topo(clustering, links),
         router(net, topo, distance,
                HierarchicalRoutingParams{lower_bounds}),
         workload(params),
@@ -118,7 +152,8 @@ struct World {
   }
 };
 
-World random_world(std::uint64_t seed, bool lb, double nonlinear) {
+World random_world(std::uint64_t seed, bool lb, double nonlinear,
+                   OverlayDistance decision = {}) {
   Rng rng(seed);
   const std::size_t blobs = 4 + rng.pick_index(12);
   const std::size_t n = 120 + rng.pick_index(181);  // 120..300
@@ -140,7 +175,8 @@ World random_world(std::uint64_t seed, bool lb, double nonlinear) {
   params.request_length_max = 6;
   params.nonlinear_fraction = nonlinear;
   ServicePlacement placement = assign_services(n, params, rng);
-  return World(std::move(coords), std::move(placement), params, lb);
+  return World(std::move(coords), std::move(placement), params, lb,
+               /*manhattan=*/false, std::move(decision));
 }
 
 /// The exact-tie block lattice (block_lattice.h).
@@ -295,6 +331,91 @@ TEST(CspOracle, Env4Corpus) {
     EXPECT_EQ(want.path.hops, got.hops);
     EXPECT_EQ(bits_of(want.path.cost), bits_of(got.cost));
   }
+}
+
+// The bound counts link lengths only, so the search assumes no metric:
+// routing priced by a scrambled table that breaks the triangle inequality,
+// over links chosen and measured under the coordinates. With holes in the
+// table, the greedy configuration behind the upper bound often prices to
+// infinity while a finite optimum exists, so nothing may be pruned.
+TEST(CspOracle, NonMetricDistances) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const bool lb : {true, false}) {
+      for (const double nonlinear : {0.0, 0.6}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " lb " << lb
+                                        << " nonlinear " << nonlinear);
+        const World w =
+            random_world(seed, lb, nonlinear, scrambled(seed + 900));
+        ASSERT_GE(w.topo.cluster_count(), 2u);
+        expect_plain_agreement(w, seed + 800, 60);
+        const World holed =
+            random_world(seed, lb, nonlinear, scrambled(seed + 950, 6));
+        expect_plain_agreement(holed, seed + 850, 60);
+      }
+    }
+  }
+}
+
+// The bound must do the work it exists for: over the environment 4 corpus
+// it discards at least as many states, pairs and groups as the search
+// keeps.
+TEST(CspOracle, BoundPrunesEnv4Corpus) {
+  const auto fw = HfcFramework::build(config_for(paper_environments().back(),
+                                                 /*seed=*/1));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::uint64_t kept_before =
+      registry.counter("routing.csp_states").value();
+  const std::uint64_t skips_before =
+      registry.counter("routing.csp_bound_skips").value();
+  Rng rng(1);
+  std::size_t found = 0;
+  for (const ServiceRequest& request : fw->generate_requests(200, rng)) {
+    found += fw->router().compute_csp(request).found ? 1 : 0;
+  }
+  const std::uint64_t kept =
+      registry.counter("routing.csp_states").value() - kept_before;
+  const std::uint64_t skips =
+      registry.counter("routing.csp_bound_skips").value() - skips_before;
+  EXPECT_EQ(found, 200u);
+  EXPECT_GT(kept, 0u);
+  EXPECT_GE(skips, kept);
+}
+
+/// 64-bit FNV-1a, folded over `value`'s bytes.
+template <typename T>
+void fnv1a(std::uint64_t& h, const T& value) {
+  unsigned char bytes[sizeof value];
+  std::memcpy(bytes, &value, sizeof value);
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+}
+
+/// FNV-1a over the hops and cost bits of 300 routes per seed at Table 1
+/// environment 4 (framework and request seeds 1 and 2), as the unbounded
+/// search produced them. Any change to a chosen route, a tie-break or a
+/// cost's last bit changes the digest.
+TEST(RouteGoldenDigest, Env4) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto fw =
+        HfcFramework::build(config_for(paper_environments().back(), seed));
+    Rng rng(seed);
+    for (const ServiceRequest& request : fw->generate_requests(300, rng)) {
+      const ServicePath path = fw->router().route(request);
+      fnv1a(h, path.found);
+      fnv1a(h, path.hops.size());
+      for (const ServiceHop& hop : path.hops) {
+        fnv1a(h, hop.proxy.value());
+        fnv1a(h, hop.service.value());
+      }
+      fnv1a(h, bits_of(path.cost));
+    }
+  }
+  std::ostringstream hex;
+  hex << std::hex << "0x" << h;
+  EXPECT_EQ(hex.str(), "0xb435eba212d0ee6b");
 }
 
 }  // namespace

@@ -40,10 +40,11 @@
 #      and churn benches at reduced sizes so the whole build-and-route
 #      pipeline — including row-cache eviction and incremental border
 #      repair — is exercised under ASan.
-#   5. Build with -DHFC_COVERAGE=ON into build-cov/, run the full suite,
-#      and enforce the line-coverage floor (90%) for
-#      src/cluster/boruvka.*, src/cluster/group_pipeline.*,
-#      src/cluster/mst.*, src/cluster/zahn.*, src/fault/,
+#   5. Build with -DHFC_COVERAGE=ON into build-cov/, delete the coverage
+#      counts (.gcda) of any earlier run, run the full suite, and
+#      enforce the line-coverage floor (90%) for src/cluster/boruvka.*,
+#      src/cluster/group_pipeline.*, src/cluster/mst.*,
+#      src/cluster/zahn.*, src/fault/,
 #      src/overlay/hfc_topology.*, src/routing/, src/serve/, src/sim/,
 #      src/spatial/ and src/streaming/ via scripts/coverage_gate.py
 #      (gcov JSON, no gcovr).
@@ -127,6 +128,10 @@ HFC_STREAM_N=300 HFC_BENCH_JSON=0 ./build-asan/bench/bench_chaos_streaming
 echo "== [5/5] coverage gate =="
 cmake -B build-cov -S . -DHFC_COVERAGE=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-cov -j"$JOBS"
+# libgcov merges into existing counts, so counts left by an earlier run
+# (or by the build's own test discovery) would credit lines that this
+# run never executed.
+find build-cov -name '*.gcda' -delete
 ctest --test-dir build-cov -j"$JOBS" --output-on-failure
 python3 scripts/coverage_gate.py build-cov
 

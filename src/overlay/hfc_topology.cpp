@@ -261,16 +261,16 @@ void HfcTopology::add_group(std::size_t level, std::vector<ClusterId> children,
 void HfcTopology::finish_tree() {
   rank_.assign(groups_.size(), 0);
   row_.assign(groups_.size(), 0);
-  column_.assign(groups_.size(), 0);
+  triangle_.assign(groups_.size(), 0);
   std::size_t table = 0;
   std::size_t triangle = 0;
-  for (const HierarchyGroup& parent : groups_) {
-    const std::size_t k = parent.children.size();
+  for (std::size_t p = 0; p < groups_.size(); ++p) {
+    const std::size_t k = groups_[p].children.size();
     for (std::size_t i = 0; i < k; ++i) {
-      rank_[parent.children[i].idx()] = i;
-      row_[parent.children[i].idx()] = table + i * k;
-      column_[parent.children[i].idx()] = triangle + i * (i - 1) / 2;
+      rank_[groups_[p].children[i].idx()] = i;
+      row_[groups_[p].children[i].idx()] = table + i * k;
     }
+    triangle_[p] = triangle;
     table += k * k;
     triangle += k * (k - 1) / 2;
   }
@@ -572,7 +572,7 @@ std::size_t HfcTopology::resident_bytes() const {
   for (const std::vector<ClusterId>& lvl : level_groups_) {
     bytes += lvl.capacity() * sizeof(ClusterId);
   }
-  bytes += (rank_.capacity() + row_.capacity() + column_.capacity()) *
+  bytes += (rank_.capacity() + row_.capacity() + triangle_.capacity()) *
                sizeof(std::size_t) +
            border_.capacity() * sizeof(NodeId) +
            length_.capacity() * sizeof(double) +
@@ -595,7 +595,7 @@ std::unique_ptr<HfcTopology> HfcTopology::clone_frozen(
   copy->inner_members_ = inner_members_;
   copy->rank_ = rank_;
   copy->row_ = row_;
-  copy->column_ = column_;
+  copy->triangle_ = triangle_;
   copy->border_ = border_;
   copy->length_ = length_;
   copy->border_refs_ = border_refs_;
@@ -666,6 +666,7 @@ void HfcTopology::kill_cluster(std::size_t cluster) {
     if (o == cluster || !live_[o]) continue;
     set_border(cluster, o, NodeId{});
     set_border(o, cluster, NodeId{});
+    length_[length_slot(cluster, o)] = std::numeric_limits<double>::infinity();
   }
   if (cluster < staged_.size()) {
     staged_[cluster].adds.clear();

@@ -36,6 +36,7 @@
 // caches keyed by ClusterId stay valid across churn.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -264,6 +265,15 @@ class HfcTopology {
   /// siblings.
   [[nodiscard]] CspLink link(ClusterId from, ClusterId toward) const;
 
+  /// The link lengths among `parent`'s children, indexed by sibling rank
+  /// (the position in `group(parent).children`): ranks a < b at
+  /// [b (b - 1) / 2 + a]. Each is link()'s length, and +inf where either
+  /// sibling is dead, as link() then finds none. Unchecked: `parent` must
+  /// have children.
+  [[nodiscard]] const double* lengths(ClusterId parent) const {
+    return length_.data() + triangle_[parent.idx()];
+  }
+
   /// The distance border pairs are chosen and measured under; null in a
   /// topology built from coordinates.
   [[nodiscard]] const OverlayDistance& distance() const { return distance_; }
@@ -392,8 +402,9 @@ class HfcTopology {
   }
   /// The length_ slot of two distinct siblings, in either order.
   [[nodiscard]] std::size_t length_slot(std::size_t a, std::size_t b) const {
-    return rank_[a] < rank_[b] ? column_[b] + rank_[a]
-                               : column_[a] + rank_[b];
+    const std::size_t lo = std::min(rank_[a], rank_[b]);
+    const std::size_t hi = std::max(rank_[a], rank_[b]);
+    return triangle_[groups_[a].parent.idx()] + hi * (hi - 1) / 2 + lo;
   }
   /// Visit the nodes after `a` on the hop path from `a` to `b`, in order.
   template <typename Visit>
@@ -463,15 +474,15 @@ class HfcTopology {
   /// border_[row_[from] + rank_[toward]]. One-level: border_[from*C+toward].
   std::vector<std::size_t> rank_;
   std::vector<std::size_t> row_;
-  /// Per group: the offset of its column in the parent's length triangle,
-  /// so siblings a, b with rank_[a] < rank_[b] keep their link length at
-  /// length_[column_[b] + rank_[a]].
-  std::vector<std::size_t> column_;
+  /// Per group: the offset of its children's length triangle, so siblings
+  /// a, b with rank_[a] < rank_[b] under parent p keep their link length
+  /// at length_[triangle_[p] + rank_[b] (rank_[b] - 1) / 2 + rank_[a]].
+  std::vector<std::size_t> triangle_;
   /// Every parent's k x k sibling table, parents in id order.
   std::vector<NodeId> border_;
   /// Every parent's k (k - 1) / 2 link lengths, beside border_: the
   /// distance between the pair's border nodes, from the lower id's end,
-  /// stored whenever the pair is chosen.
+  /// stored whenever the pair is chosen; +inf once either side dies.
   std::vector<double> length_;
   /// Per node: number of border slots currently pointing at it (a node is
   /// a border iff its count is non-zero).

@@ -204,9 +204,12 @@ struct Rest {
 inline constexpr double kBoundSlack = 1e-9;
 
 /// The cheapest unit-level service path for a non-empty `graph` between
-/// `ends`. `candidates[v]` lists the units that may serve SG vertex v,
-/// each at most once. `links.link(from, toward)` returns a CspLink;
-/// `distance` prices internal segments, which count only when
+/// `ends`, whose units are children of `parent`. `units` lists those
+/// children by sibling rank, and `candidates[v]` the ranks of the units
+/// that may serve SG vertex v, each at most once. `links.link(from,
+/// toward)` returns the CspLink between two units and `links.length(parent,
+/// a, b)` its length between two ranks (0 when a == b, +inf when not
+/// found); `distance` prices internal segments, which count only when
 /// `lower_bounds` is set. Not found when no configuration connects.
 ///
 /// The search is bounded (DESIGN.md §5): a backward pass over the same
@@ -220,9 +223,11 @@ inline constexpr double kBoundSlack = 1e-9;
 /// and groups the bound dropped to `routing.csp_bound_skips`.
 template <typename Unit, typename LinkSource>
 [[nodiscard]] CspSearch<Unit> search_csp(
-    const ServiceGraph& graph, const CspEnds<Unit>& ends,
-    const std::vector<std::vector<Unit>>& candidates, const LinkSource& links,
-    const OverlayDistance& distance, bool lower_bounds) {
+    const ServiceGraph& graph, const CspEnds<Unit>& ends, Unit parent,
+    const std::vector<Unit>& units,
+    const std::vector<std::vector<std::uint32_t>>& candidates,
+    const LinkSource& links, const OverlayDistance& distance,
+    bool lower_bounds) {
   using csp_detail::bits;
   using csp_detail::entry_of;
   using csp_detail::Member;
@@ -245,13 +250,14 @@ template <typename Unit, typename LinkSource>
   };
 
   // The three cost expressions, shared by the upper bound and the search.
-  // Entering unit c from the source proxy: the cost, kInf when c cannot be
-  // reached; sets the entry node and the crossings.
-  const auto enter = [&](Unit c, NodeId& entry, std::uint32_t& crossings) {
+  // Entering the unit of rank c from the source proxy: the cost, kInf when
+  // it cannot be reached; sets the entry node and the crossings.
+  const auto enter = [&](std::uint32_t c, NodeId& entry,
+                         std::uint32_t& crossings) {
     entry = ends.source;
     crossings = 0;
-    if (c == ends.source_unit) return 0.0;
-    const CspLink link = links.link(ends.source_unit, c);
+    if (units[c] == ends.source_unit) return 0.0;
+    const CspLink link = links.link(ends.source_unit, units[c]);
     if (!link.found) return kInf;
     double cost = link.length;
     if (lower_bounds && ends.source != link.exit) {
@@ -267,18 +273,18 @@ template <typename Unit, typename LinkSource>
     if (lower_bounds && entry != link.exit) cost += internal(entry, link.exit);
     return cost;
   };
-  // Closing a state of unit c entered at `entry` with label `cost` at the
-  // destination proxy: the total, kInf when unreachable; counts the
-  // crossing.
-  const auto close = [&](Unit c, NodeId entry, double cost,
+  // Closing a state of the unit of rank c entered at `entry` with label
+  // `cost` at the destination proxy: the total, kInf when unreachable;
+  // counts the crossing.
+  const auto close = [&](std::uint32_t c, NodeId entry, double cost,
                          std::uint32_t& crossings) {
-    if (c == ends.destination_unit) {
+    if (units[c] == ends.destination_unit) {
       if (lower_bounds && entry != ends.destination) {
         cost += internal(entry, ends.destination);
       }
       return cost;
     }
-    const CspLink link = links.link(c, ends.destination_unit);
+    const CspLink link = links.link(units[c], ends.destination_unit);
     if (!link.found) return kInf;
     cost += step(entry, link);
     if (cost == kInf) return kInf;
@@ -289,34 +295,32 @@ template <typename Unit, typename LinkSource>
     return cost;
   };
 
-  // Backward pass: rest[v][j] bounds what any completion from unit j at
-  // vertex v still pays, counting only link lengths (a stay costs 0). It
-  // needs no triangle inequality. through[v][s * K_v + j] is the same
-  // bound restricted to v's s-th successor.
+  // Backward pass: rest[v][j] bounds what any completion from candidate j
+  // at vertex v still pays, counting only link lengths (a stay costs 0),
+  // read by rank from the parent's length triangle. It needs no triangle
+  // inequality. through[v][s * K_v + j] is the same bound restricted to
+  // v's s-th successor.
+  const auto destination = static_cast<std::uint32_t>(
+      std::find(units.begin(), units.end(), ends.destination_unit) -
+      units.begin());
   const std::vector<std::size_t> order = graph.topological_order();
   std::vector<std::vector<Rest>> rest(graph.size());
   std::vector<std::vector<double>> through(graph.size());
   std::vector<std::uint32_t> by_rest;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const std::size_t v = *it;
-    const std::vector<Unit>& units = candidates[v];
+    const std::vector<std::uint32_t>& cands = candidates[v];
     const std::vector<std::size_t>& succ = graph.successors(v);
-    rest[v].assign(units.size(), Rest{});
+    rest[v].assign(cands.size(), Rest{});
     if (succ.empty()) {
-      for (std::uint32_t j = 0; j < units.size(); ++j) {
-        if (units[j] == ends.destination_unit) {
-          rest[v][j].length = 0.0;
-        } else if (const CspLink link =
-                       links.link(units[j], ends.destination_unit);
-                   link.found) {
-          rest[v][j].length = link.length;
-        }
+      for (std::uint32_t j = 0; j < cands.size(); ++j) {
+        rest[v][j].length = links.length(parent, cands[j], destination);
       }
       continue;
     }
-    through[v].assign(succ.size() * units.size(), kInf);
+    through[v].assign(succ.size() * cands.size(), kInf);
     for (std::uint32_t s = 0; s < succ.size(); ++s) {
-      const std::vector<Unit>& nexts = candidates[succ[s]];
+      const std::vector<std::uint32_t>& nexts = candidates[succ[s]];
       const std::vector<Rest>& after = rest[succ[s]];
       // Reachable successors by ascending bound: a link adds a
       // non-negative length, so the scan stops at the first bound that
@@ -330,23 +334,19 @@ template <typename Unit, typename LinkSource>
                   return after[a].length < after[b].length ||
                          (after[a].length == after[b].length && a < b);
                 });
-      for (std::uint32_t j = 0; j < units.size(); ++j) {
+      for (std::uint32_t j = 0; j < cands.size(); ++j) {
         double best = kInf;
         std::uint32_t arg = csp_detail::kNone;
         for (const std::uint32_t k : by_rest) {
           if (after[k].length >= best) break;
-          double length = after[k].length;
-          if (nexts[k] != units[j]) {
-            const CspLink link = links.link(units[j], nexts[k]);
-            if (!link.found) continue;
-            length = link.length + length;
-          }
+          const double length =
+              links.length(parent, cands[j], nexts[k]) + after[k].length;
           if (length < best) {
             best = length;
             arg = k;
           }
         }
-        through[v][s * units.size() + j] = best;
+        through[v][s * cands.size() + j] = best;
         if (best < rest[v][j].length) rest[v][j] = Rest{best, s, arg};
       }
     }
@@ -366,10 +366,10 @@ template <typename Unit, typename LinkSource>
       while (cost != kInf && !graph.successors(at).empty()) {
         const Rest& r = rest[at][cand];
         const std::size_t next_at = graph.successors(at)[r.succ];
-        const Unit unit = candidates[at][cand];
-        const Unit next = candidates[next_at][r.cand];
+        const std::uint32_t unit = candidates[at][cand];
+        const std::uint32_t next = candidates[next_at][r.cand];
         if (next != unit) {
-          const CspLink link = links.link(unit, next);
+          const CspLink link = links.link(units[unit], units[next]);
           cost = cost + step(entry, link);
           entry = link.entry;
         }
@@ -405,12 +405,12 @@ template <typename Unit, typename LinkSource>
   // Initialise the SG source vertices from the source proxy.
   for (std::size_t v : graph.sources()) {
     for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
-      const Unit c = candidates[v][j];
+      const std::uint32_t c = candidates[v][j];
       NodeId entry;
       std::uint32_t crossings = 0;
       const double cost = enter(c, entry, crossings);
       if (cost == kInf || !keeps(cost, rest[v][j].length)) continue;
-      State& state = state_at(v, c, entry, j);
+      State& state = state_at(v, units[c], entry, j);
       if (cost < state.cost) {
         state.cost = cost;
         state.crossings = crossings;
@@ -421,8 +421,8 @@ template <typename Unit, typename LinkSource>
   // Relax SG edges in topological order, unit-major: by offer()'s total
   // order, offering each (unit, next) group's best transition equals
   // offering every state. A group, pair or transition whose cheapest
-  // label cannot reach the upper bound is skipped before its links or
-  // members are read.
+  // label cannot reach the upper bound is skipped before its members are
+  // read; a pair, on its length alone, before its link's borders are.
   std::vector<std::uint32_t> offsets;
   std::vector<Member> members;
   std::vector<double> least;
@@ -440,23 +440,25 @@ template <typename Unit, typename LinkSource>
             !keeps(least[g], through[u][s * groups + g])) {
           continue;
         }
-        const Unit c = candidates[u][g];
+        const std::uint32_t c = candidates[u][g];
         const Member* begin = members.data() + offsets[g];
         const Member* end = members.data() + offsets[g + 1];
         for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
-          const Unit next = candidates[v][j];
+          const std::uint32_t next = candidates[v][j];
           const double bound = rest[v][j].length;
           if (!keeps(least[g], bound)) continue;
           if (next == c) {
             for (const Member* m = begin; m != end; ++m) {
               if (!keeps(m->cost, bound)) continue;
-              csp_detail::offer(state_at(v, c, entry_of(m->key), j), m->cost,
-                                m->crossings, uu, m->slot, m->key);
+              csp_detail::offer(state_at(v, units[c], entry_of(m->key), j),
+                                m->cost, m->crossings, uu, m->slot, m->key);
             }
             continue;
           }
-          const CspLink link = links.link(c, next);
-          if (!link.found || !keeps(least[g] + link.length, bound)) continue;
+          // A found link has a finite length: +inf reads as no link.
+          const double length = links.length(parent, c, next);
+          if (length == kInf || !keeps(least[g] + length, bound)) continue;
+          const CspLink link = links.link(units[c], units[next]);
           double best = kInf;
           const Member* winner = nullptr;
           for (const Member* m = begin; m != end; ++m) {
@@ -472,7 +474,7 @@ template <typename Unit, typename LinkSource>
             }
           }
           if (winner == nullptr || !keeps(best, bound)) continue;
-          csp_detail::offer(state_at(v, next, link.entry, j), best,
+          csp_detail::offer(state_at(v, units[next], link.entry, j), best,
                             winner->crossings + 1, uu, winner->slot,
                             winner->key);
         }
@@ -524,7 +526,7 @@ template <typename Unit, typename LinkSource>
                      slot = best_slot;
        v != csp_detail::kNone;) {
     const State& s = tables[v].entries[slot];
-    csp.steps.push_back(CspStep<Unit>{v, candidates[v][s.cand]});
+    csp.steps.push_back(CspStep<Unit>{v, units[candidates[v][s.cand]]});
     v = s.prev_vertex;
     slot = s.prev_slot;
   }

@@ -91,23 +91,26 @@ class ConquerPipeline {
       }
       return {true, total, {}};
     }
-    std::vector<std::vector<ClusterId>> candidates(graph.size());
+    // Candidates by sibling rank, the order `children` lists them in.
+    const std::vector<ClusterId>& units = topo_.group(parent).children;
+    std::vector<std::vector<std::uint32_t>> candidates(graph.size());
     for (std::size_t v = 0; v < graph.size(); ++v) {
       const ServiceId s = graph.label(v);
-      for (const ClusterId unit : topo_.group(parent).children) {
+      for (std::uint32_t rank = 0; rank < units.size(); ++rank) {
+        const ClusterId unit = units[rank];
         const std::vector<ServiceId>& hosted =
             router_.capabilities_[unit.idx()];
         if (std::binary_search(hosted.begin(), hosted.end(), s) &&
             (!cluster_ok_ || !is_leaf(unit) || cluster_ok_(unit, s)) &&
             std::find(exclusions.begin(), exclusions.end(),
                       std::pair{unit, s}) == exclusions.end()) {
-          candidates[v].push_back(unit);
+          candidates[v].push_back(rank);
         }
       }
       if (candidates[v].empty()) return {};  // unsatisfiable in `parent`
     }
-    return search_csp(graph, ends, candidates, links_, distance,
-                      router_.params_.use_internal_lower_bounds);
+    return search_csp(graph, ends, parent, units, candidates, links_,
+                      distance, router_.params_.use_internal_lower_bounds);
   }
 
   /// The runs of a found CSP inside `parent`.

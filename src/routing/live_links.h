@@ -7,12 +7,17 @@
 // selection); with no survivor on one side the units are disconnected.
 // Each unordered pair resolves once per view. Without a predicate the
 // view is the store's stored link, with no memo.
+//
+// `length` is the same link's length read by sibling rank, which is all
+// the CSP search's bound needs (DESIGN.md §5): without a predicate one
+// load from the parent's length triangle, under one the memo's pair.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "overlay/overlay_network.h"
 #include "routing/csp_kernel.h"
@@ -22,7 +27,9 @@
 namespace hfc {
 
 /// `Store` supplies `link(from, toward)`, the stored CspLink (found only
-/// for distinct live siblings), and `members(unit)`, ascending.
+/// for distinct live siblings), `members(unit)`, ascending, and
+/// `group(parent).children` with `lengths(parent)`, the children by rank
+/// and their links' lengths as HfcTopology lays them out.
 template <typename Unit, typename Store>
 class LiveLinkView {
  public:
@@ -45,6 +52,19 @@ class LiveLinkView {
     if (inserted) memo_.entries[slot].link = resolve(lo, hi);
     const CspLink& l = memo_.entries[slot].link;
     return swap ? CspLink{l.entry, l.exit, l.length, l.found} : l;
+  }
+
+  /// The length of link() between the children of `parent` at ranks `a`
+  /// and `b`: 0 when a == b, +inf where link() finds none.
+  [[nodiscard]] double length(Unit parent, std::size_t a,
+                              std::size_t b) const {
+    if (a == b) return 0.0;
+    if (up_) {
+      const std::vector<Unit>& units = store_.group(parent).children;
+      return link(units[a], units[b]).length;
+    }
+    return a < b ? store_.lengths(parent)[b * (b - 1) / 2 + a]
+                 : store_.lengths(parent)[a * (a - 1) / 2 + b];
   }
 
   /// Pairs this view resolved to a surviving fallback pair, and pairs it

@@ -381,6 +381,27 @@ TEST(CspOracle, BoundPrunesEnv4Corpus) {
   EXPECT_GE(skips, kept);
 }
 
+// The bound's work, pinned: the states kept and the states, pairs and
+// groups skipped over the environment 4 corpus above. A change in how
+// the search reads its links must not move either total.
+TEST(CspOracle, BoundCountersPinned) {
+  const auto fw = HfcFramework::build(config_for(paper_environments().back(),
+                                                 /*seed=*/1));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const std::uint64_t kept_before =
+      registry.counter("routing.csp_states").value();
+  const std::uint64_t skips_before =
+      registry.counter("routing.csp_bound_skips").value();
+  Rng rng(1);
+  for (const ServiceRequest& request : fw->generate_requests(200, rng)) {
+    ASSERT_TRUE(fw->router().compute_csp(request).found);
+  }
+  EXPECT_EQ(registry.counter("routing.csp_states").value() - kept_before,
+            36125u);
+  EXPECT_EQ(registry.counter("routing.csp_bound_skips").value() - skips_before,
+            595066u);
+}
+
 /// 64-bit FNV-1a, folded over `value`'s bytes.
 template <typename T>
 void fnv1a(std::uint64_t& h, const T& value) {

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -612,6 +614,124 @@ TEST(BorderView, MemoizesFallbackResolution) {
   ASSERT_TRUE(routed.path.found);
   for (const ServiceHop& hop : routed.path.hops) EXPECT_NE(hop.proxy, stored);
   EXPECT_EQ(counter_now("fault.border_fallbacks") - fallbacks_before, 1u);
+}
+
+// ----------------------------------------------------- link lengths by rank
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+/// Every sibling pair of every parent, by rank: `view.length` is 0 on the
+/// diagonal, bit-equals the length of a found `view.link`, and is +inf
+/// where the link is not found. Returns the pairs not found.
+std::size_t expect_lengths_match_links(const HfcTopology& topo,
+                                       const ClusterLinks& view) {
+  std::size_t missing = 0;
+  for (std::size_t p = 0; p < topo.group_count(); ++p) {
+    const ClusterId parent(static_cast<std::int32_t>(p));
+    const std::vector<ClusterId>& kids = topo.group(parent).children;
+    for (std::size_t a = 0; a < kids.size(); ++a) {
+      for (std::size_t b = 0; b < kids.size(); ++b) {
+        const double length = view.length(parent, a, b);
+        if (a == b) {
+          EXPECT_EQ(bits_of(length), bits_of(0.0));
+          continue;
+        }
+        const CspLink link = view.link(kids[a], kids[b]);
+        missing += link.found ? 0 : 1;
+        EXPECT_EQ(bits_of(length),
+                  bits_of(link.found ? link.length
+                                     : std::numeric_limits<double>::infinity()))
+            << "parent " << p << " ranks " << a << ", " << b;
+      }
+    }
+  }
+  return missing;
+}
+
+/// A predicate that crashes the stored border of about every third
+/// ordered sibling pair of every parent.
+std::function<bool(NodeId)> crash_stored_borders(const HfcTopology& topo) {
+  auto down = std::make_shared<std::vector<NodeId>>();
+  for (std::size_t p = 0; p < topo.group_count(); ++p) {
+    const std::vector<ClusterId>& kids =
+        topo.group(ClusterId(static_cast<std::int32_t>(p))).children;
+    for (std::size_t a = 0; a < kids.size(); ++a) {
+      for (std::size_t b = 0; b < kids.size(); ++b) {
+        const NodeId border = topo.link(kids[a], kids[b]).exit;
+        if (a != b && (p + a + 2 * b) % 3 == 0 && border.valid()) {
+          down->push_back(border);
+        }
+      }
+    }
+  }
+  std::sort(down->begin(), down->end());
+  return [down](NodeId n) {
+    return !std::binary_search(down->begin(), down->end(), n);
+  };
+}
+
+/// The stored lengths, and the fallback lengths under crashed borders.
+std::size_t expect_both_views_match(const HfcTopology& topo,
+                                    const OverlayDistance& distance) {
+  const std::size_t missing =
+      expect_lengths_match_links(topo, ClusterLinks(topo, distance, nullptr));
+  const ClusterLinks crashed(topo, distance, crash_stored_borders(topo));
+  expect_lengths_match_links(topo, crashed);
+  EXPECT_GT(crashed.fallbacks(), 0u);
+  return missing;
+}
+
+TEST(LiveLinks, SiblingLengthsMatchLink) {
+  Rng rng(31);
+  std::vector<Point> pts;
+  for (std::size_t i = 0; i < 160; ++i) {
+    pts.push_back({250.0 * static_cast<double>(i % 8) + rng.uniform_real(0, 20),
+                   100.0 * static_cast<double>(i % 3) +
+                       rng.uniform_real(0, 20)});
+  }
+  const OverlayDistance distance = [&pts](NodeId a, NodeId b) {
+    return euclidean(pts[a.idx()], pts[b.idx()]);
+  };
+
+  // A flat topology and bounded-fanout trees two and three levels deep.
+  const HfcTopology flat(cluster_points(pts), distance);
+  ASSERT_GE(flat.cluster_count(), 3u);
+  EXPECT_EQ(expect_both_views_match(flat, distance), 0u);
+  std::size_t depths = 0;
+  for (const MultiLevelParams& params :
+       {MultiLevelParams::bounded(8, 12), MultiLevelParams::bounded(4, 12)}) {
+    const HfcTopology tree(pts, params);
+    depths |= std::size_t{1} << tree.levels();
+    EXPECT_EQ(expect_both_views_match(tree, distance), 0u);
+  }
+  EXPECT_EQ(depths, 0b1100u);  // depths 2 and 3
+
+  // Churn batches that kill a cluster and grow the others: a dead sibling
+  // reads +inf, as link() finds no link to it.
+  DynamicHfcOverlay overlay(pts, ServicePlacement(pts.size()), {},
+                            BorderSelection::kClosestPair);
+  const HfcTopology& live = overlay.universe_topology();
+  const OverlayDistance& churned = live.distance();
+  const std::size_t clusters = live.cluster_count();
+  std::vector<ChurnEvent> kill;
+  for (const NodeId node : live.members(ClusterId(1))) {
+    kill.push_back(ChurnEvent::make_deactivate(node));
+  }
+  overlay.apply(kill);
+  ASSERT_FALSE(live.live(ClusterId(1)));
+  const std::size_t dead_pairs = 2 * (clusters - 1);
+  EXPECT_EQ(expect_both_views_match(live, churned), dead_pairs);
+  std::vector<ChurnEvent> grow;
+  for (std::size_t i = 0; i < 12; ++i) {
+    grow.push_back(ChurnEvent::make_add(
+        {rng.uniform_real(0, 1800), rng.uniform_real(0, 220)}, {}));
+  }
+  overlay.apply(grow);
+  EXPECT_EQ(expect_both_views_match(live, churned), dead_pairs);
 }
 
 // ------------------------------------------------------ degradation routing

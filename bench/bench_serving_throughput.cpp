@@ -7,7 +7,7 @@
 //              overlay (route(), or route_degraded() with an up-predicate
 //              while proxies are crashed — so every degraded request pays
 //              its own surviving-border-pair re-scan);
-//   engine   — ServingEngine::serve(): snapshot publication, the sharded
+//   engine   — ServingEngine::serve(): snapshot publication, the
 //              generation-invalidated route cache, wave coalescing, and
 //              parallel miss solves.
 //

@@ -29,7 +29,7 @@
 #      bench_churn_dynamic, bench_topology_scaling (group-local
 #      pipeline forced on, so the parallel per-component scans run under
 #      TSan), bench_serving_throughput (the
-#      serving bench hammers snapshot publication + the sharded cache
+#      serving bench hammers snapshot publication + the route cache
 #      with a 4-thread pool) and a reduced bench_chaos_streaming (the
 #      repair pass fans candidate routing over the pool) under the same
 #      build.
@@ -108,7 +108,7 @@ echo "== [4/5] ASan gate =="
 cmake -B build-asan -S . -DHFC_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"$JOBS"
 ctest --test-dir build-asan -j"$JOBS" --output-on-failure \
-  -R 'Distance|RowCache|SymMatrix|Oracle|Mesh|Overlay|CoordDistance|Probe|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming|BorderRepairBox'
+  -R 'Distance|RowCache|SymMatrix|Oracle|Mesh|Overlay|CoordDistance|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming|BorderRepairBox'
 HFC_DIST_N=400 HFC_DIST_REQUESTS=200 HFC_BENCH_JSON=0 \
   ./build-asan/bench/bench_distance_scaling
 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 HFC_WAVES=2 \

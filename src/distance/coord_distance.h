@@ -23,9 +23,6 @@ class CoordDistanceService final : public DistanceService {
   explicit CoordDistanceService(PointSet coords);
 
   [[nodiscard]] std::size_t size() const override { return coords_.size(); }
-  [[nodiscard]] DistanceTier tier() const override {
-    return DistanceTier::kCoordinate;
-  }
   [[nodiscard]] double at(std::size_t a, std::size_t b) const override;
   [[nodiscard]] std::shared_ptr<const std::vector<double>> row(
       std::size_t source) const override;

@@ -8,14 +8,12 @@
 // state protocol, the framework pipeline) queries instead of a prebuilt
 // `SymMatrix`:
 //
-//   kTruth       — shortest-path delay through the underlay, memoized as
-//                  per-source Dijkstra rows in a bounded sharded LRU
-//                  (TruthDistanceService);
-//   kCoordinate  — geometric distance between embedded coordinates,
-//                  O(kn) resident state, rows derived on demand
-//                  (CoordDistanceService);
-//   kProbe       — one application-level RTT measurement per query, noise
-//                  and probe accounting included (ProbeDistanceService).
+//   truth       — shortest-path delay through the underlay, memoized as
+//                 per-source Dijkstra rows in a bounded sharded LRU
+//                 (TruthDistanceService);
+//   coordinate  — geometric distance between embedded coordinates,
+//                 O(kn) resident state, rows derived on demand
+//                 (CoordDistanceService).
 //
 // Query orientation contract: `at(a, b)` is symmetric in value, and for
 // row-backed tiers it always reads row(max(a, b))[min(a, b)]. That makes
@@ -27,19 +25,12 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "coords/point_set.h"
 #include "util/ids.h"
 
 namespace hfc {
-
-/// Which kind of information a service answers with (paper §3.1's
-/// measurement/estimate distinction, plus exact ground truth).
-enum class DistanceTier { kTruth, kCoordinate, kProbe };
-
-[[nodiscard]] const char* tier_name(DistanceTier tier);
 
 class DistanceService {
  public:
@@ -49,10 +40,7 @@ class DistanceService {
   /// [0, size()).
   [[nodiscard]] virtual std::size_t size() const = 0;
 
-  [[nodiscard]] virtual DistanceTier tier() const = 0;
-
-  /// Distance between nodes a and b. Symmetric; zero on the diagonal for
-  /// the deterministic tiers (probe measurements may inflate it).
+  /// Distance between nodes a and b. Symmetric; zero on the diagonal.
   [[nodiscard]] virtual double at(std::size_t a, std::size_t b) const = 0;
 
   [[nodiscard]] double operator()(std::size_t a, std::size_t b) const {
@@ -68,12 +56,6 @@ class DistanceService {
   /// never invalidates a row the caller still holds.
   [[nodiscard]] virtual std::shared_ptr<const std::vector<double>> row(
       std::size_t source) const = 0;
-
-  /// Bulk lookup: out[k] = at(queries[k].first, queries[k].second),
-  /// computed via `parallel_for`. Bit-identical to a serial loop for any
-  /// thread count.
-  [[nodiscard]] std::vector<double> pairs(
-      const std::vector<std::pair<std::size_t, std::size_t>>& queries) const;
 
   /// The service as an `OverlayDistance`-shaped closure for the function
   /// seams the routers use. Captures `this`: the service must outlive the

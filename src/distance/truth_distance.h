@@ -35,9 +35,6 @@ class TruthDistanceService final : public DistanceService {
                        std::size_t cache_rows = 0);
 
   [[nodiscard]] std::size_t size() const override { return endpoints_.size(); }
-  [[nodiscard]] DistanceTier tier() const override {
-    return DistanceTier::kTruth;
-  }
   [[nodiscard]] double at(std::size_t a, std::size_t b) const override;
   [[nodiscard]] std::shared_ptr<const std::vector<double>> row(
       std::size_t source) const override;

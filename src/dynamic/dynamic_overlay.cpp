@@ -303,10 +303,6 @@ const HfcTopology& DynamicHfcOverlay::universe_topology() const {
   return *inc_topo_;
 }
 
-const CoordDistanceService& DynamicHfcOverlay::universe_distance() const {
-  return *dist_;
-}
-
 HierarchicalServiceRouter& DynamicHfcOverlay::universe_router() {
   inc_router_->sync_with_topology();
   return *inc_router_;

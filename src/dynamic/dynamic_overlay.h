@@ -162,7 +162,6 @@ class DynamicHfcOverlay {
   /// frozen copies serve requests with no id remapping.
   [[nodiscard]] const OverlayNetwork& universe_network() const;
   [[nodiscard]] const HfcTopology& universe_topology() const;
-  [[nodiscard]] const CoordDistanceService& universe_distance() const;
   /// The universe router with SCT_C synced to the topology (same sync
   /// route() performs before answering).
   [[nodiscard]] HierarchicalServiceRouter& universe_router();

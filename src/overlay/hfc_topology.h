@@ -131,7 +131,8 @@ class HfcTopology {
   /// Build the one-level HFC topology from a clustering of `n` nodes;
   /// `distance` is the coordinate-space distance the system knows (border
   /// pairs are chosen to minimise it). The topology keeps a copy of the
-  /// functor and re-evaluates it for link lengths, so whatever state the
+  /// functor to choose and repair border pairs and to price overridden
+  /// ones (link lengths themselves are stored), so whatever state the
   /// functor references must outlive the topology. Throws on an empty
   /// clustering.
   HfcTopology(Clustering clustering, const OverlayDistance& distance,
@@ -311,13 +312,12 @@ class HfcTopology {
   /// topology for snapshot publication (src/serve, DESIGN.md §12): the
   /// tree, border and length tables + reference counts, liveness and the
   /// generation stamps are all copied; the distance functor is rebound to
-  /// `distance`
-  /// (the snapshot owns its own coordinate tier, so the clone has no
-  /// lifetime tie to this topology's service). Spatial acceleration is
-  /// deliberately dropped — a frozen clone never mutates, and spatial
-  /// state only accelerates mutation repair; queries answer identically
-  /// either way (the §11 exactness contract). Throws inside an open
-  /// mutation batch.
+  /// `distance` (a snapshot passes its own network's coordinate distance,
+  /// so the clone has no lifetime tie to this topology's). Spatial
+  /// acceleration is deliberately dropped — a frozen clone never mutates,
+  /// and spatial state only accelerates mutation repair; queries answer
+  /// identically either way (the §11 exactness contract). Throws inside an
+  /// open mutation batch.
   [[nodiscard]] std::unique_ptr<HfcTopology> clone_frozen(
       const OverlayDistance& distance) const;
 
@@ -458,8 +458,9 @@ class HfcTopology {
   void repair_staged();
 
   Clustering clustering_;
-  /// The distance the topology was built with; link lengths are derived
-  /// from it instead of stored. Null for a topology built from coordinates.
+  /// The distance the topology was built with: it chooses, repairs and
+  /// prices border pairs, whose lengths length_ stores. Null for a
+  /// topology built from coordinates.
   OverlayDistance distance_;
   BorderSelection selection_ = BorderSelection::kClosestPair;
 

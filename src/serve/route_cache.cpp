@@ -18,18 +18,10 @@ RequestKey RequestKey::make(const ServiceRequest& request,
   key.source = request.source;
   key.destination = request.destination;
   key.sg_encoding = request.graph.canonical_encoding();
-
-  // Shard selection: the ISSUE-level (src cluster, SG hash, dst cluster)
-  // triple, so requests of one cluster pair with one SG co-locate.
-  std::uint64_t mix = splitmix64(0x524b6579ull ^ request.graph.structural_hash());
-  mix = splitmix64(mix ^ static_cast<std::uint64_t>(src.idx()));
-  mix = splitmix64(mix ^ static_cast<std::uint64_t>(dst.idx()));
-  key.shard_mix = mix;
-
-  // Bucket hash folds the concrete endpoints back in for the shard map.
-  mix = splitmix64(mix ^ static_cast<std::uint64_t>(request.source.idx()));
-  mix = splitmix64(mix ^ static_cast<std::uint64_t>(request.destination.idx()));
-  key.bucket_mix = mix;
+  std::uint64_t h = splitmix64(0x524b6579ull ^ request.graph.structural_hash());
+  h = splitmix64(h ^ static_cast<std::uint64_t>(request.source.idx()));
+  h = splitmix64(h ^ static_cast<std::uint64_t>(request.destination.idx()));
+  key.hash = h;
   return key;
 }
 
@@ -73,68 +65,44 @@ bool route_current(const CachedRoute& entry, const RouteSnapshot& snap) {
   return true;
 }
 
-ShardedRouteCache::ShardedRouteCache(std::size_t shards,
-                                     std::size_t capacity_per_shard)
-    : capacity_(capacity_per_shard) {
-  require(shards >= 1, "ShardedRouteCache: need at least one shard");
-  require(capacity_per_shard >= 1,
-          "ShardedRouteCache: need capacity of at least one entry per shard");
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+RouteCache::RouteCache(std::size_t capacity) : capacity_(capacity) {
+  require(capacity >= 1, "RouteCache: need capacity of at least one entry");
 }
 
-std::size_t ShardedRouteCache::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->map.size();
-  }
-  return total;
+std::size_t RouteCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
-std::optional<CachedRoute> ShardedRouteCache::find(
-    const RequestKey& key) const {
-  const Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
+std::optional<CachedRoute> RouteCache::find(const RequestKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
   return it->second;
 }
 
-ShardedRouteCache::InsertResult ShardedRouteCache::insert(
-    const RequestKey& key, CachedRoute entry) {
-  Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+RouteCache::InsertResult RouteCache::insert(const RequestKey& key,
+                                            CachedRoute entry) {
+  std::lock_guard<std::mutex> lock(mu_);
 
   InsertResult result;
-  entry.insert_seq = ++shard.next_seq;
-  const auto [it, inserted] = shard.map.insert_or_assign(key, std::move(entry));
+  entry.insert_seq = ++next_seq_;
+  const auto [it, inserted] = map_.insert_or_assign(key, std::move(entry));
   result.replaced = !inserted;
-  shard.fifo.emplace_back(key, it->second.insert_seq);
+  fifo_.emplace_back(key, it->second.insert_seq);
 
-  while (shard.map.size() > capacity_) {
-    require(!shard.fifo.empty(),
-            "ShardedRouteCache: FIFO lost track of a resident entry");
-    auto [victim, seq] = std::move(shard.fifo.front());
-    shard.fifo.pop_front();
-    const auto vit = shard.map.find(victim);
+  while (map_.size() > capacity_) {
+    require(!fifo_.empty(), "RouteCache: FIFO lost track of a resident entry");
+    auto [victim, seq] = std::move(fifo_.front());
+    fifo_.pop_front();
+    const auto vit = map_.find(victim);
     // Skip stale records: the key was refreshed after this record was
     // queued (its live seq is newer) or already evicted.
-    if (vit == shard.map.end() || vit->second.insert_seq != seq) continue;
-    shard.map.erase(vit);
+    if (vit == map_.end() || vit->second.insert_seq != seq) continue;
+    map_.erase(vit);
     ++result.evicted;
   }
   return result;
-}
-
-void ShardedRouteCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    shard->fifo.clear();
-  }
 }
 
 }  // namespace hfc::serve

@@ -1,4 +1,4 @@
-// ShardedRouteCache — generation-invalidated route memoization
+// RouteCache — generation-invalidated route memoization
 // (DESIGN.md §12).
 //
 // Routes are pure functions of (source, destination, service graph) and
@@ -27,18 +27,15 @@
 // intra-cluster solvers are deterministic functions of exactly the
 // tagged state). Anything else is reported stale and re-solved.
 //
-// Sharding: entries hash to one of N independent shards by the
-// (source cluster, SG structural hash, destination cluster) triple, each
-// shard a mutex-guarded map with FIFO eviction (re-inserts refresh
-// recency via stale queue records that are skipped on pop). The
-// ServingEngine serializes cache phases per wave, so the mutexes are
-// uncontended there; they make the cache safe for out-of-band probes.
+// Storage: one map with FIFO eviction behind one mutex. Re-inserts
+// refresh recency via stale queue records that are skipped on pop. The
+// ServingEngine runs its lookup and insert phases serially, so the mutex
+// is uncontended there; it keeps the cache safe for out-of-band probes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -53,16 +50,15 @@
 
 namespace hfc::serve {
 
-/// Full identity of a cacheable request plus its precomputed hashes.
+/// Full identity of a cacheable request plus its precomputed hash.
 struct RequestKey {
   NodeId source;
   NodeId destination;
-  std::string sg_encoding;   ///< ServiceGraph::canonical_encoding()
-  std::uint64_t shard_mix = 0;   ///< (src cluster, SG hash, dst cluster)
-  std::uint64_t bucket_mix = 0;  ///< shard_mix folded with the endpoints
+  std::string sg_encoding;  ///< ServiceGraph::canonical_encoding()
+  std::uint64_t hash = 0;   ///< SG structural hash folded with the endpoints
 
-  /// Build the key for `request` as seen by `snap` (which supplies the
-  /// endpoint clusters for the shard hash).
+  /// Build the key for `request`. Throws unless both endpoints are
+  /// clustered in `snap`.
   [[nodiscard]] static RequestKey make(const ServiceRequest& request,
                                        const RouteSnapshot& snap);
 
@@ -74,7 +70,7 @@ struct RequestKey {
 
 struct RequestKeyHash {
   [[nodiscard]] std::size_t operator()(const RequestKey& k) const noexcept {
-    return static_cast<std::size_t>(k.bucket_mix);
+    return static_cast<std::size_t>(k.hash);
   }
 };
 
@@ -86,7 +82,7 @@ struct CachedRoute {
   std::vector<std::pair<ClusterId, std::uint64_t>> cluster_tags;
   /// (SG service, candidate-set fingerprint at solve time), ascending.
   std::vector<std::pair<ServiceId, std::uint64_t>> service_tags;
-  std::uint64_t insert_seq = 0;  ///< shard FIFO bookkeeping
+  std::uint64_t insert_seq = 0;  ///< FIFO bookkeeping
 };
 
 /// Derive the tags for a solved path: traversed clusters = endpoint
@@ -100,15 +96,11 @@ struct CachedRoute {
 [[nodiscard]] bool route_current(const CachedRoute& entry,
                                  const RouteSnapshot& snap);
 
-class ShardedRouteCache {
+class RouteCache {
  public:
-  /// `shards` independent maps of `capacity_per_shard` entries each
-  /// (both >= 1; ServeParams supplies them).
-  ShardedRouteCache(std::size_t shards, std::size_t capacity_per_shard);
+  /// A FIFO-evicting map of at most `capacity` (>= 1) entries.
+  explicit RouteCache(std::size_t capacity);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] std::size_t capacity_per_shard() const { return capacity_; }
-  /// Total entries across shards (O(shards)).
   [[nodiscard]] std::size_t size() const;
 
   /// Copy of the entry under `key`, if present (tag validation is the
@@ -122,26 +114,13 @@ class ShardedRouteCache {
   /// Insert or refresh `entry` under `key`.
   InsertResult insert(const RequestKey& key, CachedRoute entry);
 
-  void clear();
-
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<RequestKey, CachedRoute, RequestKeyHash> map;
-    /// FIFO of (key, seq); records whose seq no longer matches the live
-    /// entry are stale (the key was refreshed later) and skipped on pop.
-    std::deque<std::pair<RequestKey, std::uint64_t>> fifo;
-    std::uint64_t next_seq = 0;
-  };
-
-  [[nodiscard]] Shard& shard_of(const RequestKey& key) {
-    return *shards_[key.shard_mix % shards_.size()];
-  }
-  [[nodiscard]] const Shard& shard_of(const RequestKey& key) const {
-    return *shards_[key.shard_mix % shards_.size()];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<RequestKey, CachedRoute, RequestKeyHash> map_;
+  /// FIFO of (key, seq); records whose seq no longer matches the live
+  /// entry are stale (the key was refreshed later) and skipped on pop.
+  std::deque<std::pair<RequestKey, std::uint64_t>> fifo_;
+  std::uint64_t next_seq_ = 0;
   std::size_t capacity_ = 0;
 };
 

@@ -42,12 +42,9 @@ constexpr std::uint64_t kFingerprintSeed = 0x53657276ull;
 
 std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
     const OverlayNetwork& net, const HfcTopology& topo,
-    const CoordDistanceService& dist, std::vector<NodeId> crashed,
-    std::uint64_t crash_epoch) {
+    std::vector<NodeId> crashed, std::uint64_t crash_epoch) {
   require(net.size() == topo.node_count(),
           "RouteSnapshot::capture: network / topology node count mismatch");
-  require(dist.size() >= net.size(),
-          "RouteSnapshot::capture: distance tier smaller than the network");
 
   std::sort(crashed.begin(), crashed.end());
   crashed.erase(std::unique(crashed.begin(), crashed.end()), crashed.end());
@@ -60,8 +57,7 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
   snap->crashed_ = std::move(crashed);
   snap->crash_epoch_ = crash_epoch;
   snap->net_ = std::make_unique<OverlayNetwork>(net);
-  snap->dist_ = std::make_unique<CoordDistanceService>(dist.coords());
-  snap->topo_ = topo.clone_frozen(snap->dist_->fn());
+  snap->topo_ = topo.clone_frozen(snap->net_->coord_distance_fn());
 
   snap->up_.assign(snap->net_->size(), 1);
   for (NodeId node : snap->crashed_) snap->up_[node.idx()] = 0;
@@ -98,7 +94,7 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
   }
 
   snap->router_ = std::make_unique<HierarchicalServiceRouter>(
-      *snap->net_, *snap->topo_, *snap->dist_);
+      *snap->net_, *snap->topo_, snap->net_->coord_distance_fn());
   snap->router_->sync_with_topology();
 
   // Per-service candidate-set fingerprints over the capture-time catalog

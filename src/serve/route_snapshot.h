@@ -3,15 +3,20 @@
 // The routers answer requests against live mutable state (topology
 // membership, border tables, SCT_C), which forces request threads to
 // synchronize with churn maintenance. A RouteSnapshot freezes everything
-// a route computation reads — the overlay placement, its own coordinate
-// tier, a clone of the HFC topology (borders, liveness, generation
-// stamps), a router whose SCT_C is derived from that frozen membership,
-// and the crash state — into one immutable object published RCU-style by
+// a route computation reads — the overlay placement and coordinates, a
+// clone of the HFC topology (borders, liveness, generation stamps), a
+// router whose SCT_C is derived from that frozen membership, and the
+// crash state — into one immutable object published RCU-style by
 // the ServingEngine (shared_ptr swap under a mutex). Reader threads route
 // against whatever snapshot they loaded with no locks and no risk of a
 // torn topology; the publisher captures a fresh snapshot whenever
 // `HfcTopology::structure_generation()` advances or the crash set
 // changes.
+//
+// The frozen topology and the router measure through the snapshot's own
+// network (`OverlayNetwork::coord_distance_fn()`): the same `euclidean()`
+// over the same coordinates as the live coordinate tier, so the snapshot
+// keeps one copy of the coordinates and its routes stay bit-identical.
 //
 // Degradation baking: when the snapshot carries crashed nodes, border
 // pairs whose stored end is down are resolved to the surviving pair
@@ -27,7 +32,7 @@
 // fingerprint over the (hosting cluster, host set, border epoch) chain.
 // A cached route is exact iff its endpoint clusters' generations, its
 // traversed clusters' generations, every fingerprint of a service its SG
-// mentions, and the crash epoch all still match — see ShardedRouteCache.
+// mentions, and the crash epoch all still match — see RouteCache.
 // Keying the per-service chain on host sets (which member ids host the
 // service) plus border epochs, instead of whole-cluster generations,
 // means churn among a hosting cluster's *non-host* members no longer
@@ -39,7 +44,6 @@
 #include <memory>
 #include <vector>
 
-#include "distance/coord_distance.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
@@ -59,8 +63,7 @@ class RouteSnapshot {
   /// ties to them afterwards.
   [[nodiscard]] static std::shared_ptr<const RouteSnapshot> capture(
       const OverlayNetwork& net, const HfcTopology& topo,
-      const CoordDistanceService& dist, std::vector<NodeId> crashed,
-      std::uint64_t crash_epoch);
+      std::vector<NodeId> crashed, std::uint64_t crash_epoch);
 
   RouteSnapshot(const RouteSnapshot&) = delete;
   RouteSnapshot& operator=(const RouteSnapshot&) = delete;
@@ -123,10 +126,9 @@ class RouteSnapshot {
   std::uint64_t crash_epoch_ = 0;
   std::vector<char> up_;  ///< up_[node] = 1 unless crashed
 
-  /// Ownership order matters: net_/dist_ outlive topo_ (whose distance
-  /// functor reads dist_), which outlives router_.
+  /// Ownership order matters: net_ outlives topo_ (whose distance
+  /// functor reads net_), which outlives router_.
   std::unique_ptr<OverlayNetwork> net_;
-  std::unique_ptr<CoordDistanceService> dist_;
   std::unique_ptr<HfcTopology> topo_;
   std::unique_ptr<HierarchicalServiceRouter> router_;
 

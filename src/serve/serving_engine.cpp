@@ -27,22 +27,8 @@ using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
-ServingEngine::ServingEngine(const OverlayNetwork& net,
-                             const HfcTopology& topo,
-                             const CoordDistanceService& dist,
-                             ServeParams params)
-    : net_(&net),
-      topo_(&topo),
-      dist_(&dist),
-      params_(params),
-      cache_(params.shards, params.capacity_per_shard) {
-  publish({});
-}
-
-ServingEngine::ServingEngine(DynamicHfcOverlay& overlay, ServeParams params)
-    : overlay_(&overlay),
-      params_(params),
-      cache_(params.shards, params.capacity_per_shard) {
+ServingEngine::ServingEngine(DynamicHfcOverlay& overlay)
+    : overlay_(overlay) {
   publish({});
 }
 
@@ -57,11 +43,7 @@ bool ServingEngine::publish(std::vector<NodeId> crashed) {
   std::sort(crashed.begin(), crashed.end());
   crashed.erase(std::unique(crashed.begin(), crashed.end()), crashed.end());
 
-  const OverlayNetwork& net = overlay_ ? overlay_->universe_network() : *net_;
-  const HfcTopology& topo = overlay_ ? overlay_->universe_topology() : *topo_;
-  const CoordDistanceService& dist =
-      overlay_ ? overlay_->universe_distance() : *dist_;
-
+  const HfcTopology& topo = overlay_.universe_topology();
   const std::shared_ptr<const RouteSnapshot> cur = current();
   const bool crash_changed = crashed != last_crashed_;
   if (cur && cur->structure_generation() == topo.structure_generation() &&
@@ -73,7 +55,8 @@ bool ServingEngine::publish(std::vector<NodeId> crashed) {
   if (crash_changed) ++crash_epoch_;
   const auto start = Clock::now();
   std::shared_ptr<const RouteSnapshot> snap =
-      RouteSnapshot::capture(net, topo, dist, crashed, crash_epoch_);
+      RouteSnapshot::capture(overlay_.universe_network(), topo, crashed,
+                             crash_epoch_);
   last_crashed_ = std::move(crashed);
   {
     // Swap under the lock; the old snapshot dies outside it.
@@ -119,7 +102,6 @@ std::vector<ServedRoute> ServingEngine::serve(
   const auto wave_start = Clock::now();
   const std::shared_ptr<const RouteSnapshot> snap_ptr = current();
   const RouteSnapshot& snap = *snap_ptr;
-  const std::uint64_t generation = snap.structure_generation();
 
   // Phase 1 (serial): coalesce requests with identical full identity into
   // groups, in first-appearance order. The map's nodes are stable, so
@@ -178,7 +160,7 @@ std::vector<ServedRoute> ServingEngine::serve(
     Group& group = groups[misses[i]];
     group.group_ms = solve_durations[i];
     solve_ms_hist.observe(solve_durations[i]);
-    const ShardedRouteCache::InsertResult res = cache_.insert(
+    const RouteCache::InsertResult res = cache_.insert(
         *group.key,
         make_cached_route(group.path, wave[group.indices.front()], snap));
     evicted += res.evicted;
@@ -194,7 +176,6 @@ std::vector<ServedRoute> ServingEngine::serve(
       served.path = group.path;
       served.cache_hit = group.hit;
       served.coalesced = !group.hit && j > 0;
-      served.snapshot_generation = generation;
       request_ms.observe(group.group_ms);
     }
     if (group.hit) {

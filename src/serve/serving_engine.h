@@ -33,10 +33,7 @@
 #include <span>
 #include <vector>
 
-#include "distance/coord_distance.h"
 #include "dynamic/dynamic_overlay.h"
-#include "overlay/hfc_topology.h"
-#include "overlay/overlay_network.h"
 #include "routing/service_path.h"
 #include "serve/route_cache.h"
 #include "serve/route_snapshot.h"
@@ -44,32 +41,22 @@
 
 namespace hfc::serve {
 
-struct ServeParams {
-  std::size_t shards = 16;                ///< route-cache shards (>= 1)
-  std::size_t capacity_per_shard = 4096;  ///< cached routes per shard (>= 1)
-};
-
 /// One request's answer plus how the engine produced it.
 struct ServedRoute {
   ServicePath path;
   bool cache_hit = false;   ///< replayed from the cache
   bool coalesced = false;   ///< shared another waiter's solve this wave
-  std::uint64_t snapshot_generation = 0;  ///< generation it was served at
 };
 
 class ServingEngine {
  public:
-  /// Serve a static overlay: `net`/`topo`/`dist` are the live objects the
-  /// engine re-captures from on publish(); they must outlive the engine.
-  /// The constructor publishes the initial snapshot.
-  ServingEngine(const OverlayNetwork& net, const HfcTopology& topo,
-                const CoordDistanceService& dist,
-                ServeParams params = {});
+  /// Routes the cache holds before FIFO eviction starts.
+  static constexpr std::size_t kCacheCapacity = 65536;
 
-  /// Serve a dynamic overlay: publish() captures
-  /// from its universe-level routing state between mutation batches.
-  explicit ServingEngine(DynamicHfcOverlay& overlay,
-                         ServeParams params = {});
+  /// Serve `overlay` (which must outlive the engine): publish() captures
+  /// from its universe-level routing state between mutation batches. The
+  /// constructor publishes the initial snapshot.
+  explicit ServingEngine(DynamicHfcOverlay& overlay);
 
   /// Re-capture and swap the snapshot if the live structure generation
   /// advanced or the crash set differs from the published one; no-op
@@ -92,19 +79,9 @@ class ServingEngine {
   [[nodiscard]] std::vector<ServedRoute> serve(
       std::span<const ServiceRequest> wave);
 
-  [[nodiscard]] const ShardedRouteCache& cache() const { return cache_; }
-  [[nodiscard]] std::uint64_t crash_epoch() const { return crash_epoch_; }
-
  private:
-  /// Live sources to capture from: either the static triple or the
-  /// dynamic overlay (exactly one is set).
-  const OverlayNetwork* net_ = nullptr;
-  const HfcTopology* topo_ = nullptr;
-  const CoordDistanceService* dist_ = nullptr;
-  DynamicHfcOverlay* overlay_ = nullptr;
-
-  ServeParams params_;
-  ShardedRouteCache cache_;
+  const DynamicHfcOverlay& overlay_;
+  RouteCache cache_{kCacheCapacity};
   std::vector<NodeId> last_crashed_;
   std::uint64_t crash_epoch_ = 0;
   /// The published snapshot, behind a mutex: ThreadSanitizer reports

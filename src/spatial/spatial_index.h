@@ -23,7 +23,7 @@
 // exposes coordinates (DistanceService::coord_view() != nullptr, or a
 // PointSet passed directly) and no accept predicate filters members. It
 // scans only for input the index cannot serve: distances without
-// coordinates (truth and probe tiers, OverlayDistance functors) and
+// coordinates (the truth tier, OverlayDistance functors) and
 // predicate-filtered queries. There is no size floor; DynamicSpatialSet
 // keeps its own exact scan below 32 points.
 #pragma once

@@ -3,7 +3,7 @@
 // The library reads four deployment and observability knobs from the
 // environment — HFC_THREADS, HFC_TRACE, HFC_TRACE_BUF, HFC_TRACE_FILE —
 // and nothing else: every tuning value is a field of the config struct
-// that consumes it (StreamingParams, ServeParams, FrameworkConfig, ...),
+// that consumes it (StreamingParams, FrameworkConfig, ...),
 // with its default as the field's initializer. Benches and examples read
 // their own sweep knobs ("bench" scope) and set those fields.
 //

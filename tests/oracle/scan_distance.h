@@ -22,7 +22,6 @@ class ScanDistance final : public DistanceService {
   explicit ScanDistance(const DistanceService& inner) : inner_(inner) {}
 
   [[nodiscard]] std::size_t size() const override { return inner_.size(); }
-  [[nodiscard]] DistanceTier tier() const override { return inner_.tier(); }
   [[nodiscard]] double at(std::size_t a, std::size_t b) const override {
     return inner_.at(a, b);
   }

@@ -1,5 +1,5 @@
-// Tests for src/distance: the tiered DistanceService (truth, coordinate,
-// probe), the sharded LRU row cache, cache-size resolution, and the
+// Tests for src/distance: the tiered DistanceService (truth, coordinate),
+// the sharded LRU row cache, cache-size resolution, and the
 // bit-equality contracts the refactor away from dense matrices relies on.
 #include <gtest/gtest.h>
 
@@ -8,14 +8,11 @@
 #include <memory>
 #include <set>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "cluster/mst.h"
 #include "coords/point.h"
 #include "distance/coord_distance.h"
-#include "distance/latency_oracle.h"
-#include "distance/probe_distance.h"
 #include "distance/row_cache.h"
 #include "distance/truth_distance.h"
 #include "obs/metrics.h"
@@ -27,7 +24,6 @@
 #include "topology/transit_stub.h"
 #include "util/rng.h"
 #include "util/sym_matrix.h"
-#include "util/thread_pool.h"
 
 namespace hfc {
 namespace {
@@ -156,7 +152,6 @@ TEST(TruthDistance, BitEqualToPairwiseDelays) {
   const SymMatrix<double> dense = pairwise_delays(topo.network, subset);
   const TruthDistanceService svc(topo.network, subset);
   ASSERT_EQ(svc.size(), subset.size());
-  EXPECT_EQ(svc.tier(), DistanceTier::kTruth);
   for (std::size_t i = 0; i < subset.size(); ++i) {
     for (std::size_t j = 0; j < subset.size(); ++j) {
       // Exact equality: same dijkstra, same source row, same entry.
@@ -236,7 +231,6 @@ TEST(CoordDistance, BitEqualToEuclideanAndOverlayNetwork) {
   const std::vector<Point> pts = random_points(20, 7);
   const OverlayNetwork net(pts, trivial_placement(20));
   const CoordDistanceService svc(pts);
-  EXPECT_EQ(svc.tier(), DistanceTier::kCoordinate);
   ASSERT_EQ(svc.size(), 20u);
   for (std::size_t a = 0; a < 20; ++a) {
     for (std::size_t b = 0; b < 20; ++b) {
@@ -256,16 +250,12 @@ TEST(CoordDistance, RowPairsAndFnMatchAt) {
   for (std::size_t j = 0; j < 15; ++j) {
     EXPECT_EQ((*row)[j], svc.at(6, j));
   }
-  std::vector<std::pair<std::size_t, std::size_t>> queries;
-  for (std::size_t a = 0; a < 15; ++a) {
-    for (std::size_t b = 0; b < 15; ++b) queries.emplace_back(a, b);
-  }
-  const std::vector<double> bulk = svc.pairs(queries);
   const auto fn = svc.fn();
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(bulk[q], svc.at(queries[q].first, queries[q].second));
+  for (std::int32_t a = 0; a < 15; ++a) {
+    for (std::int32_t b = 0; b < 15; ++b) {
+      EXPECT_EQ(fn(NodeId(a), NodeId(b)), svc.at(a, b));
+    }
   }
-  EXPECT_EQ(fn(NodeId(3), NodeId(9)), svc.at(3, 9));
   EXPECT_GT(svc.resident_bytes(), 0u);
 }
 
@@ -294,65 +284,6 @@ TEST(CoordDistance, RejectsInconsistentInput) {
   EXPECT_THROW(CoordDistanceService({}), std::invalid_argument);
   EXPECT_THROW(CoordDistanceService({{0.0, 1.0}, {2.0}}),
                std::invalid_argument);
-}
-
-// ---------------------------------------------- serial vs parallel ----
-
-TEST(DistanceService, PairsParallelBitEqualToSerial) {
-  Rng rng(51);
-  const TransitStubTopology topo =
-      generate_transit_stub(TransitStubParams::for_total_routers(100), rng);
-  std::vector<RouterId> subset;
-  for (int r = 0; r < 20; ++r) subset.push_back(RouterId(r * 2));
-  // Cache smaller than the working set, so parallel workers contend over
-  // evictions while computing.
-  const TruthDistanceService svc(topo.network, subset, 4);
-
-  std::vector<std::pair<std::size_t, std::size_t>> queries;
-  for (std::size_t a = 0; a < subset.size(); ++a) {
-    for (std::size_t b = 0; b < subset.size(); ++b) queries.emplace_back(a, b);
-  }
-  set_global_threads(1);
-  const std::vector<double> serial = svc.pairs(queries);
-  set_global_threads(4);
-  const std::vector<double> parallel = svc.pairs(queries);
-  set_global_threads(0);
-  EXPECT_EQ(serial, parallel);  // bit-identical, not just close
-}
-
-// ------------------------------------------------------ probe tier ----
-
-TEST(ProbeDistance, ZeroNoiseIsExactAndCountsProbes) {
-  const PhysicalNetwork net = triangle_with_tail();
-  const std::vector<RouterId> endpoints{RouterId(0), RouterId(2), RouterId(3)};
-  LatencyOracle oracle(net, endpoints, 0.0, Rng(3));
-  const TruthDistanceService truth(net, endpoints);
-  ProbeDistanceService svc(oracle, 3);
-  EXPECT_EQ(svc.tier(), DistanceTier::kProbe);
-  EXPECT_EQ(svc.at(0, 1), truth.at(0, 1));
-  EXPECT_EQ(svc.probe_count(), 3u);  // min-of-3 issued three probes
-  const auto row = svc.row(2);
-  for (std::size_t j = 0; j < endpoints.size(); ++j) {
-    EXPECT_EQ((*row)[j], truth.at(2, j));
-  }
-}
-
-TEST(ProbeDistance, NoisySequenceIsSeedDeterministic) {
-  const PhysicalNetwork net = triangle_with_tail();
-  const std::vector<RouterId> endpoints{RouterId(0), RouterId(2), RouterId(3)};
-  LatencyOracle a(net, endpoints, 0.4, Rng(17));
-  LatencyOracle b(net, endpoints, 0.4, Rng(17));
-  ProbeDistanceService sa(a);
-  ProbeDistanceService sb(b);
-  for (int rep = 0; rep < 3; ++rep) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) {
-        const double va = sa.at(i, j);
-        EXPECT_EQ(va, sb.at(i, j));
-        EXPECT_GE(va, a.true_delay(i, j));  // noise only inflates
-      }
-    }
-  }
 }
 
 // ------------------------------------------------- mesh routing lru ----

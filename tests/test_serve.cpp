@@ -34,11 +34,10 @@ namespace {
 
 using serve::CachedRoute;
 using serve::RequestKey;
+using serve::RouteCache;
 using serve::RouteSnapshot;
-using serve::ServeParams;
 using serve::ServedRoute;
 using serve::ServingEngine;
-using serve::ShardedRouteCache;
 
 constexpr int kCatalog = 8;
 
@@ -161,8 +160,7 @@ TEST(ServeSnapshot, RoutesEqualLiveRouter) {
   Rng rng(902);
   DynamicHfcOverlay overlay(blob_universe(60, rng), random_placement(60, rng));
   const auto snap = RouteSnapshot::capture(
-      overlay.universe_network(), overlay.universe_topology(),
-      overlay.universe_distance(), {}, 0);
+      overlay.universe_network(), overlay.universe_topology(), {}, 0);
   const std::vector<NodeId> endpoints = active_nodes(overlay);
   Rng req_rng = rng.fork(2);
   for (int i = 0; i < 40; ++i) {
@@ -177,8 +175,7 @@ TEST(ServeSnapshot, IsFrozenWhileLiveStateChurns) {
   Rng rng(903);
   DynamicHfcOverlay overlay(blob_universe(60, rng), random_placement(60, rng));
   const auto snap = RouteSnapshot::capture(
-      overlay.universe_network(), overlay.universe_topology(),
-      overlay.universe_distance(), {}, 0);
+      overlay.universe_network(), overlay.universe_topology(), {}, 0);
   const std::uint64_t frozen_gen = snap->structure_generation();
 
   const std::vector<NodeId> endpoints = active_nodes(overlay);
@@ -218,8 +215,7 @@ TEST(ServeSnapshotDegraded, RoutesEqualLiveDegradedRouter) {
       obs::MetricsRegistry::global().counter("serve.baked_borders");
   const std::uint64_t baked_before = baked.value();
   const auto snap = RouteSnapshot::capture(
-      overlay.universe_network(), overlay.universe_topology(),
-      overlay.universe_distance(), crashed, 1);
+      overlay.universe_network(), overlay.universe_topology(), crashed, 1);
   EXPECT_EQ(snap->crash_epoch(), 1u);
   EXPECT_FALSE(snap->up(NodeId(50)));
   EXPECT_TRUE(snap->up(NodeId(0)));
@@ -266,9 +262,9 @@ struct CacheFixture {
 
   std::shared_ptr<const RouteSnapshot> capture(std::vector<NodeId> crashed = {},
                                                std::uint64_t epoch = 0) {
-    return RouteSnapshot::capture(
-        overlay.universe_network(), overlay.universe_topology(),
-        overlay.universe_distance(), std::move(crashed), epoch);
+    return RouteSnapshot::capture(overlay.universe_network(),
+                                  overlay.universe_topology(),
+                                  std::move(crashed), epoch);
   }
 
   Rng rng;
@@ -286,7 +282,7 @@ TEST(ServeCache, HitReplaysAndSurvivesUnrelatedChurn) {
   const CachedRoute entry = serve::make_cached_route(solved, req, *snap);
   EXPECT_TRUE(serve::route_current(entry, *snap));
 
-  ShardedRouteCache cache(4, 16);
+  RouteCache cache(16);
   const RequestKey key = RequestKey::make(req, *snap);
   (void)cache.insert(key, entry);
   const auto found = cache.find(key);
@@ -456,24 +452,62 @@ TEST(ServeCache, FifoEvictionWithRefreshedEntries) {
     return serve::make_cached_route(snap->route(reqs[i]), reqs[i], *snap);
   };
 
-  ShardedRouteCache cache(1, 3);  // single shard, 3 entries
+  RouteCache cache(3);
   (void)cache.insert(keys[0], entry(0));
   (void)cache.insert(keys[1], entry(1));
   // Refresh key 0: its original FIFO record goes stale, its recency moves
   // behind key 1's.
-  const ShardedRouteCache::InsertResult refresh = cache.insert(keys[0], entry(0));
+  const RouteCache::InsertResult refresh = cache.insert(keys[0], entry(0));
   EXPECT_TRUE(refresh.replaced);
   (void)cache.insert(keys[2], entry(2));
   EXPECT_EQ(cache.size(), 3u);
   // A 4th distinct key evicts key 1: key 0's older FIFO record is found
   // stale and skipped, so the oldest *live* record is key 1's.
-  const ShardedRouteCache::InsertResult res = cache.insert(keys[3], entry(3));
+  const RouteCache::InsertResult res = cache.insert(keys[3], entry(3));
   EXPECT_EQ(res.evicted, 1u);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_TRUE(cache.find(keys[0]).has_value());
   EXPECT_FALSE(cache.find(keys[1]).has_value());
   EXPECT_TRUE(cache.find(keys[2]).has_value());
   EXPECT_TRUE(cache.find(keys[3]).has_value());
+}
+
+// The engine's cache at full size: filling it evicts nothing, and the
+// first distinct insert past the capacity evicts exactly the oldest live
+// entry. Keys are synthetic; the cache never reads a snapshot.
+TEST(ServeCache, FullEngineCapacityEvictsOldestLiveEntry) {
+  constexpr std::size_t kCapacity = ServingEngine::kCacheCapacity;
+  const auto key = [](std::size_t i) {
+    RequestKey k;
+    k.source = NodeId(static_cast<std::int32_t>(i));
+    k.destination = NodeId(0);
+    k.hash = splitmix64(i);
+    return k;
+  };
+
+  RouteCache cache(kCapacity);
+  std::size_t evicted = 0;
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    evicted += cache.insert(key(i), CachedRoute{}).evicted;
+  }
+  EXPECT_EQ(evicted, 0u);
+  EXPECT_EQ(cache.size(), kCapacity);
+
+  // Refresh key 0 so the oldest live entry is key 1, not the oldest
+  // FIFO record.
+  const RouteCache::InsertResult refresh = cache.insert(key(0), CachedRoute{});
+  EXPECT_TRUE(refresh.replaced);
+  EXPECT_EQ(refresh.evicted, 0u);
+
+  const RouteCache::InsertResult res =
+      cache.insert(key(kCapacity), CachedRoute{});
+  EXPECT_FALSE(res.replaced);
+  EXPECT_EQ(res.evicted, 1u);
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_TRUE(cache.find(key(0)).has_value());
+  EXPECT_FALSE(cache.find(key(1)).has_value());
+  EXPECT_TRUE(cache.find(key(2)).has_value());
+  EXPECT_TRUE(cache.find(key(kCapacity)).has_value());
 }
 
 // --- the engine: waves, coalescing, determinism ------------------------
@@ -497,8 +531,7 @@ std::vector<ServiceRequest> build_wave(Rng& rng,
 TEST(ServeEngine, CoalescesIdenticalRequestsWithinWave) {
   Rng rng(910);
   DynamicHfcOverlay overlay(blob_universe(60, rng), random_placement(60, rng));
-  ServingEngine engine(overlay, ServeParams{.shards = 4,
-                                            .capacity_per_shard = 64});
+  ServingEngine engine(overlay);
   const std::vector<NodeId> endpoints = active_nodes(overlay);
   Rng req_rng = rng.fork(11);
   const ServiceRequest req = random_request(req_rng, endpoints);
@@ -601,6 +634,9 @@ const std::vector<std::string>& invariant_counters() {
   return names;
 }
 
+// The run inserts far fewer routes than the cache holds, so nothing is
+// evicted; the ServeCache tests pin the eviction order, and the engine
+// inserts serially in group order for any thread count.
 TEST(ServeEngineDeterminism, RoutesAndCountersInvariantAcrossThreadCounts) {
   struct ArmResult {
     std::vector<std::uint64_t> digests;
@@ -611,8 +647,7 @@ TEST(ServeEngineDeterminism, RoutesAndCountersInvariantAcrossThreadCounts) {
     Rng rng(914);
     DynamicHfcOverlay overlay(blob_universe(72, rng),
                               random_placement(72, rng));
-    ServingEngine engine(overlay, ServeParams{.shards = 4,
-                                              .capacity_per_shard = 32});
+    ServingEngine engine(overlay);
     const std::vector<NodeId> endpoints = [&overlay] {
       std::vector<NodeId> low;
       for (const NodeId n : active_nodes(overlay)) {
@@ -659,17 +694,6 @@ TEST(ServeEngineDeterminism, RoutesAndCountersInvariantAcrossThreadCounts) {
   EXPECT_GT(serial.counters.at("serve.coalesced"), 0u);
   EXPECT_GT(serial.counters.at("serve.solves"), 0u);
   EXPECT_EQ(serial.counters.at("serve.requests"), 480u);
-}
-
-TEST(ServeEngine, ServeKnobsFeedParams) {
-  const ServeParams defaults;
-  EXPECT_EQ(defaults.shards, 16u);
-  EXPECT_EQ(defaults.capacity_per_shard, 4096u);
-  Rng rng(664);
-  DynamicHfcOverlay overlay(blob_universe(40, rng), random_placement(40, rng));
-  const ServingEngine engine(overlay);
-  EXPECT_EQ(engine.cache().shard_count(), 16u);
-  EXPECT_EQ(engine.cache().capacity_per_shard(), 4096u);
 }
 
 // --- torn-read hunt ----------------------------------------------------

@@ -22,8 +22,9 @@
 #      StreamingCandidateSelection, ClosestPairAccept), the dense
 #      session-state suites (StreamingSlotReuse, StreamingDigestText,
 #      FaultCrashTable), the churn repair box suite (BorderRepairBox), the
-#      bounded CSP search's suites (CspOracle, RouteGoldenDigest) and
-#      the live-link suites (the multilevel
+#      bounded CSP search's suites (CspOracle, RouteGoldenDigest), the
+#      snapshot-capture oracle suite (ServeSnapshotReuse) and the
+#      live-link suites (the multilevel
 #      DegradedSweepTest instances, SurvivingBorderPair, BorderView) at 3;
 #      then reduced
 #      bench_churn_dynamic, bench_topology_scaling (group-local
@@ -84,7 +85,7 @@ cmake --build build-tsan -j"$JOBS"
 HFC_THREADS=4 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'Obs|Metrics|Trace|ThreadPool|Parallel|StateProtocol|Simulator|Distance|RowCache|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming'
 HFC_THREADS=3 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
-  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|RouteGoldenDigest|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|StreamingCandidateSelection|StreamingSlotReuse|StreamingDigestText|FaultCrashTable|BorderRepairBox|ServeTornRead|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
+  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|RouteGoldenDigest|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|StreamingCandidateSelection|StreamingSlotReuse|StreamingDigestText|FaultCrashTable|BorderRepairBox|ServeTornRead|ServeSnapshotReuse|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
 HFC_THREADS=2 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'MstAlgo|Mst|GroupPipeline|SpatialEquivalence|SpatialKdTree|SpatialDynamicSet|ChaosSuite|StreamingChaosSuite|ServeTornRead'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \

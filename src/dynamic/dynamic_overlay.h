@@ -165,6 +165,11 @@ class DynamicHfcOverlay {
   /// The universe router with SCT_C synced to the topology (same sync
   /// route() performs before answering).
   [[nodiscard]] HierarchicalServiceRouter& universe_router();
+  /// The universe router as of its last sync: SCT_C entries of clusters
+  /// whose generation moved since are stale (snapshot capture's source).
+  [[nodiscard]] const HierarchicalServiceRouter& last_synced_router() const {
+    return *inc_router_;
+  }
 
  private:
   void do_deactivate(NodeId node);

@@ -416,15 +416,11 @@ CspLink HfcTopology::link(ClusterId from, ClusterId toward) const {
           "HfcTopology::link: bad group");
   const std::size_t f = from.idx();
   const std::size_t t = toward.idx();
-  const auto alive = [this](std::size_t g) {
-    return g >= live_.size() || live_[g];
-  };
-  if (f == t || groups_[f].parent != groups_[t].parent || !alive(f) ||
-      !alive(t)) {
-    return {};
-  }
-  return {border_[slot(f, t)], border_[slot(t, f)],
-          length_[length_slot(f, t)], true};
+  if (f == t || groups_[f].parent != groups_[t].parent) return {};
+  // A dead side's pairs, and disconnected ones, hold +inf.
+  const double length = length_[length_slot(f, t)];
+  if (length == std::numeric_limits<double>::infinity()) return {};
+  return {border_[slot(f, t)], border_[slot(t, f)], length, true};
 }
 
 bool HfcTopology::is_border(NodeId node) const {
@@ -627,6 +623,15 @@ void HfcTopology::override_border_pair(ClusterId a, ClusterId b, NodeId in_a,
   set_border(b.idx(), a.idx(), in_b);
   length_[length_slot(a.idx(), b.idx())] =
       a < b ? distance_(in_a, in_b) : distance_(in_b, in_a);
+}
+
+void HfcTopology::disconnect_pair(ClusterId a, ClusterId b) {
+  require_mutable("HfcTopology::disconnect_pair");
+  const std::size_t c = clustering_.cluster_count();
+  require(a.valid() && a.idx() < c && b.valid() && b.idx() < c && a != b,
+          "HfcTopology::disconnect_pair: bad cluster pair");
+  length_[length_slot(a.idx(), b.idx())] =
+      std::numeric_limits<double>::infinity();
 }
 
 // ---------------------------------------------------------------------

@@ -262,15 +262,16 @@ class HfcTopology {
 
   /// The stored link from `from` toward `toward` (the live-link view's
   /// store): `exit` = border(from, toward), `entry` = border(toward, from)
-  /// and their distance from the lower id's end; found for distinct live
-  /// siblings.
+  /// and their distance from the lower id's end; found for distinct
+  /// siblings whose length is finite: not when either is dead or the pair
+  /// was disconnected.
   [[nodiscard]] CspLink link(ClusterId from, ClusterId toward) const;
 
   /// The link lengths among `parent`'s children, indexed by sibling rank
   /// (the position in `group(parent).children`): ranks a < b at
   /// [b (b - 1) / 2 + a]. Each is link()'s length, and +inf where either
-  /// sibling is dead, as link() then finds none. Unchecked: `parent` must
-  /// have children.
+  /// sibling is dead or the pair is disconnected, as link() then finds
+  /// none. Unchecked: `parent` must have children.
   [[nodiscard]] const double* lengths(ClusterId parent) const {
     return length_.data() + triangle_[parent.idx()];
   }
@@ -331,6 +332,11 @@ class HfcTopology {
   /// change.
   void override_border_pair(ClusterId a, ClusterId b, NodeId in_a,
                             NodeId in_b);
+
+  /// Set the link length of two distinct clusters to +inf, so link() no
+  /// longer finds the pair, as for a dead side; nothing else changes. For
+  /// snapshot baking (DESIGN.md §12) when one side has no survivor.
+  void disconnect_pair(ClusterId a, ClusterId b);
 
   /// True when kClosestPair selection runs on per-cluster spatial sets.
   [[nodiscard]] bool spatial_active() const { return coords_ != nullptr; }

@@ -289,21 +289,47 @@ HierarchicalServiceRouter::HierarchicalServiceRouter(
               .count()));
 }
 
+HierarchicalServiceRouter::HierarchicalServiceRouter(
+    const HierarchicalServiceRouter& other, const OverlayNetwork& net,
+    const HfcTopology& topo, OverlayDistance decision_distance)
+    : net_(net),
+      distance_(std::move(decision_distance)),
+      flat_(net, distance_),
+      capabilities_(other.capabilities_),
+      topo_(topo),
+      params_(other.params_),
+      synced_gen_(other.synced_gen_),
+      synced_structure_(other.synced_structure_) {
+  require(static_cast<bool>(distance_), "router: null distance");
+  require(topo_.node_count() == net_.size() &&
+              topo_.group_count() == other.topo_.group_count(),
+          "HierarchicalServiceRouter: rebinding onto another tree");
+  refresh_stale();
+}
+
 void HierarchicalServiceRouter::sync_with_topology() {
-  // Every membership change bumps the structure generation, so while it
-  // stands still no cluster's generation has moved.
-  if (synced_structure_ == topo_.structure_generation()) return;
-  synced_structure_ = topo_.structure_generation();
+  const std::size_t refreshed = refresh_stale();
+  if (refreshed == 0) return;
   static obs::Counter& refreshes =
       obs::MetricsRegistry::global().counter("routing.sct_refreshes");
+  refreshes.add(refreshed);
+}
+
+std::size_t HierarchicalServiceRouter::refresh_stale() {
+  // Every membership change bumps the structure generation, so while it
+  // stands still no cluster's generation has moved.
+  if (synced_structure_ == topo_.structure_generation()) return 0;
+  synced_structure_ = topo_.structure_generation();
+  std::size_t refreshed = 0;
   for (std::size_t c = 0; c < topo_.cluster_count(); ++c) {
     const ClusterId id(static_cast<int>(c));
     const std::uint64_t gen = topo_.generation(id);
     if (synced_gen_[c] == gen) continue;
     synced_gen_[c] = gen;
-    refreshes.add(1);
+    ++refreshed;
     capabilities_[c] = net_.aggregate_services(topo_.members(id));
   }
+  return refreshed;
 }
 
 HierarchicalServiceRouter::HierarchicalServiceRouter(

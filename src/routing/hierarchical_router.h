@@ -103,6 +103,14 @@ class HierarchicalServiceRouter {
                             const DistanceService& decision_distance,
                             HierarchicalRoutingParams params = {});
 
+  /// Rebinding clone for snapshot capture (DESIGN.md §12): `other`'s
+  /// SCT_C over `net` and `topo`, copies of what `other` reads, with the
+  /// clusters whose generation moved since its last sync re-derived.
+  HierarchicalServiceRouter(const HierarchicalServiceRouter& other,
+                            const OverlayNetwork& net,
+                            const HfcTopology& topo,
+                            OverlayDistance decision_distance);
+
   /// Full pipeline: map -> CSP -> divide -> conquer, at every level.
   [[nodiscard]] ServicePath route(const ServiceRequest& request) const;
 
@@ -189,6 +197,10 @@ class HierarchicalServiceRouter {
 
  private:
   friend class ConquerPipeline;
+
+  /// Re-derive the SCT_C entries whose cluster generation moved since the
+  /// last sync; returns how many.
+  std::size_t refresh_stale();
 
   /// The endpoint checks of every entry point.
   void require_endpoints(const ServiceRequest& request) const;

@@ -102,7 +102,21 @@ RouteCache::InsertResult RouteCache::insert(const RequestKey& key,
     map_.erase(vit);
     ++result.evicted;
   }
+  // Stale records would only be skipped on pop: drop them once the queue
+  // passes twice the live entries, so a refreshed working set below
+  // capacity cannot grow it without bound. Live records keep their order.
+  if (fifo_.size() > 2 * map_.size()) {
+    std::erase_if(fifo_, [this](const auto& record) {
+      const auto it = map_.find(record.first);
+      return it == map_.end() || it->second.insert_seq != record.second;
+    });
+  }
   return result;
+}
+
+std::size_t RouteCache::queued() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fifo_.size();
 }
 
 }  // namespace hfc::serve

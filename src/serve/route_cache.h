@@ -28,9 +28,10 @@
 // tagged state). Anything else is reported stale and re-solved.
 //
 // Storage: one map with FIFO eviction behind one mutex. Re-inserts
-// refresh recency via stale queue records that are skipped on pop. The
-// ServingEngine runs its lookup and insert phases serially, so the mutex
-// is uncontended there; it keeps the cache safe for out-of-band probes.
+// refresh recency via stale queue records that are skipped on pop, and
+// dropped once they make up over half of the queue. The ServingEngine
+// runs its lookup and insert phases serially, so the mutex is
+// uncontended there; it keeps the cache safe for out-of-band probes.
 #pragma once
 
 #include <cstddef>
@@ -102,6 +103,8 @@ class RouteCache {
   explicit RouteCache(std::size_t capacity);
 
   [[nodiscard]] std::size_t size() const;
+  /// FIFO records held, live and stale: at most 2 * size() after insert.
+  [[nodiscard]] std::size_t queued() const;
 
   /// Copy of the entry under `key`, if present (tag validation is the
   /// caller's job — see route_current).

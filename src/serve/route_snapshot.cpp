@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "routing/live_links.h"
 #include "util/require.h"
 #include "util/rng.h"
@@ -20,29 +21,14 @@ constexpr std::uint64_t kFingerprintSeed = 0x53657276ull;
   return splitmix64(kFingerprintSeed ^ service);
 }
 
-/// Chain over the ascending member ids of one cluster that host `sid`.
-/// Hosts joining, leaving, or swapping identity all change the hash;
-/// churn among the cluster's non-host members does not — that is the
-/// point (DESIGN.md §12): a cached route's CSP verdict reads only which
-/// hosts a candidate cluster offers, not who else lives there.
-[[nodiscard]] std::uint64_t host_set_hash(const OverlayNetwork& net,
-                                          const std::vector<NodeId>& members,
-                                          ServiceId sid) {
-  std::uint64_t h = kFingerprintSeed;
-  for (const NodeId m : members) {
-    const auto& services = net.services_at(m);
-    if (std::binary_search(services.begin(), services.end(), sid)) {
-      h = splitmix64(h ^ static_cast<std::uint64_t>(m.value()));
-    }
-  }
-  return h;
-}
-
 }  // namespace
 
 std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
-    const OverlayNetwork& net, const HfcTopology& topo,
-    std::vector<NodeId> crashed, std::uint64_t crash_epoch) {
+    const DynamicHfcOverlay& overlay, std::vector<NodeId> crashed,
+    std::uint64_t crash_epoch, const RouteSnapshot* previous) {
+  HFC_TRACE_SPAN("serve.capture");
+  const OverlayNetwork& net = overlay.universe_network();
+  const HfcTopology& topo = overlay.universe_topology();
   require(net.size() == topo.node_count(),
           "RouteSnapshot::capture: network / topology node count mismatch");
 
@@ -56,76 +42,89 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
   std::shared_ptr<RouteSnapshot> snap(new RouteSnapshot());
   snap->crashed_ = std::move(crashed);
   snap->crash_epoch_ = crash_epoch;
-  snap->net_ = std::make_unique<OverlayNetwork>(net);
+  snap->net_ = previous != nullptr && previous->net_->size() == net.size()
+                   ? previous->net_
+                   : std::make_shared<const OverlayNetwork>(net);
   snap->topo_ = topo.clone_frozen(snap->net_->coord_distance_fn());
 
   snap->up_.assign(snap->net_->size(), 1);
   for (NodeId node : snap->crashed_) snap->up_[node.idx()] = 0;
 
   // Bake the degraded border table: resolve every live pair whose stored
-  // border has a crashed end through the live-link view, once, so readers
-  // pay O(1) per link instead of a member re-scan per request.
-  // Pairs with no survivor keep their stored slots — the reader's
-  // per-request view then reports them disconnected exactly like the live
-  // router would.
+  // border has a crashed end through the live-link view, once, and write
+  // the surviving pair in, or the pair as disconnected when one side has
+  // no survivor. Readers then take links from the table as stored.
   if (!snap->crashed_.empty()) {
+    HFC_TRACE_SPAN("serve.bake");
     static obs::Counter& baked =
         obs::MetricsRegistry::global().counter("serve.baked_borders");
     HfcTopology& frozen = *snap->topo_;
-    const LiveLinkView<ClusterId, HfcTopology> links(
-        frozen, frozen.distance(),
-        [&snap](NodeId n) { return snap->up_[n.idx()] != 0; });
+    const auto up = [self = snap.get()](NodeId n) {
+      return self->up_[n.idx()] != 0;
+    };
+    const LiveLinkView<ClusterId, HfcTopology> links(frozen, frozen.distance(),
+                                                     up);
     const std::size_t slots = frozen.cluster_count();
     for (std::size_t a = 0; a + 1 < slots; ++a) {
       const ClusterId ca(static_cast<std::int32_t>(a));
       for (std::size_t b = a + 1; b < slots; ++b) {
         const ClusterId cb(static_cast<std::int32_t>(b));
         const CspLink stored = frozen.link(ca, cb);
-        if (!stored.found || (snap->up_[stored.exit.idx()] != 0 &&
-                              snap->up_[stored.entry.idx()] != 0)) {
+        if (!stored.found || (up(stored.exit) && up(stored.entry))) continue;
+        const CspLink live = links.link(ca, cb);
+        if (!live.found) {
+          frozen.disconnect_pair(ca, cb);
           continue;
         }
-        const CspLink live = links.link(ca, cb);
-        if (!live.found) continue;
         frozen.override_border_pair(ca, cb, live.exit, live.entry);
         baked.add(1);
       }
     }
+    snap->survivors_.node_ok = [up](NodeId n, ServiceId) { return up(n); };
   }
 
   snap->router_ = std::make_unique<HierarchicalServiceRouter>(
-      *snap->net_, *snap->topo_, snap->net_->coord_distance_fn());
-  snap->router_->sync_with_topology();
+      overlay.last_synced_router(), *snap->net_, *snap->topo_,
+      snap->net_->coord_distance_fn());
 
-  // Per-service candidate-set fingerprints over the capture-time catalog
-  // (the largest service id the placement mentions).
+  // Per-service candidate-set fingerprints, one pass over each hosting
+  // cluster's members: its host set per service, then (cluster, host set,
+  // border epoch) folded into each service it hosts, clusters ascending.
+  // That is all the CSP reads of a *candidate* (host ids fix coordinates;
+  // the border epoch fixes entry/exit nodes and lengths); clusters a path
+  // *traverses* are pinned by the cache's generation tags. Churn among
+  // non-host members leaves the chain unchanged, so cached routes survive.
+  const HierarchicalServiceRouter& router = *snap->router_;
+  const std::size_t clusters = snap->topo_->cluster_count();
   std::size_t catalog = 0;
-  for (std::size_t v = 0; v < snap->net_->size(); ++v) {
-    const auto& services =
-        snap->net_->services_at(NodeId(static_cast<std::int32_t>(v)));
-    if (!services.empty()) {
-      catalog = std::max(catalog, services.back().idx() + 1);
-    }
+  for (std::size_t c = 0; c < clusters; ++c) {
+    const auto& hosted =
+        router.cluster_capability(ClusterId(static_cast<std::int32_t>(c)));
+    if (!hosted.empty()) catalog = std::max(catalog, hosted.back().idx() + 1);
   }
   snap->fingerprints_.resize(catalog);
   for (std::size_t s = 0; s < catalog; ++s) {
-    const ServiceId sid(static_cast<std::int32_t>(s));
-    std::uint64_t h = empty_fingerprint(s);
-    for (ClusterId c : snap->router_->clusters_hosting(sid)) {
-      // Per hosting cluster: identity, the exact host set it offers, and
-      // its border epoch. Everything the CSP reads about a *candidate*
-      // cluster is covered (host ids -> host coordinates are immutable
-      // per id; border epoch -> entry/exit nodes and external lengths);
-      // clusters a path *traverses* are pinned separately by the cache's
-      // generation tags. Non-host membership churn in a hosting cluster
-      // deliberately leaves the chain unchanged so cached routes survive
-      // it.
-      h = splitmix64(h ^ static_cast<std::uint64_t>(c.idx()));
-      h = splitmix64(h ^ host_set_hash(*snap->net_, snap->topo_->members(c),
-                                       sid));
-      h = splitmix64(h ^ snap->topo_->border_epoch(c));
+    snap->fingerprints_[s] = empty_fingerprint(s);
+  }
+  std::vector<std::uint64_t> host_sets(catalog);
+  for (std::size_t c = 0; c < clusters; ++c) {
+    const ClusterId cluster(static_cast<std::int32_t>(c));
+    const std::vector<ServiceId>& hosted = router.cluster_capability(cluster);
+    for (const ServiceId s : hosted) host_sets[s.idx()] = kFingerprintSeed;
+    for (const NodeId m : snap->topo_->members(cluster)) {
+      for (const ServiceId s : snap->net_->services_at(m)) {
+        if (s.idx() >= catalog) continue;  // only a stale SCT_C misses one
+        std::uint64_t& h = host_sets[s.idx()];
+        h = splitmix64(h ^ static_cast<std::uint64_t>(m.value()));
+      }
     }
-    snap->fingerprints_[s] = h;
+    const std::uint64_t epoch = snap->topo_->border_epoch(cluster);
+    for (const ServiceId s : hosted) {
+      std::uint64_t& h = snap->fingerprints_[s.idx()];
+      h = splitmix64(h ^ static_cast<std::uint64_t>(c));
+      h = splitmix64(h ^ host_sets[s.idx()]);
+      h = splitmix64(h ^ epoch);
+    }
   }
 
   static obs::Counter& captures =
@@ -151,10 +150,10 @@ ServicePath RouteSnapshot::route(const ServiceRequest& request) const {
   if (crashed_.empty()) return router_->route(request);
   require(up(request.source) && up(request.destination),
           "RouteSnapshot::route: request endpoints must be up");
-  return router_
-      ->route_degraded(request,
-                       [this](NodeId n) { return up_[n.idx()] != 0; })
-      .path;
+  static obs::Counter& degraded =
+      obs::MetricsRegistry::global().counter("fault.degraded_requests");
+  degraded.add(1);
+  return router_->route_with_crankback(request, survivors_).path;
 }
 
 }  // namespace hfc::serve

@@ -5,28 +5,30 @@
 // synchronize with churn maintenance. A RouteSnapshot freezes everything
 // a route computation reads — the overlay placement and coordinates, a
 // clone of the HFC topology (borders, liveness, generation stamps), a
-// router whose SCT_C is derived from that frozen membership, and the
-// crash state — into one immutable object published RCU-style by
-// the ServingEngine (shared_ptr swap under a mutex). Reader threads route
-// against whatever snapshot they loaded with no locks and no risk of a
-// torn topology; the publisher captures a fresh snapshot whenever
+// router with that membership's SCT_C, and the crash state — into one
+// immutable object published RCU-style by the ServingEngine (shared_ptr
+// swap under a mutex). Reader threads route against whatever snapshot
+// they loaded with no locks and no risk of a torn topology; the publisher
+// captures a fresh snapshot whenever
 // `HfcTopology::structure_generation()` advances or the crash set
 // changes.
 //
-// The frozen topology and the router measure through the snapshot's own
-// network (`OverlayNetwork::coord_distance_fn()`): the same `euclidean()`
-// over the same coordinates as the live coordinate tier, so the snapshot
-// keeps one copy of the coordinates and its routes stay bit-identical.
+// Capture pays for what changed. The network only grows by appending and
+// restructure() rebuilds it unchanged, so a snapshot shares its
+// predecessor's network while the size holds. SCT_C is cloned from the
+// overlay's router, re-deriving only clusters whose generation moved. The
+// frozen topology and the router measure through the snapshot's network
+// (`OverlayNetwork::coord_distance_fn()`), the same `euclidean()` over the
+// same coordinates as the live coordinate tier: routes stay bit-identical.
 //
 // Degradation baking: when the snapshot carries crashed nodes, border
 // pairs whose stored end is down are resolved to the surviving pair
 // through the live-link view (routing/live_links.h) ONCE at capture and
-// written into the frozen border table, so a request's link resolution
-// is O(1) instead of an O(|a|·|b|) member re-scan. Pairs with no
-// surviving member keep their stored slots, which reproduces the live
-// router's per-request not-found handling exactly. Routes served from a
-// snapshot are byte-identical to what the live router returns for the
-// same membership and crash set.
+// written into the frozen border table, pairs with no surviving member
+// as disconnected. A degraded request reads that table in place, as a
+// healthy one does, with the crash set as a node filter. Routes served
+// from a snapshot are byte-identical to what the live router returns for
+// the same membership and crash set.
 //
 // Cache invalidation inputs: the snapshot precomputes, per service, a
 // fingerprint over the (hosting cluster, host set, border epoch) chain.
@@ -44,6 +46,7 @@
 #include <memory>
 #include <vector>
 
+#include "dynamic/dynamic_overlay.h"
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/hierarchical_router.h"
@@ -55,15 +58,16 @@ namespace hfc::serve {
 
 class RouteSnapshot {
  public:
-  /// Freeze the current routing state. `crashed` (any order, duplicates
-  /// tolerated) are the down proxies baked into the view; `crash_epoch`
-  /// is the publisher's monotone stamp for the crash set (entries cached
-  /// under another epoch are invalid). The live objects are only read
-  /// during the call — the snapshot owns deep copies and has no lifetime
-  /// ties to them afterwards.
+  /// Freeze `overlay`'s universe-level routing state. `crashed` (any
+  /// order, duplicates tolerated) are the down proxies baked into the
+  /// view; `crash_epoch` is the publisher's monotone stamp for the crash
+  /// set (entries cached under another epoch are invalid). `previous`,
+  /// the same overlay's last snapshot (null for the first), lends its
+  /// network while the live one has not grown. The snapshot has no
+  /// lifetime ties to the overlay afterwards.
   [[nodiscard]] static std::shared_ptr<const RouteSnapshot> capture(
-      const OverlayNetwork& net, const HfcTopology& topo,
-      std::vector<NodeId> crashed, std::uint64_t crash_epoch);
+      const DynamicHfcOverlay& overlay, std::vector<NodeId> crashed,
+      std::uint64_t crash_epoch, const RouteSnapshot* previous = nullptr);
 
   RouteSnapshot(const RouteSnapshot&) = delete;
   RouteSnapshot& operator=(const RouteSnapshot&) = delete;
@@ -106,10 +110,11 @@ class RouteSnapshot {
   [[nodiscard]] std::uint64_t service_fingerprint(ServiceId service) const;
 
   /// Route against the frozen view: the plain hierarchical pipeline when
-  /// the snapshot has no crashes, graceful-degradation routing (with the
-  /// baked surviving borders) when it does. Thread-safe: concurrent
-  /// callers share only immutable state. Endpoints must be clustered in
-  /// this snapshot (and up, when crashed).
+  /// the snapshot has no crashes; when it does, the same pipeline over the
+  /// baked border table with crankback around the crashed proxies (a
+  /// fault.degraded_requests each). Thread-safe: concurrent callers share
+  /// only immutable state. Endpoints must be clustered in this snapshot
+  /// (and up, when crashed).
   [[nodiscard]] ServicePath route(const ServiceRequest& request) const;
 
   /// The frozen sub-objects, for tests and introspection.
@@ -125,10 +130,12 @@ class RouteSnapshot {
   std::vector<NodeId> crashed_;
   std::uint64_t crash_epoch_ = 0;
   std::vector<char> up_;  ///< up_[node] = 1 unless crashed
+  RoutingFilters survivors_;  ///< node_ok = up_, when crashed
 
   /// Ownership order matters: net_ outlives topo_ (whose distance
-  /// functor reads net_), which outlives router_.
-  std::unique_ptr<OverlayNetwork> net_;
+  /// functor reads net_), which outlives router_. Shared between
+  /// snapshots of one network size.
+  std::shared_ptr<const OverlayNetwork> net_;
   std::unique_ptr<HfcTopology> topo_;
   std::unique_ptr<HierarchicalServiceRouter> router_;
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/require.h"
 #include "util/thread_pool.h"
 
@@ -55,8 +56,7 @@ bool ServingEngine::publish(std::vector<NodeId> crashed) {
   if (crash_changed) ++crash_epoch_;
   const auto start = Clock::now();
   std::shared_ptr<const RouteSnapshot> snap =
-      RouteSnapshot::capture(overlay_.universe_network(), topo, crashed,
-                             crash_epoch_);
+      RouteSnapshot::capture(overlay_, crashed, crash_epoch_, cur.get());
   last_crashed_ = std::move(crashed);
   {
     // Swap under the lock; the old snapshot dies outside it.
@@ -147,6 +147,7 @@ std::vector<ServedRoute> ServingEngine::serve(
   // worth of sub-millisecond solves amortizes the per-task dispatch cost.
   std::vector<double> solve_durations(misses.size(), 0.0);
   parallel_for(misses.size(), 8, [&](std::size_t i) {
+    HFC_TRACE_SPAN("serve.solve");
     Group& group = groups[misses[i]];
     const auto start = Clock::now();
     group.path = snap.route(wave[group.indices.front()]);

@@ -21,6 +21,7 @@
 
 #include "dynamic/dynamic_overlay.h"
 #include "obs/metrics.h"
+#include "oracle/snapshot_capture.h"
 #include "serve/route_cache.h"
 #include "serve/route_snapshot.h"
 #include "serve/serving_engine.h"
@@ -159,8 +160,7 @@ TEST(ServeGenerations, StructureGenerationIsMonotoneUnderChurn) {
 TEST(ServeSnapshot, RoutesEqualLiveRouter) {
   Rng rng(902);
   DynamicHfcOverlay overlay(blob_universe(60, rng), random_placement(60, rng));
-  const auto snap = RouteSnapshot::capture(
-      overlay.universe_network(), overlay.universe_topology(), {}, 0);
+  const auto snap = RouteSnapshot::capture(overlay, {}, 0);
   const std::vector<NodeId> endpoints = active_nodes(overlay);
   Rng req_rng = rng.fork(2);
   for (int i = 0; i < 40; ++i) {
@@ -174,8 +174,7 @@ TEST(ServeSnapshot, RoutesEqualLiveRouter) {
 TEST(ServeSnapshot, IsFrozenWhileLiveStateChurns) {
   Rng rng(903);
   DynamicHfcOverlay overlay(blob_universe(60, rng), random_placement(60, rng));
-  const auto snap = RouteSnapshot::capture(
-      overlay.universe_network(), overlay.universe_topology(), {}, 0);
+  const auto snap = RouteSnapshot::capture(overlay, {}, 0);
   const std::uint64_t frozen_gen = snap->structure_generation();
 
   const std::vector<NodeId> endpoints = active_nodes(overlay);
@@ -214,8 +213,7 @@ TEST(ServeSnapshotDegraded, RoutesEqualLiveDegradedRouter) {
   obs::Counter& baked =
       obs::MetricsRegistry::global().counter("serve.baked_borders");
   const std::uint64_t baked_before = baked.value();
-  const auto snap = RouteSnapshot::capture(
-      overlay.universe_network(), overlay.universe_topology(), crashed, 1);
+  const auto snap = RouteSnapshot::capture(overlay, crashed, 1);
   EXPECT_EQ(snap->crash_epoch(), 1u);
   EXPECT_FALSE(snap->up(NodeId(50)));
   EXPECT_TRUE(snap->up(NodeId(0)));
@@ -253,6 +251,156 @@ TEST(ServeSnapshotDegraded, RoutesEqualLiveDegradedRouter) {
   EXPECT_GT(baked.value(), baked_before);
 }
 
+// A cluster whose members are all crashed has no surviving border with
+// any other: the bake writes those pairs in as disconnected, and the
+// snapshot's degraded routes still equal the live degraded router's —
+// found or not, hops, cost bits and crankbacks. The live router finds
+// each such pair disconnected per request (fault.border_unreachable); the
+// snapshot settled it at capture, so its solves count none. Another
+// cluster loses every host of service 0 but keeps its other members, so
+// CSPs that pick it for service 0 crank back.
+TEST(ServeSnapshotDegraded, NoSurvivorPairMatchesLiveDegradedRouter) {
+  Rng rng(912);
+  DynamicHfcOverlay overlay(blob_universe(72, rng), random_placement(72, rng));
+  const HfcTopology& live_topo = overlay.universe_topology();
+  const ClusterId dead = live_topo.cluster_of(NodeId(3));
+  std::vector<NodeId> crashed = live_topo.members(dead);
+  for (const NodeId n : live_topo.members(live_topo.cluster_of(NodeId(1)))) {
+    if (overlay.universe_network().hosts(n, ServiceId(0))) crashed.push_back(n);
+  }
+  std::sort(crashed.begin(), crashed.end());
+  const auto up = [&crashed](NodeId n) {
+    return !std::binary_search(crashed.begin(), crashed.end(), n);
+  };
+  const auto snap = RouteSnapshot::capture(overlay, crashed, 1);
+
+  const HfcTopology& frozen = snap->topology();
+  std::size_t disconnected = 0;
+  for (std::size_t c = 0; c < frozen.cluster_count(); ++c) {
+    const ClusterId other(static_cast<std::int32_t>(c));
+    if (other == dead || !frozen.live(other)) continue;
+    EXPECT_TRUE(live_topo.link(dead, other).found);
+    EXPECT_FALSE(frozen.link(dead, other).found);
+    EXPECT_FALSE(frozen.link(other, dead).found);
+    ++disconnected;
+  }
+  ASSERT_GT(disconnected, 0u);
+
+  std::vector<NodeId> endpoints;
+  for (const NodeId n : active_nodes(overlay)) {
+    if (up(n)) endpoints.push_back(n);
+  }
+  obs::Counter& crankbacks =
+      obs::MetricsRegistry::global().counter("routing.crankbacks");
+  obs::Counter& unreachable =
+      obs::MetricsRegistry::global().counter("fault.border_unreachable");
+  HierarchicalServiceRouter& live = overlay.universe_router();
+  Rng req_rng = rng.fork(6);
+  std::size_t live_crankbacks = 0;
+  std::uint64_t live_unreachable = 0;
+  for (int i = 0; i < 60; ++i) {
+    const ServiceRequest req = random_request(req_rng, endpoints);
+    std::uint64_t before = unreachable.value();
+    const HierarchicalServiceRouter::RouteResult expected =
+        live.route_degraded(req, up);
+    live_unreachable += unreachable.value() - before;
+
+    before = crankbacks.value();
+    const std::uint64_t unreachable_before = unreachable.value();
+    const ServicePath frozen_path = snap->route(req);
+    EXPECT_EQ(crankbacks.value() - before, expected.crankbacks)
+        << "request " << i;
+    EXPECT_EQ(unreachable.value(), unreachable_before) << "request " << i;
+    EXPECT_TRUE(same_path(expected.path, frozen_path)) << "request " << i;
+    live_crankbacks += expected.crankbacks;
+  }
+  // The crashed cluster's services send some CSPs there first.
+  EXPECT_GT(live_crankbacks, 0u);
+  EXPECT_GT(live_unreachable, 0u);
+}
+
+// Snapshots published through churn, a join, a restructure and crash-set
+// changes: each shares its predecessor's network while the universe keeps
+// its size, derives SCT_C and the service fingerprints bit-identically to
+// a from-scratch pass (tests/oracle/snapshot_capture.h), and routes as
+// the live router does — healthy and degraded.
+TEST(ServeSnapshotReuse, PublishedSnapshotsMatchFromScratchCapture) {
+  Rng rng(913);
+  constexpr std::size_t kUniverse = 96;
+  constexpr std::size_t kProtect = 32;  // ids below stay active and up
+  DynamicHfcOverlay overlay(blob_universe(kUniverse, rng),
+                            random_placement(kUniverse, rng));
+  ServingEngine engine(overlay);
+  Rng churn = rng.fork(7);
+  Rng req_rng = rng.fork(8);
+  Rng crash_rng = rng.fork(9);
+
+  std::vector<NodeId> endpoints;
+  for (std::size_t v = 0; v < kProtect; ++v) {
+    endpoints.push_back(NodeId(static_cast<std::int32_t>(v)));
+  }
+  std::shared_ptr<const RouteSnapshot> prev = engine.current();
+  const auto check = [&](std::vector<NodeId> crashed, bool same_network,
+                         const char* step) {
+    SCOPED_TRACE(step);
+    std::sort(crashed.begin(), crashed.end());
+    ASSERT_TRUE(engine.publish(crashed));
+    const std::shared_ptr<const RouteSnapshot> snap = engine.current();
+    EXPECT_EQ(&snap->network() == &prev->network(), same_network);
+    prev = snap;
+
+    const OverlayNetwork& net = snap->network();
+    const HfcTopology& topo = snap->topology();
+    for (std::size_t c = 0; c < topo.cluster_count(); ++c) {
+      const ClusterId cluster(static_cast<std::int32_t>(c));
+      EXPECT_EQ(snap->router().cluster_capability(cluster),
+                oracle::cluster_capability(net, topo, cluster))
+          << "cluster " << c;
+    }
+    for (std::int32_t s = 0; s < kCatalog + 2; ++s) {
+      EXPECT_EQ(snap->service_fingerprint(ServiceId(s)),
+                oracle::service_fingerprint(net, topo, ServiceId(s)))
+          << "service " << s;
+    }
+
+    const auto up = [&crashed](NodeId n) {
+      return !std::binary_search(crashed.begin(), crashed.end(), n);
+    };
+    for (int i = 0; i < 40; ++i) {
+      const ServiceRequest req = random_request(req_rng, endpoints);
+      const ServicePath live = crashed.empty()
+                                   ? overlay.route(req)
+                                   : overlay.route_degraded(req, up);
+      EXPECT_TRUE(same_path(live, snap->route(req))) << "request " << i;
+    }
+  };
+  // Each step publishes once healthy and once under a fresh crash set.
+  const auto crash_set = [&] {
+    std::vector<NodeId> crashed;
+    for (int k = 0; k < 8; ++k) {
+      crashed.push_back(NodeId(crash_rng.uniform_int(
+          static_cast<int>(kProtect),
+          static_cast<int>(overlay.universe_size()) - 1)));
+    }
+    return crashed;
+  };
+
+  for (int step = 0; step < 4; ++step) {
+    churn_step(overlay, churn, kProtect);
+    check({}, true, "churn");
+    check(crash_set(), true, "churn, crashed");
+  }
+  overlay.add_proxy({125.0, 2.0}, {ServiceId(1), ServiceId(kCatalog + 1)});
+  check({}, false, "add_proxy");
+  check(crash_set(), true, "add_proxy, crashed");
+  overlay.restructure();
+  check({}, true, "restructure");
+  check(crash_set(), true, "restructure, crashed");
+  churn_step(overlay, churn, kProtect);
+  check(crash_set(), true, "churn after restructure, crashed");
+  check({}, true, "recovered");
+}
+
 // --- cache tagging and invalidation -----------------------------------
 
 struct CacheFixture {
@@ -262,9 +410,7 @@ struct CacheFixture {
 
   std::shared_ptr<const RouteSnapshot> capture(std::vector<NodeId> crashed = {},
                                                std::uint64_t epoch = 0) {
-    return RouteSnapshot::capture(overlay.universe_network(),
-                                  overlay.universe_topology(),
-                                  std::move(crashed), epoch);
+    return RouteSnapshot::capture(overlay, std::move(crashed), epoch);
   }
 
   Rng rng;
@@ -508,6 +654,24 @@ TEST(ServeCache, FullEngineCapacityEvictsOldestLiveEntry) {
   EXPECT_FALSE(cache.find(key(1)).has_value());
   EXPECT_TRUE(cache.find(key(2)).has_value());
   EXPECT_TRUE(cache.find(key(kCapacity)).has_value());
+}
+
+// One key refreshed over and over: every refresh leaves a stale FIFO
+// record, and the cache drops them once they outnumber the live entries,
+// so the queue stays within 2 * size() + 1 records.
+TEST(ServeCache, RefreshedKeyKeepsFifoBounded) {
+  RequestKey key;
+  key.source = NodeId(1);
+  key.destination = NodeId(2);
+  key.hash = splitmix64(1);
+  RouteCache cache(ServingEngine::kCacheCapacity);
+  std::size_t longest = 0;
+  for (int i = 0; i < 200000; ++i) {
+    (void)cache.insert(key, CachedRoute{});
+    longest = std::max(longest, cache.queued());
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_LE(longest, 2 * cache.size() + 1);
 }
 
 // --- the engine: waves, coalescing, determinism ------------------------

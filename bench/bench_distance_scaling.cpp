@@ -5,8 +5,8 @@
 //
 // At the default n = 20000 proxies, one proxy-pairwise SymMatrix<double>
 // alone is n*(n+1)/2 * 8 B ~= 1.6 GB — and the old pipeline materialized
-// several (oracle truth, evaluation truth, mesh routing). The tiered
-// DistanceService replaces all of them with bounded LRU row caches
+// several (oracle truth, evaluation truth, mesh routing). The truth
+// tier and lazy mesh routing replace all of them with bounded LRU row caches
 // (HFC_DIST_CACHE_ROWS, default 256 rows), so the same construction
 // + routing pipeline runs in O(cache_rows * n) distance memory. This
 // bench is the enforcement point: it exits 1 if the truth tier ever

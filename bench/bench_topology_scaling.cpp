@@ -4,17 +4,18 @@
 //
 // Phase 1 (A/B, default n = 20000): build the full structural pipeline —
 // Zahn clustering over the Euclidean MST plus HFC closest-pair border
-// selection — twice over the same clustered point cloud, once over a
-// distance service with its coordinates hidden (the quadratic scans) and
-// once over the coordinate tier (the kd-tree), and compare wall-clock
+// selection — twice over the same clustered point cloud, once through the
+// quadratic references (the all-pairs Prim oracle of tests/oracle/mst.h
+// and the OverlayDistance constructor's cross-cluster scans) and once
+// over the coordinate tier (the kd-tree), and compare wall-clock
 // and the `topology.candidate_links` /
 // `cluster.mst_candidate_pairs` counters. At the acceptance size
 // (n >= 20000) the bench *asserts* a >= 100x border-candidate reduction
 // and a >= 12x MST-candidate reduction (12.3x at n = 20000, dim 5); reduced
 // runs only report. The counts are deterministic for any thread count,
 // so the assertions hold on any host. The wall-clock speedup is printed
-// but not asserted: it swings with the host and the pool size (9.9x at 4
-// threads, 5.4x at 1 on a shared 4-vCPU container).
+// but not asserted: it swings with the host and the pool size (5.4-6.6x
+// at 4 threads, 4.7-6.3x at 1 on a shared 4-vCPU container).
 //
 // Phase 2 (A/B, default n = 100000): the Borůvka MST alone, the single
 // global pruned sweep vs the group-local pipeline (DESIGN.md §14). The
@@ -42,6 +43,7 @@
 #include <cstring>
 #include <iostream>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,7 +58,7 @@
 #include "src/routing/hierarchical_router.h"
 #include "src/services/service_graph.h"
 #include "src/util/rng.h"
-#include "tests/oracle/scan_distance.h"
+#include "tests/oracle/mst.h"
 
 namespace {
 
@@ -98,9 +100,10 @@ struct BuildResult {
   std::uint64_t mst_candidates = 0;
 };
 
-/// Cluster + build the HFC topology once over `dist` (coordinates hidden
-/// or exposed), returning wall-clock and the candidate-counter deltas.
-BuildResult build_once(const DistanceService& dist) {
+/// Cluster + build the HFC topology once by `build`, returning wall-clock
+/// and the candidate-counter deltas.
+template <typename Build>
+BuildResult build_once(const Build& build) {
   obs::Counter& borders =
       obs::MetricsRegistry::global().counter("topology.candidate_links");
   obs::Counter& mst =
@@ -108,13 +111,12 @@ BuildResult build_once(const DistanceService& dist) {
   const std::uint64_t borders0 = borders.value();
   const std::uint64_t mst0 = mst.value();
   const auto t0 = std::chrono::steady_clock::now();
-  const Clustering clustering = cluster_nodes(dist);
-  const HfcTopology topo(clustering, dist);
+  const std::unique_ptr<HfcTopology> topo = build();
   BuildResult r;
   r.wall_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
-  r.clusters = topo.live_cluster_count();
+  r.clusters = topo->live_cluster_count();
   r.border_candidates = borders.value() - borders0;
   r.mst_candidates = mst.value() - mst0;
   return r;
@@ -162,9 +164,25 @@ int main() {
   std::cout << "Topology construction A/B at n=" << cmp_n << " (dim=" << dim
             << ")\n";
   const CoordDistanceService cmp_dist(clustered_coords(cmp_n, dim, 4071));
-  // Hiding the coordinates sends every consumer to its scan.
-  const BuildResult brute = build_once(oracle::ScanDistance(cmp_dist));
-  const BuildResult spatial = build_once(cmp_dist);
+  // The brute arm: Zahn over the Prim oracle's MST (every pair
+  // evaluated, counted as MST candidates), then borders by full scans.
+  const BuildResult brute = build_once([&cmp_dist] {
+    const PointSet& pts = cmp_dist.coords();
+    std::uint64_t evals = 0;
+    Clustering clustering = zahn_cluster(
+        pts.size(), oracle::prim_mst(pts, &evals), ZahnParams{},
+        [&pts](std::size_t i, std::size_t j) {
+          return euclidean(pts[i], pts[j]);
+        });
+    obs::MetricsRegistry::global()
+        .counter("cluster.mst_candidate_pairs")
+        .add(evals);
+    return std::make_unique<HfcTopology>(std::move(clustering),
+                                         cmp_dist.fn());
+  });
+  const BuildResult spatial = build_once([&cmp_dist] {
+    return std::make_unique<HfcTopology>(cluster_nodes(cmp_dist), cmp_dist);
+  });
   const double speedup = brute.wall_ms / std::max(spatial.wall_ms, 1e-9);
   const double border_reduction =
       static_cast<double>(brute.border_candidates) /

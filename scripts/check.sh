@@ -45,7 +45,7 @@
 #      counts (.gcda) of any earlier run, run the full suite, and
 #      enforce the line-coverage floor (90%) for src/cluster/boruvka.*,
 #      src/cluster/group_pipeline.*, src/cluster/mst.*,
-#      src/cluster/zahn.*, src/fault/,
+#      src/cluster/zahn.*, src/distance/, src/fault/,
 #      src/overlay/hfc_topology.*, src/routing/, src/serve/, src/sim/,
 #      src/spatial/ and src/streaming/ via scripts/coverage_gate.py
 #      (gcov JSON, no gcovr).

@@ -18,7 +18,8 @@ import sys
 
 MONITORED = ("src/cluster/boruvka", "src/cluster/group_pipeline",
              "src/cluster/mst",
-             "src/cluster/zahn", "src/fault", "src/overlay/hfc_topology",
+             "src/cluster/zahn", "src/distance", "src/fault",
+             "src/overlay/hfc_topology",
              "src/routing", "src/serve", "src/sim", "src/spatial",
              "src/streaming")
 DEFAULT_FLOOR = 90.0

@@ -19,66 +19,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-std::vector<MstEdge> mst_dense(const DistanceService& distance) {
-  if (const PointSet* coords = distance.coord_view()) {
-    return euclidean_mst(*coords);
-  }
-
-  HFC_TRACE_SPAN("cluster.mst");
-  obs::MetricsRegistry::global().counter("cluster.mst_builds").add(1);
-  const std::size_t n = distance.size();
-  std::vector<MstEdge> edges;
-  if (n <= 1) return edges;
-  edges.reserve(n - 1);
-
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best(n, kInf);
-  std::vector<std::size_t> parent(n, 0);
-  std::uint64_t evals = 0;
-
-  // One whole-row fetch per added node keeps the truth tier's bounded
-  // row cache on a sequential access pattern (n fetches total) instead
-  // of the per-pair at() canonicalization, which revisits every row
-  // O(n) times and evicts it in between.
-  in_tree[0] = true;
-  {
-    const auto row = distance.row(0);
-    for (std::size_t v = 1; v < n; ++v) {
-      best[v] = (*row)[v];
-      ++evals;
-      parent[v] = 0;
-    }
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t next = n;
-    double next_cost = kInf;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!in_tree[v] && best[v] < next_cost) {
-        next = v;
-        next_cost = best[v];
-      }
-    }
-    ensure(next < n, "mst_dense: graph distance returned infinity");
-    in_tree[next] = true;
-    edges.push_back(MstEdge{parent[next], next, next_cost});
-    const auto row = distance.row(next);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!in_tree[v]) {
-        const double d = (*row)[v];
-        ++evals;
-        if (d < best[v]) {
-          best[v] = d;
-          parent[v] = next;
-        }
-      }
-    }
-  }
-  obs::MetricsRegistry::global()
-      .counter("cluster.mst_candidate_pairs")
-      .add(evals);
-  return edges;
-}
-
 std::vector<MstEdge> euclidean_mst(const PointSet& points) {
   if (group_pipeline_enabled(points.size())) {
     return euclidean_mst_grouped(points);

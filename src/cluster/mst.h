@@ -1,20 +1,15 @@
-// Minimum spanning tree over a dense distance function.
+// Euclidean minimum spanning tree over proxy coordinates.
 //
 // The Zahn clustering (paper §3.2) works on the Euclidean MST of the proxy
-// coordinates. Two tiers build it (DESIGN.md §11):
-//
-//   * Prim over a DistanceService without coordinates (truth and probe
-//     tiers) — O(n^2) evaluations, no structure assumed beyond symmetry,
-//     restructured to fetch each added node's whole row once (n row
-//     fetches total), so the truth tier's bounded row cache is read
-//     sequentially instead of thrashed.
-//   * Borůvka over a k-d tree (`euclidean_mst_spatial`) — each round
-//     tags the index with the current components and finds, per
-//     component, its cheapest outgoing edge; components shrink
-//     geometrically, so the whole build is O(n log n) nearest-neighbour
-//     work. `euclidean_mst` and `mst_dense` over a coordinate-tier
-//     service always take it, and it is the tier that carries Zahn
-//     clustering to the 1M-proxy scale (bench_topology_scaling).
+// coordinates, built by Borůvka over a k-d tree (`euclidean_mst_spatial`,
+// DESIGN.md §11): each round tags the index with the current components
+// and finds, per component, its cheapest outgoing edge; components shrink
+// geometrically, so the whole build is O(n log n) nearest-neighbour work.
+// It carries Zahn clustering to the 1M-proxy scale
+// (bench_topology_scaling); from kGroupPipelineMinPoints on
+// `euclidean_mst` runs the group-local pipeline (DESIGN.md §14) instead.
+// The quadratic references (all-pairs Kruskal, row-by-row Prim) live in
+// tests/oracle/mst.h.
 //
 // The Borůvka sweep (boruvka::global_sweep, cluster/boruvka.h) groups
 // points by component and scans each component sequentially, passing
@@ -27,12 +22,6 @@
 // (d, a, b) minimisation is still seen: the tree is the unique MST under
 // that total order, which the all-pairs Kruskal oracle in
 // tests/oracle/mst.h reproduces bit for bit, exact ties included.
-//
-// Equivalence across tiers: both evaluate the same `euclidean()` doubles
-// over coordinates, and with distinct pairwise distances the MST is
-// unique, so Prim and Borůvka return the same edge set (Borůvka in
-// canonical (a, b) order, Prim in insertion order — Zahn consumes the
-// set, not the order).
 #pragma once
 
 #include <cstddef>
@@ -40,7 +29,6 @@
 #include <vector>
 
 #include "coords/point_set.h"
-#include "distance/distance_service.h"
 
 namespace hfc {
 
@@ -53,14 +41,6 @@ struct MstEdge {
 
 /// Distance callback over node indices; must be symmetric and non-negative.
 using DistanceFn = std::function<double(std::size_t, std::size_t)>;
-
-/// MST over all nodes of a distance service. Services with a coordinate
-/// view go to `euclidean_mst`; other tiers run a row-grouped Prim that
-/// fetches `row(next)` once per added node — sequential reads the truth
-/// tier's row cache retains, instead of the per-pair `at()`
-/// canonicalization that thrashes it. Row-tier values are the source's
-/// own row view (see the orientation contract in distance_service.h).
-[[nodiscard]] std::vector<MstEdge> mst_dense(const DistanceService& distance);
 
 /// MST of points under Euclidean distance: the Borůvka path, or the
 /// group-local pipeline once `group_pipeline_enabled` holds.

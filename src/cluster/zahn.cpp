@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cluster/boruvka.h"
+#include "distance/coord_distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/require.h"
@@ -223,12 +224,9 @@ Clustering cluster_points(const PointSet& points, const ZahnParams& params) {
   return zahn_cluster(points.size(), euclidean_mst(points), params, distance);
 }
 
-Clustering cluster_nodes(const DistanceService& distance,
+Clustering cluster_nodes(const CoordDistanceService& distance,
                          const ZahnParams& params) {
-  const DistanceFn fn = [&distance](std::size_t i, std::size_t j) {
-    return distance.at(i, j);
-  };
-  return zahn_cluster(distance.size(), mst_dense(distance), params, fn);
+  return cluster_points(distance.coords(), params);
 }
 
 }  // namespace hfc

@@ -16,6 +16,8 @@
 
 namespace hfc {
 
+class CoordDistanceService;
+
 /// How the "typical nearby edge length" is computed in the inconsistency
 /// test. kMean is Zahn's (and the paper's) formulation; kMedian is robust
 /// to multi-scale data, where one enormous nearby edge can mask a
@@ -64,11 +66,9 @@ struct Clustering {
 [[nodiscard]] Clustering cluster_points(const PointSet& points,
                                         const ZahnParams& params = {});
 
-/// MST + clustering over all nodes of a distance service (the pipeline
-/// form: the framework passes its coordinate tier here). Bit-identical
-/// to `cluster_points` when the service answers with the same Euclidean
-/// distances.
-[[nodiscard]] Clustering cluster_nodes(const DistanceService& distance,
+/// The pipeline form over the coordinate tier: `cluster_points` of its
+/// coordinates, whose euclidean() doubles are the tier's own.
+[[nodiscard]] Clustering cluster_nodes(const CoordDistanceService& distance,
                                        const ZahnParams& params = {});
 
 /// Indices (into `mst`) of the edges Zahn's test marks inconsistent,

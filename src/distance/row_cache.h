@@ -1,5 +1,5 @@
 // Bounded sharded LRU cache of per-source rows, the memory backbone of
-// the tiered distance service (DESIGN.md §8).
+// the truth distance tier and of lazy mesh routing (DESIGN.md §8).
 //
 // A "row" is everything derived from one source node — a vector of
 // delays, or a Dijkstra tree — that is expensive to compute and cheap to
@@ -124,5 +124,12 @@ class RowCache {
   Counters counters_;
   mutable Shard shards_[kShards];
 };
+
+/// Resolve a row-cache capacity: `requested` when positive, otherwise the
+/// consumer's own `fallback`.
+[[nodiscard]] inline std::size_t resolve_cache_rows(std::size_t requested,
+                                                    std::size_t fallback) {
+  return requested > 0 ? requested : fallback;
+}
 
 }  // namespace hfc

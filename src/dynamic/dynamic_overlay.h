@@ -18,10 +18,10 @@
 // simply unclustered. A join/leave mutates the topology in place
 // (membership lists + border-pair repair scoped to the affected cluster
 // pairs) and the router re-derives only the SCT_C entries whose cluster
-// generation changed. Distance queries go through the
-// CoordDistanceService seam. `apply()` batches events so k events
-// touching one cluster pay one border repair per affected cluster pair,
-// fanned across the thread pool.
+// generation changed. Distance queries go through the coordinate tier
+// (CoordDistanceService). `apply()` batches events so k events touching
+// one cluster pay one border repair per affected cluster pair, fanned
+// across the thread pool.
 //
 // After any mutation sequence the incremental state is equivalent to a
 // from-scratch rebuild of the same active set: same partition, same
@@ -194,8 +194,8 @@ class DynamicHfcOverlay {
   std::size_t mutations_since_restructure_ = 0;
   std::uint64_t active_generation_ = 0;
 
-  /// Coordinate tier over the whole universe — the DistanceService seam
-  /// joins scan through and the universe router routes with.
+  /// Coordinate tier over the whole universe — the store joins scan
+  /// through and the universe router routes with.
   std::unique_ptr<CoordDistanceService> dist_;
 
   /// Spatial set over the active nodes for the nearest-active join rule

@@ -10,7 +10,7 @@
 #include <utility>
 
 #include "cluster/median_partition.h"
-#include "distance/distance_service.h"
+#include "distance/coord_distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spatial/spatial_index.h"
@@ -60,19 +60,16 @@ void add_phase_us(const char* counter,
 }  // namespace
 
 HfcTopology::HfcTopology(Clustering clustering,
-                         const DistanceService& distance,
+                         const CoordDistanceService& distance,
                          BorderSelection selection)
     : clustering_(std::move(clustering)),
       distance_(distance.fn()),
       selection_(selection) {
   build_flat_tree();
-  // Spatial acceleration only applies to the closest-pair rule (the
-  // other strategies never scan candidate pairs) and only when the
-  // service's distances *are* euclidean() over an exposed coordinate
-  // array — index pruning is unsound for any other metric.
-  const PointSet* coords = distance.coord_view();
-  if (selection == BorderSelection::kClosestPair && coords != nullptr) {
-    coords_ = coords;
+  // Spatial acceleration only applies to the closest-pair rule: the
+  // other strategies never scan candidate pairs.
+  if (selection == BorderSelection::kClosestPair) {
+    coords_ = &distance.coords();
     cluster_sets_.resize(clustering_.cluster_count());
     for (std::size_t ci = 0; ci < clustering_.cluster_count(); ++ci) {
       std::vector<std::int32_t> ids;

@@ -39,20 +39,29 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "cluster/zahn.h"
 #include "coords/point_set.h"
 #include "overlay/overlay_network.h"
-#include "routing/csp_kernel.h"
 #include "spatial/closest_pair.h"
 #include "spatial/dynamic_set.h"
 #include "util/ids.h"
 
 namespace hfc {
 
-class DistanceService;
+class CoordDistanceService;
+
+/// The link from unit `from` toward unit `toward`: `exit` is the border
+/// inside `from`, `entry` the border inside `toward`, `length` the
+/// external link between them.
+struct CspLink {
+  NodeId exit, entry;  ///< invalid when !found
+  double length = std::numeric_limits<double>::infinity();
+  bool found = false;
+};
 
 /// Border selection strategies. `kClosestPair` is the paper's rule; the
 /// alternatives exist for the ablation study (DESIGN.md A3).
@@ -138,16 +147,15 @@ class HfcTopology {
   HfcTopology(Clustering clustering, const OverlayDistance& distance,
               BorderSelection selection = BorderSelection::kClosestPair);
 
-  /// Same, querying a distance service (the framework passes its
-  /// coordinate tier). The service must outlive the topology. When the
-  /// service exposes a coordinate view, kClosestPair border selection —
-  /// at build time and in churn repair — runs as bichromatic
-  /// closest-pair queries over per-cluster spatial sets instead of full
-  /// cross-cluster scans; member lists are kept sorted ascending, so the
-  /// answers (lex-min (d, x, y) pairs) are identical to the brute scans
-  /// even under exact distance ties. Without a coordinate view it scans
-  /// like the OverlayDistance constructor.
-  HfcTopology(Clustering clustering, const DistanceService& distance,
+  /// Same, over the coordinate tier (the framework's and the dynamic
+  /// overlay's build), which must outlive the topology. kClosestPair
+  /// border selection — at build time and in churn repair — runs as
+  /// bichromatic closest-pair queries over per-cluster spatial sets on
+  /// the tier's coordinates instead of full cross-cluster scans; member
+  /// lists are kept sorted ascending, so the answers (lex-min (d, x, y)
+  /// pairs) are identical to the OverlayDistance constructor's scans even
+  /// under exact distance ties. The two ablation rules build no sets.
+  HfcTopology(Clustering clustering, const CoordDistanceService& distance,
               BorderSelection selection = BorderSelection::kClosestPair);
 
   /// Build a tree of any depth by recursive proximity clustering of proxy
@@ -514,9 +522,9 @@ class HfcTopology {
   std::vector<std::size_t> touched_;
 
   /// Spatial acceleration (DESIGN.md §11). Set only by the
-  /// DistanceService constructor when the service has a coordinate view;
-  /// points into the service's coordinate store (which may grow — rows
-  /// are re-read through it).
+  /// CoordDistanceService constructor under kClosestPair; points into the
+  /// tier's coordinate store (which may grow — rows are re-read through
+  /// it).
   const PointSet* coords_ = nullptr;
   /// One churn-capable set per cluster slot, mirroring members.
   std::vector<DynamicSpatialSet> cluster_sets_;

@@ -5,7 +5,6 @@
 #include <queue>
 #include <utility>
 
-#include "distance/distance_service.h"
 #include "obs/metrics.h"
 #include "util/require.h"
 

@@ -20,8 +20,8 @@ namespace hfc {
 /// ground-truth underlay delays (what experiments measure paths with).
 ///
 /// Lifetime contract: an OverlayDistance is a *view*. Whatever state its
-/// closure references — an OverlayNetwork, an HfcFramework, a
-/// DistanceService — must outlive every call through the function.
+/// closure references — an OverlayNetwork, an HfcFramework, a distance
+/// tier — must outlive every call through the function.
 /// Closures that must survive their producer should capture owning
 /// handles (shared_ptr) instead.
 using OverlayDistance = std::function<double(NodeId, NodeId)>;

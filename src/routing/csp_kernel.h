@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/flat_table.h"
 #include "services/service_graph.h"
@@ -30,15 +31,6 @@
 #include "util/require.h"
 
 namespace hfc {
-
-/// The link from unit `from` toward unit `toward`: `exit` is the border
-/// inside `from`, `entry` the border inside `toward`, `length` the
-/// external link between them.
-struct CspLink {
-  NodeId exit, entry;  ///< invalid when !found
-  double length = std::numeric_limits<double>::infinity();
-  bool found = false;
-};
 
 /// The endpoints of one search: source and destination proxies and the
 /// units that hold them.

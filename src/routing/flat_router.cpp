@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "distance/distance_service.h"
 #include "routing/service_dag.h"
 #include "util/require.h"
 
@@ -14,10 +13,6 @@ FlatServiceRouter::FlatServiceRouter(const OverlayNetwork& net,
     : net_(net), distance_(std::move(decision_distance)) {
   require(static_cast<bool>(distance_), "FlatServiceRouter: null distance");
 }
-
-FlatServiceRouter::FlatServiceRouter(const OverlayNetwork& net,
-                                     const DistanceService& decision_distance)
-    : FlatServiceRouter(net, OverlayDistance(decision_distance.fn())) {}
 
 ServicePath FlatServiceRouter::route(const ServiceRequest& request) const {
   return route_within(request, net_.all_nodes());

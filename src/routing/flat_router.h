@@ -18,8 +18,6 @@
 
 namespace hfc {
 
-class DistanceService;
-
 /// Optional per-(proxy, service) feasibility predicate: false excludes the
 /// proxy as a provider of that service (e.g. insufficient residual
 /// capacity under QoS admission). A null filter accepts everything.
@@ -32,11 +30,6 @@ class FlatServiceRouter {
   /// reference must outlive the router.
   FlatServiceRouter(const OverlayNetwork& net,
                     OverlayDistance decision_distance);
-
-  /// Same, routing under a distance service's metric (typically the
-  /// coordinate tier). The service must outlive the router.
-  FlatServiceRouter(const OverlayNetwork& net,
-                    const DistanceService& decision_distance);
 
   /// Find the optimal service path under the decision metric, mapping
   /// services onto any hosting proxy. Not-found when some service has no

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "distance/distance_service.h"
 #include "routing/path_expansion.h"
 #include "util/require.h"
 
@@ -25,11 +24,6 @@ FullStateHfcRouter::FullStateHfcRouter(const OverlayNetwork& net,
     : topo_(topo),
       hfc_distance_(constrain(topo, std::move(estimate))),
       flat_(net, hfc_distance_) {}
-
-FullStateHfcRouter::FullStateHfcRouter(const OverlayNetwork& net,
-                                       const HfcTopology& topo,
-                                       const DistanceService& estimate)
-    : FullStateHfcRouter(net, topo, OverlayDistance(estimate.fn())) {}
 
 ServicePath FullStateHfcRouter::route(const ServiceRequest& request) const {
   return expand_hfc_path(flat_.route(request), topo_);

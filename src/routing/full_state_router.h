@@ -23,11 +23,6 @@ class FullStateHfcRouter {
   FullStateHfcRouter(const OverlayNetwork& net, const HfcTopology& topo,
                      OverlayDistance estimate);
 
-  /// Same, drawing the estimate from a distance service (which must
-  /// outlive the router).
-  FullStateHfcRouter(const OverlayNetwork& net, const HfcTopology& topo,
-                     const DistanceService& estimate);
-
   /// Optimal service path under HFC-constrained distances, with border
   /// relay hops expanded (ready for hop-by-hop measurement).
   [[nodiscard]] ServicePath route(const ServiceRequest& request) const;

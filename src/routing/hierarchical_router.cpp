@@ -4,7 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "distance/distance_service.h"
+#include "distance/coord_distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "routing/live_links.h"
@@ -334,7 +334,8 @@ std::size_t HierarchicalServiceRouter::refresh_stale() {
 
 HierarchicalServiceRouter::HierarchicalServiceRouter(
     const OverlayNetwork& net, const HfcTopology& topo,
-    const DistanceService& decision_distance, HierarchicalRoutingParams params)
+    const CoordDistanceService& decision_distance,
+    HierarchicalRoutingParams params)
     : HierarchicalServiceRouter(net, topo,
                                 OverlayDistance(decision_distance.fn()),
                                 params) {}

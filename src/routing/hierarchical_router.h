@@ -50,7 +50,7 @@
 
 namespace hfc {
 
-class DistanceService;
+class CoordDistanceService;
 
 /// Feasibility filters for QoS-style routing (paper §7 future work), as
 /// candidate pruning. `cluster_ok(c, s)` prunes clusters as providers of
@@ -96,11 +96,11 @@ class HierarchicalServiceRouter {
                             OverlayDistance decision_distance,
                             HierarchicalRoutingParams params = {});
 
-  /// Same, drawing the decision metric from a distance service (which must
-  /// outlive the router).
+  /// Same, deciding with the coordinate tier (which must outlive the
+  /// router).
   HierarchicalServiceRouter(const OverlayNetwork& net,
                             const HfcTopology& topo,
-                            const DistanceService& decision_distance,
+                            const CoordDistanceService& decision_distance,
                             HierarchicalRoutingParams params = {});
 
   /// Rebinding clone for snapshot capture (DESIGN.md §12): `other`'s

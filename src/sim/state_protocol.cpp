@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "distance/distance_service.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -99,12 +98,6 @@ bool StateProtocolSim::message_passes(NodeId from, NodeId to,
   extra_delay = fate.extra_delay_ms;
   return fate.delivered;
 }
-
-StateProtocolSim::StateProtocolSim(const OverlayNetwork& net,
-                                   const HfcTopology& topo,
-                                   const DistanceService& delay,
-                                   StateProtocolParams params)
-    : StateProtocolSim(net, topo, OverlayDistance(delay.fn()), params) {}
 
 bool StateProtocolSim::dropped() {
   if (params_.loss_probability == 0.0) return false;

@@ -86,12 +86,6 @@ class StateProtocolSim {
   StateProtocolSim(const OverlayNetwork& net, const HfcTopology& topo,
                    OverlayDistance delay, StateProtocolParams params = {});
 
-  /// Same, drawing delays from a distance service (typically the truth
-  /// tier — messages travel the real underlay). Must outlive the sim.
-  StateProtocolSim(const OverlayNetwork& net, const HfcTopology& topo,
-                   const DistanceService& delay,
-                   StateProtocolParams params = {});
-
   /// Attach a fault injector: its plan is armed onto this sim's event
   /// queue when run() starts, crashed proxies neither send nor receive
   /// (a crash also wipes the victim's soft state), and every message's

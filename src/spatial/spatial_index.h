@@ -19,12 +19,10 @@
 // take the index or the scan; the brute-force oracles in tests/oracle/
 // pin that.
 //
-// Selection rule: a consumer takes the index whenever its distance
-// exposes coordinates (DistanceService::coord_view() != nullptr, or a
-// PointSet passed directly) and no accept predicate filters members. It
-// scans only for input the index cannot serve: distances without
-// coordinates (the truth tier, OverlayDistance functors) and
-// predicate-filtered queries. There is no size floor; DynamicSpatialSet
+// Selection rule: a consumer takes the index whenever it holds
+// coordinates (the coordinate tier, or a PointSet passed directly) and no
+// accept predicate filters members. It scans only for input the index
+// cannot serve: OverlayDistance functors and predicate-filtered queries. There is no size floor; DynamicSpatialSet
 // keeps its own exact scan below 32 points.
 #pragma once
 

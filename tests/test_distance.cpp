@@ -1,5 +1,5 @@
-// Tests for src/distance: the tiered DistanceService (truth, coordinate),
-// the sharded LRU row cache, cache-size resolution, and the
+// Tests for src/distance: the two concrete distance tiers (truth,
+// coordinate), the sharded LRU row cache, cache-size resolution, and the
 // bit-equality contracts the refactor away from dense matrices relies on.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/mst.h"
@@ -15,9 +16,7 @@
 #include "distance/coord_distance.h"
 #include "distance/row_cache.h"
 #include "distance/truth_distance.h"
-#include "obs/metrics.h"
 #include "oracle/mst.h"
-#include "oracle/scan_distance.h"
 #include "overlay/mesh_topology.h"
 #include "overlay/overlay_network.h"
 #include "topology/shortest_paths.h"
@@ -27,6 +26,10 @@
 
 namespace hfc {
 namespace {
+
+// The tiers are plain concrete classes: no interface, no virtual calls.
+static_assert(!std::is_polymorphic_v<CoordDistanceService>);
+static_assert(!std::is_polymorphic_v<TruthDistanceService>);
 
 PhysicalNetwork triangle_with_tail() {
   // r0 --1-- r1 --2-- r2, r0 --5-- r2, r2 --3-- r3
@@ -198,26 +201,6 @@ TEST(TruthDistance, EvictionRecomputesIdenticalRows) {
             tight.resident_rows() * subset.size() * sizeof(double));
 }
 
-TEST(TruthDistance, MstRowGroupedScanComputesEachRowOnce) {
-  Rng rng(45);
-  const TransitStubTopology topo =
-      generate_transit_stub(TransitStubParams::for_total_routers(200), rng);
-  std::vector<RouterId> subset;
-  for (int r = 0; r < 48; ++r) subset.push_back(RouterId(r * 2));
-  // Cache far smaller than the endpoint set: the old per-pair at() scan
-  // canonicalized every lookup to the higher-indexed row and thrashed
-  // this LRU with O(n) recomputes per row.
-  const TruthDistanceService svc(topo.network, subset, 4);
-  obs::Counter& computes =
-      obs::MetricsRegistry::global().counter("distance.truth_row_computes");
-  const std::uint64_t before = computes.value();
-  const std::vector<MstEdge> edges = mst_dense(svc);
-  EXPECT_EQ(edges.size(), subset.size() - 1);
-  // Row-grouped Prim fetches each source row exactly once, so even the
-  // 4-row cache sees a sequential miss pattern: n computes, no thrash.
-  EXPECT_EQ(computes.value() - before, subset.size());
-}
-
 TEST(TruthDistance, RejectsBadEndpoints) {
   const PhysicalNetwork net = triangle_with_tail();
   EXPECT_THROW(TruthDistanceService(net, {}), std::invalid_argument);
@@ -242,14 +225,9 @@ TEST(CoordDistance, BitEqualToEuclideanAndOverlayNetwork) {
   }
 }
 
-TEST(CoordDistance, RowPairsAndFnMatchAt) {
+TEST(CoordDistance, FnMatchesAt) {
   const std::vector<Point> pts = random_points(15, 11);
   const CoordDistanceService svc(pts);
-  const auto row = svc.row(6);
-  ASSERT_EQ(row->size(), 15u);
-  for (std::size_t j = 0; j < 15; ++j) {
-    EXPECT_EQ((*row)[j], svc.at(6, j));
-  }
   const auto fn = svc.fn();
   for (std::int32_t a = 0; a < 15; ++a) {
     for (std::int32_t b = 0; b < 15; ++b) {
@@ -259,14 +237,14 @@ TEST(CoordDistance, RowPairsAndFnMatchAt) {
   EXPECT_GT(svc.resident_bytes(), 0u);
 }
 
-TEST(CoordDistance, MstDenseRowPathMatchesKruskalOracle) {
-  // With the coordinates hidden the service form runs the row-grouped
-  // Prim; its edge set must be the Kruskal oracle's, with the same
-  // doubles (the coordinate tier is exactly symmetric). Prim emits edges
-  // in insertion order, so compare as sets of canonical edges.
+TEST(CoordDistance, PrimOracleMatchesKruskalOracle) {
+  // The row-by-row Prim oracle (bench_topology_scaling's brute arm) over
+  // the tier's coordinates: its edge set must be the Kruskal oracle's,
+  // with the same doubles (euclidean() is exactly symmetric). Prim emits
+  // edges in insertion order, so compare as sets of canonical edges.
   const std::vector<Point> pts = random_points(60, 13);
   const CoordDistanceService svc(pts);
-  const std::vector<MstEdge> prim = mst_dense(oracle::ScanDistance(svc));
+  const std::vector<MstEdge> prim = oracle::prim_mst(svc.coords());
   using Edge = std::tuple<std::size_t, std::size_t, double>;
   std::set<Edge> got;
   for (const MstEdge& e : prim) {

@@ -235,7 +235,8 @@ int main() {
   // Rebuild the same overlay as a dynamic one.
   ServicePlacement placement;
   for (NodeId p : fw->overlay().all_nodes()) {
-    placement.push_back(fw->overlay().services_at(p));
+    const auto services = fw->overlay().services_at(p);
+    placement.emplace_back(services.begin(), services.end());
   }
   DynamicHfcOverlay overlay(fw->distance_map().proxy_coords, placement,
                             fw->config().zahn, fw->config().border_selection);

@@ -49,12 +49,13 @@ DynamicHfcOverlay::DynamicHfcOverlay(PointSet coords,
                                      ZahnParams zahn,
                                      BorderSelection selection,
                                      ChurnMode /*mode*/)
-    : placement_(std::move(placement)), zahn_(zahn), selection_(selection) {
-  require(coords.size() == placement_.size(),
+    : zahn_(zahn), selection_(selection) {
+  require(coords.size() == placement.size(),
           "DynamicHfcOverlay: coords/placement size mismatch");
   require(!coords.empty(), "DynamicHfcOverlay: empty universe");
   active_.assign(coords.size(), true);
   active_count_ = coords.size();
+  inc_net_ = std::make_unique<OverlayNetwork>(coords, placement);
   dist_ = std::make_unique<CoordDistanceService>(std::move(coords));
   restructure();
 }
@@ -110,15 +111,11 @@ void DynamicHfcOverlay::do_activate(NodeId node) {
 }
 
 NodeId DynamicHfcOverlay::do_add(const Point& coords,
-                                 std::vector<ServiceId> services) {
-  require(coords.size() == dist_->coords().dim(),
-          "DynamicHfcOverlay::add_proxy: dimension mismatch");
-  require(std::is_sorted(services.begin(), services.end()),
-          "DynamicHfcOverlay::add_proxy: services must be sorted");
+                                 std::span<const ServiceId> services) {
+  // The network checks the dimension and the order before any change.
   inc_net_->add_node(coords, services);
   inc_topo_->append_node();
   dist_->append(coords);
-  placement_.push_back(std::move(services));
   active_.push_back(false);
   const NodeId node(static_cast<std::int32_t>(active_.size() - 1));
   do_activate(node);
@@ -138,7 +135,7 @@ void DynamicHfcOverlay::activate(NodeId node) {
 NodeId DynamicHfcOverlay::add_proxy(Point coords,
                                     std::vector<ServiceId> services) {
   churn_events_counter().add(1);
-  return do_add(coords, std::move(services));
+  return do_add(coords, services);
 }
 
 std::vector<NodeId> DynamicHfcOverlay::apply(
@@ -232,8 +229,6 @@ void DynamicHfcOverlay::build_universe_state(Clustering clustering) {
   full_rebuilds_counter().add(1);
   inc_router_.reset();
   inc_topo_.reset();
-  inc_net_.reset();
-  inc_net_ = std::make_unique<OverlayNetwork>(coords(), placement_);
   inc_topo_ =
       std::make_unique<HfcTopology>(std::move(clustering), *dist_, selection_);
   inc_router_ =

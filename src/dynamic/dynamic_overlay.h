@@ -17,11 +17,11 @@
 // HierarchicalServiceRouter over *all* universe nodes, inactive nodes
 // simply unclustered. A join/leave mutates the topology in place
 // (membership lists + border-pair repair scoped to the affected cluster
-// pairs) and the router re-derives only the SCT_C entries whose cluster
-// generation changed. Distance queries go through the coordinate tier
-// (CoordDistanceService). `apply()` batches events so k events touching
-// one cluster pay one border repair per affected cluster pair, fanned
-// across the thread pool.
+// pairs) and the router re-derives only the SCT_P and SCT_C entries
+// whose cluster generation changed. Distance queries go through the
+// coordinate tier (CoordDistanceService). `apply()` batches events so k
+// events touching one cluster pay one border repair per affected cluster
+// pair, fanned across the thread pool.
 //
 // After any mutation sequence the incremental state is equivalent to a
 // from-scratch rebuild of the same active set: same partition, same
@@ -162,11 +162,12 @@ class DynamicHfcOverlay {
   /// frozen copies serve requests with no id remapping.
   [[nodiscard]] const OverlayNetwork& universe_network() const;
   [[nodiscard]] const HfcTopology& universe_topology() const;
-  /// The universe router with SCT_C synced to the topology (same sync
-  /// route() performs before answering).
+  /// The universe router with SCT_P and SCT_C synced to the topology
+  /// (same sync route() performs before answering).
   [[nodiscard]] HierarchicalServiceRouter& universe_router();
-  /// The universe router as of its last sync: SCT_C entries of clusters
-  /// whose generation moved since are stale (snapshot capture's source).
+  /// The universe router as of its last sync: SCT_P and SCT_C entries of
+  /// clusters whose generation moved since are stale (snapshot capture's
+  /// source).
   [[nodiscard]] const HierarchicalServiceRouter& last_synced_router() const {
     return *inc_router_;
   }
@@ -174,19 +175,19 @@ class DynamicHfcOverlay {
  private:
   void do_deactivate(NodeId node);
   void do_activate(NodeId node);
-  NodeId do_add(const Point& coords, std::vector<ServiceId> services);
+  NodeId do_add(const Point& coords, std::span<const ServiceId> services);
   /// The universe coordinates: the distance tier's store, the one copy
   /// the overlay keeps besides its OverlayNetwork's.
   [[nodiscard]] const PointSet& coords() const;
   /// Active universe ids, ascending.
   [[nodiscard]] std::vector<std::size_t> active_ids() const;
-  /// Rebuild the universe-level routing objects over `clustering`
-  /// (restructure). Counts as a churn.full_rebuild. The topology's
-  /// cluster assignment is then the one record of each node's cluster
-  /// slot (invalid for inactive nodes).
+  /// Rebuild the universe-level topology and router over `clustering`
+  /// (restructure); the network is kept. Counts as a
+  /// churn.full_rebuild. The topology's cluster assignment is then the
+  /// one record of each node's cluster slot (invalid for inactive
+  /// nodes).
   void build_universe_state(Clustering clustering);
 
-  ServicePlacement placement_;
   std::vector<bool> active_;
   std::size_t active_count_ = 0;
   ZahnParams zahn_;
@@ -203,7 +204,8 @@ class DynamicHfcOverlay {
   /// insert/erase at every (de)activation.
   DynamicSpatialSet active_set_;
 
-  /// Universe-level routing state, mutated in place.
+  /// Universe-level routing state, mutated in place. The network, built
+  /// once, holds the one copy of the placement; add_proxy appends to it.
   std::unique_ptr<OverlayNetwork> inc_net_;
   std::unique_ptr<HfcTopology> inc_topo_;
   std::unique_ptr<HierarchicalServiceRouter> inc_router_;

@@ -4,12 +4,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coords/point_set.h"
-#include "services/workload.h"
 #include "util/ids.h"
 #include "util/require.h"
 
@@ -59,17 +60,19 @@ class OverlayNetwork {
  public:
   /// Throws unless coords and placement describe the same node count and
   /// all coordinates share one dimension.
-  OverlayNetwork(PointSet coords, ServicePlacement placement);
+  OverlayNetwork(PointSet coords, const ServicePlacement& placement);
 
   [[nodiscard]] std::size_t size() const { return coords_.size(); }
 
   /// Append one proxy (dynamic membership, DESIGN.md §9). Returns its
   /// NodeId. `coords` must match the network's dimension and `services`
-  /// must be sorted. Outstanding CoordDistanceRef functors stay valid.
-  NodeId add_node(Point coords, std::vector<ServiceId> services);
+  /// must be sorted. Outstanding CoordDistanceRef functors stay valid;
+  /// spans from services_at() may not.
+  NodeId add_node(Point coords, std::span<const ServiceId> services);
 
   [[nodiscard]] std::span<const double> coordinate(NodeId node) const;
-  [[nodiscard]] const std::vector<ServiceId>& services_at(NodeId node) const;
+  /// The services `node` hosts, ascending.
+  [[nodiscard]] std::span<const ServiceId> services_at(NodeId node) const;
   [[nodiscard]] bool hosts(NodeId node, ServiceId service) const;
 
   /// Sorted, duplicate-free union of the services hosted by `members`:
@@ -78,7 +81,8 @@ class OverlayNetwork {
   [[nodiscard]] std::vector<ServiceId> aggregate_services(
       const std::vector<NodeId>& members) const;
 
-  /// All proxies hosting `service` (possibly empty), ascending.
+  /// All proxies hosting `service` (possibly empty), ascending: a scan of
+  /// the whole placement.
   [[nodiscard]] std::vector<NodeId> hosts_of(ServiceId service) const;
 
   /// Coordinate-space (estimated) distance between two proxies.
@@ -93,11 +97,14 @@ class OverlayNetwork {
   [[nodiscard]] std::vector<NodeId> all_nodes() const;
 
  private:
+  /// Append one node's sorted, valid service list to the placement.
+  void push_services(std::span<const ServiceId> services);
+
   PointSet coords_;
-  ServicePlacement placement_;
-  /// hosts_index_[s] = proxies hosting service s (for services < catalog
-  /// bound seen in the placement).
-  std::vector<std::vector<NodeId>> hosts_index_;
+  /// The placement, flat: node p hosts
+  /// services_[offsets_[p], offsets_[p + 1]).
+  std::vector<std::uint32_t> offsets_{0};
+  std::vector<ServiceId> services_;
   /// Liveness token observed by CoordDistanceRef's debug assert: the
   /// weak_ptrs handed out expire exactly when this network is destroyed.
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);

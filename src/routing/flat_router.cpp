@@ -21,25 +21,31 @@ ServicePath FlatServiceRouter::route(const ServiceRequest& request) const {
 ServicePath FlatServiceRouter::route_within(
     const ServiceRequest& request, const std::vector<NodeId>& allowed,
     const NodeServiceFilter& filter) const {
+  // Mapping phase: candidates per SG vertex = allowed proxies hosting the
+  // vertex's service.
+  std::vector<std::vector<int>> candidates(request.graph.size());
+  for (std::size_t v = 0; v < request.graph.size(); ++v) {
+    const ServiceId s = request.graph.label(v);
+    for (NodeId p : allowed) {
+      if (net_.hosts(p, s) && (!filter || filter(p, s))) {
+        candidates[v].push_back(p.value());
+      }
+    }
+  }
+  return route_over(request, std::move(candidates));
+}
+
+ServicePath FlatServiceRouter::route_over(
+    const ServiceRequest& request,
+    std::vector<std::vector<int>> candidates) const {
   require(request.source.valid() && request.source.idx() < net_.size(),
           "FlatServiceRouter: bad source");
   require(request.destination.valid() &&
               request.destination.idx() < net_.size(),
           "FlatServiceRouter: bad destination");
-
-  // Mapping phase: candidates per SG vertex = allowed proxies hosting the
-  // vertex's service. Locations are proxy ids.
   ServiceDagProblem problem;
   problem.graph = &request.graph;
-  problem.candidates.resize(request.graph.size());
-  for (std::size_t v = 0; v < request.graph.size(); ++v) {
-    const ServiceId s = request.graph.label(v);
-    for (NodeId p : allowed) {
-      if (net_.hosts(p, s) && (!filter || filter(p, s))) {
-        problem.candidates[v].push_back(p.value());
-      }
-    }
-  }
+  problem.candidates = std::move(candidates);
   problem.source_location = request.source.value();
   problem.destination_location = request.destination.value();
   problem.distance = [this](int a, int b) {

@@ -44,6 +44,13 @@ class FlatServiceRouter {
       const ServiceRequest& request, const std::vector<NodeId>& allowed,
       const NodeServiceFilter& filter = nullptr) const;
 
+  /// The core of both: the optimal path mapping SG vertex v onto one of
+  /// `candidates[v]` (proxy ids, one list per vertex; their order breaks
+  /// cost ties). The hierarchical router feeds it from SCT_P.
+  [[nodiscard]] ServicePath route_over(
+      const ServiceRequest& request,
+      std::vector<std::vector<int>> candidates) const;
+
  private:
   const OverlayNetwork& net_;
   OverlayDistance distance_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <utility>
 
 #include "distance/coord_distance.h"
@@ -139,11 +140,8 @@ class ConquerPipeline {
       if (!relay(parent, at, run.entry, hops)) return out;
       const ServiceRequest child{run.entry, run.exit,
                                  ServiceGraph::linear(run.chain)};
-      const ServicePath part =
-          is_leaf(run.unit)
-              ? router_.flat_.route_within(child, topo_.members(run.unit),
-                                           node_ok_)
-              : route_in(run.unit, child);
+      const ServicePath part = is_leaf(run.unit) ? solve_leaf(run.unit, child)
+                                                 : route_in(run.unit, child);
       if (!part.found) {
         out.infeasible = report(run.unit, child.graph);
         return out;
@@ -158,6 +156,22 @@ class ConquerPipeline {
  private:
   [[nodiscard]] bool is_leaf(ClusterId unit) const {
     return unit.idx() < topo_.cluster_count();
+  }
+
+  /// Step 3 at a leaf cluster: the flat algorithm over the run's
+  /// candidates, each service's hosts in SCT_P that node_ok accepts.
+  [[nodiscard]] ServicePath solve_leaf(ClusterId cluster,
+                                       const ServiceRequest& child) const {
+    const HierarchicalServiceRouter::HostTable& table =
+        router_.hosts_[cluster.idx()];
+    std::vector<std::vector<int>> candidates(child.graph.size());
+    for (std::size_t v = 0; v < child.graph.size(); ++v) {
+      const ServiceId s = child.graph.label(v);
+      for (const NodeId p : table.hosts_of(s)) {
+        if (!node_ok_ || node_ok_(p, s)) candidates[v].push_back(p.value());
+      }
+    }
+    return router_.flat_.route_over(child, std::move(candidates));
   }
 
   /// Steps 1–5 inside `parent`. The crankbacks of every level count
@@ -209,19 +223,28 @@ class ConquerPipeline {
                                   const ServiceGraph& chain) const {
     Exclusions out;
     const std::vector<ServiceId> services = chain.distinct_services();
-    const std::vector<NodeId>& nodes = topo_.members(unit);
     for (const ServiceId s : services) {
-      if (std::none_of(nodes.begin(), nodes.end(), [&](NodeId node) {
-            return router_.net_.hosts(node, s) &&
-                   (!node_ok_ || node_ok_(node, s));
-          })) {
-        out.emplace_back(unit, s);
-      }
+      if (!provides(unit, s)) out.emplace_back(unit, s);
     }
     if (out.empty()) {
       for (const ServiceId s : services) out.emplace_back(unit, s);
     }
     return out;
+  }
+
+  /// Whether some proxy of `unit` hosts `service` in its leaf's SCT_P and
+  /// passes node_ok.
+  [[nodiscard]] bool provides(ClusterId unit, ServiceId service) const {
+    if (!is_leaf(unit)) {
+      const std::vector<ClusterId>& children = topo_.group(unit).children;
+      return std::any_of(children.begin(), children.end(),
+                         [&](ClusterId c) { return provides(c, service); });
+    }
+    const std::span<const NodeId> hosts =
+        router_.hosts_[unit.idx()].hosts_of(service);
+    return std::any_of(hosts.begin(), hosts.end(), [&](NodeId node) {
+      return !node_ok_ || node_ok_(node, service);
+    });
   }
 
   /// The child of `group` holding `node`.
@@ -258,18 +281,20 @@ HierarchicalServiceRouter::HierarchicalServiceRouter(
   require(topo_.node_count() == net_.size(),
           "HierarchicalServiceRouter: topology/network size mismatch");
   const auto t_sync = std::chrono::steady_clock::now();
-  // Derive SCT_C: the aggregate service set of a cluster is the union of
-  // its members' sets (paper §4, footnote 5), and an inner group's the
-  // union of its children's (children precede their parent). The root
-  // keeps none.
+  // Derive SCT_P per cluster, and SCT_C: the aggregate service set of a
+  // cluster is the union of its members' sets (paper §4, footnote 5), and
+  // an inner group's the union of its children's (children precede their
+  // parent). The root keeps none.
   const std::size_t clusters = topo_.cluster_count();
   capabilities_.resize(topo_.group_count() - 1);
+  hosts_.resize(clusters);
   synced_gen_.resize(clusters);
   synced_structure_ = topo_.structure_generation();
+  std::vector<std::uint32_t> counts;
   for (std::size_t g = 0; g < capabilities_.size(); ++g) {
     const ClusterId id(static_cast<int>(g));
     if (g < clusters) {
-      capabilities_[g] = net_.aggregate_services(topo_.members(id));
+      derive_cluster(g, counts);
       synced_gen_[g] = topo_.generation(id);
       continue;
     }
@@ -296,6 +321,7 @@ HierarchicalServiceRouter::HierarchicalServiceRouter(
       distance_(std::move(decision_distance)),
       flat_(net, distance_),
       capabilities_(other.capabilities_),
+      hosts_(other.hosts_),
       topo_(topo),
       params_(other.params_),
       synced_gen_(other.synced_gen_),
@@ -321,15 +347,67 @@ std::size_t HierarchicalServiceRouter::refresh_stale() {
   if (synced_structure_ == topo_.structure_generation()) return 0;
   synced_structure_ = topo_.structure_generation();
   std::size_t refreshed = 0;
+  std::vector<std::uint32_t> counts;
   for (std::size_t c = 0; c < topo_.cluster_count(); ++c) {
     const ClusterId id(static_cast<int>(c));
     const std::uint64_t gen = topo_.generation(id);
     if (synced_gen_[c] == gen) continue;
     synced_gen_[c] = gen;
     ++refreshed;
-    capabilities_[c] = net_.aggregate_services(topo_.members(id));
+    derive_cluster(c, counts);
   }
   return refreshed;
+}
+
+void HierarchicalServiceRouter::derive_cluster(
+    std::size_t c, std::vector<std::uint32_t>& counts) {
+  const std::vector<NodeId>& members =
+      topo_.members(ClusterId(static_cast<int>(c)));
+  HostTable& table = hosts_[c];
+  for (const NodeId m : members) {
+    for (const ServiceId s : net_.services_at(m)) {
+      if (s.idx() >= counts.size()) counts.resize(s.idx() + 1, 0);
+      ++counts[s.idx()];
+    }
+  }
+  // The hosted services ascending, by a sweep of the counts; each count
+  // becomes its service's write cursor. The vectors keep their capacity.
+  table.services.clear();
+  table.offsets.clear();
+  std::uint32_t total = 0;
+  for (std::size_t s = 0; s < counts.size(); ++s) {
+    if (counts[s] == 0) continue;
+    table.services.emplace_back(static_cast<std::int32_t>(s));
+    table.offsets.push_back(total);
+    const std::uint32_t n = counts[s];
+    counts[s] = total;
+    total += n;
+  }
+  table.offsets.push_back(total);
+  table.hosts.resize(total);
+  // Members ascending fill each service's range ascending.
+  for (const NodeId m : members) {
+    for (const ServiceId s : net_.services_at(m)) {
+      table.hosts[counts[s.idx()]++] = m;
+    }
+  }
+  for (const ServiceId s : table.services) counts[s.idx()] = 0;
+  capabilities_[c].assign(table.services.begin(), table.services.end());
+}
+
+std::span<const NodeId> HierarchicalServiceRouter::HostTable::hosts_of(
+    ServiceId service) const {
+  const auto it = std::lower_bound(services.begin(), services.end(), service);
+  if (it == services.end() || *it != service) return {};
+  const auto i = static_cast<std::size_t>(it - services.begin());
+  return {hosts.data() + offsets[i], hosts.data() + offsets[i + 1]};
+}
+
+const HierarchicalServiceRouter::HostTable&
+HierarchicalServiceRouter::host_table(ClusterId cluster) const {
+  require(cluster.valid() && cluster.idx() < topo_.cluster_count(),
+          "HierarchicalServiceRouter::host_table: bad cluster");
+  return hosts_[cluster.idx()];
 }
 
 HierarchicalServiceRouter::HierarchicalServiceRouter(

@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -88,9 +89,10 @@ class HierarchicalServiceRouter {
 
   /// `net` and `topo` must outlive the router. `decision_distance` is what
   /// proxies believe about the overlay (coordinate estimates in the
-  /// paper). Aggregate cluster capabilities (SCT_C) are derived from the
-  /// placement — exactly what the converged §4 protocol yields; tests can
-  /// overwrite them with protocol output via set_cluster_capability.
+  /// paper). Each leaf cluster's host table (SCT_P) and aggregate
+  /// capability (SCT_C) are derived from the placement — exactly what the
+  /// converged §4 protocol yields; tests can overwrite SCT_C with protocol
+  /// output via set_cluster_capability.
   HierarchicalServiceRouter(const OverlayNetwork& net,
                             const HfcTopology& topo,
                             OverlayDistance decision_distance,
@@ -104,8 +106,9 @@ class HierarchicalServiceRouter {
                             HierarchicalRoutingParams params = {});
 
   /// Rebinding clone for snapshot capture (DESIGN.md §12): `other`'s
-  /// SCT_C over `net` and `topo`, copies of what `other` reads, with the
-  /// clusters whose generation moved since its last sync re-derived.
+  /// SCT_P and SCT_C over `net` and `topo`, copies of what `other` reads,
+  /// with the clusters whose generation moved since its last sync
+  /// re-derived.
   HierarchicalServiceRouter(const HierarchicalServiceRouter& other,
                             const OverlayNetwork& net,
                             const HfcTopology& topo,
@@ -151,8 +154,8 @@ class HierarchicalServiceRouter {
       const Csp& csp, const ServiceRequest& request,
       const RoutingFilters& filters = {}) const;
 
-  /// Solve the child requests (flat routing restricted to each cluster's
-  /// members) and compose the final concrete path, inserting border relay
+  /// Solve the child requests (flat routing over each cluster's SCT_P)
+  /// and compose the final concrete path, inserting border relay
   /// hops between clusters.
   [[nodiscard]] ServicePath conquer(const Csp& csp,
                                     const std::vector<ChildRequest>& children,
@@ -171,14 +174,15 @@ class HierarchicalServiceRouter {
 
   /// Replace the derived aggregate capability of one cluster (e.g. with
   /// the outcome of the simulated §4 protocol). `services` ascending.
+  /// SCT_P keeps the placement's hosts, so conquer still maps onto them.
   void set_cluster_capability(ClusterId cluster,
                               std::vector<ServiceId> services);
 
-  /// Re-derive SCT_C only for clusters whose topology generation stamp
-  /// changed since construction / the previous sync (incremental churn,
-  /// DESIGN.md §9, one-level topologies). Dead clusters resolve to an
-  /// empty aggregate and drop out of CSP candidacy. O(1) when no
-  /// membership changed since the last sync.
+  /// Re-derive SCT_P and SCT_C only for clusters whose topology
+  /// generation stamp changed since construction / the previous sync
+  /// (incremental churn, DESIGN.md §9, one-level topologies). Dead
+  /// clusters resolve to an empty aggregate and drop out of CSP
+  /// candidacy. O(1) when no membership changed since the last sync.
   void sync_with_topology();
 
   /// Leaf clusters whose aggregate service set (SCT_C) contains `service`.
@@ -195,12 +199,33 @@ class HierarchicalServiceRouter {
   /// Aggregate service capability of any group (union over its nodes).
   [[nodiscard]] bool group_hosts(ClusterId group, ServiceId service) const;
 
+  /// SCT_P of one leaf cluster (paper §5.2): which member hosts which
+  /// service, flat. `services` lists the hosted services ascending; the
+  /// hosts of services[i] are hosts[offsets[i], offsets[i + 1]),
+  /// ascending.
+  struct HostTable {
+    std::vector<ServiceId> services;
+    std::vector<std::uint32_t> offsets{0};
+    std::vector<NodeId> hosts;
+
+    /// The members hosting `service`, ascending (empty when none does).
+    [[nodiscard]] std::span<const NodeId> hosts_of(ServiceId service) const;
+  };
+
+  /// The SCT_P of a leaf cluster, as of the last sync: always the
+  /// placement's, whatever set_cluster_capability wrote into SCT_C.
+  [[nodiscard]] const HostTable& host_table(ClusterId cluster) const;
+
  private:
   friend class ConquerPipeline;
 
-  /// Re-derive the SCT_C entries whose cluster generation moved since the
-  /// last sync; returns how many.
+  /// Re-derive the SCT_P and SCT_C entries whose cluster generation moved
+  /// since the last sync; returns how many.
   std::size_t refresh_stale();
+
+  /// Derive leaf `c`'s SCT_P and SCT_C by a counting pass over its
+  /// members. `counts` is scratch, all zero on entry and on return.
+  void derive_cluster(std::size_t c, std::vector<std::uint32_t>& counts);
 
   /// The endpoint checks of every entry point.
   void require_endpoints(const ServiceRequest& request) const;
@@ -211,6 +236,8 @@ class HierarchicalServiceRouter {
   /// capabilities_[g] = the aggregate services of group g, ascending, for
   /// every group but the root.
   std::vector<std::vector<ServiceId>> capabilities_;
+  /// hosts_[c] = the SCT_P of leaf cluster c.
+  std::vector<HostTable> hosts_;
   const HfcTopology& topo_;
   HierarchicalRoutingParams params_;
   /// Topology generation each SCT_C entry was derived at (sync_with_topology).

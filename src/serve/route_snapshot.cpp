@@ -87,13 +87,14 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
       overlay.last_synced_router(), *snap->net_, *snap->topo_,
       snap->net_->coord_distance_fn());
 
-  // Per-service candidate-set fingerprints, one pass over each hosting
-  // cluster's members: its host set per service, then (cluster, host set,
-  // border epoch) folded into each service it hosts, clusters ascending.
-  // That is all the CSP reads of a *candidate* (host ids fix coordinates;
-  // the border epoch fixes entry/exit nodes and lengths); clusters a path
-  // *traverses* are pinned by the cache's generation tags. Churn among
-  // non-host members leaves the chain unchanged, so cached routes survive.
+  // Per-service candidate-set fingerprints, one pass over each cluster's
+  // SCT_P: (cluster, host set, border epoch) folded into each service it
+  // hosts, clusters ascending, a host set being the chain of the
+  // service's ascending hosts. That is all the CSP reads of a *candidate*
+  // (host ids fix coordinates; the border epoch fixes entry/exit nodes
+  // and lengths); clusters a path *traverses* are pinned by the cache's
+  // generation tags. Churn among non-host members leaves the chain
+  // unchanged, so cached routes survive.
   const HierarchicalServiceRouter& router = *snap->router_;
   const std::size_t clusters = snap->topo_->cluster_count();
   std::size_t catalog = 0;
@@ -106,23 +107,19 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
   for (std::size_t s = 0; s < catalog; ++s) {
     snap->fingerprints_[s] = empty_fingerprint(s);
   }
-  std::vector<std::uint64_t> host_sets(catalog);
   for (std::size_t c = 0; c < clusters; ++c) {
     const ClusterId cluster(static_cast<std::int32_t>(c));
-    const std::vector<ServiceId>& hosted = router.cluster_capability(cluster);
-    for (const ServiceId s : hosted) host_sets[s.idx()] = kFingerprintSeed;
-    for (const NodeId m : snap->topo_->members(cluster)) {
-      for (const ServiceId s : snap->net_->services_at(m)) {
-        if (s.idx() >= catalog) continue;  // only a stale SCT_C misses one
-        std::uint64_t& h = host_sets[s.idx()];
-        h = splitmix64(h ^ static_cast<std::uint64_t>(m.value()));
-      }
-    }
+    const HierarchicalServiceRouter::HostTable& table =
+        router.host_table(cluster);
     const std::uint64_t epoch = snap->topo_->border_epoch(cluster);
-    for (const ServiceId s : hosted) {
+    for (const ServiceId s : router.cluster_capability(cluster)) {
+      std::uint64_t hosts = kFingerprintSeed;
+      for (const NodeId m : table.hosts_of(s)) {
+        hosts = splitmix64(hosts ^ static_cast<std::uint64_t>(m.value()));
+      }
       std::uint64_t& h = snap->fingerprints_[s.idx()];
       h = splitmix64(h ^ static_cast<std::uint64_t>(c));
-      h = splitmix64(h ^ host_sets[s.idx()]);
+      h = splitmix64(h ^ hosts);
       h = splitmix64(h ^ epoch);
     }
   }

@@ -5,18 +5,18 @@
 // synchronize with churn maintenance. A RouteSnapshot freezes everything
 // a route computation reads — the overlay placement and coordinates, a
 // clone of the HFC topology (borders, liveness, generation stamps), a
-// router with that membership's SCT_C, and the crash state — into one
-// immutable object published RCU-style by the ServingEngine (shared_ptr
-// swap under a mutex). Reader threads route against whatever snapshot
-// they loaded with no locks and no risk of a torn topology; the publisher
-// captures a fresh snapshot whenever
+// router with that membership's SCT_P and SCT_C, and the crash state —
+// into one immutable object published RCU-style by the ServingEngine
+// (shared_ptr swap under a mutex). Reader threads route against whatever
+// snapshot they loaded with no locks and no risk of a torn topology; the
+// publisher captures a fresh snapshot whenever
 // `HfcTopology::structure_generation()` advances or the crash set
 // changes.
 //
 // Capture pays for what changed. The network only grows by appending and
-// restructure() rebuilds it unchanged, so a snapshot shares its
-// predecessor's network while the size holds. SCT_C is cloned from the
-// overlay's router, re-deriving only clusters whose generation moved. The
+// restructure() keeps it, so a snapshot shares its predecessor's network
+// while the size holds. SCT_P and SCT_C are cloned from the overlay's
+// router, re-deriving only clusters whose generation moved. The
 // frozen topology and the router measure through the snapshot's network
 // (`OverlayNetwork::coord_distance_fn()`), the same `euclidean()` over the
 // same coordinates as the live coordinate tier: routes stay bit-identical.

@@ -27,9 +27,6 @@ struct WorkloadParams {
   double nonlinear_fraction = 0.0;
 };
 
-/// Which services each proxy hosts. placement[p] is sorted ascending.
-using ServicePlacement = std::vector<std::vector<ServiceId>>;
-
 /// Assign services to `proxy_count` proxies. Every catalog service is
 /// guaranteed to be hosted by at least one proxy (round-robin seeding),
 /// then each proxy is topped up with distinct random services until its

@@ -153,7 +153,8 @@ void StateProtocolSim::deliver_aggregate(Simulator& sim, NodeId to,
 
 void StateProtocolSim::send_local_state(Simulator& sim, NodeId from) {
   if (!is_up(from)) return;  // a crashed proxy's refresh timer is silent
-  const std::vector<ServiceId>& services = net_.services_at(from);
+  const std::span<const ServiceId> hosted = net_.services_at(from);
+  const std::vector<ServiceId> services(hosted.begin(), hosted.end());
   // A node always knows itself.
   tables_[from.idx()].sct_p[from] = services;
   sct_p_stamp_[from.idx()][from] = sim.now();
@@ -389,7 +390,8 @@ double StateProtocolSim::convergence_fraction() const {
     for (NodeId member : topo_.members(own)) {
       ++expected;
       const auto it = t.sct_p.find(member);
-      if (it != t.sct_p.end() && it->second == net_.services_at(member)) {
+      if (it != t.sct_p.end() &&
+          std::ranges::equal(it->second, net_.services_at(member))) {
         ++correct;
       }
     }
@@ -425,7 +427,9 @@ bool StateProtocolSim::fully_converged() const {
     for (NodeId member : members) {
       const auto it = t.sct_p.find(member);
       if (it == t.sct_p.end()) return false;
-      if (it->second != net_.services_at(member)) return false;
+      if (!std::ranges::equal(it->second, net_.services_at(member))) {
+        return false;
+      }
     }
     // SCT_C: one accurate entry per live cluster in the system.
     if (t.sct_c.size() != topo_.live_cluster_count()) return false;

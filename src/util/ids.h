@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <vector>
 
 namespace hfc {
 
@@ -56,6 +57,9 @@ using ClusterId = Id<ClusterTag>;
 using ServiceId = Id<ServiceTag>;
 /// Router in the physical (underlay) topology.
 using RouterId = Id<RouterTag>;
+
+/// Which services each proxy hosts. placement[p] is sorted ascending.
+using ServicePlacement = std::vector<std::vector<ServiceId>>;
 
 }  // namespace hfc
 

@@ -142,7 +142,8 @@ class FullRebuild {
     ServicePlacement placement;
     placement.reserve(nodes.size());
     for (const NodeId node : nodes) {
-      placement.push_back(overlay.universe_network().services_at(node));
+      const auto services = overlay.universe_network().services_at(node);
+      placement.emplace_back(services.begin(), services.end());
     }
     return placement;
   }

@@ -160,7 +160,8 @@ TEST(Integration, ProtocolConvergesOnChurnedTopology) {
   const auto fw = HfcFramework::build(small_config(43));
   ServicePlacement placement;
   for (NodeId p : fw->overlay().all_nodes()) {
-    placement.push_back(fw->overlay().services_at(p));
+    const auto services = fw->overlay().services_at(p);
+    placement.emplace_back(services.begin(), services.end());
   }
   DynamicHfcOverlay overlay(fw->distance_map().proxy_coords, placement,
                             fw->config().zahn);

@@ -25,7 +25,8 @@
 #      bounded CSP search's suites (CspOracle, RouteGoldenDigest), the
 #      snapshot-capture oracle suite (ServeSnapshotReuse), the host-table
 #      suite (SctP: serve solves read a snapshot's SCT_P from pool
-#      threads) and the live-link suites (the multilevel
+#      threads), the in-place solve-input suites (DecisionCoordinates,
+#      CandidateRanks) and the live-link suites (the multilevel
 #      DegradedSweepTest instances, SurvivingBorderPair, BorderView) at 3;
 #      then reduced
 #      bench_churn_dynamic, bench_topology_scaling (group-local
@@ -38,7 +39,7 @@
 #   4. Build with -DHFC_SANITIZE=address (Debug, so the NDEBUG-gated
 #      lifetime asserts are live) into build-asan/, run the memory-heavy
 #      suites plus the dynamic/churn suites (the attach-selection,
-#      repair-box and host-table suites included), and run the
+#      repair-box, host-table and solve-input suites included), and run the
 #      distance-scaling and churn benches at reduced sizes so the whole
 #      build-and-route pipeline — including row-cache eviction and
 #      incremental border repair — is exercised under ASan.
@@ -86,7 +87,7 @@ cmake --build build-tsan -j"$JOBS"
 HFC_THREADS=4 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'Obs|Metrics|Trace|ThreadPool|Parallel|StateProtocol|Simulator|Distance|RowCache|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming'
 HFC_THREADS=3 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
-  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|RouteGoldenDigest|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|StreamingCandidateSelection|StreamingSlotReuse|StreamingDigestText|FaultCrashTable|BorderRepairBox|ServeTornRead|ServeSnapshotReuse|SctP|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
+  -R 'MstAlgo|SpatialKdTree|SpatialDynamicSet|Equivalence|GroupPipeline|Churn|RouteDegraded|CspOracle|RouteGoldenDigest|MultiLevelRouter|BiLevel|BorderPairTies|ClosestPairAccept|ChaosSuite|StreamingChaosSuite|StreamingGoldenDigest|StreamingLazyAttach|StreamingCandidateSelection|StreamingSlotReuse|StreamingDigestText|FaultCrashTable|BorderRepairBox|ServeTornRead|ServeSnapshotReuse|SctP|DecisionCoordinates|CandidateRanks|DegradedSweepTest.*/(MultiLevel|Bounded)|SurvivingBorderPair|BorderView'
 HFC_THREADS=2 ctest --test-dir build-tsan -j"$JOBS" --output-on-failure \
   -R 'MstAlgo|Mst|GroupPipeline|SpatialEquivalence|SpatialKdTree|SpatialDynamicSet|ChaosSuite|StreamingChaosSuite|ServeTornRead'
 HFC_THREADS=4 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 \
@@ -110,7 +111,7 @@ echo "== [4/5] ASan gate =="
 cmake -B build-asan -S . -DHFC_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-asan -j"$JOBS"
 ctest --test-dir build-asan -j"$JOBS" --output-on-failure \
-  -R 'Distance|RowCache|SymMatrix|Oracle|Mesh|Overlay|CoordDistance|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming|BorderRepairBox|SctP'
+  -R 'Distance|RowCache|SymMatrix|Oracle|Mesh|Overlay|CoordDistance|Dynamic|Churn|Fault|Chaos|Spatial|TopologyScaling|Serve|GroupPipeline|Streaming|BorderRepairBox|SctP|DecisionCoordinates|CandidateRanks'
 HFC_DIST_N=400 HFC_DIST_REQUESTS=200 HFC_BENCH_JSON=0 \
   ./build-asan/bench/bench_distance_scaling
 HFC_CHURN_N=500 HFC_CHURN_EVENTS=96 HFC_REQUESTS=40 HFC_WAVES=2 \

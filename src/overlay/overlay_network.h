@@ -71,6 +71,8 @@ class OverlayNetwork {
   NodeId add_node(Point coords, std::span<const ServiceId> services);
 
   [[nodiscard]] std::span<const double> coordinate(NodeId node) const;
+  /// Every proxy's coordinates, one row per node id.
+  [[nodiscard]] const PointSet& coords() const { return coords_; }
   /// The services `node` hosts, ascending.
   [[nodiscard]] std::span<const ServiceId> services_at(NodeId node) const;
   [[nodiscard]] bool hosts(NodeId node, ServiceId service) const;

@@ -231,6 +231,8 @@ template <typename Unit, typename LinkSource>
       obs::MetricsRegistry::global().counter("routing.csp_states");
   static obs::Counter& skip_counter =
       obs::MetricsRegistry::global().counter("routing.csp_bound_skips");
+  static obs::Counter& walk_counter =
+      obs::MetricsRegistry::global().counter("routing.csp_ub_walks");
 
   // Decision distance from `entry` to `exit`, memoized: a search prices
   // many (state, candidate) transitions over few distinct border pairs.
@@ -344,34 +346,62 @@ template <typename Unit, typename LinkSource>
     }
   }
 
-  // Upper bound: from every source candidate, follow the argmins to a
-  // sink and price that configuration as the search would.
-  double upper = kInf;
+  // Upper bound: from source candidates, follow the argmins to a sink and
+  // price that configuration as the search would. Candidates go in
+  // ascending link-only bound fl(length(source, j) + rest), a rounded
+  // lower bound on the walk's priced cost, and the walks stop at the
+  // first bound past the threshold of the best priced so far: by the
+  // argument of kBoundSlack, no walk from there on prices below it, so
+  // the minimum is the one every walk would give.
+  const auto source = static_cast<std::uint32_t>(
+      std::find(units.begin(), units.end(), ends.source_unit) -
+      units.begin());
+  struct Start {
+    double bound;
+    std::uint32_t vertex;
+    std::uint32_t cand;
+  };
+  std::vector<Start> starts;
   for (std::size_t v : graph.sources()) {
     for (std::uint32_t j = 0; j < candidates[v].size(); ++j) {
       if (rest[v][j].length == kInf) continue;
-      NodeId entry;
-      std::uint32_t crossings = 0;
-      double cost = enter(candidates[v][j], entry, crossings);
-      std::size_t at = v;
-      std::uint32_t cand = j;
-      while (cost != kInf && !graph.successors(at).empty()) {
-        const Rest& r = rest[at][cand];
-        const std::size_t next_at = graph.successors(at)[r.succ];
-        const std::uint32_t unit = candidates[at][cand];
-        const std::uint32_t next = candidates[next_at][r.cand];
-        if (next != unit) {
-          const CspLink link = links.link(units[unit], units[next]);
-          cost = cost + step(entry, link);
-          entry = link.entry;
-        }
-        at = next_at;
-        cand = r.cand;
-      }
-      if (cost == kInf) continue;
-      upper = std::min(upper,
-                       close(candidates[at][cand], entry, cost, crossings));
+      starts.push_back(
+          Start{links.length(parent, source, candidates[v][j]) +
+                    rest[v][j].length,
+                static_cast<std::uint32_t>(v), j});
     }
+  }
+  std::sort(starts.begin(), starts.end(), [](const Start& a, const Start& b) {
+    return a.bound < b.bound ||
+           (a.bound == b.bound &&
+            (a.vertex < b.vertex || (a.vertex == b.vertex && a.cand < b.cand)));
+  });
+  double upper = kInf;
+  std::uint64_t walks = 0;
+  for (const Start& start : starts) {
+    if (start.bound > upper * (1.0 + kBoundSlack)) break;
+    ++walks;
+    NodeId entry;
+    std::uint32_t crossings = 0;
+    std::size_t at = start.vertex;
+    std::uint32_t cand = start.cand;
+    double cost = enter(candidates[at][cand], entry, crossings);
+    while (cost != kInf && !graph.successors(at).empty()) {
+      const Rest& r = rest[at][cand];
+      const std::size_t next_at = graph.successors(at)[r.succ];
+      const std::uint32_t unit = candidates[at][cand];
+      const std::uint32_t next = candidates[next_at][r.cand];
+      if (next != unit) {
+        const CspLink link = links.link(units[unit], units[next]);
+        cost = cost + step(entry, link);
+        entry = link.entry;
+      }
+      at = next_at;
+      cand = r.cand;
+    }
+    if (cost == kInf) continue;
+    upper =
+        std::min(upper, close(candidates[at][cand], entry, cost, crossings));
   }
   // Keep a label only if it can still reach the upper bound; with
   // upper == kInf every label is kept.
@@ -509,6 +539,7 @@ template <typename Unit, typename LinkSource>
   }
   kept_counter.add(kept);
   skip_counter.add(skips);
+  walk_counter.add(walks);
 
   CspSearch<Unit> csp;
   if (best == kInf) return csp;

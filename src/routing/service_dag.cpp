@@ -1,8 +1,5 @@
 #include "routing/service_dag.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "util/require.h"
 
 namespace hfc {
@@ -11,90 +8,9 @@ DagSolution solve_service_dag(const ServiceDagProblem& problem) {
   require(problem.graph != nullptr, "solve_service_dag: null graph");
   require(static_cast<bool>(problem.distance),
           "solve_service_dag: null distance");
-  const ServiceGraph& graph = *problem.graph;
-  require(problem.candidates.size() == graph.size(),
-          "solve_service_dag: one candidate list per SG vertex required");
-
-  DagSolution solution;
-  if (graph.empty()) {
-    // Nothing to compose: the path is the direct source->destination hop.
-    solution.found = true;
-    solution.cost =
-        problem.distance(problem.source_location, problem.destination_location);
-    return solution;
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  struct Label {
-    double cost = kInf;
-    // Back-pointer: predecessor SG vertex and candidate index (or npos for
-    // the virtual source).
-    std::size_t prev_vertex = static_cast<std::size_t>(-1);
-    std::size_t prev_candidate = static_cast<std::size_t>(-1);
-  };
-  std::vector<std::vector<Label>> labels(graph.size());
-  for (std::size_t v = 0; v < graph.size(); ++v) {
-    labels[v].resize(problem.candidates[v].size());
-  }
-
-  // Initialise SG source vertices from the virtual source.
-  for (std::size_t v : graph.sources()) {
-    for (std::size_t i = 0; i < problem.candidates[v].size(); ++i) {
-      labels[v][i].cost =
-          problem.distance(problem.source_location, problem.candidates[v][i]);
-    }
-  }
-
-  // Relax every SG edge in topological order of the service graph: the
-  // service DAG's edges are exactly (u, cand_i) -> (v, cand_j) for each SG
-  // edge u -> v.
-  for (std::size_t u : graph.topological_order()) {
-    for (std::size_t v : graph.successors(u)) {
-      for (std::size_t i = 0; i < problem.candidates[u].size(); ++i) {
-        if (labels[u][i].cost == kInf) continue;
-        for (std::size_t j = 0; j < problem.candidates[v].size(); ++j) {
-          const double cost =
-              labels[u][i].cost + problem.distance(problem.candidates[u][i],
-                                                   problem.candidates[v][j]);
-          if (cost < labels[v][j].cost) {
-            labels[v][j] = Label{cost, u, i};
-          }
-        }
-      }
-    }
-  }
-
-  // Close at the virtual sink over the SG sink vertices.
-  double best = kInf;
-  std::size_t best_vertex = 0;
-  std::size_t best_candidate = 0;
-  for (std::size_t v : graph.sinks()) {
-    for (std::size_t i = 0; i < problem.candidates[v].size(); ++i) {
-      if (labels[v][i].cost == kInf) continue;
-      const double cost =
-          labels[v][i].cost + problem.distance(problem.candidates[v][i],
-                                               problem.destination_location);
-      if (cost < best) {
-        best = cost;
-        best_vertex = v;
-        best_candidate = i;
-      }
-    }
-  }
-  if (best == kInf) return solution;  // unsatisfiable
-
-  solution.found = true;
-  solution.cost = best;
-  for (std::size_t v = best_vertex, i = best_candidate;
-       v != static_cast<std::size_t>(-1);) {
-    solution.assignments.push_back(
-        DagAssignment{v, problem.candidates[v][i]});
-    const Label& label = labels[v][i];
-    v = label.prev_vertex;
-    i = label.prev_candidate;
-  }
-  std::reverse(solution.assignments.begin(), solution.assignments.end());
-  return solution;
+  return solve_service_dag(*problem.graph, problem.candidates,
+                           problem.source_location,
+                           problem.destination_location, problem.distance);
 }
 
 }  // namespace hfc

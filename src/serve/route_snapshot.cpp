@@ -85,7 +85,7 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
 
   snap->router_ = std::make_unique<HierarchicalServiceRouter>(
       overlay.last_synced_router(), *snap->net_, *snap->topo_,
-      snap->net_->coord_distance_fn());
+      snap->net_->coords());
 
   // Per-service candidate-set fingerprints, one pass over each cluster's
   // SCT_P: (cluster, host set, border epoch) folded into each service it

@@ -402,6 +402,32 @@ TEST(CspOracle, BoundCountersPinned) {
             595066u);
 }
 
+/// The upper bound prices walks from source candidates in ascending
+/// link-only bound and stops at the first that cannot beat the best so
+/// far, so it prices fewer walks than there are source candidates; its
+/// minimum, and with it every prune, is BoundCountersPinned's.
+TEST(CspOracle, UpperBoundWalksPinned) {
+  const auto fw = HfcFramework::build(config_for(paper_environments().back(),
+                                                 /*seed=*/1));
+  obs::Counter& walks = obs::MetricsRegistry::global().counter(
+      "routing.csp_ub_walks");
+  const std::uint64_t walks_before = walks.value();
+  std::uint64_t source_candidates = 0;
+  Rng rng(1);
+  for (const ServiceRequest& request : fw->generate_requests(200, rng)) {
+    ASSERT_TRUE(fw->router().compute_csp(request).found);
+    for (const std::size_t v : request.graph.sources()) {
+      source_candidates += fw->router()
+                               .candidate_ranks(fw->topology().root(),
+                                                request.graph.label(v))
+                               .size();
+    }
+  }
+  const std::uint64_t priced = walks.value() - walks_before;
+  EXPECT_EQ(priced, 3025u);
+  EXPECT_LT(priced, source_candidates);
+}
+
 /// 64-bit FNV-1a, folded over `value`'s bytes.
 template <typename T>
 void fnv1a(std::uint64_t& h, const T& value) {

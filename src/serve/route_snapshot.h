@@ -17,9 +17,12 @@
 // restructure() keeps it, so a snapshot shares its predecessor's network
 // while the size holds. SCT_P and SCT_C are cloned from the overlay's
 // router, re-deriving only clusters whose generation moved. The
-// frozen topology and the router measure through the snapshot's network
-// (`OverlayNetwork::coord_distance_fn()`), the same `euclidean()` over the
-// same coordinates as the live coordinate tier: routes stay bit-identical.
+// frozen topology measures through the snapshot's network
+// (`OverlayNetwork::coord_distance_fn()`) and the router reads that
+// network's coordinate rows in place (`OverlayNetwork::coords()`): both
+// are the same `euclidean()` over the same coordinates as the live
+// coordinate tier, so routes stay bit-identical. The snapshot owns that
+// network, so the rows outlive its router.
 //
 // Degradation baking: when the snapshot carries crashed nodes, border
 // pairs whose stored end is down are resolved to the surviving pair

@@ -5,8 +5,12 @@
 #   scripts/check.sh --fast   # skip sanitizer + coverage builds (iteration)
 #
 # Stages:
-#   1. Configure + build with -Wall -Wextra -Werror (HFC_WERROR=ON) into
-#      build-check/, so new warnings fail the gate instead of scrolling by.
+#   1. Compile every header under src/routing/ alone (-fsyntax-only, one
+#      translation unit each, -std=c++20 -Wall -Wextra -Werror), so a
+#      header that leans on another header's includes fails the gate;
+#      then configure + build with -Wall -Wextra -Werror (HFC_WERROR=ON)
+#      into build-check/, so new warnings fail the gate instead of
+#      scrolling by.
 #   2. Run the full ctest suite (tier-1 gate).
 #   3. Build with -DHFC_SANITIZE=thread into build-tsan/ and re-run the
 #      concurrency-sensitive tests (obs metrics, thread pool, sim/protocol,
@@ -67,7 +71,13 @@ elif [[ -n "${1:-}" ]]; then
   exit 2
 fi
 
-echo "== [1/5] -Werror build =="
+echo "== [1/5] self-contained routing headers + -Werror build =="
+for header in src/routing/*.h; do
+  echo "#include \"${header#src/}\"" |
+    "${CXX:-c++}" -std=c++20 -Wall -Wextra -Werror -Isrc -fsyntax-only \
+      -x c++ - || { echo "check.sh: $header does not compile alone" >&2
+                    exit 1; }
+done
 cmake -B build-check -S . -DHFC_WERROR=ON
 cmake --build build-check -j"$JOBS"
 

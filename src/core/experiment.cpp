@@ -10,6 +10,7 @@
 #include "overlay/mesh_topology.h"
 #include "routing/flat_router.h"
 #include "routing/full_state_router.h"
+#include "routing/path_expansion.h"
 #include "util/stats.h"
 
 namespace hfc {

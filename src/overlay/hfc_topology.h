@@ -275,13 +275,13 @@ class HfcTopology {
   /// was disconnected.
   [[nodiscard]] CspLink link(ClusterId from, ClusterId toward) const;
 
-  /// The link lengths among `parent`'s children, indexed by sibling rank
-  /// (the position in `group(parent).children`): ranks a < b at
-  /// [b (b - 1) / 2 + a]. Each is link()'s length, and +inf where either
-  /// sibling is dead or the pair is disconnected, as link() then finds
-  /// none. Unchecked: `parent` must have children.
-  [[nodiscard]] const double* lengths(ClusterId parent) const {
-    return length_.data() + triangle_[parent.idx()];
+  /// The length of link() between the children of `parent` at sibling
+  /// ranks a != b (their positions in `group(parent).children`), in either
+  /// order: +inf where either sibling is dead or the pair is disconnected,
+  /// as link() then finds none. Unchecked.
+  [[nodiscard]] double length(ClusterId parent, std::size_t a,
+                              std::size_t b) const {
+    return length_[triangle_[parent.idx()] + triangle_index(a, b)];
   }
 
   /// The distance border pairs are chosen and measured under; null in a
@@ -414,11 +414,18 @@ class HfcTopology {
   [[nodiscard]] std::size_t slot(std::size_t from, std::size_t toward) const {
     return row_[from] + rank_[toward];
   }
+  /// The position of sibling ranks a != b, in either order, in their
+  /// parent's length triangle.
+  [[nodiscard]] static std::size_t triangle_index(std::size_t a,
+                                                  std::size_t b) {
+    const std::size_t lo = std::min(a, b);
+    const std::size_t hi = std::max(a, b);
+    return hi * (hi - 1) / 2 + lo;
+  }
   /// The length_ slot of two distinct siblings, in either order.
   [[nodiscard]] std::size_t length_slot(std::size_t a, std::size_t b) const {
-    const std::size_t lo = std::min(rank_[a], rank_[b]);
-    const std::size_t hi = std::max(rank_[a], rank_[b]);
-    return triangle_[groups_[a].parent.idx()] + hi * (hi - 1) / 2 + lo;
+    return triangle_[groups_[a].parent.idx()] +
+           triangle_index(rank_[a], rank_[b]);
   }
   /// Visit the nodes after `a` on the hop path from `a` to `b`, in order.
   template <typename Visit>

@@ -8,21 +8,14 @@
 // paper: state distribution runs separately (src/sim).
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "overlay/mesh_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/service_dag.h"
 #include "routing/service_path.h"
 #include "services/service_graph.h"
 
 namespace hfc {
-
-/// Optional per-(proxy, service) feasibility predicate: false excludes the
-/// proxy as a provider of that service (e.g. insufficient residual
-/// capacity under QoS admission). A null filter accepts everything.
-using NodeServiceFilter = std::function<bool(NodeId, ServiceId)>;
 
 class FlatServiceRouter {
  public:
@@ -76,11 +69,5 @@ template <typename Distance>
   path.hops.push_back(ServiceHop{request.destination, ServiceId{}});
   return path;
 }
-
-/// Insert relay hops so a fully-connected-view path becomes a walk along
-/// mesh edges: consecutive hops on non-adjacent proxies are joined by the
-/// shortest mesh walk. Throws if the mesh routing cannot connect a pair.
-[[nodiscard]] ServicePath expand_mesh_path(const ServicePath& path,
-                                           const MeshRouting& routing);
 
 }  // namespace hfc

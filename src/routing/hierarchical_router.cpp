@@ -8,6 +8,7 @@
 #include "distance/coord_distance.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "routing/flat_router.h"
 #include "routing/live_links.h"
 #include "util/require.h"
 
@@ -75,7 +76,7 @@ class ConquerPipeline {
         obs::MetricsRegistry::global().counter("routing.csp_calls");
     csp_calls.add(1);
     const ServiceGraph& graph = request.graph;
-    const CspEnds<ClusterId> ends = ends_in(parent, request);
+    const CspEnds ends = ends_in(parent, request);
     const OverlayDistance& distance = router_.distance_;
     if (graph.empty()) {
       if (ends.source_unit == ends.destination_unit) {
@@ -120,9 +121,8 @@ class ConquerPipeline {
     HFC_TRACE_SPAN("routing.divide");
     static obs::Counter& child_requests =
         obs::MetricsRegistry::global().counter("routing.child_requests");
-    std::vector<Run> runs =
-        dissect_runs(csp.steps, &CspStep<ClusterId>::unit, request.graph,
-                     ends_in(parent, request), links_);
+    std::vector<Run> runs = dissect_runs(csp.steps, request.graph,
+                                         ends_in(parent, request), links_);
     child_requests.add(runs.size());
     return runs;
   }
@@ -264,8 +264,8 @@ class ConquerPipeline {
     return topo_.ancestor_of(node, topo_.group(group).level - 1);
   }
 
-  [[nodiscard]] CspEnds<ClusterId> ends_in(
-      ClusterId parent, const ServiceRequest& request) const {
+  [[nodiscard]] CspEnds ends_in(ClusterId parent,
+                               const ServiceRequest& request) const {
     return {request.source, request.destination,
             child_holding(parent, request.source),
             child_holding(parent, request.destination)};
@@ -275,7 +275,7 @@ class ConquerPipeline {
   const HfcTopology& topo_;
   std::function<bool(ClusterId, ServiceId)> cluster_ok_;
   NodeServiceFilter node_ok_;
-  LiveLinkView<ClusterId, HfcTopology> links_;
+  LiveLinkView links_;
   std::size_t max_crankbacks_;
   mutable std::size_t crankbacks_ = 0;
 };
@@ -615,14 +615,7 @@ HierarchicalServiceRouter::divide(const Csp& csp, const ServiceRequest& request,
       .divide(topo_.root(), csp, request);
 }
 
-ServicePath HierarchicalServiceRouter::conquer(
-    const Csp& csp, const std::vector<ChildRequest>& children,
-    const ServiceRequest& request) const {
-  return conquer_filtered(csp, children, request, RoutingFilters{}).path;
-}
-
-HierarchicalServiceRouter::ConquerResult
-HierarchicalServiceRouter::conquer_filtered(
+HierarchicalServiceRouter::ConquerResult HierarchicalServiceRouter::conquer(
     const Csp& csp, const std::vector<ChildRequest>& children,
     const ServiceRequest& request, const RoutingFilters& filters) const {
   require(csp.found, "conquer: CSP not found");

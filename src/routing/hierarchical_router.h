@@ -47,8 +47,9 @@
 #include "overlay/hfc_topology.h"
 #include "overlay/overlay_network.h"
 #include "routing/csp_kernel.h"
-#include "routing/flat_router.h"
 #include "routing/service_path.h"
+#include "services/service_graph.h"
+#include "util/ids.h"
 
 namespace hfc {
 
@@ -145,7 +146,7 @@ class HierarchicalServiceRouter {
   /// A cluster-level service path: one cluster per SG vertex of the chosen
   /// configuration. `lower_bound` is the CSP's cost under the selection
   /// metric (external links + unavoidable internal segments).
-  using Csp = CspSearch<ClusterId>;
+  using Csp = CspSearch;
   /// Excluded (cluster, service) candidate pairs, as accumulated by
   /// crankback.
   using Exclusions = std::vector<std::pair<ClusterId, ServiceId>>;
@@ -157,28 +158,23 @@ class HierarchicalServiceRouter {
   /// a single cluster, between that cluster's entry and exit nodes,
   /// resolved through the live links under `filters.node_up` (the filters
   /// the CSP was computed under).
-  using ChildRequest = UnitRun<ClusterId>;
+  using ChildRequest = UnitRun;
   [[nodiscard]] std::vector<ChildRequest> divide(
       const Csp& csp, const ServiceRequest& request,
       const RoutingFilters& filters = {}) const;
 
-  /// Solve the child requests (flat routing over each cluster's SCT_P)
-  /// and compose the final concrete path, inserting border relay
-  /// hops between clusters.
-  [[nodiscard]] ServicePath conquer(const Csp& csp,
-                                    const std::vector<ChildRequest>& children,
-                                    const ServiceRequest& request) const;
-
-  /// Conquer under filters: the hops of the solved runs, or on failure
-  /// the (cluster, service) pairs of the failed run so the caller can
-  /// crank back; both empty when a relay found its clusters disconnected.
+  /// Solve the child requests under `filters` (flat routing over each
+  /// cluster's SCT_P) and compose the final concrete path, inserting
+  /// border relay hops between clusters: the path, or on failure the
+  /// (cluster, service) pairs of the failed run so the caller can crank
+  /// back; both empty when a relay found its clusters disconnected.
   struct ConquerResult {
     ServicePath path;
     Exclusions infeasible;
   };
-  [[nodiscard]] ConquerResult conquer_filtered(
+  [[nodiscard]] ConquerResult conquer(
       const Csp& csp, const std::vector<ChildRequest>& children,
-      const ServiceRequest& request, const RoutingFilters& filters) const;
+      const ServiceRequest& request, const RoutingFilters& filters = {}) const;
 
   /// Replace the derived aggregate capability of one cluster (e.g. with
   /// the outcome of the simulated §4 protocol). `services` ascending.

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -25,22 +24,6 @@
 #include "util/require.h"
 
 namespace hfc {
-
-/// Distance between two abstract locations; must be non-negative.
-using LocationDistance = std::function<double(int, int)>;
-
-/// Inputs of the mapping phase, with the distance behind a function: the
-/// form the unit tests hand-write.
-struct ServiceDagProblem {
-  const ServiceGraph* graph = nullptr;
-  /// candidates[v] = locations able to run graph vertex v. A vertex with
-  /// no candidates makes the request unsatisfiable through that vertex.
-  std::vector<std::vector<int>> candidates;
-  int source_location = 0;
-  int destination_location = 0;
-  /// Distance between candidate locations (and the endpoints).
-  LocationDistance distance;
-};
 
 /// One element of the solved mapping: SG vertex -> location.
 struct DagAssignment {
@@ -73,9 +56,11 @@ struct Label {
 /// Build the service DAG over `candidates` (one list per vertex of
 /// `graph`) and solve it with DAG-shortest-paths (relaxation in
 /// service-graph topological order) between `source` and `destination`.
-/// O(sum over SG edges of |cand(u)|*|cand(v)|). `distance(a, b)` is any
-/// callable pricing two locations, called inline: the router passes a
-/// lambda over coordinate rows, so no call crosses a function wrapper.
+/// O(sum over SG edges of |cand(u)|*|cand(v)|). A vertex with no
+/// candidates makes the request unsatisfiable through it. `distance(a, b)`
+/// is any callable pricing two locations, non-negative, called inline: the
+/// router passes a lambda over coordinate rows, so no call crosses a
+/// function wrapper.
 template <typename Distance>
 [[nodiscard]] DagSolution solve_service_dag(
     const ServiceGraph& graph, const std::vector<std::vector<int>>& candidates,
@@ -153,8 +138,5 @@ template <typename Distance>
   std::reverse(solution.assignments.begin(), solution.assignments.end());
   return solution;
 }
-
-/// The same over a ServiceDagProblem. Throws on a null graph or distance.
-[[nodiscard]] DagSolution solve_service_dag(const ServiceDagProblem& problem);
 
 }  // namespace hfc

@@ -6,6 +6,7 @@
 // message relay.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ struct ServiceHop {
   [[nodiscard]] bool is_relay() const { return !service.valid(); }
   friend bool operator==(const ServiceHop&, const ServiceHop&) = default;
 };
+
+/// Optional per-(proxy, service) feasibility predicate: false excludes the
+/// proxy as a provider of that service (e.g. insufficient residual
+/// capacity under QoS admission). A null filter accepts everything.
+using NodeServiceFilter = std::function<bool(NodeId, ServiceId)>;
 
 /// A concrete service path. `cost` is the total length under the metric
 /// the *router* used to choose the path (typically the coordinate

@@ -62,8 +62,7 @@ std::shared_ptr<const RouteSnapshot> RouteSnapshot::capture(
     const auto up = [self = snap.get()](NodeId n) {
       return self->up_[n.idx()] != 0;
     };
-    const LiveLinkView<ClusterId, HfcTopology> links(frozen, frozen.distance(),
-                                                     up);
+    const LiveLinkView links(frozen, frozen.distance(), up);
     const std::size_t slots = frozen.cluster_count();
     for (std::size_t a = 0; a + 1 < slots; ++a) {
       const ClusterId ca(static_cast<std::int32_t>(a));

@@ -26,7 +26,7 @@ RoutingTransaction simulate_routing_transaction(
                        2.0 * topo.path_distance(pd, resolver, delay));
   }
   txn.setup_latency_ms = slowest;
-  txn.path = router.conquer(csp, children, request);
+  txn.path = router.conquer(csp, children, request).path;
   return txn;
 }
 

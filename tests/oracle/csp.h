@@ -61,8 +61,7 @@ inline HierarchicalServiceRouter::Csp compute_csp(
   const ClusterId src_cluster = topo.cluster_of(request.source);
   const ClusterId dst_cluster = topo.cluster_of(request.destination);
   const bool lb = use_internal_lower_bounds;
-  const LiveLinkView<ClusterId, HfcTopology> view(topo, topo.distance(),
-                                                  filters.node_up);
+  const LiveLinkView view(topo, topo.distance(), filters.node_up);
   const auto border = [&view](ClusterId from, ClusterId toward) {
     return view.link(from, toward).exit;
   };
@@ -205,8 +204,8 @@ inline HierarchicalServiceRouter::Csp compute_csp(
   csp.found = true;
   csp.lower_bound = best;
   for (std::size_t v = best_vertex; v != static_cast<std::size_t>(-1);) {
-    csp.steps.push_back(CspStep<ClusterId>{
-        v, ClusterId(static_cast<int>(best_key >> 32))});
+    csp.steps.push_back(
+        CspStep{v, ClusterId(static_cast<int>(best_key >> 32))});
     const Label& label = tables[v].at(best_key);
     v = label.prev_vertex;
     best_key = label.prev_key;
@@ -231,8 +230,7 @@ inline HierarchicalServiceRouter::RouteResult route_with_crankback(
                     request, filters, exclusions);
     if (!csp.found) return result;
     const auto children = router.divide(csp, request, filters);
-    auto conquered =
-        router.conquer_filtered(csp, children, request, filters);
+    auto conquered = router.conquer(csp, children, request, filters);
     if (conquered.path.found) {
       result.path = std::move(conquered.path);
       return result;

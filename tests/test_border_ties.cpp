@@ -175,8 +175,7 @@ void check_lex_min_everywhere(bool quads, bool spatial) {
       for (const NodeId crashed : {topo.border(cluster(a), cluster(b)),
                                    topo.border(cluster(b), cluster(a))}) {
         const auto up = [crashed](NodeId n) { return n != crashed; };
-        const LiveLinkView<ClusterId, HfcTopology> view(topo, topo.distance(),
-                                                        up);
+        const LiveLinkView view(topo, topo.distance(), up);
         const CspLink got = view.link(cluster(a), cluster(b));
         ASSERT_TRUE(got.found);
         EXPECT_EQ(view.fallbacks(), 1u);
@@ -222,8 +221,7 @@ TEST(BorderPairTies, LevelTwoSiblingFallbackIsLexMin) {
       ASSERT_TRUE(stored.found);
       for (const NodeId crashed : {stored.exit, stored.entry}) {
         const auto up = [crashed](NodeId n) { return n != crashed; };
-        const LiveLinkView<ClusterId, HfcTopology> view(
-            hierarchy, distance, up);
+        const LiveLinkView view(hierarchy, distance, up);
         const CspLink got = view.link(groups[i], groups[j]);
         ASSERT_TRUE(got.found);
         EXPECT_EQ(view.fallbacks(), 1u);

@@ -516,13 +516,11 @@ TEST(FaultInjector, DownEndpointsCountAsDownDrops) {
 
 // -------------------------------------------------- surviving border pairs
 
-using ClusterLinks = LiveLinkView<ClusterId, HfcTopology>;
-
 TEST(SurvivingBorderPair, NullPredicatePassesStoredPairThrough) {
   FaultWorld w;
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c1 = w.topo.cluster_of(NodeId(3));
-  const ClusterLinks view(w.topo, w.topo.distance(), nullptr);
+  const LiveLinkView view(w.topo, w.topo.distance(), nullptr);
   const CspLink link = view.link(c0, c1);
   ASSERT_TRUE(link.found);
   EXPECT_EQ(link.exit, w.topo.border(c0, c1));
@@ -538,7 +536,7 @@ TEST(SurvivingBorderPair, FallsBackToClosestSurvivingPair) {
   const NodeId stored = w.topo.border(c0, c1);
   const auto up = [stored](NodeId n) { return n != stored; };
 
-  const ClusterLinks view(w.topo, w.topo.distance(), up);
+  const LiveLinkView view(w.topo, w.topo.distance(), up);
   const CspLink link = view.link(c0, c1);
   ASSERT_TRUE(link.found);
   EXPECT_EQ(view.fallbacks(), 1u);
@@ -562,7 +560,7 @@ TEST(SurvivingBorderPair, NotFoundWhenOneSideIsDark) {
   FaultWorld w;
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c1 = w.topo.cluster_of(NodeId(3));
-  const ClusterLinks view(w.topo, w.topo.distance(), [&](NodeId n) {
+  const LiveLinkView view(w.topo, w.topo.distance(), [&](NodeId n) {
     return w.topo.cluster_of(n) != c0;
   });
   EXPECT_FALSE(view.link(c0, c1).found);
@@ -576,7 +574,7 @@ TEST(BorderView, MemoizesFallbackResolution) {
   const ClusterId c0 = w.topo.cluster_of(NodeId(0));
   const ClusterId c1 = w.topo.cluster_of(NodeId(3));
   const NodeId stored = w.topo.border(c0, c1);
-  const ClusterLinks view(w.topo, w.topo.distance(),
+  const LiveLinkView view(w.topo, w.topo.distance(),
                           [stored](NodeId n) { return n != stored; });
   ASSERT_TRUE(view.link(c0, c1).found);
   const NodeId via = view.link(c0, c1).exit;
@@ -590,7 +588,7 @@ TEST(BorderView, MemoizesFallbackResolution) {
   (void)view.link(c1, c0);
   EXPECT_EQ(view.fallbacks(), 1u);
 
-  const ClusterLinks dark(w.topo, w.topo.distance(), [&](NodeId n) {
+  const LiveLinkView dark(w.topo, w.topo.distance(), [&](NodeId n) {
     return w.topo.cluster_of(n) != c1;
   });
   EXPECT_FALSE(dark.link(c0, c1).found);
@@ -628,7 +626,7 @@ std::uint64_t bits_of(double value) {
 /// diagonal, bit-equals the length of a found `view.link`, and is +inf
 /// where the link is not found. Returns the pairs not found.
 std::size_t expect_lengths_match_links(const HfcTopology& topo,
-                                       const ClusterLinks& view) {
+                                       const LiveLinkView& view) {
   std::size_t missing = 0;
   for (std::size_t p = 0; p < topo.group_count(); ++p) {
     const ClusterId parent(static_cast<std::int32_t>(p));
@@ -678,8 +676,8 @@ std::function<bool(NodeId)> crash_stored_borders(const HfcTopology& topo) {
 std::size_t expect_both_views_match(const HfcTopology& topo,
                                     const OverlayDistance& distance) {
   const std::size_t missing =
-      expect_lengths_match_links(topo, ClusterLinks(topo, distance, nullptr));
-  const ClusterLinks crashed(topo, distance, crash_stored_borders(topo));
+      expect_lengths_match_links(topo, LiveLinkView(topo, distance, nullptr));
+  const LiveLinkView crashed(topo, distance, crash_stored_borders(topo));
   expect_lengths_match_links(topo, crashed);
   EXPECT_GT(crashed.fallbacks(), 0u);
   return missing;

@@ -16,7 +16,9 @@
 #include "cluster/mst.h"
 #include "overlay/hfc_topology.h"
 #include "oracle/brute_force.h"
+#include "routing/filters.h"
 #include "routing/hierarchical_router.h"
+#include "routing/live_links.h"
 #include "services/workload.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -742,6 +744,163 @@ TEST(GroupPipelineHierarchy, BoundedFanoutMatchesGlobalSweep) {
 TEST(GroupPipelineHierarchy, FlatLevelsMatchGlobalSweep) {
   // The fixed-`levels` construction (group_fanout 0).
   expect_pipeline_hierarchy(random_cloud(9000, 2, 902), MultiLevelParams{});
+}
+
+// Run dissection below depth 1 (paper §5.1 step 3): divide() at the root
+// of a deeper tree, with and without crashed proxies. Each run is entered
+// at the source when it is the first run and its unit holds the source,
+// and otherwise at link(unit, previous unit).exit of a live-link view
+// under the same predicate; it is left the same way toward the
+// destination. Consecutive runs differ in unit, and the runs' chains,
+// concatenated, are the CSP's services in order.
+
+/// Three super-groups of three groups of three tight blobs of five
+/// proxies, spaced 10000, 1000 and 100 apart along x.
+std::vector<Point> nested_blobs(Rng& rng) {
+  std::vector<Point> pts;
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      for (int c = 0; c < 3; ++c) {
+        const double x = 10000.0 * a + 1000.0 * b + 100.0 * c;
+        for (int i = 0; i < 5; ++i) {
+          pts.push_back({x + rng.uniform_real(0.0, 4.0),
+                         rng.uniform_real(0.0, 4.0)});
+        }
+      }
+    }
+  }
+  return pts;
+}
+
+/// The checks above over 60 requests in a tree of at least three levels.
+/// Service s lives only under the root's child s mod k (k children, three
+/// services each), so CSPs cross between them, often more than once.
+void expect_runs_follow_csp(const std::vector<Point>& pts,
+                            const MultiLevelParams& params, bool crashes,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  const HfcTopology h(pts, params);
+  ASSERT_GE(h.levels(), 3u);
+  const std::vector<ClusterId>& top = h.group(h.root()).children;
+  WorkloadParams wp;
+  wp.catalog_size = 3 * top.size();
+  wp.request_length_min = 2;
+  wp.request_length_max = 5;
+  ServicePlacement placement(pts.size());
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    const ClusterId unit = h.ancestor_of(NodeId(static_cast<int>(p)),
+                                         h.levels());
+    const auto child = static_cast<int>(
+        std::find(top.begin(), top.end(), unit) - top.begin());
+    const int k = static_cast<int>(top.size());
+    placement[p] = {ServiceId(child + k * rng.uniform_int(0, 2))};
+  }
+  const OverlayNetwork net(pts, placement);
+  const OverlayDistance distance = net.coord_distance_fn();
+  const HierarchicalServiceRouter router(net, h, distance);
+
+  // Crashes take out every stored border pair among the root's children,
+  // so each crossing there falls back, and a fifth of the rest.
+  std::vector<NodeId> crashed;
+  if (crashes) {
+    for (const ClusterId a : top) {
+      for (const ClusterId b : top) {
+        if (a != b) crashed.push_back(h.link(a, b).exit);
+      }
+    }
+    for (const NodeId node : net.all_nodes()) {
+      if (rng.chance(0.2)) crashed.push_back(node);
+    }
+  }
+  Rng request_rng = rng.fork(2);
+  std::size_t found = 0;
+  std::size_t crossed = 0;
+  std::size_t middle = 0;
+  for (const ServiceRequest& request :
+       make_requests(60, net.all_nodes(), wp, request_rng)) {
+    std::erase(crashed, request.source);
+    std::erase(crashed, request.destination);
+    const RoutingFilters filters =
+        crashes ? avoid_crashed(crashed) : RoutingFilters{};
+    const HierarchicalServiceRouter::Csp csp =
+        router.compute_csp(request, filters);
+    if (!csp.found) continue;
+    ++found;
+    const std::vector<HierarchicalServiceRouter::ChildRequest> runs =
+        router.divide(csp, request, filters);
+    const LiveLinkView view(h, distance, filters.node_up);
+    const ClusterId source_unit = h.ancestor_of(request.source, h.levels());
+    const ClusterId destination_unit =
+        h.ancestor_of(request.destination, h.levels());
+
+    if (runs.size() > 2) ++middle;
+    std::vector<ServiceId> chains;
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const auto& run = runs[k];
+      const std::size_t level = h.group(run.unit).level;
+      EXPECT_EQ(h.group(run.unit).parent, h.root());
+      if (k > 0) {
+        EXPECT_NE(run.unit, runs[k - 1].unit) << "run " << k;
+      }
+      const ClusterId previous = k == 0 ? source_unit : runs[k - 1].unit;
+      const ClusterId next =
+          k + 1 == runs.size() ? destination_unit : runs[k + 1].unit;
+      if (run.unit == previous) {
+        EXPECT_EQ(k, 0u);
+        EXPECT_EQ(run.entry, request.source) << "run " << k;
+      } else {
+        EXPECT_EQ(run.entry, view.link(run.unit, previous).exit)
+            << "run " << k;
+        ++crossed;
+      }
+      if (run.unit == next) {
+        EXPECT_EQ(k + 1, runs.size());
+        EXPECT_EQ(run.exit, request.destination) << "run " << k;
+      } else {
+        EXPECT_EQ(run.exit, view.link(run.unit, next).exit) << "run " << k;
+      }
+      EXPECT_EQ(h.ancestor_of(run.entry, level), run.unit);
+      EXPECT_EQ(h.ancestor_of(run.exit, level), run.unit);
+      if (filters.node_up) {
+        EXPECT_TRUE(filters.node_up(run.entry) && filters.node_up(run.exit));
+      }
+      chains.insert(chains.end(), run.chain.begin(), run.chain.end());
+    }
+    std::vector<ServiceId> services;
+    for (const CspStep& step : csp.steps) {
+      services.push_back(request.graph.label(step.sg_vertex));
+    }
+    EXPECT_EQ(chains, services);
+  }
+  EXPECT_GT(found, 30u);
+  EXPECT_GT(crossed, 0u);
+  EXPECT_GT(middle, 0u);
+}
+
+TEST(RunDissection, BoundedFanout) {
+  expect_runs_follow_csp(random_cloud(200, 2, 3301),
+                         MultiLevelParams::bounded(3, 6), false, 3302);
+}
+
+TEST(RunDissection, BoundedFanoutUnderCrashes) {
+  expect_runs_follow_csp(random_cloud(200, 2, 3303),
+                         MultiLevelParams::bounded(3, 6), true, 3304);
+}
+
+MultiLevelParams three_levels() {
+  MultiLevelParams params;
+  params.levels = 3;
+  return params;
+}
+
+TEST(RunDissection, ThreeLevels) {
+  Rng rng(3305);
+  expect_runs_follow_csp(nested_blobs(rng), three_levels(), false, 3306);
+}
+
+TEST(RunDissection, ThreeLevelsUnderCrashes) {
+  Rng rng(3307);
+  expect_runs_follow_csp(nested_blobs(rng), three_levels(), true, 3308);
 }
 
 }  // namespace

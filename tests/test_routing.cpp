@@ -29,15 +29,10 @@ TEST(ServiceDag, HandComputedOptimum) {
   //   s0@20,s1@0 : 20 + 20 + 20 = 60
   //   s0@20,s1@20: 20 + 0 + 0   = 20  <- tie
   ServiceGraph g = ServiceGraph::linear({ServiceId(0), ServiceId(1)});
-  ServiceDagProblem problem;
-  problem.graph = &g;
-  problem.candidates = {{10, 20}, {0, 20}};
-  problem.source_location = 0;
-  problem.destination_location = 20;
-  problem.distance = [](int a, int b) {
-    return std::abs(static_cast<double>(a - b));
-  };
-  const DagSolution s = solve_service_dag(problem);
+  const DagSolution s =
+      solve_service_dag(g, {{10, 20}, {0, 20}}, 0, 20, [](int a, int b) {
+        return std::abs(static_cast<double>(a - b));
+      });
   ASSERT_TRUE(s.found);
   EXPECT_DOUBLE_EQ(s.cost, 20.0);
   ASSERT_EQ(s.assignments.size(), 2u);
@@ -47,14 +42,9 @@ TEST(ServiceDag, HandComputedOptimum) {
 
 TEST(ServiceDag, EmptyGraphIsDirectHop) {
   ServiceGraph g;
-  ServiceDagProblem problem;
-  problem.graph = &g;
-  problem.source_location = 3;
-  problem.destination_location = 9;
-  problem.distance = [](int a, int b) {
+  const DagSolution s = solve_service_dag(g, {}, 3, 9, [](int a, int b) {
     return std::abs(static_cast<double>(a - b));
-  };
-  const DagSolution s = solve_service_dag(problem);
+  });
   ASSERT_TRUE(s.found);
   EXPECT_DOUBLE_EQ(s.cost, 6.0);
   EXPECT_TRUE(s.assignments.empty());
@@ -62,13 +52,10 @@ TEST(ServiceDag, EmptyGraphIsDirectHop) {
 
 TEST(ServiceDag, UnsatisfiableWhenNoCandidates) {
   ServiceGraph g = ServiceGraph::linear({ServiceId(0), ServiceId(1)});
-  ServiceDagProblem problem;
-  problem.graph = &g;
-  problem.candidates = {{1}, {}};  // s1 has no provider
-  problem.source_location = 0;
-  problem.destination_location = 0;
-  problem.distance = [](int, int) { return 1.0; };
-  EXPECT_FALSE(solve_service_dag(problem).found);
+  // s1 has no provider.
+  EXPECT_FALSE(solve_service_dag(g, {{1}, {}}, 0, 0, [](int, int) {
+                 return 1.0;
+               }).found);
 }
 
 TEST(ServiceDag, NonLinearPicksCheapestConfiguration) {
@@ -83,15 +70,10 @@ TEST(ServiceDag, NonLinearPicksCheapestConfiguration) {
   g.add_edge(v1, v2);
   g.add_edge(v3, v1);
   g.add_edge(v3, v2);
-  ServiceDagProblem problem;
-  problem.graph = &g;
-  problem.candidates = {{50}, {60}, {5}, {2}};  // s3@2, s2@5 near endpoints
-  problem.source_location = 0;
-  problem.destination_location = 10;
-  problem.distance = [](int a, int b) {
-    return std::abs(static_cast<double>(a - b));
-  };
-  const DagSolution s = solve_service_dag(problem);
+  // s3@2, s2@5 near endpoints.
+  const DagSolution s = solve_service_dag(
+      g, {{50}, {60}, {5}, {2}}, 0, 10,
+      [](int a, int b) { return std::abs(static_cast<double>(a - b)); });
   ASSERT_TRUE(s.found);
   // 0 -> 2 (s3) -> 5 (s2) -> 10 = 2 + 3 + 5 = 10.
   EXPECT_DOUBLE_EQ(s.cost, 10.0);
@@ -101,13 +83,11 @@ TEST(ServiceDag, NonLinearPicksCheapestConfiguration) {
 }
 
 TEST(ServiceDag, ValidatesInputs) {
-  ServiceDagProblem problem;
-  problem.distance = [](int, int) { return 0.0; };
-  EXPECT_THROW((void)solve_service_dag(problem), std::invalid_argument);
   ServiceGraph g = ServiceGraph::linear({ServiceId(0)});
-  problem.graph = &g;
-  problem.candidates = {};  // wrong arity
-  EXPECT_THROW((void)solve_service_dag(problem), std::invalid_argument);
+  // Wrong arity: no candidate list for the graph's one vertex.
+  EXPECT_THROW((void)solve_service_dag(g, {}, 0, 0,
+                                       [](int, int) { return 0.0; }),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------ flat routing ----

@@ -270,7 +270,7 @@ TEST(SctP, CapabilityOverrideLeavesConquerCandidatesUnchanged) {
     HierarchicalServiceRouter::Csp csp = w.router.compute_csp(req);
     if (!csp.found) continue;
     before.push_back(
-        w.router.conquer(csp, w.router.divide(csp, req), req));
+        w.router.conquer(csp, w.router.divide(csp, req), req).path);
     ASSERT_TRUE(before.back().found);
     requests.push_back(std::move(req));
     csps.push_back(std::move(csp));
@@ -283,8 +283,11 @@ TEST(SctP, CapabilityOverrideLeavesConquerCandidatesUnchanged) {
   }
   EXPECT_FALSE(w.router.compute_csp(requests.front()).found);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const ServicePath after = w.router.conquer(
-        csps[i], w.router.divide(csps[i], requests[i]), requests[i]);
+    const ServicePath after =
+        w.router
+            .conquer(csps[i], w.router.divide(csps[i], requests[i]),
+                     requests[i])
+            .path;
     EXPECT_EQ(after.hops, before[i].hops) << "request " << i;
     EXPECT_EQ(after.cost, before[i].cost) << "request " << i;
   }
@@ -320,7 +323,7 @@ TEST(SctP, ConquerMatchesMemberScanUnderCrashes) {
       if (!csp.found) continue;
       const auto runs = w.router.divide(csp, req, filters);
       const HierarchicalServiceRouter::ConquerResult got =
-          w.router.conquer_filtered(csp, runs, req, filters);
+          w.router.conquer(csp, runs, req, filters);
 
       // The member scan: each run by route_within over its cluster's
       // members, and a failed run's report by the same scan.

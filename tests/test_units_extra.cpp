@@ -49,15 +49,10 @@ TEST(ServiceDagExtra, DiamondPicksCheaperBranch) {
   g.add_edge(a, c);
   g.add_edge(b, d);
   g.add_edge(c, d);
-  ServiceDagProblem problem;
-  problem.graph = &g;
-  problem.candidates = {{0}, {50}, {5}, {10}};  // branch via c is cheaper
-  problem.source_location = 0;
-  problem.destination_location = 10;
-  problem.distance = [](int x, int y) {
-    return std::abs(static_cast<double>(x - y));
-  };
-  const DagSolution s = solve_service_dag(problem);
+  // The branch via c is cheaper.
+  const DagSolution s = solve_service_dag(
+      g, {{0}, {50}, {5}, {10}}, 0, 10,
+      [](int x, int y) { return std::abs(static_cast<double>(x - y)); });
   ASSERT_TRUE(s.found);
   ASSERT_EQ(s.assignments.size(), 3u);
   EXPECT_EQ(s.assignments[1].sg_vertex, c);
@@ -67,13 +62,9 @@ TEST(ServiceDagExtra, DiamondPicksCheaperBranch) {
 
 TEST(ServiceDagExtra, ZeroDistanceTiesStillProduceValidPath) {
   ServiceGraph g = ServiceGraph::linear({ServiceId(0), ServiceId(1)});
-  ServiceDagProblem problem;
-  problem.graph = &g;
-  problem.candidates = {{1, 2}, {1, 2}};
-  problem.source_location = 0;
-  problem.destination_location = 0;
-  problem.distance = [](int, int) { return 0.0; };  // everything ties
-  const DagSolution s = solve_service_dag(problem);
+  // Everything ties.
+  const DagSolution s = solve_service_dag(g, {{1, 2}, {1, 2}}, 0, 0,
+                                          [](int, int) { return 0.0; });
   ASSERT_TRUE(s.found);
   EXPECT_DOUBLE_EQ(s.cost, 0.0);
   ASSERT_EQ(s.assignments.size(), 2u);
